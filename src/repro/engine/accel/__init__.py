@@ -155,7 +155,8 @@ def _self_check() -> bool:
 
     # Small but representative: branch-dense integer workload, tight file
     # (register stalls + reuse), exceptions on, basic policy (early
-    # releases + squash cancellation), warm structures exported.
+    # releases + squash cancellation), warm structures exported, and
+    # wrong-path fetches (the in-C draw cascade) in the run.
     config = ProcessorConfig(release_policy="basic", engine="python",
                              num_physical_int=48, num_physical_fp=48,
                              exception_rate=0.002, warmup=True)
@@ -164,6 +165,8 @@ def _self_check() -> bool:
     if compiled is None:
         return False
     reference = SimulationEngine(trace, config).run()
+    if reference.fetched_wrong_path <= 0:
+        return False
     if dataclasses.asdict(compiled.stats) != dataclasses.asdict(reference):
         return False
     # Same point again with warm-up deferred into the C core (the

@@ -25,16 +25,19 @@ machine state is allocated per run by ``sim_new``.
 The only Python work during the run is *refilling draw buffers*: the C
 core never calls back into Python, so the two stochastic inputs — the
 wrong-path instruction stream and the per-rename exception lottery — are
-pre-drawn into flat buffers.  ``sim_run`` escapes with
+fed through flat buffers.  ``sim_run`` escapes with
 ``RUN_NEED_WRONGPATH`` / ``RUN_NEED_EXC`` *before* starting any cycle
 that could exhaust a buffer, Python tops the buffer up from deep copies
 of the state's own generators (so a later pure-Python fallback run still
 observes untouched RNG streams), and re-enters.
 
-Wrong-path payloads are exported pc-agnostically: the generator is asked
-for the instruction at ``pc=0``, whose branch target then *is*
-``4 * delta`` — the C core stamps the real (front-end dependent) pc back
-in, exactly like the generator's own vectorised pre-draw path.
+The wrong-path buffer holds raw 64-bit PCG64 words, not instructions:
+the C core runs :class:`~repro.trace.wrongpath.WrongPathGenerator`'s
+category cascade itself at each wrong-path fetch, turning words into
+doubles and bounded integers by the draw contract of
+:mod:`repro.trace.draws`, and keeps the generator's buffered 32-bit half
+and register-window cursors.  Python only copies
+``bit_generator.random_raw`` blocks in.
 
 ``run_compiled`` returns ``None`` whenever the run must be redone by the
 Python engine: configurations the C core does not model, a deadlock
@@ -53,24 +56,24 @@ import numpy as np
 
 from repro.engine.accel import loader
 from repro.engine.accel.artefacts import EXPORT_CACHE
-from repro.engine.accel.loader import (A, CFG, NCFG, RF, RQ_LEVELS_MAX,
+from repro.engine.accel.loader import (A, CFG, F, NCFG, RF, RQ_LEVELS_MAX,
                                        RUN_DEADLOCK, RUN_FINISHED,
                                        RUN_INTERNAL, RUN_NEED_EXC,
                                        RUN_NEED_WRONGPATH, SC, ST, ST_N)
 from repro.isa import FUKind, OpClass
 from repro.pipeline.stats import RegisterFileStats, SimStats
 from repro.core.register_state import OccupancyTotals
+from repro.trace.draws import replay_supported
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.state import MachineState
 
 logger = logging.getLogger("repro.engine.accel")
 
-#: Wrong-path payload buffer capacity.  Consumed one per wrong-path fetch;
-#: a refill escape costs one ``sim_run`` re-entry plus this many generator
-#: draws, so the value trades refill frequency against the up-front fill
-#: every run pays (the escape check fires before the first cycle).
-WP_BUFFER = 1024
+#: Wrong-path raw-word buffer capacity.  A wrong-path fetch consumes one
+#: to three words; a refill escape costs one ``sim_run`` re-entry and one
+#: ``random_raw`` call.  Must cover three words per fetch slot.
+WP_RAW_BUFFER = 4096
 
 #: Exception-lottery buffer capacity (one double per renamed correct-path
 #: instruction; refills are a single batched ``Generator.random`` call).
@@ -102,9 +105,17 @@ def unsupported_reason(config_or_state) -> Optional[str]:
     its Release Queue from the config but caps the depth at
     ``RQ_LEVELS_MAX``, and models exactly the paper's six-pool /
     eleven-class functional units; configurations outside that envelope
-    quietly use the Python engine.
+    quietly use the Python engine.  For a ``MachineState`` the wrong-path
+    generator must also be replayable from raw words (see
+    :func:`_wrongpath_reason`).
     """
     cfg = getattr(config_or_state, "config", config_or_state)
+    fetch_unit = getattr(config_or_state, "fetch_unit", None)
+    if cfg.enable_wrong_path and fetch_unit is not None \
+            and fetch_unit.wrongpath is not None:
+        reason = _wrongpath_reason(fetch_unit.wrongpath)
+        if reason is not None:
+            return reason
     if (_POLICY_CODES.get(cfg.release_policy) == 2
             and cfg.max_pending_branches > RQ_LEVELS_MAX):
         return (f"extended policy needs max_pending_branches <= "
@@ -115,6 +126,24 @@ def unsupported_reason(config_or_state) -> Optional[str]:
         return "functional-unit pool outside the six-pool model"
     if any(op not in latencies for op in _OP_CLASSES):
         return "incomplete functional-unit latency table"
+    return None
+
+
+def _is_window(regs) -> bool:
+    return bool(regs) and list(regs) == list(range(regs[0],
+                                                   regs[0] + len(regs)))
+
+
+def _wrongpath_reason(generator) -> Optional[str]:
+    """Why the C cascade cannot replay ``generator`` (None = it can)."""
+    if not replay_supported() or not isinstance(
+            generator._rng.bit_generator, np.random.PCG64):
+        return "wrong-path bit generator is not a replayable PCG64"
+    if generator._pending_head < len(generator._pending):
+        return "wrong-path generator holds pre-drawn payloads"
+    if not (_is_window(generator._int_regs)
+            and _is_window(generator._fp_regs)):
+        return "wrong-path register windows are not contiguous"
     return None
 
 
@@ -159,7 +188,7 @@ def _config_vector(state: "MachineState", warm_len: int) -> "np.ndarray":
         vec[CFG.FU + 2 * k + 1] = int(kind in fus.unpipelined)
     for op in _OP_CLASSES:
         vec[CFG.OP_LAT + int(op)] = fus.latencies[op]
-    vec[CFG.WP_CAP] = WP_BUFFER
+    vec[CFG.WP_CAP] = WP_RAW_BUFFER
     vec[CFG.EXC_CAP] = EXC_BUFFER
     vec[CFG.WARM_LEN] = warm_len
     return vec
@@ -239,59 +268,39 @@ def _export_cache(ffi, lib, mach, cache, which_tag: int) -> None:
             dirty[base + pos] = entry_dirty
 
 
+def _export_wrongpath(lib, mach, generator) -> None:
+    """Hand the C cascade the generator's mix, windows and buffered half."""
+    mix = generator.mix
+    for which, value in ((F.WP_BRANCH, mix.branch), (F.WP_LOAD, mix.load),
+                         (F.WP_STORE, mix.store), (F.WP_FP, mix.fp),
+                         (F.WP_FP_SHARE, mix.fp_load_share)):
+        lib.sim_setf(mach, which, value)
+    rng_state = generator._rng.bit_generator.state
+    int_regs, fp_regs = generator._int_regs, generator._fp_regs
+    for which, value in (
+            (SC.WP_HALF, rng_state["uinteger"]
+             if rng_state["has_uint32"] else -1),
+            (SC.WP_DATA_BASE, generator._data_base),
+            (SC.WP_INT_BASE, int_regs[0]), (SC.WP_INT_N, len(int_regs)),
+            (SC.WP_INT_CURSOR, generator._int_cursor),
+            (SC.WP_FP_BASE, fp_regs[0]), (SC.WP_FP_N, len(fp_regs)),
+            (SC.WP_FP_CURSOR, generator._fp_cursor)):
+        lib.sim_set(mach, which, value)
+
+
 # ----------------------------------------------------------------------
 # Draw-buffer refills
 # ----------------------------------------------------------------------
-def _payload_columns(ffi, lib, mach, cap: int):
-    return {which: _i64_view(ffi, lib, mach, which, 2 * cap
-                             if which in (A.W_SRC_CLASS, A.W_SRC_LOG)
-                             else cap)
-            for which in (A.W_OP, A.W_DC, A.W_DEST, A.W_NSRC,
-                          A.W_SRC_CLASS, A.W_SRC_LOG, A.W_ADDR, A.W_TDELTA)}
+def _fill_wrongpath(raw, bit_generator, start: int, stop: int) -> None:
+    """Write raw PCG64 words ``[start, stop)`` of the wrong-path buffer."""
+    raw[start:stop] = bit_generator.random_raw(stop - start).view(np.int64)
 
 
-def _fill_wrongpath(columns, generator, start: int, stop: int) -> None:
-    """Draw payloads ``[start, stop)`` from the wrong-path generator.
-
-    ``pc=0`` makes the drawn branch target equal ``4 * delta``, so the
-    exported ``tdelta`` is pc-independent and the C core can stamp the
-    real pc in at fetch time (matching the Python front end exactly).
-    """
-    w_op, w_dc = columns[A.W_OP], columns[A.W_DC]
-    w_dest, w_nsrc = columns[A.W_DEST], columns[A.W_NSRC]
-    w_src_class, w_src_log = columns[A.W_SRC_CLASS], columns[A.W_SRC_LOG]
-    w_addr, w_tdelta = columns[A.W_ADDR], columns[A.W_TDELTA]
-    next_instruction = generator.next_instruction
-    for i in range(start, stop):
-        inst = next_instruction(0)
-        w_op[i] = int(inst.op)
-        if inst.dest is None:
-            w_dc[i] = -1
-            w_dest[i] = 0
-        else:
-            w_dc[i] = int(inst.dest[0])
-            w_dest[i] = inst.dest[1]
-        srcs = inst.srcs
-        w_nsrc[i] = len(srcs)
-        for s, (reg_class, log) in enumerate(srcs):
-            w_src_class[2 * i + s] = int(reg_class)
-            w_src_log[2 * i + s] = log
-        w_addr[i] = inst.mem_addr
-        w_tdelta[i] = inst.target >> 2 if inst.is_branch else 0
-
-
-def _refill_wrongpath(lib, mach, columns, generator, cap: int) -> None:
-    head = lib.sim_get(mach, SC.WP_HEAD)
-    count = lib.sim_get(mach, SC.WP_COUNT)
-    remaining = count - head
-    if remaining > 0 and head > 0:
-        for column in columns.values():
-            stride = 2 if len(column) == 2 * cap else 1
-            keep = column[stride * head:stride * count].copy()
-            column[:stride * remaining] = keep
-    _fill_wrongpath(columns, generator, remaining, cap)
-    lib.sim_set(mach, SC.WP_HEAD, 0)
-    lib.sim_set(mach, SC.WP_COUNT, cap)
+def _refill_wrongpath(lib, mach, raw, bit_generator) -> None:
+    # The core has already moved its unconsumed words to the front.
+    _fill_wrongpath(raw, bit_generator, lib.sim_get(mach, SC.WP_COUNT),
+                    len(raw))
+    lib.sim_set(mach, SC.WP_COUNT, len(raw))
 
 
 def _refill_exceptions(ffi, lib, mach, rng, cap: int) -> None:
@@ -438,13 +447,12 @@ def run_compiled(state: "MachineState", *,
     lib.sim_set(mach, SC.COMMIT_LIMIT, limit)
     lib.sim_set(mach, SC.MAX_CYCLES, -1 if max_cycles is None else max_cycles)
     lib.sim_set(mach, SC.DEADLOCK, deadlock_threshold)
-    lib.sim_setf(mach, 0, state.config.exception_rate)
+    lib.sim_setf(mach, F.EXC_RATE, state.config.exception_rate)
 
     # Deep copies: the compiled attempt consumes these streams; a Python
     # fallback (deadlock, internal error) must see them untouched.
-    wrongpath = (copy.deepcopy(state.fetch_unit.wrongpath)
-                 if state.config.enable_wrong_path
-                 and state.fetch_unit.wrongpath is not None else None)
+    wrongpath = (state.fetch_unit.wrongpath
+                 if state.config.enable_wrong_path else None)
     exc_rng = (copy.deepcopy(state.exception_rng)
                if state.config.exception_rate > 0.0 else None)
     if state.config.enable_wrong_path and wrongpath is None:
@@ -453,14 +461,15 @@ def run_compiled(state: "MachineState", *,
         logger.warning("wrong path enabled but no generator present; "
                        "falling back to the Python engine")
         return None
-
-    wp_columns = (_payload_columns(ffi, lib, mach, WP_BUFFER)
-                  if wrongpath is not None else None)
+    if wrongpath is not None:
+        _export_wrongpath(lib, mach, wrongpath)
+        wp_bits = copy.deepcopy(wrongpath._rng.bit_generator)
+        wp_raw = _i64_view(ffi, lib, mach, A.W_RAW, WP_RAW_BUFFER)
 
     status = lib.sim_run(mach)
     while status in (RUN_NEED_WRONGPATH, RUN_NEED_EXC):
         if status == RUN_NEED_WRONGPATH:
-            _refill_wrongpath(lib, mach, wp_columns, wrongpath, WP_BUFFER)
+            _refill_wrongpath(lib, mach, wp_raw, wp_bits)
         else:
             _refill_exceptions(ffi, lib, mach, exc_rng, EXC_BUFFER)
         status = lib.sim_run(mach)

@@ -6,9 +6,9 @@
  * deliberately tiny ABI: Python builds a Machine from a flat config
  * vector, fills the C-owned trace/predictor/cache arrays through typed
  * pointer accessors, and drives sim_run(), which executes cycles until
- * the run finishes or it needs Python (wrong-path payload refill,
- * exception-lottery refill, deadlock, or an internal inconsistency that
- * triggers the bit-exact Python fallback).
+ * the run finishes or it needs Python (a refill of raw PCG64 words for
+ * the wrong-path draw cascade, exception-lottery refill, deadlock, or an
+ * internal inconsistency that triggers the bit-exact Python fallback).
  *
  * Everything observable in SimStats is accumulated in the STATS array;
  * the semantics mirror the Python engine statement for statement — any
@@ -62,16 +62,23 @@ enum {
     SC_STATUS = 0, SC_ERROR, SC_CYCLE, SC_MAX_CYCLES, SC_COMMIT_LIMIT,
     SC_DEADLOCK, SC_WP_COUNT, SC_WP_HEAD, SC_EXC_COUNT, SC_EXC_HEAD,
     SC_GS_HISTORY, SC_READY_PEAK, SC_SEQ, SC_ABI_MAGIC,
+    SC_WP_HALF, SC_WP_DATA_BASE, SC_WP_INT_BASE, SC_WP_INT_N,
+    SC_WP_INT_CURSOR, SC_WP_FP_BASE, SC_WP_FP_N, SC_WP_FP_CURSOR,
 };
 
-#define ABI_MAGIC 0x52503701LL
+/* Double ids for sim_setf. */
+enum {
+    F_EXC_RATE = 0, F_WP_BRANCH, F_WP_LOAD, F_WP_STORE, F_WP_FP,
+    F_WP_FP_SHARE,
+};
+
+#define ABI_MAGIC 0x52503801LL
 
 /* Array ids for sim_i64. */
 enum {
     A_T_OP = 0, A_T_PC, A_T_DC, A_T_DEST, A_T_NSRC, A_T_SRC_CLASS,
     A_T_SRC_LOG, A_T_TAKEN, A_T_TARGET, A_T_ADDR,
-    A_W_OP, A_W_DC, A_W_DEST, A_W_NSRC, A_W_SRC_CLASS, A_W_SRC_LOG,
-    A_W_ADDR, A_W_TDELTA,
+    A_W_RAW,
     A_B_TAG, A_B_TARGET, A_B_NWAY,
     A_L1I_TAG, A_L1I_DIRTY, A_L1I_NWAY,
     A_L1D_TAG, A_L1D_DIRTY, A_L1D_NWAY,
@@ -90,7 +97,7 @@ enum {
 enum {
     E_NONE = 0, E_FREELIST, E_ALLOC_EMPTY, E_WK_POOL, E_CQ_POOL, E_LW_POOL,
     E_RQ_OVERFLOW, E_RWC_MISSING, E_SLOT_MISMATCH, E_LSQ_REMOVE, E_CQ_RANGE,
-    E_READY_POOL,
+    E_READY_POOL, E_WP_DRY,
 };
 
 /* Op classes / predicates (repro.isa.opcodes). */
@@ -185,10 +192,16 @@ struct Machine {
     i64 *wu_op, *wu_pc, *wu_addr, *wu_taken, *wu_target;
     int warm_done;
 
-    /* wrong-path payload ring buffer (refilled by Python, status 1) */
+    /* wrong-path draw cascade: raw PCG64 words [wp_head, wp_count) of a
+     * wp_cap buffer (refilled by Python, status 1), the generator's
+     * buffered 32-bit half (-1 = none), its mix and register windows */
     i64 wp_cap, wp_count, wp_head;
-    i64 *w_op, *w_dc, *w_dest, *w_nsrc, *w_src_class, *w_src_log,
-        *w_addr, *w_tdelta;
+    i64 *w_raw;
+    i64 wp_half;
+    double wp_branch, wp_load, wp_store, wp_fp, wp_fp_share;
+    i64 wp_data_base;
+    i64 wp_int_base, wp_int_n, wp_int_cursor;
+    i64 wp_fp_base, wp_fp_n, wp_fp_cursor;
 
     /* exception lottery doubles (refilled by Python, status 2) */
     i64 exc_cap, exc_count, exc_head;
@@ -1768,6 +1781,128 @@ static void rename_stage(Machine *m) {
 }
 
 /* ------------------------------------------------------------------ */
+/* Wrong-path draw cascade.                                           */
+/* ------------------------------------------------------------------ */
+/* Port of WrongPathGenerator._refill's per-instruction cascade over raw
+ * PCG64 words, following the draw contract of trace/draws.py: a double
+ * is (x >> 11) * 2^-53 of one fresh word; a bounded integer is a 32-bit
+ * Lemire multiply of the buffered half, else of a fresh word's low half
+ * (its high half becomes the buffered one), redrawn while the low 32
+ * bits of the product fall below 2^32 % span.  Running out of words
+ * (only after Lemire rejections, as the refill escape keeps
+ * WP_RAWS_PER_INST words per fetch slot) is an internal escape: the run
+ * is redone in Python. */
+#define WP_RAWS_PER_INST 3      /* category + branch direction + one word
+                                 * of halves, absent rejections */
+#define WP_TWO53_INV (1.0 / 9007199254740992.0)
+
+static int wp_raw(Machine *m, unsigned long long *out) {
+    if (m->wp_head >= m->wp_count) {
+        m->error = E_WP_DRY;
+        m->status = RUN_INTERNAL;
+        return 0;
+    }
+    *out = (unsigned long long)m->w_raw[m->wp_head++];
+    return 1;
+}
+
+static int wp_double(Machine *m, double *out) {
+    unsigned long long x;
+    if (!wp_raw(m, &x)) return 0;
+    *out = (double)(x >> 11) * WP_TWO53_INV;
+    return 1;
+}
+
+static int wp_bounded(Machine *m, unsigned long long span, i64 *out) {
+    unsigned long long threshold = (1ULL << 32) % span;
+    for (;;) {
+        unsigned long long half;
+        if (m->wp_half >= 0) {
+            half = (unsigned long long)m->wp_half;
+            m->wp_half = -1;
+        } else {
+            unsigned long long x;
+            if (!wp_raw(m, &x)) return 0;
+            half = x & 0xFFFFFFFFULL;
+            m->wp_half = (i64)(x >> 32);
+        }
+        unsigned long long product = half * span;
+        if ((product & 0xFFFFFFFFULL) >= threshold) {
+            *out = (i64)(product >> 32);
+            return 1;
+        }
+    }
+}
+
+static int wp_next_int(Machine *m) {
+    return (int)(m->wp_int_base + m->wp_int_cursor++ % m->wp_int_n);
+}
+
+static int wp_next_fp(Machine *m) {
+    return (int)(m->wp_fp_base + m->wp_fp_cursor++ % m->wp_fp_n);
+}
+
+/* Draw the payload of the wrong-path instruction at d->pc; a branch's
+ * target is stamped as pc + 4 * delta.  Returns 0 if the words ran dry. */
+static int wp_draw(Machine *m, DQEnt *d) {
+    double draw, second;
+    i64 value;
+    if (!wp_double(m, &draw)) return 0;
+    int int_src = (int)(m->wp_int_base + m->wp_int_cursor % m->wp_int_n);
+    d->dest_class = -1;
+    d->nsrc = 1;
+    d->src_class[0] = 0;
+    d->src_log[0] = int_src;
+    if (draw < m->wp_branch) {
+        d->op = OP_BRANCH;
+        /* the drawn direction is overridden by the prediction at fetch */
+        if (!wp_double(m, &second) || !wp_bounded(m, 248, &value)) return 0;
+        d->target = d->pc + (8 + value) * 4;
+        return 1;
+    }
+    draw -= m->wp_branch;
+    if (draw < m->wp_load) {
+        if (!wp_double(m, &second) || !wp_bounded(m, 2048, &value)) return 0;
+        d->addr = m->wp_data_base + value * 8;
+        if (second < m->wp_fp_share && m->wp_fp > 0) {
+            d->op = OP_FP_LOAD;
+            d->dest_class = 1;
+            d->dest = wp_next_fp(m);
+        } else {
+            d->op = OP_LOAD;
+            d->dest_class = 0;
+            d->dest = wp_next_int(m);
+        }
+        return 1;
+    }
+    draw -= m->wp_load;
+    if (draw < m->wp_store) {
+        d->op = OP_STORE;
+        d->nsrc = 2;
+        d->src_class[1] = 0;
+        d->src_log[1] = int_src;
+        d->src_log[0] = wp_next_int(m);
+        if (!wp_bounded(m, 2048, &value)) return 0;
+        d->addr = m->wp_data_base + value * 8;
+        return 1;
+    }
+    draw -= m->wp_store;
+    if (draw < m->wp_fp) {
+        if (!wp_double(m, &second)) return 0;
+        d->op = second < 0.5 ? OP_FP_MULT : OP_FP_ADD;
+        d->dest_class = 1;
+        d->dest = wp_next_fp(m);
+        d->src_class[0] = 1;
+        d->src_log[0] = (int)(m->wp_fp_base + m->wp_fp_cursor % m->wp_fp_n);
+        return 1;
+    }
+    d->op = OP_INT_ALU;
+    d->dest_class = 0;
+    d->dest = wp_next_int(m);
+    return 1;
+}
+
+/* ------------------------------------------------------------------ */
 /* Stage: fetch.                                                      */
 /* ------------------------------------------------------------------ */
 static void fetch_stage(Machine *m) {
@@ -1800,19 +1935,10 @@ static void fetch_stage(Machine *m) {
         d.resume_cursor = -1;
         if (m->on_wrong_path) {
             if (!m->wp_enabled) break;
-            i64 pi = m->wp_head++;
             i64 pc0 = m->wp_pc;
             m->wp_pc += 4;
-            d.op = (int)m->w_op[pi];
             d.pc = pc0;
-            d.dest_class = (int)m->w_dc[pi];
-            d.dest = (int)m->w_dest[pi];
-            d.nsrc = (int)m->w_nsrc[pi];
-            for (int s = 0; s < d.nsrc; s++) {
-                d.src_class[s] = (int)m->w_src_class[pi * 2 + s];
-                d.src_log[s] = (int)m->w_src_log[pi * 2 + s];
-            }
-            d.addr = m->w_addr[pi];
+            if (!wp_draw(m, &d)) return;
             d.wrong_path = 1;
             if (IS_BRANCH(d.op)) {
                 i64 idx, hist;
@@ -1825,7 +1951,7 @@ static void fetch_stage(Machine *m) {
                 d.pred_hist = hist;
                 d.pred_taken = pred;
                 d.taken = pred;
-                d.target = pred ? pc0 + m->w_tdelta[pi] * 4 : pc0 + 4;
+                if (!pred) d.target = pc0 + 4;
                 if (pred) m->wp_pc = d.target;
             }
         } else {
@@ -1928,9 +2054,14 @@ int sim_run(Machine *m) {
     for (;;) {
         if (m->max_cycles >= 0 && m->cycle >= m->max_cycles) break;
         /* Refill escapes keep a full cycle's worth of draws buffered so
-         * no stage ever blocks mid-cycle. */
-        if (m->wp_enabled &&
-            m->wp_count - m->wp_head < m->cfg[CFG_FETCH_W]) {
+         * no stage ever blocks mid-cycle.  The unconsumed raw words move
+         * to the front; Python appends fresh ones from wp_count on. */
+        if (m->wp_enabled && m->wp_count - m->wp_head
+                < WP_RAWS_PER_INST * m->cfg[CFG_FETCH_W]) {
+            m->wp_count -= m->wp_head;
+            memmove(m->w_raw, m->w_raw + m->wp_head,
+                    (size_t)m->wp_count * sizeof(i64));
+            m->wp_head = 0;
             m->status = RUN_NEED_WRONGPATH;
             return m->status;
         }
@@ -2004,6 +2135,10 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     m->mem_lat = cfg[CFG_MEM_LAT];
     m->wp_cap = cfg[CFG_WP_CAP];
     m->exc_cap = cfg[CFG_EXC_CAP];
+    if (m->wp_enabled && m->wp_cap < WP_RAWS_PER_INST * cfg[CFG_FETCH_W]) {
+        free(m);            /* a refill could never cover one fetch group */
+        return 0;
+    }
 
     m->max_cycles = -1;
     m->commit_limit = m->trace_len;
@@ -2032,16 +2167,10 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     m->wu_taken = NEW_I64(wl);
     m->wu_target = NEW_I64(wl);
 
-    /* wrong-path payload buffer */
-    i64 wc = m->wp_cap > 0 ? m->wp_cap : 1;
-    m->w_op = NEW_I64(wc);
-    m->w_dc = NEW_I64(wc);
-    m->w_dest = NEW_I64(wc);
-    m->w_nsrc = NEW_I64(wc);
-    m->w_src_class = NEW_I64(wc * 2);
-    m->w_src_log = NEW_I64(wc * 2);
-    m->w_addr = NEW_I64(wc);
-    m->w_tdelta = NEW_I64(wc);
+    /* wrong-path raw words; an empty register window never draws */
+    m->w_raw = NEW_I64(m->wp_cap > 0 ? m->wp_cap : 1);
+    m->wp_half = -1;
+    m->wp_int_n = m->wp_fp_n = 1;
 
     /* exception lottery */
     i64 ec = m->exc_cap > 0 ? m->exc_cap : 1;
@@ -2278,9 +2407,7 @@ void sim_free(Machine *m) {
     free(m->t_taken); free(m->t_target); free(m->t_addr);
     free(m->wu_op); free(m->wu_pc); free(m->wu_addr);
     free(m->wu_taken); free(m->wu_target);
-    free(m->w_op); free(m->w_dc); free(m->w_dest); free(m->w_nsrc);
-    free(m->w_src_class); free(m->w_src_log); free(m->w_addr);
-    free(m->w_tdelta);
+    free(m->w_raw);
     free(m->exc_buf);
     free(m->gs_table);
     free(m->btb_tag); free(m->btb_target); free(m->btb_nway);
@@ -2345,14 +2472,7 @@ long long *sim_i64(Machine *m, int which) {
     case A_T_TAKEN: return m->t_taken;
     case A_T_TARGET: return m->t_target;
     case A_T_ADDR: return m->t_addr;
-    case A_W_OP: return m->w_op;
-    case A_W_DC: return m->w_dc;
-    case A_W_DEST: return m->w_dest;
-    case A_W_NSRC: return m->w_nsrc;
-    case A_W_SRC_CLASS: return m->w_src_class;
-    case A_W_SRC_LOG: return m->w_src_log;
-    case A_W_ADDR: return m->w_addr;
-    case A_W_TDELTA: return m->w_tdelta;
+    case A_W_RAW: return m->w_raw;
     case A_B_TAG: return m->btb_tag;
     case A_B_TARGET: return m->btb_target;
     case A_B_NWAY: return m->btb_nway;
@@ -2417,9 +2537,24 @@ void sim_set(Machine *m, int which, long long value) {
     case SC_EXC_HEAD: m->exc_head = value; break;
     case SC_GS_HISTORY: m->gs_history = value; break;
     case SC_SEQ: m->seq = value; break;
+    case SC_WP_HALF: m->wp_half = value; break;
+    case SC_WP_DATA_BASE: m->wp_data_base = value; break;
+    case SC_WP_INT_BASE: m->wp_int_base = value; break;
+    case SC_WP_INT_N: if (value > 0) m->wp_int_n = value; break;
+    case SC_WP_INT_CURSOR: m->wp_int_cursor = value; break;
+    case SC_WP_FP_BASE: m->wp_fp_base = value; break;
+    case SC_WP_FP_N: if (value > 0) m->wp_fp_n = value; break;
+    case SC_WP_FP_CURSOR: m->wp_fp_cursor = value; break;
     }
 }
 
 void sim_setf(Machine *m, int which, double value) {
-    if (which == 0) m->exception_rate = value;
+    switch (which) {
+    case F_EXC_RATE: m->exception_rate = value; break;
+    case F_WP_BRANCH: m->wp_branch = value; break;
+    case F_WP_LOAD: m->wp_load = value; break;
+    case F_WP_STORE: m->wp_store = value; break;
+    case F_WP_FP: m->wp_fp = value; break;
+    case F_WP_FP_SHARE: m->wp_fp_share = value; break;
+    }
 }

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 __all__ = ["ToolchainError", "load_core", "reset_loader_cache",
-           "CFG", "SC", "A", "ST", "RF", "NCFG", "ST_N", "RQ_LEVELS_MAX",
+           "CFG", "SC", "F", "A", "ST", "RF", "NCFG", "ST_N", "RQ_LEVELS_MAX",
            "ABI_MAGIC", "RUN_FINISHED", "RUN_NEED_WRONGPATH",
            "RUN_NEED_EXC", "RUN_DEADLOCK", "RUN_INTERNAL"]
 
@@ -90,20 +90,27 @@ SC = _Namespace(
     STATUS=0, ERROR=1, CYCLE=2, MAX_CYCLES=3, COMMIT_LIMIT=4,
     DEADLOCK=5, WP_COUNT=6, WP_HEAD=7, EXC_COUNT=8, EXC_HEAD=9,
     GS_HISTORY=10, READY_PEAK=11, SEQ=12, ABI_MAGIC=13,
+    WP_HALF=14, WP_DATA_BASE=15, WP_INT_BASE=16, WP_INT_N=17,
+    WP_INT_CURSOR=18, WP_FP_BASE=19, WP_FP_N=20, WP_FP_CURSOR=21,
+)
+
+#: Double ids for ``sim_setf`` (enum ``F_*``).
+F = _Namespace(
+    EXC_RATE=0, WP_BRANCH=1, WP_LOAD=2, WP_STORE=3, WP_FP=4,
+    WP_FP_SHARE=5,
 )
 
 #: Array ids (enum ``A_*``).
 A = _Namespace(
     T_OP=0, T_PC=1, T_DC=2, T_DEST=3, T_NSRC=4, T_SRC_CLASS=5,
     T_SRC_LOG=6, T_TAKEN=7, T_TARGET=8, T_ADDR=9,
-    W_OP=10, W_DC=11, W_DEST=12, W_NSRC=13, W_SRC_CLASS=14,
-    W_SRC_LOG=15, W_ADDR=16, W_TDELTA=17,
-    B_TAG=18, B_TARGET=19, B_NWAY=20,
-    L1I_TAG=21, L1I_DIRTY=22, L1I_NWAY=23,
-    L1D_TAG=24, L1D_DIRTY=25, L1D_NWAY=26,
-    L2_TAG=27, L2_DIRTY=28, L2_NWAY=29,
-    STATS=30,
-    WU_OP=31, WU_PC=32, WU_ADDR=33, WU_TAKEN=34, WU_TARGET=35,
+    W_RAW=10,
+    B_TAG=11, B_TARGET=12, B_NWAY=13,
+    L1I_TAG=14, L1I_DIRTY=15, L1I_NWAY=16,
+    L1D_TAG=17, L1D_DIRTY=18, L1D_NWAY=19,
+    L2_TAG=20, L2_DIRTY=21, L2_NWAY=22,
+    STATS=23,
+    WU_OP=24, WU_PC=25, WU_ADDR=26, WU_TAKEN=27, WU_TARGET=28,
 )
 
 #: STATS slots (enum ``ST_*``).
@@ -136,7 +143,7 @@ RUN_INTERNAL = 4
 #: config-derived (``ProcessorConfig.max_pending_branches``).
 RQ_LEVELS_MAX = 256
 
-ABI_MAGIC = 0x52503701
+ABI_MAGIC = 0x52503801
 
 
 # ----------------------------------------------------------------------

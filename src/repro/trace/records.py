@@ -79,9 +79,8 @@ class Trace:
     focus_class: RegClass
     instructions: List[Instruction]
     seed: int = 0
-    #: memoised :meth:`summary` result.  Traces are cached and shared
-    #: across whole sweeps, and every simulation engine consults the
-    #: summary (via the wrong-path mix derivation) at construction.
+    #: memoised :meth:`summary` result (traces are cached and shared
+    #: across whole sweeps).
     _summary: object = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:

@@ -17,7 +17,9 @@ same rename / conditional-release / squash machinery (see DESIGN.md,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional
 
 import numpy as np
@@ -45,15 +47,21 @@ class WrongPathMix:
 
     @staticmethod
     def from_trace(trace: Trace) -> "WrongPathMix":
-        """Derive a mix from the correct-path trace statistics."""
-        summary = trace.summary()
-        fp_ops = sum(frac for name, frac in summary.mix.items()
-                     if name in ("FP_ADD", "FP_MULT", "FP_DIV"))
+        """Derive a mix from the correct-path trace's op counts.
+
+        The fractions equal those of :meth:`Trace.summary` bit for bit,
+        without its def-use walk.
+        """
+        n = len(trace.instructions)
+        if n == 0:
+            return WrongPathMix(load=0.0, store=0.0, branch=0.0, fp=0.0)
+        counts = Counter(map(attrgetter("op"), trace.instructions))
         return WrongPathMix(
-            load=summary.load_fraction,
-            store=summary.store_fraction,
-            branch=summary.branch_fraction,
-            fp=fp_ops,
+            load=(counts[OpClass.LOAD] + counts[OpClass.FP_LOAD]) / n,
+            store=(counts[OpClass.STORE] + counts[OpClass.FP_STORE]) / n,
+            branch=counts[OpClass.BRANCH] / n,
+            fp=sum(counts[op] / n for op in (OpClass.FP_ADD, OpClass.FP_MULT,
+                                             OpClass.FP_DIV)),
         )
 
 
@@ -161,6 +169,9 @@ class WrongPathGenerator:
         the generator's RNG state after ``n`` consumed instructions is
         identical to ``n`` scalar calls.  Returns False (and disables the
         vectorised path) if the bit generator cannot be replayed.
+
+        The compiled engine's ``wp_draw`` (``engine/accel/core.c``) ports
+        this cascade draw for draw; a change here must be made there too.
         """
         block = self.BLOCK
         try:

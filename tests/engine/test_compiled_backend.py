@@ -39,8 +39,11 @@ needs_compiled = pytest.mark.skipif(
 
 def run_both(workload: str, policy: str, *, num_registers: int = 48,
              trace_length: int = TRACE_LENGTH, warmup: bool = False,
-             run_kwargs=None, **config_kwargs):
-    """One point on the Python engine and on the compiled core."""
+             run_kwargs=None, prepare=None, **config_kwargs):
+    """One point on the Python engine and on the compiled core.
+
+    ``prepare(engine)``, if given, runs on each engine before its run.
+    """
     run_kwargs = run_kwargs or {}
     stats = {}
     engines = {}
@@ -52,6 +55,8 @@ def run_both(workload: str, policy: str, *, num_registers: int = 48,
                                  **config_kwargs)
         trace = get_workload(workload, trace_length, seed=0)
         engine = SimulationEngine(trace, config)
+        if prepare is not None:
+            prepare(engine)
         stats[backend] = engine.run(**run_kwargs)
         engines[backend] = engine
     # The compiled run must actually have run compiled — a silent
@@ -184,6 +189,115 @@ class TestBitIdenticalStats:
         python_engine = SimulationEngine(trace, config, clock=CycleClock())
         python_engine.run()
         assert engine.compiled_ready_peak == python_engine.state.ready.peak_size
+
+
+def _bit_generator_state(engine) -> dict:
+    return engine.state.fetch_unit.wrongpath._rng.bit_generator.state
+
+
+@needs_compiled
+class TestWrongPathCascade:
+    """The C core draws wrong-path instructions from raw PCG64 words.
+
+    Every test asserts wrong-path fetches, so none passes vacuously.
+    """
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("workload, trace_length", [
+        ("go", TRACE_LENGTH), ("gcc", TRACE_LENGTH),
+        ("branch_storm", TRACE_LENGTH),
+        # The only FP workloads that fetch down the wrong path at all.
+        ("applu", 20_000), ("hydro2d", 20_000),
+    ])
+    def test_cascade_matches_python(self, workload, trace_length, policy):
+        reference, compiled, _ = run_both(workload, policy,
+                                          trace_length=trace_length)
+        assert reference.fetched_wrong_path > 0
+        assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
+
+    def test_buffered_half_at_entry(self):
+        # One bounded draw leaves the high half of a word buffered; the
+        # core must start from it rather than from a fresh word.
+        def advance(engine):
+            engine.state.fetch_unit.wrongpath._rng.integers(0, 2)
+            assert _bit_generator_state(engine)["has_uint32"] == 1
+
+        reference, compiled, _ = run_both("gcc", "extended", prepare=advance)
+        assert reference.fetched_wrong_path > 0
+        assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
+
+    def test_lemire_rejection(self):
+        # A buffered half of 0 is below 2**32 % 248, so the first branch
+        # delta rejects it and draws again; a wrong path made only of
+        # branches takes that path at the first wrong-path fetch.
+        from repro.trace.wrongpath import WrongPathMix
+
+        def zero_half_branches_only(engine):
+            generator = engine.state.fetch_unit.wrongpath
+            generator.mix = WrongPathMix(branch=1.0)
+            state = generator._rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            generator._rng.bit_generator.state = state
+
+        reference, compiled, _ = run_both("gcc", "basic",
+                                          prepare=zero_half_branches_only)
+        assert reference.fetched_wrong_path > 0
+        assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
+
+    def test_tiny_raw_buffer_escapes_mid_episode(self, monkeypatch):
+        # The smallest legal buffer (three words per fetch slot) makes the
+        # core escape for words inside nearly every wrong-path episode.
+        from repro.engine.accel import compiled as compiled_mod
+
+        refills = []
+        refill = compiled_mod._refill_wrongpath
+
+        def counting_refill(*args):
+            refills.append(1)
+            return refill(*args)
+
+        monkeypatch.setattr(compiled_mod, "WP_RAW_BUFFER",
+                            3 * ProcessorConfig().fetch_width)
+        monkeypatch.setattr(compiled_mod, "_refill_wrongpath",
+                            counting_refill)
+        reference, compiled, _ = run_both("gcc", "extended")
+        assert reference.fetched_wrong_path > 0
+        assert len(refills) > reference.fetched_wrong_path // 8
+        assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
+
+    @staticmethod
+    def _fallback_both(prepare, reason: str):
+        """Both requests run on Python, with identical stats."""
+        from repro.engine.accel.compiled import unsupported_reason
+
+        stats = {}
+        for backend in ("python", "compiled"):
+            config = ProcessorConfig(release_policy="extended",
+                                     num_physical_int=48,
+                                     num_physical_fp=48, engine=backend)
+            engine = SimulationEngine(get_workload("gcc", TRACE_LENGTH,
+                                                   seed=0), config)
+            prepare(engine.state.fetch_unit.wrongpath)
+            assert reason in unsupported_reason(engine.state)
+            stats[backend] = engine.run()
+            assert engine.backend_used == "python"
+        assert stats["python"].fetched_wrong_path > 0
+        assert dataclasses.asdict(stats["compiled"]) == \
+            dataclasses.asdict(stats["python"])
+
+    def test_pending_payloads_fall_back(self):
+        # Payloads the generator already pre-drew are not in the raw
+        # stream any more: such a machine must run on the Python engine.
+        def predraw(generator):
+            assert generator._refill() and generator._pending
+
+        self._fallback_both(predraw, "pre-drawn")
+
+    def test_non_contiguous_window_falls_back(self):
+        def gappy(generator):
+            generator._int_regs = [1, 3, 5]
+
+        self._fallback_both(gappy, "contiguous")
 
 
 @needs_compiled

@@ -1,13 +1,41 @@
 """Tests for the wrong-path instruction generator."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa import OpClass, RegClass
-from repro.trace.workloads import get_workload
+from repro.trace.records import Trace
+from repro.trace.workloads import (all_workloads, get_workload,
+                                   scenario_workloads)
 from repro.trace.wrongpath import WrongPathGenerator, WrongPathMix
 
 
+def _summary_mix(trace: Trace) -> WrongPathMix:
+    """The mix as derived from the full trace summary."""
+    summary = trace.summary()
+    return WrongPathMix(
+        load=summary.load_fraction, store=summary.store_fraction,
+        branch=summary.branch_fraction,
+        fp=sum(frac for name, frac in summary.mix.items()
+               if name in ("FP_ADD", "FP_MULT", "FP_DIV")))
+
+
 class TestMix:
+    @pytest.mark.parametrize("workload",
+                             all_workloads() + scenario_workloads())
+    def test_op_count_mix_equals_summary_mix(self, workload):
+        # The engine derives the mix from op counts alone; it must equal
+        # the summary-derived fractions exactly, not approximately.
+        trace = get_workload(workload, 2_000, seed=3)
+        assert dataclasses.asdict(WrongPathMix.from_trace(trace)) == \
+            dataclasses.asdict(_summary_mix(trace))
+
+    def test_empty_trace_mix(self):
+        empty = Trace(name="empty", focus_class=RegClass.INT, instructions=[])
+        assert dataclasses.asdict(WrongPathMix.from_trace(empty)) == \
+            dataclasses.asdict(_summary_mix(empty))
+
     def test_from_trace_matches_summary(self):
         trace = get_workload("gcc", 3000)
         summary = trace.summary()
