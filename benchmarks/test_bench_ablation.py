@@ -10,8 +10,8 @@
 import pytest
 
 from repro.analysis.metrics import percentage_speedup
+from repro.engine import simulate
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import simulate
 from repro.trace.workloads import get_workload
 
 from benchmarks.conftest import BENCH_TRACE_LENGTH, run_once

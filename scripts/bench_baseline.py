@@ -17,8 +17,7 @@ The script is a thin wrapper over::
 plus two serial probes embedded into the snapshot:
 
 * ``"scheduler"`` — representative Figure 11 grid points with the
-  event-driven scheduler's counters (cycles skipped, fast-forwards,
-  ready-set peak size) alongside each point's wall-clock;
+  scheduler's ready-set peak size alongside each point's wall-clock;
 * ``"scheduler_compiled"`` — the same grid points on the compiled C
   engine (``repro.engine.accel``); each point records the backend that
   *actually* ran (``engine_backend``), so a toolchain fallback is
@@ -68,8 +67,8 @@ from typing import Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Representative Figure 11 grid points for the scheduler probe: the
-#: memory-latency-bound FP points the event clock targets (tight swim),
-#: one loose FP point and one branchy integer point for contrast.
+#: memory-latency-bound FP points (tight swim), one loose FP point and
+#: one branchy integer point for contrast.
 SCHEDULER_PROBE_POINTS = (
     ("swim", "conv", 40),
     ("swim", "conv", 48),
@@ -80,63 +79,7 @@ SCHEDULER_PROBE_POINTS = (
 )
 
 
-#: Register sizes of the Figure 11 sub-grid used for the skip-fraction
-#: comparison (tight through loose; QUICK_SIZES of the experiment runner).
-GRID_SIZES = (40, 48, 64, 96, 160)
-
-
-def _make_pr1_semantics_clock():
-    """Build a clock with PR 1's wake rules, for snapshot comparison.
-
-    Two differences from the current ``EventClock``: any ready instruction
-    forbids skipping (no structural-stall fast-forward), and completion
-    events stranded by squashes still wake the machine (no dead-bucket
-    dropping).  Produces the same bit-identical stats — it only skips a
-    subset of the skippable cycles — so the ``cycles_skipped`` delta
-    isolates the scheduler-index improvements.
-    """
-    from repro.engine import EventClock
-    from repro.engine.stages import dispatch_hazard
-
-    class PR1SemanticsClock(EventClock):
-        def _next_wake(self, state):
-            cycle = state.cycle
-            head = state.ros.head()
-            if head is not None and head.completed:
-                return None
-            wake = state.completions.next_cycle()      # dead buckets wake too
-            if wake is not None and wake <= cycle:
-                return None
-            fetch_unit = state.fetch_unit
-            if len(state.decode_queue) >= state.decode_capacity:
-                pass
-            elif fetch_unit.trace_exhausted:
-                pass
-            elif fetch_unit.stalled_until > cycle:
-                stall_end = fetch_unit.stalled_until
-                wake = stall_end if wake is None else min(wake, stall_end)
-            else:
-                return None
-            stall_reason = None
-            if state.decode_queue:
-                ready_cycle, op = state.decode_queue[0]
-                if ready_cycle > cycle:
-                    wake = ready_cycle if wake is None else min(wake, ready_cycle)
-                else:
-                    stall_reason = dispatch_hazard(state, op.inst)
-                    if stall_reason is None:
-                        return None
-            if state.ready:
-                return None          # a ready instruction forbids skipping
-            if wake is None or wake <= cycle:
-                return None
-            return wake, stall_reason, 0
-
-    return PR1SemanticsClock
-
-
 def collect_scheduler_counters(trace_length: int = 4_000,
-                               include_grid: bool = True,
                                engine: str = "python") -> dict:
     """Serially simulate the probe points and collect scheduler telemetry.
 
@@ -146,20 +89,14 @@ def collect_scheduler_counters(trace_length: int = 4_000,
     backend is warmed (built + self-checked) before the timed loop so the
     one-time probe cost does not pollute the first point, and each point
     records the backend that actually produced it — a toolchain fallback
-    records ``"python"``.  With ``include_grid`` (the default) it also
-    sweeps a Figure 11 sub-grid under both the current clock and a PR
-    1-semantics reference clock, recording the ``cycles_skipped``
-    fraction of each so the skip-set enlargement is tracked in-snapshot;
-    ``--probe-only`` (CI) skips the grid, which dominates the runtime.
+    records ``"python"``.
     """
     import time as time_module
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.engine import EventClock, SimulationEngine
+    from repro.engine import SimulationEngine
     from repro.pipeline.config import ProcessorConfig
-    from repro.rename.free_list import FreeListError
-    from repro.trace.workloads import (fp_workloads, get_workload,
-                                       integer_workloads)
+    from repro.trace.workloads import get_workload
 
     if engine == "compiled":
         from repro.engine import accel
@@ -173,11 +110,10 @@ def collect_scheduler_counters(trace_length: int = 4_000,
                                  num_physical_int=registers,
                                  num_physical_fp=registers,
                                  engine=engine)
-        sim = SimulationEngine(trace, config, clock=EventClock())
+        sim = SimulationEngine(trace, config)
         start = time_module.perf_counter()
         stats = sim.run()
         elapsed = time_module.perf_counter() - start
-        clock = sim.clock
         compiled = sim.backend_used == "compiled"
         points.append({
             "benchmark": benchmark_name,
@@ -186,75 +122,16 @@ def collect_scheduler_counters(trace_length: int = 4_000,
             "engine_backend": sim.backend_used,
             "wall_clock_s": round(elapsed, 4),
             "cycles": stats.cycles,
-            # The compiled core steps every cycle: the event clock never
-            # runs, so its counters are structurally zero there.
-            "cycles_skipped": 0 if compiled else clock.cycles_skipped,
-            "skip_fraction": 0.0 if compiled or not stats.cycles
-            else round(clock.cycles_skipped / stats.cycles, 4),
-            "fast_forwards": 0 if compiled else clock.fast_forwards,
             "ready_set_peak": sim.compiled_ready_peak if compiled
             else sim.state.ready.peak_size,
             "ipc": round(stats.ipc, 4),
         })
-    total_cycles = sum(p["cycles"] for p in points)
-    total_skipped = sum(p["cycles_skipped"] for p in points)
-    result = {
+    return {
         "trace_length": trace_length,
         "engine_requested": engine,
         "engine_backend": probe_backend_label({"points": points}),
         "points": points,
-        "probe_skip_fraction": round(total_skipped / total_cycles, 4)
-        if total_cycles else 0.0,
     }
-    if not include_grid:
-        return result
-
-    # Figure 11 sub-grid: current clock vs PR 1-semantics reference.
-    pr1_clock_class = _make_pr1_semantics_clock()
-    grid = {"new": [0, 0], "pr1": [0, 0]}
-    strictly_higher = 0
-    grid_points = 0
-    for benchmark_name in fp_workloads() + integer_workloads():
-        for policy in ("conv", "basic", "extended"):
-            for registers in GRID_SIZES:
-                trace = get_workload(benchmark_name, trace_length)
-                config = ProcessorConfig(release_policy=policy,
-                                         num_physical_int=registers,
-                                         num_physical_fp=registers)
-                try:
-                    new = SimulationEngine(trace, config, clock=EventClock())
-                    new_stats = new.run()
-                    ref = SimulationEngine(trace, config,
-                                           clock=pr1_clock_class())
-                    ref_stats = ref.run()
-                except FreeListError:
-                    continue     # known seed-era crash configs (ROADMAP)
-                if ref_stats.cycles != new_stats.cycles:
-                    raise RuntimeError(
-                        f"PR1-semantics reference clock diverged on "
-                        f"{benchmark_name}/{policy}/P{registers}: "
-                        f"{ref_stats.cycles} vs {new_stats.cycles} cycles — "
-                        f"the snapshot comparison would be meaningless")
-                grid_points += 1
-                grid["new"][0] += new.clock.cycles_skipped
-                grid["new"][1] += new_stats.cycles
-                grid["pr1"][0] += ref.clock.cycles_skipped
-                grid["pr1"][1] += ref_stats.cycles
-                if new.clock.cycles_skipped > ref.clock.cycles_skipped:
-                    strictly_higher += 1
-
-    result["figure11_grid"] = {
-        "sizes": list(GRID_SIZES),
-        "points": grid_points,
-        "skip_fraction": round(grid["new"][0] / grid["new"][1], 4)
-        if grid["new"][1] else 0.0,
-        "pr1_semantics_skip_fraction":
-            round(grid["pr1"][0] / grid["pr1"][1], 4)
-            if grid["pr1"][1] else 0.0,
-        "points_skipping_strictly_more": strictly_higher,
-    }
-    return result
-
 
 def collect_sweep_point_probe(trace_length: int = 4_000,
                               engine: str = "python",
@@ -584,11 +461,7 @@ def format_probe_summary(scheduler: dict) -> str:
         lines.append(
             f"  {point['benchmark']}/{point['policy']}/"
             f"P{point['num_registers']:<3}  {point['wall_clock_s']:6.3f}s  "
-            f"skip={point['skip_fraction']:.0%}  "
-            f"ff={point['fast_forwards']}  "
             f"ready_peak={point['ready_set_peak']}  ipc={point['ipc']:.2f}")
-    lines.append(f"  probe cycles_skipped fraction: "
-                 f"{scheduler['probe_skip_fraction']:.1%}")
     throughput = sum(p["cycles"] / p["wall_clock_s"]
                      for p in scheduler["points"] if p["wall_clock_s"])
     lines.append(f"  aggregate simulated cycles/s over the probe: "
@@ -605,11 +478,9 @@ def main(argv=None) -> int:
     parser.add_argument("--select", default=None,
                         help="pytest -k expression to run a subset of the harness")
     parser.add_argument("--probe-only", action="store_true",
-                        help="skip the pytest harness and the Figure 11 grid "
-                             "comparison; run the fast scheduler, generation "
-                             "and serve probes, gate against the newest "
-                             "committed "
-                             "BENCH_*.json, and print the summary (CI "
+                        help="skip the pytest harness; run the fast "
+                             "scheduler, generation and serve probes, gate "
+                             "against the newest committed BENCH_*.json, and print the summary (CI "
                              "signal). Appends to $GITHUB_STEP_SUMMARY when "
                              "set.")
     parser.add_argument("--tolerance", type=float,
@@ -632,15 +503,14 @@ def main(argv=None) -> int:
         current = {}
         summaries = []
         if args.engine in ("python", "both"):
-            scheduler = collect_scheduler_counters(include_grid=False)
+            scheduler = collect_scheduler_counters()
             current["scheduler"] = scheduler
             summaries.append(format_probe_summary(scheduler))
             sweep_point = collect_sweep_point_probe()
             current["sweep_point"] = sweep_point
             summaries.append(format_sweep_point_summary(sweep_point))
         if args.engine in ("compiled", "both"):
-            compiled_scheduler = collect_scheduler_counters(
-                include_grid=False, engine="compiled")
+            compiled_scheduler = collect_scheduler_counters(engine="compiled")
             current["scheduler_compiled"] = compiled_scheduler
             summaries.append(format_probe_summary(compiled_scheduler))
             compiled_sweep_point = collect_sweep_point_probe(
@@ -714,8 +584,7 @@ def main(argv=None) -> int:
     # Embed the scheduler, sweep-point (both backends) and generation
     # probes.
     scheduler = collect_scheduler_counters()
-    compiled_scheduler = collect_scheduler_counters(include_grid=False,
-                                                    engine="compiled")
+    compiled_scheduler = collect_scheduler_counters(engine="compiled")
     sweep_point = collect_sweep_point_probe()
     compiled_sweep_point = collect_sweep_point_probe(engine="compiled")
     generation = collect_generation_throughput()
@@ -747,11 +616,6 @@ def main(argv=None) -> int:
     from repro.serve.loadgen import format_report
 
     print(format_report(serve))
-    grid = scheduler["figure11_grid"]
-    print(f"figure11 grid ({grid['points']} points, sizes {grid['sizes']}): "
-          f"skip={grid['skip_fraction']:.2%} vs PR1 semantics "
-          f"{grid['pr1_semantics_skip_fraction']:.2%} "
-          f"({grid['points_skipping_strictly_more']} points strictly higher)")
     return 0
 
 

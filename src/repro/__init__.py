@@ -40,7 +40,7 @@ True
 from __future__ import annotations
 
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import Processor, simulate
+from repro.engine import simulate
 from repro.pipeline.stats import SimStats
 from repro.core import (
     ConventionalRelease,
@@ -53,7 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ProcessorConfig",
-    "Processor",
     "simulate",
     "SimStats",
     "ConventionalRelease",

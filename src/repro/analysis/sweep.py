@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.cache import SweepCache, resolve_cache
 from repro.analysis.metrics import harmonic_mean, iso_ipc_register_requirement
+from repro.engine import simulate
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import simulate
 from repro.pipeline.stats import SimStats
 from repro.trace.workloads import (SCENARIOS, ScenarioProfile, get_workload,
                                    install_ephemeral_profiles)

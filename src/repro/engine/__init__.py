@@ -1,20 +1,13 @@
-"""Event-driven simulation engine with composable pipeline stages.
+"""Cycle-level simulation engine with composable pipeline stages.
 
 This package hosts the simulation kernel: :class:`MachineState` (the
 explicit shared machine state), the five :class:`Stage` objects
 (commit, writeback, issue, rename, fetch), the indexed scheduler
 structures (:class:`ReadySet`, :class:`WakeupIndex`,
-:class:`CompletionQueue`), the clocks (:class:`CycleClock` for classic
-per-cycle stepping, :class:`EventClock` for per-stage wake-time
-fast-forward) and :class:`SimulationEngine`, which wires them together.
-:func:`simulate` is the one-call entry point.
-
-The legacy :class:`repro.pipeline.processor.Processor` and
-:func:`repro.pipeline.processor.simulate` remain as thin facades over this
-package, so existing callers keep working unchanged.
+:class:`CompletionQueue`) and :class:`SimulationEngine`, which sweeps
+the stages once per cycle.  :func:`simulate` is the one-call entry point.
 """
 
-from repro.engine.clock import CycleClock, EventClock
 from repro.engine.engine import DeadlockError, SimulationEngine, simulate
 from repro.engine.events import CompletionQueue, ReadySet, WakeupIndex
 from repro.engine.stages import (
@@ -38,8 +31,6 @@ from repro.engine.state import (
 )
 
 __all__ = [
-    "CycleClock",
-    "EventClock",
     "CompletionQueue",
     "ReadySet",
     "WakeupIndex",

@@ -1,180 +1,29 @@
-"""Simulation clocks: per-cycle stepping and event-driven fast-forward.
+"""The engine's clock: one stage sweep per cycle, no fast-forward.
 
-A clock decides how far :attr:`MachineState.cycle` advances between stage
-sweeps.  :class:`CycleClock` reproduces the classic loop — one sweep per
-cycle, no exceptions — and is the reference the equivalence tests compare
-against.  :class:`EventClock` computes a *per-stage wake time* from the
-scheduler indexes of :mod:`repro.engine.events` and jumps straight to the
-earliest of them.
-
-A cycle can be skipped when no stage would do *observable work* at it.
-Stages whose only per-cycle effect is deterministic stall accounting do
-not forbid the jump — their stalls are booked in bulk at jump time — so
-the clock fast-forwards through **partially idle** windows, not just
-fully quiescent ones.  Per stage, the wake time is:
-
-* **commit** — a completed ROS head retires *now* (never skippable);
-* **writeback** — the next scheduled completion event with at least one
-  non-squashed entry
-  (:meth:`~repro.engine.events.CompletionQueue.next_live_cycle`, O(1)
-  amortised; events stranded by squashes are dropped, not woken for);
-* **issue** — *now* when any ready-set entry has a free functional unit;
-  when every ready entry is structurally blocked, the earliest
-  :meth:`~repro.backend.functional_units.FunctionalUnitPool.next_free_cycle`
-  of their pools, with one structural stall per blocked entry booked for
-  each skipped cycle (the per-cycle scan would have counted exactly
-  those).  Instructions waiting on producers or on older store addresses
-  are not in the ready set and wake only through writeback/issue events,
-  which themselves bound the jump;
-* **rename** — *now* when the decode head is ready and hazard-free; a
-  hazard-blocked head books one dispatch stall per skipped cycle (hazard
-  conditions only change at commit/writeback/issue events, of which the
-  gap has none); a head still in decode caps the jump at its decode-exit
-  cycle;
-* **fetch** — *now* when the front-end pipe has room, the trace has
-  instructions and no I-cache miss is in flight; the stall end caps the
-  jump otherwise.
-
-The jump target is the minimum of the per-stage wake times; statistics
-are *jump-aware*, so the event-driven run produces bit-identical
-:class:`~repro.pipeline.stats.SimStats` to the per-cycle loop.
+:meth:`SimulationEngine.run <repro.engine.engine.SimulationEngine.run>`
+advances :attr:`MachineState.cycle` by exactly one per sweep and never
+calls :meth:`CycleClock.advance`.  The class and the ``EventClock``
+alias stay only because the traced benchmark (``perfbench/layers.py``)
+wraps ``EventClock.advance`` and ``CycleClock.advance`` and reads
+``SimulationEngine.clock.cycles_skipped``; both read as no-ops here.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.engine.stages import dispatch_hazard
 from repro.engine.state import MachineState
-
-#: Sentinel for "no wake-up event found".
-_NEVER = None
 
 
 class CycleClock:
-    """The classic loop: advance exactly one cycle per stage sweep."""
+    """Per-cycle stepping: no cycle is ever skipped."""
 
-    #: clocks expose how much fast-forwarding happened (zero here).
-    fast_forwards = 0
     cycles_skipped = 0
 
     def advance(self, state: MachineState,
                 max_cycles: Optional[int] = None) -> None:
-        """Per-cycle stepping never jumps; the engine's ``cycle += 1`` rules."""
+        """No-op: the engine's ``cycle += 1`` is the whole clock."""
 
 
-class EventClock:
-    """Event-driven clock: jump to the earliest per-stage wake time."""
-
-    def __init__(self) -> None:
-        #: number of jumps performed.
-        self.fast_forwards = 0
-        #: total cycles skipped over all jumps.
-        self.cycles_skipped = 0
-
-    # ------------------------------------------------------------------
-    def advance(self, state: MachineState,
-                max_cycles: Optional[int] = None) -> None:
-        """Fast-forward ``state.cycle`` to the next actionable cycle.
-
-        Called by the engine *before* a stage sweep.  When no stage would
-        do observable work this cycle, jumps to the earliest wake-up event
-        (capped at ``max_cycles``, where the run loop stops) and books the
-        dispatch and structural stalls the skipped cycles would have
-        accumulated.
-        """
-        wake = self._next_wake(state)
-        if wake is _NEVER:
-            return
-        wake_cycle, stall_reason, blocked_ready = wake
-        if max_cycles is not None and wake_cycle > max_cycles:
-            wake_cycle = max_cycles
-        skipped = wake_cycle - state.cycle
-        if skipped <= 0:
-            return
-        if stall_reason is not None:
-            state.stats.dispatch_stalls[stall_reason] += skipped
-        if blocked_ready:
-            state.fus.note_structural_stall(skipped * blocked_ready)
-        state.cycle = wake_cycle
-        self.fast_forwards += 1
-        self.cycles_skipped += skipped
-
-    # ------------------------------------------------------------------
-    def _next_wake(self, state: MachineState,
-                   ) -> Optional[Tuple[int, Optional[str], int]]:
-        """Earliest cycle any stage does observable work, or None when the
-        current cycle cannot be skipped.
-
-        Returns ``(wake_cycle, stall_reason, blocked_ready)`` with
-        ``wake_cycle > state.cycle``; ``stall_reason`` names the dispatch
-        hazard blocking a ready front-end pipe head (one booked stall per
-        skipped cycle, None when rename is simply empty or not yet fed);
-        ``blocked_ready`` is the number of ready instructions structurally
-        stalled across the gap (each books one structural stall per
-        skipped cycle).
-        """
-        cycle = state.cycle
-
-        # Commit would act on a completed head (commit-width continuation).
-        ros = state.ros
-        if ros._count and ros._rows[ros._head].completed:
-            return _NEVER
-
-        # Writeback: the next *live* completion event bounds the jump
-        # (buckets holding only squashed entries are dropped on the way —
-        # they can never produce observable work).
-        wake = state.completions.next_live_cycle()
-        if wake is not None and wake <= cycle:
-            return _NEVER
-
-        # Fetch must be a no-op for every skipped cycle (checked before
-        # the rename/issue probes: an actively fetching front end is the
-        # common busy case, and this test is O(1)).
-        fetch_unit = state.fetch_unit
-        if len(state.decode_queue) >= state.decode_capacity:
-            pass                                  # pipe full: fetch returns early
-        elif fetch_unit.trace_exhausted:
-            pass                                  # nothing left to fetch
-        elif fetch_unit.stalled_until > cycle:    # I-cache miss in progress
-            stall_end = fetch_unit.stalled_until
-            wake = stall_end if wake is None else min(wake, stall_end)
-        else:
-            return _NEVER                         # fetch would deliver a group
-
-        # Rename: a ready pipe head must be hazard-blocked (the hazard is
-        # constant across the gap — it only changes at commit, writeback
-        # or issue events, of which the gap has none); a not-yet-decoded
-        # head caps the jump at its decode-exit cycle.
-        stall_reason: Optional[str] = None
-        if state.decode_queue:
-            ready_cycle, op = state.decode_queue[0]
-            if ready_cycle > cycle:
-                wake = ready_cycle if wake is None else min(wake, ready_cycle)
-            else:
-                stall_reason = dispatch_hazard(state, op.inst)
-                if stall_reason is None:
-                    return _NEVER
-
-        # Issue: when every ready entry is structurally blocked, the gap
-        # is bounded by the first cycle one of their pools frees up, and
-        # each blocked entry books one structural stall per skipped cycle
-        # (the per-cycle scan visits all of them while nothing issues).
-        # Entries waiting on producers or on older store addresses only
-        # wake at writeback/issue events — none occur inside the gap.
-        blocked_ready = 0
-        if state.ready:
-            fus = state.fus
-            fu_wake: Optional[int] = None
-            for entry in state.ready.entries():
-                if fus.can_issue(entry.inst.op, cycle):
-                    return _NEVER                 # something issues now
-                next_free = fus.next_free_cycle(entry.inst.op)
-                if fu_wake is None or next_free < fu_wake:
-                    fu_wake = next_free
-            blocked_ready = len(state.ready)
-            wake = fu_wake if wake is None else min(wake, fu_wake)
-
-        if wake is None or wake <= cycle:
-            return _NEVER
-        return wake, stall_reason, blocked_ready
+#: Alias kept for ``perfbench/layers.py`` (see the module docstring).
+EventClock = CycleClock

@@ -1,18 +1,17 @@
-"""The simulation engine: stages wired to a shared state and a clock.
+"""The simulation engine: the five stages swept over one shared state.
 
-:class:`SimulationEngine` owns one :class:`~repro.engine.state.MachineState`,
-sweeps the five stages over it (commit → writeback → issue → rename →
-fetch, reverse pipeline order) and lets its clock fast-forward across
-quiescent gaps.  :func:`simulate` is the one-call entry point; the legacy
-:class:`repro.pipeline.processor.Processor` facade delegates here.
+:class:`SimulationEngine` owns one :class:`~repro.engine.state.MachineState`
+and sweeps the five stages over it once per cycle (commit → writeback →
+issue → rename → fetch, reverse pipeline order).  :func:`simulate` is the
+one-call entry point.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional
 
-from repro.engine.clock import CycleClock, EventClock
-from repro.engine.stages import Stage, default_stages
+from repro.engine.clock import CycleClock
+from repro.engine.stages import default_stages
 from repro.engine.state import MachineState
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimStats
@@ -24,26 +23,21 @@ class DeadlockError(RuntimeError):
 
 
 class SimulationEngine:
-    """Drives one machine to completion through composable pipeline stages."""
+    """Drives one machine to completion, one cycle per stage sweep."""
 
     def __init__(self, trace: Trace, config: Optional[ProcessorConfig] = None,
-                 clock: Union[None, CycleClock, EventClock] = None,
-                 stages: Optional[List[Stage]] = None,
                  probe: Optional[Callable[[MachineState], None]] = None) -> None:
         self.state = MachineState(trace, config)
-        self.stages = stages if stages is not None else default_stages()
+        self.stages = default_stages()
         #: bound tick methods, hoisted out of the per-cycle sweep.
         self._ticks = [stage.tick for stage in self.stages]
-        #: the event-driven clock is the default; pass :class:`CycleClock`
-        #: to force classic per-cycle stepping (reference/debugging mode).
-        self.clock = clock if clock is not None else EventClock()
+        #: no-op clock kept for the traced benchmark (see :mod:`.clock`).
+        self.clock = CycleClock()
         #: introspection hook: called with the :class:`MachineState` after
-        #: every *executed* cycle (the differential fuzzer's invariant
-        #: probes attach here).  A probe observes Python-engine state, so
-        #: setting one pins the run to the Python engine — the compiled
-        #: core has no per-cycle state to expose.  Combine with a
-        #: :class:`CycleClock` to observe literally every cycle (the
-        #: event-driven clock fast-forwards across quiescent gaps).
+        #: every cycle (the differential fuzzer's invariant probes attach
+        #: here).  A probe observes Python-engine state, so setting one
+        #: pins the run to the Python engine — the compiled core has no
+        #: per-cycle state to expose.
         self.probe = probe
         #: backend that produced the last :meth:`run` result ("python"
         #: until a run completes on the compiled core).
@@ -65,11 +59,7 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Simulate exactly one cycle (commit → writeback → issue → rename → fetch).
-
-        ``step`` never fast-forwards: single-stepping callers observe every
-        cycle.  The clock only jumps inside :meth:`run`.
-        """
+        """Simulate exactly one cycle (commit → writeback → issue → rename → fetch)."""
         state = self.state
         state.ensure_warm()
         for tick in self._ticks:
@@ -101,8 +91,6 @@ class SimulationEngine:
                     return result.stats
         self.backend_used = "python"
         state.ensure_warm()     # warm-up deferred to a backend we didn't use
-        clock = self.clock
-        advance = clock.advance
         ticks = self._ticks
         probe = self.probe
         stats = state.stats
@@ -110,10 +98,12 @@ class SimulationEngine:
         decode_queue = state.decode_queue
         ros = state.ros
         limit = max_instructions if max_instructions is not None else len(state.trace)
-        while True:
-            advance(state, max_cycles=max_cycles)
-            if max_cycles is not None and state.cycle >= max_cycles:
-                break
+        while max_cycles is None or state.cycle < max_cycles:
+            if state.cycle - state.last_commit_cycle > deadlock_threshold:
+                raise DeadlockError(
+                    f"no instruction committed for {deadlock_threshold} cycles "
+                    f"(cycle={state.cycle}, ROS={len(state.ros)}, "
+                    f"head={state.ros.head()!r})")
             for tick in ticks:          # one cycle: commit → … → fetch
                 tick(state)
             state.cycle += 1
@@ -124,26 +114,17 @@ class SimulationEngine:
             # state.finished, with the property chain flattened.
             if ros._count == 0 and not decode_queue and fetch_unit.trace_exhausted:
                 break
-            if max_cycles is not None and state.cycle >= max_cycles:
-                break
-            if state.cycle - state.last_commit_cycle > deadlock_threshold:
-                raise DeadlockError(
-                    f"no instruction committed for {deadlock_threshold} cycles "
-                    f"(cycle={state.cycle}, ROS={len(state.ros)}, "
-                    f"head={state.ros.head()!r})")
         return state.collect_stats()
 
 
 def simulate(trace: Trace, config: Optional[ProcessorConfig] = None,
              max_instructions: Optional[int] = None,
-             max_cycles: Optional[int] = None,
-             clock: Union[None, CycleClock, EventClock] = None) -> SimStats:
+             max_cycles: Optional[int] = None) -> SimStats:
     """Build a :class:`SimulationEngine` for ``trace`` and run it to completion.
 
     This is the main public entry point: every experiment and example uses
     it.  ``max_instructions`` limits the number of *committed* instructions
-    (defaults to the trace length); ``max_cycles`` is a safety bound;
-    ``clock`` selects the stepping strategy (event-driven by default).
+    (defaults to the trace length); ``max_cycles`` is a safety bound.
     """
-    engine = SimulationEngine(trace, config, clock=clock)
-    return engine.run(max_instructions=max_instructions, max_cycles=max_cycles)
+    return SimulationEngine(trace, config).run(
+        max_instructions=max_instructions, max_cycles=max_cycles)

@@ -1,21 +1,18 @@
 """Indexed scheduler structures: ready set, wakeup index, completion queue.
 
-The issue stage used to rediscover ready instructions by scanning the
-whole Reorder Structure every cycle, and the event clock re-scanned it
-again to prove quiescence.  This module replaces those scans with three
-incrementally maintained indexes over the in-flight window:
+Instead of scanning the whole Reorder Structure every cycle, the issue
+and writeback stages work off three incrementally maintained indexes
+over the in-flight window:
 
 * :class:`ReadySet` — the age-ordered queue of instructions whose source
   operands are all available and (for loads) whose older store addresses
-  are all known.  The issue stage pops it oldest-first; the event clock
-  reads its size and members in O(1)/O(ready).
+  are all known.  The issue stage pops it oldest-first.
 * :class:`WakeupIndex` — the producer→consumer lists.  Writeback calls
   :meth:`WakeupIndex.wake` with a completing producer and gets back
   exactly the consumers whose *last* outstanding producer that was, so
   only those are promoted to the ready set.
-* :class:`CompletionQueue` — completion events keyed by cycle with a
-  min-heap over the scheduled cycles, so "when is the next writeback?"
-  is O(1) for the event clock instead of ``min()`` over dict keys.
+* :class:`CompletionQueue` — completion events bucketed by cycle; the
+  writeback stage drains the bucket of the current cycle.
 
 Staleness discipline
 --------------------
@@ -36,7 +33,7 @@ membership dict is keyed by seq and squash removes the key eagerly.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, ValuesView
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backend.ros import ROSEntry
@@ -71,10 +68,6 @@ class ReadySet:
 
     def __contains__(self, seq: int) -> bool:
         return seq in self._entries
-
-    def entries(self) -> ValuesView["ROSEntry"]:
-        """Live members, unordered (the clock's structural-stall probe)."""
-        return self._entries.values()
 
     # ------------------------------------------------------------------
     def add(self, entry: "ROSEntry") -> None:
@@ -161,20 +154,17 @@ class WakeupIndex:
 
 
 class CompletionQueue:
-    """Completion events bucketed by cycle, with an O(1) next-cycle probe.
+    """Completion events bucketed by cycle.
 
-    The writeback stage drains the bucket of the current cycle; the event
-    clock bounds its jumps by :meth:`next_cycle`.  Buckets are the
-    authority — heap keys of already-drained cycles are skipped lazily —
-    and bucket members are seq-tagged so events stranded by a squash
-    cannot alias the row's next occupant (module docstring).
+    The writeback stage drains the bucket of the current cycle.  Bucket
+    members are seq-tagged so events stranded by a squash cannot alias
+    the row's next occupant (module docstring).
     """
 
-    __slots__ = ("_buckets", "_heap")
+    __slots__ = ("_buckets",)
 
     def __init__(self) -> None:
         self._buckets: Dict[int, List[TaggedEntry]] = {}
-        self._heap: List[int] = []
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -189,7 +179,6 @@ class CompletionQueue:
         record = (entry.seq, entry)
         if bucket is None:
             self._buckets[cycle] = [record]
-            heapq.heappush(self._heap, cycle)
         else:
             bucket.append(record)
 
@@ -204,42 +193,6 @@ class CompletionQueue:
         """
         return self._buckets.pop(cycle, None)
 
-    def next_cycle(self) -> Optional[int]:
-        """Earliest cycle with a pending event, or None when empty."""
-        heap = self._heap
-        buckets = self._buckets
-        while heap:
-            if heap[0] in buckets:
-                return heap[0]
-            heapq.heappop(heap)
-        return None
-
-    def next_live_cycle(self) -> Optional[int]:
-        """Earliest cycle whose bucket holds a live (non-squashed,
-        non-recycled) entry.
-
-        Buckets containing only dead events are dropped on the way:
-        squash is permanent (sequence numbers are never reused), so such
-        a bucket can never produce observable work — waking the machine
-        for it would cost one spurious stage sweep.  The event clock
-        bounds its jumps with this; the writeback stage keeps draining
-        via :meth:`pop_due`, which is unaffected by the early drops.
-        """
-        heap = self._heap
-        buckets = self._buckets
-        while heap:
-            cycle = heap[0]
-            bucket = buckets.get(cycle)
-            if bucket is None:
-                heapq.heappop(heap)
-                continue
-            if any(entry.seq == seq and not entry.squashed
-                   for seq, entry in bucket):
-                return cycle
-            del buckets[cycle]
-            heapq.heappop(heap)
-        return None
-
     def pending(self) -> Iterable["ROSEntry"]:
         """Every live scheduled entry, in no particular order (tests)."""
         for bucket in self._buckets.values():
@@ -250,4 +203,3 @@ class CompletionQueue:
     def clear(self) -> None:
         """Drop every event (tests/debugging; flushes keep squashed events)."""
         self._buckets.clear()
-        self._heap.clear()

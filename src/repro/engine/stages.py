@@ -25,9 +25,8 @@ behave like a real machine:
 5. :class:`FetchStage`     — fetch up to ``fetch_width`` instructions from
    the trace (or the wrong-path generator) into the front-end pipe.
 
-The module also exposes the side-effect-free probes the event-driven clock
-needs (:func:`dispatch_hazard`, :func:`may_avoid_allocation`): fast-forward
-decisions must inspect rename hazards without mutating stall counters.
+The rename stage checks its hazards up front with the side-effect-free
+probes :func:`dispatch_hazard` and :func:`may_avoid_allocation`.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class Stage(abc.ABC):
 
 
 # ======================================================================
-# Rename hazard probes (shared by the rename stage and the event clock)
+# Rename hazard probes
 # ======================================================================
 def may_avoid_allocation(state: MachineState, dest_class: RegClass,
                          logical: int,
@@ -111,9 +110,8 @@ def may_avoid_allocation(state: MachineState, dest_class: RegClass,
 def dispatch_hazard(state: MachineState, inst: Instruction) -> Optional[str]:
     """Stall reason that would block renaming ``inst`` this cycle, or None.
 
-    Pure probe: checks are made in the same order the rename stage applies
-    them, with no counter updates, so the event-driven clock can account
-    for skipped stall cycles exactly.
+    Pure probe: no counter updates; the rename stage books the returned
+    reason as one dispatch stall.
     """
     ros = state.ros
     if ros._count >= ros.capacity:

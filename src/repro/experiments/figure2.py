@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.register_state import RegState
+from repro.engine import SimulationEngine
 from repro.isa import InstructionBuilder, RegClass
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import Processor
 from repro.trace.records import Trace
 
 
@@ -104,8 +104,9 @@ def run(policy: str = "conv", padding: int = 32, max_cycles: int = 800) -> Figur
     # interest tens of cycles apart.
     config = ProcessorConfig(release_policy=policy, warmup=True,
                              enable_wrong_path=False)
-    processor = Processor(trace, config)
-    register_file = processor.register_files[RegClass.INT]
+    engine = SimulationEngine(trace, config)
+    machine = engine.state
+    register_file = machine.register_files[RegClass.INT]
 
     # Positions (= ROS sequence numbers, since nothing is squashed) of the
     # three instructions of interest in the constructed trace.
@@ -118,27 +119,27 @@ def run(policy: str = "conv", padding: int = 32, max_cycles: int = 800) -> Figur
     lu_commit_cycle: Optional[int] = None
     release_cycle: Optional[int] = None
 
-    while not processor.finished and processor.cycle < max_cycles:
-        processor.step()
-        cycle = processor.cycle
+    while not engine.finished and machine.cycle < max_cycles:
+        engine.step()
+        cycle = machine.cycle
         if tracked is None:
-            producer_entry = processor.ros_entry(producer_seq)
+            producer_entry = machine.ros_entry(producer_seq)
             if producer_entry is not None and producer_entry.pd is not None:
                 tracked = producer_entry.pd
                 alloc_cycle = cycle
         if tracked is None:
             continue
         if write_cycle is None:
-            producer_entry = processor.ros_entry(producer_seq)
+            producer_entry = machine.ros_entry(producer_seq)
             if producer_entry is not None and producer_entry.completed:
                 write_cycle = cycle
             elif producer_entry is None:
                 write_cycle = write_cycle or cycle
-        if lu_commit_cycle is None and processor.is_committed(lu_seq):
+        if lu_commit_cycle is None and machine.is_committed(lu_seq):
             lu_commit_cycle = cycle
         if release_cycle is None and register_file.is_free(tracked):
             release_cycle = cycle
-    end_cycle = processor.cycle
+    end_cycle = machine.cycle
 
     result = Figure2Result(policy=policy,
                            tracked_register=tracked if tracked is not None else -1)

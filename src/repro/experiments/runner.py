@@ -40,8 +40,8 @@ The ``cache`` subcommand inspects and maintains that store::
     repro-experiments cache --prune --stale-code     # drop old-code entries
 
 The ``fuzz`` subcommand runs the differential scenario fuzzer (random
-workloads and tight machine configs cross-checked between clocks,
-engine backends and trace-generation paths — see ``docs/fuzzing.md``)::
+workloads and tight machine configs cross-checked between engine
+backends and trace-generation paths — see ``docs/fuzzing.md``)::
 
     repro-experiments fuzz --seed 20260808 --samples 80
     repro-experiments fuzz --budget-seconds 60 --report fuzz-report.json

@@ -93,13 +93,6 @@ class FetchUnit:
         """True when every correct-path instruction has been fetched."""
         return self.cursor >= self._trace_len and not self.on_wrong_path
 
-    @property
-    def stalled_until(self) -> int:
-        """First cycle at which fetch can deliver again after an I-cache
-        miss (in the past when not stalled).  Public probe for the
-        event-driven clock's quiescence test."""
-        return self._stall_until
-
     def recover(self, resume_cursor: int) -> None:
         """Re-steer fetch to the correct path after a branch misprediction
         or an exception flush.

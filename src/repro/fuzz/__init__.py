@@ -6,7 +6,6 @@ pluggable oracle set —
 
 * **generation** — vectorised vs scalar trace generation (instruction
   streams and bit-generator state must match exactly);
-* **clocks** — ``EventClock`` vs ``CycleClock`` ``SimStats`` equality;
 * **backend** — compiled C core vs Python engine ``SimStats`` equality
   (honouring every documented skip/fallback path);
 * **conservation** — engine-internal invariants checked by a per-cycle

@@ -15,15 +15,12 @@ Oracles:
     instruction streams **and** leave the shared ``numpy`` bit generator
     in the identical state (so any scalar/vector hand-off consumed
     exactly the same draws).
-``clocks``
-    ``EventClock`` (fast-forwarding) vs ``CycleClock`` (reference
-    per-cycle stepping) must produce field-identical ``SimStats``.
 ``backend``
     The compiled C core vs the Python engine must produce
     field-identical ``SimStats`` — honouring ``unsupported_reason()``
     and every fallback layer as skips.
 ``conservation``
-    A ``CycleClock`` Python run with an :class:`InvariantProbe` attached:
+    A Python-engine run with an :class:`InvariantProbe` attached:
     free-list accounting, structural occupancy bounds, Release-Queue
     liveness and the final stat identities; any engine exception
     (``FreeListError``, ``DeadlockError``, …) is a failure too.
@@ -38,7 +35,6 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.clock import CycleClock, EventClock
 from repro.engine.engine import SimulationEngine
 from repro.fuzz.invariants import InvariantProbe, InvariantViolation
 from repro.fuzz.sampling import FuzzSample
@@ -52,8 +48,7 @@ from repro.trace.workloads import (_scenario_stream_seed,
 
 #: Default oracle set, in execution order (cheap generation check first,
 #: conservation last so its probe run reuses the generated trace).
-DEFAULT_ORACLES: Tuple[str, ...] = ("generation", "clocks", "backend",
-                                    "conservation")
+DEFAULT_ORACLES: Tuple[str, ...] = ("generation", "backend", "conservation")
 
 
 @dataclass(frozen=True)
@@ -100,9 +95,8 @@ def ephemeral_scenario(profile) -> Iterator[None]:
 class SampleContext:
     """Shared per-sample state: the generated trace and the Python stats.
 
-    The clock, backend and conservation oracles all need the Python
-    reference run; computing it once per sample keeps the fuzz loop's
-    cost at roughly three simulations instead of five.
+    The backend oracle compares against the Python reference run,
+    computed once per sample and memoised here.
     """
 
     def __init__(self, sample: FuzzSample) -> None:
@@ -121,13 +115,12 @@ class SampleContext:
         return self._trace
 
     def python_stats(self) -> SimStats:
-        """Reference Python-engine stats (EventClock), computed once."""
+        """Reference Python-engine stats, computed once."""
         if self._python_stats is None:
             sample = self.sample
             config = dataclasses.replace(sample.config, engine="python")
             with ephemeral_scenario(sample.scenario):
-                engine = SimulationEngine(self.trace(), config,
-                                          clock=EventClock())
+                engine = SimulationEngine(self.trace(), config)
                 self._python_stats = engine.run()
         return self._python_stats
 
@@ -195,22 +188,6 @@ def check_generation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
     return _passed()
 
 
-def check_clocks(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
-    """EventClock vs CycleClock bit-identical ``SimStats``."""
-    config = dataclasses.replace(sample.config, engine="python")
-    try:
-        event_stats = ctx.python_stats()
-        with ephemeral_scenario(sample.scenario):
-            cycle_stats = SimulationEngine(ctx.trace(), config,
-                                           clock=CycleClock()).run()
-    except Exception as exc:
-        return _failed(f"simulation raised {type(exc).__name__}: {exc}")
-    diff = _stats_diff(event_stats, cycle_stats, "event", "cycle")
-    if diff:
-        return _failed(f"clock divergence: {diff}")
-    return _passed()
-
-
 def check_backend(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
     """Compiled C core vs Python engine bit-identical ``SimStats``."""
     from repro.engine import accel
@@ -245,8 +222,7 @@ def check_conservation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
     probe = InvariantProbe()
     try:
         with ephemeral_scenario(sample.scenario):
-            engine = SimulationEngine(ctx.trace(), config, clock=CycleClock(),
-                                      probe=probe)
+            engine = SimulationEngine(ctx.trace(), config, probe=probe)
             stats = engine.run()
             probe.final_check(engine.state, stats)
     except InvariantViolation as exc:
@@ -259,7 +235,6 @@ def check_conservation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
 #: Oracle registry: name -> callable(sample, ctx) -> OracleOutcome.
 ORACLES: Dict[str, Callable[[FuzzSample, SampleContext], OracleOutcome]] = {
     "generation": check_generation,
-    "clocks": check_clocks,
     "backend": check_backend,
     "conservation": check_conservation,
 }
@@ -292,6 +267,6 @@ def run_oracle(name: str, sample: FuzzSample,
 # Imported for the docstring contract; re-exported for probe-equipped
 # callers (the mutation smoke test builds its own engines).
 __all__ = ["DEFAULT_ORACLES", "ORACLES", "OracleOutcome", "SampleContext",
-           "check_backend", "check_clocks", "check_conservation",
+           "check_backend", "check_conservation",
            "check_generation", "ephemeral_scenario", "resolve_oracle_names",
            "run_oracle"]

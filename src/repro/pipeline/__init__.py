@@ -1,26 +1,12 @@
-"""Cycle-level out-of-order processor model.
+"""Processor configuration and simulation statistics.
 
 :class:`~repro.pipeline.config.ProcessorConfig` carries the paper's
-Table 2 parameters (all overridable), :class:`~repro.pipeline.processor.Processor`
-is the pipeline facade over :mod:`repro.engine`, and
-:func:`~repro.pipeline.processor.simulate` is the one-call entry point
-used by the experiment harness.
-
-``Processor`` / ``simulate`` / ``DeadlockError`` are resolved lazily
-(PEP 562): the facade imports :mod:`repro.engine`, which itself needs
-:mod:`repro.pipeline.config`, and the deferred lookup keeps that cycle
-harmless regardless of which package is imported first.
+Table 2 parameters (all overridable) and
+:class:`~repro.pipeline.stats.SimStats` the results of one run.  The
+simulator itself is :mod:`repro.engine`.
 """
 
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimStats
 
-__all__ = ["ProcessorConfig", "SimStats", "Processor", "simulate", "DeadlockError"]
-
-
-def __getattr__(name):
-    if name in ("Processor", "simulate", "DeadlockError"):
-        from repro.pipeline import processor
-
-        return getattr(processor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["ProcessorConfig", "SimStats"]

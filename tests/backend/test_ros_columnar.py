@@ -7,12 +7,10 @@ squash, and checkpoint-restore recoveries whose squash undo releases
 registers through the bulk free-list path.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.backend.ros import ROSEntry, ReorderStructure
-from repro.engine import CycleClock, EventClock, SimulationEngine
+from repro.engine import SimulationEngine
 from repro.isa import Instruction, OpClass, RegClass
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.workloads import get_workload
@@ -128,8 +126,7 @@ class TestCheckpointRestoreWithBulkRelease:
     """Misprediction recoveries on real workloads: the squash undo path
     releases every squashed destination register through the bulk
     free-list call while the map/LUs checkpoints restore.  The checked
-    free list would raise on any double or missed release; the two
-    clocks must agree bit-for-bit afterwards."""
+    free list would raise on any double or missed release."""
 
     @pytest.mark.parametrize("policy", ["conv", "basic", "extended"])
     def test_recovery_heavy_run_stays_consistent(self, policy):
@@ -137,12 +134,10 @@ class TestCheckpointRestoreWithBulkRelease:
         config = ProcessorConfig(release_policy=policy, warmup=False,
                                  num_physical_int=40, num_physical_fp=40)
         trace = get_workload("gcc", 2_500, seed=0)
-        reference = SimulationEngine(trace, config, clock=CycleClock()).run()
-        engine = SimulationEngine(trace, config, clock=EventClock())
-        fast = engine.run()
-        assert reference.branch_mispredictions > 0
-        assert reference.squashed_instructions > 0
-        assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
+        engine = SimulationEngine(trace, config)
+        stats = engine.run()
+        assert stats.branch_mispredictions > 0
+        assert stats.squashed_instructions > 0
         # Everything drained: free + allocated == P in both files.
         for register_file in engine.state.register_files.values():
             register_file.check_invariants()
@@ -154,7 +149,7 @@ class TestCheckpointRestoreWithBulkRelease:
         config = ProcessorConfig(release_policy="conv", warmup=False,
                                  num_physical_int=48, num_physical_fp=48)
         trace = get_workload("gcc", 1_200, seed=0)
-        engine = SimulationEngine(trace, config, clock=CycleClock())
+        engine = SimulationEngine(trace, config)
         state = engine.state
         # Run until a recovery happens, capturing free-list order after it.
         baseline = state.stats

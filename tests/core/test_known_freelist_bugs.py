@@ -33,8 +33,8 @@ to crash.
 
 import pytest
 
+from repro.engine import simulate
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import simulate
 from repro.trace.workloads import get_workload
 
 TRACE_LENGTH = 2_000  # shortest length reproducing the seed-era crashes (seed 0)

@@ -17,7 +17,7 @@ import logging
 
 import pytest
 
-from repro.engine import CycleClock, SimulationEngine
+from repro.engine import SimulationEngine
 from repro.engine import accel
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.workloads import get_workload
@@ -186,7 +186,7 @@ class TestBitIdenticalStats:
                                  num_physical_int=48, num_physical_fp=48,
                                  lsq_size=12, engine="python")
         trace = get_workload("compress", TRACE_LENGTH, seed=0)
-        python_engine = SimulationEngine(trace, config, clock=CycleClock())
+        python_engine = SimulationEngine(trace, config)
         python_engine.run()
         assert engine.compiled_ready_peak == python_engine.state.ready.peak_size
 
@@ -465,8 +465,8 @@ class TestWarmupDeferral:
 
     def test_broken_toolchain_still_warms_up(self, monkeypatch):
         # Warm-up deferred to a compiled backend that turns out to be
-        # missing must still happen (ensure_warm before the Python clock
-        # loop): stats equal the python-engine warmup=True reference.
+        # missing must still happen (ensure_warm before the Python
+        # stepping loop): stats equal the python-engine warmup=True reference.
         monkeypatch.setenv("REPRO_ACCEL_CC", "/nonexistent/compiler-xyz")
         accel.reset_backend_cache()
         try:

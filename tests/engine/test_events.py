@@ -93,16 +93,27 @@ class TestWakeupIndex:
 
 class TestCompletionQueue:
     def test_next_cycle_is_minimum_over_buckets(self):
+        # Buckets are keyed by cycle, not by insertion order: a clock
+        # stepping cycle by cycle meets the earliest bucket first.
         queue = CompletionQueue()
         queue.schedule(30, entry(1))
         queue.schedule(10, entry(2))
         queue.schedule(10, entry(3))
-        assert queue.next_cycle() == 10
+        due = {cycle: bucket for cycle in range(31)
+               if (bucket := queue.pop_due(cycle)) is not None}
+        assert list(due) == [10, 30]
+        assert [e.seq for _seq, e in due[10]] == [2, 3]
+        assert not queue
+
+    def test_pop_due_drains_one_bucket_in_schedule_order(self):
+        queue = CompletionQueue()
+        queue.schedule(30, entry(1))
+        queue.schedule(10, entry(2))
+        queue.schedule(10, entry(3))
         assert [e.seq for _seq, e in queue.pop_due(10)] == [2, 3]
-        assert queue.next_cycle() == 30
+        assert queue.pop_due(10) is None
         assert queue.pop_due(11) is None
         assert queue.pop_due(30)[0][1].seq == 1
-        assert queue.next_cycle() is None
         assert not queue
 
     def test_pop_due_keeps_dead_events_for_in_loop_liveness_checks(self):
@@ -127,7 +138,7 @@ class TestCompletionQueue:
         queue.schedule(8, entry(2))
         assert sorted(e.seq for e in queue.pending()) == [1, 2]
         queue.clear()
-        assert queue.next_cycle() is None
+        assert not queue
 
 
 class TestBackendHooks:
@@ -171,19 +182,19 @@ class TestBackendHooks:
         assert lsq.mark_address_known(0) == [load]  # parked ref survives;
         # the issue stage skips it via the squashed flag.
 
-    def test_fu_next_free_cycle(self):
+    def test_fu_unpipelined_divider_occupancy(self):
         fus = FunctionalUnitPool()
-        assert fus.next_free_cycle(OpClass.FP_DIV) == 0
         fus.issue(OpClass.FP_DIV, cycle=3)      # unpipelined, 16 cycles
-        assert fus.next_free_cycle(OpClass.FP_DIV) == 0  # 3 more units free
+        assert fus.can_issue(OpClass.FP_DIV, 3)  # 3 more units free
         for _ in range(3):
             fus.issue(OpClass.FP_DIV, cycle=3)
-        assert fus.next_free_cycle(OpClass.FP_DIV) == 19
         assert not fus.can_issue(OpClass.FP_DIV, 18)
         assert fus.can_issue(OpClass.FP_DIV, 19)
 
     def test_structural_stall_bulk_booking(self):
+        # The issue stage books one stall per blocked ready entry per
+        # cycle; the pool only accumulates them.
         fus = FunctionalUnitPool()
-        fus.note_structural_stall()
-        fus.note_structural_stall(41)
+        for _ in range(42):
+            fus.note_structural_stall()
         assert fus.structural_stalls == 42

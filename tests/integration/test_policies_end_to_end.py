@@ -11,9 +11,9 @@ These are the integration-level statements of the paper's thesis:
 
 import pytest
 
+from repro.engine import SimulationEngine, simulate
 from repro.isa import RegClass
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import Processor, simulate
 from repro.trace.workloads import get_workload
 
 TRACE_LENGTH = 2_500
@@ -100,9 +100,9 @@ class TestInvariants:
         trace = get_workload(benchmark_name, 1500)
         config = ProcessorConfig(release_policy=policy, num_physical_int=48,
                                  num_physical_fp=48, warmup=False)
-        processor = Processor(trace, config)
-        processor.run()
-        for register_file in processor.register_files.values():
+        engine = SimulationEngine(trace, config)
+        engine.run()
+        for register_file in engine.state.register_files.values():
             register_file.check_invariants()
             assert register_file.n_allocated == 32
 
@@ -112,10 +112,10 @@ class TestInvariants:
         config = ProcessorConfig(release_policy=policy, num_physical_int=48,
                                  num_physical_fp=48, warmup=False,
                                  exception_rate=0.02, seed=11)
-        processor = Processor(trace, config)
-        stats = processor.run()
+        engine = SimulationEngine(trace, config)
+        stats = engine.run()
         assert stats.exceptions_taken > 0
-        for register_file in processor.register_files.values():
+        for register_file in engine.state.register_files.values():
             register_file.check_invariants()
 
     def test_disabling_wrong_path_still_consistent(self):
@@ -123,6 +123,6 @@ class TestInvariants:
         config = ProcessorConfig(release_policy="extended", num_physical_int=44,
                                  num_physical_fp=44, warmup=False,
                                  enable_wrong_path=False)
-        processor = Processor(trace, config)
-        processor.run()
-        assert processor.register_files[RegClass.INT].n_allocated == 32
+        engine = SimulationEngine(trace, config)
+        engine.run()
+        assert engine.state.register_files[RegClass.INT].n_allocated == 32

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.engine import DeadlockError, SimulationEngine, simulate
 from repro.isa import InstructionBuilder, RegClass
 from repro.pipeline.config import ProcessorConfig
-from repro.pipeline.processor import DeadlockError, Processor, simulate
 from repro.trace.records import Trace
 
 
@@ -70,24 +70,13 @@ class TestBasicExecution:
         assert stats.cycles <= 51
 
     def test_step_and_finished(self, straightline_trace, quick_config):
-        processor = Processor(straightline_trace, quick_config)
-        assert not processor.finished
+        engine = SimulationEngine(straightline_trace, quick_config)
+        assert not engine.finished
         for _ in range(200):
-            processor.step()
-            if processor.finished:
+            engine.step()
+            if engine.finished:
                 break
-        assert processor.finished
-
-    def test_facade_attribute_writes_reach_machine_state(self, straightline_trace,
-                                                         quick_config):
-        # The facade forwards reads *and* writes to the MachineState, so
-        # callers written against the monolithic Processor see one object.
-        processor = Processor(straightline_trace, quick_config)
-        processor.step()
-        processor.cycle = 0
-        assert processor.engine.state.cycle == 0
-        processor.step()
-        assert processor.cycle == 1
+        assert engine.finished
 
 
 class TestRegisterPressure:
@@ -107,22 +96,22 @@ class TestRegisterPressure:
 
     def test_conservation_of_registers(self, mixed_trace):
         config = ProcessorConfig(warmup=False, enable_wrong_path=False)
-        processor = Processor(mixed_trace, config)
-        processor.run()
-        for register_file in processor.register_files.values():
+        engine = SimulationEngine(mixed_trace, config)
+        engine.run()
+        for register_file in engine.state.register_files.values():
             register_file.check_invariants()
 
     def test_quiescent_register_count(self, small_gcc_trace):
         for policy in ("conv", "basic", "extended"):
             config = ProcessorConfig(warmup=False, enable_wrong_path=True,
                                      release_policy=policy)
-            processor = Processor(small_gcc_trace, config)
-            processor.run()
-            int_file = processor.register_files[RegClass.INT]
+            engine = SimulationEngine(small_gcc_trace, config)
+            engine.run()
+            int_file = engine.state.register_files[RegClass.INT]
             # Everything has committed: only architectural versions remain —
             # no physical register was leaked and none was double freed.
             assert int_file.n_allocated == 32, policy
-            assert processor.register_files[RegClass.FP].n_allocated == 32, policy
+            assert engine.state.register_files[RegClass.FP].n_allocated == 32, policy
 
 
 class TestBranchesAndMemory:
@@ -202,19 +191,20 @@ class TestExceptions:
 
 class TestDiagnostics:
     def test_deadlock_detection(self, straightline_trace):
-        processor = Processor(straightline_trace,
-                              ProcessorConfig(warmup=True, enable_wrong_path=False))
+        engine = SimulationEngine(straightline_trace,
+                                  ProcessorConfig(warmup=True, enable_wrong_path=False))
+        ros = engine.state.ros
         # Sabotage: make the oldest in-flight entry wait on a producer that
         # never exists, so commit can never make progress.
         for _ in range(200):
-            processor.step()
-            if not processor.ros.is_empty:
+            engine.step()
+            if not ros.is_empty:
                 break
-        assert not processor.ros.is_empty
-        for entry in processor.ros:
+        assert not ros.is_empty
+        for entry in ros:
             entry.wait_producers.add(10_000_000)
         with pytest.raises(DeadlockError):
-            processor.run(deadlock_threshold=500)
+            engine.run(deadlock_threshold=500)
 
     def test_stats_identify_benchmark_and_policy(self, small_swim_trace):
         config = ProcessorConfig(warmup=False, release_policy="extended")

@@ -118,8 +118,8 @@ def test_simulation_stats_identical_across_generation_modes(name, policy,
     """End to end: every SimStats field the sweeps record is identical
     whether the trace and wrong-path fillers come from the scalar or the
     vectorised generators."""
+    from repro.engine import simulate
     from repro.pipeline.config import ProcessorConfig
-    from repro.pipeline.processor import simulate
     from repro.trace.workloads import SCENARIOS, generate_scenario_trace
 
     def build(vectorized):
