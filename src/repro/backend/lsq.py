@@ -20,18 +20,16 @@ from the front (retirement is in order), squash pops from the back, and
 the completion/address-known updates resolve their entry through the
 index instead of scanning.
 
-Parked references are stored seq-tagged: the columnar Reorder Structure
-recycles its row handles, so a load squashed while parked may have its
-handle reused by a later instruction.  :meth:`mark_address_known`
-compares the recorded sequence number against ``entry.seq`` and drops
-dead references instead of waking the row's new occupant.
+A load squashed while parked stays on its wait list until the store's
+address is known; :meth:`mark_address_known` drops it by its ``squashed``
+flag (ROS entries are never reused, so the flag is exact).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 
 @dataclass(slots=True)
@@ -55,9 +53,8 @@ class LoadStoreQueue:
         self._entries: Deque[LSQEntry] = deque()
         #: seq -> entry, kept in lockstep with the deque (O(1) find).
         self._by_seq: Dict[int, LSQEntry] = {}
-        #: store seq -> seq-tagged ROS entries of loads parked until its
-        #: address is known (tag validated at drain; see module docstring).
-        self._waiters: Dict[int, List[Tuple[int, object]]] = {}
+        #: store seq -> ROS entries of loads parked until its address is known.
+        self._waiters: Dict[int, List[object]] = {}
         self.forwarded_loads = 0
 
     # ------------------------------------------------------------------
@@ -122,7 +119,7 @@ class LoadStoreQueue:
             if entry.seq >= seq:
                 break
             if entry.is_store and not entry.addr_known:
-                self._waiters.setdefault(entry.seq, []).append((seq, ros_entry))
+                self._waiters.setdefault(entry.seq, []).append(ros_entry)
                 return True
         return False
 
@@ -132,8 +129,7 @@ class LoadStoreQueue:
         Returns the *live* loads that were parked on it; each must be
         re-examined by the caller (re-parked on the next unknown older
         store, or promoted to the ready set).  Parked loads that were
-        squashed — or whose recycled handle now belongs to a different
-        instruction — are dropped here.
+        squashed are dropped here.
         """
         entry = self._by_seq.get(seq)
         if entry is not None:
@@ -141,8 +137,7 @@ class LoadStoreQueue:
         parked = self._waiters.pop(seq, None)
         if not parked:
             return []
-        return [load for load_seq, load in parked
-                if load.seq == load_seq and not load.squashed]
+        return [load for load in parked if not load.squashed]
 
     def mark_done(self, seq: int) -> None:
         """The memory operation ``seq`` completed execution."""
@@ -176,8 +171,8 @@ class LoadStoreQueue:
         """Drop every entry younger than ``seq`` (misprediction recovery).
 
         Wait lists keyed by squashed stores go too; loads parked on
-        *surviving* stores may themselves be squashed — the seq tags
-        filter those when the list is drained.
+        *surviving* stores may themselves be squashed — their
+        ``squashed`` flag filters those when the list is drained.
         """
         entries = self._entries
         by_seq = self._by_seq

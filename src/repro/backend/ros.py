@@ -1,49 +1,26 @@
-"""Columnar Reorder Structure (ROS) and its row-handle entries.
+"""Reorder Structure (ROS) and its entries.
 
-Every renamed, uncommitted instruction occupies one *row* of the
-:class:`ReorderStructure`.  Since PR 3 the structure is columnar: the
-fields the batched kernels operate on — sequence number, the
-completed/squashed/exception flags and the completion cycle — live in
-preallocated numpy arrays indexed by row, while :class:`ROSEntry` objects
-are recycled *handles* over rows that keep the remaining per-instruction
-rename state (the conventional-renaming fields of paper Figure 1
+Every renamed, uncommitted instruction occupies one :class:`ROSEntry` in
+the :class:`ReorderStructure`, a program-ordered FIFO (paper Table 2).
+An entry keeps the conventional-renaming fields of paper Figure 1
 (``old_pd``, ``rd``, ``pd``) and the fields added by the basic mechanism
 in Figure 5: logical/physical source identifiers, the previous-version
 release bit ``rel_old`` and the early-release bits ``rel1/rel2/reld``,
-stored here as a slot bitmask).
+stored here as a slot bitmask.
 
-Invariants
-----------
-**Age order.**  Rows form a ring buffer: the oldest instruction sits at
-``_head`` and rows are occupied in strictly increasing sequence-number
-order.  ``append``/``push`` enforce this; ``pop_head`` retires from the
-old end and squashes trim the young end, so the occupied window is always
-contiguous (modulo wraparound) and age-sorted.
-
-**Row-id stability.**  A row id (``ROSEntry.row``) is fixed for the
-lifetime of the in-flight instruction: neither squash nor the commit of
-older entries moves a live entry to a different row.  Row ids (and their
-handle objects) are recycled only after the occupant has left the window,
-which is why every index that can hold a stale reference across a squash
-(the completion queue, the wakeup lists, the LSQ wait lists — see
-:mod:`repro.engine.events` and :mod:`repro.backend.lsq`) stores the
-sequence number alongside the handle and validates ``entry.seq`` before
-acting.  Sequence numbers are never reused, so the check is exact.
-
-**Index/column consistency.**  The object fields mirrored in columns
-(``completed``, ``squashed``, ``exception``, ``complete_cycle``, ``seq``)
-are only written through :class:`ReorderStructure` methods
-(:meth:`ReorderStructure.note_completed`, the squash kernels, row
-allocation), which update the handle and the column together.  The
-``_by_seq`` map is kept in lockstep by every mutator, so :meth:`find`
+The rename stage builds a fresh entry per instruction, and a squashed
+entry is never reused: once ``entry.squashed`` is set it stays set, so
+any index still holding the reference (completion queue, wakeup lists,
+LSQ wait lists) recognises it as dead by that flag alone.  A
+``seq -> entry`` map is kept in lockstep with the FIFO, so :meth:`find`
 (the release policies' LU lookups) is O(1).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from collections import deque
+from itertools import islice
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.isa import Instruction, RegClass
 
@@ -59,53 +36,25 @@ DEST_SLOT_BIT = 1 << 3
 
 
 class ROSEntry:
-    """One uncommitted instruction: a (recyclable) handle over a ROS row.
-
-    Entries owned by a :class:`ReorderStructure` carry the row id they
-    were renamed into (:attr:`row`); standalone entries built by tests
-    use ``row = -1`` until appended.  All per-field access is plain
-    attribute access — the numpy columns mirror only the flags the
-    batched commit/squash kernels slice.
-    """
+    """One uncommitted instruction."""
 
     __slots__ = (
-        "row",
         "seq", "inst", "wrong_path", "resume_cursor", "prediction",
         "predicted_taken", "fetch_mispredicted",
         "dest_class", "dest_logical", "pd", "old_pd", "allocated_new", "reused",
         "rel_old", "early_release_mask",
         "src_regs", "wait_producers",
-        "issued", "completed", "complete_cycle", "rename_cycle", "issue_cycle",
-        "branch_resolved", "lsq_index", "exception", "mem_latency", "squashed",
+        "issued", "completed", "issue_cycle", "exception", "squashed",
     )
 
-    def __init__(self, seq: int, inst: Optional[Instruction],
-                 row: int = -1) -> None:
-        self.row = row
-        self.src_regs: List[Tuple[RegClass, int, int]] = []
-        self.wait_producers: set = set()
-        # Front-end fields: defaults live here, not in reset() — the
-        # rename stage assigns all four unconditionally right after
-        # obtaining a (possibly recycled) handle, so the recycle path
-        # skips them.
+    def __init__(self, seq: int, inst: Optional[Instruction]) -> None:
+        self.seq = seq
+        self.inst = inst
+        self.wrong_path = inst.wrong_path if inst is not None else False
         self.resume_cursor = -1
         self.prediction = None
         self.predicted_taken = False
         self.fetch_mispredicted = False
-        self.reset(seq, inst)
-
-    def reset(self, seq: int, inst: Optional[Instruction]) -> None:
-        """(Re-)initialise the handle for a freshly renamed instruction.
-
-        Called once at construction and again each time the row is
-        recycled for a new instruction; :attr:`row` is preserved and the
-        front-end fields (``resume_cursor``, ``prediction``,
-        ``predicted_taken``, ``fetch_mispredicted``) are left stale — the
-        rename stage overwrites them before the entry is published.
-        """
-        self.seq = seq
-        self.inst = inst
-        self.wrong_path = inst.wrong_path if inst is not None else False
 
         self.dest_class: Optional[RegClass] = None
         self.dest_logical: Optional[int] = None
@@ -120,19 +69,14 @@ class ROSEntry:
         self.early_release_mask = 0
 
         #: per source slot: (reg_class, logical, physical).
-        self.src_regs.clear()
+        self.src_regs: List[Tuple[RegClass, int, int]] = []
         #: producer sequence numbers this instruction still waits on.
-        self.wait_producers.clear()
+        self.wait_producers: set = set()
 
         self.issued = False
         self.completed = False
-        self.complete_cycle = -1
-        self.rename_cycle = -1
         self.issue_cycle = -1
-        self.branch_resolved = False
-        self.lsq_index: Optional[int] = None
         self.exception = False
-        self.mem_latency = 0
         self.squashed = False
 
     # ------------------------------------------------------------------
@@ -157,364 +101,129 @@ class ROSEntry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         op = self.inst.op.name if self.inst is not None else "?"
-        return (f"ROSEntry(seq={self.seq}, row={self.row}, op={op}, "
+        return (f"ROSEntry(seq={self.seq}, op={op}, "
                 f"pd={self.pd}, old_pd={self.old_pd}, "
                 f"issued={self.issued}, completed={self.completed})")
 
 
 class ReorderStructure:
-    """Columnar FIFO of uncommitted instructions (the paper's ROS, Table 2).
+    """Program-ordered FIFO of uncommitted instructions (the paper's ROS).
 
-    Rows live in a fixed ring of ``capacity`` slots.  The numeric/flag
-    columns are preallocated numpy arrays so the batched kernels —
-    :meth:`completed_prefix` (commit), :meth:`squash_younger_than` and
-    :meth:`squash_all` (recovery) — operate on contiguous ring slices
-    instead of per-entry Python attribute walks.  See the module
-    docstring for the age-order, row-stability and column-consistency
-    invariants.
+    :attr:`entries` holds the in-flight entries oldest first: commit
+    pops the old end and squashes trim the young end.
     """
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._head = 0
-        self._count = 0
-        #: row handles; populated lazily and recycled thereafter.
-        self._rows: List[Optional[ROSEntry]] = [None] * capacity
-        # ------------------------------------------------------ columns
-        # Out-of-window rows always hold cleared flags: the retire and
-        # squash kernels slice-reset the rows they vacate, so the rename
-        # fast path (`push`) only writes the seq column (plus the rare
-        # exception flag) instead of re-initialising every column.
-        self.col_seq = np.full(capacity, -1, dtype=np.int64)
-        self.col_completed = np.zeros(capacity, dtype=bool)
-        self.col_squashed = np.zeros(capacity, dtype=bool)
-        self.col_exception = np.zeros(capacity, dtype=bool)
-        self.col_complete_cycle = np.full(capacity, -1, dtype=np.int64)
-        #: sticky marker: at least one excepting entry was ever pushed, so
-        #: the commit kernel must consult the exception column at all.
-        self._seen_exception = False
-        #: seq -> entry, kept in lockstep by every mutator, so
-        #: :meth:`find` (the release policies' LU lookups) is O(1).
+        self.entries: Deque[ROSEntry] = deque()
         self._by_seq: Dict[int, ROSEntry] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._count
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[ROSEntry]:
-        """Iterate the occupied rows in age (program) order."""
-        head, count, capacity = self._head, self._count, self.capacity
-        rows = self._rows
-        for offset in range(count):
-            yield rows[(head + offset) % capacity]
+        """Iterate the in-flight entries in age (program) order."""
+        return iter(self.entries)
 
     @property
     def is_full(self) -> bool:
         """True when dispatch must stall."""
-        return self._count >= self.capacity
+        return len(self.entries) >= self.capacity
 
     @property
     def is_empty(self) -> bool:
         """True when no instruction is in flight."""
-        return self._count == 0
+        return not self.entries
 
     def head(self) -> Optional[ROSEntry]:
         """Oldest uncommitted instruction, or None when empty."""
-        return self._rows[self._head] if self._count else None
+        return self.entries[0] if self.entries else None
 
     def tail(self) -> Optional[ROSEntry]:
         """Youngest uncommitted instruction, or None when empty."""
-        if not self._count:
-            return None
-        return self._rows[(self._head + self._count - 1) % self.capacity]
+        return self.entries[-1] if self.entries else None
 
     # ------------------------------------------------------------------
-    # Row allocation (engine fast path) and append (compatibility path)
-    # ------------------------------------------------------------------
-    def begin_rename(self, seq: int, inst: Instruction) -> ROSEntry:
-        """Hand out the next row's (recycled) handle for an instruction
-        being renamed, *without* publishing it.
-
-        The rename stage fills the handle (sources, destination, branch
-        and memory state) and then calls :meth:`push`; until that point
-        the entry is invisible to :meth:`find`, iteration and the
-        head/tail probes, which preserves the pre-columnar semantics that
-        an instruction is not in the window while its own rename hooks
-        run.  The caller must not interleave other ROS mutations between
-        the two calls.
-        """
-        if self._count >= self.capacity:
-            raise RuntimeError("ROS overflow: dispatch must stall instead")
-        row = (self._head + self._count) % self.capacity
-        entry = self._rows[row]
-        if entry is None:
-            entry = ROSEntry(seq, inst, row)
-            self._rows[row] = entry
-        else:
-            # A handle parked at this row keeps its row id; only reset it.
-            entry.reset(seq, inst)
-        return entry
-
-    def push(self, entry: ROSEntry) -> None:
-        """Publish a handle obtained from :meth:`begin_rename`.
-
-        The vacating kernels guarantee the row's flag columns are already
-        clear (class docstring), so only the seq column — and, rarely,
-        the exception flag — is written here.
-        """
-        row = entry.row
-        self.col_seq[row] = entry.seq
-        self.col_squashed[row] = False
-        if entry.exception:
-            self.col_exception[row] = True
-            self._seen_exception = True
-        self._by_seq[entry.seq] = entry
-        self._count += 1
-
     def append(self, entry: ROSEntry) -> None:
-        """Insert an externally built entry at the tail (tests/harnesses).
+        """Insert a renamed entry at the tail.
 
-        The engine's rename stage uses the :meth:`begin_rename`/
-        :meth:`push` pair instead, which recycles row handles.
+        The rename stage appends only after the entry's rename hooks have
+        run, so an instruction is not in the window (nor visible to
+        :meth:`find`) during its own rename.
         """
-        if self._count >= self.capacity:
+        entries = self.entries
+        if len(entries) >= self.capacity:
             raise RuntimeError("ROS overflow: dispatch must stall instead")
-        if self._count and entry.seq <= self.tail().seq:
+        if entries and entry.seq <= entries[-1].seq:
             raise ValueError("ROS entries must be appended in program order")
-        row = (self._head + self._count) % self.capacity
-        entry.row = row
-        self._rows[row] = entry
-        self.col_seq[row] = entry.seq
-        self.col_completed[row] = entry.completed
-        self.col_squashed[row] = entry.squashed
-        self.col_exception[row] = entry.exception
-        self.col_complete_cycle[row] = entry.complete_cycle
-        if entry.exception:
-            self._seen_exception = True
+        entries.append(entry)
         self._by_seq[entry.seq] = entry
-        self._count += 1
 
     def pop_head(self) -> ROSEntry:
-        """Remove and return the committing head entry.
-
-        Single-entry compatibility path; the engine's commit stage
-        retires whole completed prefixes through :meth:`retire_prefix`.
-        """
-        if not self._count:
+        """Remove and return the committing head entry."""
+        if not self.entries:
             raise IndexError("pop_head() on an empty ROS")
-        row = self._head
-        entry = self._rows[row]
-        self.col_seq[row] = -1
-        self.col_completed[row] = False
-        self.col_exception[row] = False
-        self.col_complete_cycle[row] = -1
-        self._head = (row + 1) % self.capacity
-        self._count -= 1
+        entry = self.entries.popleft()
         del self._by_seq[entry.seq]
         return entry
-
-    #: window width above which the kernels switch from scalar column
-    #: probes to vectorised slices.  Below it, numpy's fixed per-op cost
-    #: exceeds the whole scalar walk (commit batches are commit-width
-    #: sized; squash windows after a late misprediction are ROS-sized).
-    _VECTOR_THRESHOLD = 16
-
-    def retire_prefix(self, count: int) -> List[ROSEntry]:
-        """Batched commit: remove and return the ``count`` oldest entries.
-
-        The vacated rows' completion/exception flags are reset — in one
-        masked slice per ring segment for wide batches, by scalar probes
-        for commit-width ones — restoring the cleared-outside-the-window
-        invariant :meth:`push` relies on.  The returned handles are valid
-        until their rows are recycled by later renames.
-        """
-        if count > self._count:
-            raise IndexError("retire_prefix() beyond the occupied window")
-        head, capacity, rows = self._head, self.capacity, self._rows
-        col_completed = self.col_completed
-        clear_exceptions = self._seen_exception
-        if count <= self._VECTOR_THRESHOLD:
-            retired = []
-            col_exception = self.col_exception
-            row = head
-            for _ in range(count):
-                retired.append(rows[row])
-                col_completed[row] = False
-                if clear_exceptions:
-                    col_exception[row] = False
-                row = row + 1 if row + 1 < capacity else 0
-        else:
-            retired = [rows[(head + offset) % capacity]
-                       for offset in range(count)]
-            for window in self._window(0, count):
-                if window.stop == 0:
-                    continue
-                col_completed[window] = False
-                if clear_exceptions:
-                    self.col_exception[window] = False
-        self._head = (head + count) % capacity
-        self._count -= count
-        by_seq = self._by_seq
-        for entry in retired:
-            del by_seq[entry.seq]
-        return retired
-
-    # ------------------------------------------------------------------
-    # Batched kernels
-    # ------------------------------------------------------------------
-    def _window(self, start_offset: int, length: int) -> Tuple[slice, slice]:
-        """Ring slices covering ``length`` rows from ``head + start_offset``."""
-        start = (self._head + start_offset) % self.capacity
-        first = min(length, self.capacity - start)
-        return slice(start, start + first), slice(0, length - first)
 
     def completed_prefix(self, limit: int) -> int:
         """Length of the contiguous completed run at the head, capped at
         ``limit`` — the number of entries the commit stage may retire this
-        cycle before looking at exception flags.
-
-        The common quiescent case (head not completed) is answered by a
-        single scalar probe; otherwise one vectorised slice over the
-        ``completed`` column replaces the per-entry ``head().completed``
-        re-checks of the scalar commit loop.
-        """
-        n = self._count
-        if limit < n:
-            n = limit
-        col = self.col_completed
-        if n <= 0 or not col[self._head]:
-            return 0
-        capacity = self.capacity
-        if n <= self._VECTOR_THRESHOLD:
-            run = 1
-            row = self._head + 1
-            if row >= capacity:
-                row = 0
-            while run < n and col[row]:
-                run += 1
-                row = row + 1 if row + 1 < capacity else 0
-            return run
-        lo, hi = self._window(0, n)
-        window = col[lo]
-        if hi.stop:
-            window = np.concatenate((window, col[hi]))
-        return n if window.all() else int(np.argmin(window))
+        cycle before looking at exception flags."""
+        run = 0
+        for entry in self.entries:
+            if run >= limit or not entry.completed:
+                break
+            run += 1
+        return run
 
     def exception_in_prefix(self, length: int) -> int:
         """Offset of the first excepting entry among the head ``length``
-        rows, or -1.  Lets the commit stage truncate a batched retire at
-        the excepting instruction without touching each handle.  Free
-        when no excepting entry was ever pushed (the sticky marker)."""
-        if length <= 0:
-            return -1
-        if not self._seen_exception:
-            return -1
-        col = self.col_exception
-        capacity = self.capacity
-        if length <= self._VECTOR_THRESHOLD:
-            row = self._head
-            for offset in range(length):
-                if col[row]:
-                    return offset
-                row = row + 1 if row + 1 < capacity else 0
-            return -1
-        lo, hi = self._window(0, length)
-        window = col[lo]
-        if hi.stop:
-            window = np.concatenate((window, col[hi]))
-        if not window.any():
-            return -1
-        return int(np.argmax(window))
+        entries, or -1."""
+        for offset, entry in enumerate(islice(self.entries, length)):
+            if entry.exception:
+                return offset
+        return -1
 
-    def note_completed(self, entry: ROSEntry, cycle: int) -> None:
-        """Writeback: mark ``entry`` finished, mirroring the columns."""
-        entry.completed = True
-        entry.complete_cycle = cycle
-        row = entry.row
-        self.col_completed[row] = True
-        self.col_complete_cycle[row] = cycle
-
-    def _squash_window(self, keep: int) -> List[ROSEntry]:
-        """Masked column reset of every row younger than offset ``keep``.
-
-        Returns the squashed handles youngest first (the order squash
-        undo requires) after resetting the vacated rows' columns in one
-        slice assignment per ring segment — including the completion and
-        exception flags, so a later rename can recycle the rows without
-        re-initialising them (class docstring).  The ``squashed`` column
-        marks the vacated window until recycling clears it.
-        """
-        drop = self._count - keep
-        if drop <= 0:
-            return []
-        clear_exceptions = self._seen_exception
-        if drop <= self._VECTOR_THRESHOLD:
-            col_squashed = self.col_squashed
-            col_completed = self.col_completed
-            col_exception = self.col_exception
-            head, capacity = self._head, self.capacity
-            for offset in range(keep, self._count):
-                row = (head + offset) % capacity
-                col_squashed[row] = True
-                col_completed[row] = False
-                if clear_exceptions:
-                    col_exception[row] = False
-        else:
-            for window in self._window(keep, drop):
-                if window.stop == 0:
-                    continue
-                self.col_squashed[window] = True
-                self.col_completed[window] = False
-                if clear_exceptions:
-                    self.col_exception[window] = False
-        head, capacity, rows = self._head, self.capacity, self._rows
+    def retire_prefix(self, count: int) -> List[ROSEntry]:
+        """Batched commit: remove and return the ``count`` oldest entries."""
+        if count > len(self.entries):
+            raise IndexError("retire_prefix() beyond the occupied window")
+        popleft = self.entries.popleft
         by_seq = self._by_seq
-        squashed: List[ROSEntry] = []
-        for offset in range(self._count - 1, keep - 1, -1):
-            entry = rows[(head + offset) % capacity]
-            entry.squashed = True
+        retired = [popleft() for _ in range(count)]
+        for entry in retired:
             del by_seq[entry.seq]
-            squashed.append(entry)
-        self._count = keep
-        return squashed
+        return retired
 
     def squash_younger_than(self, seq: int) -> List[ROSEntry]:
         """Remove every entry younger than ``seq``; youngest first.
 
         Returning youngest-first lets callers undo rename state in reverse
         program order, which is required for walk-based free-list repair.
-        The age-order invariant turns the membership test into a binary
-        search over the seq column; the flag updates are masked column
-        resets (one slice per ring segment).
         """
-        count = self._count
-        if not count:
-            return []
-        # Hybrid boundary search: squash windows are usually shallow, so
-        # walk handles back from the tail first; a deep window falls back
-        # to a binary search over the (age-sorted) seq column.
-        head, capacity, rows = self._head, self.capacity, self._rows
-        keep = count
-        steps = 0
-        while keep > 0 and steps < self._VECTOR_THRESHOLD:
-            if rows[(head + keep - 1) % capacity].seq <= seq:
-                break
-            keep -= 1
-            steps += 1
-        else:
-            if keep > 0:
-                lo, hi = self._window(0, keep)
-                seqs = self.col_seq[lo]
-                if hi.stop:
-                    seqs = np.concatenate((seqs, self.col_seq[hi]))
-                keep = int(np.searchsorted(seqs, seq, side="right"))
-        return self._squash_window(keep)
+        entries = self.entries
+        by_seq = self._by_seq
+        squashed: List[ROSEntry] = []
+        while entries and entries[-1].seq > seq:
+            entry = entries.pop()
+            entry.squashed = True
+            del by_seq[entry.seq]
+            squashed.append(entry)
+        return squashed
 
     def squash_all(self) -> List[ROSEntry]:
         """Remove every entry (exception flush); youngest first."""
-        return self._squash_window(0)
+        squashed = list(reversed(self.entries))
+        for entry in squashed:
+            entry.squashed = True
+        self.entries.clear()
+        self._by_seq.clear()
+        return squashed
 
     def find(self, seq: int) -> Optional[ROSEntry]:
         """Return the in-flight entry with sequence number ``seq`` (O(1))."""

@@ -154,18 +154,20 @@ def _self_check() -> bool:
     from repro.trace.workloads import get_workload
 
     # Small but representative: branch-dense integer workload, tight file
-    # (register stalls + reuse), exceptions on, basic policy (early
-    # releases + squash cancellation), warm structures exported, and
-    # wrong-path fetches (the in-C draw cascade) in the run.
-    config = ProcessorConfig(release_policy="basic", engine="python",
+    # (register stalls + reuse), exceptions taken, extended policy (early
+    # releases, Release Queue + squash cancellation), warm structures
+    # exported, and wrong-path fetches (the in-C draw cascade) in the run.
+    config = ProcessorConfig(release_policy="extended", engine="python",
                              num_physical_int=48, num_physical_fp=48,
-                             exception_rate=0.002, warmup=True)
+                             exception_rate=0.01, warmup=True)
     trace = get_workload("gcc", 600, seed=0)
     compiled = run_compiled(SimulationEngine(trace, config).state)
     if compiled is None:
         return False
     reference = SimulationEngine(trace, config).run()
-    if reference.fetched_wrong_path <= 0:
+    # The point must exercise what it claims to cover.
+    if (reference.fetched_wrong_path <= 0 or reference.exceptions_taken <= 0
+            or reference.int_registers.early_releases <= 0):
         return False
     if dataclasses.asdict(compiled.stats) != dataclasses.asdict(reference):
         return False

@@ -112,7 +112,7 @@ class SimulationEngine:
             if stats.committed_instructions >= limit:
                 break
             # state.finished, with the property chain flattened.
-            if ros._count == 0 and not decode_queue and fetch_unit.trace_exhausted:
+            if not ros.entries and not decode_queue and fetch_unit.trace_exhausted:
                 break
         return state.collect_stats()
 

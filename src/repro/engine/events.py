@@ -19,28 +19,19 @@ Staleness discipline
 All three indexes use lazy deletion: squash removes the authoritative
 dict entry (or simply leaves the reference behind) and stale keys are
 skipped on the next pop, which keeps misprediction recovery O(squashed)
-instead of O(heap).  Because the columnar Reorder Structure *recycles*
-its row handles (:class:`repro.backend.ros.ROSEntry` objects are reused
-once their occupant leaves the window), a parked reference alone no
-longer proves identity: the wakeup lists and completion buckets
-therefore store the **sequence number alongside the handle** and treat a
-reference whose ``entry.seq`` no longer matches as dead.  Sequence
-numbers are never reused, so the check is exact — a stale key can never
-alias a live entry.  The :class:`ReadySet` needs no tag because its
-membership dict is keyed by seq and squash removes the key eagerly.
+instead of O(heap).  A :class:`repro.backend.ros.ROSEntry` is never
+reused after a squash, so a reference left behind in a wakeup list or a
+completion bucket is dead exactly when ``entry.squashed`` is set.  The
+:class:`ReadySet` removes squashed keys eagerly from its membership dict.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backend.ros import ROSEntry
-
-#: A handle tagged with the sequence number it was stored under; the
-#: reference is dead when ``entry.seq != seq`` (the row was recycled).
-TaggedEntry = Tuple[int, "ROSEntry"]
 
 
 class ReadySet:
@@ -102,18 +93,12 @@ class ReadySet:
 
 
 class WakeupIndex:
-    """Producer seq → list of consumers still waiting on it.
-
-    Consumers are stored seq-tagged (see the module docstring): a waiter
-    whose handle was recycled after a squash is recognised by its
-    mismatching sequence number and skipped without touching the new
-    occupant's state.
-    """
+    """Producer seq → list of consumers still waiting on it."""
 
     __slots__ = ("_waiters",)
 
     def __init__(self) -> None:
-        self._waiters: Dict[int, List[TaggedEntry]] = {}
+        self._waiters: Dict[int, List["ROSEntry"]] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -121,23 +106,21 @@ class WakeupIndex:
 
     def register(self, producer_seq: int, consumer: "ROSEntry") -> None:
         """``consumer`` waits for the result of ``producer_seq``."""
-        record = (consumer.seq, consumer)
         waiters = self._waiters.get(producer_seq)
         if waiters is None:
-            self._waiters[producer_seq] = [record]
+            self._waiters[producer_seq] = [consumer]
         else:
-            waiters.append(record)
+            waiters.append(consumer)
 
     def wake(self, producer_seq: int) -> List["ROSEntry"]:
         """Producer completed: clear it from every live waiter and return
         the consumers for which it was the *last* outstanding producer.
 
-        Squashed waiters (flagged or recycled) are never returned — they
-        can no longer issue — and recycled handles are left untouched.
+        Squashed waiters are never returned: they can no longer issue.
         """
         woken: List["ROSEntry"] = []
-        for seq, consumer in self._waiters.pop(producer_seq, ()):
-            if consumer.seq != seq or consumer.squashed:
+        for consumer in self._waiters.pop(producer_seq, ()):
+            if consumer.squashed:
                 continue
             consumer.wait_producers.discard(producer_seq)
             if not consumer.wait_producers:
@@ -156,15 +139,13 @@ class WakeupIndex:
 class CompletionQueue:
     """Completion events bucketed by cycle.
 
-    The writeback stage drains the bucket of the current cycle.  Bucket
-    members are seq-tagged so events stranded by a squash cannot alias
-    the row's next occupant (module docstring).
+    The writeback stage drains the bucket of the current cycle.
     """
 
     __slots__ = ("_buckets",)
 
     def __init__(self) -> None:
-        self._buckets: Dict[int, List[TaggedEntry]] = {}
+        self._buckets: Dict[int, List["ROSEntry"]] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -176,28 +157,27 @@ class CompletionQueue:
     def schedule(self, cycle: int, entry: "ROSEntry") -> None:
         """``entry`` finishes execution at ``cycle``."""
         bucket = self._buckets.get(cycle)
-        record = (entry.seq, entry)
         if bucket is None:
-            self._buckets[cycle] = [record]
+            self._buckets[cycle] = [entry]
         else:
-            bucket.append(record)
+            bucket.append(entry)
 
-    def pop_due(self, cycle: int) -> Optional[List[TaggedEntry]]:
-        """Remove and return the (seq-tagged) events of ``cycle``.
+    def pop_due(self, cycle: int) -> Optional[List["ROSEntry"]]:
+        """Remove and return the events of ``cycle``.
 
-        Dead members are *not* filtered here: a branch resolving early in
-        the drained bucket can squash younger entries later in the same
-        bucket, so liveness (``entry.seq == seq and not entry.squashed``)
-        must be re-tested per entry at the moment it is processed, not at
-        drain time.  Returns None when the cycle holds no events at all.
+        Squashed members are *not* filtered here: a branch resolving early
+        in the drained bucket can squash younger entries later in the same
+        bucket, so ``entry.squashed`` must be re-tested per entry at the
+        moment it is processed, not at drain time.  Returns None when the
+        cycle holds no events at all.
         """
         return self._buckets.pop(cycle, None)
 
     def pending(self) -> Iterable["ROSEntry"]:
         """Every live scheduled entry, in no particular order (tests)."""
         for bucket in self._buckets.values():
-            for seq, entry in bucket:
-                if entry.seq == seq:
+            for entry in bucket:
+                if not entry.squashed:
                     yield entry
 
     def clear(self) -> None:

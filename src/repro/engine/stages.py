@@ -114,7 +114,7 @@ def dispatch_hazard(state: MachineState, inst: Instruction) -> Optional[str]:
     reason as one dispatch stall.
     """
     ros = state.ros
-    if ros._count >= ros.capacity:
+    if len(ros.entries) >= ros.capacity:
         return STALL_ROS_FULL
     if inst.is_mem and state.lsq.is_full:
         return STALL_LSQ_FULL
@@ -136,14 +136,12 @@ def dispatch_hazard(state: MachineState, inst: Instruction) -> Optional[str]:
 class CommitStage(Stage):
     """In-order retirement of completed ROS head entries.
 
-    The retire set is computed *batched*: one vectorised slice over the
-    columnar ROS yields the contiguous completed prefix (capped at
-    ``commit_width``), a second finds the first excepting entry inside
-    it, and the width-wide bookkeeping — instruction count, commit
-    watermark, last-commit cycle — is accumulated in bulk.  Only the
-    per-entry effects that are inherently serial (release-policy hooks,
-    IOMT updates, occupancy accounting, LSQ removal) walk the retired
-    handles.
+    The retire set is the contiguous completed prefix at the ROS head
+    (capped at ``commit_width``), truncated after the first excepting
+    entry; the instruction count and last-commit cycle are booked once
+    per batch.  The per-entry effects (release-policy hooks, IOMT
+    updates, occupancy accounting, LSQ removal) walk the retired
+    entries in order.
     """
 
     name = "commit"
@@ -216,16 +214,14 @@ class WritebackStage(Stage):
         if not entries:
             return
         cycle = state.cycle
-        ros = state.ros
         register_files = state.register_files
         consumers = state.consumers
-        for seq, entry in entries:
+        for entry in entries:
             # Liveness is re-tested per entry: a branch resolved earlier
-            # in this very bucket may have squashed (and recycled) this
-            # one in the meantime.
-            if entry.seq != seq or entry.squashed:
+            # in this very bucket may have squashed this one meanwhile.
+            if entry.squashed:
                 continue
-            ros.note_completed(entry, cycle)
+            entry.completed = True
             if entry.dest_class is not None:
                 register_files[entry.dest_class].mark_written(entry.pd, cycle)
             # Wake the consumers for which this was the last outstanding
@@ -241,7 +237,6 @@ class WritebackStage(Stage):
 
     # ------------------------------------------------------------------
     def _resolve_branch(self, state: MachineState, entry: ROSEntry) -> None:
-        entry.branch_resolved = True
         taken = entry.inst.taken
         if entry.prediction is not None:
             state.predictor.resolve(entry.prediction, taken)
@@ -309,7 +304,6 @@ class IssueStage(Stage):
                     mem_latency = 1
                 else:
                     mem_latency = state.memory.data_read(inst.mem_addr)
-                entry.mem_latency = mem_latency
                 complete_at = cycle + latency + mem_latency
             else:
                 complete_at = cycle + latency
@@ -355,13 +349,10 @@ class RenameStage(Stage):
         """Rename a single instruction (the caller has cleared the hazards)."""
         inst = op.inst
 
-        # Obtain (and recycle) the next ROS row; the entry stays
-        # unpublished — invisible to `find` and the window probes — until
-        # the push below, so the policy hooks observe the same pre-insert
-        # window the per-entry implementation exposed.
-        entry = state.ros.begin_rename(state.seq, inst)
+        # The entry joins the ROS only after its own rename hooks have run
+        # (the append below), so they do not see it in the window.
+        entry = ROSEntry(state.seq, inst)
         state.seq += 1
-        entry.rename_cycle = state.cycle
         entry.resume_cursor = op.resume_cursor
         entry.prediction = op.prediction
         entry.predicted_taken = op.predicted_taken
@@ -444,7 +435,7 @@ class RenameStage(Stage):
                 and state.exception_rng.random() < state.config.exception_rate):
             entry.exception = True
 
-        state.ros.push(entry)
+        state.ros.append(entry)
         state.stats.renamed_instructions += 1
 
         # Instructions with no execution dependencies and no FU requirement

@@ -355,12 +355,11 @@ class MachineState:
     def undo_squashed(self, squashed: List[ROSEntry]) -> None:
         """Free resources of squashed entries (called youngest first).
 
-        The entries arrive already flagged by the ROS squash kernels
-        (handle ``squashed`` attribute and column alike).  Destination
-        registers allocated by the squashed window are gathered per
-        register class and returned through the checked free list in one
-        bulk call, preserving the youngest-first release order within
-        each class.
+        The entries arrive already flagged ``squashed`` by the ROS.
+        Destination registers allocated by the squashed window are
+        gathered per register class and returned through the checked free
+        list in one bulk call, preserving the youngest-first release order
+        within each class.
         """
         cycle = self.cycle
         self.stats.squashed_instructions += len(squashed)

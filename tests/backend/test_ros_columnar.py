@@ -1,10 +1,10 @@
-"""Edge cases of the columnar Reorder Structure.
+"""Edge cases of the Reorder Structure.
 
-The scenarios here are the ones the ring/column representation makes
-delicate: wraparound at full capacity, squashing a window that is partly
-interleaved with committed (retired) entries, handle recycling across
-squash, and checkpoint-restore recoveries whose squash undo releases
-registers through the bulk free-list path.
+The scenarios here are the delicate ones: refilling after a retire at
+full capacity, squashing a window that is partly interleaved with
+committed (retired) entries, entry identity across a flush, and
+checkpoint-restore recoveries whose squash undo releases registers
+through the bulk free-list path.
 """
 
 import pytest
@@ -24,40 +24,37 @@ def entry(seq: int) -> ROSEntry:
 
 class TestWraparound:
     def test_fill_retire_refill_wraps_cleanly(self):
-        # Fill to capacity, retire a prefix, refill past the physical end
-        # of the arrays: age order, find() and the window probes must all
-        # survive the wrap.
+        # Fill to capacity, retire a prefix, refill to capacity: age
+        # order, find() and the window probes must all survive.
         ros = ReorderStructure(capacity=8)
         for seq in range(8):
             ros.append(entry(seq))
         assert ros.is_full
         for e in ros:
             e.completed = True
-            ros.note_completed(e, cycle=5)
         assert ros.completed_prefix(limit=3) == 3
         retired = ros.retire_prefix(3)
         assert [e.seq for e in retired] == [0, 1, 2]
-        # The new tail rows physically wrap to the start of the arrays.
         for seq in range(8, 11):
             ros.append(entry(seq))
         assert ros.is_full
         assert [e.seq for e in ros] == list(range(3, 11))
         assert ros.head().seq == 3 and ros.tail().seq == 10
-        assert ros.find(8).row < ros.find(7).row   # wrapped physically
-        # Fresh (wrapped) rows must not inherit the retired rows' flags.
+        assert ros.find(8) is not None and ros.find(2) is None
+        # The new tail entries do not inherit the retired ones' flags.
         assert ros.completed_prefix(limit=8) == 5   # 3..7 completed, 8.. not
 
     def test_wraparound_squash_boundary_search(self):
-        # Squash with the occupied window split across the wrap point:
-        # the boundary binary search spans both ring segments.
+        # Squash a window refilled after a retire: the boundary search
+        # stops at the first entry not younger than the branch.
         ros = ReorderStructure(capacity=6)
         for seq in range(6):
             ros.append(entry(seq))
         for e in list(ros)[:4]:
-            ros.note_completed(e, cycle=1)
+            e.completed = True
         ros.retire_prefix(4)
         for seq in range(6, 10):
-            ros.append(entry(seq))           # rows wrap: window is 4..9
+            ros.append(entry(seq))           # window is 4..9
         assert [e.seq for e in ros] == [4, 5, 6, 7, 8, 9]
         squashed = ros.squash_younger_than(6)
         assert [e.seq for e in squashed] == [9, 8, 7]
@@ -65,24 +62,25 @@ class TestWraparound:
         assert [e.seq for e in ros] == [4, 5, 6]
         assert ros.find(8) is None and ros.find(6) is not None
 
-    def test_full_capacity_begin_rename_raises(self):
+    def test_full_capacity_append_raises(self):
         ros = ReorderStructure(capacity=2)
         ros.append(entry(0))
         ros.append(entry(1))
         with pytest.raises(RuntimeError):
-            ros.begin_rename(2, entry(2).inst)
+            ros.append(entry(2))
+        assert [e.seq for e in ros] == [0, 1]
 
 
 class TestPartiallyCommittedBatch:
     def test_squash_after_partial_retire(self):
         # Retire part of a completed run, then squash into the remainder:
-        # the retired rows must stay retired, the surviving prefix intact,
-        # and the squashed suffix fully reset for recycling.
+        # the retired entries must stay retired, the surviving prefix
+        # intact, and the squashed suffix gone.
         ros = ReorderStructure(capacity=8)
         for seq in range(6):
             ros.append(entry(seq))
         for e in list(ros)[:4]:
-            ros.note_completed(e, cycle=2)
+            e.completed = True
         assert ros.completed_prefix(limit=8) == 4
         retired = ros.retire_prefix(2)        # commit-width truncation
         assert [e.seq for e in retired] == [0, 1]
@@ -91,35 +89,39 @@ class TestPartiallyCommittedBatch:
         assert [e.seq for e in ros] == [2, 3]
         # Entries 2 and 3 completed before the squash and stay that way.
         assert ros.completed_prefix(limit=8) == 2
-        # Rows vacated by the squash recycle with clean flags.
-        recycled = ros.begin_rename(6, entry(6).inst)
-        assert not recycled.completed and not recycled.squashed
-        ros.push(recycled)
-        assert ros.completed_prefix(limit=8) == 2   # the new tail is live
+        # The squashed entries stay flagged; a new tail is live.
+        assert all(e.squashed for e in squashed)
+        ros.append(entry(6))
+        assert ros.completed_prefix(limit=8) == 2
 
     def test_exception_in_prefix_truncates_at_first_excepting(self):
         ros = ReorderStructure(capacity=8)
         for seq in range(4):
             e = entry(seq)
             e.exception = seq == 2
+            e.completed = True
             ros.append(e)
-            ros.note_completed(e, cycle=1)
         assert ros.completed_prefix(limit=4) == 4
         assert ros.exception_in_prefix(4) == 2
 
-    def test_recycled_handle_is_same_object_with_new_identity(self):
-        # Row-id stability + recycling: the handle object parked at a row
-        # is reused, and stale references are detectable via seq.
-        ros = ReorderStructure(capacity=4)
-        first = ros.begin_rename(0, entry(0).inst)
-        ros.push(first)
-        stale_ref = ros.find(0)
-        assert stale_ref is first
-        ros.squash_all()
-        again = ros.begin_rename(1, entry(1).inst)
-        assert again is first                # same object, recycled
-        ros.push(again)
-        assert stale_ref.seq == 1            # the old identity is gone
+    def test_rename_after_squash_all_builds_a_new_entry(self):
+        # A flushed entry is never handed out again: the next renamed
+        # instruction is a new object and every old reference keeps its
+        # seq with `squashed` set, which is all the scheduler indexes and
+        # LSQ wait lists test.
+        config = ProcessorConfig(warmup=False, exception_rate=0.05)
+        engine = SimulationEngine(get_workload("gcc", 2_000, seed=0), config)
+        state = engine.state
+        while state.stats.exceptions_taken == 0:
+            in_flight = [(e, e.seq) for e in state.ros]
+            engine.step()
+        flushed = [(e, seq) for e, seq in in_flight if e.squashed]
+        assert flushed
+        while state.ros.is_empty:
+            engine.step()
+        renamed = state.ros.head()
+        assert all(renamed is not e for e, _seq in flushed)
+        assert all(e.seq == seq and e.squashed for e, seq in flushed)
 
 
 class TestCheckpointRestoreWithBulkRelease:
