@@ -40,8 +40,6 @@ import hashlib
 import os
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -262,6 +260,11 @@ class HTTPCacheBackend(CacheBackend):
         """
         if self._short_circuit():
             return "error", None
+        # Imported here, not at module top: urllib.request pulls in ssl,
+        # http.client and email, which no local-only sweep needs.
+        import urllib.error
+        import urllib.request
+
         last_error = "unreachable"
         for attempt in range(self.retries + 1):
             request = urllib.request.Request(

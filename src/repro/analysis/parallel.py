@@ -43,33 +43,23 @@ def default_chunk_size(n_points: int, workers: int) -> int:
 
 def _empty_telemetry() -> Dict:
     return {"export_cache_hits": 0, "export_cache_misses": 0,
-            "fallback_chunks": 0, "fallback_reason": None}
+            "fallback_chunks": 0, "fallback_reason": None, "backend": None}
 
 
 def _run_chunk(sweep_config: "SweepConfig", chunk: Sequence["SweepPoint"],
                ) -> Tuple[List[Tuple["SweepPoint", "SimStats"]], Dict]:
     """Worker entry point for one shard of points.
 
-    Returns the ``(point, stats)`` pairs plus per-chunk telemetry: the
-    export-artefact cache hit/miss deltas and — with the per-worker
-    warning suppressed — whether this process fell back from a requested
-    compiled backend, so the parent can log one summary for the whole
+    Returns the ``(point, stats)`` pairs plus the chunk's telemetry (see
+    :func:`~repro.analysis.sweep.run_points`), so the parent can sum the
+    export-cache counters and log one fallback summary for the whole
     sweep instead of one warning per worker.
     """
-    from repro.analysis.sweep import run_simulation_point
-    from repro.engine import accel
-    from repro.engine.accel.artefacts import EXPORT_CACHE
+    from repro.analysis.sweep import run_points
 
-    hits_before, misses_before = EXPORT_CACHE.counters()
-    with accel.suppressed_backend_warnings():
-        pairs = [(point, run_simulation_point(sweep_config, point))
-                 for point in chunk]
-    hits_after, misses_after = EXPORT_CACHE.counters()
-    meta = {
-        "export_cache_hits": hits_after - hits_before,
-        "export_cache_misses": misses_after - misses_before,
-        "compiled_fallback": accel.backend_fallback_reason(),
-    }
+    pairs: List[Tuple["SweepPoint", "SimStats"]] = []
+    meta = run_points(sweep_config, chunk,
+                      lambda point, stats: pairs.append((point, stats)))
     return pairs, meta
 
 
@@ -79,7 +69,8 @@ class ParallelSweepRunner:
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = available_workers(max_workers)
         #: telemetry aggregated over the chunks of the last :meth:`run`:
-        #: export-artefact cache hits/misses, and how many chunks ran in a
+        #: export-artefact cache hits/misses, the backend that ran the
+        #: points (see ``SweepResult.backend``), and how many chunks ran in a
         #: process that fell back from a requested compiled backend (with
         #: one representative reason).  The sweep driver folds this into
         #: ``SweepResult`` and emits a single fallback summary.
@@ -142,10 +133,13 @@ class ParallelSweepRunner:
         return results
 
     def _fold_telemetry(self, meta: Dict) -> None:
+        from repro.analysis.sweep import merge_backends
+
         telemetry = self.telemetry
-        telemetry["export_cache_hits"] += meta.get("export_cache_hits", 0)
-        telemetry["export_cache_misses"] += meta.get("export_cache_misses", 0)
-        reason = meta.get("compiled_fallback")
-        if reason is not None:
-            telemetry["fallback_chunks"] += 1
-            telemetry["fallback_reason"] = reason
+        telemetry["export_cache_hits"] += meta["export_cache_hits"]
+        telemetry["export_cache_misses"] += meta["export_cache_misses"]
+        telemetry["fallback_chunks"] += meta["fallback_chunks"]
+        telemetry["fallback_reason"] = (meta["fallback_reason"]
+                                        or telemetry["fallback_reason"])
+        telemetry["backend"] = merge_backends(telemetry["backend"],
+                                              meta["backend"])

@@ -16,13 +16,14 @@ driver layers three mechanisms over that cross product:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.cache import SweepCache, resolve_cache
 from repro.analysis.metrics import harmonic_mean, iso_ipc_register_requirement
-from repro.engine import simulate
+from repro.engine import SimulationEngine
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import SimStats
 from repro.trace.workloads import (SCENARIOS, ScenarioProfile, get_workload,
@@ -79,6 +80,21 @@ class SweepConfig:
                        num_physical_fp=point.num_registers)
 
 
+#: Points simulated in this process, per backend that ran them.  The
+#: sweep drivers read its deltas, like the export-cache counters, so the
+#: provenance survives a wrapper around :func:`run_simulation_point`.
+POINT_BACKENDS: Counter = Counter()
+
+
+def merge_backends(*backends: Optional[str]) -> Optional[str]:
+    """Provenance of a set of points from the backends that ran them:
+    ``"compiled"``, ``"python"``, ``"mixed"``, or None if nothing ran."""
+    ran = {backend for backend in backends if backend is not None}
+    if len(ran) > 1:
+        return "mixed"
+    return ran.pop() if ran else None
+
+
 def run_simulation_point(sweep_config: SweepConfig, point: SweepPoint) -> SimStats:
     """Run the single simulation of ``point`` (used by both serial and
     parallel execution paths; must stay a module-level function so the
@@ -93,7 +109,41 @@ def run_simulation_point(sweep_config: SweepConfig, point: SweepPoint) -> SimSta
     trace = get_workload(point.benchmark, sweep_config.trace_length,
                          seed=sweep_config.seed,
                          scenario_profiles=sweep_config.scenario_profiles)
-    return simulate(trace, sweep_config.config_for(point))
+    engine = SimulationEngine(trace, sweep_config.config_for(point))
+    stats = engine.run()
+    POINT_BACKENDS[engine.backend_used] += 1
+    return stats
+
+
+def run_points(sweep_config: SweepConfig, points: Sequence[SweepPoint],
+               on_result: Callable[[SweepPoint, SimStats], None]) -> Dict:
+    """Simulate ``points`` in this process, handing each result to
+    ``on_result`` as it lands; return the run's telemetry.
+
+    The telemetry holds the export-artefact cache hit/miss deltas, the
+    backend that ran the points, and why a compiled request ran on the
+    Python engine.  This process's own fallback warning is withheld, so
+    the sweep driver can log one summary however many processes fell back.
+    """
+    from repro.engine import accel
+    from repro.engine.accel.artefacts import EXPORT_CACHE
+
+    hits_before, misses_before = EXPORT_CACHE.counters()
+    backends_before = POINT_BACKENDS.copy()
+    with accel.suppressed_backend_warnings():
+        for point in points:
+            on_result(point, run_simulation_point(sweep_config, point))
+    hits_after, misses_after = EXPORT_CACHE.counters()
+    # The process-wide reason concerns this sweep only if it asked for
+    # the compiled backend.
+    reason = (accel.backend_fallback_reason()
+              if accel.requested_backend(sweep_config.base_config) == "compiled"
+              else None)
+    return {"export_cache_hits": hits_after - hits_before,
+            "export_cache_misses": misses_after - misses_before,
+            "fallback_chunks": int(reason is not None),
+            "fallback_reason": reason,
+            "backend": merge_backends(*(POINT_BACKENDS - backends_before))}
 
 
 def _attach_scenario_profiles(sweep_config: SweepConfig) -> SweepConfig:
@@ -127,6 +177,10 @@ class SweepResult:
     simulated points for this result.  ``compiled_fallback_reason`` is
     set — once, however many workers observed it — when the sweep
     requested the compiled backend but ran on the Python engine.
+    ``backend`` records the engine that actually simulated the points:
+    ``"compiled"``, ``"python"``, ``"mixed"`` (some of each, e.g. a
+    configuration outside the C core's envelope), or None when every
+    point came from the result cache.
 
     ``cache_degradation_reason`` is the result-cache analogue: set when
     the sweep's cache backend ran degraded (e.g. a tiered backend whose
@@ -141,7 +195,8 @@ class SweepResult:
                  simulated: int = 0, cached: int = 0,
                  export_cache_hits: int = 0, export_cache_misses: int = 0,
                  compiled_fallback_reason: Optional[str] = None,
-                 cache_degradation_reason: Optional[str] = None) -> None:
+                 cache_degradation_reason: Optional[str] = None,
+                 backend: Optional[str] = None) -> None:
         self.config = sweep_config
         self._results = dict(results)
         self.simulated = simulated
@@ -150,6 +205,7 @@ class SweepResult:
         self.export_cache_misses = export_cache_misses
         self.compiled_fallback_reason = compiled_fallback_reason
         self.cache_degradation_reason = cache_degradation_reason
+        self.backend = backend
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -244,12 +300,13 @@ class SweepResult:
             compiled_fallback_reason=(self.compiled_fallback_reason
                                       or other.compiled_fallback_reason),
             cache_degradation_reason=(self.cache_degradation_reason
-                                      or other.cache_degradation_reason))
+                                      or other.cache_degradation_reason),
+            backend=merge_backends(self.backend, other.backend))
 
 
 def _empty_point_telemetry() -> Dict:
     return {"export_cache_hits": 0, "export_cache_misses": 0,
-            "fallback_chunks": 0, "fallback_reason": None}
+            "fallback_chunks": 0, "fallback_reason": None, "backend": None}
 
 
 def _warn_fallback_summary(telemetry: Dict) -> None:
@@ -316,20 +373,7 @@ def run_sweep(sweep_config: SweepConfig, parallel: bool = True,
                        on_result=record)
             telemetry = dict(runner.telemetry)
         else:
-            from repro.engine import accel
-            from repro.engine.accel.artefacts import EXPORT_CACHE
-
-            hits_before, misses_before = EXPORT_CACHE.counters()
-            with accel.suppressed_backend_warnings():
-                for point in missing:
-                    record(point, run_simulation_point(sweep_config, point))
-            hits_after, misses_after = EXPORT_CACHE.counters()
-            telemetry["export_cache_hits"] = hits_after - hits_before
-            telemetry["export_cache_misses"] = misses_after - misses_before
-            reason = accel.backend_fallback_reason()
-            if reason is not None:
-                telemetry["fallback_chunks"] = 1
-                telemetry["fallback_reason"] = reason
+            telemetry = run_points(sweep_config, missing, record)
         _warn_fallback_summary(telemetry)
 
     return SweepResult(
@@ -339,4 +383,5 @@ def run_sweep(sweep_config: SweepConfig, parallel: bool = True,
         export_cache_misses=telemetry["export_cache_misses"],
         compiled_fallback_reason=telemetry["fallback_reason"],
         cache_degradation_reason=(store.degradation_reason()
-                                  if store is not None else None))
+                                  if store is not None else None),
+        backend=telemetry["backend"])

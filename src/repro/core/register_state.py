@@ -64,7 +64,7 @@ class OccupancyTotals:
                                  self.idle / self.cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OccupancyAverages:
     """Average number of registers in each allocated state (Figure 3 bars)."""
 

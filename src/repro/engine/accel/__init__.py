@@ -2,19 +2,21 @@
 
 The compiled backend runs the whole per-cycle pipeline in C
 (:mod:`~repro.engine.accel.loader` builds it, :mod:`~repro.engine.accel.compiled`
-drives it) and is **opt-in**:
+drives it) and is the **default**:
 
 * ``ProcessorConfig.engine`` — ``"python"`` / ``"compiled"`` pins a
   backend for that configuration; the default ``"auto"`` defers to
 * ``$REPRO_ENGINE`` — process-wide request (the ``--engine`` CLI flag
-  sets it); anything other than ``compiled`` means the Python engine.
+  sets it); ``python`` pins the Python engine, anything else (unset
+  included) means the compiled core.
 
+The Python engine stays the readable reference and the fallback.
 Requesting the compiled backend never changes results and never fails a
 run: before the first compiled run in a process, a **self-check** runs
-one small simulation on both backends and compares the full ``SimStats``
-field-for-field.  A missing/broken toolchain or any divergence logs one
-warning on the ``repro.engine.accel`` logger and pins the process to the
-Python engine.  Individual runs the C core cannot model (or that hit its
+one small point under each release policy on both backends and compares
+the full ``SimStats`` field-for-field.  A missing/broken toolchain or any
+divergence logs one warning on the ``repro.engine.accel`` logger and
+pins the process to the Python engine.  Individual runs the C core cannot model (or that hit its
 deadlock/internal escapes) quietly fall back per-run.
 """
 
@@ -87,14 +89,15 @@ def _warn_fallback(message: str, *args) -> None:
 def requested_backend(config=None) -> str:
     """The backend the user asked for: config field, else ``$REPRO_ENGINE``.
 
-    Returns ``"python"`` or ``"compiled"`` (never ``"auto"``).
+    Returns ``"python"`` or ``"compiled"`` (never ``"auto"``): only an
+    explicit ``python`` request selects the Python engine.
     """
     if config is not None:
         field = getattr(config, "engine", "auto")
         if field != "auto":
             return field
     env = os.environ.get(ENGINE_ENV, "").strip().lower()
-    return "compiled" if env == "compiled" else "python"
+    return "python" if env == "python" else "compiled"
 
 
 def resolve_engine_backend(config=None) -> str:
@@ -145,7 +148,7 @@ def _probe_backend() -> bool:
 
 
 def _self_check() -> bool:
-    """One small run on both backends must agree field-for-field."""
+    """One small point per release policy must agree field-for-field."""
     import dataclasses
 
     from repro.engine.accel.compiled import run_compiled
@@ -154,31 +157,39 @@ def _self_check() -> bool:
     from repro.trace.workloads import get_workload
 
     # Small but representative: branch-dense integer workload, tight file
-    # (register stalls + reuse), exceptions taken, extended policy (early
-    # releases, Release Queue + squash cancellation), warm structures
-    # exported, and wrong-path fetches (the in-C draw cascade) in the run.
-    config = ProcessorConfig(release_policy="extended", engine="python",
-                             num_physical_int=48, num_physical_fp=48,
-                             exception_rate=0.01, warmup=True)
-    trace = get_workload("gcc", 600, seed=0)
-    compiled = run_compiled(SimulationEngine(trace, config).state)
-    if compiled is None:
-        return False
-    reference = SimulationEngine(trace, config).run()
-    # The point must exercise what it claims to cover.
-    if (reference.fetched_wrong_path <= 0 or reference.exceptions_taken <= 0
-            or reference.int_registers.early_releases <= 0):
-        return False
-    if dataclasses.asdict(compiled.stats) != dataclasses.asdict(reference):
-        return False
-    # Same point again with warm-up deferred into the C core (the
-    # engine="compiled" state skips the Python warm pass), so the in-C
-    # warm-up path gets the same per-process divergence gate.
-    deferred = run_compiled(SimulationEngine(
-        trace, dataclasses.replace(config, engine="compiled")).state)
-    if deferred is None:
-        return False
-    return dataclasses.asdict(deferred.stats) == dataclasses.asdict(reference)
+    # (register stalls), exceptions taken, warm structures exported, and
+    # wrong-path fetches (the in-C draw cascade) in every run.  basic and
+    # extended also free registers early: extended through the Release
+    # Queue with squash cancellation, basic (which gives up at every
+    # pending branch of gcc) by reusing registers whose last use committed.
+    # 300 instructions keep all of that (5-6 exceptions per run) at about
+    # 30 ms per Python run: the check is part of every process's set-up.
+    trace = get_workload("gcc", 300, seed=0)
+    for policy in ("conv", "basic", "extended"):
+        config = ProcessorConfig(release_policy=policy, engine="python",
+                                 num_physical_int=48, num_physical_fp=48,
+                                 exception_rate=0.01, warmup=True)
+        compiled = run_compiled(SimulationEngine(trace, config).state)
+        if compiled is None:
+            return False
+        reference = SimulationEngine(trace, config).run()
+        # The point must exercise what it claims to cover.
+        if reference.fetched_wrong_path <= 0 or reference.exceptions_taken <= 0:
+            return False
+        released = reference.int_registers
+        if policy != "conv" and released.early_releases + released.register_reuses <= 0:
+            return False
+        if dataclasses.asdict(compiled.stats) != dataclasses.asdict(reference):
+            return False
+        # Same point again with warm-up deferred into the C core (the
+        # engine="compiled" state skips the Python warm pass), so the
+        # in-C warm-up path gets the same per-process divergence gate.
+        deferred = run_compiled(SimulationEngine(
+            trace, dataclasses.replace(config, engine="compiled")).state)
+        if deferred is None or (dataclasses.asdict(deferred.stats)
+                                != dataclasses.asdict(reference)):
+            return False
+    return True
 
 
 def run_compiled(state, *, max_instructions=None, max_cycles=None,

@@ -145,9 +145,14 @@ def _spot_check(instructions, columns: TraceColumns) -> bool:
 
 
 class ExportArtefactCache:
-    """LRU cache of per-trace export columns, with hit/miss counters."""
+    """LRU cache of per-trace export columns, with hit/miss counters.
 
-    def __init__(self, max_entries: int = 8) -> None:
+    One entry per store by default: sweeps walk their points
+    benchmark-major, so every configuration of one trace runs back to
+    back and a larger cache only holds columns no later point reads.
+    """
+
+    def __init__(self, max_entries: int = 1) -> None:
         self.max_entries = max_entries
         #: key -> (source trace, columns); the trace reference enables the
         #: identity fast path (get_workload memoises Trace objects, so the

@@ -18,12 +18,11 @@ the grid to the named scenarios; unknown names are an error)::
     repro-experiments scenarios scenario_occupancy \
         --scenario-file my_scenarios.toml --scenarios my_burst --quick
 
-``--engine compiled`` runs the simulations on the accelerated C core
-(built on demand; automatic fallback to the Python engine with identical
-results when no toolchain is available — see
-:mod:`repro.engine.accel`); ``--engine python`` pins the reference
-engine.  The flag sets ``$REPRO_ENGINE`` for this process and the
-worker pool.
+Simulations run on the accelerated C core by default (built on demand;
+automatic fallback to the Python engine with identical results when no
+toolchain is available — see :mod:`repro.engine.accel`);
+``--engine python`` pins the reference engine.  The flag sets
+``$REPRO_ENGINE`` for this process and the worker pool.
 
 Simulation results are cached on disk by default (keyed by workload,
 configuration hash, trace length, seed and engine backend), so
@@ -211,11 +210,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="reduced trace length and register-size grid")
     parser.add_argument("--engine", default=None,
                         choices=["auto", "python", "compiled"],
-                        help="simulation engine backend: 'compiled' builds and "
-                             "uses the accelerated C core (falls back to the "
-                             "Python engine, with identical results, when no C "
-                             "toolchain is available); 'python' pins the "
-                             "reference engine (default: $REPRO_ENGINE)")
+                        help="simulation engine backend: 'compiled' (and "
+                             "'auto') builds and uses the accelerated C core "
+                             "(falls back to the Python engine, with identical "
+                             "results, when no C toolchain is available); "
+                             "'python' pins the reference engine (default: "
+                             "$REPRO_ENGINE, else compiled)")
     parser.add_argument("--no-cache", action="store_true",
                         help="always re-simulate instead of using the on-disk "
                              "sweep result cache")

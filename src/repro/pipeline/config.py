@@ -85,8 +85,9 @@ class ProcessorConfig:
     exception_rate: float = 0.0
     #: RNG seed for exception injection and wrong-path synthesis.
     seed: int = 0
-    #: simulation engine backend: "auto" (defer to ``$REPRO_ENGINE``),
-    #: "python" (pure-Python stage loop) or "compiled" (C core with
+    #: simulation engine backend: "auto" (defer to ``$REPRO_ENGINE``,
+    #: which means the compiled core unless it says ``python``), "python"
+    #: (the pure-Python reference stage loop) or "compiled" (C core with
     #: bit-identical statistics and automatic fallback; see
     #: :mod:`repro.engine.accel`).
     engine: str = "auto"

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from repro.core.register_state import OccupancyAverages
 
 
-@dataclass
+@dataclass(slots=True)
 class RegisterFileStats:
     """Per-register-file statistics."""
 
@@ -36,7 +36,7 @@ class RegisterFileStats:
         return 0.0 if self.releases == 0 else self.early_releases / self.releases
 
 
-@dataclass
+@dataclass(slots=True)
 class SimStats:
     """Aggregate results of one simulation run."""
 

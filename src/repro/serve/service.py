@@ -14,7 +14,9 @@ Contract with clients:
 
 * responses to concurrently deduped requests are byte-identical (the
   where-it-came-from tag travels in the ``X-Repro-Served-From`` header,
-  never the body, so joined responses cannot differ);
+  never the body, so joined responses cannot differ; so do the engine
+  that computed a miss, ``X-Repro-Backend``, and why it fell back to the
+  Python engine, ``X-Repro-Compiled-Fallback``);
 * storage trouble — an unreachable remote cache backend, a read-only
   disk — degrades service-side and is *surfaced* in the response
   (``cache_degradation_reason``), never raised to the client;
@@ -237,7 +239,7 @@ class SweepService:
                            point: SweepPoint, key: str) -> Tuple[int, dict, bytes]:
         """Executor-side body of a leading request: cache, then compute."""
         stats = self.cache.get(sweep_config, point)
-        compiled_fallback = None
+        headers = {"X-Repro-Key": key}
         if stats is not None:
             self.metrics.increment("sweep_cache_hits")
             served_from = "cache"
@@ -252,7 +254,13 @@ class SweepService:
             runner = ParallelSweepRunner(max_workers=self.max_workers)
             results = runner.run(sweep_config, [point])
             stats = results[point]
-            compiled_fallback = runner.telemetry.get("fallback_reason")
+            headers["X-Repro-Backend"] = runner.telemetry["backend"]
+            fallback = runner.telemetry["fallback_reason"]
+            if fallback is not None:
+                # One printable latin-1 line, as a header value must be.
+                headers["X-Repro-Compiled-Fallback"] = " ".join(
+                    fallback.encode("latin-1", "replace").decode("latin-1")
+                    .split())
             self.cache.put(sweep_config, point, stats)
         body = _json_bytes({
             "key": key,
@@ -261,10 +269,9 @@ class SweepService:
             "trace_length": sweep_config.trace_length,
             "seed": sweep_config.seed,
             "stats": dataclasses.asdict(stats),
-            "compiled_fallback_reason": compiled_fallback,
             "cache_degradation_reason": self.cache.degradation_reason(),
         })
-        headers = {"X-Repro-Served-From": served_from, "X-Repro-Key": key}
+        headers["X-Repro-Served-From"] = served_from
         return 200, headers, body
 
     # ------------------------------------------------------------------

@@ -458,3 +458,23 @@ class TestResolveBackend:
                                   timeout=1.5, retries=7)
         assert backend.timeout == 1.5
         assert backend.retries == 7
+
+
+def test_sweep_import_leaves_the_http_stack_unloaded():
+    # urllib.request pulls in ssl, http.client and email (~2 MB of RSS in
+    # every sweep process); only a remote cache backend needs it, so the
+    # HTTP backend imports it on its first request.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    probe = ("import sys, repro.analysis.sweep; "
+             "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.analysis.parallel import ParallelSweepRunner, available_workers
-from repro.analysis.sweep import SweepConfig, run_sweep
+from repro.analysis.sweep import (SweepConfig, SweepResult, merge_backends,
+                                  run_sweep)
 from repro.pipeline.config import ProcessorConfig
 
 FAST = ProcessorConfig(warmup=False, enable_wrong_path=False)
@@ -56,9 +57,12 @@ class TestSweepTelemetry:
     """Export-cache counters and the deduplicated fallback summary."""
 
     def test_sweep_result_carries_export_cache_counters(self):
+        # Pinned to the Python engine, which cannot fall back.
+        import dataclasses
+
         config = SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
                              register_sizes=(40, 48), trace_length=400,
-                             base_config=FAST)
+                             base_config=dataclasses.replace(FAST, engine="python"))
         result = run_sweep(config, parallel=False, cache=False)
         assert result.export_cache_hits >= 0
         assert result.export_cache_misses >= 0
@@ -74,7 +78,8 @@ class TestSweepTelemetry:
         assert runner.telemetry["export_cache_hits"] < 99_999
         assert set(runner.telemetry) == {"export_cache_hits",
                                          "export_cache_misses",
-                                         "fallback_chunks", "fallback_reason"}
+                                         "fallback_chunks", "fallback_reason",
+                                         "backend"}
 
     def test_merge_sums_telemetry(self):
         config = SweepConfig(benchmarks=("swim",), policies=("conv",),
@@ -114,5 +119,95 @@ class TestSweepTelemetry:
             assert result.compiled_fallback_reason is not None
             assert "unavailable" in result.compiled_fallback_reason
             assert len(result) == 6
+            assert result.backend == "python"
         finally:
             accel.reset_backend_cache()
+
+    def test_python_request_reports_no_fallback(self, monkeypatch):
+        # The process fell back earlier, but this sweep asked for the
+        # Python engine: nothing fell back for it.
+        import dataclasses
+
+        from repro.engine import accel
+
+        monkeypatch.setenv("REPRO_ACCEL_CC", "/nonexistent/compiler-xyz")
+        accel.reset_backend_cache()
+        try:
+            assert accel.resolve_engine_backend(ProcessorConfig()) == "python"
+            config = SweepConfig(
+                benchmarks=("swim",), policies=("conv", "basic"),
+                register_sizes=(48,), trace_length=400,
+                base_config=dataclasses.replace(FAST, engine="python"))
+            for parallel in (False, True):
+                result = run_sweep(config, parallel=parallel, cache=False)
+                assert result.compiled_fallback_reason is None
+        finally:
+            accel.reset_backend_cache()
+
+
+class TestBackendProvenance:
+    """``SweepResult.backend``: the engine that actually ran the points."""
+
+    def test_merge_backends(self):
+        assert merge_backends() is None
+        assert merge_backends(None, None) is None
+        assert merge_backends("compiled", None, "compiled") == "compiled"
+        assert merge_backends("python") == "python"
+        assert merge_backends("compiled", "python") == "mixed"
+        assert merge_backends("mixed", "compiled") == "mixed"
+
+    def test_serial_sweep_records_backend_then_none_when_cached(self, tmp_path):
+        from repro.engine import accel
+
+        config = SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
+                             register_sizes=(48,), trace_length=400,
+                             base_config=FAST)
+        first = run_sweep(config, parallel=False, cache=tmp_path)
+        assert first.backend == accel.resolve_engine_backend(FAST)
+        again = run_sweep(config, parallel=False, cache=tmp_path)
+        assert again.cached == len(again) and again.backend is None
+
+    def test_python_request_records_python(self):
+        import dataclasses
+
+        config = SweepConfig(benchmarks=("swim",), policies=("conv",),
+                             register_sizes=(48,), trace_length=400,
+                             base_config=dataclasses.replace(FAST, engine="python"))
+        assert run_sweep(config, parallel=False, cache=False).backend == "python"
+
+    def test_runner_telemetry_records_backend(self):
+        from repro.engine import accel
+
+        config = SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
+                             register_sizes=(48,), trace_length=400,
+                             base_config=FAST)
+        runner = ParallelSweepRunner(max_workers=1)
+        runner.run(config, config.points())
+        assert runner.telemetry["backend"] == accel.resolve_engine_backend(FAST)
+
+    def test_out_of_envelope_points_make_a_mixed_sweep(self):
+        # The extended policy deeper than the compiled Release-Queue
+        # ceiling runs on the Python engine; conventional points at the
+        # same depth run on the compiled core.
+        import dataclasses
+
+        from repro.engine import accel
+        from repro.engine.accel.loader import RQ_LEVELS_MAX
+
+        if accel.resolve_engine_backend(FAST) != "compiled":
+            pytest.skip("no C toolchain for the compiled engine backend")
+        base = dataclasses.replace(FAST, max_pending_branches=RQ_LEVELS_MAX + 1)
+        config = SweepConfig(benchmarks=("swim",),
+                             policies=("conv", "extended"),
+                             register_sizes=(48,), trace_length=400,
+                             base_config=base)
+        assert run_sweep(config, parallel=False, cache=False).backend == "mixed"
+
+    def test_merge_folds_backends(self):
+        config = SweepConfig(benchmarks=("swim",))
+        compiled = SweepResult(config, {}, backend="compiled")
+        cached = SweepResult(config, {})
+        python = SweepResult(config, {}, backend="python")
+        assert compiled.merge(cached).backend == "compiled"
+        assert cached.merge(cached).backend is None
+        assert compiled.merge(python).backend == "mixed"

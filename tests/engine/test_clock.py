@@ -20,7 +20,8 @@ from repro.memory.hierarchy import MemoryConfig
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.records import Trace
 
-FAST = dict(warmup=False, enable_wrong_path=False)
+#: The Python engine is the one with a per-cycle clock and stage state.
+FAST = dict(warmup=False, enable_wrong_path=False, engine="python")
 
 
 def make_trace(name, builder):

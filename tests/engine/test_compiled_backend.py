@@ -376,6 +376,43 @@ class TestFallbackContract:
         finally:
             accel.reset_backend_cache()
 
+    @needs_compiled
+    def test_toolchain_error_under_auto_falls_back_once(self, monkeypatch,
+                                                        caplog):
+        # The default request on a machine whose core cannot be loaded:
+        # every run resolves to the Python engine (which then owes the
+        # deferred warm-up), the process logs one warning in all, and the
+        # statistics equal the compiled run's.
+        from repro.engine.accel import loader
+
+        monkeypatch.delenv(accel.ENGINE_ENV, raising=False)
+        trace = get_workload("gcc", 800, seed=0)
+        config = ProcessorConfig(release_policy="extended", warmup=True)
+        engine = SimulationEngine(trace, config)
+        compiled = engine.run()
+        assert engine.backend_used == "compiled"
+
+        def missing_toolchain():
+            raise accel.ToolchainError("no C compiler on this machine")
+
+        monkeypatch.setattr(loader, "load_core", missing_toolchain)
+        accel.reset_backend_cache()
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.engine.accel"):
+                engines = [SimulationEngine(trace, config) for _ in range(2)]
+                runs = [engine.run() for engine in engines]
+            assert [engine.backend_used for engine in engines] == \
+                ["python", "python"]
+            warnings = [record for record in caplog.records
+                        if record.name == "repro.engine.accel"
+                        and record.levelno >= logging.WARNING]
+            assert len(warnings) == 1
+            assert "no C compiler on this machine" in warnings[0].getMessage()
+            for stats in runs:
+                assert dataclasses.asdict(stats) == dataclasses.asdict(compiled)
+        finally:
+            accel.reset_backend_cache()
+
     def test_unsupported_config_falls_back_per_run(self):
         # The Release Queue depth is config-derived (sized from
         # ``max_pending_branches`` at export time), bounded only by the
@@ -494,18 +531,82 @@ class TestWarmupDeferral:
         assert not engine.state.warmup_pending
 
 
+@needs_compiled
+class TestSelfCheck:
+    """The per-process gate runs every release policy on both backends."""
+
+    @staticmethod
+    def _patch_run_compiled(monkeypatch, after):
+        from repro.engine.accel import compiled
+
+        real = compiled.run_compiled
+
+        def patched(state, **kwargs):
+            result = real(state, **kwargs)
+            after(state, result)
+            return result
+
+        monkeypatch.setattr(compiled, "run_compiled", patched)
+
+    def test_covers_every_policy_eager_and_deferred(self, monkeypatch):
+        seen = []
+        self._patch_run_compiled(monkeypatch, lambda state, _: seen.append(
+            (state.config.release_policy, state.warmup_pending)))
+        assert accel._self_check()
+        assert sorted(seen) == sorted((policy, deferred) for policy in POLICIES
+                                      for deferred in (False, True))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_divergence_in_one_policy_pins_python(self, policy, monkeypatch):
+        def diverge(state, result):
+            if state.config.release_policy == policy:
+                result.stats.cycles += 1
+
+        self._patch_run_compiled(monkeypatch, diverge)
+        monkeypatch.delenv(accel.ENGINE_ENV, raising=False)
+        accel.reset_backend_cache()
+        try:
+            assert accel.resolve_engine_backend(ProcessorConfig()) == "python"
+            assert "self-check" in accel.backend_fallback_reason()
+        finally:
+            accel.reset_backend_cache()
+
+
 class TestBackendSelection:
+    def test_probe_is_lazy(self, monkeypatch):
+        # Building a default config and engine never probes the
+        # toolchain: the build and self-check wait for the first run.
+        def probe():
+            raise AssertionError("backend probed before any run")
+
+        monkeypatch.delenv(accel.ENGINE_ENV, raising=False)
+        monkeypatch.setattr(accel, "_probe_backend", probe)
+        accel.reset_backend_cache()
+        try:
+            engine = SimulationEngine(get_workload("swim", 300, seed=0),
+                                      ProcessorConfig(warmup=True))
+            assert engine.state.warmup_pending
+        finally:
+            accel.reset_backend_cache()
+
     def test_config_field_beats_environment(self, monkeypatch):
         monkeypatch.setenv(accel.ENGINE_ENV, "compiled")
         assert accel.requested_backend(
             ProcessorConfig(engine="python")) == "python"
 
     def test_environment_drives_auto(self, monkeypatch):
-        monkeypatch.setenv(accel.ENGINE_ENV, "compiled")
+        # auto means the compiled core unless $REPRO_ENGINE says python.
+        monkeypatch.delenv(accel.ENGINE_ENV, raising=False)
         assert accel.requested_backend(ProcessorConfig()) == "compiled"
         assert accel.requested_backend(None) == "compiled"
-        monkeypatch.delenv(accel.ENGINE_ENV)
+        for value in ("compiled", "auto", ""):
+            monkeypatch.setenv(accel.ENGINE_ENV, value)
+            assert accel.requested_backend(ProcessorConfig()) == "compiled"
+        monkeypatch.setenv(accel.ENGINE_ENV, "python")
         assert accel.requested_backend(ProcessorConfig()) == "python"
+        assert accel.requested_backend(None) == "python"
+        assert accel.requested_backend(
+            ProcessorConfig(engine="compiled")) == "compiled"
 
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -515,13 +616,18 @@ class TestBackendSelection:
         # The sweep cache folds the *requested* backend into point keys:
         # flipping the request must move every key (separate validation
         # of each backend's results), without building any toolchain.
+        # The default (auto) request keys exactly as an explicit
+        # compiled one.
         from repro.analysis.cache import point_key
         from repro.analysis.sweep import SweepConfig, SweepPoint
 
         sweep = SweepConfig(benchmarks=("swim",), trace_length=500)
         point = SweepPoint(benchmark="swim", policy="conv", num_registers=48)
         monkeypatch.delenv(accel.ENGINE_ENV, raising=False)
-        python_key = point_key(sweep, point)
+        default_key = point_key(sweep, point)
         monkeypatch.setenv(accel.ENGINE_ENV, "compiled")
         compiled_key = point_key(sweep, point)
+        monkeypatch.setenv(accel.ENGINE_ENV, "python")
+        python_key = point_key(sweep, point)
+        assert default_key == compiled_key
         assert python_key != compiled_key

@@ -1,4 +1,4 @@
-"""Cycle-accuracy pins of the per-cycle engine.
+"""Cycle-accuracy pins of the per-cycle (Python) engine.
 
 The engine once ran under an event-driven clock that fast-forwarded
 across idle and stall-only cycles; the per-cycle loop that replaced it
@@ -12,6 +12,10 @@ deliberate change to the statistics re-pins the table by printing
 The points also drive the indexed scheduler (ready set + wakeup index +
 completion queue) through squashes, exceptions and every hazard class,
 so the suite cross-checks the incremental index maintenance too.
+Every point pins ``engine="python"``: the digests and the scheduler
+state are the Python engine's (the compiled core's ``SimStats`` compare
+equal, but its ``committed_by_class`` lists classes in a different
+order, which the digest's ``repr`` sees).
 """
 
 import dataclasses
@@ -74,11 +78,12 @@ def assert_pinned(name, stats):
 
 def run_point(workload: str, policy: str, *, num_registers: int = 48,
               **config_kwargs):
-    """Run one (workload, policy) point; return its stats and engine."""
+    """Run one (workload, policy) point on the Python engine; return its
+    stats and engine."""
     config = ProcessorConfig(release_policy=policy,
                              num_physical_int=num_registers,
                              num_physical_fp=num_registers,
-                             warmup=False, **config_kwargs)
+                             warmup=False, engine="python", **config_kwargs)
     trace = get_workload(workload, TRACE_LENGTH, seed=0)
     engine = SimulationEngine(trace, config)
     return engine.run(), engine
@@ -161,14 +166,16 @@ class TestLimitEquivalence:
         # The max_cycles check stops the loop on the exact cycle.
         for max_cycles in (50, 137, 400):
             config = ProcessorConfig(release_policy="conv", warmup=False,
-                                     num_physical_int=48, num_physical_fp=48)
+                                     num_physical_int=48, num_physical_fp=48,
+                                     engine="python")
             trace = get_workload("swim", 1_500, seed=0)
             stats = SimulationEngine(trace, config).run(max_cycles=max_cycles)
             assert stats.cycles == max_cycles
             assert_pinned(f"max_cycles_{max_cycles}", stats)
 
     def test_max_instructions_equivalence(self):
-        config = ProcessorConfig(release_policy="extended", warmup=False)
+        config = ProcessorConfig(release_policy="extended", warmup=False,
+                                 engine="python")
         trace = get_workload("gcc", 1_500, seed=0)
         stats = SimulationEngine(trace, config).run(max_instructions=600)
         assert stats.committed_instructions >= 600
@@ -178,7 +185,7 @@ class TestLimitEquivalence:
         # Precise-exception flushes rebuild the map table mid-run; the
         # per-cycle run must recover to the pinned statistics.
         config = ProcessorConfig(release_policy="extended", warmup=False,
-                                 exception_rate=0.002)
+                                 exception_rate=0.002, engine="python")
         trace = get_workload("gcc", 1_500, seed=0)
         stats = SimulationEngine(trace, config).run()
         assert stats.exceptions_taken > 0

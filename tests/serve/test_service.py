@@ -139,6 +139,34 @@ class TestSweepPointSingleFlight:
         assert first[2] == second[2]               # same bytes either way
         assert service.metrics.count("sweep_computations") == 1
 
+    def test_computed_response_names_its_backend(self, service):
+        from repro.engine import accel
+
+        config, _ = parse_sweep_request(dict(TINY))
+        _, computed, _ = run(service.sweep_point(dict(TINY)))
+        _, cached, _ = run(service.sweep_point(dict(TINY)))
+        assert computed["X-Repro-Backend"] == \
+            accel.resolve_engine_backend(config.base_config)
+        assert "X-Repro-Backend" not in cached
+
+    def test_toolchain_fallback_keeps_bodies_identical(self, service,
+                                                       monkeypatch):
+        # The fallback reason is per-process, not part of the result: it
+        # travels in a header, so the cache hit repeats the computed bytes.
+        from repro.engine import accel
+
+        monkeypatch.setenv("REPRO_ACCEL_CC", "/nonexistent/compiler-xyz")
+        accel.reset_backend_cache()
+        try:
+            _, computed, first = run(service.sweep_point(dict(TINY)))
+            _, cached, second = run(service.sweep_point(dict(TINY)))
+        finally:
+            accel.reset_backend_cache()
+        assert computed["X-Repro-Backend"] == "python"
+        assert "unavailable" in computed["X-Repro-Compiled-Fallback"]
+        assert cached["X-Repro-Served-From"] == "cache"
+        assert first == second
+
     def test_result_lands_in_the_shared_store(self, service):
         status, headers, body = run(service.sweep_point(dict(TINY)))
         assert status == 200
