@@ -66,7 +66,10 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 #: v5: payloads additionally record their own point key, verified on
 #: read — a remote-synced entry that lands under the wrong key (buggy
 #: proxy, hand-copied store) is a miss, never a silently wrong result.
-CACHE_SCHEMA_VERSION = 5
+#: v6: the pickled ``SimStats`` / ``RegisterFileStats`` /
+#: ``OccupancyAverages`` are slotted dataclasses, whose pickled state
+#: differs from (and cannot be restored from) the v5 ``__dict__`` form.
+CACHE_SCHEMA_VERSION = 6
 
 
 def default_cache_dir() -> Path:
@@ -271,7 +274,7 @@ class SweepCache:
     def _decode(blob: Optional[bytes], key: str) -> Optional["SimStats"]:
         """Validate one payload blob; None for anything unservable.
 
-        Rejects foreign pickles, outdated schemas and — for v5 payloads —
+        Rejects foreign pickles, outdated schemas and
         entries whose recorded point key differs from the requested one
         (a misfiled remote sync must be a miss, not a wrong result).
         Blobs framed in the remote-wire integrity envelope (a purely

@@ -16,6 +16,7 @@ driver layers three mechanisms over that cross product:
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -80,10 +81,20 @@ class SweepConfig:
                        num_physical_fp=point.num_registers)
 
 
-#: Points simulated in this process, per backend that ran them.  The
-#: sweep drivers read its deltas, like the export-cache counters, so the
-#: provenance survives a wrapper around :func:`run_simulation_point`.
-POINT_BACKENDS: Counter = Counter()
+class _PointBackends(threading.local):
+    """Points simulated by the current thread, per backend that ran them.
+
+    The sweep drivers read its deltas, so the provenance survives a
+    wrapper around :func:`run_simulation_point`.  Per thread because a
+    server computes concurrent misses on executor threads, and each
+    request's provenance must count its own points only.
+    """
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+
+
+POINT_BACKENDS = _PointBackends()
 
 
 def merge_backends(*backends: Optional[str]) -> Optional[str]:
@@ -111,7 +122,7 @@ def run_simulation_point(sweep_config: SweepConfig, point: SweepPoint) -> SimSta
                          scenario_profiles=sweep_config.scenario_profiles)
     engine = SimulationEngine(trace, sweep_config.config_for(point))
     stats = engine.run()
-    POINT_BACKENDS[engine.backend_used] += 1
+    POINT_BACKENDS.counts[engine.backend_used] += 1
     return stats
 
 
@@ -129,7 +140,7 @@ def run_points(sweep_config: SweepConfig, points: Sequence[SweepPoint],
     from repro.engine.accel.artefacts import EXPORT_CACHE
 
     hits_before, misses_before = EXPORT_CACHE.counters()
-    backends_before = POINT_BACKENDS.copy()
+    backends_before = POINT_BACKENDS.counts.copy()
     with accel.suppressed_backend_warnings():
         for point in points:
             on_result(point, run_simulation_point(sweep_config, point))
@@ -143,7 +154,8 @@ def run_points(sweep_config: SweepConfig, points: Sequence[SweepPoint],
             "export_cache_misses": misses_after - misses_before,
             "fallback_chunks": int(reason is not None),
             "fallback_reason": reason,
-            "backend": merge_backends(*(POINT_BACKENDS - backends_before))}
+            "backend": merge_backends(
+                *(POINT_BACKENDS.counts - backends_before))}
 
 
 def _attach_scenario_profiles(sweep_config: SweepConfig) -> SweepConfig:

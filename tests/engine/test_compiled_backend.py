@@ -556,6 +556,21 @@ class TestSelfCheck:
         assert sorted(seen) == sorted((policy, deferred) for policy in POLICIES
                                       for deferred in (False, True))
 
+    def test_point_exercises_each_release_path(self, monkeypatch):
+        # basic and extended must each free registers early inside the C
+        # core, or the gate would pass without comparing their own
+        # release paths.
+        stats = {}
+        self._patch_run_compiled(monkeypatch, lambda state, result: stats.update(
+            {state.config.release_policy: result.stats}))
+        assert accel._self_check()
+        for policy in POLICIES:
+            assert stats[policy].exceptions_taken > 0
+            assert stats[policy].fetched_wrong_path > 0
+        assert stats["conv"].int_registers.early_releases == 0
+        assert stats["basic"].int_registers.early_releases > 0
+        assert stats["extended"].int_registers.early_releases > 0
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_divergence_in_one_policy_pins_python(self, policy, monkeypatch):
         def diverge(state, result):

@@ -115,13 +115,14 @@ class TestSafety:
         assert cache.warmup_columns(trace) is warm
 
     def test_lru_eviction_bounds_the_cache(self, cache):
-        for seed in range(cache.max_entries + 3):
-            cache.trace_columns(get_workload("swim", 50, seed=seed))
-        assert len(cache._full) == cache.max_entries
-        # The oldest entry was evicted: asking for it again is a miss.
-        hits, misses = cache.counters()
-        cache.trace_columns(get_workload("swim", 50, seed=0))
-        assert cache.counters() == (hits, misses + 1)
+        # One slot per column set: a new trace replaces the last one.
+        first = get_workload("swim", 50, seed=0)
+        cache.trace_columns(first)
+        cache.trace_columns(first)
+        assert cache.counters() == (1, 1)
+        cache.trace_columns(get_workload("swim", 50, seed=1))
+        cache.trace_columns(first)
+        assert cache.counters() == (1, 3)
 
 
 @needs_compiled

@@ -149,6 +149,44 @@ class TestSweepPointSingleFlight:
             accel.resolve_engine_backend(config.base_config)
         assert "X-Repro-Backend" not in cached
 
+    def test_overlapping_computations_name_their_own_backend(self, tmp_path,
+                                                             monkeypatch):
+        # Two misses computed at once on two executor threads: each
+        # header counts its own point only, never the other's.  A barrier
+        # after each simulation holds both requests until both points
+        # have run, so a shared tally would report "mixed" for both.
+        import threading
+
+        from repro.analysis import sweep as sweep_mod
+        from repro.engine import accel
+
+        barrier = threading.Barrier(2, timeout=60)
+        real_point = sweep_mod.run_simulation_point
+
+        def point_then_wait(sweep_config, point):
+            stats = real_point(sweep_config, point)
+            barrier.wait()
+            return stats
+
+        monkeypatch.setattr(sweep_mod, "run_simulation_point", point_then_wait)
+        python_request = dict(TINY, engine="python")
+        config, _ = parse_sweep_request(dict(TINY))
+
+        async def both(service):
+            return await asyncio.gather(service.sweep_point(python_request),
+                                        service.sweep_point(dict(TINY)))
+
+        service = SweepService(cache=SweepCache(tmp_path), compute_threads=2)
+        try:
+            (_, python_headers, _), (_, default_headers, _) = run(both(service))
+        finally:
+            service.close()
+        assert python_headers["X-Repro-Served-From"] == "computed"
+        assert default_headers["X-Repro-Served-From"] == "computed"
+        assert python_headers["X-Repro-Backend"] == "python"
+        assert default_headers["X-Repro-Backend"] == \
+            accel.resolve_engine_backend(config.base_config)
+
     def test_toolchain_fallback_keeps_bodies_identical(self, service,
                                                        monkeypatch):
         # The fallback reason is per-process, not part of the result: it
