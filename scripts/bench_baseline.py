@@ -25,9 +25,9 @@ plus two serial probes embedded into the snapshot:
 * ``"sweep_point"`` / ``"sweep_point_compiled"`` — the **end-to-end**
   cost of the same grid points: engine construction (trace export,
   warm-up) *plus* the run, which is what a sweep actually pays per
-  point.  The compiled section also records the export-artefact cache
-  hit/miss counters (``repro.engine.accel.artefacts``), proving the
-  per-trace columns were amortised across the probe's points;
+  point.  The compiled section also records the export hit/miss
+  counters (``repro.engine.accel.artefacts``): hits are exports served
+  from the traces' own columns;
 * ``"generation"`` — trace-generation throughput (scalar oracle vs the
   vectorised bulk-draw path) over the scenario library plus
   representative SPEC-like workloads;
@@ -142,9 +142,8 @@ def collect_sweep_point_probe(trace_length: int = 4_000,
     engine construction — trace export and the warm-up pass — for every
     point.  This probe measures that whole cost (best of ``repetitions``
     per point, traces pre-generated as a sweep's workload cache would),
-    and for the compiled backend records the export-artefact cache
-    hit/miss deltas: hits > 0 is the amortisation proof the bench gate
-    snapshot carries.
+    and for the compiled backend records the export hit/miss deltas:
+    hits > 0 shows the exports gathered from the traces' own columns.
     """
     import time as time_module
 
@@ -222,7 +221,7 @@ def format_sweep_point_summary(sweep_point: dict) -> str:
     throughput = scheduler_throughput(sweep_point)
     lines.append(f"  total wall {total_wall:.3f}s; aggregate simulated "
                  f"cycles/s end-to-end: {throughput:,.0f}")
-    lines.append(f"  export-artefact cache: "
+    lines.append(f"  exports: "
                  f"{sweep_point['export_cache_hits']} hits / "
                  f"{sweep_point['export_cache_misses']} misses")
     return "\n".join(lines)

@@ -131,20 +131,22 @@ def run_points(sweep_config: SweepConfig, points: Sequence[SweepPoint],
     """Simulate ``points`` in this process, handing each result to
     ``on_result`` as it lands; return the run's telemetry.
 
-    The telemetry holds the export-artefact cache hit/miss deltas, the
-    backend that ran the points, and why a compiled request ran on the
-    Python engine.  This process's own fallback warning is withheld, so
-    the sweep driver can log one summary however many processes fell back.
+    The telemetry holds this thread's compiled-export hit/miss deltas,
+    the backend that ran the points, and why a compiled request ran on
+    the Python engine.  Both tallies are per thread, so concurrent sweeps
+    in one process (a server's misses) each count only their own points.
+    This process's own fallback warning is withheld, so the sweep driver
+    can log one summary however many processes fell back.
     """
     from repro.engine import accel
     from repro.engine.accel.artefacts import EXPORT_CACHE
 
-    hits_before, misses_before = EXPORT_CACHE.counters()
+    hits_before, misses_before = EXPORT_CACHE.thread_counters()
     backends_before = POINT_BACKENDS.counts.copy()
     with accel.suppressed_backend_warnings():
         for point in points:
             on_result(point, run_simulation_point(sweep_config, point))
-    hits_after, misses_after = EXPORT_CACHE.counters()
+    hits_after, misses_after = EXPORT_CACHE.thread_counters()
     # The process-wide reason concerns this sweep only if it asked for
     # the compiled backend.
     reason = (accel.backend_fallback_reason()
@@ -183,8 +185,8 @@ class SweepResult:
     cache (both zero for results built directly from a dict).
 
     ``export_cache_hits`` / ``export_cache_misses`` count the compiled
-    backend's export-artefact cache traffic (trace columns built once per
-    trace and shared read-only across configurations; see
+    backend's exports: a hit is served from the trace's own columns, a
+    miss first derived them from a hand-built instruction list (see
     :mod:`repro.engine.accel.artefacts`), summed over every process that
     simulated points for this result.  ``compiled_fallback_reason`` is
     set — once, however many workers observed it — when the sweep

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
+import threading
 from typing import Iterator, Optional
 
 from repro.engine.accel.loader import ToolchainError, reset_loader_cache
@@ -51,9 +52,11 @@ _COMPILED_OK: Optional[bool] = None
 #: parent so a pool emits one summary instead of N per-worker warnings.
 _FALLBACK_REASON: Optional[str] = None
 
-#: When True, the probe's fallback warnings are withheld (the caller —
-#: the sweep layer — takes responsibility for surfacing one summary).
-_WARNINGS_SUPPRESSED = False
+#: ``active`` is True on a thread whose probe fallback warnings are
+#: withheld (the caller — the sweep layer — takes responsibility for
+#: surfacing one summary).  Per thread: concurrent sweeps in one process
+#: enter and leave the suppression independently.
+_SUPPRESSION = threading.local()
 
 
 def backend_fallback_reason() -> Optional[str]:
@@ -63,26 +66,26 @@ def backend_fallback_reason() -> Optional[str]:
 
 @contextlib.contextmanager
 def suppressed_backend_warnings() -> Iterator[None]:
-    """Withhold the probe's per-process fallback warnings inside the block.
+    """Withhold the probe's per-process fallback warnings inside the block
+    (on the calling thread).
 
     The sweep layer wraps worker execution in this so a process pool does
     not log one identical toolchain warning per worker; the reason stays
     available via :func:`backend_fallback_reason` and the sweep driver
     emits a single summary instead.
     """
-    global _WARNINGS_SUPPRESSED
-    previous = _WARNINGS_SUPPRESSED
-    _WARNINGS_SUPPRESSED = True
+    previous = getattr(_SUPPRESSION, "active", False)
+    _SUPPRESSION.active = True
     try:
         yield
     finally:
-        _WARNINGS_SUPPRESSED = previous
+        _SUPPRESSION.active = previous
 
 
 def _warn_fallback(message: str, *args) -> None:
     global _FALLBACK_REASON
     _FALLBACK_REASON = message % args if args else message
-    if not _WARNINGS_SUPPRESSED:
+    if not getattr(_SUPPRESSION, "active", False):
         logger.warning(message, *args)
 
 

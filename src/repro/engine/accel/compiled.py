@@ -17,10 +17,11 @@ suite.  A state that was warmed in Python (``warmup_pending`` false)
 exports the already-warm structures with a zero-length warm-up, which is
 equally exact.
 
-The immutable trace columns are served by the process-level
-:data:`~repro.engine.accel.artefacts.EXPORT_CACHE`, so a sweep replaying
-one trace under many configurations builds the columns once; all mutable
-machine state is allocated per run by ``sim_new``.
+The trace's storage already has the shape the core reads
+(:class:`~repro.trace.records.TraceColumns`), so the trace export is one
+``np.take`` per column from the row table into the C buffer, counted by
+:data:`~repro.engine.accel.artefacts.EXPORT_CACHE`; all mutable machine
+state is allocated per run by ``sim_new``.
 
 The only Python work during the run is *refilling draw buffers*: the C
 core never calls back into Python, so the two stochastic inputs — the
@@ -64,6 +65,8 @@ from repro.isa import FUKind, OpClass
 from repro.pipeline.stats import RegisterFileStats, SimStats
 from repro.core.register_state import OccupancyTotals
 from repro.trace.draws import replay_supported
+from repro.trace.records import (TRACE_COLUMN_NAMES, WARMUP_COLUMN_NAMES,
+                                 column_width)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.state import MachineState
@@ -155,7 +158,7 @@ def _config_vector(state: "MachineState", warm_len: int) -> "np.ndarray":
     mem = cfg.memory
     fus = cfg.functional_units
     vec = np.zeros(NCFG, dtype=np.int64)
-    vec[CFG.TRACE_LEN] = len(state.trace.instructions)
+    vec[CFG.TRACE_LEN] = len(state.trace)
     vec[CFG.FETCH_W] = cfg.fetch_width
     vec[CFG.RENAME_W] = cfg.rename_width
     vec[CFG.ISSUE_W] = cfg.issue_width
@@ -202,31 +205,33 @@ def _i64_view(ffi, lib, mach, which: int, length: int) -> "np.ndarray":
     return np.frombuffer(ffi.buffer(ptr, 8 * length), dtype=np.int64)
 
 
+#: The C buffer of each trace column and of each warm-up replay column.
+_TRACE_BUFFERS = dict(zip(TRACE_COLUMN_NAMES, (
+    A.T_OP, A.T_PC, A.T_DC, A.T_DEST, A.T_NSRC, A.T_SRC_CLASS, A.T_SRC_LOG,
+    A.T_TAKEN, A.T_TARGET, A.T_ADDR), strict=True))
+_WARMUP_BUFFERS = dict(zip(WARMUP_COLUMN_NAMES, (
+    A.WU_OP, A.WU_PC, A.WU_ADDR, A.WU_TAKEN, A.WU_TARGET), strict=True))
+
+
 def _export_trace(ffi, lib, mach, trace) -> None:
-    """Copy the trace's (cached, read-only) columns into the C Machine."""
-    n = len(trace.instructions)
+    """Gather the trace's columns straight into the C Machine's buffers."""
+    n = len(trace)
     if n == 0:
         return
     columns = EXPORT_CACHE.trace_columns(trace)
-    for which, name in ((A.T_OP, "op"), (A.T_PC, "pc"), (A.T_DC, "dc"),
-                        (A.T_DEST, "dest"), (A.T_NSRC, "nsrc"),
-                        (A.T_TAKEN, "taken"), (A.T_TARGET, "target"),
-                        (A.T_ADDR, "addr")):
-        _i64_view(ffi, lib, mach, which, n)[:] = columns[name]
-    _i64_view(ffi, lib, mach, A.T_SRC_CLASS, 3 * n)[:] = columns["src_class"]
-    _i64_view(ffi, lib, mach, A.T_SRC_LOG, 3 * n)[:] = columns["src_log"]
+    for name, which in _TRACE_BUFFERS.items():
+        columns.gather(name, out=_i64_view(ffi, lib, mach, which,
+                                           column_width(name) * n))
 
 
 def _export_warmup(ffi, lib, mach, warm_trace) -> None:
-    """Copy the warm-up trace's (cached) replay columns into the Machine."""
-    n = len(warm_trace.instructions)
+    """Gather the warm-up trace's replay columns into the Machine."""
+    n = len(warm_trace)
     if n == 0:
         return
-    columns = EXPORT_CACHE.warmup_columns(warm_trace)
-    for which, name in ((A.WU_OP, "op"), (A.WU_PC, "pc"),
-                        (A.WU_ADDR, "addr"), (A.WU_TAKEN, "taken"),
-                        (A.WU_TARGET, "target")):
-        _i64_view(ffi, lib, mach, which, n)[:] = columns[name]
+    columns = EXPORT_CACHE.trace_columns(warm_trace)
+    for name, which in _WARMUP_BUFFERS.items():
+        columns.gather(name, out=_i64_view(ffi, lib, mach, which, n))
 
 
 def _export_predictor(ffi, lib, mach, predictor) -> None:
@@ -421,7 +426,7 @@ def run_compiled(state: "MachineState", *,
     # run warms itself via ensure_warm().
     warm_trace = (state._build_warmup_trace()
                   if getattr(state, "warmup_pending", False) else None)
-    warm_len = len(warm_trace.instructions) if warm_trace is not None else 0
+    warm_len = len(warm_trace) if warm_trace is not None else 0
 
     ffi, lib = loader.load_core()
     vec = _config_vector(state, warm_len)
@@ -443,7 +448,7 @@ def run_compiled(state: "MachineState", *,
     _export_cache(ffi, lib, mach, memory.l2, A.L2_TAG)
 
     limit = (max_instructions if max_instructions is not None
-             else len(state.trace.instructions))
+             else len(state.trace))
     lib.sim_set(mach, SC.COMMIT_LIMIT, limit)
     lib.sim_set(mach, SC.MAX_CYCLES, -1 if max_cycles is None else max_cycles)
     lib.sim_set(mach, SC.DEADLOCK, deadlock_threshold)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 from repro.analysis.occupancy import OccupancyRow, idle_overhead_percent, mean_row, \
     occupancy_breakdown
 from repro.analysis.reporting import ascii_bar_chart, format_table
-from repro.analysis.sweep import SweepConfig, run_sweep
+from repro.analysis.sweep import SweepConfig, SweepResult, run_sweep
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.workloads import fp_workloads, integer_workloads
 
@@ -30,6 +30,9 @@ class Figure3Result:
 
     num_registers: int
     rows: Dict[str, List[OccupancyRow]] = field(default_factory=dict)
+    #: the sweep the rows were derived from.
+    sweep: Optional[SweepResult] = field(default=None, compare=False,
+                                         repr=False)
 
     def suite_mean(self, suite: str) -> OccupancyRow:
         """The "Amean" bar of one panel ("int" or "fp")."""
@@ -82,7 +85,7 @@ def run(trace_length: int = 20_000, num_registers: int = 96,
         base_config=base_config or ProcessorConfig()),
         parallel=parallel, cache=cache)
 
-    result = Figure3Result(num_registers=num_registers)
+    result = Figure3Result(num_registers=num_registers, sweep=sweep)
     result.rows["int"] = [occupancy_breakdown(sweep.stats(name, "conv", num_registers),
                                               "int") for name in int_names]
     result.rows["fp"] = [occupancy_breakdown(sweep.stats(name, "conv", num_registers),

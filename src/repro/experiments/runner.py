@@ -129,6 +129,22 @@ def run_experiment(name: str, trace_length: Optional[int] = None,
     return module.run(**kwargs)
 
 
+def provenance(result) -> str:
+    """Which engine produced ``result`` and how many points it simulated.
+
+    Read from the :class:`~repro.analysis.sweep.SweepResult` the result
+    was derived from (Table 4: its Figure 11 sweep); the backend is
+    ``compiled``, ``python``, ``mixed``, or ``cached`` when every point
+    came from the result cache.  Empty for analytical experiments.
+    """
+    sweep = getattr(result, "sweep", None)
+    if sweep is None and hasattr(result, "figure11"):
+        sweep = result.figure11.sweep
+    if sweep is None:
+        return ""
+    return f"[{sweep.backend or 'cached'}: {sweep.simulated} simulated, {sweep.cached} cached]"
+
+
 def cache_main(argv: List[str]) -> int:
     """The ``repro-experiments cache`` subcommand: stats and pruning."""
     from repro.analysis.cache import SweepCache
@@ -289,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 cache=cache, scenarios=scenario_filter)
         elapsed = time.time() - start
         print("=" * 72)
-        print(f"{name}  ({elapsed:.1f}s)")
+        print(f"{name}  ({elapsed:.1f}s)  {provenance(result)}".rstrip())
         print("=" * 72)
         print(result.format())
         print()

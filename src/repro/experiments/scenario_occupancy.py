@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.occupancy import OccupancyRow, idle_overhead_percent, \
     mean_row, occupancy_breakdown
 from repro.analysis.reporting import ascii_bar_chart, format_table
-from repro.analysis.sweep import SweepConfig, run_sweep
+from repro.analysis.sweep import SweepConfig, SweepResult, run_sweep
 from repro.experiments.scenarios import resolve_scenario_names
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.workloads import ScenarioProfile, get_scenario
@@ -64,6 +64,9 @@ class ScenarioOccupancyResult:
     rows: Dict[str, List[OccupancyRow]] = field(default_factory=dict)
     #: scenario name -> suite ("int"/"fp"), captured at sweep time.
     suites: Dict[str, str] = field(default_factory=dict)
+    #: the sweep the rows were derived from.
+    sweep: Optional[SweepResult] = field(default=None, compare=False,
+                                         repr=False)
 
     def phase_rows(self, scenario: str) -> List[OccupancyRow]:
         """The per-phase occupancy rows of one scenario."""
@@ -140,7 +143,8 @@ def run(trace_length: int = 20_000,
         parallel=parallel, cache=cache)
 
     result = ScenarioOccupancyResult(num_registers=num_registers,
-                                     scenarios=names, suites=suites)
+                                     scenarios=names, suites=suites,
+                                     sweep=sweep)
     for name in names:
         result.rows[name] = [
             occupancy_breakdown(sweep.stats(derived_name, "conv", num_registers),

@@ -10,13 +10,11 @@ resolves (see DESIGN.md).
 
 from repro.frontend.gshare import GsharePredictor
 from repro.frontend.btb import BranchTargetBuffer
-from repro.frontend.ras import ReturnAddressStack
 from repro.frontend.fetch import FetchUnit, FetchedOp
 
 __all__ = [
     "GsharePredictor",
     "BranchTargetBuffer",
-    "ReturnAddressStack",
     "FetchUnit",
     "FetchedOp",
 ]

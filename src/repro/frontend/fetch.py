@@ -68,9 +68,11 @@ class FetchUnit:
                  fetch_width: int = 8, max_taken_per_cycle: int = 2) -> None:
         self.trace = trace
         #: the raw instruction list and its length, hoisted out of the
-        #: per-instruction fetch path (Trace.__getitem__ is a delegation).
-        self._instructions = trace.instructions
-        self._trace_len = len(trace.instructions)
+        #: per-instruction fetch path.  The list is bound on the first
+        #: fetch: a state that runs on the compiled core never fetches
+        #: here, so its trace is never materialised.
+        self._instructions: Optional[List[Instruction]] = None
+        self._trace_len = len(trace)
         self.predictor = predictor
         self.btb = btb
         self.memory = memory
@@ -163,6 +165,8 @@ class FetchUnit:
         """Fetch up to ``fetch_width`` instructions for this cycle."""
         if cycle < self._stall_until:
             return []
+        if self._instructions is None:
+            self._instructions = self.trace.instruction_list()
         group: List[FetchedOp] = []
         taken_seen = 0
 

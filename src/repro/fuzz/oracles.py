@@ -11,10 +11,11 @@ a silent pass.
 Oracles:
 
 ``generation``
-    Vectorised vs scalar trace generation must emit identical
-    instruction streams **and** leave the shared ``numpy`` bit generator
-    in the identical state (so any scalar/vector hand-off consumed
-    exactly the same draws).
+    Vectorised vs scalar trace generation must produce identical trace
+    columns (all ten ``TRACE_COLUMN_NAMES``, as the compiled core
+    receives them) **and** leave the shared ``numpy`` bit generator in
+    the identical state (so any scalar/vector hand-off consumed exactly
+    the same draws).
 ``backend``
     The compiled C core vs the Python engine must produce
     field-identical ``SimStats`` — honouring ``unsupported_reason()``
@@ -33,17 +34,14 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
 from repro.engine.engine import SimulationEngine
 from repro.fuzz.invariants import InvariantProbe, InvariantViolation
 from repro.fuzz.sampling import FuzzSample
 from repro.pipeline.stats import SimStats
 from repro.trace.draws import replay_supported, vectorized_enabled
 from repro.trace.records import Trace
-from repro.trace.workloads import (_scenario_stream_seed,
-                                   generate_scenario_trace, get_workload,
-                                   install_ephemeral_profiles,
+from repro.trace.workloads import (generate_scenario_trace, get_workload,
+                                   install_ephemeral_profiles, trace_rng,
                                    uninstall_ephemeral_profiles)
 
 #: Default oracle set, in execution order (cheap generation check first,
@@ -145,7 +143,7 @@ def _stats_diff(left: SimStats, right: SimStats,
 # Oracles
 # ----------------------------------------------------------------------
 def check_generation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
-    """Vectorised vs scalar generation: identical stream + RNG state."""
+    """Vectorised vs scalar generation: identical columns + RNG state."""
     if not vectorized_enabled(None):
         return _skipped("REPRO_TRACE_SCALAR forces the scalar path; "
                         "nothing to compare differentially")
@@ -153,16 +151,12 @@ def check_generation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
         return _skipped("vectorised replay unsupported on this numpy build "
                         "(scalar-fallback probe tripped)")
 
-    def fresh_rng() -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(
-            (sample.trace_seed, _scenario_stream_seed(sample.scenario.name))))
-
     try:
-        rng_vec = fresh_rng()
+        rng_vec = trace_rng(sample.scenario, sample.trace_seed)
         trace_vec = generate_scenario_trace(
             sample.scenario, sample.trace_length, sample.trace_seed,
             vectorized=True, rng=rng_vec)
-        rng_scalar = fresh_rng()
+        rng_scalar = trace_rng(sample.scenario, sample.trace_seed)
         trace_scalar = generate_scenario_trace(
             sample.scenario, sample.trace_length, sample.trace_seed,
             vectorized=False, rng=rng_scalar)
@@ -172,13 +166,13 @@ def check_generation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
         return _failed(
             f"vectorised trace has {len(trace_vec)} instructions, scalar "
             f"oracle {len(trace_scalar)}")
-    for index, (vec, scalar) in enumerate(
-            zip(trace_vec.instructions, trace_scalar.instructions,
-                strict=True)):
-        if vec != scalar:
-            return _failed(
-                f"instruction {index} diverges: vectorised {vec!r} vs "
-                f"scalar {scalar!r}")
+    difference = trace_vec.columns.first_difference(trace_scalar.columns)
+    if difference is not None:
+        name, index = difference
+        return _failed(
+            f"column {name!r} diverges at instruction {index}: "
+            f"vectorised {trace_vec.instructions[index]!r} vs "
+            f"scalar {trace_scalar.instructions[index]!r}")
     if rng_vec.bit_generator.state != rng_scalar.bit_generator.state:
         return _failed(
             "bit-generator state diverges after generation (a hand-off "

@@ -319,16 +319,16 @@ class SweepService:
         return 204, {}, b""
 
     # ------------------------------------------------------------------
-    # Export artefacts (the compiled backend's shared trace columns)
+    # Export artefacts (the trace columns the compiled backend receives)
     # ------------------------------------------------------------------
     async def artefact(self, payload: dict) -> Tuple[int, dict, bytes]:
-        """Describe (building on demand) one trace's export artefact.
+        """Describe one trace's compiled export (generating the trace).
 
-        Answers with the artefact's identity and per-column shapes/bytes
-        from the process-level export cache
+        Answers with the trace's identity, the ten
+        ``TRACE_COLUMN_NAMES`` columns as the compiled core receives them
+        (shape, dtype, bytes) and the process's export counters
         (:mod:`repro.engine.accel.artefacts`) — the query a remote
-        scheduler needs to decide where a sweep's trace columns are
-        already warm.
+        scheduler needs to decide where a sweep's trace is already warm.
         """
         self.metrics.increment("artefact_requests")
         benchmark = payload.get("workload") if isinstance(payload, dict) else None
@@ -361,20 +361,20 @@ class SweepService:
     def _describe_artefact(self, benchmark: str, trace_length: int,
                            seed: int) -> bytes:
         from repro.engine.accel.artefacts import EXPORT_CACHE
+        from repro.trace.records import TRACE_COLUMN_NAMES, column_width
         from repro.trace.workloads import get_workload, workload_digest
 
-        trace = get_workload(benchmark, trace_length, seed=seed)
-        columns = EXPORT_CACHE.trace_columns(trace)
+        n = len(get_workload(benchmark, trace_length, seed=seed))
         hits, misses = EXPORT_CACHE.counters()
+        columns = {name: {"shape": [column_width(name) * n], "dtype": "int64",
+                          "nbytes": 8 * column_width(name) * n}
+                   for name in sorted(TRACE_COLUMN_NAMES)}
         return _json_bytes({
             "workload": benchmark,
             "workload_digest": workload_digest(benchmark, ()),
             "trace_length": trace_length,
             "seed": seed,
-            "columns": {name: {"shape": list(array.shape),
-                               "dtype": str(array.dtype),
-                               "nbytes": int(array.nbytes)}
-                        for name, array in sorted(columns.items())},
+            "columns": columns,
             "export_cache": {"hits": hits, "misses": misses},
         })
 

@@ -17,18 +17,31 @@ All kernels share the same conventions:
 * data-dependent branches are modelled as *hammocks*: when the branch is
   taken the next few body instructions are skipped, exactly as the
   dynamic stream of a real if-then region would look.
+
+The scalar :meth:`~_KernelBase.emit_iteration` returns ``Instruction``
+lists and is the oracle.  The vectorised ``emit_chunk`` emitters write a
+:class:`~repro.trace.records.TraceSink` directly: row ids and memory-op
+addresses, no ``Instruction`` objects.  An iteration's row ids (a
+branchy block's, for :class:`BranchyKernel`) are a function of its
+*shape* — the rotation cursors modulo their windows, the branch outcomes
+and the per-iteration flags — so each emitter memoises them per shape
+(:meth:`TraceSink.memo`) and builds a sequence only on a miss.  A
+kernel's static code is small and its rotations cycle, so misses are
+rare; the addresses are computed in bulk, a chunk at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.isa import Instruction, OpClass, RegClass
-from repro.trace.draws import DOUBLE, RawCursor, replay_template
+from repro.trace.draws import (DOUBLE, RawCursor, bounded_threshold,
+                               replay_template)
+from repro.trace.records import TraceSink
 from repro.trace.synthetic import (
     BranchSite,
     PointerChaseStream,
@@ -40,20 +53,31 @@ from repro.trace.synthetic import (
 INT = RegClass.INT
 FP = RegClass.FP
 
-#: One chunk's worth of instructions and its iteration boundaries
-#: (cumulative instruction counts, one per emitted iteration).
-Chunk = Tuple[List[Instruction], List[int]]
-
 
 def _random_stream_span(stream: RandomStream) -> int:
     """The ``rng.integers`` span drawn per :meth:`RandomStream.next_address`."""
     return max(stream.footprint // stream.align, 1)
 
 
-def _random_stream_addresses(stream: RandomStream, column) -> List[int]:
+def _random_stream_addresses(stream: RandomStream, column) -> np.ndarray:
     """Map a replayed bounded-integer column to effective addresses."""
-    return (stream.base
-            + column.astype(np.int64) * stream.align).tolist()
+    return stream.base + column.astype(np.int64) * stream.align
+
+
+def _strided_addresses(stream: StridedStream, offset: int,
+                       count: int) -> np.ndarray:
+    """The next ``count`` addresses of ``stream``, starting at ``offset``."""
+    steps = np.arange(count, dtype=np.int64)
+    return stream.base + (offset + stream.stride * steps) % stream.footprint
+
+
+def _recent(window: Sequence[int], cursor: int, k: int) -> int:
+    """``RegisterRotation.recent(k)`` after ``cursor`` registers were handed out.
+
+    The rotation's history holds the handed-out registers in cursor
+    order, so its ``k``-th most recent entry follows from the cursor.
+    """
+    return window[max(cursor - k, 0) % len(window)]
 
 
 @dataclass(frozen=True)
@@ -159,12 +183,12 @@ class StateDescriptor:
 class RotationState(StateDescriptor):
     """A :class:`RegisterRotation`: cursor plus a private history copy.
 
-    Both bind and write-back truncate the history to the last
-    ``2 * window`` entries — more than every ``recent(k)`` / tail read
-    the kernels perform (k ≤ 5, window ≥ 8), and what the chunk emitters
-    have always written back — so snapshots are canonical regardless of
-    whether the scalar path's laxer pruning (up to ``4 * window``) ran
-    last.
+    Chunk emitters move only the view's cursor; write-back extends the
+    history with the registers handed out in between.  Both bind and
+    write-back truncate the history to the last ``2 * window`` entries —
+    more than every ``recent(k)`` / tail read the kernels perform
+    (k ≤ 5) — so snapshots are canonical regardless of whether the
+    scalar path's laxer pruning (up to ``4 * window``) ran last.
     """
 
     def bind(self, kernel, view) -> None:
@@ -174,10 +198,16 @@ class RotationState(StateDescriptor):
                 list(rotation._history[-2 * len(rotation.window):]))
 
     def write_back(self, kernel, view) -> None:
+        # A rotation hands out its window in cursor order, so the history
+        # follows from how far the view's cursor moved.
         rotation = getattr(kernel, self.attr)
-        rotation._cursor = getattr(view, self.attr + "_cursor")
-        history = getattr(view, self.attr + "_history")
-        rotation._history = history[-2 * len(rotation.window):]
+        window, cursor = rotation.window, getattr(view, self.attr + "_cursor")
+        n = len(window)
+        first = max(rotation._cursor, cursor - 2 * n)
+        history = rotation._history if first == rotation._cursor else []
+        history = history + [window[c % n] for c in range(first, cursor)]
+        rotation._history = history[-2 * n:]
+        rotation._cursor = cursor
 
 
 class StreamOffsetState(StateDescriptor):
@@ -282,16 +312,6 @@ class _KernelBase:
         #: recent branch outcomes of the whole kernel (LSB = most recent);
         #: consumed by history-correlated branch sites.
         self.ghist = 0
-        #: memoised :class:`Instruction` records, keyed by the fields that
-        #: vary (pc plus registers/outcome).  A kernel's static code is
-        #: small and its register rotations cycle, so non-memory
-        #: instructions recur exactly and the chunked emitters reuse the
-        #: immutable records instead of re-constructing them.  Branch keys
-        #: carry a "br" tag: branch-site pcs come from closed-form layout
-        #: formulas and may coincide with a body pc, and ``taken`` is a
-        #: bool (``True == 1``), so an untagged branch key could compare
-        #: equal to an ALU key and serve the wrong instruction.
-        self._memo: dict = {}
 
     def _branch_outcome(self, site: BranchSite, rng: np.random.Generator) -> bool:
         """Draw the site's next outcome and append it to the global history."""
@@ -345,24 +365,22 @@ class _KernelBase:
         """
         raise NotImplementedError
 
-    def emit_chunk(self, rng: np.random.Generator, k: int) -> Chunk:
-        """Emit ``k`` iterations at once.
+    def emit_chunk(self, rng: np.random.Generator, k: int,
+                   sink: TraceSink) -> None:
+        """Emit ``k`` iterations at once into ``sink``.
 
         The base implementation is the scalar oracle — a plain loop over
         :meth:`emit_iteration`.  Kernels override it with a vectorised
         emitter that pre-draws its RNG columns through
-        :mod:`repro.trace.draws` and produces a bit-identical stream; an
+        :mod:`repro.trace.draws` and appends row ids and addresses
+        straight to the sink, bit-identical to the oracle's stream; an
         override raises :exc:`~repro.trace.draws.ReplayUnsupported`
         *before consuming any state* when its draw schedule cannot be
         replayed (exotic spans, unsupported bit generator), and callers
         then fall back to this oracle.
         """
-        out: List[Instruction] = []
-        bounds: List[int] = []
         for _ in range(k):
-            out.extend(self.emit_iteration(rng))
-            bounds.append(len(out))
-        return out, bounds
+            sink.extend(self.emit_iteration(rng))
 
     def prologue(self, rng: np.random.Generator) -> List[Instruction]:
         """Return set-up instructions executed once before the loop."""
@@ -471,134 +489,106 @@ class StreamingFPKernel(_KernelBase):
         p = self.params
         return 3 + len(self.streams) * (4 + p.chain_len) + 1 + 8
 
-    def emit_chunk(self, rng: np.random.Generator, k: int) -> Chunk:
-        """Vectorised emitter: this kernel draws nothing from ``rng``
-        (strided streams, loop-only branches), so the chunk path is pure
-        bulk materialisation — memoised records, inlined rotations and
-        stream walks."""
+    def emit_chunk(self, rng: np.random.Generator, k: int,
+                   sink: TraceSink) -> None:
+        """Vectorised emitter.  This kernel draws nothing from ``rng``
+        (strided streams, loop-only branches): an iteration's row ids
+        are a function of the rotation cursors and of two flags (the
+        divide, the loop outcome), memoised per such shape, and a
+        chunk's addresses are one numpy expression per stream."""
         p = self.params
-        out: List[Instruction] = []
-        bounds: List[int] = []
-        append = out.append
-        memo = self._memo
-        Inst = Instruction
         st = self.bind_chunk_state()
-        int_rot, fp_rot = self.int_rot, self.fp_rot
-        iwin, fwin = int_rot.window, fp_rot.window
-        iwn, fwn = len(iwin), len(fwin)
+        memo = sink.memo(self)
+        add_rows = sink.rows.extend
+        iwn, fwn = len(self.int_rot.window), len(self.fp_rot.window)
         icur, fcur = st.int_rot_cursor, st.fp_rot_cursor
-        ihist = st.int_rot_history
-        fhist = st.fp_rot_history
-        streams = self.streams
-        n_streams = len(streams)
-        offsets = st.streams_offsets
-        out_stream = self.out_stream
-        out_offset = st.out_stream_offset
-        loop = self.loop_branch
-        trip, loop_pc, loop_target = loop.trip, loop.pc, loop.target
-        loop_count = st.loop_branch_count
-        ghist = st.ghist
-        chain_len, div_interval, ncoef = p.chain_len, p.div_interval, self.N_COEF
-        pc0 = p.pc_base
-        iteration = st.iteration
-        ALU, LOADF, STOREF = OpClass.INT_ALU, OpClass.FP_LOAD, OpClass.FP_STORE
-        ADD, MULT, DIV, BR = (OpClass.FP_ADD, OpClass.FP_MULT, OpClass.FP_DIV,
-                              OpClass.BRANCH)
+        n_streams = len(self.streams)
+        int_dests = 2 + 2 * n_streams
+        fp_dests = n_streams * (1 + p.chain_len)
+        div_interval = p.div_interval if n_streams else 0
+        trip = self.loop_branch.trip
+        loop_count, ghist, iteration = (st.loop_branch_count, st.ghist,
+                                        st.iteration)
         for _ in range(k):
-            pc = pc0
-            addr_reg = iwin[icur % iwn]; icur += 1; ihist.append(addr_reg)
-            src = ihist[-2] if len(ihist) >= 2 else ihist[-1]
-            key = (pc, addr_reg, src)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=pc, op=ALU, dest=(INT, addr_reg),
-                            srcs=((INT, src),))
-                memo[key] = inst
-            append(inst); pc += 4
-            last0 = -1
-            for s in range(n_streams):
-                stream = streams[s]
-                stream_addr = iwin[icur % iwn]; icur += 1; ihist.append(stream_addr)
-                key = (pc, stream_addr, addr_reg)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=pc, op=ALU, dest=(INT, stream_addr),
-                                srcs=((INT, addr_reg),))
-                    memo[key] = inst
-                append(inst); pc += 4
-                load_dest = fwin[fcur % fwn]; fcur += 1; fhist.append(load_dest)
-                mem_addr = stream.base + (offsets[s] % stream.footprint)
-                offsets[s] += stream.stride
-                append(Inst(pc=pc, op=LOADF, dest=(FP, load_dest),
-                            srcs=((INT, stream_addr),), mem_addr=mem_addr))
-                pc += 4
-                prev = load_dest
-                for c in range(chain_len):
-                    dest = fwin[fcur % fwn]; fcur += 1; fhist.append(dest)
-                    key = (pc, dest, prev)
-                    inst = memo.get(key)
-                    if inst is None:
-                        coef = (s + c) % ncoef
-                        op = MULT if (c % 2 == 1) else ADD
-                        inst = Inst(pc=pc, op=op, dest=(FP, dest),
-                                    srcs=((FP, prev), (FP, coef)))
-                        memo[key] = inst
-                    append(inst); pc += 4
-                    prev = dest
-                if s == 0:
-                    last0 = prev
-                index_reg = iwin[icur % iwn]; icur += 1; ihist.append(index_reg)
-                key = (pc, index_reg, stream_addr)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=pc, op=ALU, dest=(INT, index_reg),
-                                srcs=((INT, stream_addr),))
-                    memo[key] = inst
-                append(inst); pc += 4
-                mem_addr = out_stream.base + (out_offset % out_stream.footprint)
-                out_offset += out_stream.stride
-                append(Inst(pc=pc, op=STOREF,
-                            srcs=((FP, prev), (INT, index_reg)),
-                            mem_addr=mem_addr))
-                pc += 4
-            if div_interval and iteration % div_interval == 0 and n_streams:
-                dest = fwin[fcur % fwn]; fcur += 1; fhist.append(dest)
-                key = (pc, dest, last0)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=pc, op=DIV, dest=(FP, dest),
-                                srcs=((FP, last0), (FP, 0)))
-                    memo[key] = inst
-                append(inst)
-            pc += 4
-            idx_reg = iwin[icur % iwn]; icur += 1; ihist.append(idx_reg)
-            key = (pc, idx_reg, addr_reg)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=pc, op=ALU, dest=(INT, idx_reg),
-                            srcs=((INT, addr_reg),))
-                memo[key] = inst
-            append(inst)
+            div = bool(div_interval) and iteration % div_interval == 0
             loop_count += 1
             taken = (loop_count % trip) != 0
             ghist = ((ghist << 1) | taken) & 0xFFFF
-            key = ("br", loop_pc, idx_reg, taken)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=loop_pc, op=BR, srcs=((INT, idx_reg),),
-                            taken=taken, target=loop_target)
-                memo[key] = inst
-            append(inst)
+            key = (icur % iwn, min(icur, 5), fcur % fwn, div, taken)
+            rows = memo.get(key)
+            if rows is None:
+                rows = memo[key] = self._iteration_rows(
+                    sink.intern, icur, fcur, div, taken)
+            add_rows(rows)
+            icur += int_dests
+            fcur += fp_dests + div
             iteration += 1
-            bounds.append(len(out))
-        # Publish the walked state (histories/offsets mutate in place).
+        # Memory ops per iteration: each stream's load, then its store.
+        addrs = np.empty((k, 2 * n_streams), dtype=np.int64)
+        for s, stream in enumerate(self.streams):
+            addrs[:, 2 * s] = _strided_addresses(stream,
+                                                 st.streams_offsets[s], k)
+            st.streams_offsets[s] += stream.stride * k
+        out = self.out_stream
+        addrs[:, 1::2] = _strided_addresses(
+            out, st.out_stream_offset, k * n_streams).reshape(k, n_streams)
+        st.out_stream_offset += out.stride * k * n_streams
+        sink.addrs.extend(addrs.ravel().tolist())
         st.int_rot_cursor, st.fp_rot_cursor = icur, fcur
-        st.out_stream_offset = out_offset
-        st.loop_branch_count = loop_count
-        st.ghist = ghist
-        st.iteration = iteration
+        st.loop_branch_count, st.ghist, st.iteration = (loop_count, ghist,
+                                                        iteration)
         self.write_back_chunk_state(st)
-        return out, bounds
+
+    def _iteration_rows(self, intern, icur: int, fcur: int, div: bool,
+                        taken: bool) -> List[int]:
+        """Row ids of one iteration starting at cursors ``icur``/``fcur``
+        (the memo-miss path of :meth:`emit_chunk`; mirrors
+        :meth:`emit_iteration`)."""
+        p = self.params
+        iwin, fwin = self.int_rot.window, self.fp_rot.window
+        iwn, fwn = len(iwin), len(fwin)
+        rows: List[int] = []
+        pc = p.pc_base
+        addr_reg = iwin[icur % iwn]
+        icur += 1
+        rows.append(intern(OpClass.INT_ALU, pc, (INT, addr_reg),
+                           ((INT, _recent(iwin, icur, 2)),)))
+        pc += 4
+        last0 = -1
+        for s in range(len(self.streams)):
+            stream_addr = iwin[icur % iwn]
+            rows.append(intern(OpClass.INT_ALU, pc, (INT, stream_addr),
+                               ((INT, addr_reg),)))
+            load_dest = fwin[fcur % fwn]
+            rows.append(intern(OpClass.FP_LOAD, pc + 4, (FP, load_dest),
+                               ((INT, stream_addr),)))
+            icur, fcur, pc = icur + 1, fcur + 1, pc + 8
+            prev = load_dest
+            for c in range(p.chain_len):
+                dest = fwin[fcur % fwn]
+                op = OpClass.FP_MULT if c % 2 == 1 else OpClass.FP_ADD
+                rows.append(intern(op, pc, (FP, dest),
+                                   ((FP, prev), (FP, (s + c) % self.N_COEF))))
+                fcur, pc, prev = fcur + 1, pc + 4, dest
+            if s == 0:
+                last0 = prev
+            index_reg = iwin[icur % iwn]
+            rows.append(intern(OpClass.INT_ALU, pc, (INT, index_reg),
+                               ((INT, stream_addr),)))
+            rows.append(intern(OpClass.FP_STORE, pc + 4, None,
+                               ((FP, prev), (INT, index_reg))))
+            icur, pc = icur + 1, pc + 8
+        if div:
+            rows.append(intern(OpClass.FP_DIV, pc, (FP, fwin[fcur % fwn]),
+                               ((FP, last0), (FP, 0))))
+        pc += 4
+        idx_reg = iwin[icur % iwn]
+        rows.append(intern(OpClass.INT_ALU, pc, (INT, idx_reg),
+                           ((INT, addr_reg),)))
+        loop = self.loop_branch
+        rows.append(intern(OpClass.BRANCH, loop.pc, None, ((INT, idx_reg),),
+                           taken, loop.target))
+        return rows
 
 
 class StencilFPKernel(_KernelBase):
@@ -710,143 +700,105 @@ class StencilFPKernel(_KernelBase):
         n = len(self.streams)
         return 2 + 2 * n + max(0, n - 1) + p.chain_len + 1 + 1 + 1 + 1 + 8
 
-    def emit_chunk(self, rng: np.random.Generator, k: int) -> Chunk:
+    def emit_chunk(self, rng: np.random.Generator, k: int,
+                   sink: TraceSink) -> None:
         """Vectorised emitter (no RNG draws; see
         :meth:`StreamingFPKernel.emit_chunk`)."""
         p = self.params
-        out: List[Instruction] = []
-        bounds: List[int] = []
-        append = out.append
-        memo = self._memo
-        Inst = Instruction
         st = self.bind_chunk_state()
-        int_rot, fp_rot = self.int_rot, self.fp_rot
-        iwin, fwin = int_rot.window, fp_rot.window
-        iwn, fwn = len(iwin), len(fwin)
+        memo = sink.memo(self)
+        add_rows = sink.rows.extend
+        iwn, fwn = len(self.int_rot.window), len(self.fp_rot.window)
         icur, fcur = st.int_rot_cursor, st.fp_rot_cursor
-        ihist = st.int_rot_history
-        fhist = st.fp_rot_history
-        streams = self.streams
-        n_streams = len(streams)
-        offsets = st.streams_offsets
-        out_stream = self.out_stream
-        out_offset = st.out_stream_offset
-        loop = self.loop_branch
-        trip, loop_pc, loop_target = loop.trip, loop.pc, loop.target
-        loop_count = st.loop_branch_count
-        ghist = st.ghist
-        chain_len, div_interval, ncoef = p.chain_len, p.div_interval, self.N_COEF
-        pc0 = p.pc_base
-        iteration = st.iteration
-        ALU, LOADF, STOREF = OpClass.INT_ALU, OpClass.FP_LOAD, OpClass.FP_STORE
-        ADD, MULT, DIV, BR = (OpClass.FP_ADD, OpClass.FP_MULT, OpClass.FP_DIV,
-                              OpClass.BRANCH)
-        loaded: List[int] = []
+        n_streams = len(self.streams)
+        int_dests = 3 + n_streams
+        fp_dests = 2 * n_streams - 1 + p.chain_len
+        div_interval = p.div_interval
+        trip = self.loop_branch.trip
+        loop_count, ghist, iteration = (st.loop_branch_count, st.ghist,
+                                        st.iteration)
         for _ in range(k):
-            pc = pc0
-            addr_reg = iwin[icur % iwn]; icur += 1; ihist.append(addr_reg)
-            src = ihist[-2] if len(ihist) >= 2 else ihist[-1]
-            key = (pc, addr_reg, src)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=pc, op=ALU, dest=(INT, addr_reg),
-                            srcs=((INT, src),))
-                memo[key] = inst
-            append(inst); pc += 4
-            addr2_reg = iwin[icur % iwn]; icur += 1; ihist.append(addr2_reg)
-            key = (pc, addr2_reg, addr_reg)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=pc, op=ALU, dest=(INT, addr2_reg),
-                            srcs=((INT, addr_reg),))
-                memo[key] = inst
-            append(inst); pc += 4
-            loaded.clear()
-            for s in range(n_streams):
-                stream = streams[s]
-                stream_addr = iwin[icur % iwn]; icur += 1; ihist.append(stream_addr)
-                base_reg = addr_reg if s % 2 == 0 else addr2_reg
-                key = (pc, stream_addr, base_reg)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=pc, op=ALU, dest=(INT, stream_addr),
-                                srcs=((INT, base_reg),))
-                    memo[key] = inst
-                append(inst); pc += 4
-                dest = fwin[fcur % fwn]; fcur += 1; fhist.append(dest)
-                mem_addr = stream.base + (offsets[s] % stream.footprint)
-                offsets[s] += stream.stride
-                append(Inst(pc=pc, op=LOADF, dest=(FP, dest),
-                            srcs=((INT, stream_addr),), mem_addr=mem_addr))
-                pc += 4
-                loaded.append(dest)
-            prev = loaded[0]
-            for i in range(1, n_streams):
-                other = loaded[i]
-                dest = fwin[fcur % fwn]; fcur += 1; fhist.append(dest)
-                key = (pc, dest, prev, other)
-                inst = memo.get(key)
-                if inst is None:
-                    op = ADD if (i - 1) % 2 == 0 else MULT
-                    inst = Inst(pc=pc, op=op, dest=(FP, dest),
-                                srcs=((FP, prev), (FP, other)))
-                    memo[key] = inst
-                append(inst); pc += 4
-                prev = dest
-            for c in range(chain_len):
-                dest = fwin[fcur % fwn]; fcur += 1; fhist.append(dest)
-                key = (pc, dest, prev)
-                inst = memo.get(key)
-                if inst is None:
-                    op = MULT if c % 2 == 0 else ADD
-                    inst = Inst(pc=pc, op=op, dest=(FP, dest),
-                                srcs=((FP, prev), (FP, c % ncoef)))
-                    memo[key] = inst
-                append(inst); pc += 4
-                prev = dest
-            if div_interval and iteration % div_interval == 0:
-                dest = fwin[fcur % fwn]; fcur += 1; fhist.append(dest)
-                key = (pc, dest, prev)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=pc, op=DIV, dest=(FP, dest),
-                                srcs=((FP, prev), (FP, 1)))
-                    memo[key] = inst
-                append(inst)
-                prev = dest
-            pc += 4
-            mem_addr = out_stream.base + (out_offset % out_stream.footprint)
-            out_offset += out_stream.stride
-            append(Inst(pc=pc, op=STOREF, srcs=((FP, prev), (INT, addr_reg)),
-                        mem_addr=mem_addr))
-            pc += 4
-            idx_reg = iwin[icur % iwn]; icur += 1; ihist.append(idx_reg)
-            key = (pc, idx_reg, addr_reg)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=pc, op=ALU, dest=(INT, idx_reg),
-                            srcs=((INT, addr_reg),))
-                memo[key] = inst
-            append(inst)
+            div = bool(div_interval) and iteration % div_interval == 0
             loop_count += 1
             taken = (loop_count % trip) != 0
             ghist = ((ghist << 1) | taken) & 0xFFFF
-            key = ("br", loop_pc, idx_reg, taken)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=loop_pc, op=BR, srcs=((INT, idx_reg),),
-                            taken=taken, target=loop_target)
-                memo[key] = inst
-            append(inst)
+            key = (icur % iwn, min(icur, 5), fcur % fwn, div, taken)
+            rows = memo.get(key)
+            if rows is None:
+                rows = memo[key] = self._iteration_rows(
+                    sink.intern, icur, fcur, div, taken)
+            add_rows(rows)
+            icur += int_dests
+            fcur += fp_dests + div
             iteration += 1
-            bounds.append(len(out))
+        # Memory ops per iteration: one load per stream, then the store.
+        addrs = np.empty((k, n_streams + 1), dtype=np.int64)
+        for s, stream in enumerate(self.streams):
+            addrs[:, s] = _strided_addresses(stream, st.streams_offsets[s], k)
+            st.streams_offsets[s] += stream.stride * k
+        out = self.out_stream
+        addrs[:, n_streams] = _strided_addresses(out, st.out_stream_offset, k)
+        st.out_stream_offset += out.stride * k
+        sink.addrs.extend(addrs.ravel().tolist())
         st.int_rot_cursor, st.fp_rot_cursor = icur, fcur
-        st.out_stream_offset = out_offset
-        st.loop_branch_count = loop_count
-        st.ghist = ghist
-        st.iteration = iteration
+        st.loop_branch_count, st.ghist, st.iteration = (loop_count, ghist,
+                                                        iteration)
         self.write_back_chunk_state(st)
-        return out, bounds
+
+    def _iteration_rows(self, intern, icur: int, fcur: int, div: bool,
+                        taken: bool) -> List[int]:
+        """Row ids of one iteration starting at cursors ``icur``/``fcur``
+        (the memo-miss path of :meth:`emit_chunk`; mirrors
+        :meth:`emit_iteration`)."""
+        p = self.params
+        iwin, fwin = self.int_rot.window, self.fp_rot.window
+        iwn, fwn = len(iwin), len(fwin)
+        rows: List[int] = []
+        pc = p.pc_base
+        addr_reg, addr2_reg = iwin[icur % iwn], iwin[(icur + 1) % iwn]
+        rows.append(intern(OpClass.INT_ALU, pc, (INT, addr_reg),
+                           ((INT, _recent(iwin, icur + 1, 2)),)))
+        rows.append(intern(OpClass.INT_ALU, pc + 4, (INT, addr2_reg),
+                           ((INT, addr_reg),)))
+        icur, pc = icur + 2, pc + 8
+        loaded: List[int] = []
+        for s in range(len(self.streams)):
+            stream_addr = iwin[icur % iwn]
+            base_reg = addr_reg if s % 2 == 0 else addr2_reg
+            rows.append(intern(OpClass.INT_ALU, pc, (INT, stream_addr),
+                               ((INT, base_reg),)))
+            dest = fwin[fcur % fwn]
+            rows.append(intern(OpClass.FP_LOAD, pc + 4, (FP, dest),
+                               ((INT, stream_addr),)))
+            icur, fcur, pc = icur + 1, fcur + 1, pc + 8
+            loaded.append(dest)
+        prev = loaded[0]
+        for i, other in enumerate(loaded[1:]):
+            dest = fwin[fcur % fwn]
+            op = OpClass.FP_ADD if i % 2 == 0 else OpClass.FP_MULT
+            rows.append(intern(op, pc, (FP, dest), ((FP, prev), (FP, other))))
+            fcur, pc, prev = fcur + 1, pc + 4, dest
+        for c in range(p.chain_len):
+            dest = fwin[fcur % fwn]
+            op = OpClass.FP_MULT if c % 2 == 0 else OpClass.FP_ADD
+            rows.append(intern(op, pc, (FP, dest),
+                               ((FP, prev), (FP, c % self.N_COEF))))
+            fcur, pc, prev = fcur + 1, pc + 4, dest
+        if div:
+            dest = fwin[fcur % fwn]
+            rows.append(intern(OpClass.FP_DIV, pc, (FP, dest),
+                               ((FP, prev), (FP, 1))))
+            prev = dest
+        pc += 4
+        rows.append(intern(OpClass.FP_STORE, pc, None,
+                           ((FP, prev), (INT, addr_reg))))
+        idx_reg = iwin[icur % iwn]
+        rows.append(intern(OpClass.INT_ALU, pc + 4, (INT, idx_reg),
+                           ((INT, addr_reg),)))
+        loop = self.loop_branch
+        rows.append(intern(OpClass.BRANCH, loop.pc, None, ((INT, idx_reg),),
+                           taken, loop.target))
+        return rows
 
 
 class IntComputeKernel(_KernelBase):
@@ -952,160 +904,134 @@ class IntComputeKernel(_KernelBase):
         return (1 + p.n_parallel_chains * (1 + p.chain_len) + 1 + 1
                 + p.hammock_len + 1 + 1 + p.extra_stores + 1 + 8)
 
-    def emit_chunk(self, rng: np.random.Generator, k: int) -> Chunk:
+    def emit_chunk(self, rng: np.random.Generator, k: int,
+                   sink: TraceSink) -> None:
         """Vectorised emitter: pre-draws the load-address, branch-noise
         and store-lottery columns for ``k`` iterations in one bulk call
         (draw order per iteration: one address per work chain, the
-        hammock's noise flip, the store lottery)."""
+        hammock's noise flip, the store lottery).  An iteration's row
+        ids are memoised per shape: rotation cursor, hammock outcome,
+        multiply, store, loop outcome."""
         p = self.params
-        span = _random_stream_span(self.data)
         n_chains = p.n_parallel_chains
         hammock = self.hammock_branch
         noise = hammock.noise > 0.0
-        template = [span] * n_chains + ([DOUBLE] if noise else []) + [DOUBLE]
+        template = ([_random_stream_span(self.data)] * n_chains
+                    + ([DOUBLE] if noise else []) + [DOUBLE])
         columns = replay_template(rng, template, k)
-        addr_columns = [_random_stream_addresses(self.data, columns[c])
-                        for c in range(n_chains)]
-        noise_column = columns[n_chains].tolist() if noise else None
-        store_column = columns[-1].tolist()
+        stores = (columns[-1] < p.store_fraction).tolist()
+        noise_flips = ((columns[n_chains] < hammock.noise).tolist() if noise
+                       else [False] * k)
 
-        out: List[Instruction] = []
-        bounds: List[int] = []
-        append = out.append
-        memo = self._memo
-        Inst = Instruction
         st = self.bind_chunk_state()
-        int_rot = self.int_rot
-        iwin = int_rot.window
-        iwn = len(iwin)
+        memo = sink.memo(self)
+        add_rows = sink.rows.extend
+        iwn = len(self.int_rot.window)
         icur = st.int_rot_cursor
-        ihist = st.int_rot_history
-        out_stream = self.out
-        out_offset = st.out_offset
-        loop = self.loop_branch
-        trip, loop_pc, loop_target = loop.trip, loop.pc, loop.target
-        loop_count = st.loop_branch_count
-        hammock_pc, hammock_target = hammock.pc, hammock.target
-        hammock_noise = hammock.noise
-        ghist = st.ghist
-        chain_len, hammock_len = p.chain_len, p.hammock_len
-        mult_interval, store_fraction = p.mult_interval, p.store_fraction
-        extra_stores = p.extra_stores
-        pc0 = p.pc_base
-        iteration = st.iteration
-        ALU, LOAD, STORE = OpClass.INT_ALU, OpClass.LOAD, OpClass.STORE
-        MULT, BR = OpClass.INT_MULT, OpClass.BRANCH
-        chain_heads: List[int] = []
+        chain_dests = 2 + n_chains * (1 + p.chain_len)
+        trip, mult_interval = self.loop_branch.trip, p.mult_interval
+        loop_count, ghist, iteration = (st.loop_branch_count, st.ghist,
+                                        st.iteration)
+        correlated_outcome = hammock.correlated_outcome
         for j in range(k):
-            pc = pc0
-            addr_reg = iwin[icur % iwn]; icur += 1; ihist.append(addr_reg)
-            src = ihist[-2] if len(ihist) >= 2 else ihist[-1]
-            key = (pc, addr_reg, src)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=pc, op=ALU, dest=(INT, addr_reg),
-                            srcs=((INT, src),))
-                memo[key] = inst
-            append(inst); pc += 4
-            chain_heads.clear()
-            for chain in range(n_chains):
-                load_dest = iwin[icur % iwn]; icur += 1; ihist.append(load_dest)
-                append(Inst(pc=pc, op=LOAD, dest=(INT, load_dest),
-                            srcs=((INT, addr_reg),),
-                            mem_addr=addr_columns[chain][j]))
-                pc += 4
-                prev = load_dest
-                for _ in range(chain_len):
-                    dest = iwin[icur % iwn]; icur += 1; ihist.append(dest)
-                    key = (pc, dest, prev)
-                    inst = memo.get(key)
-                    if inst is None:
-                        inst = Inst(pc=pc, op=ALU, dest=(INT, dest),
-                                    srcs=((INT, prev),))
-                        memo[key] = inst
-                    append(inst); pc += 4
-                    prev = dest
-                chain_heads.append(prev)
-            head0, head_last = chain_heads[0], chain_heads[-1]
-            combine = iwin[icur % iwn]; icur += 1; ihist.append(combine)
-            key = (pc, combine, head0, head_last)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=pc, op=ALU, dest=(INT, combine),
-                            srcs=((INT, head0), (INT, head_last)))
-                memo[key] = inst
-            append(inst); pc += 4
-            taken = hammock.correlated_outcome(ghist)
-            if noise and noise_column[j] < hammock_noise:
-                taken = not taken
-            ghist = ((ghist << 1) | taken) & 0xFFFF
-            key = ("br", hammock_pc, head0, taken)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=hammock_pc, op=BR, srcs=((INT, head0),),
-                            taken=taken, target=hammock_target)
-                memo[key] = inst
-            append(inst)
-            pc = hammock_pc + 4
-            if not taken:
-                prev = combine
-                for _ in range(hammock_len):
-                    dest = iwin[icur % iwn]; icur += 1; ihist.append(dest)
-                    key = (pc, dest, prev)
-                    inst = memo.get(key)
-                    if inst is None:
-                        inst = Inst(pc=pc, op=ALU, dest=(INT, dest),
-                                    srcs=((INT, prev),))
-                        memo[key] = inst
-                    append(inst); pc += 4
-                    prev = dest
-            else:
-                pc = hammock_target
-            if mult_interval and iteration % mult_interval == 0:
-                dest = iwin[icur % iwn]; icur += 1; ihist.append(dest)
-                key = (pc, dest, head_last)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=pc, op=MULT, dest=(INT, dest),
-                                srcs=((INT, head_last),))
-                    memo[key] = inst
-                append(inst)
-            pc += 4
-            if store_column[j] < store_fraction:
-                mem_addr = out_stream.base + (out_offset % out_stream.footprint)
-                out_offset += out_stream.stride
-                append(Inst(pc=pc, op=STORE,
-                            srcs=((INT, combine), (INT, addr_reg)),
-                            mem_addr=mem_addr))
-            pc += 4
-            for extra in range(extra_stores):
-                mem_addr = out_stream.base + (out_offset % out_stream.footprint)
-                out_offset += out_stream.stride
-                append(Inst(pc=pc, op=STORE,
-                            srcs=((INT, chain_heads[extra % n_chains]),
-                                  (INT, addr_reg)),
-                            mem_addr=mem_addr))
-                pc += 4
+            hammock_taken = correlated_outcome(ghist) != noise_flips[j]
+            ghist = ((ghist << 1) | hammock_taken) & 0xFFFF
+            mult = bool(mult_interval) and iteration % mult_interval == 0
             loop_count += 1
             taken = (loop_count % trip) != 0
             ghist = ((ghist << 1) | taken) & 0xFFFF
-            key = ("br", loop_pc, addr_reg, taken)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=loop_pc, op=BR, srcs=((INT, addr_reg),),
-                            taken=taken, target=loop_target)
-                memo[key] = inst
-            append(inst)
+            key = (icur % iwn, min(icur, 5), hammock_taken, mult, stores[j],
+                   taken)
+            rows = memo.get(key)
+            if rows is None:
+                rows = memo[key] = self._iteration_rows(
+                    sink.intern, icur, hammock_taken, mult, stores[j], taken)
+            add_rows(rows)
+            icur += (chain_dests + mult
+                     + (0 if hammock_taken else p.hammock_len))
             iteration += 1
-            bounds.append(len(out))
+        # Memory ops per iteration: the chains' loads, the store when its
+        # lottery hit, the extra stores; stores walk the output stream.
+        per_iteration = n_chains + 1 + p.extra_stores
+        addrs = np.zeros((k, per_iteration), dtype=np.int64)
+        present = np.ones((k, per_iteration), dtype=bool)
+        for chain in range(n_chains):
+            addrs[:, chain] = _random_stream_addresses(self.data,
+                                                       columns[chain])
+        present[:, n_chains] = stores
+        store_slots = present[:, n_chains:]
+        n_stores = int(store_slots.sum())
+        addrs[:, n_chains:][store_slots] = _strided_addresses(
+            self.out, st.out_offset, n_stores)
+        st.out_offset += self.out.stride * n_stores
+        sink.addrs.extend(addrs[present].tolist())
         st.int_rot_cursor = icur
-        st.out_offset = out_offset
-        st.loop_branch_count = loop_count
+        st.loop_branch_count, st.ghist, st.iteration = (loop_count, ghist,
+                                                        iteration)
         st.hammock_branch_count += k
-        st.ghist = ghist
-        st.iteration = iteration
         self.write_back_chunk_state(st)
-        return out, bounds
+
+    def _iteration_rows(self, intern, icur: int, hammock_taken: bool,
+                        mult: bool, store: bool, taken: bool) -> List[int]:
+        """Row ids of one iteration starting at cursor ``icur`` (the
+        memo-miss path of :meth:`emit_chunk`; mirrors
+        :meth:`emit_iteration`)."""
+        p = self.params
+        iwin = self.int_rot.window
+        iwn = len(iwin)
+        rows: List[int] = []
+        pc = p.pc_base
+        addr_reg = iwin[icur % iwn]
+        icur += 1
+        rows.append(intern(OpClass.INT_ALU, pc, (INT, addr_reg),
+                           ((INT, _recent(iwin, icur, 2)),)))
+        pc += 4
+        heads: List[int] = []
+        for _chain in range(p.n_parallel_chains):
+            prev = iwin[icur % iwn]
+            rows.append(intern(OpClass.LOAD, pc, (INT, prev),
+                               ((INT, addr_reg),)))
+            icur, pc = icur + 1, pc + 4
+            for _ in range(p.chain_len):
+                dest = iwin[icur % iwn]
+                rows.append(intern(OpClass.INT_ALU, pc, (INT, dest),
+                                   ((INT, prev),)))
+                icur, pc, prev = icur + 1, pc + 4, dest
+            heads.append(prev)
+        combine = iwin[icur % iwn]
+        rows.append(intern(OpClass.INT_ALU, pc, (INT, combine),
+                           ((INT, heads[0]), (INT, heads[-1]))))
+        icur += 1
+        hammock = self.hammock_branch
+        rows.append(intern(OpClass.BRANCH, hammock.pc, None,
+                           ((INT, heads[0]),), hammock_taken, hammock.target))
+        pc = hammock.pc + 4
+        if not hammock_taken:
+            prev = combine
+            for _ in range(p.hammock_len):
+                dest = iwin[icur % iwn]
+                rows.append(intern(OpClass.INT_ALU, pc, (INT, dest),
+                                   ((INT, prev),)))
+                icur, pc, prev = icur + 1, pc + 4, dest
+        else:
+            pc = hammock.target
+        if mult:
+            rows.append(intern(OpClass.INT_MULT, pc, (INT, iwin[icur % iwn]),
+                               ((INT, heads[-1]),)))
+        pc += 4
+        if store:
+            rows.append(intern(OpClass.STORE, pc, None,
+                               ((INT, combine), (INT, addr_reg))))
+        pc += 4
+        for extra in range(p.extra_stores):
+            rows.append(intern(OpClass.STORE, pc, None,
+                               ((INT, heads[extra % len(heads)]),
+                                (INT, addr_reg))))
+            pc += 4
+        loop = self.loop_branch
+        rows.append(intern(OpClass.BRANCH, loop.pc, None, ((INT, addr_reg),),
+                           taken, loop.target))
+        return rows
 
 
 class BranchyKernel(_KernelBase):
@@ -1209,159 +1135,145 @@ class BranchyKernel(_KernelBase):
                 + 1 + 8)
 
     def _chunk_schedule(self):
-        """The per-iteration draw template and per-site column indices.
+        """The per-iteration draw template, the per-site noise columns and
+        the address columns in emission order.
 
         Walking the static site list yields, in draw order: the block's
         load address (sites ``s % 3 == 0``), the block's store address
         (sites ``s % 4 == 3``, unless the single-block load consumed the
-        slot), then the site's noise flip (correlated sites only).
+        slot), then the site's noise flip (correlated sites only).  The
+        addresses come in the order the block emits its memory ops.
         """
         if not hasattr(self, "_schedule"):
             p = self.params
             span = _random_stream_span(self.data)
             template: List[int] = []
-            plan = []
+            noise_columns: List[Optional[int]] = []
             for s, site in enumerate(self.sites):
-                load_index = store_index = noise_index = None
                 if p.block_len > 0 and s % 3 == 0:
-                    load_index = len(template)
                     template.append(span)
                 if (p.block_len > 0 and s % 4 == 3
                         and not (p.block_len == 1 and s % 3 == 0)):
-                    store_index = len(template)
                     template.append(span)
+                noise_columns.append(None)
                 if site.kind == "correlated" and site.noise > 0.0:
-                    noise_index = len(template)
+                    noise_columns[-1] = len(template)
                     template.append(DOUBLE)
-                plan.append((site, load_index, store_index, noise_index))
-            self._schedule = (template, plan)
+            addresses = [i for i, entry in enumerate(template)
+                         if entry != DOUBLE]
+            self._schedule = (template, noise_columns, addresses)
         return self._schedule
 
-    def emit_chunk(self, rng: np.random.Generator, k: int) -> Chunk:
+    def emit_chunk(self, rng: np.random.Generator, k: int,
+                   sink: TraceSink) -> None:
         """Vectorised emitter: one bulk draw covers every site's load and
         store addresses and every correlated site's noise flip for ``k``
-        iterations."""
-        p = self.params
-        template, plan = self._chunk_schedule()
+        iterations.  Each site's block (body, branch, hammock) is
+        memoised as row ids per shape: rotation cursor and outcome."""
+        template, noise_columns, addresses = self._chunk_schedule()
         columns = replay_template(rng, template, k)
-        data = self.data
-        value_lists = [
-            (_random_stream_addresses(data, column) if template[i] != DOUBLE
-             else column.tolist())
-            for i, column in enumerate(columns)
-        ]
+        flips = [None if index is None
+                 else (columns[index] < site.noise).tolist()
+                 for site, index in zip(self.sites, noise_columns,
+                                        strict=True)]
+        patterns = [site.pattern if site.kind == "pattern" else None
+                    for site in self.sites]
 
-        out: List[Instruction] = []
-        bounds: List[int] = []
-        append = out.append
-        memo = self._memo
-        Inst = Instruction
         st = self.bind_chunk_state()
-        int_rot = self.int_rot
-        iwin = int_rot.window
+        memo = sink.memo(self)
+        add_rows = sink.rows.extend
+        iwin = self.int_rot.window
         iwn = len(iwin)
         icur = st.int_rot_cursor
-        ihist = st.int_rot_history
         loop = self.loop_branch
-        trip, loop_pc, loop_target = loop.trip, loop.pc, loop.target
-        loop_count = st.loop_branch_count
-        ghist = st.ghist
-        block_len, hammock_len = p.block_len, p.hammock_len
-        iteration = st.iteration
-        ALU, LOAD, STORE, BR = (OpClass.INT_ALU, OpClass.LOAD, OpClass.STORE,
-                                OpClass.BRANCH)
-        #: per-site dynamic-instance counters (plan order == sites order);
-        #: pattern sites walk theirs per iteration, correlated sites
-        #: advance by ``k`` in bulk below.
+        loop_count, ghist, iteration = (st.loop_branch_count, st.ghist,
+                                        st.iteration)
+        #: per-site dynamic-instance counters: pattern sites walk theirs
+        #: per iteration, correlated sites advance by ``k`` in bulk below.
         site_counts = st.sites_counts
         for j in range(k):
-            for s, (site, load_index, store_index, noise_index) in enumerate(plan):
-                site_pc = site.pc
-                pc = site_pc - 4 * block_len
-                nh = len(ihist)
-                local = (ihist[-3] if nh >= 3 else
-                         (ihist[-nh] if nh else iwin[0]))
-                for i in range(block_len):
-                    is_load = i == 0 and s % 3 == 0
-                    if not is_load and i == block_len - 1 and s % 4 == 3:
-                        nh = len(ihist)
-                        store_src = (ihist[-4] if nh >= 4 else
-                                     (ihist[-nh] if nh else iwin[0]))
-                        append(Inst(pc=pc, op=STORE,
-                                    srcs=((INT, local), (INT, store_src)),
-                                    mem_addr=value_lists[store_index][j]))
-                        pc += 4
-                        continue
-                    dest = iwin[icur % iwn]; icur += 1; ihist.append(dest)
-                    if is_load:
-                        append(Inst(pc=pc, op=LOAD, dest=(INT, dest),
-                                    srcs=((INT, local),),
-                                    mem_addr=value_lists[load_index][j]))
-                    else:
-                        nh = len(ihist)
-                        alu_src = ihist[-5] if nh >= 5 else ihist[-nh]
-                        key = (pc, dest, local, alu_src)
-                        inst = memo.get(key)
-                        if inst is None:
-                            inst = Inst(pc=pc, op=ALU, dest=(INT, dest),
-                                        srcs=((INT, local), (INT, alu_src)))
-                            memo[key] = inst
-                        append(inst)
-                    local = dest
-                    pc += 4
-                if site.kind == "pattern":
-                    pattern = site.pattern
-                    count = site_counts[s]
-                    taken = bool(pattern[count % len(pattern)]) if pattern else False
-                    site_counts[s] = count + 1
+            for s, site in enumerate(self.sites):
+                pattern = patterns[s]
+                if pattern is not None:
+                    taken = (bool(pattern[site_counts[s] % len(pattern)])
+                             if pattern else False)
+                    site_counts[s] += 1
                 else:
                     taken = site.correlated_outcome(ghist)
-                    if noise_index is not None and \
-                            value_lists[noise_index][j] < site.noise:
+                    if flips[s] is not None and flips[s][j]:
                         taken = not taken
                 ghist = ((ghist << 1) | taken) & 0xFFFF
-                key = ("br", site_pc, local, taken)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=site_pc, op=BR, srcs=((INT, local),),
-                                taken=taken, target=site.target)
-                    memo[key] = inst
-                append(inst)
-                if not taken:
-                    pc = site_pc + 4
-                    for _ in range(hammock_len):
-                        dest = iwin[icur % iwn]; icur += 1; ihist.append(dest)
-                        key = (pc, dest, local)
-                        inst = memo.get(key)
-                        if inst is None:
-                            inst = Inst(pc=pc, op=ALU, dest=(INT, dest),
-                                        srcs=((INT, local),))
-                            memo[key] = inst
-                        append(inst)
-                        local = dest
-                        pc += 4
+                key = (s, icur % iwn, min(icur, 5), taken)
+                block = memo.get(key)
+                if block is None:
+                    block = memo[key] = self._block_rows(sink.intern, s, icur,
+                                                         taken)
+                add_rows(block[0])
+                icur += block[1]
             loop_count += 1
-            taken = (loop_count % trip) != 0
+            taken = (loop_count % loop.trip) != 0
             ghist = ((ghist << 1) | taken) & 0xFFFF
-            last = ihist[-1] if ihist else iwin[0]
-            key = ("br", loop_pc, last, taken)
-            inst = memo.get(key)
-            if inst is None:
-                inst = Inst(pc=loop_pc, op=BR, srcs=((INT, last),),
-                            taken=taken, target=loop_target)
-                memo[key] = inst
-            append(inst)
+            key = ("loop", icur % iwn, min(icur, 5), taken)
+            rows = memo.get(key)
+            if rows is None:
+                rows = memo[key] = [sink.intern(
+                    OpClass.BRANCH, loop.pc, None,
+                    ((INT, _recent(iwin, icur, 1)),), taken, loop.target)]
+            add_rows(rows)
             iteration += 1
-            bounds.append(len(out))
+        if addresses:
+            sink.addrs.extend(np.stack(
+                [_random_stream_addresses(self.data, columns[i])
+                 for i in addresses], axis=1).ravel().tolist())
         st.int_rot_cursor = icur
-        st.loop_branch_count = loop_count
-        for s, (site, *_rest) in enumerate(plan):
-            if site.kind != "pattern":
+        for s, pattern in enumerate(patterns):
+            if pattern is None:
                 site_counts[s] += k
-        st.ghist = ghist
-        st.iteration = iteration
+        st.loop_branch_count, st.ghist, st.iteration = (loop_count, ghist,
+                                                        iteration)
         self.write_back_chunk_state(st)
-        return out, bounds
+
+    def _block_rows(self, intern, s: int, icur: int,
+                    taken: bool) -> Tuple[List[int], int]:
+        """Row ids of site ``s``'s block from cursor ``icur``, and the
+        registers it hands out (the memo-miss path of :meth:`emit_chunk`;
+        mirrors :meth:`emit_iteration`)."""
+        p = self.params
+        site = self.sites[s]
+        iwin = self.int_rot.window
+        iwn = len(iwin)
+        start = icur
+        rows: List[int] = []
+        pc = site.pc - 4 * p.block_len
+        local = _recent(iwin, icur, 3)
+        for i in range(p.block_len):
+            is_load = i == 0 and s % 3 == 0
+            if not is_load and i == p.block_len - 1 and s % 4 == 3:
+                rows.append(intern(OpClass.STORE, pc, None,
+                                   ((INT, local),
+                                    (INT, _recent(iwin, icur, 4)))))
+                pc += 4
+                continue
+            dest = iwin[icur % iwn]
+            icur += 1
+            if is_load:
+                rows.append(intern(OpClass.LOAD, pc, (INT, dest),
+                                   ((INT, local),)))
+            else:
+                rows.append(intern(OpClass.INT_ALU, pc, (INT, dest),
+                                   ((INT, local),
+                                    (INT, _recent(iwin, icur, 5)))))
+            local, pc = dest, pc + 4
+        rows.append(intern(OpClass.BRANCH, site.pc, None, ((INT, local),),
+                           taken, site.target))
+        if not taken:
+            pc = site.pc + 4
+            for _ in range(p.hammock_len):
+                dest = iwin[icur % iwn]
+                rows.append(intern(OpClass.INT_ALU, pc, (INT, dest),
+                                   ((INT, local),)))
+                icur, pc, local = icur + 1, pc + 4, dest
+        return rows, icur - start
 
 
 class PointerChaseKernel(_KernelBase):
@@ -1473,7 +1385,8 @@ class PointerChaseKernel(_KernelBase):
         return (2 * p.load_chain_len * len(self.chases) + 1 + 2 + 1
                 + p.hammock_len + 1 + 1 + 8)
 
-    def emit_chunk(self, rng: np.random.Generator, k: int) -> Chunk:
+    def emit_chunk(self, rng: np.random.Generator, k: int,
+                   sink: TraceSink) -> None:
         """Vectorised emitter.
 
         The store-address draw is conditional on the store lottery, so
@@ -1481,10 +1394,10 @@ class PointerChaseKernel(_KernelBase):
         replays through a :class:`~repro.trace.draws.RawCursor` scan
         (draw order per iteration: the conditional branch's noise flip,
         the store lottery, then the store address when the lottery hits)
-        instead of a fixed column template.
+        instead of a fixed column template.  An iteration's row ids are
+        memoised per shape: rotation cursor and the pattern, conditional,
+        store and loop outcomes.
         """
-        from repro.trace.draws import bounded_threshold
-
         p = self.params
         span = _random_stream_span(self.data)
         threshold = bounded_threshold(span)
@@ -1495,152 +1408,116 @@ class PointerChaseKernel(_KernelBase):
         cursor = RawCursor(rng, 3 * k + 2)
         st = self.bind_chunk_state()
         try:
-            out: List[Instruction] = []
-            bounds: List[int] = []
-            append = out.append
-            memo = self._memo
-            Inst = Instruction
-            int_rot = self.int_rot
-            iwin = int_rot.window
-            iwn = len(iwin)
+            memo = sink.memo(self)
+            add_rows, add_addrs = sink.rows.extend, sink.addrs.extend
+            iwn = len(self.int_rot.window)
             icur = st.int_rot_cursor
-            ihist = st.int_rot_history
-            chases = self.chases
-            chase_positions = st.chases_positions
-            chase_addrs: List[List[int]] = []
-            for chase_id, chase in enumerate(chases):
+            # The chases' load addresses: per iteration, step-major, the
+            # two chases interleaved.
+            count = k * p.load_chain_len
+            chase_addrs = np.empty((count, len(self.chases)), dtype=np.int64)
+            for chase_id, chase in enumerate(self.chases):
                 chase._ensure_order()
-                order = chase._order
-                count = k * p.load_chain_len
-                idx = (chase_positions[chase_id] + np.arange(count)) % chase.n_nodes
-                chase_addrs.append(
-                    (chase.base + order[idx] * chase.node_size).tolist())
-                chase_positions[chase_id] += count
-            chase_cursors = [0] * len(chases)
-            ptr_regs = self._ptr_regs
-            pattern_branch = self.pattern_branch
-            pattern = pattern_branch.pattern
-            pattern_len = len(pattern)
+                nodes = (st.chases_positions[chase_id]
+                         + np.arange(count)) % chase.n_nodes
+                chase_addrs[:, chase_id] = (chase.base + chase._order[nodes]
+                                            * chase.node_size)
+                st.chases_positions[chase_id] += count
+            loads = chase_addrs.reshape(k, -1).tolist()
+            pattern = self.pattern_branch.pattern
             pattern_count = st.pattern_branch_count
-            pattern_pc, pattern_target = pattern_branch.pc, pattern_branch.target
-            cond_pc, cond_target, cond_noise = cond.pc, cond.target, cond.noise
-            loop = self.loop_branch
-            trip, loop_pc, loop_target = loop.trip, loop.pc, loop.target
-            loop_count = st.loop_branch_count
+            trip = self.loop_branch.trip
+            loop_count, ghist, iteration = (st.loop_branch_count, st.ghist,
+                                            st.iteration)
+            works = p.load_chain_len * len(self.chases)
             data = self.data
-            data_base, data_align = data.base, data.align
-            ghist = st.ghist
-            load_chain_len, hammock_len = p.load_chain_len, p.hammock_len
-            store_fraction = p.store_fraction
-            pc0 = p.pc_base
-            iteration = st.iteration
-            ALU, LOAD, STORE, BR = (OpClass.INT_ALU, OpClass.LOAD,
-                                    OpClass.STORE, OpClass.BRANCH)
-            next_double = cursor.next_double
-            next_bounded = cursor.next_bounded
-            for _ in range(k):
-                pc = pc0
-                first_work = last_work = -1
-                for _step in range(load_chain_len):
-                    for chase_id in range(len(chases)):
-                        ptr_reg = ptr_regs[chase_id]
-                        addr = chase_addrs[chase_id][chase_cursors[chase_id]]
-                        chase_cursors[chase_id] += 1
-                        key = (pc, addr)
-                        inst = memo.get(key)
-                        if inst is None:
-                            inst = Inst(pc=pc, op=LOAD, dest=(INT, ptr_reg),
-                                        srcs=((INT, ptr_reg),), mem_addr=addr)
-                            memo[key] = inst
-                        append(inst); pc += 4
-                        work = iwin[icur % iwn]; icur += 1; ihist.append(work)
-                        key = (pc, work)
-                        inst = memo.get(key)
-                        if inst is None:
-                            inst = Inst(pc=pc, op=ALU, dest=(INT, work),
-                                        srcs=((INT, ptr_reg),))
-                            memo[key] = inst
-                        append(inst); pc += 4
-                        if first_work < 0:
-                            first_work = work
-                        last_work = work
+            next_double, next_bounded = cursor.next_double, cursor.next_bounded
+            for j in range(k):
                 pattern_count += 1
-                taken = (bool(pattern[(pattern_count - 1) % pattern_len])
-                         if pattern_len else False)
-                ghist = ((ghist << 1) | taken) & 0xFFFF
-                key = ("br", pattern_pc, first_work, taken)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=pattern_pc, op=BR, srcs=((INT, first_work),),
-                                taken=taken, target=pattern_target)
-                    memo[key] = inst
-                append(inst)
-                pc = pattern_target if taken else pattern_pc + 4
-                if not taken:
-                    for _ in range(2):
-                        dest = iwin[icur % iwn]; icur += 1; ihist.append(dest)
-                        key = (pc, dest, last_work)
-                        inst = memo.get(key)
-                        if inst is None:
-                            inst = Inst(pc=pc, op=ALU, dest=(INT, dest),
-                                        srcs=((INT, last_work),))
-                            memo[key] = inst
-                        append(inst); pc += 4
-                taken = cond.correlated_outcome(ghist)
-                if noise and next_double() < cond_noise:
-                    taken = not taken
-                ghist = ((ghist << 1) | taken) & 0xFFFF
-                key = ("br", cond_pc, last_work, taken)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=cond_pc, op=BR, srcs=((INT, last_work),),
-                                taken=taken, target=cond_target)
-                    memo[key] = inst
-                append(inst)
-                pc = cond_target if taken else cond_pc + 4
-                if not taken:
-                    for _ in range(hammock_len):
-                        dest = iwin[icur % iwn]; icur += 1; ihist.append(dest)
-                        src = ihist[-2] if len(ihist) >= 2 else ihist[-1]
-                        key = (pc, dest, src)
-                        inst = memo.get(key)
-                        if inst is None:
-                            inst = Inst(pc=pc, op=ALU, dest=(INT, dest),
-                                        srcs=((INT, src),))
-                            memo[key] = inst
-                        append(inst); pc += 4
-                if next_double() < store_fraction:
-                    addr = data_base + next_bounded(span, threshold) * data_align
-                    key = (pc, last_work, addr)
-                    inst = memo.get(key)
-                    if inst is None:
-                        inst = Inst(pc=pc, op=STORE,
-                                    srcs=((INT, last_work), (INT, ptr_regs[0])),
-                                    mem_addr=addr)
-                        memo[key] = inst
-                    append(inst)
+                pattern_taken = (bool(pattern[(pattern_count - 1)
+                                              % len(pattern)])
+                                 if pattern else False)
+                ghist = ((ghist << 1) | pattern_taken) & 0xFFFF
+                cond_taken = cond.correlated_outcome(ghist)
+                if noise and next_double() < cond.noise:
+                    cond_taken = not cond_taken
+                ghist = ((ghist << 1) | cond_taken) & 0xFFFF
+                add_addrs(loads[j])
+                store = next_double() < p.store_fraction
+                if store:
+                    add_addrs((data.base + next_bounded(span, threshold)
+                               * data.align,))
                 loop_count += 1
                 taken = (loop_count % trip) != 0
                 ghist = ((ghist << 1) | taken) & 0xFFFF
-                key = ("br", loop_pc, first_work, taken)
-                inst = memo.get(key)
-                if inst is None:
-                    inst = Inst(pc=loop_pc, op=BR, srcs=((INT, first_work),),
-                                taken=taken, target=loop_target)
-                    memo[key] = inst
-                append(inst)
+                key = (icur % iwn, min(icur, 5), pattern_taken, cond_taken,
+                       store, taken)
+                rows = memo.get(key)
+                if rows is None:
+                    rows = memo[key] = self._iteration_rows(
+                        sink.intern, icur, pattern_taken, cond_taken, store,
+                        taken)
+                add_rows(rows)
+                icur += (works + (0 if pattern_taken else 2)
+                         + (0 if cond_taken else p.hammock_len))
                 iteration += 1
-                bounds.append(len(out))
         finally:
             cursor.finalize()
         st.int_rot_cursor = icur
         st.pattern_branch_count = pattern_count
         st.cond_branch_count += k
-        st.loop_branch_count = loop_count
-        st.ghist = ghist
-        st.iteration = iteration
+        st.loop_branch_count, st.ghist, st.iteration = (loop_count, ghist,
+                                                        iteration)
         self.write_back_chunk_state(st)
-        return out, bounds
+
+    def _iteration_rows(self, intern, icur: int, pattern_taken: bool,
+                        cond_taken: bool, store: bool,
+                        taken: bool) -> List[int]:
+        """Row ids of one iteration starting at cursor ``icur`` (the
+        memo-miss path of :meth:`emit_chunk`; mirrors
+        :meth:`emit_iteration`)."""
+        p = self.params
+        iwin = self.int_rot.window
+        iwn = len(iwin)
+        rows: List[int] = []
+        pc = p.pc_base
+        works: List[int] = []
+        for _step in range(p.load_chain_len):
+            for ptr_reg in self._ptr_regs:
+                rows.append(intern(OpClass.LOAD, pc, (INT, ptr_reg),
+                                   ((INT, ptr_reg),)))
+                work = iwin[icur % iwn]
+                rows.append(intern(OpClass.INT_ALU, pc + 4, (INT, work),
+                                   ((INT, ptr_reg),)))
+                icur, pc = icur + 1, pc + 8
+                works.append(work)
+        branch = self.pattern_branch
+        rows.append(intern(OpClass.BRANCH, branch.pc, None, ((INT, works[0]),),
+                           pattern_taken, branch.target))
+        pc = branch.target if pattern_taken else branch.pc + 4
+        if not pattern_taken:
+            for _ in range(2):
+                rows.append(intern(OpClass.INT_ALU, pc, (INT, iwin[icur % iwn]),
+                                   ((INT, works[-1]),)))
+                icur, pc = icur + 1, pc + 4
+        branch = self.cond_branch
+        rows.append(intern(OpClass.BRANCH, branch.pc, None,
+                           ((INT, works[-1]),), cond_taken, branch.target))
+        pc = branch.target if cond_taken else branch.pc + 4
+        if not cond_taken:
+            for _ in range(p.hammock_len):
+                dest = iwin[icur % iwn]
+                icur += 1
+                rows.append(intern(OpClass.INT_ALU, pc, (INT, dest),
+                                   ((INT, _recent(iwin, icur, 2)),)))
+                pc += 4
+        if store:
+            rows.append(intern(OpClass.STORE, pc, None,
+                               ((INT, works[-1]), (INT, self._ptr_regs[0]))))
+        loop = self.loop_branch
+        rows.append(intern(OpClass.BRANCH, loop.pc, None, ((INT, works[0]),),
+                           taken, loop.target))
+        return rows
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,25 @@
 """Trace containers and summary statistics.
 
-A :class:`Trace` is an ordered sequence of
-:class:`~repro.isa.instructions.Instruction` records together with the
-metadata the experiment harness needs (benchmark name, which register file
-the paper's figures measure for this program, the generator seed).  The
-:class:`TraceSummary` gives the aggregate properties that the workload
+A :class:`Trace` is an ordered sequence of dynamic instructions together
+with the metadata the experiment harness needs (benchmark name, which
+register file the paper's figures measure for this program, the
+generator seed).  Its storage is columnar, in the shape the compiled core
+reads (:data:`TRACE_COLUMN_NAMES`, see :class:`TraceColumns`):
+
+* a small **row table**, one row per distinct static record: op, pc,
+  destination class and index, source count, source classes and indices,
+  branch outcome and target;
+* an ``int32`` **row id** per dynamic instruction;
+* an ``int64`` **address** per dynamic instruction (the effective
+  address of a memory op, 0 otherwise).
+
+:class:`~repro.isa.instructions.Instruction` objects exist only on
+demand (the Python engine, :meth:`Trace.summary`, tests): one shared
+object per non-memory row and a fresh one per memory op.  A trace built
+by hand from an instruction list keeps that list and derives its columns
+once, on first use.
+
+The :class:`TraceSummary` gives the aggregate properties that the workload
 calibration tests assert on (instruction mix, branch density, register
 working sets).
 """
@@ -12,10 +27,34 @@ working sets).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.isa import Instruction, OpClass, RegClass
+import numpy as np
+
+from repro.isa import Instruction, OpClass, RegClass, is_memory_op
+from repro.isa.instructions import RegRef
+
+#: The columns the compiled core receives: one value per instruction,
+#: three per instruction for the two source columns.
+TRACE_COLUMN_NAMES = ("op", "pc", "dc", "dest", "nsrc", "src_class",
+                      "src_log", "taken", "target", "addr")
+
+#: The columns the warm-up replay reads (predictor, BTB and caches).
+WARMUP_COLUMN_NAMES = ("op", "pc", "addr", "taken", "target")
+
+#: Source slots per instruction in the source columns.
+MAX_SRCS = 3
+
+
+def column_width(name: str) -> int:
+    """Values per instruction in trace column ``name``."""
+    return MAX_SRCS if name in ("src_class", "src_log") else 1
+
+
+#: One static record: ``(op, pc, dest, srcs, taken, target)``.
+Record = Tuple[OpClass, int, Optional[RegRef], Tuple[RegRef, ...], bool, int]
 
 
 @dataclass(frozen=True)
@@ -56,7 +95,195 @@ class TraceSummary:
     avg_def_redefine_distance: float
 
 
-@dataclass
+def _row_table(records: Sequence[Record]) -> Dict[str, np.ndarray]:
+    """The numpy row table of ``records``: every column but ``addr``."""
+    n = len(records)
+    table = {name: np.zeros(n, dtype=np.int64)
+             for name in ("op", "pc", "dc", "dest", "nsrc", "taken", "target")}
+    table["src_class"] = np.zeros((n, MAX_SRCS), dtype=np.int64)
+    table["src_log"] = np.zeros((n, MAX_SRCS), dtype=np.int64)
+    for row, (op, pc, dest, srcs, taken, target) in enumerate(records):
+        table["op"][row] = op
+        table["pc"][row] = pc
+        if dest is None:
+            table["dc"][row] = -1
+        else:
+            table["dc"][row], table["dest"][row] = dest
+        table["nsrc"][row] = len(srcs)
+        for slot, (reg_class, log) in enumerate(srcs):
+            table["src_class"][row, slot] = reg_class
+            table["src_log"][row, slot] = log
+        table["taken"][row] = taken
+        table["target"][row] = target
+    return table
+
+
+class TraceColumns:
+    """A trace's storage: row table, row ids and addresses (read-only).
+
+    ``records`` holds the distinct static records as tuples and
+    ``table`` the same rows as numpy columns; ``rows`` maps each dynamic
+    instruction to its row and ``addr`` carries its address.  A column of
+    :data:`TRACE_COLUMN_NAMES` is a gather of its table column by
+    ``rows`` (:meth:`gather`), and the compiled export is exactly that.
+    """
+
+    __slots__ = ("records", "table", "rows", "addr")
+
+    def __init__(self, records: Sequence[Record], rows: np.ndarray,
+                 addr: np.ndarray,
+                 table: Optional[Dict[str, np.ndarray]] = None) -> None:
+        self.records = tuple(records)
+        self.table = _row_table(self.records) if table is None else table
+        self.rows = rows
+        self.addr = addr
+        for array in (*self.table.values(), rows, addr):
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def gather(self, name: str, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Column ``name`` of :data:`TRACE_COLUMN_NAMES`, as the core reads it.
+
+        One ``int64`` per instruction (three for ``src_class`` and
+        ``src_log``, flattened), written into ``out`` when given.
+        """
+        n = len(self.rows)
+        if name == "addr":
+            if out is None:
+                return self.addr.copy()
+            out[:] = self.addr
+            return out
+        width = column_width(name)
+        if out is None:
+            out = np.empty(width * n, dtype=np.int64)
+        np.take(self.table[name], self.rows, axis=0, mode="clip",
+                out=out.reshape(n, width) if width > 1 else out)
+        return out
+
+    def first_difference(self, other: "TraceColumns"
+                         ) -> Optional[Tuple[str, int]]:
+        """The first column (in :data:`TRACE_COLUMN_NAMES` order) and
+        instruction at which ``other`` differs, or None if all ten agree."""
+        if len(self) != len(other):
+            return "length", min(len(self), len(other))
+        for name in TRACE_COLUMN_NAMES:
+            mine = self.gather(name)
+            diverged = np.flatnonzero(mine != other.gather(name))
+            if len(diverged):
+                return name, int(diverged[0]) // column_width(name)
+        return None
+
+    def truncated(self, length: int) -> "TraceColumns":
+        """The first ``length`` instructions (shares the row table)."""
+        return TraceColumns(self.records, self.rows[:length],
+                            self.addr[:length], self.table)
+
+    def instructions(self) -> List[Instruction]:
+        """Build the instruction list: one shared object per non-memory
+        row, a fresh object per memory op (it carries its own address)."""
+        records = self.records
+        shared = [None if is_memory_op(op) else
+                  Instruction(pc=pc, op=op, dest=dest, srcs=srcs, taken=taken,
+                              target=target)
+                  for op, pc, dest, srcs, taken, target in records]
+        rows = self.rows.tolist()
+        out = [shared[row] for row in rows]
+        is_mem = np.array([inst is None for inst in shared], dtype=bool)
+        if len(rows) and is_mem.any():
+            mem = np.flatnonzero(is_mem[self.rows])
+            for i, addr in zip(mem.tolist(), self.addr[mem].tolist(),
+                               strict=True):
+                op, pc, dest, srcs, taken, target = records[rows[i]]
+                out[i] = Instruction(pc=pc, op=op, dest=dest, srcs=srcs,
+                                     taken=taken, target=target,
+                                     mem_addr=addr)
+        return out
+
+
+class TraceSink:
+    """Collects a trace as row ids and addresses while it is generated.
+
+    ``rows`` gets one row id per instruction (:meth:`intern` adds a row
+    per new record, by content) and ``addrs`` one address per *memory*
+    op.  The chunk emitters of :mod:`repro.trace.kernels` append to both
+    directly, with a memo per kernel (:meth:`memo`); ``Instruction``
+    lists (prologues, the scalar oracle) go through :meth:`extend`.
+    """
+
+    def __init__(self) -> None:
+        self.records: List[Record] = []
+        self._ids: Dict[Record, int] = {}
+        self._memos: Dict[object, dict] = {}
+        self.rows: List[int] = []
+        self.addrs: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def intern(self, op: OpClass, pc: int, dest: Optional[RegRef] = None,
+               srcs: Tuple[RegRef, ...] = (), taken: bool = False,
+               target: int = 0) -> int:
+        """The row id of this static record."""
+        record = (op, pc, dest, srcs, taken, target)
+        row = self._ids.get(record)
+        if row is None:
+            row = self._ids[record] = len(self.records)
+            self.records.append(record)
+        return row
+
+    def memo(self, kernel) -> dict:
+        """``kernel``'s chunk-emitter memo: its shape keys → row ids."""
+        return self._memos.setdefault(kernel, {})
+
+    def extend(self, instructions: Iterable[Instruction]) -> None:
+        """Append instruction records (prologues, the scalar oracle)."""
+        intern, rows, addrs = self.intern, self.rows, self.addrs
+        for inst in instructions:
+            rows.append(intern(inst.op, inst.pc, inst.dest, inst.srcs,
+                               inst.taken, inst.target))
+            if inst.is_mem:
+                addrs.append(inst.mem_addr)
+
+    def columns(self) -> TraceColumns:
+        """Freeze what was collected into :class:`TraceColumns`."""
+        rows = np.array(self.rows, dtype=np.int32)
+        is_mem = np.array([is_memory_op(record[0]) for record in self.records],
+                          dtype=bool)
+        addr = np.zeros(len(rows), dtype=np.int64)
+        if len(rows):
+            addr[is_mem[rows]] = self.addrs
+        return TraceColumns(self.records, rows, addr)
+
+
+class InstructionSequence(SequenceABC):
+    """A trace's instructions as a sequence.
+
+    ``len()`` reads the columns; indexing, iteration and comparison
+    materialise the trace's instruction list (once per trace).
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "Trace") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, index):
+        return self._trace.instruction_list()[index]
+
+    def __iter__(self) -> Iterator[Instruction]:
+        return iter(self._trace.instruction_list())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, InstructionSequence):
+            other = other._trace.instruction_list()
+        return self._trace.instruction_list() == other
+
+
 class Trace:
     """A dynamic instruction trace for one synthetic benchmark.
 
@@ -70,41 +297,88 @@ class Trace:
         (Section 2: "We consider only integer registers for integer
         programs and FP registers for FP programs").
     instructions:
-        The dynamic instruction sequence.
+        The dynamic instruction sequence (:class:`InstructionSequence`).
     seed:
         RNG seed used to generate the trace (for reproducibility).
+
+    Generated traces are built from ``columns``; hand-built ones from an
+    ``instructions`` list.  Both are treated as immutable.
     """
 
-    name: str
-    focus_class: RegClass
-    instructions: List[Instruction]
-    seed: int = 0
-    #: memoised :meth:`summary` result (traces are cached and shared
-    #: across whole sweeps).
-    _summary: object = field(default=None, repr=False, compare=False)
+    def __init__(self, name: str, focus_class: RegClass,
+                 instructions: Optional[Iterable[Instruction]] = None,
+                 seed: int = 0, *,
+                 columns: Optional[TraceColumns] = None) -> None:
+        if instructions is None and columns is None:
+            raise TypeError("a Trace needs instructions or columns")
+        self.name = name
+        self.focus_class = focus_class
+        self.seed = seed
+        self._instructions = (None if instructions is None
+                              else list(instructions))
+        self._columns = columns
+        #: memoised :meth:`summary` result (traces are cached and shared
+        #: across whole sweeps).
+        self._summary: Optional[TraceSummary] = None
+
+    def __repr__(self) -> str:
+        return (f"Trace(name={self.name!r}, focus_class={self.focus_class!r}, "
+                f"length={len(self)}, seed={self.seed})")
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        if self._columns is not None:
+            return len(self._columns)
+        return len(self._instructions)
 
     def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
+        return iter(self.instruction_list())
 
     def __getitem__(self, index: int) -> Instruction:
-        return self.instructions[index]
+        return self.instruction_list()[index]
+
+    @property
+    def instructions(self) -> InstructionSequence:
+        """The instructions; ``len()`` of it materialises nothing."""
+        return InstructionSequence(self)
+
+    def instruction_list(self) -> List[Instruction]:
+        """The instruction list, built from the columns on first use."""
+        if self._instructions is None:
+            self._instructions = self._columns.instructions()
+        return self._instructions
+
+    @property
+    def materialised(self) -> bool:
+        """True once the instruction list exists."""
+        return self._instructions is not None
+
+    @property
+    def has_columns(self) -> bool:
+        """True once the columns exist (always, for generated traces)."""
+        return self._columns is not None
+
+    @property
+    def columns(self) -> TraceColumns:
+        """The columnar storage, derived once from a hand-built list."""
+        if self._columns is None:
+            sink = TraceSink()
+            sink.extend(self._instructions)
+            self._columns = sink.columns()
+        return self._columns
 
     # ------------------------------------------------------------------
     def summary(self) -> TraceSummary:
         """Aggregate statistics used by calibration tests and reports.
 
-        Computed once per trace and memoised: the instruction list is
-        treated as immutable after construction.
+        Computed once per trace and memoised: the trace is treated as
+        immutable after construction.
         """
         if self._summary is None:
             self._summary = self._compute_summary()
         return self._summary
 
     def _compute_summary(self) -> TraceSummary:
-        instructions = self.instructions
+        instructions = self.instruction_list()
         n = len(instructions)
         if n == 0:
             return TraceSummary(
@@ -168,13 +442,16 @@ class Trace:
     # ------------------------------------------------------------------
     def truncated(self, max_instructions: int) -> "Trace":
         """Return a copy limited to the first ``max_instructions`` records."""
-        if max_instructions >= len(self.instructions):
+        if max_instructions >= len(self):
             return self
         return Trace(
             name=self.name,
             focus_class=self.focus_class,
-            instructions=self.instructions[:max_instructions],
+            instructions=(self._instructions[:max_instructions]
+                          if self._instructions is not None else None),
             seed=self.seed,
+            columns=(self._columns.truncated(max_instructions)
+                     if self._columns is not None else None),
         )
 
     @staticmethod

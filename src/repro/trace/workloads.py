@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.isa import Instruction, RegClass
+from repro.isa import RegClass
 from repro.trace.draws import (ReplayUnsupported, replay_supported,
                                vectorized_enabled)
 from repro.trace.kernels import (
@@ -45,7 +45,7 @@ from repro.trace.kernels import (
     StreamingFPKernel,
     _KernelBase,
 )
-from repro.trace.records import Trace
+from repro.trace.records import Trace, TraceSink
 
 #: Default trace length (dynamic instructions) used by the experiment
 #: harness when the caller does not override it.
@@ -236,10 +236,10 @@ def make_kernel(profile: BenchmarkProfile) -> _KernelBase:
     return factory(profile.params)
 
 
-def _emit_until(kernel, rng, out: List[Instruction], target: int,
+def _emit_until(kernel, rng, sink: TraceSink, target: int,
                 vectorized: bool,
                 chunk_iterations: Optional[int] = None) -> None:
-    """Append iterations of ``kernel`` to ``out`` until the first
+    """Append iterations of ``kernel`` to ``sink`` until the first
     iteration boundary at or after ``target`` instructions.
 
     The vectorised path sizes its chunks by the kernel's *maximum*
@@ -256,22 +256,21 @@ def _emit_until(kernel, rng, out: List[Instruction], target: int,
         except NotImplementedError:
             max_length = None
         while max_length is not None:
-            remaining = target - len(out)
+            remaining = target - len(sink)
             k = min(4096, remaining // max_length)
             if chunk_iterations is not None:
                 k = min(k, chunk_iterations)
             if k < 1:
                 break
             try:
-                chunk, _bounds = kernel.emit_chunk(rng, k)
+                kernel.emit_chunk(rng, k, sink)
             except ReplayUnsupported:
                 # Unsupported schedule (exotic span / bit generator); the
                 # emitters raise before consuming any state, so the
                 # scalar oracle continues seamlessly.
                 break
-            out.extend(chunk)
-    while len(out) < target:
-        out.extend(kernel.emit_iteration(rng))
+    while len(sink) < target:
+        sink.extend(kernel.emit_iteration(rng))
 
 
 def generate_trace(profile: BenchmarkProfile,
@@ -292,28 +291,23 @@ def generate_trace(profile: BenchmarkProfile,
     ``chunk_iterations`` pins the chunk size (testing hook).  ``rng``
     overrides the seed-derived generator — callers that need to inspect
     the bit-generator state after generation (the differential fuzzer's
-    generation oracle) pass their own and must construct it exactly as
-    the default below does.
+    generation oracle) pass their own from :func:`trace_rng`.
+
+    The kernels write the trace's columns directly (a
+    :class:`~repro.trace.records.TraceSink`); no ``Instruction`` object
+    survives generation.
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
     if rng is None:
-        # Derive a per-benchmark stream from a *stable* digest of the name
-        # (the built-in str hash is salted per interpreter run, which would
-        # make traces irreproducible across sessions).  The ten benchmark
-        # names are a fixed, collision-free set, so this legacy digest is
-        # kept to preserve the identity of every paper-artefact trace;
-        # scenarios (arbitrary user names) mix in a cryptographic digest
-        # instead — see :func:`_scenario_stream_seed`.
-        name_digest = sum((index + 1) * ord(char)
-                          for index, char in enumerate(profile.name))
-        rng = np.random.default_rng(seed + name_digest % (1 << 16))
+        rng = trace_rng(profile, seed)
     kernel = make_kernel(profile)
-    instructions: List[Instruction] = list(kernel.prologue(rng))
-    _emit_until(kernel, rng, instructions, n_instructions,
+    sink = TraceSink()
+    sink.extend(kernel.prologue(rng))
+    _emit_until(kernel, rng, sink, n_instructions,
                 vectorized_enabled(vectorized), chunk_iterations)
     return Trace(name=profile.name, focus_class=profile.focus_class,
-                 instructions=instructions, seed=seed)
+                 seed=seed, columns=sink.columns())
 
 
 # ======================================================================
@@ -789,6 +783,29 @@ def _scenario_stream_seed(name: str) -> int:
                           "big")
 
 
+def trace_rng(profile: Union[BenchmarkProfile, ScenarioProfile],
+              seed: int = 0) -> np.random.Generator:
+    """The generator the trace of ``(profile, seed)`` is drawn from.
+
+    :func:`generate_trace` and :func:`generate_scenario_trace` build it
+    when no ``rng`` is passed; callers that inspect the bit-generator
+    state after generation (the generation oracles) pass one from here.
+    """
+    if isinstance(profile, ScenarioProfile):
+        return np.random.default_rng(np.random.SeedSequence(
+            (seed, _scenario_stream_seed(profile.name))))
+    # Derive a per-benchmark stream from a *stable* digest of the name
+    # (the built-in str hash is salted per interpreter run, which would
+    # make traces irreproducible across sessions).  The ten benchmark
+    # names are a fixed, collision-free set, so this legacy digest is
+    # kept to preserve the identity of every paper-artefact trace;
+    # scenarios (arbitrary user names) mix in a cryptographic digest
+    # instead — see :func:`_scenario_stream_seed`.
+    name_digest = sum((index + 1) * ord(char)
+                      for index, char in enumerate(profile.name))
+    return np.random.default_rng(seed + name_digest % (1 << 16))
+
+
 def generate_scenario_trace(profile: ScenarioProfile,
                             n_instructions: int = DEFAULT_TRACE_LENGTH,
                             seed: int = 0,
@@ -810,25 +827,23 @@ def generate_scenario_trace(profile: ScenarioProfile,
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
     if rng is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((seed, _scenario_stream_seed(profile.name))))
+        rng = trace_rng(profile, seed)
     vectorized = vectorized_enabled(vectorized)
     kernels = [_KERNEL_FACTORIES[phase.kernel](phase.params)
                for phase in profile.phases]
     started = [False] * len(kernels)
-    instructions: List[Instruction] = []
+    sink = TraceSink()
     index = 0
-    while len(instructions) < n_instructions:
+    while len(sink) < n_instructions:
         kernel = kernels[index % len(kernels)]
         if not started[index % len(kernels)]:
-            instructions.extend(kernel.prologue(rng))
+            sink.extend(kernel.prologue(rng))
             started[index % len(kernels)] = True
-        target = min(len(instructions) + profile.phase_length, n_instructions)
-        _emit_until(kernel, rng, instructions, target,
-                    vectorized, chunk_iterations)
+        target = min(len(sink) + profile.phase_length, n_instructions)
+        _emit_until(kernel, rng, sink, target, vectorized, chunk_iterations)
         index += 1
     return Trace(name=profile.name, focus_class=profile.focus_class,
-                 instructions=instructions, seed=seed)
+                 seed=seed, columns=sink.columns())
 
 
 @lru_cache(maxsize=64)

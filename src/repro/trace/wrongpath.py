@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import List, Optional
 
 import numpy as np
@@ -50,12 +49,19 @@ class WrongPathMix:
         """Derive a mix from the correct-path trace's op counts.
 
         The fractions equal those of :meth:`Trace.summary` bit for bit,
-        without its def-use walk.
+        without its def-use walk: the ops are counted per row of the
+        trace's row table (``np.bincount`` over the row ids), so no
+        instruction is materialised.
         """
-        n = len(trace.instructions)
+        n = len(trace)
         if n == 0:
             return WrongPathMix(load=0.0, store=0.0, branch=0.0, fp=0.0)
-        counts = Counter(map(attrgetter("op"), trace.instructions))
+        columns = trace.columns
+        per_row = np.bincount(columns.rows, minlength=len(columns.records))
+        counts: Counter = Counter()
+        for (op, *_), count in zip(columns.records, per_row.tolist(),
+                                   strict=True):
+            counts[op] += count
         return WrongPathMix(
             load=(counts[OpClass.LOAD] + counts[OpClass.FP_LOAD]) / n,
             store=(counts[OpClass.STORE] + counts[OpClass.FP_STORE]) / n,

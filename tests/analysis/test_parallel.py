@@ -94,6 +94,57 @@ class TestSweepTelemetry:
         assert merged.export_cache_misses == 5
         assert merged.compiled_fallback_reason == "toolchain broken"
 
+    def test_concurrent_threads_count_their_own_exports(self, monkeypatch):
+        # Two threads run points at once, in lockstep: a barrier after
+        # every point keeps both sweeps in flight until both are done.
+        # One exports a measured and a warm-up trace per point, the other
+        # only the measured trace; process-wide deltas would mix them.
+        import dataclasses
+        import threading
+
+        from repro.analysis import sweep as sweep_mod
+        from repro.engine import accel
+
+        base = dataclasses.replace(FAST, engine="compiled")
+        if accel.resolve_engine_backend(base) != "compiled":
+            pytest.skip("no C toolchain for the compiled engine backend")
+        barrier = threading.Barrier(2, timeout=60)
+        real_point = sweep_mod.run_simulation_point
+
+        def point_then_wait(sweep_config, point):
+            stats = real_point(sweep_config, point)
+            barrier.wait()
+            return stats
+        monkeypatch.setattr(sweep_mod, "run_simulation_point",
+                            point_then_wait)
+
+        configs = {
+            "warm": SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
+                                register_sizes=(48,), trace_length=400,
+                                base_config=dataclasses.replace(base,
+                                                                warmup=True)),
+            "cold": SweepConfig(benchmarks=("gcc",), policies=("conv", "basic"),
+                                register_sizes=(48,), trace_length=400,
+                                base_config=base),
+        }
+        telemetry = {}
+
+        def sweep(name):
+            config = configs[name]
+            telemetry[name] = sweep_mod.run_points(
+                config, config.points(), lambda point, stats: None)
+        threads = [threading.Thread(target=sweep, args=(name,))
+                   for name in configs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert telemetry["warm"]["export_cache_hits"] == 4
+        assert telemetry["cold"]["export_cache_hits"] == 2
+        for name in configs:
+            assert telemetry[name]["export_cache_misses"] == 0
+            assert telemetry[name]["backend"] == "compiled"
+
     def test_fallback_warning_emitted_once_per_sweep(self, monkeypatch, caplog):
         # Six points on a broken toolchain: without deduplication every
         # simulation (or every pool worker) would log the same warning;

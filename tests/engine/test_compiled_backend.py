@@ -376,6 +376,30 @@ class TestFallbackContract:
         finally:
             accel.reset_backend_cache()
 
+    def test_warning_suppression_is_per_thread(self, caplog):
+        # A sweep on another thread withholding its warnings must not
+        # silence this thread, nor leave the suppression behind.
+        import threading
+
+        inside, release = threading.Event(), threading.Event()
+
+        def sweep():
+            with accel.suppressed_backend_warnings():
+                inside.set()
+                release.wait(timeout=60)
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        try:
+            assert inside.wait(timeout=60)
+            with caplog.at_level(logging.WARNING, logger="repro.engine.accel"):
+                accel._warn_fallback("probe failed on this thread")
+        finally:
+            release.set()
+            thread.join()
+            accel.reset_backend_cache()
+        assert [record.getMessage() for record in caplog.records] == \
+            ["probe failed on this thread"]
+
     @needs_compiled
     def test_toolchain_error_under_auto_falls_back_once(self, monkeypatch,
                                                         caplog):

@@ -53,6 +53,41 @@ class TestCLI:
                              if not line.startswith("figure10")]
         assert strip(first) == strip(second)
 
+    def test_header_names_backend_and_point_counts(self, capsys, tmp_path):
+        from repro.engine import accel
+        from repro.pipeline.config import ProcessorConfig
+
+        args = ["figure3", "--trace-length", "600", "--serial",
+                "--cache-dir", str(tmp_path)]
+
+        def header():
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("figure3 ")][0]
+        assert main(args) == 0
+        backend = accel.resolve_engine_backend(ProcessorConfig())
+        # Figure 3: ten benchmarks under conv at one size.
+        assert header().endswith(f"[{backend}: 10 simulated, 0 cached]")
+        # Re-run: every point comes from the result cache.
+        assert main(args) == 0
+        assert header().endswith("[cached: 0 simulated, 10 cached]")
+
+    def test_table4_provenance_comes_from_its_figure11_sweep(self):
+        from types import SimpleNamespace
+
+        from repro.analysis.sweep import SweepConfig, SweepResult
+        from repro.experiments.runner import provenance
+
+        sweep = SweepResult(SweepConfig(benchmarks=("swim",)), {},
+                            simulated=3, cached=5, backend="mixed")
+        table4 = SimpleNamespace(figure11=SimpleNamespace(sweep=sweep))
+        assert provenance(table4) == "[mixed: 3 simulated, 5 cached]"
+
+    def test_analytical_header_has_no_provenance(self, capsys):
+        assert main(["table1"]) == 0
+        header = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("table1 ")][0]
+        assert "[" not in header
+
     def test_all_expands(self, capsys):
         # Only check argument handling (run with an unknown flag combination
         # would be slow); 'all' with a tiny trace length is exercised by the

@@ -21,6 +21,8 @@ from repro.serve.service import (
     parse_sweep_request,
     valid_cache_key,
 )
+from repro.trace.records import TRACE_COLUMN_NAMES
+from repro.trace.workloads import get_workload
 
 TINY = {"benchmark": "gcc", "policy": "conv", "num_registers": 48,
         "trace_length": 300, "seed": 1}
@@ -302,9 +304,14 @@ class TestArtefactEndpoint:
         assert status == 200
         payload = json.loads(body)
         assert payload["workload"] == "gcc"
-        assert payload["columns"]
-        for column in payload["columns"].values():
-            assert column["nbytes"] > 0
+        assert set(payload) == {"workload", "workload_digest", "trace_length",
+                                "seed", "columns", "export_cache"}
+        assert set(payload["columns"]) == set(TRACE_COLUMN_NAMES)
+        n = len(get_workload("gcc", 300))
+        for name, column in payload["columns"].items():
+            width = 3 if name.startswith("src_") else 1
+            assert column == {"shape": [width * n], "dtype": "int64",
+                              "nbytes": 8 * width * n}
 
     def test_unknown_workload_is_400(self, service):
         status, _, _ = run(service.artefact({"workload": "quake3"}))

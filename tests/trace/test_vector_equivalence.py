@@ -2,36 +2,46 @@
 
 The draw-order contract (``docs/workloads.md``) promises that the chunked
 bulk-draw emitters and the wrong-path generator's bulk refill produce
-**field-for-field identical** instruction streams to the scalar oracle
-path, for every kernel family, seed and chunk size.  Hypothesis drives
-those axes; a deterministic end-to-end check pins the resulting
-``SimStats`` equality.
+**field-for-field identical** output to the scalar oracle path, for
+every kernel family, seed and chunk size.  For traces that means all ten
+columns the compiled core reads and the final bit-generator state;
+Hypothesis drives those axes.  A deterministic end-to-end check pins the
+resulting ``SimStats`` equality, and one test checks the materialised
+``Instruction`` objects against the oracle's own.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.trace.kernels import KernelParams
 from repro.trace.workloads import (SCENARIOS, WORKLOADS,
                                    generate_scenario_trace, generate_trace,
-                                   get_profile)
+                                   get_profile, make_kernel, trace_rng)
 from repro.trace.wrongpath import WrongPathGenerator, WrongPathMix
 
 ALL_BENCHMARKS = sorted(WORKLOADS)
 ALL_SCENARIOS = sorted(SCENARIOS)
 
 
-def assert_streams_equal(reference, candidate, label):
+def assert_traces_equal(generate, profile, length, seed, chunk, label):
+    """Scalar oracle vs vectorised: ten columns and the bit generator."""
     __tracebackhide__ = True
-    assert len(reference) == len(candidate), (
-        f"{label}: stream lengths differ "
-        f"({len(reference)} scalar vs {len(candidate)} vectorised)")
-    for position, (want, got) in enumerate(
-            zip(reference.instructions, candidate.instructions,
-                strict=True)):
-        assert want == got, (
-            f"{label}: first divergence at instruction {position}:\n"
-            f"  scalar:     {want}\n  vectorised: {got}")
+    rng_scalar = trace_rng(profile, seed)
+    scalar = generate(profile, length, seed=seed, vectorized=False,
+                      rng=rng_scalar)
+    rng_vector = trace_rng(profile, seed)
+    vectorised = generate(profile, length, seed=seed, vectorized=True,
+                          chunk_iterations=chunk, rng=rng_vector)
+    difference = vectorised.columns.first_difference(scalar.columns)
+    if difference is not None:
+        name, position = difference
+        pytest.fail(f"{label}: column {name!r} diverges at instruction "
+                    f"{position}:\n"
+                    f"  scalar:     {scalar.instructions[position]}\n"
+                    f"  vectorised: {vectorised.instructions[position]}")
+    assert rng_vector.bit_generator.state == rng_scalar.bit_generator.state, (
+        f"{label}: bit-generator state diverges after generation")
 
 
 @settings(max_examples=30, deadline=None)
@@ -42,12 +52,8 @@ def assert_streams_equal(reference, candidate, label):
     chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
 )
 def test_benchmark_generators_match_scalar_oracle(name, seed, length, chunk):
-    profile = get_profile(name)
-    scalar = generate_trace(profile, length, seed=seed, vectorized=False)
-    vectorised = generate_trace(profile, length, seed=seed, vectorized=True,
-                                chunk_iterations=chunk)
-    assert_streams_equal(scalar, vectorised,
-                         f"{name} seed={seed} n={length} chunk={chunk}")
+    assert_traces_equal(generate_trace, get_profile(name), length, seed,
+                        chunk, f"{name} seed={seed} n={length} chunk={chunk}")
 
 
 @settings(max_examples=15, deadline=None)
@@ -58,14 +64,40 @@ def test_benchmark_generators_match_scalar_oracle(name, seed, length, chunk):
     chunk=st.one_of(st.none(), st.integers(min_value=1, max_value=32)),
 )
 def test_scenario_generators_match_scalar_oracle(name, seed, length, chunk):
-    profile = SCENARIOS[name]
-    scalar = generate_scenario_trace(profile, length, seed=seed,
-                                     vectorized=False)
-    vectorised = generate_scenario_trace(profile, length, seed=seed,
-                                         vectorized=True,
-                                         chunk_iterations=chunk)
-    assert_streams_equal(scalar, vectorised,
-                         f"scenario {name} seed={seed} n={length} chunk={chunk}")
+    assert_traces_equal(generate_scenario_trace, SCENARIOS[name], length,
+                        seed, chunk,
+                        f"scenario {name} seed={seed} n={length} chunk={chunk}")
+
+
+@pytest.mark.parametrize("kernel", ["streaming", "stencil",
+                                    "int_compute", "branchy",
+                                    "pointer_chase"])
+def test_two_register_windows_match_the_oracle(kernel):
+    """The chunk emitters read registers from the rotation cursor, the
+    oracle from the rotation's pruned history: they agree even when a
+    five-back read exceeds twice the window."""
+    from repro.trace.workloads import ScenarioPhase, ScenarioProfile
+
+    profile = ScenarioProfile(
+        name=f"tiny_{kernel}", suite="int", phase_length=400,
+        phases=(ScenarioPhase(kernel, KernelParams(int_window=2,
+                                                   fp_window=2)),))
+    assert_traces_equal(generate_scenario_trace, profile, 1_200, 1, None,
+                        f"{kernel} with two-register windows")
+
+
+@pytest.mark.parametrize("name", ALL_BENCHMARKS)
+def test_materialised_instructions_equal_the_oracles(name):
+    """The instructions a trace materialises from its columns are the
+    very records the scalar ``emit_iteration`` oracle returns."""
+    profile = get_profile(name)
+    trace = generate_trace(profile, 1_500, seed=3)
+    kernel = make_kernel(profile)
+    rng = trace_rng(profile, 3)
+    oracle = list(kernel.prologue(rng))
+    while len(oracle) < 1_500:
+        oracle.extend(kernel.emit_iteration(rng))
+    assert list(trace.instructions) == oracle
 
 
 @settings(max_examples=25, deadline=None)
