@@ -9,7 +9,10 @@ asserts the service's core contract:
   duplicates can never observe different payloads;
 * the server performed **exactly one** computation — the duplicates
   were deduplicated in flight (single-flight), not each simulated;
-* a follow-up request is served from the cache, still byte-identical.
+* a follow-up request is served from the cache, still byte-identical;
+* with ``--expect-backend``, the computing response names that engine
+  in ``X-Repro-Backend`` (``compiled`` proves the C core really ran,
+  not its silent Python fallback).
 
 The server's stdout/stderr goes to ``--log`` and the final ``/metrics``
 snapshot to ``--metrics-out`` — CI uploads both as artifacts, so a red
@@ -65,6 +68,10 @@ def main(argv=None) -> int:
                         help="server stdout/stderr (CI artifact)")
     parser.add_argument("--metrics-out", default="serve-metrics.json",
                         help="final /metrics snapshot (CI artifact)")
+    parser.add_argument("--expect-backend", choices=("compiled", "python"),
+                        default=None,
+                        help="engine the computing response must name in "
+                             "X-Repro-Backend (default: not checked)")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -116,6 +123,14 @@ def main(argv=None) -> int:
             print(f"served_from: {origins}")
             if origins.count("computed") > 1:
                 failures.append(f"more than one leader computed: {origins}")
+            backends = [response.backend for response in responses
+                        if response.served_from == "computed"]
+            print(f"computing backend: {backends}")
+            if args.expect_backend is not None \
+                    and backends != [args.expect_backend]:
+                failures.append(f"expected the computing response to name "
+                                f"backend {args.expect_backend!r}, got "
+                                f"{backends}")
 
             metrics = client.metrics()
             computations = metrics["counters"].get("sweep_computations", 0)

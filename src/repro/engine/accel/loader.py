@@ -1,4 +1,4 @@
-"""Build & load the compiled simulation core (cffi ABI mode).
+"""Build & load the compiled simulation core (cffi out-of-line ABI mode).
 
 The container the simulator targets ships no ahead-of-time Python
 compiler (no numba, no Cython, no mypyc), but it does ship a system C
@@ -8,10 +8,15 @@ shared library with the system compiler and talks to it through cffi's
 ABI mode (``ffi.dlopen``), which needs no ``Python.h`` and no build-time
 extension machinery.
 
-Build products are cached by content digest in
-``$REPRO_ACCEL_CACHE`` (default ``~/.cache/repro/accel``); a source or
-compiler change produces a new file name, so stale binaries can never be
-loaded.  ``$REPRO_ACCEL_CC`` overrides the compiler invocation (the
+cffi parses the CDEF block of ``core.c`` once per build, into a
+generated module beside the library (cffi's *out-of-line* ABI mode);
+later processes import that module, which needs only ``_cffi_backend``,
+not ``cffi``'s C parser.  Both products are cached by content digest in
+``$REPRO_ACCEL_CACHE`` (default ``~/.cache/repro/accel``) as
+``repro_core_<digest>.so`` and ``_repro_core_<digest>_abi.py``; a
+source, compiler or cffi change produces new file names, so stale
+products can never be loaded, and a missing one is rebuilt.
+``$REPRO_ACCEL_CC`` overrides the compiler invocation (the
 toolchain-failure tests point it at a nonexistent binary) and
 ``$REPRO_ACCEL_CFLAGS`` appends extra flags after the defaults (the
 sanitizer CI job builds with ``-O1 -fsanitize=address,undefined``).
@@ -24,13 +29,15 @@ fallback to the pure-Python engine.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib.util
 import os
 import shlex
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 __all__ = ["ToolchainError", "load_core", "reset_loader_cache",
            "CFG", "SC", "F", "A", "ST", "RF", "NCFG", "ST_N", "RQ_LEVELS_MAX",
@@ -186,34 +193,60 @@ def _extra_cflags() -> Tuple[str, ...]:
     return tuple(shlex.split(os.environ.get(CFLAGS_ENV, "")))
 
 
+@contextlib.contextmanager
+def _replacing(out_path: Path, suffix: str) -> Iterator[str]:
+    """Yield a temp file name beside ``out_path``; move that file into
+    place if the block succeeds, so no reader sees a partial product."""
+    tmp_name = None
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=out_path.parent, suffix=suffix)
+        os.close(fd)
+        yield tmp_name
+        os.replace(tmp_name, out_path)
+    except OSError as exc:
+        raise ToolchainError(f"cannot write {out_path}: {exc}") from exc
+    finally:
+        if tmp_name is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+
+
 def _compile(source_path: Path, out_path: Path, cc: Tuple[str, ...],
              extra_flags: Tuple[str, ...] = ()) -> None:
-    """Compile ``core.c`` into ``out_path`` (atomic via tmp + rename)."""
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=out_path.parent, suffix=".so.tmp")
-    os.close(fd)
-    command = list(cc) + ["-O2", "-shared", "-fPIC", *extra_flags,
-                          "-o", tmp_name, str(source_path)]
-    try:
-        proc = subprocess.run(command, capture_output=True, text=True,
-                              timeout=300)
-    except (OSError, subprocess.SubprocessError) as exc:
-        _unlink_quiet(tmp_name)
-        raise ToolchainError(f"cannot run compiler {cc[0]!r}: {exc}") from exc
-    if proc.returncode != 0:
-        _unlink_quiet(tmp_name)
-        tail = (proc.stderr or proc.stdout or "").strip()[-1000:]
-        raise ToolchainError(
-            f"compiling the accelerated core failed ({cc[0]}, "
-            f"exit {proc.returncode}):\n{tail}")
-    os.replace(tmp_name, out_path)
+    """Compile ``core.c`` into ``out_path``."""
+    with _replacing(out_path, ".so.tmp") as tmp_name:
+        command = list(cc) + ["-O2", "-shared", "-fPIC", *extra_flags,
+                              "-o", tmp_name, str(source_path)]
+        try:
+            proc = subprocess.run(command, capture_output=True, text=True,
+                                  timeout=300)
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise ToolchainError(
+                f"cannot run compiler {cc[0]!r}: {exc}") from exc
+        if proc.returncode != 0:
+            tail = (proc.stderr or proc.stdout or "").strip()[-1000:]
+            raise ToolchainError(
+                f"compiling the accelerated core failed ({cc[0]}, "
+                f"exit {proc.returncode}):\n{tail}")
 
 
-def _unlink_quiet(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
+def _write_abi_module(source: str, out_path: Path) -> None:
+    """Parse the CDEF block into cffi's out-of-line ABI module, silently
+    (cffi's verbose mode would print ahead of a server's banner)."""
+    block = _cdef_block(source)
+    with _replacing(out_path, ".py.tmp") as tmp_name:
+        try:
+            import cffi
+            from cffi import recompiler
+
+            ffi = cffi.FFI()
+            ffi.cdef(block)
+            with open(tmp_name, "w") as handle:
+                recompiler.make_py_source(ffi, out_path.stem, handle,
+                                          verbose=False)
+        except Exception as exc:  # ImportError, pycparser and cffi errors
+            raise ToolchainError(f"cannot generate {out_path}: {exc}") from exc
 
 
 #: per-process cache: (ffi, lib) once loaded, or the ToolchainError that
@@ -250,7 +283,7 @@ def load_core() -> Tuple[object, object]:
 
 def _load_core_uncached() -> Tuple[object, object]:
     try:
-        import cffi
+        import _cffi_backend
     except ImportError as exc:  # pragma: no cover - cffi is baked in here
         raise ToolchainError(f"cffi is not installed: {exc}") from exc
 
@@ -265,14 +298,20 @@ def _load_core_uncached() -> Tuple[object, object]:
     digest.update(source.encode())
     digest.update(repr(cc).encode())
     digest.update(repr(extra_flags).encode())
-    digest.update(getattr(cffi, "__version__", "?").encode())
-    so_path = build_cache_dir() / f"repro_core_{digest.hexdigest()[:16]}.so"
+    digest.update(getattr(_cffi_backend, "__version__", "?").encode())
+    stem = f"repro_core_{digest.hexdigest()[:16]}"
+    so_path = build_cache_dir() / f"{stem}.so"
+    abi_path = so_path.with_name(f"_{stem}_abi.py")
     if not so_path.exists():
         _compile(_SOURCE_PATH, so_path, cc, extra_flags)
+    if not abi_path.exists():
+        _write_abi_module(source, abi_path)
 
-    ffi = cffi.FFI()
     try:
-        ffi.cdef(_cdef_block(source))
+        spec = importlib.util.spec_from_file_location(abi_path.stem, abi_path)
+        abi_module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(abi_module)
+        ffi = abi_module.ffi
         lib = ffi.dlopen(str(so_path))
     except Exception as exc:  # cffi raises several exception families here
         raise ToolchainError(f"cannot load {so_path}: {exc}") from exc

@@ -5,12 +5,12 @@ machinery into a long-lived query service.  A stdlib-only asyncio HTTP
 server (:mod:`repro.serve.http`) answers *sweep-point* and
 *export-artefact* queries from the shared content-addressed store
 (:class:`repro.analysis.cache.SweepCache` over any
-:class:`repro.analysis.backends.CacheBackend`), computes misses through
-the existing :class:`repro.analysis.parallel.ParallelSweepRunner`
-sharding, dedupes concurrent identical requests in flight
-(:mod:`repro.serve.service`), and exposes hit/miss/in-flight counters
-plus latency percentiles on ``/metrics``
-(:mod:`repro.serve.metrics`).
+:class:`repro.analysis.backends.CacheBackend`), simulates each miss's
+one point in place on a compute thread (the single-point path of
+``run_sweep``; a request never shards over a process pool), dedupes
+concurrent identical requests in flight (:mod:`repro.serve.service`),
+and exposes hit/miss/in-flight counters plus latency percentiles on
+``/metrics`` (:mod:`repro.serve.metrics`).
 
 Entry points: the ``repro-serve`` console script / ``python -m
 repro.serve`` (:mod:`repro.serve.cli`), the blocking

@@ -38,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--compute-threads", type=int, default=1,
                         help="concurrent cache-miss computations "
                              "(default: 1 — misses queue behind each other)")
-    parser.add_argument("--max-workers", type=int, default=1,
-                        help="sweep-runner processes per computation "
-                             "(default: 1, in-process)")
     return parser
 
 
@@ -55,8 +52,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     backend = resolve_backend(args.cache_backend, cache_dir=args.cache_dir)
     cache = SweepCache(backend=backend)
     service = SweepService(cache=cache,
-                           compute_threads=args.compute_threads,
-                           max_workers=args.max_workers)
+                           compute_threads=args.compute_threads)
     server = HTTPServer(service, host=args.host, port=args.port)
 
     async def _serve() -> None:

@@ -12,19 +12,22 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from typing import Optional, Tuple
+from typing import Optional
 
 __all__ = ["ServeClient", "ServeResponse"]
 
 
 class ServeResponse:
-    """One HTTP exchange: status, body bytes, selected headers."""
+    """One HTTP exchange: status, body bytes, selected headers
+    (``X-Repro-Served-From`` and ``X-Repro-Backend``)."""
 
     def __init__(self, status: int, body: bytes,
-                 served_from: Optional[str] = None) -> None:
+                 served_from: Optional[str] = None,
+                 backend: Optional[str] = None) -> None:
         self.status = status
         self.body = body
         self.served_from = served_from
+        self.backend = backend
 
     def json(self) -> dict:
         return json.loads(self.body.decode("utf-8"))
@@ -52,11 +55,13 @@ class ServeClient:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 return ServeResponse(resp.status, resp.read(),
-                                     resp.headers.get("X-Repro-Served-From"))
+                                     resp.headers.get("X-Repro-Served-From"),
+                                     resp.headers.get("X-Repro-Backend"))
         except urllib.error.HTTPError as exc:
             # An HTTP-level error is still an answer; read it out.
             return ServeResponse(exc.code, exc.read(),
-                                 exc.headers.get("X-Repro-Served-From"))
+                                 exc.headers.get("X-Repro-Served-From"),
+                                 exc.headers.get("X-Repro-Backend"))
 
     # ------------------------------------------------------------------
     def healthz(self) -> ServeResponse:
@@ -103,10 +108,3 @@ class ServeClient:
         return self._request("POST", "/v1/artefact",
                              json.dumps(payload).encode("utf-8"))
 
-
-def parse_hostport(value: str, default_port: int = 8713) -> Tuple[str, int]:
-    """``"host:port"`` / ``"host"`` / ``":port"`` -> ``(host, port)``."""
-    host, _, port = value.rpartition(":")
-    if not host:
-        return (port or "127.0.0.1", default_port)
-    return host, int(port)

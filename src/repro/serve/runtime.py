@@ -36,11 +36,10 @@ class BackgroundServer:
     def __init__(self, cache: Optional[SweepCache] = None,
                  service: Optional[SweepService] = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 compute_threads: int = 1, max_workers: int = 1) -> None:
+                 compute_threads: int = 1) -> None:
         if service is None:
             service = SweepService(cache=cache,
-                                   compute_threads=compute_threads,
-                                   max_workers=max_workers)
+                                   compute_threads=compute_threads)
         self.service = service
         self.server = HTTPServer(service, host=host, port=port)
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -3,12 +3,13 @@
 :class:`SweepService` is the transport-independent core of
 ``repro-serve``.  It answers *sweep-point* queries from the shared
 result store (:class:`~repro.analysis.cache.SweepCache` over any
-backend), computes misses through the existing
-:class:`~repro.analysis.parallel.ParallelSweepRunner` sharding, and
-dedupes concurrent identical requests **in flight**: requests are keyed
-by the exact content-addressed point key, the first requester computes,
-and every concurrent duplicate awaits the same future and receives the
-*same response bytes* — N identical misses cost exactly one simulation.
+backend), simulates each miss in place on a compute thread (through
+:func:`~repro.analysis.sweep.run_points`, as ``run_sweep`` does for a
+single missing point), and dedupes concurrent identical requests **in
+flight**: requests are keyed by the exact content-addressed point key,
+the first requester computes, and every concurrent duplicate awaits the
+same future and receives the *same response bytes* — N identical misses
+cost exactly one simulation.
 
 Contract with clients:
 
@@ -28,12 +29,14 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.cache import SweepCache, point_key
-from repro.analysis.sweep import SweepConfig, SweepPoint
+from repro.analysis.sweep import (SweepConfig, SweepPoint,
+                                  _attach_scenario_profiles, run_points)
 from repro.pipeline.config import ProcessorConfig
 
 __all__ = ["SweepService", "RequestError", "KEY_HEX_LENGTH"]
@@ -156,19 +159,16 @@ class SweepService:
 
     ``compute_threads`` sizes the executor that runs simulations (1 — the
     default — serialises computation: predictable latency, the mode the
-    load probe and the smoke test pin); ``max_workers`` is forwarded to
-    each computation's :class:`ParallelSweepRunner` for multi-point
-    sharding within one request's sweep.
+    load probe and the smoke test pin).  A request names one point, so a
+    miss never shards: it simulates in place on its compute thread.
     """
 
     def __init__(self, cache: Optional[SweepCache] = None,
-                 compute_threads: int = 1,
-                 max_workers: int = 1) -> None:
+                 compute_threads: int = 1) -> None:
         from repro.serve.metrics import ServiceMetrics
 
         self.cache = cache if cache is not None else SweepCache()
         self.metrics = ServiceMetrics()
-        self.max_workers = max(1, max_workers)
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, compute_threads),
             thread_name_prefix="repro-serve-compute")
@@ -247,15 +247,15 @@ class SweepService:
             self.metrics.increment("sweep_cache_misses")
             self.metrics.increment("sweep_computations")
             served_from = "computed"
-            from repro.analysis.parallel import ParallelSweepRunner
-            from repro.analysis.sweep import _attach_scenario_profiles
-
             sweep_config = _attach_scenario_profiles(sweep_config)
-            runner = ParallelSweepRunner(max_workers=self.max_workers)
-            results = runner.run(sweep_config, [point])
+            results = {}
+            telemetry = run_points(sweep_config, [point], results.__setitem__)
+            # Reclaim the point's engine-state reference cycles while they
+            # are young; a full collection would walk the whole heap.
+            gc.collect(1)
             stats = results[point]
-            headers["X-Repro-Backend"] = runner.telemetry["backend"]
-            fallback = runner.telemetry["fallback_reason"]
+            headers["X-Repro-Backend"] = telemetry["backend"]
+            fallback = telemetry["fallback_reason"]
             if fallback is not None:
                 # One printable latin-1 line, as a header value must be.
                 headers["X-Repro-Compiled-Fallback"] = " ".join(

@@ -189,6 +189,28 @@ class TestSweepPointSingleFlight:
         assert default_headers["X-Repro-Backend"] == \
             accel.resolve_engine_backend(config.base_config)
 
+    def test_miss_simulates_without_full_collection(self, service,
+                                                     monkeypatch):
+        # A served miss simulates its one point in place: no full-heap
+        # collection and no heap freeze per request (the sweep runner's
+        # once-per-sweep preparation is not a per-point cost).
+        import gc
+
+        calls = []
+        real_collect = gc.collect
+
+        def collect(generation=2):
+            calls.append(("collect", generation))
+            return real_collect(generation)
+
+        monkeypatch.setattr(gc, "collect", collect)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(("freeze",)))
+        _, headers, _ = run(service.sweep_point(dict(TINY)))
+        assert headers["X-Repro-Served-From"] == "computed"
+        assert ("freeze",) not in calls
+        assert [call for call in calls if call[0] == "collect"
+                and call[1] >= 2] == []
+
     def test_toolchain_fallback_keeps_bodies_identical(self, service,
                                                        monkeypatch):
         # The fallback reason is per-process, not part of the result: it
@@ -316,6 +338,18 @@ class TestArtefactEndpoint:
     def test_unknown_workload_is_400(self, service):
         status, _, _ = run(service.artefact({"workload": "quake3"}))
         assert status == 400
+
+
+class TestCommandLine:
+    def test_max_workers_is_rejected(self, capsys):
+        # A request names one point and never shards: the per-computation
+        # process-pool width is gone, and a stale flag must fail loudly.
+        from repro.serve.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--max-workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--max-workers" in capsys.readouterr().err
 
 
 class TestMetricsSnapshot:
