@@ -10,9 +10,10 @@ asserts the service's core contract:
 * the server performed **exactly one** computation — the duplicates
   were deduplicated in flight (single-flight), not each simulated;
 * a follow-up request is served from the cache, still byte-identical;
-* with ``--expect-backend``, the computing response names that engine
-  in ``X-Repro-Backend`` (``compiled`` proves the C core really ran,
-  not its silent Python fallback).
+* with ``--expect-backend``, ``/healthz`` names that engine before the
+  first request (the server probed it at start-up), and the computing
+  response names it in ``X-Repro-Backend`` (``compiled`` proves the C
+  core really ran, not its silent Python fallback).
 
 The server's stdout/stderr goes to ``--log`` and the final ``/metrics``
 snapshot to ``--metrics-out`` — CI uploads both as artifacts, so a red
@@ -96,6 +97,13 @@ def main(argv=None) -> int:
             client = ServeClient(url, timeout=300.0)
             health = client.healthz().json()
             print(f"healthz: {health}")
+            if args.expect_backend is not None \
+                    and health.get("engine") != args.expect_backend:
+                failures.append(
+                    f"/healthz reports engine {health.get('engine')!r} "
+                    f"before the first request, expected "
+                    f"{args.expect_backend!r} (compiled fallback: "
+                    f"{health.get('compiled_fallback_reason')})")
 
             # ---- N concurrent identical misses ------------------------
             responses = [None] * args.requests

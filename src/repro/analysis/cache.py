@@ -80,6 +80,15 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "sweeps"
 
 
+#: Exact types ``_canonical`` returns unchanged (subclasses such as
+#: ``IntEnum`` members take the generic path).
+_SCALAR_TYPES = frozenset({int, float, str, bool, type(None)})
+
+#: type -> its dataclass field names, sorted, or False for a type that
+#: is no dataclass: each type is inspected once per process.
+_FIELD_NAMES: Dict[type, Union[bool, Tuple[str, ...]]] = {}
+
+
 def _canonical(value) -> object:
     """Recursively convert ``value`` into a deterministic representation.
 
@@ -87,11 +96,17 @@ def _canonical(value) -> object:
     sorted by stringified key, enums collapse to their names — so the
     digest is stable across processes and insertion orders.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return ("dataclass", type(value).__name__,
-                tuple((f.name, _canonical(getattr(value, f.name)))
-                      for f in sorted(dataclasses.fields(value),
-                                      key=lambda f: f.name)))
+    cls = type(value)
+    if cls in _SCALAR_TYPES:
+        return value
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = dataclasses.is_dataclass(cls) and tuple(
+            sorted(f.name for f in dataclasses.fields(cls)))
+    if names is not False:
+        return ("dataclass", cls.__name__,
+                tuple((name, _canonical(getattr(value, name)))
+                      for name in names))
     if isinstance(value, dict):
         return ("dict", tuple(sorted(((str(k), _canonical(v))
                                       for k, v in value.items()))))
@@ -103,7 +118,7 @@ def _canonical(value) -> object:
     if isinstance(value, (list, tuple)):
         return ("seq", tuple(_canonical(v) for v in value))
     if hasattr(value, "name") and hasattr(value, "value"):  # enums
-        return ("enum", type(value).__name__, value.name)
+        return ("enum", cls.__name__, value.name)
     return value
 
 
@@ -147,13 +162,22 @@ def point_key(sweep_config: "SweepConfig", point: "SweepPoint") -> str:
     from repro.trace.workloads import workload_digest
 
     config = sweep_config.config_for(point)
+    # The config digest is a pure function of the (frozen) sweep config
+    # and the point, so it is memoised on the instance: a request's get
+    # and put, or a sweep's, derive it once.  The other ingredients read
+    # process state ($REPRO_ENGINE, the scenario registry, the source
+    # tree) and are derived on every call.
+    digests = vars(sweep_config).setdefault("_config_digests", {})
+    digest = digests.get(point)
+    if digest is None:
+        digest = digests[point] = config_digest(config)
     payload = repr((
         "repro-sweep-point", CACHE_SCHEMA_VERSION, code_digest(),
         point.benchmark,
         workload_digest(point.benchmark,
                         getattr(sweep_config, "scenario_profiles", ())),
         sweep_config.trace_length, sweep_config.seed,
-        config_digest(config),
+        digest,
         requested_backend(config),
     )).encode()
     return hashlib.sha256(payload).hexdigest()

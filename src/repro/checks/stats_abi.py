@@ -27,7 +27,9 @@ This checker parses all four (C with a small enum parser, Python with
 * the same two directions for RegisterFileStats vs
   ``_register_file_stats``;
 * a per-process self-check (``accel/__init__._self_check``) that no
-  longer compares the *full* ``dataclasses.asdict`` of both runs.
+  longer compares the *full* ``dataclasses.asdict`` of both runs, or no
+  longer calls ``run_compiled`` (its Python reference may be memoised,
+  the compiled runs never).
 """
 
 from __future__ import annotations
@@ -292,19 +294,30 @@ class StatsABIChecker(Checker):
 
     # ------------------------------------------------------------------
     def _check_self_check(self, accel_tree: ast.AST) -> List[Finding]:
-        """The per-process divergence gate must compare full asdict()s."""
+        """The per-process divergence gate must run the compiled core and
+        compare full asdict()s."""
         fn = _function(accel_tree, "_self_check")
         if fn is None:
             return [Finding(
                 self.rule, ACCEL_INIT_PY.as_posix(), 0,
                 "accel/__init__.py no longer defines _self_check — the "
                 "per-process compiled-vs-Python divergence gate is gone")]
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Attribute) and node.attr == "asdict":
-                return []
-            if isinstance(node, ast.Name) and node.id == "asdict":
-                return []
-        return [Finding(
-            self.rule, ACCEL_INIT_PY.as_posix(), fn.lineno,
-            "_self_check no longer compares dataclasses.asdict() of both "
-            "runs — a partial comparison list can hide stats drift")]
+        nodes = list(ast.walk(fn))
+        names = {getattr(node, "attr", getattr(node, "id", None))
+                 for node in nodes}
+        calls = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                 for node in nodes if isinstance(node, ast.Call)}
+        findings = []
+        if "asdict" not in names:
+            findings.append(Finding(
+                self.rule, ACCEL_INIT_PY.as_posix(), fn.lineno,
+                "_self_check no longer compares dataclasses.asdict() of "
+                "both runs — a partial comparison list can hide stats "
+                "drift"))
+        if "run_compiled" not in calls:
+            findings.append(Finding(
+                self.rule, ACCEL_INIT_PY.as_posix(), fn.lineno,
+                "_self_check no longer calls run_compiled — without a "
+                "compiled run in every process, a memoised verdict could "
+                "stand in for the divergence gate"))
+        return findings

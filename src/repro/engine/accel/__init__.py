@@ -13,10 +13,16 @@ drives it) and is the **default**:
 The Python engine stays the readable reference and the fallback.
 Requesting the compiled backend never changes results and never fails a
 run: before the first compiled run in a process, a **self-check** runs
-one small point under each release policy on both backends and compares
-the full ``SimStats`` field-for-field.  A missing/broken toolchain or any
-divergence logs one warning on the ``repro.engine.accel`` logger and
-pins the process to the Python engine.  Individual runs the C core cannot model (or that hit its
+one small point under each release policy on the C core (warm-up eager
+and deferred) and compares the full ``SimStats`` field-for-field with
+the Python engine's.  The Python reference runs are deterministic, so
+their ``asdict``s are memoised as JSON beside the built core, named by
+a digest of the ``repro`` sources, numpy, Python and the machine; the
+six compiled runs and the coverage checks run in every process, and a
+missing or unreadable memo means the full check.  A missing/broken
+toolchain or any divergence logs one warning on the
+``repro.engine.accel`` logger and pins the process to the Python
+engine.  Individual runs the C core cannot model (or that hit its
 deadlock/internal escapes) quietly fall back per-run.
 """
 
@@ -33,7 +39,7 @@ from repro.engine.accel.loader import ToolchainError, reset_loader_cache
 __all__ = ["ENGINE_ENV", "ENGINE_CHOICES", "requested_backend",
            "resolve_engine_backend", "run_compiled", "ToolchainError",
            "reset_backend_cache", "backend_fallback_reason",
-           "suppressed_backend_warnings"]
+           "probe_verdict", "suppressed_backend_warnings"]
 
 logger = logging.getLogger("repro.engine.accel")
 
@@ -52,6 +58,9 @@ _COMPILED_OK: Optional[bool] = None
 #: parent so a pool emits one summary instead of N per-worker warnings.
 _FALLBACK_REASON: Optional[str] = None
 
+#: Release policies the self-check compares, one small point each.
+_SELF_CHECK_POLICIES = ("conv", "basic", "extended")
+
 #: ``active`` is True on a thread whose probe fallback warnings are
 #: withheld (the caller — the sweep layer — takes responsibility for
 #: surfacing one summary).  Per thread: concurrent sweeps in one process
@@ -62,6 +71,16 @@ _SUPPRESSION = threading.local()
 def backend_fallback_reason() -> Optional[str]:
     """Why this process fell back to the Python engine (None = it didn't)."""
     return _FALLBACK_REASON
+
+
+def probe_verdict() -> Optional[str]:
+    """The engine a default request runs on, as far as it is known without
+    probing: None while a compiled request awaits this process's probe."""
+    if requested_backend() != "compiled":
+        return "python"
+    if _COMPILED_OK is None:
+        return None
+    return "compiled" if _COMPILED_OK else "python"
 
 
 @contextlib.contextmanager
@@ -169,30 +188,100 @@ def _self_check() -> bool:
     # run) at about 15 ms per Python run: the check is part of every
     # process's set-up.
     trace = get_workload("compress", 300, seed=0)
-    for policy in ("conv", "basic", "extended"):
-        config = ProcessorConfig(release_policy=policy, engine="python",
-                                 num_physical_int=48, num_physical_fp=48,
-                                 exception_rate=0.01, warmup=True)
-        compiled = run_compiled(SimulationEngine(trace, config).state)
-        if compiled is None:
-            return False
-        reference = SimulationEngine(trace, config).run()
+    configs = {policy: ProcessorConfig(
+        release_policy=policy, engine="python", num_physical_int=48,
+        num_physical_fp=48, exception_rate=0.01, warmup=True)
+        for policy in _SELF_CHECK_POLICIES}
+    # The Python reference runs are deterministic, so they are memoised
+    # on disk per source tree and host; the compiled runs below and the
+    # coverage predicates run in every process.
+    memo_path = _reference_memo_path()
+    references = _read_reference_memo(memo_path)
+    fresh = references is None
+    if fresh:
+        references = {policy: dataclasses.asdict(
+            SimulationEngine(trace, config).run())
+            for policy, config in configs.items()}
+    for policy, config in configs.items():
+        reference = references[policy]
         # The point must exercise what it claims to cover.
-        if reference.fetched_wrong_path <= 0 or reference.exceptions_taken <= 0:
+        if reference["fetched_wrong_path"] <= 0 \
+                or reference["exceptions_taken"] <= 0:
             return False
-        if policy != "conv" and reference.int_registers.early_releases <= 0:
+        if policy != "conv" \
+                and reference["int_registers"]["early_releases"] <= 0:
             return False
-        if dataclasses.asdict(compiled.stats) != dataclasses.asdict(reference):
-            return False
-        # Same point again with warm-up deferred into the C core (the
-        # engine="compiled" state skips the Python warm pass), so the
-        # in-C warm-up path gets the same per-process divergence gate.
-        deferred = run_compiled(SimulationEngine(
-            trace, dataclasses.replace(config, engine="compiled")).state)
-        if deferred is None or (dataclasses.asdict(deferred.stats)
-                                != dataclasses.asdict(reference)):
-            return False
+        # Eager warm-up (the Python warm pass, then the C core), then
+        # warm-up deferred into the C core (the engine="compiled" state
+        # skips the Python warm pass), so both paths get the same
+        # per-process divergence gate.
+        for engine in ("python", "compiled"):
+            compiled = run_compiled(SimulationEngine(
+                trace, dataclasses.replace(config, engine=engine)).state)
+            if compiled is None \
+                    or dataclasses.asdict(compiled.stats) != reference:
+                return False
+    if fresh:
+        _write_reference_memo(memo_path, references)
     return True
+
+
+def _reference_memo_path():
+    """Where this source tree's self-check reference lives on this host:
+    beside the built core, named by everything the Python runs depend
+    on (every ``repro`` source file, numpy, Python, the machine)."""
+    import hashlib
+    import platform
+    import sys
+
+    import numpy
+
+    from repro.analysis.cache import code_digest
+    from repro.engine.accel.loader import build_cache_dir
+
+    digest = hashlib.sha256(repr((
+        code_digest(), numpy.__version__, sys.version,
+        platform.machine())).encode()).hexdigest()
+    return build_cache_dir() / f"self_check_{digest[:16]}.json"
+
+
+def _read_reference_memo(path) -> Optional[dict]:
+    """The memoised reference ``asdict``s per policy, or None (missing,
+    unreadable or malformed: the caller runs the full check)."""
+    import dataclasses
+    import json
+
+    from repro.pipeline.stats import SimStats
+
+    try:
+        references = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    fields = {field.name for field in dataclasses.fields(SimStats)}
+    if not isinstance(references, dict) \
+            or set(references) != set(_SELF_CHECK_POLICIES) \
+            or not all(isinstance(stats, dict) and set(stats) == fields
+                       for stats in references.values()):
+        return None
+    return references
+
+
+def _write_reference_memo(path, references: dict) -> None:
+    """Store the references atomically; best effort (an unwritable cache
+    only means the next process runs the full check again)."""
+    import json
+
+    from repro.engine.accel.loader import _replacing
+
+    text = json.dumps(references, sort_keys=True)
+    if json.loads(text) != references:  # not JSON-exact: never memoise
+        return
+    try:
+        with _replacing(path, ".json.tmp") as tmp_name:
+            with open(tmp_name, "w") as handle:
+                handle.write(text)
+    except ToolchainError:
+        pass
 
 
 def run_compiled(state, *, max_instructions=None, max_cycles=None,

@@ -5,7 +5,10 @@
     repro-experiments serve ...                              # same thing
 
 Starts the stdlib asyncio HTTP front over the shared sweep-result store
-and blocks until interrupted.  See ``docs/serving.md`` for the API.
+and blocks until interrupted.  Before it listens it derives the source
+digest and resolves the engine (loading and self-checking the compiled
+core), and its ``listening on`` line names the engine and any fallback
+reason.  See ``docs/serving.md`` for the API.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     from repro.analysis.backends import resolve_backend
-    from repro.analysis.cache import SweepCache
+    from repro.analysis.cache import SweepCache, code_digest
+    from repro.engine.accel import (backend_fallback_reason,
+                                    resolve_engine_backend)
     from repro.serve.http import HTTPServer
     from repro.serve.service import SweepService
 
@@ -54,13 +59,23 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     service = SweepService(cache=cache,
                            compute_threads=args.compute_threads)
     server = HTTPServer(service, host=args.host, port=args.port)
+    # Warm up before listening: the source digest every key folds in, and
+    # the compiled core's load and self-check (no probe when
+    # $REPRO_ENGINE=python).  The first miss is then an ordinary miss,
+    # and a toolchain fallback is logged once, here.
+    code_digest()
+    engine = resolve_engine_backend()
+    fallback = backend_fallback_reason()
+    if fallback is not None:
+        engine += f"; compiled fallback: {' '.join(fallback.split())}"
 
     async def _serve() -> None:
         await server.start()
         location = f"{server.url} (backend: {backend.name}"
         if cache.cache_dir is not None:
             location += f", store: {cache.cache_dir}"
-        print(f"repro-serve listening on {location})", flush=True)
+        print(f"repro-serve listening on {location}, engine: {engine})",
+              flush=True)
         reason = cache.degradation_reason()
         if reason:
             print(f"warning: {reason}", flush=True)

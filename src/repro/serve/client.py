@@ -10,8 +10,6 @@ not to a latency probe that must count every round trip it makes).
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 from typing import Optional
 
 __all__ = ["ServeClient", "ServeResponse"]
@@ -49,6 +47,12 @@ class ServeClient:
     # ------------------------------------------------------------------
     def _request(self, method: str, path: str, body: Optional[bytes] = None,
                  content_type: str = "application/json") -> ServeResponse:
+        # Imported here, not at module top: urllib.request pulls in ssl,
+        # http.client and email, which a server importing this package
+        # never uses (~20 ms of its start-up).
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             self.base_url + path, data=body, method=method,
             headers={"Content-Type": content_type} if body is not None else {})

@@ -10,7 +10,7 @@ parser trivially robust).
 
 Routes::
 
-    GET  /healthz           liveness (also reports backend degradation)
+    GET  /healthz           liveness, backend degradation, engine verdict
     GET  /metrics           JSON counters + latency percentiles
     POST /v1/sweep-point    answer one sweep point (single-flight)
     GET  /v1/cache/<key>    fetch one store entry (envelope-framed)
@@ -18,7 +18,10 @@ Routes::
     POST /v1/artefact       describe/build one export artefact
 
 Everything interesting lives in :mod:`repro.serve.service`; this module
-only parses, routes, times and serialises.
+only parses, routes, times and serialises.  A request it cannot parse (a
+malformed request line, a non-numeric ``Content-Length``, an oversized
+header section or body) is answered with a JSON 4xx error and counted
+as ``http_client_errors``, never dropped.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import time
 from typing import Dict, Optional, Tuple
 
+from repro.engine.accel import backend_fallback_reason, probe_verdict
 from repro.serve.service import SweepService
 
 __all__ = ["HTTPServer", "MAX_BODY_BYTES", "MAX_HEADER_BYTES"]
@@ -42,8 +46,17 @@ MAX_HEADER_BYTES = 32 * 1024
 
 _REASONS = {200: "OK", 204: "No Content", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            413: "Payload Too Large", 500: "Internal Server Error",
-            507: "Insufficient Storage"}
+            413: "Payload Too Large",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error", 507: "Insufficient Storage"}
+
+
+class _BadRequest(Exception):
+    """A request the transport cannot parse; answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class HTTPServer:
@@ -85,16 +98,20 @@ class HTTPServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, body = parsed
+            method, path, body = await self._read_request(reader)
             started = time.monotonic()
             status, headers, payload = await self._dispatch(method, path, body)
             self.service.metrics.observe_latency(
                 _route_label(method, path), time.monotonic() - started)
             self.service.metrics.increment("http_requests")
             await self._write_response(writer, status, headers, payload)
+        except _BadRequest as exc:
+            self.service.metrics.increment("http_client_errors")
+            try:
+                await self._write_response(writer, exc.status, {},
+                                           _json_bytes({"error": str(exc)}))
+            except ConnectionError:
+                pass
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         except Exception as exc:  # absolute backstop: never drop silently
@@ -114,17 +131,19 @@ class HTTPServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader,
-                            ) -> Optional[Tuple[str, str, bytes]]:
+                            ) -> Tuple[str, str, bytes]:
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
-            return None
-        if len(head) > MAX_HEADER_BYTES:
-            return None
+            head = b""
+        if not head or len(head) > MAX_HEADER_BYTES:
+            raise _BadRequest(431, f"request header section exceeds "
+                                   f"{MAX_HEADER_BYTES} bytes")
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
-        if len(parts) != 3:
-            return None
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _BadRequest(400, f"malformed request line: "
+                                   f"{lines[0][:200]!r}")
         method, target, _version = parts
         headers: Dict[str, str] = {}
         for line in lines[1:]:
@@ -132,9 +151,14 @@ class HTTPServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > MAX_BODY_BYTES:
-            return None
+        raw_length = headers.get("content-length", "0") or "0"
+        if not raw_length.isdecimal():
+            raise _BadRequest(400, f"malformed Content-Length: "
+                                   f"{raw_length[:50]!r}")
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            raise _BadRequest(413, f"request body of {length} bytes exceeds "
+                                   f"{MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target.split("?", 1)[0], body
 
@@ -159,10 +183,14 @@ class HTTPServer:
         if path == "/healthz":
             if method != "GET":
                 return _method_not_allowed("GET")
+            # The verdict as known: a lazy server that has not probed yet
+            # reports a null engine instead of probing here.
             return 200, {}, _json_bytes({
                 "status": "ok",
                 "cache_backend": service.cache.backend.name,
                 "cache_degradation_reason": service.cache.degradation_reason(),
+                "engine": probe_verdict(),
+                "compiled_fallback_reason": backend_fallback_reason(),
             })
         if path == "/metrics":
             if method != "GET":

@@ -268,7 +268,7 @@ class SweepService:
                       "num_registers": point.num_registers},
             "trace_length": sweep_config.trace_length,
             "seed": sweep_config.seed,
-            "stats": dataclasses.asdict(stats),
+            "stats": stats,
             "cache_degradation_reason": self.cache.degradation_reason(),
         })
         headers["X-Repro-Served-From"] = served_from
@@ -387,11 +387,19 @@ class SweepService:
         return snapshot
 
 
+def _dataclass_fields(value) -> dict:
+    """A dataclass as a field dict for ``json.dumps``: the bytes of
+    ``dataclasses.asdict`` without its deep copy of the stats."""
+    return {field.name: getattr(value, field.name)
+            for field in dataclasses.fields(value)}
+
+
 def _json_bytes(payload: dict) -> bytes:
-    """Canonical response encoding: sorted keys, compact separators.
+    """Canonical response encoding: sorted keys, compact separators,
+    dataclasses as their fields.
 
     Determinism is load-bearing — byte-identical bodies for deduped
     concurrent requests are part of the single-flight contract.
     """
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=_dataclass_fields).encode("utf-8")

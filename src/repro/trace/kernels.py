@@ -48,6 +48,7 @@ from repro.trace.synthetic import (
     RandomStream,
     RegisterRotation,
     StridedStream,
+    fill_context_tables,
 )
 
 INT = RegClass.INT
@@ -829,6 +830,7 @@ class IntComputeKernel(_KernelBase):
             target=p.pc_base + 4 * (1 + p.n_parallel_chains * chain_block
                                     + p.hammock_len + 1),
             kind="correlated", bias=p.branch_bias, noise=p.branch_noise)
+        fill_context_tables([self.hammock_branch])
         self.loop_branch = BranchSite(pc=p.pc_base + 4 * body, target=p.pc_base,
                                       kind="loop", trip=p.trip_count)
 
@@ -1077,6 +1079,7 @@ class BranchyKernel(_KernelBase):
                 self.sites.append(BranchSite(pc=branch_pc, target=target,
                                              kind="correlated", bias=bias,
                                              noise=p.branch_noise))
+        fill_context_tables(self.sites)
         self.loop_branch = BranchSite(
             pc=p.pc_base + p.n_branch_sites * block_span,
             target=p.pc_base, kind="loop", trip=p.trip_count)
@@ -1311,6 +1314,7 @@ class PointerChaseKernel(_KernelBase):
             pc=p.pc_base + 4 * (2 * p.load_chain_len * 3 + 4),
             target=p.pc_base + 4 * (2 * p.load_chain_len * 3 + 4 + p.hammock_len + 1),
             kind="correlated", bias=p.branch_bias, noise=p.branch_noise)
+        fill_context_tables([self.cond_branch])
         self.loop_branch = BranchSite(pc=p.pc_base + 4 * body + 64, target=p.pc_base,
                                       kind="loop", trip=p.trip_count)
         #: dedicated pointer registers (outside the rotation window) so each

@@ -93,6 +93,16 @@ def test_gutted_self_check_is_reported(real_tree_copy):
     assert any("_self_check" in f.message for f in found)
 
 
+def test_self_check_without_compiled_runs_is_reported(real_tree_copy):
+    # A memoised verdict must never stand in for the compiled runs.
+    mutate(real_tree_copy, ACCEL_INIT,
+           "compiled = run_compiled(SimulationEngine(",
+           "compiled = memoised_verdict(SimulationEngine(")
+    found = _run(real_tree_copy)
+    assert any("_self_check" in f.message and "run_compiled" in f.message
+               for f in found)
+
+
 def test_c_enum_parser_semantics():
     source = """
     enum { A = 3, B, C };

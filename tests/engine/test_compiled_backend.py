@@ -611,6 +611,94 @@ class TestSelfCheck:
             accel.reset_backend_cache()
 
 
+@needs_compiled
+class TestSelfCheckMemo:
+    """The Python reference of the self-check is memoised on disk; the
+    compiled runs and the coverage predicates run in every process."""
+
+    @pytest.fixture
+    def memo(self, tmp_path, monkeypatch):
+        path = tmp_path / "self_check.json"
+        monkeypatch.setattr(accel, "_reference_memo_path", lambda: path)
+        return path
+
+    @staticmethod
+    def _count_python_runs(monkeypatch):
+        runs = []
+        real = SimulationEngine.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(self.state.config.release_policy)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationEngine, "run", counted)
+        return runs
+
+    def test_warm_memo_skips_the_python_runs_only(self, memo, monkeypatch):
+        runs = self._count_python_runs(monkeypatch)
+        assert accel._self_check()
+        assert sorted(runs) == sorted(POLICIES) and memo.exists()
+
+        def no_python_run(self, *args, **kwargs):
+            raise AssertionError("reference re-simulated despite the memo")
+
+        monkeypatch.setattr(SimulationEngine, "run", no_python_run)
+        compiled_runs = []
+        TestSelfCheck._patch_run_compiled(
+            monkeypatch, lambda state, _: compiled_runs.append(
+                (state.config.release_policy, state.warmup_pending)))
+        assert accel._self_check()
+        assert sorted(compiled_runs) == sorted(
+            (policy, deferred) for policy in POLICIES
+            for deferred in (False, True))
+
+    def test_memo_name_follows_the_source_tree(self, monkeypatch):
+        from repro.analysis import cache as cache_mod
+
+        first = accel._reference_memo_path()
+        monkeypatch.setattr(cache_mod, "code_digest", lambda: "0" * 64)
+        assert accel._reference_memo_path() != first
+        assert accel._reference_memo_path().parent == first.parent
+
+    def test_tampered_memo_pins_python(self, memo, monkeypatch):
+        import json
+
+        assert accel._self_check()
+        references = json.loads(memo.read_text())
+        references["basic"]["cycles"] += 1
+        memo.write_text(json.dumps(references))
+        monkeypatch.delenv(accel.ENGINE_ENV, raising=False)
+        accel.reset_backend_cache()
+        try:
+            assert accel.resolve_engine_backend(ProcessorConfig()) == "python"
+            assert "self-check" in accel.backend_fallback_reason()
+        finally:
+            accel.reset_backend_cache()
+
+    @pytest.mark.parametrize("content", ["not json{", "[]", '{"conv": {}}'])
+    def test_corrupt_memo_runs_the_full_check(self, memo, monkeypatch,
+                                              content):
+        memo.write_text(content)
+        runs = self._count_python_runs(monkeypatch)
+        assert accel._self_check()
+        assert sorted(runs) == sorted(POLICIES)
+        runs.clear()
+        assert accel._self_check()          # rewritten, now warm
+        assert runs == []
+
+    def test_unwritable_memo_runs_the_full_check(self, tmp_path,
+                                                 monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setattr(accel, "_reference_memo_path",
+                            lambda: blocker / "self_check.json")
+        runs = self._count_python_runs(monkeypatch)
+        for _ in range(2):
+            runs.clear()
+            assert accel._self_check()
+            assert sorted(runs) == sorted(POLICIES)
+
+
 class TestBackendSelection:
     def test_probe_is_lazy(self, monkeypatch):
         # Building a default config and engine never probes the

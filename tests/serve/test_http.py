@@ -171,3 +171,142 @@ class TestBackgroundServerLifecycle:
         with BackgroundServer(cache=SweepCache(tmp_path)) as server:
             with pytest.raises(RuntimeError):
                 server.start()
+
+
+class TestMalformedRequests:
+    """Requests the transport cannot parse get a JSON 4xx, counted as
+    client errors, never a 500 or a dropped connection."""
+
+    @staticmethod
+    def _exchange(server, raw: bytes):
+        import socket
+
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        return status, json.loads(body)
+
+    @pytest.mark.parametrize("raw, status, message", [
+        (b"POST /v1/sweep-point HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+         400, "Content-Length"),
+        (b"POST /v1/sweep-point HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         400, "Content-Length"),
+        (b"POST /v1/sweep-point HTTP/1.1\r\nContent-Length: 99999999999"
+         b"\r\n\r\n", 413, "exceeds"),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 40_000 + b"\r\n\r\n",
+         431, "header section"),
+        (b"GARBAGE\r\n\r\n", 400, "request line"),
+        (b"GET /healthz\r\n\r\n", 400, "request line"),
+    ])
+    def test_answered_with_a_structured_client_error(self, tmp_path, raw,
+                                                     status, message):
+        with BackgroundServer(cache=SweepCache(tmp_path)) as server:
+            answer_status, answer = self._exchange(server, raw)
+            assert answer_status == status
+            assert message in answer["error"]
+            counters = ServeClient(server.url).metrics()["counters"]
+            assert counters["http_client_errors"] == 1
+            assert counters.get("http_errors", 0) == 0
+
+    def test_well_formed_request_still_served(self, tmp_path):
+        with BackgroundServer(cache=SweepCache(tmp_path)) as server:
+            status, answer = self._exchange(
+                server, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert (status, answer["status"]) == (200, "ok")
+
+
+class TestEngineVerdict:
+    """``/healthz`` and the start-up line report the probe verdict."""
+
+    def test_lazy_server_reports_without_probing(self, tmp_path,
+                                                 monkeypatch):
+        from repro.engine import accel
+
+        def probe():
+            raise AssertionError("/healthz probed the compiled backend")
+
+        monkeypatch.delenv(accel.ENGINE_ENV, raising=False)
+        monkeypatch.setattr(accel, "_probe_backend", probe)
+        accel.reset_backend_cache()
+        try:
+            with BackgroundServer(cache=SweepCache(tmp_path)) as server:
+                health = ServeClient(server.url).healthz().json()
+                assert health["engine"] is None
+                assert health["compiled_fallback_reason"] is None
+                monkeypatch.setenv(accel.ENGINE_ENV, "python")
+                health = ServeClient(server.url).healthz().json()
+                assert health["engine"] == "python"
+        finally:
+            accel.reset_backend_cache()
+
+    @staticmethod
+    def _start(tmp_path, **env):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        environ = dict(os.environ, PYTHONPATH=str(src))
+        environ.pop("REPRO_ENGINE", None)
+        environ.update(env)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0",
+             "--cache-dir", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=environ)
+        before = []
+        for line in process.stdout:
+            if "listening on " in line:
+                return process, before, line
+            before.append(line)
+        process.wait(timeout=30)
+        raise AssertionError(f"repro-serve never listened: {before}")
+
+    @staticmethod
+    def _stop(process):
+        import signal
+
+        process.send_signal(signal.SIGINT)
+        try:
+            process.communicate(timeout=30)
+        except Exception:
+            process.kill()
+            process.communicate()
+
+    def test_fallback_warning_precedes_listening(self, tmp_path):
+        process, before, line = self._start(
+            tmp_path, REPRO_ACCEL_CC="/nonexistent/compiler-xyz",
+            REPRO_ACCEL_CACHE=str(tmp_path / "accel"))
+        try:
+            assert any("using the Python engine" in earlier
+                       for earlier in before)
+            assert "engine: python; compiled fallback: compiled engine " \
+                "requested but unavailable" in line
+            url = line.split("listening on ", 1)[1].split()[0]
+            health = ServeClient(url).healthz().json()
+            assert health["engine"] == "python"
+            assert "unavailable" in health["compiled_fallback_reason"]
+        finally:
+            self._stop(process)
+
+    def test_python_engine_skips_the_probe(self, tmp_path):
+        process, before, line = self._start(
+            tmp_path, REPRO_ENGINE="python",
+            REPRO_ACCEL_CC="/nonexistent/compiler-xyz",
+            REPRO_ACCEL_CACHE=str(tmp_path / "accel"))
+        try:
+            assert before == []
+            assert line.rstrip().endswith("engine: python)")
+            assert not (tmp_path / "accel").exists()
+        finally:
+            self._stop(process)

@@ -283,6 +283,74 @@ class TestSweepPointSingleFlight:
         assert service.metrics.count("sweep_errors") == 2   # recomputed
 
 
+class TestHitPath:
+    """A served hit derives its config digest once and encodes its stats
+    without deep-copying them, with the bytes of the old encoding."""
+
+    def test_hit_digests_once_and_miss_at_most_twice(self, service,
+                                                      monkeypatch):
+        from repro.analysis import cache as cache_mod
+
+        calls = []
+        real = cache_mod.config_digest
+        monkeypatch.setattr(cache_mod, "config_digest",
+                            lambda config: calls.append(config) or real(config))
+        _, miss, _ = run(service.sweep_point(dict(TINY)))
+        assert miss["X-Repro-Served-From"] == "computed"
+        assert 1 <= len(calls) <= 2
+        calls.clear()
+        _, hit, _ = run(service.sweep_point(dict(TINY)))
+        assert hit["X-Repro-Served-From"] == "cache"
+        assert len(calls) == 1
+
+    @staticmethod
+    def _asdict_body(payload: dict) -> bytes:
+        """The response encoding before the ``default=`` hook."""
+        import dataclasses
+
+        payload = dict(payload, stats=dataclasses.asdict(payload["stats"]))
+        return json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+
+    def test_bodies_match_the_asdict_encoding_on_every_pool_point(
+            self, service):
+        from repro.serve.loadgen import build_request_pool
+
+        for request in build_request_pool(24, trace_length=300):
+            _, _, body = run(service.sweep_point(request))
+            config, point = parse_sweep_request(request)
+            stats = service.cache.get(config, point)
+            assert stats.int_registers.occupancy is not None
+            expected = self._asdict_body({
+                "key": point_key(config, point),
+                "point": {"benchmark": point.benchmark,
+                          "policy": point.policy,
+                          "num_registers": point.num_registers},
+                "trace_length": config.trace_length, "seed": config.seed,
+                "stats": stats, "cache_degradation_reason": None})
+            assert body == expected, request
+
+    def test_stats_without_occupancy_encode_as_asdict(self, service):
+        import dataclasses
+
+        from repro.serve.service import _json_bytes
+
+        run(service.sweep_point(dict(TINY)))
+        config, point = parse_sweep_request(dict(TINY))
+        stats = service.cache.get(config, point)
+        stats.int_registers = dataclasses.replace(stats.int_registers,
+                                                  occupancy=None)
+        payload = {"stats": stats, "seed": 1}
+        assert _json_bytes(payload) == self._asdict_body(payload)
+        assert b'"occupancy":null' in _json_bytes(payload)
+
+    def test_non_dataclass_values_still_fail_to_encode(self):
+        from repro.serve.service import _json_bytes
+
+        with pytest.raises(TypeError):
+            _json_bytes({"stats": object()})
+
+
 class TestCacheBlobEndpoints:
     def test_get_wraps_stored_entry_in_envelope(self, service):
         run(service.sweep_point(dict(TINY)))

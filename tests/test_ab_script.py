@@ -1,0 +1,80 @@
+"""Tests for the same-host A/B summary (`scripts/ab.py`), on synthetic
+samples: no benchmark runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_ab_module():
+    spec = importlib.util.spec_from_file_location(
+        "ab_script", REPO_ROOT / "scripts" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("ab_script", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab = load_ab_module()
+
+WALL = {"name": "wall_ref_s", "better": "lower", "bound": 0.2}
+RATE = {"name": "req_per_ref_s", "better": "higher", "bound": 0.2}
+
+
+def runs(name, values):
+    return [{name: value} for value in values]
+
+
+def test_quartiles():
+    assert ab.quartiles([5.0]) == (5.0, 5.0, 5.0)
+    assert ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+def test_lower_is_better_gain():
+    base = runs("wall_ref_s", [3.2, 3.3, 3.1, 3.25, 3.2])
+    head = runs("wall_ref_s", [2.4, 2.3, 3.4, 2.35, 2.4])
+    (row,) = ab.summarize(base, head, [WALL])
+    assert row["base"][1] == 3.2 and row["head"][1] == 2.4
+    assert row["ratio"] == pytest.approx(0.75)
+    assert (row["wins"], row["pairs"]) == (4, 5)    # pair 3 lost
+    assert row["bound_ok"] and row["beyond_iqr"]
+
+
+def test_higher_is_better_regression_beyond_bound():
+    base = runs("req_per_ref_s", [100.0, 101.0, 99.0])
+    head = runs("req_per_ref_s", [70.0, 75.0, 72.0])
+    (row,) = ab.summarize(base, head, [RATE])
+    assert row["wins"] == 0
+    assert not row["bound_ok"]                      # 28 % worse > 20 %
+
+
+def test_change_within_the_base_spread_is_not_beyond_iqr():
+    base = runs("wall_ref_s", [3.0, 3.4, 3.2, 2.8, 3.6])
+    head = runs("wall_ref_s", [3.1, 3.3, 3.15, 2.9, 3.5])
+    (row,) = ab.summarize(base, head, [WALL])
+    assert row["bound_ok"] and not row["beyond_iqr"]
+
+
+def test_zero_base_median():
+    gap = {"name": "paper_gap_pp", "better": "lower", "bound": 0.1}
+    (same,) = ab.summarize(runs("paper_gap_pp", [0.0, 0.0]),
+                           runs("paper_gap_pp", [0.0, 0.0]), [gap])
+    assert same["ratio"] == 1.0 and same["bound_ok"]
+    (worse,) = ab.summarize(runs("paper_gap_pp", [0.0, 0.0]),
+                            runs("paper_gap_pp", [1.0, 1.0]), [gap])
+    assert not worse["bound_ok"]
+
+
+def test_failed_runs_counts_crashes_and_failed_operations():
+    assert ab.failed_runs([{"failed": 0}, {"failed": 2}, None]) == 2
+
+
+def test_format_lists_every_metric():
+    rows = ab.summarize(runs("wall_ref_s", [3.0, 3.1]),
+                        runs("wall_ref_s", [2.0, 2.1]), [WALL])
+    text = ab.format_rows(rows)
+    assert "wall_ref_s" in text and "2/2" in text and "ok" in text
