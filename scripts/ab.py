@@ -10,11 +10,18 @@ Extracts ``REV`` (``git archive``) into a temporary directory, gives
 each tree one untimed warm-up run (so each builds its compiled core),
 then runs the ``BENCHMARK.json`` command with ``--trace 0`` and the
 benchmark's run length on both trees for ``--pairs`` interleaved
-pairs, alternating which side runs first.  For every end-to-end metric it prints each side's median and
-quartiles, the median ratio (this tree / base), the pairs this tree won
-(the direction comes from ``BENCHMARK.json``), whether the bound holds,
-and whether the medians differ by more than the base's interquartile
-range.  Exits non-zero if any run failed (``failed > 0`` or a crash).
+pairs, alternating which side runs first.  For every end-to-end metric
+it prints each side's median and quartiles, the median ratio (this tree
+/ base), the pairs this tree won (the direction comes from
+``BENCHMARK.json``), a verdict and whether the medians differ by more
+than the base's interquartile range.
+
+The verdict is ``ok`` when this tree's median is no worse than the
+base's by more than the metric's ``BENCHMARK.json`` bound.  A median
+worse than that is ``WORSE`` when it also differs from the base's by
+more than the base's interquartile range, and ``unresolved`` when the
+base's own spread covers it.  Exits non-zero if any run failed
+(``failed > 0`` or a crash) or any metric on any workload is ``WORSE``.
 The temporary tree is removed on exit.
 """
 
@@ -64,12 +71,16 @@ def summarize(base: List[Dict[str, float]], head: List[Dict[str, float]],
                 else float("inf")
         wins = sum(1 for b, h in zip(base_values, head_values)
                    if (h < b if lower else h > b))
+        bound_ok = worse_by <= metric["bound"]
+        beyond_iqr = abs(head_q[1] - base_q[1]) > base_q[2] - base_q[0]
         rows.append({
             "metric": name, "better": metric["better"],
             "base": base_q, "head": head_q, "ratio": ratio,
             "wins": wins, "pairs": len(base_values),
-            "bound": metric["bound"], "bound_ok": worse_by <= metric["bound"],
-            "beyond_iqr": abs(head_q[1] - base_q[1]) > base_q[2] - base_q[0],
+            "bound": metric["bound"], "bound_ok": bound_ok,
+            "beyond_iqr": beyond_iqr,
+            "verdict": ("ok" if bound_ok
+                        else "WORSE" if beyond_iqr else "unresolved"),
         })
     return rows
 
@@ -82,13 +93,13 @@ def format_rows(rows: List[dict]) -> str:
     """The summary as a fixed-width table."""
     lines = [f"{'metric':<16}{'base median [q1, q3]':>28}"
              f"{'this tree median [q1, q3]':>30}{'ratio':>8}{'wins':>7}"
-             f"{'bound':>8}{'>IQR':>6}"]
+             f"{'verdict':>12}{'>IQR':>6}"]
     for row in rows:
         lines.append(
             f"{row['metric']:<16}{_cell(row['base']):>28}"
             f"{_cell(row['head']):>30}{row['ratio']:>8.3f}"
             f"{row['wins']:>4}/{row['pairs']:<2}"
-            f"{'ok' if row['bound_ok'] else 'WORSE':>8}"
+            f"{row['verdict']:>12}"
             f"{'yes' if row['beyond_iqr'] else 'no':>6}")
     return "\n".join(lines)
 
@@ -108,7 +119,10 @@ def extract(rev: str, into: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
                              cwd=REPO_ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(into)
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
 
 
 def run_once(tree: Path, command: List[str], workload: str, seed: int,
@@ -142,6 +156,7 @@ def main(argv=None) -> int:
     base_tree = Path(tempfile.mkdtemp(prefix="repro-ab-"))
     report = {"rev": args.rev, "seed": args.seed, "workloads": {}}
     failures = 0
+    regressions = []
     try:
         extract(args.rev, base_tree)
         trees = {"base": base_tree, "head": REPO_ROOT}
@@ -168,14 +183,18 @@ def main(argv=None) -> int:
                   f"base {args.rev})")
             print(format_rows(rows))
             report["workloads"][workload] = {"runs": runs, "summary": rows}
+            regressions += [f"{workload}: {row['metric']}" for row in rows
+                            if row["verdict"] == "WORSE"]
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)
         if args.json is not None:
             args.json.write_text(json.dumps(report, indent=1))
     if failures:
         print(f"\n{failures} run(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    if regressions:
+        print("\nworse than the bound and the base's IQR: "
+              + ", ".join(regressions), file=sys.stderr)
+    return 1 if failures or regressions else 0
 
 
 if __name__ == "__main__":

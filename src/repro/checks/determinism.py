@@ -121,8 +121,8 @@ class DeterminismChecker(Checker):
             findings.append(self.finding(
                 project, path, node.lineno,
                 f"wall-clock read {name}() in the deterministic subtree; "
-                f"timing belongs in scripts/bench_baseline.py, simulation "
-                f"state must derive from the seed"))
+                f"timing belongs in perfbench/, simulation state must "
+                f"derive from the seed"))
             return findings
 
         parts = name.split(".")

@@ -92,9 +92,6 @@ class CompiledRun(NamedTuple):
     """Result of a successful compiled run."""
 
     stats: SimStats
-    #: peak size of the ready set (the Python engine exposes this as
-    #: ``state.ready.peak_size``; the bench probe records it).
-    ready_peak: int
 
 
 # ----------------------------------------------------------------------
@@ -494,6 +491,4 @@ def run_compiled(state: "MachineState", *,
 
     st = _i64_view(ffi, lib, mach, A.STATS, ST_N).copy()
     cycles = int(lib.sim_get(mach, SC.CYCLE))
-    ready_peak = int(lib.sim_get(mach, SC.READY_PEAK))
-    return CompiledRun(stats=_assemble_stats(state, st, cycles),
-                      ready_peak=ready_peak)
+    return CompiledRun(stats=_assemble_stats(state, st, cycles))

@@ -61,7 +61,7 @@ enum {
 enum {
     SC_STATUS = 0, SC_ERROR, SC_CYCLE, SC_MAX_CYCLES, SC_COMMIT_LIMIT,
     SC_DEADLOCK, SC_WP_COUNT, SC_WP_HEAD, SC_EXC_COUNT, SC_EXC_HEAD,
-    SC_GS_HISTORY, SC_READY_PEAK, SC_SEQ, SC_ABI_MAGIC,
+    SC_GS_HISTORY, SC_SEQ, SC_ABI_MAGIC,
     SC_WP_HALF, SC_WP_DATA_BASE, SC_WP_INT_BASE, SC_WP_INT_N,
     SC_WP_INT_CURSOR, SC_WP_FP_BASE, SC_WP_FP_N, SC_WP_FP_CURSOR,
 };
@@ -72,7 +72,7 @@ enum {
     F_WP_FP_SHARE,
 };
 
-#define ABI_MAGIC 0x52503801LL
+#define ABI_MAGIC 0x52503802LL
 
 /* Array ids for sim_i64. */
 enum {
@@ -179,7 +179,6 @@ struct Machine {
     i64 error;
     i64 cycle, seq, max_cycles, commit_limit, deadlock_threshold;
     i64 last_commit_cycle, committed_watermark;
-    i64 ready_peak;
 
     /* trace columns (C-owned, filled by Python) */
     i64 trace_len;
@@ -694,7 +693,6 @@ static void ready_add(Machine *m, int row) {
     if (m->r_in_ready[row]) return;
     m->r_in_ready[row] = 1;
     m->rdy_count++;
-    if (m->rdy_count > m->ready_peak) m->ready_peak = m->rdy_count;
     heap_push(m, m->r_seq[row], row);
 }
 
@@ -2518,7 +2516,6 @@ long long sim_get(Machine *m, int which) {
     case SC_EXC_COUNT: return m->exc_count;
     case SC_EXC_HEAD: return m->exc_head;
     case SC_GS_HISTORY: return m->gs_history;
-    case SC_READY_PEAK: return m->ready_peak;
     case SC_SEQ: return m->seq;
     case SC_ABI_MAGIC: return ABI_MAGIC;
     }

@@ -96,9 +96,9 @@ NCFG = 60
 SC = _Namespace(
     STATUS=0, ERROR=1, CYCLE=2, MAX_CYCLES=3, COMMIT_LIMIT=4,
     DEADLOCK=5, WP_COUNT=6, WP_HEAD=7, EXC_COUNT=8, EXC_HEAD=9,
-    GS_HISTORY=10, READY_PEAK=11, SEQ=12, ABI_MAGIC=13,
-    WP_HALF=14, WP_DATA_BASE=15, WP_INT_BASE=16, WP_INT_N=17,
-    WP_INT_CURSOR=18, WP_FP_BASE=19, WP_FP_N=20, WP_FP_CURSOR=21,
+    GS_HISTORY=10, SEQ=11, ABI_MAGIC=12,
+    WP_HALF=13, WP_DATA_BASE=14, WP_INT_BASE=15, WP_INT_N=16,
+    WP_INT_CURSOR=17, WP_FP_BASE=18, WP_FP_N=19, WP_FP_CURSOR=20,
 )
 
 #: Double ids for ``sim_setf`` (enum ``F_*``).
@@ -150,7 +150,7 @@ RUN_INTERNAL = 4
 #: config-derived (``ProcessorConfig.max_pending_branches``).
 RQ_LEVELS_MAX = 256
 
-ABI_MAGIC = 0x52503801
+ABI_MAGIC = 0x52503802
 
 
 # ----------------------------------------------------------------------

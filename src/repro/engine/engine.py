@@ -42,9 +42,6 @@ class SimulationEngine:
         #: backend that produced the last :meth:`run` result ("python"
         #: until a run completes on the compiled core).
         self.backend_used = "python"
-        #: ready-set peak reported by the compiled core (the Python
-        #: engine exposes it as ``state.ready.peak_size`` instead).
-        self.compiled_ready_peak: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -87,7 +84,6 @@ class SimulationEngine:
                     deadlock_threshold=deadlock_threshold)
                 if result is not None:
                     self.backend_used = "compiled"
-                    self.compiled_ready_peak = result.ready_peak
                     return result.stats
         self.backend_used = "python"
         state.ensure_warm()     # warm-up deferred to a backend we didn't use

@@ -42,13 +42,11 @@ class ReadySet:
     (squash) — stale keys are dropped on the next :meth:`pop`.
     """
 
-    __slots__ = ("_heap", "_entries", "peak_size")
+    __slots__ = ("_heap", "_entries")
 
     def __init__(self) -> None:
         self._heap: List[int] = []
         self._entries: Dict[int, "ROSEntry"] = {}
-        #: high-water mark of the membership (scheduler telemetry).
-        self.peak_size = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -68,8 +66,6 @@ class ReadySet:
             return
         self._entries[seq] = entry
         heapq.heappush(self._heap, seq)
-        if len(self._entries) > self.peak_size:
-            self.peak_size = len(self._entries)
 
     def discard(self, seq: int) -> None:
         """Remove ``seq`` if present (squash); the heap key goes stale."""

@@ -38,7 +38,7 @@ from repro.core.release_policy import PolicyOptions, ReleasePolicy
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.fetch import FetchedOp, FetchUnit
 from repro.frontend.gshare import GsharePredictor
-from repro.isa import RegClass
+from repro.isa import OpClass, RegClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import RegisterFileStats, SimStats
@@ -396,6 +396,11 @@ class MachineState:
         stats.l2_miss_rate = self.memory.l2.miss_rate
         stats.forwarded_loads = self.lsq.forwarded_loads
         stats.structural_stalls = self.fus.structural_stalls
+        # The commit stage counts classes in first-commit order; list
+        # them in OpClass order, as the compiled core does.
+        by_class = stats.committed_by_class
+        stats.committed_by_class = {op.name: by_class[op.name]
+                                    for op in OpClass if op.name in by_class}
 
         for reg_class, label in ((RegClass.INT, "int"), (RegClass.FP, "fp")):
             register_file = self.register_files[reg_class]

@@ -15,10 +15,10 @@ and exposes hit/miss/in-flight counters plus latency percentiles on
 Entry points: the ``repro-serve`` console script / ``python -m
 repro.serve`` (:mod:`repro.serve.cli`), the blocking
 :class:`~repro.serve.client.ServeClient`, the in-process
-:class:`~repro.serve.runtime.BackgroundServer` test/bench helper, and
-the zipf load harness (:mod:`repro.serve.loadgen`, fronted by
-``scripts/bench_serve.py``).  The HTTP API is documented in
-``docs/serving.md``.
+:class:`~repro.serve.runtime.BackgroundServer` test helper, and the
+zipf request mix (:mod:`repro.serve.loadgen`) that the benchmark's
+``serve-zipf`` workload drives the server with.  The HTTP API is
+documented in ``docs/serving.md``.
 """
 
 from repro.serve.client import ServeClient, ServeResponse

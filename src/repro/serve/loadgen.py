@@ -1,26 +1,19 @@
-"""Load generation against a ``repro-serve`` endpoint.
+"""The zipf request mix of a sweep service's clients.
 
 Models the access pattern a shared sweep service actually sees: many
-concurrent clients whose scenario popularity is zipf-skewed — a few hot
+clients whose scenario popularity is zipf-skewed — a few hot
 (benchmark, policy, register-size) points dominate, with a long tail of
 rare ones.  The skew is what makes the cache + single-flight layer
-earn its keep, and the resulting hit rate and latency percentiles are
-the numbers the bench gate tracks (``BENCH_*.json`` ``"serve"``
-section; see ``scripts/bench_serve.py``).
+earn its keep.  The benchmark's ``serve-zipf`` workload
+(``perfbench/serving.py``) drives ``repro-serve`` with this mix.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.serve.client import ServeClient
-from repro.serve.metrics import percentile
-
-__all__ = ["ZipfSampler", "build_request_pool", "run_load",
-           "collect_serve_report", "format_report"]
+__all__ = ["ZipfSampler", "build_request_pool"]
 
 #: Policies cycled through the request pool.
 _POOL_POLICIES = ("conv", "basic", "extended")
@@ -89,151 +82,3 @@ def build_request_pool(pool_size: int, trace_length: int = 2_000,
                      "seed": seed})
         index += 1
     return pool
-
-
-def run_load(url: str, *, clients: int = 8, total_requests: int = 200,
-             pool_size: int = 24, zipf_skew: float = 1.1,
-             trace_length: int = 2_000, seed: int = 0,
-             timeout: float = 120.0,
-             pool: Optional[List[dict]] = None) -> dict:
-    """Drive ``total_requests`` zipf-sampled requests from ``clients``
-    concurrent threads; return the latency/hit-rate report.
-
-    Every client thread owns a deterministic sampler (``seed`` + client
-    index), so a run is reproducible modulo scheduling.  ``hit_rate``
-    counts every request that did *not* trigger a fresh computation —
-    cache hits plus single-flight joins — which is the fraction of
-    offered load the service absorbed without simulating.
-    """
-    if clients <= 0 or total_requests <= 0:
-        raise ValueError("clients and total_requests must be positive")
-    if pool is None:
-        pool = build_request_pool(pool_size, trace_length=trace_length,
-                                  seed=seed)
-    lock = threading.Lock()
-    latencies: List[float] = []
-    served_from: Dict[str, int] = {}
-    statuses: Dict[int, int] = {}
-    transport_errors = [0]
-
-    shares = [total_requests // clients] * clients
-    for extra in range(total_requests % clients):
-        shares[extra] += 1
-
-    def client_main(client_index: int, count: int) -> None:
-        sampler = ZipfSampler(len(pool), skew=zipf_skew,
-                              seed=seed * 1_000_003 + client_index)
-        client = ServeClient(url, timeout=timeout)
-        for _ in range(count):
-            payload = pool[sampler.sample()]
-            started = time.perf_counter()
-            try:
-                response = client.sweep_point_raw(payload)
-            except OSError:
-                with lock:
-                    transport_errors[0] += 1
-                continue
-            elapsed = time.perf_counter() - started
-            origin = response.served_from or "unknown"
-            with lock:
-                latencies.append(elapsed)
-                served_from[origin] = served_from.get(origin, 0) + 1
-                statuses[response.status] = statuses.get(response.status,
-                                                         0) + 1
-
-    threads = [threading.Thread(target=client_main, args=(index, share),
-                                name=f"loadgen-{index}")
-               for index, share in enumerate(shares) if share]
-    started = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - started
-
-    answered = len(latencies)
-    computed = served_from.get("computed", 0)
-    absorbed = served_from.get("cache", 0) + served_from.get("joined", 0)
-    return {
-        "clients": clients,
-        "requests": total_requests,
-        "answered": answered,
-        "pool_size": len(pool),
-        "zipf_skew": zipf_skew,
-        "trace_length": trace_length,
-        "seed": seed,
-        "wall_clock_s": round(wall, 4),
-        "requests_per_s": round(answered / wall, 3) if wall else 0.0,
-        "p50_ms": round(percentile(latencies, 0.50) * 1000.0, 3),
-        "p99_ms": round(percentile(latencies, 0.99) * 1000.0, 3),
-        "max_ms": round(max(latencies) * 1000.0, 3) if latencies else 0.0,
-        "hit_rate": round(absorbed / answered, 4) if answered else 0.0,
-        "computations": computed,
-        "served_from": dict(sorted(served_from.items())),
-        "statuses": {str(code): count
-                     for code, count in sorted(statuses.items())},
-        "errors": (transport_errors[0]
-                   + sum(count for code, count in statuses.items()
-                         if code >= 400)),
-    }
-
-
-def collect_serve_report(url: Optional[str] = None, *, clients: int = 8,
-                         requests: int = 200, pool_size: int = 24,
-                         zipf_skew: float = 1.1, trace_length: int = 2_000,
-                         seed: int = 0,
-                         cache_dir: Optional[str] = None) -> dict:
-    """Run one load probe, self-hosting a server unless ``url`` is given.
-
-    Self-hosted runs (the bench-gate mode) spin a
-    :class:`~repro.serve.runtime.BackgroundServer` with a serial compute
-    worker over ``cache_dir`` (a fresh temporary directory by default,
-    so every first touch is a genuine miss) and embed the server's own
-    degradation state and counters in the report — a degraded or
-    error-laden run is visibly marked and excluded from the gate.
-    """
-    if url is not None:
-        report = run_load(url, clients=clients, total_requests=requests,
-                          pool_size=pool_size, zipf_skew=zipf_skew,
-                          trace_length=trace_length, seed=seed)
-        report["self_hosted"] = False
-        return report
-
-    import tempfile
-
-    from repro.analysis.cache import SweepCache
-    from repro.serve.runtime import BackgroundServer
-
-    store = cache_dir or tempfile.mkdtemp(prefix="repro-serve-bench-")
-    with BackgroundServer(cache=SweepCache(store)) as server:
-        report = run_load(server.url, clients=clients,
-                          total_requests=requests, pool_size=pool_size,
-                          zipf_skew=zipf_skew, trace_length=trace_length,
-                          seed=seed)
-        snapshot = server.service.metrics_snapshot()
-    report["self_hosted"] = True
-    report["cache_degradation_reason"] = snapshot["cache_degradation_reason"]
-    report["server_counters"] = snapshot["counters"]
-    return report
-
-
-def format_report(report: dict) -> str:
-    """Human/CI-readable recap of one load run."""
-    lines = [
-        f"serve load probe ({report['clients']} clients, "
-        f"{report['requests']} requests over a {report['pool_size']}-point "
-        f"pool, zipf skew {report['zipf_skew']:g}, trace length "
-        f"{report['trace_length']}):",
-        f"  wall {report['wall_clock_s']:.2f}s; "
-        f"{report['requests_per_s']:,.1f} requests/s",
-        f"  latency p50 {report['p50_ms']:.1f} ms, "
-        f"p99 {report['p99_ms']:.1f} ms, max {report['max_ms']:.1f} ms",
-        f"  hit rate {report['hit_rate']:.1%} "
-        f"({report['computations']} computations; served_from "
-        f"{report['served_from']})",
-        f"  errors: {report['errors']}",
-    ]
-    degradation = report.get("cache_degradation_reason")
-    if degradation:
-        lines.append(f"  DEGRADED: {degradation}")
-    return "\n".join(lines)

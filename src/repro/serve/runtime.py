@@ -1,7 +1,6 @@
 """Run an :class:`~repro.serve.http.HTTPServer` on a background thread.
 
-Shared by the tests, the load harness, the bench probe and the CI smoke
-script: each needs a live server inside the current process (no
+The tests use it to get a live server inside the current process (no
 subprocess management, deterministic teardown) while the caller's own
 thread drives blocking clients against it.
 """

@@ -178,18 +178,6 @@ class TestBitIdenticalStats:
         assert dataclasses.asdict(stats["compiled"]) == \
             dataclasses.asdict(stats["python"])
 
-    def test_ready_peak_reported(self):
-        # The compiled core reports the scheduler's ready-set peak through
-        # the engine (the bench probe records it); it must match Python's.
-        _, _, engine = run_both("compress", "basic", lsq_size=12)
-        config = ProcessorConfig(release_policy="basic", warmup=False,
-                                 num_physical_int=48, num_physical_fp=48,
-                                 lsq_size=12, engine="python")
-        trace = get_workload("compress", TRACE_LENGTH, seed=0)
-        python_engine = SimulationEngine(trace, config)
-        python_engine.run()
-        assert engine.compiled_ready_peak == python_engine.state.ready.peak_size
-
 
 def _bit_generator_state(engine) -> dict:
     return engine.state.fetch_unit.wrongpath._rng.bit_generator.state

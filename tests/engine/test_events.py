@@ -53,14 +53,6 @@ class TestReadySet:
         assert ready.pop().seq == 4
         assert ready.pop().seq == 6
 
-    def test_peak_size_tracks_high_water_mark(self):
-        ready = ReadySet()
-        for seq in range(5):
-            ready.add(entry(seq))
-        for _ in range(5):
-            ready.pop()
-        assert ready.peak_size == 5
-
 
 class TestWakeupIndex:
     def test_wake_returns_only_last_producer_consumers(self):

@@ -1,7 +1,8 @@
-"""Tests for the same-host A/B summary (`scripts/ab.py`), on synthetic
-samples: no benchmark runs."""
+"""Tests for the same-host A/B summary and gate (`scripts/ab.py`), on
+synthetic samples: no benchmark runs."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ def load_ab_module():
 ab = load_ab_module()
 
 WALL = {"name": "wall_ref_s", "better": "lower", "bound": 0.2}
+END_TO_END = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 RATE = {"name": "req_per_ref_s", "better": "higher", "bound": 0.2}
 
 
@@ -78,3 +80,66 @@ def test_format_lists_every_metric():
                         runs("wall_ref_s", [2.0, 2.1]), [WALL])
     text = ab.format_rows(rows)
     assert "wall_ref_s" in text and "2/2" in text and "ok" in text
+
+
+class FakeRuns:
+    """Stands in for ``run_once``: serves each side's ``wall_ref_s``
+    samples in order (every other end-to-end metric reads 1.0), and
+    ``None`` for a sample that is ``None`` (a crashed run)."""
+
+    def __init__(self, base, head, failed=0):
+        self.samples = {"base": list(base), "head": list(head)}
+        self.failed = failed
+
+    def __call__(self, tree, command, workload, seed, seconds):
+        if seconds == ab.WARMUP_SECONDS:
+            return None
+        side = "head" if tree == ab.REPO_ROOT else "base"
+        wall = self.samples[side].pop(0)
+        if wall is None:
+            return None
+        metrics = {metric["name"]: {"value": 1.0} for metric in END_TO_END}
+        metrics["wall_ref_s"] = {"value": wall}
+        return {"failed": self.failed if side == "head" else 0,
+                "metrics": metrics}
+
+
+def run_gate(monkeypatch, tmp_path, fake):
+    monkeypatch.setattr(ab, "extract", lambda rev, into: None)
+    monkeypatch.setattr(ab, "run_once", fake)
+    return ab.main(["HEAD", "--pairs", "5", "--workload", "paper-artefacts",
+                    "--json", str(tmp_path / "ab.json")])
+
+
+def test_main_passes_an_unchanged_tree(monkeypatch, tmp_path, capsys):
+    samples = [1.0, 1.01, 0.99, 1.0, 1.02]
+    assert run_gate(monkeypatch, tmp_path, FakeRuns(samples, samples)) == 0
+    assert "WORSE" not in capsys.readouterr().out
+    report = json.loads((tmp_path / "ab.json").read_text())
+    (summary,) = report["workloads"].values()
+    assert {row["verdict"] for row in summary["summary"]} == {"ok"}
+
+
+def test_main_fails_beyond_the_bound_and_the_iqr(monkeypatch, tmp_path,
+                                                 capsys):
+    fake = FakeRuns([1.0, 1.01, 0.99, 1.0, 1.02], [1.5] * 5)
+    assert run_gate(monkeypatch, tmp_path, fake) == 1
+    captured = capsys.readouterr()
+    assert "WORSE" in captured.out
+    assert "paper-artefacts: wall_ref_s" in captured.err
+
+
+def test_main_reports_unresolved_within_the_iqr(monkeypatch, tmp_path,
+                                                capsys):
+    fake = FakeRuns([0.6, 1.4, 1.0, 0.7, 1.3], [1.25] * 5)
+    assert run_gate(monkeypatch, tmp_path, fake) == 0
+    assert "unresolved" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("head, failed", [
+    ([1.0, None, 1.0, 1.0, 1.0], 0),      # a crashed run
+    ([1.0] * 5, 1),                       # a run with failed operations
+], ids=["crash", "failed-operations"])
+def test_main_fails_on_a_failed_run(monkeypatch, tmp_path, head, failed):
+    fake = FakeRuns([1.0] * 5, head, failed=failed)
+    assert run_gate(monkeypatch, tmp_path, fake) == 1
