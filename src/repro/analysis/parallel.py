@@ -14,11 +14,14 @@ per point, which dominates for the short simulations of quick sweeps.
 The default chunk size targets four chunks per worker — small enough that
 slow points (tight register files, branch-heavy benchmarks) still balance
 across the pool, large enough to amortise the per-future overhead.
+
+With one worker the shards run in the calling process, with no full-heap
+``gc.collect()``/``gc.freeze()`` around them: measured, the freeze cost
+more than it saved (see ``docs/architecture.md``, "Serving a miss").
 """
 
 from __future__ import annotations
 
-import gc
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -103,22 +106,13 @@ class ParallelSweepRunner:
             # process spawn, argument/result pickling and a cold
             # per-process workload cache (the worker regenerates every
             # trace the parent already holds).  Run the shards in-process.
-            # Freeze the caller's heap first: a worker process would have
-            # started with a clean heap, whereas a long-lived caller
-            # (e.g. a test session) drags its live objects through every
-            # generational GC pass of the simulation's object churn.
-            gc.collect()
-            gc.freeze()
-            try:
-                for chunk in chunks:
-                    pairs, meta = _run_chunk(sweep_config, chunk)
-                    self._fold_telemetry(meta)
-                    for point, stats in pairs:
-                        results[point] = stats
-                        if on_result is not None:
-                            on_result(point, stats)
-            finally:
-                gc.unfreeze()
+            for chunk in chunks:
+                pairs, meta = _run_chunk(sweep_config, chunk)
+                self._fold_telemetry(meta)
+                for point, stats in pairs:
+                    results[point] = stats
+                    if on_result is not None:
+                        on_result(point, stats)
             return results
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, sweep_config, chunk)

@@ -13,17 +13,17 @@ drives it) and is the **default**:
 The Python engine stays the readable reference and the fallback.
 Requesting the compiled backend never changes results and never fails a
 run: before the first compiled run in a process, a **self-check** runs
-one small point under each release policy on the C core (warm-up eager
-and deferred) and compares the full ``SimStats`` field-for-field with
-the Python engine's.  The Python reference runs are deterministic, so
-their ``asdict``s are memoised as JSON beside the built core, named by
-a digest of the ``repro`` sources, numpy, Python and the machine; the
-six compiled runs and the coverage checks run in every process, and a
-missing or unreadable memo means the full check.  A missing/broken
-toolchain or any divergence logs one warning on the
-``repro.engine.accel`` logger and pins the process to the Python
-engine.  Individual runs the C core cannot model (or that hit its
-deadlock/internal escapes) quietly fall back per-run.
+one small point under each release policy on the C core (from a cold
+start and from a machine warmed in Python) and compares the full
+``SimStats`` field-for-field with the Python engine's.  The Python
+reference runs are deterministic, so their ``asdict``s are memoised as
+JSON beside the built core, named by a digest of the ``repro`` sources,
+numpy, Python and the machine; the six compiled runs and the coverage
+checks run in every process, and a missing or unreadable memo means the
+full check.  A missing/broken toolchain or any divergence logs one
+warning on the ``repro.engine.accel`` logger and pins the process to
+the Python engine.  Individual runs the C core cannot model (or that
+hit its deadlock/internal escapes) quietly fall back per-run.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def _self_check() -> bool:
     """One small point per release policy must agree field-for-field."""
     import dataclasses
 
-    from repro.engine.accel.compiled import run_compiled
+    from repro.engine.accel.compiled import ColdStart, run_compiled
     from repro.engine.engine import SimulationEngine
+    from repro.engine.state import MachineState
     from repro.pipeline.config import ProcessorConfig
     from repro.trace.workloads import get_workload
 
@@ -211,13 +212,12 @@ def _self_check() -> bool:
         if policy != "conv" \
                 and reference["int_registers"]["early_releases"] <= 0:
             return False
-        # Eager warm-up (the Python warm pass, then the C core), then
-        # warm-up deferred into the C core (the engine="compiled" state
-        # skips the Python warm pass), so both paths get the same
-        # per-process divergence gate.
-        for engine in ("python", "compiled"):
-            compiled = run_compiled(SimulationEngine(
-                trace, dataclasses.replace(config, engine=engine)).state)
+        # A cold start (the core warms itself up, as every compiled run
+        # from reset does), then a machine warmed in Python and exported
+        # as it stands, so both paths get the same per-process
+        # divergence gate.
+        for start in (ColdStart(trace, config), MachineState(trace, config)):
+            compiled = run_compiled(start)
             if compiled is None \
                     or dataclasses.asdict(compiled.stats) != reference:
                 return False
@@ -284,15 +284,16 @@ def _write_reference_memo(path, references: dict) -> None:
         pass
 
 
-def run_compiled(state, *, max_instructions=None, max_cycles=None,
+def run_compiled(start, *, max_instructions=None, max_cycles=None,
                  deadlock_threshold: int = 50_000):
-    """Run ``state`` on the compiled core (see :mod:`.compiled`).
+    """Run ``start`` (a cold start or a machine) on the compiled core
+    (see :mod:`.compiled`).
 
     Thin re-export that keeps the heavy imports (numpy views, cffi) out
     of backend *resolution*; returns ``None`` on any per-run fallback.
     """
     from repro.engine.accel.compiled import run_compiled as _run
 
-    return _run(state, max_instructions=max_instructions,
+    return _run(start, max_instructions=max_instructions,
                 max_cycles=max_cycles,
                 deadlock_threshold=deadlock_threshold)

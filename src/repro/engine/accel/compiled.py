@@ -1,21 +1,22 @@
 """Drive one simulation through the compiled core, bit-identically.
 
-:func:`run_compiled` takes a fully constructed
-:class:`~repro.engine.state.MachineState`, exports it into a C
-``Machine`` built by :mod:`repro.engine.accel.loader`, lets ``sim_run``
-execute the whole pipeline, and assembles the resulting counters into the
-same :class:`~repro.pipeline.stats.SimStats` the Python engine's
-``collect_stats`` would produce.
+:func:`run_compiled` fills a C ``Machine`` built by
+:mod:`repro.engine.accel.loader`, lets ``sim_run`` execute the whole
+pipeline, and assembles the resulting counters into the same
+:class:`~repro.pipeline.stats.SimStats` the Python engine's
+``collect_stats`` would produce.  It starts from one of two places:
 
-Warm-up runs inside the compiled invocation: a state constructed with
-``warmup=True`` for the compiled backend defers its Python warm-up pass
-(``state.warmup_pending``), and ``run_compiled`` instead exports the
-warm-up trace's columns and lets ``sim_run`` replay them through the C
-predictor/BTB/cache models before the first measured cycle — the exact
-port of ``MachineState._warm_state``, bit-identical by the equivalence
-suite.  A state that was warmed in Python (``warmup_pending`` false)
-exports the already-warm structures with a zero-length warm-up, which is
-equally exact.
+* a **cold start** (:class:`ColdStart`): the trace and the config only,
+  which is what ``SimulationEngine.run`` hands it for a run from reset.
+  ``sim_new``'s machine is the cold machine (every gshare counter at 2,
+  empty BTB and caches), the warm-up trace's columns are exported and
+  ``sim_run`` replays them through the C predictor/BTB/cache models
+  before the first measured cycle — the exact port of
+  ``MachineState._warm_state`` — and the wrong-path generator and
+  exception RNG are created fresh for the run;
+* a **warmed** :class:`~repro.engine.state.MachineState` at cycle 0,
+  whose predictor, BTB and caches are exported as they are (the
+  self-check compares this path too).
 
 The trace's storage already has the shape the core reads
 (:class:`~repro.trace.records.TraceColumns`), so the trace export is one
@@ -28,9 +29,10 @@ core never calls back into Python, so the two stochastic inputs — the
 wrong-path instruction stream and the per-rename exception lottery — are
 fed through flat buffers.  ``sim_run`` escapes with
 ``RUN_NEED_WRONGPATH`` / ``RUN_NEED_EXC`` *before* starting any cycle
-that could exhaust a buffer, Python tops the buffer up from deep copies
-of the state's own generators (so a later pure-Python fallback run still
-observes untouched RNG streams), and re-enters.
+that could exhaust a buffer, Python tops the buffer up (from the cold
+start's own generators, or from deep copies of a ``MachineState``'s, so
+a later pure-Python fallback still observes untouched RNG streams), and
+re-enters.
 
 The wrong-path buffer holds raw 64-bit PCG64 words, not instructions:
 the C core runs :class:`~repro.trace.wrongpath.WrongPathGenerator`'s
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import copy
 import logging
-from typing import NamedTuple, Optional, TYPE_CHECKING
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -61,15 +63,15 @@ from repro.engine.accel.loader import (A, CFG, F, NCFG, RF, RQ_LEVELS_MAX,
                                        RUN_DEADLOCK, RUN_FINISHED,
                                        RUN_INTERNAL, RUN_NEED_EXC,
                                        RUN_NEED_WRONGPATH, SC, ST, ST_N)
-from repro.isa import FUKind, OpClass
-from repro.pipeline.stats import RegisterFileStats, SimStats
 from repro.core.register_state import OccupancyTotals
+from repro.engine import state as machine_state
+from repro.isa import FUKind, OpClass
+from repro.pipeline.config import ProcessorConfig
+from repro.pipeline.stats import RegisterFileStats, SimStats
 from repro.trace.draws import replay_supported
 from repro.trace.records import (TRACE_COLUMN_NAMES, WARMUP_COLUMN_NAMES,
-                                 column_width)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.engine.state import MachineState
+                                 Trace, column_width)
+from repro.trace.wrongpath import WrongPathGenerator
 
 logger = logging.getLogger("repro.engine.accel")
 
@@ -101,18 +103,17 @@ def unsupported_reason(config_or_state) -> Optional[str]:
     """Why this configuration cannot run on the compiled core (None = can).
 
     Accepts a :class:`~repro.pipeline.config.ProcessorConfig` or anything
-    carrying one as ``.config`` (a ``MachineState``).  The C core sizes
-    its Release Queue from the config but caps the depth at
-    ``RQ_LEVELS_MAX``, and models exactly the paper's six-pool /
-    eleven-class functional units; configurations outside that envelope
-    quietly use the Python engine.  For a ``MachineState`` the wrong-path
-    generator must also be replayable from raw words (see
-    :func:`_wrongpath_reason`).
+    carrying one as ``.config`` (a ``MachineState``, a
+    :class:`ColdStart`).  The C core sizes its Release Queue from the
+    config but caps the depth at ``RQ_LEVELS_MAX``, and models exactly
+    the paper's six-pool / eleven-class functional units; configurations
+    outside that envelope quietly use the Python engine.  For a
+    ``MachineState`` the wrong-path generator must also be replayable
+    from raw words (see :func:`_wrongpath_reason`).
     """
     cfg = getattr(config_or_state, "config", config_or_state)
     fetch_unit = getattr(config_or_state, "fetch_unit", None)
-    if cfg.enable_wrong_path and fetch_unit is not None \
-            and fetch_unit.wrongpath is not None:
+    if cfg.enable_wrong_path and fetch_unit is not None:
         reason = _wrongpath_reason(fetch_unit.wrongpath)
         if reason is not None:
             return reason
@@ -136,6 +137,8 @@ def _is_window(regs) -> bool:
 
 def _wrongpath_reason(generator) -> Optional[str]:
     """Why the C cascade cannot replay ``generator`` (None = it can)."""
+    if generator is None:
+        return "wrong path enabled but no generator present"
     if not replay_supported() or not isinstance(
             generator._rng.bit_generator, np.random.PCG64):
         return "wrong-path bit generator is not a replayable PCG64"
@@ -150,7 +153,7 @@ def _wrongpath_reason(generator) -> Optional[str]:
 # ----------------------------------------------------------------------
 # Config vector
 # ----------------------------------------------------------------------
-def _config_vector(state: "MachineState", warm_len: int) -> "np.ndarray":
+def _config_vector(state, warm_len: int) -> "np.ndarray":
     cfg = state.config
     mem = cfg.memory
     fus = cfg.functional_units
@@ -352,7 +355,7 @@ def _register_file_stats(st: "np.ndarray", base: int, num_physical: int,
     )
 
 
-def _assemble_stats(state: "MachineState", st: "np.ndarray",
+def _assemble_stats(state, st: "np.ndarray",
                     cycles: int) -> SimStats:
     cfg = state.config
     stats = SimStats(benchmark=state.trace.name,
@@ -397,36 +400,52 @@ def _assemble_stats(state: "MachineState", st: "np.ndarray",
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-def run_compiled(state: "MachineState", *,
+class ColdStart(NamedTuple):
+    """A run from reset: the trace and the config, and nothing built.
+
+    The core's own reset state is the cold machine (every gshare counter
+    at 2, empty BTB and caches), and the run creates its wrong-path
+    generator and exception RNG afresh, seeded as a ``MachineState``
+    seeds its own.
+    """
+
+    trace: Trace
+    config: ProcessorConfig
+
+
+def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
                  max_instructions: Optional[int] = None,
                  max_cycles: Optional[int] = None,
                  deadlock_threshold: int = 50_000) -> Optional[CompiledRun]:
-    """Run ``state``'s simulation on the compiled core.
+    """Run one simulation on the compiled core.
 
-    Returns a :class:`CompiledRun`, or ``None`` when the run must be
-    (re)done by the Python engine.  The Python ``state`` is never
-    mutated: the export copies structure contents and deep-copies the
-    RNG-bearing generators, so a fallback run starts from pristine state.
+    ``start`` is a :class:`ColdStart` (the core warms up itself, from the
+    exported warm-up trace) or a ``MachineState`` at cycle 0, whose
+    already-warm predictor, BTB and caches are exported.  Returns a
+    :class:`CompiledRun`, or ``None`` when the run must be (re)done by
+    the Python engine.  A ``MachineState`` is never mutated: its RNGs
+    are deep-copied, so a fallback run starts from pristine state.
 
     Raises :class:`~repro.engine.accel.loader.ToolchainError` when the
     core cannot be built/loaded (callers resolve that once per process).
     """
-    reason = unsupported_reason(state)
+    cfg = start.config
+    cold = isinstance(start, ColdStart)
+    wrongpath = None
+    if cfg.enable_wrong_path:
+        wrongpath = (WrongPathGenerator.for_trace(start.trace, seed=cfg.seed)
+                     if cold else start.fetch_unit.wrongpath)
+    reason = unsupported_reason(cfg)
+    if reason is None and cfg.enable_wrong_path:
+        reason = _wrongpath_reason(wrongpath)
     if reason is not None:
         logger.debug("compiled backend unavailable for this run: %s", reason)
         return None
 
-    # A deferred warm-up (state constructed for the compiled backend)
-    # runs inside sim_run from the exported warm-up trace; a state warmed
-    # in Python instead exports its already-warm structures below and the
-    # C pass is a no-op.  The Python state is left pending — a fallback
-    # run warms itself via ensure_warm().
-    warm_trace = (state._build_warmup_trace()
-                  if getattr(state, "warmup_pending", False) else None)
-    warm_len = len(warm_trace) if warm_trace is not None else 0
-
+    warm_trace = (machine_state.build_warmup_trace(start.trace)
+                  if cold and cfg.warmup else None)
     ffi, lib = loader.load_core()
-    vec = _config_vector(state, warm_len)
+    vec = _config_vector(start, 0 if warm_trace is None else len(warm_trace))
     mach = lib.sim_new(ffi.cast("long long *", ffi.from_buffer(vec)), NCFG)
     if mach == ffi.NULL:
         logger.warning("compiled core rejected the configuration vector; "
@@ -434,38 +453,35 @@ def run_compiled(state: "MachineState", *,
         return None
     mach = ffi.gc(mach, lib.sim_free)
 
-    _export_trace(ffi, lib, mach, state.trace)
+    _export_trace(ffi, lib, mach, start.trace)
     if warm_trace is not None:
         _export_warmup(ffi, lib, mach, warm_trace)
-    _export_predictor(ffi, lib, mach, state.predictor)
-    _export_btb(ffi, lib, mach, state.btb)
-    memory = state.memory
-    _export_cache(ffi, lib, mach, memory.l1i, A.L1I_TAG)
-    _export_cache(ffi, lib, mach, memory.l1d, A.L1D_TAG)
-    _export_cache(ffi, lib, mach, memory.l2, A.L2_TAG)
+    if not cold:
+        _export_predictor(ffi, lib, mach, start.predictor)
+        _export_btb(ffi, lib, mach, start.btb)
+        memory = start.memory
+        _export_cache(ffi, lib, mach, memory.l1i, A.L1I_TAG)
+        _export_cache(ffi, lib, mach, memory.l1d, A.L1D_TAG)
+        _export_cache(ffi, lib, mach, memory.l2, A.L2_TAG)
 
     limit = (max_instructions if max_instructions is not None
-             else len(state.trace))
+             else len(start.trace))
     lib.sim_set(mach, SC.COMMIT_LIMIT, limit)
     lib.sim_set(mach, SC.MAX_CYCLES, -1 if max_cycles is None else max_cycles)
     lib.sim_set(mach, SC.DEADLOCK, deadlock_threshold)
-    lib.sim_setf(mach, F.EXC_RATE, state.config.exception_rate)
+    lib.sim_setf(mach, F.EXC_RATE, cfg.exception_rate)
 
-    # Deep copies: the compiled attempt consumes these streams; a Python
-    # fallback (deadlock, internal error) must see them untouched.
-    wrongpath = (state.fetch_unit.wrongpath
-                 if state.config.enable_wrong_path else None)
-    exc_rng = (copy.deepcopy(state.exception_rng)
-               if state.config.exception_rate > 0.0 else None)
-    if state.config.enable_wrong_path and wrongpath is None:
-        # A wrong-path-enabled config without a generator cannot occur via
-        # MachineState construction; refuse rather than diverge.
-        logger.warning("wrong path enabled but no generator present; "
-                       "falling back to the Python engine")
-        return None
+    # The run consumes these streams.  A cold start owns fresh ones; a
+    # MachineState's are copied, so a Python fallback sees them untouched.
+    exc_rng = None
+    if cfg.exception_rate > 0.0:
+        exc_rng = (np.random.default_rng(cfg.seed + 0xE) if cold
+                   else copy.deepcopy(start.exception_rng))
     if wrongpath is not None:
         _export_wrongpath(lib, mach, wrongpath)
-        wp_bits = copy.deepcopy(wrongpath._rng.bit_generator)
+        wp_bits = wrongpath._rng.bit_generator
+        if not cold:
+            wp_bits = copy.deepcopy(wp_bits)
         wp_raw = _i64_view(ffi, lib, mach, A.W_RAW, WP_RAW_BUFFER)
 
     status = lib.sim_run(mach)
@@ -491,4 +507,4 @@ def run_compiled(state: "MachineState", *,
 
     st = _i64_view(ffi, lib, mach, A.STATS, ST_N).copy()
     cycles = int(lib.sim_get(mach, SC.CYCLE))
-    return CompiledRun(stats=_assemble_stats(state, st, cycles))
+    return CompiledRun(stats=_assemble_stats(start, st, cycles))

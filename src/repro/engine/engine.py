@@ -1,9 +1,15 @@
 """The simulation engine: the five stages swept over one shared state.
 
-:class:`SimulationEngine` owns one :class:`~repro.engine.state.MachineState`
-and sweeps the five stages over it once per cycle (commit → writeback →
-issue → rename → fetch, reverse pipeline order).  :func:`simulate` is the
-one-call entry point.
+:class:`SimulationEngine` sweeps the five stages over one
+:class:`~repro.engine.state.MachineState` once per cycle (commit →
+writeback → issue → rename → fetch, reverse pipeline order).
+:func:`simulate` is the one-call entry point.
+
+The machine is built lazily, on first use of :attr:`SimulationEngine.state`.
+A whole run from reset on the compiled backend never builds one: it hands
+the core a cold start (the trace and the config), so a compiled point
+pays for no Python register files, predictor table or warm-up pass.  If
+that run falls back, the Python engine builds a fresh machine.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ class SimulationEngine:
 
     def __init__(self, trace: Trace, config: Optional[ProcessorConfig] = None,
                  probe: Optional[Callable[[MachineState], None]] = None) -> None:
-        self.state = MachineState(trace, config)
+        self.trace = trace
+        self.config = config or ProcessorConfig()
+        self._state: Optional[MachineState] = None
         self.stages = default_stages()
         #: bound tick methods, hoisted out of the per-cycle sweep.
         self._ticks = [stage.tick for stage in self.stages]
@@ -42,23 +50,32 @@ class SimulationEngine:
         #: backend that produced the last :meth:`run` result ("python"
         #: until a run completes on the compiled core).
         self.backend_used = "python"
+        #: whether the last compiled run committed the whole trace.
+        self._compiled_finished = False
 
     # ------------------------------------------------------------------
     @property
-    def finished(self) -> bool:
-        """True when every fetched instruction has drained from the pipeline."""
-        return self.state.finished
+    def state(self) -> MachineState:
+        """The Python machine, built (and warmed) on first use."""
+        if self._state is None:
+            self._state = MachineState(self.trace, self.config)
+        return self._state
 
     @property
-    def stats(self) -> SimStats:
-        """The (live) statistics of the run."""
-        return self.state.stats
+    def finished(self) -> bool:
+        """True when every fetched instruction has drained from the pipeline.
+
+        After a compiled run: True when that run committed the whole
+        trace (no machine is built to tell).
+        """
+        if self.backend_used == "compiled":
+            return self._compiled_finished
+        return self.state.finished
 
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Simulate exactly one cycle (commit → writeback → issue → rename → fetch)."""
         state = self.state
-        state.ensure_warm()
         for tick in self._ticks:
             tick(state)
         state.cycle += 1
@@ -69,24 +86,31 @@ class SimulationEngine:
             max_cycles: Optional[int] = None,
             deadlock_threshold: int = 50_000) -> SimStats:
         """Run the simulation until the trace drains (or a limit is hit)."""
-        state = self.state
-        if state.cycle == 0 and state.seq == 0 and self.probe is None:
-            # Backend dispatch happens only for whole runs from reset
-            # (a partially stepped machine cannot be exported) and only
-            # when no probe is attached (probes observe Python-engine
-            # state the compiled core does not materialise).
+        # Backend dispatch happens only for whole runs from reset (a
+        # partially stepped machine cannot be exported) and only when no
+        # probe is attached (probes observe Python-engine state the
+        # compiled core does not materialise).
+        state = self._state
+        at_reset = state is None or (state.cycle == 0 and state.seq == 0)
+        if self.probe is None and at_reset:
             from repro.engine import accel
 
-            if accel.resolve_engine_backend(state.config) == "compiled":
+            if accel.resolve_engine_backend(self.config) == "compiled":
+                from repro.engine.accel.compiled import ColdStart
+
+                start = (ColdStart(self.trace, self.config)
+                         if state is None else state)
                 result = accel.run_compiled(
-                    state, max_instructions=max_instructions,
+                    start, max_instructions=max_instructions,
                     max_cycles=max_cycles,
                     deadlock_threshold=deadlock_threshold)
                 if result is not None:
                     self.backend_used = "compiled"
+                    self._compiled_finished = (
+                        result.stats.committed_instructions >= len(self.trace))
                     return result.stats
         self.backend_used = "python"
-        state.ensure_warm()     # warm-up deferred to a backend we didn't use
+        state = self.state
         ticks = self._ticks
         probe = self.probe
         stats = state.stats

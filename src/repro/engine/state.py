@@ -20,6 +20,11 @@ one place.
 
 Cross-stage state transitions (misprediction recovery, precise-exception
 flush, squash undo) live here because more than one stage triggers them.
+
+A machine built with ``warmup=True`` warms itself at construction
+(:meth:`MachineState._warm_state`).  A compiled run from reset builds no
+machine at all: the core starts cold from the trace and the config and
+replays the same warm-up segment (:func:`build_warmup_trace`) itself.
 """
 
 from __future__ import annotations
@@ -55,6 +60,24 @@ STALL_LSQ_FULL = "lsq_full"
 STALL_CHECKPOINTS_FULL = "checkpoints_full"
 STALL_NO_FREE_INT = "no_free_int_register"
 STALL_NO_FREE_FP = "no_free_fp_register"
+
+
+def build_warmup_trace(trace: Trace) -> Trace:
+    """The instruction sequence that warms a machine for ``trace``.
+
+    A segment of the same benchmark under a different seed (see
+    :meth:`MachineState._warm_state`); a trace outside the workload
+    registry (hand-built test traces) warms on itself.  The compiled
+    core replays the same segment on a cold start.
+    """
+    from repro.trace.workloads import get_workload, has_workload
+
+    if not has_workload(trace.name):
+        return trace
+    length = min(len(trace), 20_000)
+    # get_workload caches, so repeated simulations of the same benchmark
+    # (different policies / register sizes) reuse the warm-up segment.
+    return get_workload(trace.name, length, seed=trace.seed + 7919)
 
 
 class MachineState:
@@ -177,17 +200,8 @@ class MachineState:
         }
         self.last_commit_cycle = 0
 
-        #: warm-up owed but not yet run.  When the compiled backend is
-        #: requested and can model this config, the (expensive) Python
-        #: warm-up pass is deferred: the compiled core replays the warm-up
-        #: trace itself inside sim_run, and any path that instead steps
-        #: the Python engine calls :meth:`ensure_warm` first.
-        self.warmup_pending = False
         if cfg.warmup:
-            if self._defer_warmup_to_backend():
-                self.warmup_pending = True
-            else:
-                self._warm_state()
+            self._warm_state()
 
     # ------------------------------------------------------------------
     @property
@@ -197,27 +211,6 @@ class MachineState:
                 and self.ros.is_empty)
 
     # ------------------------------------------------------------------
-    def _defer_warmup_to_backend(self) -> bool:
-        """Should warm-up run inside the compiled core instead of here?
-
-        Purely config-driven (no toolchain probe at construction time): the
-        compiled backend must be the requested engine and the config inside
-        its envelope.  If the toolchain later turns out to be unavailable,
-        the Python engine calls :meth:`ensure_warm` before stepping.
-        """
-        from repro.engine.accel import requested_backend
-        from repro.engine.accel.compiled import unsupported_reason
-
-        if requested_backend(self.config) != "compiled":
-            return False
-        return unsupported_reason(self.config) is None
-
-    def ensure_warm(self) -> None:
-        """Run the deferred warm-up pass if one is still owed."""
-        if self.warmup_pending:
-            self.warmup_pending = False
-            self._warm_state()
-
     def _warm_state(self) -> None:
         """Bring caches, BTB and branch predictor to steady state.
 
@@ -235,7 +228,7 @@ class MachineState:
         traces), the trace itself is used.  Statistics are reset afterwards
         so reported rates cover only the measured run.
         """
-        warmup_trace = self._build_warmup_trace()
+        warmup_trace = build_warmup_trace(self.trace)
         memory = self.memory
         instruction_access = memory.instruction_access
         data_write = memory.data_write
@@ -258,17 +251,6 @@ class MachineState:
         memory.reset_statistics()
         self.btb.reset_statistics()
         self.predictor.reset_statistics()
-
-    def _build_warmup_trace(self) -> Trace:
-        """Return the instruction sequence used for warm-up (see :meth:`_warm_state`)."""
-        from repro.trace.workloads import get_workload, has_workload
-
-        if not has_workload(self.trace.name):
-            return self.trace
-        length = min(len(self.trace), 20_000)
-        # get_workload caches, so repeated simulations of the same benchmark
-        # (different policies / register sizes) reuse the warm-up segment.
-        return get_workload(self.trace.name, length, seed=self.trace.seed + 7919)
 
     # ==================================================================
     # PipelineView protocol (used by the release policies)

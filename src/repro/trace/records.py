@@ -14,10 +14,10 @@ reads (:data:`TRACE_COLUMN_NAMES`, see :class:`TraceColumns`):
   address of a memory op, 0 otherwise).
 
 :class:`~repro.isa.instructions.Instruction` objects exist only on
-demand (the Python engine, :meth:`Trace.summary`, tests): one shared
-object per non-memory row and a fresh one per memory op.  A trace built
-by hand from an instruction list keeps that list and derives its columns
-once, on first use.
+demand (the Python engine, tests): one shared object per non-memory row
+and a fresh one per memory op.  A trace built by hand from an
+instruction list keeps that list and derives its columns once, on first
+use.
 
 The :class:`TraceSummary` gives the aggregate properties that the workload
 calibration tests assert on (instruction mix, branch density, register
@@ -26,7 +26,6 @@ working sets).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -320,6 +319,9 @@ class Trace:
         #: memoised :meth:`summary` result (traces are cached and shared
         #: across whole sweeps).
         self._summary: Optional[TraceSummary] = None
+        #: memoised wrong-path mix, owned by
+        #: :meth:`repro.trace.wrongpath.WrongPathGenerator.for_trace`.
+        self.wrongpath_mix = None
 
     def __repr__(self) -> str:
         return (f"Trace(name={self.name!r}, focus_class={self.focus_class!r}, "
@@ -370,73 +372,77 @@ class Trace:
     def summary(self) -> TraceSummary:
         """Aggregate statistics used by calibration tests and reports.
 
-        Computed once per trace and memoised: the trace is treated as
-        immutable after construction.
+        Computed from the columns (no instruction is materialised), once
+        per trace and memoised: the trace is treated as immutable after
+        construction.
         """
         if self._summary is None:
             self._summary = self._compute_summary()
         return self._summary
 
     def _compute_summary(self) -> TraceSummary:
-        instructions = self.instruction_list()
-        n = len(instructions)
+        columns = self.columns
+        n = len(columns)
         if n == 0:
             return TraceSummary(
                 length=0, mix={}, branch_fraction=0.0, load_fraction=0.0,
                 store_fraction=0.0, int_regs_written=0, fp_regs_written=0,
                 avg_def_use_distance=0.0, avg_def_redefine_distance=0.0,
             )
+        table, rows = columns.table, columns.rows
 
-        counts: Counter = Counter(inst.op for inst in instructions)
-        mix = {op.name: counts.get(op, 0) / n for op in OpClass if counts.get(op, 0)}
-        branches = sum(1 for inst in instructions if inst.is_branch)
-        loads = sum(1 for inst in instructions if inst.is_load)
-        stores = sum(1 for inst in instructions if inst.is_store)
+        # Op counts: instructions per row, summed per row op.
+        per_row = np.bincount(rows, minlength=len(columns.records))
+        counts = np.zeros(len(OpClass), dtype=np.int64)
+        np.add.at(counts, table["op"], per_row)
+        mix = {op.name: int(counts[op]) / n for op in OpClass if counts[op]}
+        loads = int(counts[OpClass.LOAD] + counts[OpClass.FP_LOAD])
+        stores = int(counts[OpClass.STORE] + counts[OpClass.FP_STORE])
 
-        int_written = set()
-        fp_written = set()
-        # Per logical register: position of the current definition and of the
-        # latest read of that definition.
-        last_def: Dict[tuple, int] = {}
-        last_read: Dict[tuple, int] = {}
-        use_distances: List[int] = []
-        redefine_distances: List[int] = []
+        # Each logical register as one integer; -1 for "no register".
+        span = int(max(table["dest"].max(), table["src_log"].max())) + 1
+        row_dest = np.where(table["dc"] >= 0,
+                            table["dc"] * span + table["dest"], -1)
+        row_srcs = np.where(np.arange(MAX_SRCS) < table["nsrc"][:, None],
+                            table["src_class"] * span + table["src_log"], -1)
+        dests = row_dest[rows]
+        def_pos = np.flatnonzero(dests >= 0)
+        def_reg = dests[def_pos]
+        written = np.unique(def_reg)
+        int_written = int(np.count_nonzero(written // span == RegClass.INT))
 
-        for pos, inst in enumerate(instructions):
-            for src in inst.srcs:
-                if src in last_def:
-                    last_read[src] = pos
-            if inst.dest is not None:
-                reg = inst.dest
-                if reg[0] is RegClass.INT or reg[0] == RegClass.INT:
-                    int_written.add(reg[1])
-                else:
-                    fp_written.add(reg[1])
-                if reg in last_def:
-                    def_pos = last_def[reg]
-                    redefine_distances.append(pos - def_pos)
-                    use_pos = last_read.get(reg, def_pos)
-                    if use_pos >= def_pos:
-                        use_distances.append(use_pos - def_pos)
-                last_def[reg] = pos
-                last_read.pop(reg, None)
+        # Consecutive definitions of one register, in program order.
+        order = np.argsort(def_reg, kind="stable")
+        def_reg, def_pos = def_reg[order], def_pos[order]
+        redefined = def_reg[1:] == def_reg[:-1]
+        reg = def_reg[:-1][redefined]
+        start = def_pos[:-1][redefined]
+        stop = def_pos[1:][redefined]
+        # A definition's last read is its register's last read in
+        # (def, redefinition]: a source is read before the destination is
+        # written, so the redefining instruction still reads the old value.
+        srcs = row_srcs[rows]
+        read_pos, slot = np.nonzero(srcs >= 0)
+        stride = n + 1
+        reads = np.sort(srcs[read_pos, slot] * stride + read_pos)
+        low, high = reg * stride + start, reg * stride + stop
+        last = np.searchsorted(reads, high, side="right") - 1
+        last_read = reads[np.maximum(last, 0)] if len(reads) else high
+        uses = np.where((last >= 0) & (last_read > low), last_read - low, 0)
 
-        avg_use = sum(use_distances) / len(use_distances) if use_distances else 0.0
-        avg_redef = (
-            sum(redefine_distances) / len(redefine_distances)
-            if redefine_distances
-            else 0.0
-        )
+        redefinitions = len(reg)
         return TraceSummary(
             length=n,
             mix=mix,
-            branch_fraction=branches / n,
+            branch_fraction=int(counts[OpClass.BRANCH]) / n,
             load_fraction=loads / n,
             store_fraction=stores / n,
-            int_regs_written=len(int_written),
-            fp_regs_written=len(fp_written),
-            avg_def_use_distance=avg_use,
-            avg_def_redefine_distance=avg_redef,
+            int_regs_written=int_written,
+            fp_regs_written=len(written) - int_written,
+            avg_def_use_distance=(int(uses.sum()) / redefinitions
+                                  if redefinitions else 0.0),
+            avg_def_redefine_distance=(int((stop - start).sum()) / redefinitions
+                                       if redefinitions else 0.0),
         )
 
     # ------------------------------------------------------------------

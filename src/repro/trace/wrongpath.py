@@ -30,12 +30,13 @@ from repro.trace.draws import (RawCursor, ReplayUnsupported,
 from repro.trace.records import Trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class WrongPathMix:
     """Operation mix used when synthesising wrong-path instructions.
 
     The fractions need not sum to one; the remainder is filled with integer
-    ALU operations.
+    ALU operations.  Frozen: one mix is shared by every generator built
+    for the same trace (:meth:`WrongPathGenerator.for_trace`).
     """
 
     load: float = 0.22
@@ -302,5 +303,12 @@ class WrongPathGenerator:
 
     @staticmethod
     def for_trace(trace: Trace, seed: int = 0) -> "WrongPathGenerator":
-        """Build a generator whose mix mirrors ``trace``."""
-        return WrongPathGenerator(WrongPathMix.from_trace(trace), seed=seed)
+        """Build a generator whose mix mirrors ``trace``.
+
+        The mix is derived once per trace and memoised on the trace
+        itself, so a sweep's points share one count and the memo dies
+        with the trace.
+        """
+        if trace.wrongpath_mix is None:
+            trace.wrongpath_mix = WrongPathMix.from_trace(trace)
+        return WrongPathGenerator(trace.wrongpath_mix, seed=seed)

@@ -96,8 +96,8 @@ def test_gutted_self_check_is_reported(real_tree_copy):
 def test_self_check_without_compiled_runs_is_reported(real_tree_copy):
     # A memoised verdict must never stand in for the compiled runs.
     mutate(real_tree_copy, ACCEL_INIT,
-           "compiled = run_compiled(SimulationEngine(",
-           "compiled = memoised_verdict(SimulationEngine(")
+           "compiled = run_compiled(start)",
+           "compiled = memoised_verdict(start)")
     found = _run(real_tree_copy)
     assert any("_self_check" in f.message and "run_compiled" in f.message
                for f in found)

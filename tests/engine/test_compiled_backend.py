@@ -140,23 +140,23 @@ class TestBitIdenticalStats:
         # exports no columns), a warm trace much shorter than the measured
         # trace, and the default full-length segment (warm len == trace
         # len for traces under the 20k warm-up cap).
-        from repro.engine.state import MachineState
+        from repro.engine import state as state_mod
         from repro.trace.records import Trace
 
         if warm_length is not None:
-            original = MachineState._build_warmup_trace
+            original = state_mod.build_warmup_trace
 
-            def truncated(self):
-                base = original(self)
+            def truncated(trace):
+                base = original(trace)
                 return Trace(name=base.name, focus_class=base.focus_class,
                              instructions=list(base.instructions[:warm_length]),
                              seed=base.seed)
 
-            monkeypatch.setattr(MachineState, "_build_warmup_trace", truncated)
+            monkeypatch.setattr(state_mod, "build_warmup_trace", truncated)
         reference, compiled, engine = run_both("gcc", "extended", warmup=True,
                                                trace_length=1_000)
         if warm_length is None:
-            assert len(engine.state._build_warmup_trace().instructions) >= 1_000
+            assert len(state_mod.build_warmup_trace(engine.trace)) >= 1_000
         assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
 
     def test_warmup_of_unregistered_trace_replays_itself(self):
@@ -392,8 +392,8 @@ class TestFallbackContract:
     def test_toolchain_error_under_auto_falls_back_once(self, monkeypatch,
                                                         caplog):
         # The default request on a machine whose core cannot be loaded:
-        # every run resolves to the Python engine (which then owes the
-        # deferred warm-up), the process logs one warning in all, and the
+        # every run resolves to the Python engine (on a machine that
+        # warmed itself up), the process logs one warning in all, and the
         # statistics equal the compiled run's.
         from repro.engine.accel import loader
 
@@ -470,52 +470,91 @@ class TestFallbackContract:
 
 
 class TestWarmupDeferral:
-    """Warm-up is deferred into the compiled core — and still owed on
-    fallback.  Config-driven, so these run without a toolchain."""
+    """A compiled run from reset starts cold in C and warms up there; a
+    Python machine warms itself at construction.  Config-driven, so the
+    tests without a compiled run need no toolchain."""
 
-    def test_compiled_request_defers_warmup(self):
-        trace = get_workload("swim", 500, seed=0)
-        state = SimulationEngine(trace, ProcessorConfig(
-            engine="compiled", warmup=True)).state
-        assert state.warmup_pending
-        # Deferred means genuinely cold: the predictor has trained on
-        # nothing yet (the C core, or ensure_warm(), will do the pass).
-        assert len(set(state.predictor.table)) == 1
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @needs_compiled
+    def test_compiled_request_defers_warmup(self, monkeypatch):
+        # The warm-up pass runs in the core: no Python warm pass at all.
+        from repro.engine.state import MachineState
+
+        warm_passes = self._count(monkeypatch, MachineState, "_warm_state")
+        engine = SimulationEngine(get_workload("swim", 500, seed=0),
+                                  ProcessorConfig(engine="compiled",
+                                                  warmup=True))
+        engine.run()
+        assert engine.backend_used == "compiled"
+        assert warm_passes == []
+
+    @needs_compiled
+    def test_compiled_run_builds_no_machine(self, monkeypatch):
+        from repro.engine.state import MachineState
+
+        machines = self._count(monkeypatch, MachineState, "__init__")
+        engine = SimulationEngine(get_workload("gcc", 800, seed=0),
+                                  ProcessorConfig(engine="compiled",
+                                                  warmup=True,
+                                                  exception_rate=0.01))
+        stats = engine.run()
+        assert engine.backend_used == "compiled"
+        assert stats.committed_instructions == len(engine.trace)
+        assert engine.finished
+        assert machines == []
 
     def test_python_engine_warms_at_construction(self):
         trace = get_workload("swim", 500, seed=0)
         state = SimulationEngine(trace, ProcessorConfig(
             engine="python", warmup=True)).state
-        assert not state.warmup_pending
         assert state.predictor.predictions == 0     # stats reset after warm
         assert len(set(state.predictor.table)) > 1  # but the tables learned
 
     def test_out_of_envelope_config_does_not_defer(self):
-        # A config the compiled core cannot run must warm up eagerly —
-        # deferring would hand the Python engine a cold machine.
+        # A config the compiled core cannot run gets a warm Python
+        # machine, exactly as an explicit Python request does.
         from repro.engine.accel.loader import RQ_LEVELS_MAX
 
         trace = get_workload("swim", 500, seed=0)
-        state = SimulationEngine(trace, ProcessorConfig(
-            engine="compiled", warmup=True, release_policy="extended",
-            max_pending_branches=RQ_LEVELS_MAX + 1)).state
-        assert not state.warmup_pending
+        config = ProcessorConfig(engine="compiled", warmup=True,
+                                 release_policy="extended",
+                                 max_pending_branches=RQ_LEVELS_MAX + 1)
+        engine = SimulationEngine(trace, config)
+        stats = engine.run(max_cycles=200)
+        assert engine.backend_used == "python"
+        assert len(set(engine.state.predictor.table)) > 1
+        reference = SimulationEngine(
+            trace, dataclasses.replace(config, engine="python")).run(
+                max_cycles=200)
+        assert dataclasses.asdict(stats) == dataclasses.asdict(reference)
 
-    def test_ensure_warm_runs_once(self):
-        trace = get_workload("swim", 500, seed=0)
-        state = SimulationEngine(trace, ProcessorConfig(
-            engine="compiled", warmup=True)).state
-        state.ensure_warm()
-        assert not state.warmup_pending
-        assert len(set(state.predictor.table)) > 1
-        snapshot = list(state.predictor.table)
-        state.ensure_warm()                         # idempotent
-        assert list(state.predictor.table) == snapshot
+    def test_machine_warms_once(self, monkeypatch):
+        from repro.engine.state import MachineState
+
+        warm_passes = self._count(monkeypatch, MachineState, "_warm_state")
+        engine = SimulationEngine(get_workload("swim", 500, seed=0),
+                                  ProcessorConfig(engine="compiled",
+                                                  warmup=True))
+        assert len(set(engine.state.predictor.table)) > 1
+        engine.step()
+        engine.step()
+        assert warm_passes == [1]
 
     def test_broken_toolchain_still_warms_up(self, monkeypatch):
-        # Warm-up deferred to a compiled backend that turns out to be
-        # missing must still happen (ensure_warm before the Python
-        # stepping loop): stats equal the python-engine warmup=True reference.
+        # A compiled request whose core turns out to be missing runs on
+        # a warm Python machine: stats equal the python-engine
+        # warmup=True reference.
         monkeypatch.setenv("REPRO_ACCEL_CC", "/nonexistent/compiler-xyz")
         accel.reset_backend_cache()
         try:
@@ -523,7 +562,6 @@ class TestWarmupDeferral:
             config = ProcessorConfig(release_policy="extended", warmup=True,
                                      engine="compiled")
             engine = SimulationEngine(trace, config)
-            assert engine.state.warmup_pending
             stats = engine.run()
             assert engine.backend_used == "python"
             reference = SimulationEngine(
@@ -533,14 +571,88 @@ class TestWarmupDeferral:
             accel.reset_backend_cache()
 
     def test_single_stepping_warms_first(self):
-        # step() never reaches the compiled backend, so the deferred pass
-        # must run before the first stepped cycle.
+        # step() never reaches the compiled backend: the machine it
+        # builds has already run the warm-up pass.
         trace = get_workload("swim", 500, seed=0)
         engine = SimulationEngine(trace, ProcessorConfig(
             engine="compiled", warmup=True))
-        assert engine.state.warmup_pending
         engine.step()
-        assert not engine.state.warmup_pending
+        assert engine.state.cycle == 1
+        assert len(set(engine.state.predictor.table)) > 1
+
+
+@needs_compiled
+class TestColdStart:
+    """The per-point glue a cold start removes, and its fallback."""
+
+    def test_sweep_derives_the_wrongpath_mix_once(self, monkeypatch):
+        from repro.analysis.sweep import SweepConfig, run_sweep
+        from repro.trace.wrongpath import WrongPathMix
+
+        derivations = TestWarmupDeferral._count(monkeypatch, WrongPathMix,
+                                                "from_trace")
+        # A seed no other test uses: the sweep's trace is generated
+        # here, with no memoised mix yet.
+        sweep = SweepConfig(benchmarks=("gcc",), policies=POLICIES,
+                            register_sizes=(48, 64), trace_length=600,
+                            seed=20_211,
+                            base_config=ProcessorConfig(engine="compiled"))
+        result = run_sweep(sweep, parallel=False, cache=None)
+        assert result.backend == "compiled"
+        assert result.simulated == 6
+        assert derivations == [1]
+
+    def test_refused_run_matches_python(self, monkeypatch):
+        # The core runs the whole point, drawing from both streams, then
+        # reports an internal escape: the engine must redo the point on
+        # a fresh Python machine whose streams the attempt never touched.
+        from repro.engine.accel import compiled as compiled_mod
+        from repro.engine.accel import loader
+        from repro.engine.accel.loader import RUN_FINISHED, RUN_INTERNAL
+
+        load_core = loader.load_core
+        refusals = []
+
+        class Refusing:
+            def __init__(self, lib):
+                self._lib = lib
+
+            def sim_run(self, mach):
+                status = self._lib.sim_run(mach)
+                if status == RUN_FINISHED:
+                    refusals.append(1)
+                    return RUN_INTERNAL
+                return status
+
+            def __getattr__(self, name):
+                return getattr(self._lib, name)
+
+        def refusing_core():
+            ffi, lib = load_core()
+            return ffi, Refusing(lib)
+
+        trace = get_workload("go", 1_500, seed=0)
+        config = ProcessorConfig(release_policy="extended", warmup=True,
+                                 exception_rate=0.01, engine="compiled")
+        reference = SimulationEngine(
+            trace, dataclasses.replace(config, engine="python")).run()
+        assert reference.fetched_wrong_path > 0
+        assert reference.exceptions_taken > 0
+        monkeypatch.setattr(compiled_mod.loader, "load_core", refusing_core)
+        engine = SimulationEngine(trace, config)
+        stats = engine.run()
+        assert refusals == [1]
+        assert engine.backend_used == "python"
+        assert dataclasses.asdict(stats) == dataclasses.asdict(reference)
+
+    def test_core_deadlock_raises_the_python_error(self):
+        from repro.engine import DeadlockError
+
+        engine = SimulationEngine(get_workload("swim", 800, seed=0),
+                                  ProcessorConfig(engine="compiled"))
+        with pytest.raises(DeadlockError):
+            engine.run(deadlock_threshold=1)
+        assert engine.backend_used == "python"
 
 
 @needs_compiled
@@ -561,12 +673,18 @@ class TestSelfCheck:
         monkeypatch.setattr(compiled, "run_compiled", patched)
 
     def test_covers_every_policy_eager_and_deferred(self, monkeypatch):
+        # Each policy runs from a cold start and from a Python-warmed
+        # machine exported as it stands.
+        from repro.engine.accel.compiled import ColdStart
+        from repro.engine.state import MachineState
+
         seen = []
-        self._patch_run_compiled(monkeypatch, lambda state, _: seen.append(
-            (state.config.release_policy, state.warmup_pending)))
+        self._patch_run_compiled(monkeypatch, lambda start, _: seen.append(
+            (start.config.release_policy, type(start))))
         assert accel._self_check()
-        assert sorted(seen) == sorted((policy, deferred) for policy in POLICIES
-                                      for deferred in (False, True))
+        assert sorted(seen, key=repr) == sorted(
+            ((policy, kind) for policy in POLICIES
+             for kind in (ColdStart, MachineState)), key=repr)
 
     def test_point_exercises_each_release_path(self, monkeypatch):
         # basic and extended must each free registers early inside the C
@@ -633,12 +751,12 @@ class TestSelfCheckMemo:
         monkeypatch.setattr(SimulationEngine, "run", no_python_run)
         compiled_runs = []
         TestSelfCheck._patch_run_compiled(
-            monkeypatch, lambda state, _: compiled_runs.append(
-                (state.config.release_policy, state.warmup_pending)))
+            monkeypatch, lambda start, _: compiled_runs.append(
+                (start.config.release_policy, type(start).__name__)))
         assert accel._self_check()
         assert sorted(compiled_runs) == sorted(
-            (policy, deferred) for policy in POLICIES
-            for deferred in (False, True))
+            (policy, kind) for policy in POLICIES
+            for kind in ("ColdStart", "MachineState"))
 
     def test_memo_name_follows_the_source_tree(self, monkeypatch):
         from repro.analysis import cache as cache_mod
@@ -700,7 +818,8 @@ class TestBackendSelection:
         try:
             engine = SimulationEngine(get_workload("swim", 300, seed=0),
                                       ProcessorConfig(warmup=True))
-            assert engine.state.warmup_pending
+            assert len(set(engine.state.predictor.table)) > 1
+            assert accel.probe_verdict() is None
         finally:
             accel.reset_backend_cache()
 

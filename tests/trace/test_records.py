@@ -1,9 +1,12 @@
 """Tests for trace containers and summary statistics."""
 
+from collections import Counter
+
 import pytest
 
 from repro.isa import InstructionBuilder, OpClass, RegClass
-from repro.trace.records import Trace
+from repro.trace.records import Trace, TraceSummary
+from repro.trace.workloads import SCENARIOS, WORKLOADS, get_workload
 
 
 def build_trace():
@@ -75,3 +78,56 @@ class TestSummary:
         summary = trace.summary()
         assert summary.length == 0
         assert summary.branch_fraction == 0.0
+
+    def test_reads_at_the_redefinition_count(self):
+        # A source is read before the destination is written: r1's
+        # definition at 0 is last read by its own redefinition at 2.
+        builder = InstructionBuilder()
+        builder.alu(dest=1, srcs=())
+        builder.alu(dest=2, srcs=())
+        builder.alu(dest=1, srcs=(1,))
+        summary = Trace("r", RegClass.INT, builder.trace()).summary()
+        assert summary.avg_def_use_distance == 2.0
+        assert summary.avg_def_redefine_distance == 2.0
+
+
+def walked_summary(instructions) -> TraceSummary:
+    """The reference: one walk over the ``Instruction`` objects."""
+    n = len(instructions)
+    counts = Counter(inst.op for inst in instructions)
+    written = {RegClass.INT: set(), RegClass.FP: set()}
+    last_def, last_read = {}, {}
+    uses, redefines = [], []
+    for pos, inst in enumerate(instructions):
+        for src in inst.srcs:
+            if src in last_def:
+                last_read[src] = pos
+        if inst.dest is not None:
+            reg = inst.dest
+            written[reg[0]].add(reg[1])
+            if reg in last_def:
+                redefines.append(pos - last_def[reg])
+                uses.append(last_read.get(reg, last_def[reg]) - last_def[reg])
+            last_def[reg] = pos
+            last_read.pop(reg, None)
+    return TraceSummary(
+        length=n,
+        mix={op.name: counts[op] / n for op in OpClass if counts[op]},
+        branch_fraction=sum(inst.is_branch for inst in instructions) / n,
+        load_fraction=sum(inst.is_load for inst in instructions) / n,
+        store_fraction=sum(inst.is_store for inst in instructions) / n,
+        int_regs_written=len(written[RegClass.INT]),
+        fp_regs_written=len(written[RegClass.FP]),
+        avg_def_use_distance=sum(uses) / len(uses) if uses else 0.0,
+        avg_def_redefine_distance=(sum(redefines) / len(redefines)
+                                   if redefines else 0.0))
+
+
+@pytest.mark.parametrize("length, seed", [(3_000, 0), (12_000, 5)])
+@pytest.mark.parametrize("name", [*WORKLOADS, *SCENARIOS])
+def test_columnar_summary_equals_the_instruction_walk(name, length, seed):
+    columns = get_workload(name, length, seed=seed).columns
+    trace = Trace(name, RegClass.INT, seed=seed, columns=columns)
+    summary = trace.summary()
+    assert not trace.materialised
+    assert summary == walked_summary(columns.instructions())
