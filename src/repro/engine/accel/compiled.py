@@ -71,7 +71,6 @@ from repro.pipeline.stats import RegisterFileStats, SimStats
 from repro.trace.draws import replay_supported
 from repro.trace.records import (TRACE_COLUMN_NAMES, WARMUP_COLUMN_NAMES,
                                  Trace, column_width)
-from repro.trace.wrongpath import WrongPathGenerator
 
 logger = logging.getLogger("repro.engine.accel")
 
@@ -99,24 +98,15 @@ class CompiledRun(NamedTuple):
 # ----------------------------------------------------------------------
 # Export-support probe
 # ----------------------------------------------------------------------
-def unsupported_reason(config_or_state) -> Optional[str]:
+def unsupported_reason(cfg: ProcessorConfig) -> Optional[str]:
     """Why this configuration cannot run on the compiled core (None = can).
 
-    Accepts a :class:`~repro.pipeline.config.ProcessorConfig` or anything
-    carrying one as ``.config`` (a ``MachineState``, a
-    :class:`ColdStart`).  The C core sizes its Release Queue from the
-    config but caps the depth at ``RQ_LEVELS_MAX``, and models exactly
-    the paper's six-pool / eleven-class functional units; configurations
-    outside that envelope quietly use the Python engine.  For a
-    ``MachineState`` the wrong-path generator must also be replayable
-    from raw words (see :func:`_wrongpath_reason`).
+    The C core sizes its Release Queue from the config but caps the
+    depth at ``RQ_LEVELS_MAX``, and models exactly the paper's six-pool /
+    eleven-class functional units; configurations outside that envelope
+    quietly use the Python engine.  A run also checks that its wrong-path
+    generator is replayable from raw words (see :func:`_wrongpath_reason`).
     """
-    cfg = getattr(config_or_state, "config", config_or_state)
-    fetch_unit = getattr(config_or_state, "fetch_unit", None)
-    if cfg.enable_wrong_path and fetch_unit is not None:
-        reason = _wrongpath_reason(fetch_unit.wrongpath)
-        if reason is not None:
-            return reason
     if (_POLICY_CODES.get(cfg.release_policy) == 2
             and cfg.max_pending_branches > RQ_LEVELS_MAX):
         return (f"extended policy needs max_pending_branches <= "
@@ -405,8 +395,9 @@ class ColdStart(NamedTuple):
 
     The core's own reset state is the cold machine (every gshare counter
     at 2, empty BTB and caches), and the run creates its wrong-path
-    generator and exception RNG afresh, seeded as a ``MachineState``
-    seeds its own.
+    generator and exception RNG afresh, from the same seeding helpers a
+    ``MachineState`` uses (:func:`~repro.engine.state.wrongpath_generator`,
+    :func:`~repro.engine.state.exception_rng`).
     """
 
     trace: Trace
@@ -431,10 +422,8 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
     """
     cfg = start.config
     cold = isinstance(start, ColdStart)
-    wrongpath = None
-    if cfg.enable_wrong_path:
-        wrongpath = (WrongPathGenerator.for_trace(start.trace, seed=cfg.seed)
-                     if cold else start.fetch_unit.wrongpath)
+    wrongpath = (machine_state.wrongpath_generator(start.trace, cfg) if cold
+                 else start.fetch_unit.wrongpath)
     reason = unsupported_reason(cfg)
     if reason is None and cfg.enable_wrong_path:
         reason = _wrongpath_reason(wrongpath)
@@ -475,7 +464,7 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
     # MachineState's are copied, so a Python fallback sees them untouched.
     exc_rng = None
     if cfg.exception_rate > 0.0:
-        exc_rng = (np.random.default_rng(cfg.seed + 0xE) if cold
+        exc_rng = (machine_state.exception_rng(cfg) if cold
                    else copy.deepcopy(start.exception_rng))
     if wrongpath is not None:
         _export_wrongpath(lib, mach, wrongpath)

@@ -75,6 +75,7 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Simulate exactly one cycle (commit → writeback → issue → rename → fetch)."""
+        self.backend_used = "python"    # `finished` follows the stepped machine
         state = self.state
         for tick in self._ticks:
             tick(state)

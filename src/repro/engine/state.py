@@ -80,6 +80,23 @@ def build_warmup_trace(trace: Trace) -> Trace:
     return get_workload(trace.name, length, seed=trace.seed + 7919)
 
 
+def wrongpath_generator(trace: Trace,
+                        cfg: ProcessorConfig) -> Optional[WrongPathGenerator]:
+    """The run's wrong-path generator (None when the wrong path is off).
+
+    The one place a run seeds its wrong-path stream: both engines call
+    it, so their streams cannot drift apart.
+    """
+    if not cfg.enable_wrong_path:
+        return None
+    return WrongPathGenerator.for_trace(trace, seed=cfg.seed)
+
+
+def exception_rng(cfg: ProcessorConfig) -> np.random.Generator:
+    """The run's exception-lottery RNG, seeded for both engines alike."""
+    return np.random.default_rng(cfg.seed + 0xE)
+
+
 class MachineState:
     """All mutable state of one simulated processor (paper Table 2)."""
 
@@ -93,10 +110,9 @@ class MachineState:
         self.predictor = GsharePredictor(history_bits=cfg.gshare_history_bits)
         self.btb = BranchTargetBuffer(entries=cfg.btb_entries,
                                       associativity=cfg.btb_associativity)
-        wrongpath = (WrongPathGenerator.for_trace(trace, seed=cfg.seed)
-                     if cfg.enable_wrong_path else None)
         self.fetch_unit = FetchUnit(
-            trace, self.predictor, self.btb, self.memory, wrongpath,
+            trace, self.predictor, self.btb, self.memory,
+            wrongpath_generator(trace, cfg),
             fetch_width=cfg.fetch_width,
             max_taken_per_cycle=cfg.max_taken_branches_per_cycle)
 
@@ -154,7 +170,7 @@ class MachineState:
         self.consumers = WakeupIndex()
         #: age-ordered queue of issue-ready instructions.
         self.ready = ReadySet()
-        self.exception_rng = np.random.default_rng(cfg.seed + 0xE)
+        self.exception_rng = exception_rng(cfg)
 
         # ------------------------------------------------------------ rename fast-path hooks
         #: True when the exception lottery must be drawn at all.

@@ -29,6 +29,10 @@ from repro.isa.registers import NUM_LOGICAL_FP, NUM_LOGICAL_INT
 from repro.memory.hierarchy import MemoryConfig
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProcessorConfig:
     """Complete configuration of the simulated processor.
@@ -107,6 +111,20 @@ class ProcessorConfig:
                      "frontend_stages"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # The front-end geometry is checked here, not only by the Python
+        # predictor and BTB: a compiled run from reset builds neither, and
+        # the C core sizes its tables from these values unchecked.
+        if not _is_int(self.gshare_history_bits) \
+                or not 1 <= self.gshare_history_bits <= 24:
+            raise ValueError("gshare_history_bits must be an integer "
+                             "between 1 and 24")
+        if not (_is_int(self.btb_entries) and _is_int(self.btb_associativity)
+                and self.btb_entries > 0 and self.btb_associativity > 0):
+            raise ValueError("btb_entries and btb_associativity must be "
+                             "positive integers")
+        if self.btb_entries % self.btb_associativity != 0:
+            raise ValueError("btb_entries must be a multiple of "
+                             "btb_associativity")
         if not (0.0 <= self.exception_rate <= 1.0):
             raise ValueError("exception_rate must be a probability")
         if self.release_policy not in ("conv", "conventional", "basic", "extended"):

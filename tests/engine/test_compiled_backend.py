@@ -256,7 +256,7 @@ class TestWrongPathCascade:
     @staticmethod
     def _fallback_both(prepare, reason: str):
         """Both requests run on Python, with identical stats."""
-        from repro.engine.accel.compiled import unsupported_reason
+        from repro.engine.accel.compiled import _wrongpath_reason
 
         stats = {}
         for backend in ("python", "compiled"):
@@ -265,8 +265,9 @@ class TestWrongPathCascade:
                                      num_physical_fp=48, engine=backend)
             engine = SimulationEngine(get_workload("gcc", TRACE_LENGTH,
                                                    seed=0), config)
-            prepare(engine.state.fetch_unit.wrongpath)
-            assert reason in unsupported_reason(engine.state)
+            wrongpath = engine.state.fetch_unit.wrongpath
+            prepare(wrongpath)
+            assert reason in _wrongpath_reason(wrongpath)
             stats[backend] = engine.run()
             assert engine.backend_used == "python"
         assert stats["python"].fetched_wrong_path > 0
@@ -513,6 +514,19 @@ class TestWarmupDeferral:
         assert stats.committed_instructions == len(engine.trace)
         assert engine.finished
         assert machines == []
+
+    @needs_compiled
+    def test_stepping_after_a_compiled_run_reports_the_stepped_machine(self):
+        # After a compiled run, `finished` describes that run; once the
+        # caller steps a machine, it describes the machine being stepped.
+        engine = SimulationEngine(get_workload("gcc", 400, seed=0),
+                                  ProcessorConfig(engine="compiled"))
+        engine.run()
+        assert engine.backend_used == "compiled" and engine.finished
+        engine.step()
+        assert engine.backend_used == "python"
+        assert engine.state.cycle == 1
+        assert not engine.finished
 
     def test_python_engine_warms_at_construction(self):
         trace = get_workload("swim", 500, seed=0)

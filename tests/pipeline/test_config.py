@@ -47,6 +47,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProcessorConfig(ros_size=-1)
 
+    @pytest.mark.parametrize("engine", ["python", "compiled"])
+    @pytest.mark.parametrize("overrides", [
+        {"gshare_history_bits": 0},
+        {"gshare_history_bits": 25},
+        {"gshare_history_bits": 40},
+        {"gshare_history_bits": -1},
+        {"gshare_history_bits": 18.5},
+        {"btb_entries": 2},
+        {"btb_entries": 0},
+        {"btb_entries": 2050},
+        {"btb_associativity": 0},
+        {"btb_associativity": -4, "btb_entries": -2048},
+    ])
+    def test_rejects_front_end_geometry_no_engine_can_build(self, engine,
+                                                           overrides):
+        # The C core sizes its gshare table and BTB from these values
+        # without checking them, and a compiled run from reset builds no
+        # Python predictor or BTB: the config is the one gate.
+        with pytest.raises(ValueError):
+            ProcessorConfig(engine=engine, **overrides)
+
+    def test_accepts_front_end_geometry_at_the_edges(self):
+        ProcessorConfig(gshare_history_bits=1)
+        ProcessorConfig(gshare_history_bits=24)
+        ProcessorConfig(btb_entries=4, btb_associativity=4)
+        ProcessorConfig(btb_entries=1, btb_associativity=1)
+
     def test_accepts_all_policies(self):
         for policy in ("conv", "conventional", "basic", "extended"):
             assert ProcessorConfig(release_policy=policy).release_policy == policy

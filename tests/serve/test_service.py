@@ -102,6 +102,17 @@ class TestParseSweepRequest:
             parse_sweep_request({"benchmark": "gcc",
                                  "config": {"turbo": True}})
 
+    @pytest.mark.parametrize("overrides", [
+        {"btb_entries": 2},
+        {"btb_entries": 2050},
+        {"gshare_history_bits": 40},
+        {"gshare_history_bits": 64},
+        {"gshare_history_bits": -1},
+    ])
+    def test_unbuildable_front_end_rejected(self, overrides):
+        with pytest.raises(RequestError, match="invalid config overrides"):
+            parse_sweep_request({"benchmark": "gcc", "config": overrides})
+
     def test_non_scalar_config_value_rejected(self):
         with pytest.raises(RequestError, match="scalar"):
             parse_sweep_request({"benchmark": "gcc",
@@ -263,6 +274,15 @@ class TestSweepPointSingleFlight:
                                                        num_registers=8)))
         assert status == 400
         assert "invalid configuration" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("engine", ["python", "compiled"])
+    def test_unbuildable_btb_is_structured_400(self, service, engine):
+        # A 2-entry, 4-way BTB has no sets; neither engine may see it.
+        status, _, body = run(service.sweep_point(dict(
+            TINY, engine=engine, config={"btb_entries": 2})))
+        assert status == 400
+        assert "btb_entries" in json.loads(body)["error"]
+        assert service.metrics.count("sweep_bad_requests") == 1
 
     def test_computation_failure_is_structured_500(self, service):
         # 32 physical registers exactly cover the logical file, leaving
