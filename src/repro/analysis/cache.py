@@ -161,16 +161,19 @@ def point_key(sweep_config: "SweepConfig", point: "SweepPoint") -> str:
     from repro.engine.accel import requested_backend
     from repro.trace.workloads import workload_digest
 
-    config = sweep_config.config_for(point)
     # The config digest is a pure function of the (frozen) sweep config
     # and the point, so it is memoised on the instance: a request's get
-    # and put, or a sweep's, derive it once.  The other ingredients read
-    # process state ($REPRO_ENGINE, the scenario registry, the source
-    # tree) and are derived on every call.
+    # and put, or a sweep's, build the point's config and digest it once.
+    # The other ingredients read process state ($REPRO_ENGINE, the
+    # scenario registry, the source tree) and are derived on every call;
+    # the engine field they read is the base config's, which config_for
+    # keeps.  Only the digest is kept: a SweepResult holds its sweep
+    # config, and a config per point would outlive the sweep with it.
     digests = vars(sweep_config).setdefault("_config_digests", {})
     digest = digests.get(point)
     if digest is None:
-        digest = digests[point] = config_digest(config)
+        digest = digests[point] = config_digest(
+            sweep_config.config_for(point))
     payload = repr((
         "repro-sweep-point", CACHE_SCHEMA_VERSION, code_digest(),
         point.benchmark,
@@ -178,7 +181,7 @@ def point_key(sweep_config: "SweepConfig", point: "SweepPoint") -> str:
                         getattr(sweep_config, "scenario_profiles", ())),
         sweep_config.trace_length, sweep_config.seed,
         digest,
-        requested_backend(config),
+        requested_backend(sweep_config.base_config),
     )).encode()
     return hashlib.sha256(payload).hexdigest()
 

@@ -1,5 +1,5 @@
 """Rule ``stats-abi``: the SimStats contract must agree across all four
-of its definitions.
+of its definitions, and the loader must mirror the whole C ABI.
 
 The statistics of one simulation exist in four places that have to stay
 field-for-field identical — the drift class the gshare ``pred_raw``
@@ -19,7 +19,13 @@ This checker parses all four (C with a small enum parser, Python with
 ``ast``) and fails on any field present in one but not the others:
 
 * a C enum name/value that the loader namespace does not mirror exactly
-  (and vice versa), including ``ST_N``;
+  (and vice versa) — for every id enum of the ABI: the config vector
+  (``CFG_*``), scalars (``SC_*``), doubles (``F_*``), arrays (``A_*``)
+  and the STATS slots (``ST_*`` / ``RF_*``);
+* a loader constant that disagrees with its C counterpart: the sizes
+  ``NCFG`` and ``ST_N``, the ``RUN_*`` statuses, ``RQ_LEVELS_MAX`` and
+  ``ABI_MAGIC`` (the runtime magic check only notices the last one
+  when the core is loaded, and then silently falls back);
 * a SimStats field that ``_assemble_stats`` never assigns — a compiled
   run would silently return the dataclass default for it;
 * an ``_assemble_stats`` assignment to a name that is no longer a
@@ -53,6 +59,19 @@ ACCEL_INIT_PY = Path("src/repro/engine/accel/__init__.py")
 # ----------------------------------------------------------------------
 _C_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 _C_ENUM_RE = re.compile(r"enum\s*\{([^}]*)\}", re.DOTALL)
+_C_DEFINE_RE = re.compile(
+    r"^[ \t]*#define[ \t]+([A-Za-z_][A-Za-z0-9_]*)[ \t]+"
+    r"\(?(0[xX][0-9A-Fa-f]+|\d+)[uUlL]*\)?[ \t]*$", re.MULTILINE)
+
+#: The loader namespaces that mirror core.c's id enums, with the C prefix.
+MIRRORED_ENUMS = (("CFG", "CFG_"), ("SC", "SC_"), ("F", "F_"), ("A", "A_"),
+                  ("ST", "ST_"), ("RF", "RF_"))
+
+#: Loader module constants that mirror one C enum entry or ``#define``
+#: each (same name on both sides).
+MIRRORED_CONSTANTS = ("NCFG", "ST_N", "RQ_LEVELS_MAX", "ABI_MAGIC",
+                      "RUN_FINISHED", "RUN_NEED_WRONGPATH", "RUN_NEED_EXC",
+                      "RUN_DEADLOCK", "RUN_INTERNAL")
 
 
 def parse_c_enums(source: str) -> Dict[str, int]:
@@ -79,6 +98,13 @@ def parse_c_enums(source: str) -> Dict[str, int]:
             values[name] = counter
             counter += 1
     return values
+
+
+def parse_c_defines(source: str) -> Dict[str, int]:
+    """Every object-like ``#define NAME <integer literal>``."""
+    stripped = _C_COMMENT_RE.sub("", source)
+    return {name: int(value, 0)
+            for name, value in _C_DEFINE_RE.findall(stripped)}
 
 
 # ----------------------------------------------------------------------
@@ -167,9 +193,9 @@ def constructor_keywords(fn: ast.FunctionDef, class_name: str) -> Set[str]:
 @register
 class StatsABIChecker(Checker):
     rule = "stats-abi"
-    description = ("SimStats drift between the Python dataclass, the C "
-                   "STATS enum, the loader mirror and the compiled-stats "
-                   "assembly")
+    description = ("C ABI drift between core.c and the loader mirror, and "
+                   "SimStats drift between the Python dataclass, the C "
+                   "STATS enum and the compiled-stats assembly")
 
     def run(self, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
@@ -200,7 +226,7 @@ class StatsABIChecker(Checker):
                            loader_tree: ast.AST) -> List[Finding]:
         findings: List[Finding] = []
         c_enums = parse_c_enums(core_source)
-        for namespace, prefix in (("ST", "ST_"), ("RF", "RF_")):
+        for namespace, prefix in MIRRORED_ENUMS:
             loader_values = _namespace_values(loader_tree, namespace)
             if loader_values is None:
                 findings.append(Finding(
@@ -210,7 +236,8 @@ class StatsABIChecker(Checker):
                 continue
             c_values = {name[len(prefix):]: value
                         for name, value in c_enums.items()
-                        if name.startswith(prefix) and name != "ST_N"}
+                        if name.startswith(prefix)
+                        and name not in MIRRORED_CONSTANTS}
             for name in sorted(set(c_values) | set(loader_values)):
                 c_val = c_values.get(name)
                 py_val = loader_values.get(name)
@@ -218,7 +245,7 @@ class StatsABIChecker(Checker):
                     findings.append(Finding(
                         self.rule, CORE_C.as_posix(), 0,
                         f"loader.py {namespace}.{name}={py_val} has no "
-                        f"{prefix}{name} slot in core.c's STATS enum"))
+                        f"{prefix}{name} entry in core.c's {prefix}* enum"))
                 elif py_val is None:
                     findings.append(Finding(
                         self.rule, LOADER_PY.as_posix(), 0,
@@ -230,13 +257,15 @@ class StatsABIChecker(Checker):
                         self.rule, LOADER_PY.as_posix(), 0,
                         f"slot value drift: core.c {prefix}{name}={c_val} "
                         f"vs loader.py {namespace}.{name}={py_val}"))
-        c_st_n = c_enums.get("ST_N")
-        loader_st_n = _module_int(loader_tree, "ST_N")
-        if c_st_n != loader_st_n:
-            findings.append(Finding(
-                self.rule, LOADER_PY.as_posix(), 0,
-                f"STATS array length drift: core.c ST_N={c_st_n} vs "
-                f"loader.py ST_N={loader_st_n}"))
+        c_constants = {**c_enums, **parse_c_defines(core_source)}
+        for name in MIRRORED_CONSTANTS:
+            c_val = c_constants.get(name)
+            py_val = _module_int(loader_tree, name)
+            if c_val != py_val:
+                findings.append(Finding(
+                    self.rule, LOADER_PY.as_posix(), 0,
+                    f"constant drift: core.c {name}={c_val} vs "
+                    f"loader.py {name}={py_val}"))
         return findings
 
     # ------------------------------------------------------------------

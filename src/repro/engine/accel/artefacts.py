@@ -1,8 +1,9 @@
 """Export counters of the compiled backend.
 
-A trace's storage is the columns the core reads
-(:class:`~repro.trace.records.TraceColumns`), so the compiled export is a
-gather from them and nothing is cached here.  :data:`EXPORT_CACHE` counts
+The core reads a trace's storage as it is
+(:class:`~repro.trace.records.TraceColumns`: row table, row ids,
+addresses), so the compiled export is a copy of it and nothing is
+cached here.  :data:`EXPORT_CACHE` counts
 exports: a **hit** is served from a trace's own columns, a **miss** first
 derived them from a hand-built instruction list (once per trace).  The
 process totals (:meth:`ExportCounters.counters`) serve readers on other

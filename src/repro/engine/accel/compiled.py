@@ -9,8 +9,8 @@ pipeline, and assembles the resulting counters into the same
 * a **cold start** (:class:`ColdStart`): the trace and the config only,
   which is what ``SimulationEngine.run`` hands it for a run from reset.
   ``sim_new``'s machine is the cold machine (every gshare counter at 2,
-  empty BTB and caches), the warm-up trace's columns are exported and
-  ``sim_run`` replays them through the C predictor/BTB/cache models
+  empty BTB and caches), the warm-up trace is exported and
+  ``sim_run`` replays it through the C predictor/BTB/cache models
   before the first measured cycle — the exact port of
   ``MachineState._warm_state`` — and the wrong-path generator and
   exception RNG are created fresh for the run;
@@ -18,11 +18,16 @@ pipeline, and assembles the resulting counters into the same
   whose predictor, BTB and caches are exported as they are (the
   self-check compares this path too).
 
-The trace's storage already has the shape the core reads
-(:class:`~repro.trace.records.TraceColumns`), so the trace export is one
-``np.take`` per column from the row table into the C buffer, counted by
-:data:`~repro.engine.accel.artefacts.EXPORT_CACHE`; all mutable machine
-state is allocated per run by ``sim_new``.
+The core reads a trace the way :class:`~repro.trace.records.TraceColumns`
+stores it: a row table with one entry per distinct static record, and a
+row id and an address per instruction.  The export (counted by
+:data:`~repro.engine.accel.artefacts.EXPORT_CACHE`) copies the small
+table and those two per-instruction arrays into the ``Machine``; the
+warm-up trace brings its own table.  Before its first cycle ``sim_run``
+checks that every row id indexes its table and that every row's
+registers fit the logical files, and escapes with ``RUN_INTERNAL``
+otherwise.  All mutable machine state is allocated per run by
+``sim_new``.
 
 The only Python work during the run is *refilling draw buffers*: the C
 core never calls back into Python, so the two stochastic inputs — the
@@ -45,8 +50,9 @@ and register-window cursors.  Python only copies
 ``run_compiled`` returns ``None`` whenever the run must be redone by the
 Python engine: configurations the C core does not model, a deadlock
 (so the Python engine raises its own ``DeadlockError``), or an internal
-self-check failure inside the core (logged — this is the divergence
-fallback of the accelerated backend's contract).
+check failure inside the core — its input check or one of its
+consistency checks (logged — this is the divergence fallback of the
+accelerated backend's contract).
 """
 
 from __future__ import annotations
@@ -69,8 +75,8 @@ from repro.isa import FUKind, OpClass
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import RegisterFileStats, SimStats
 from repro.trace.draws import replay_supported
-from repro.trace.records import (TRACE_COLUMN_NAMES, WARMUP_COLUMN_NAMES,
-                                 Trace, column_width)
+from repro.trace.records import (ROW_COLUMN_NAMES, WARMUP_ROW_COLUMN_NAMES,
+                                 Trace, TraceColumns, column_width)
 
 logger = logging.getLogger("repro.engine.accel")
 
@@ -143,12 +149,13 @@ def _wrongpath_reason(generator) -> Optional[str]:
 # ----------------------------------------------------------------------
 # Config vector
 # ----------------------------------------------------------------------
-def _config_vector(state, warm_len: int) -> "np.ndarray":
-    cfg = state.config
+def _config_vector(cfg: ProcessorConfig, columns: TraceColumns,
+                   warm_columns: Optional[TraceColumns]) -> "np.ndarray":
     mem = cfg.memory
     fus = cfg.functional_units
     vec = np.zeros(NCFG, dtype=np.int64)
-    vec[CFG.TRACE_LEN] = len(state.trace)
+    vec[CFG.TRACE_LEN] = len(columns)
+    vec[CFG.TRACE_ROWS] = len(columns.records)
     vec[CFG.FETCH_W] = cfg.fetch_width
     vec[CFG.RENAME_W] = cfg.rename_width
     vec[CFG.ISSUE_W] = cfg.issue_width
@@ -183,7 +190,9 @@ def _config_vector(state, warm_len: int) -> "np.ndarray":
         vec[CFG.OP_LAT + int(op)] = fus.latencies[op]
     vec[CFG.WP_CAP] = WP_RAW_BUFFER
     vec[CFG.EXC_CAP] = EXC_BUFFER
-    vec[CFG.WARM_LEN] = warm_len
+    if warm_columns is not None:
+        vec[CFG.WARM_LEN] = len(warm_columns)
+        vec[CFG.WARM_ROWS] = len(warm_columns.records)
     return vec
 
 
@@ -195,33 +204,40 @@ def _i64_view(ffi, lib, mach, which: int, length: int) -> "np.ndarray":
     return np.frombuffer(ffi.buffer(ptr, 8 * length), dtype=np.int64)
 
 
-#: The C buffer of each trace column and of each warm-up replay column.
-_TRACE_BUFFERS = dict(zip(TRACE_COLUMN_NAMES, (
+#: The C buffer of each row-table column the measured run reads, and of
+#: each one the warm-up replay reads.
+_TRACE_ROW_BUFFERS = dict(zip(ROW_COLUMN_NAMES, (
     A.T_OP, A.T_PC, A.T_DC, A.T_DEST, A.T_NSRC, A.T_SRC_CLASS, A.T_SRC_LOG,
-    A.T_TAKEN, A.T_TARGET, A.T_ADDR), strict=True))
-_WARMUP_BUFFERS = dict(zip(WARMUP_COLUMN_NAMES, (
-    A.WU_OP, A.WU_PC, A.WU_ADDR, A.WU_TAKEN, A.WU_TARGET), strict=True))
+    A.T_TAKEN, A.T_TARGET), strict=True))
+_WARMUP_ROW_BUFFERS = dict(zip(WARMUP_ROW_COLUMN_NAMES, (
+    A.WU_OP, A.WU_PC, A.WU_TAKEN, A.WU_TARGET), strict=True))
 
 
-def _export_trace(ffi, lib, mach, trace) -> None:
-    """Gather the trace's columns straight into the C Machine's buffers."""
-    n = len(trace)
+def _copy_columns(ffi, lib, mach, columns: TraceColumns, row_buffers,
+                  rows_buffer: int, addr_buffer: int) -> None:
+    """Copy the row table, the row ids and the addresses into the Machine
+    (buffers sized by ``sim_new`` from the same row and instruction counts)."""
+    n = len(columns)
     if n == 0:
         return
-    columns = EXPORT_CACHE.trace_columns(trace)
-    for name, which in _TRACE_BUFFERS.items():
-        columns.gather(name, out=_i64_view(ffi, lib, mach, which,
-                                           column_width(name) * n))
+    n_rows = len(columns.records)
+    for name, which in row_buffers.items():
+        _i64_view(ffi, lib, mach, which, column_width(name) * n_rows)[:] = \
+            columns.table[name].ravel()
+    _i64_view(ffi, lib, mach, rows_buffer, n)[:] = columns.rows
+    _i64_view(ffi, lib, mach, addr_buffer, n)[:] = columns.addr
 
 
-def _export_warmup(ffi, lib, mach, warm_trace) -> None:
-    """Gather the warm-up trace's replay columns into the Machine."""
-    n = len(warm_trace)
-    if n == 0:
-        return
-    columns = EXPORT_CACHE.trace_columns(warm_trace)
-    for name, which in _WARMUP_BUFFERS.items():
-        columns.gather(name, out=_i64_view(ffi, lib, mach, which, n))
+def _export_trace(ffi, lib, mach, columns: TraceColumns) -> None:
+    """Copy the measured trace into the Machine."""
+    _copy_columns(ffi, lib, mach, columns, _TRACE_ROW_BUFFERS,
+                  A.T_ROWS, A.T_ADDR)
+
+
+def _export_warmup(ffi, lib, mach, columns: TraceColumns) -> None:
+    """Copy the warm-up trace (its own row table) into the Machine."""
+    _copy_columns(ffi, lib, mach, columns, _WARMUP_ROW_BUFFERS,
+                  A.WU_ROWS, A.WU_ADDR)
 
 
 def _export_predictor(ffi, lib, mach, predictor) -> None:
@@ -431,10 +447,12 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
         logger.debug("compiled backend unavailable for this run: %s", reason)
         return None
 
-    warm_trace = (machine_state.build_warmup_trace(start.trace)
-                  if cold and cfg.warmup else None)
     ffi, lib = loader.load_core()
-    vec = _config_vector(start, 0 if warm_trace is None else len(warm_trace))
+    columns = EXPORT_CACHE.trace_columns(start.trace)
+    warm_columns = (
+        EXPORT_CACHE.trace_columns(machine_state.build_warmup_trace(
+            start.trace)) if cold and cfg.warmup else None)
+    vec = _config_vector(cfg, columns, warm_columns)
     mach = lib.sim_new(ffi.cast("long long *", ffi.from_buffer(vec)), NCFG)
     if mach == ffi.NULL:
         logger.warning("compiled core rejected the configuration vector; "
@@ -442,9 +460,9 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
         return None
     mach = ffi.gc(mach, lib.sim_free)
 
-    _export_trace(ffi, lib, mach, start.trace)
-    if warm_trace is not None:
-        _export_warmup(ffi, lib, mach, warm_trace)
+    _export_trace(ffi, lib, mach, columns)
+    if warm_columns is not None:
+        _export_warmup(ffi, lib, mach, warm_columns)
     if not cold:
         _export_predictor(ffi, lib, mach, start.predictor)
         _export_btb(ffi, lib, mach, start.btb)
@@ -454,7 +472,7 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
         _export_cache(ffi, lib, mach, memory.l2, A.L2_TAG)
 
     limit = (max_instructions if max_instructions is not None
-             else len(start.trace))
+             else len(columns))
     lib.sim_set(mach, SC.COMMIT_LIMIT, limit)
     lib.sim_set(mach, SC.MAX_CYCLES, -1 if max_cycles is None else max_cycles)
     lib.sim_set(mach, SC.DEADLOCK, deadlock_threshold)
@@ -489,8 +507,8 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
         return None
     if status != RUN_FINISHED:
         logger.warning(
-            "compiled core reported internal error %d (self-check escape); "
-            "falling back to the Python engine",
+            "compiled core failed internal check %d; falling back to the "
+            "Python engine",
             lib.sim_get(mach, SC.ERROR) if status == RUN_INTERNAL else status)
         return None
 

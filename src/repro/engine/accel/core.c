@@ -54,7 +54,8 @@ enum {
     CFG_FU = 34,          /* 6 x [count, unpipelined]  -> 34..45 */
     CFG_OP_LAT = 46,      /* 11 op latencies           -> 46..56 */
     CFG_WP_CAP = 57, CFG_EXC_CAP = 58, CFG_WARM_LEN = 59,
-    NCFG = 60,
+    CFG_TRACE_ROWS = 60, CFG_WARM_ROWS = 61,
+    NCFG = 62,
 };
 
 /* Scalar ids for sim_get / sim_set. */
@@ -72,19 +73,22 @@ enum {
     F_WP_FP_SHARE,
 };
 
-#define ABI_MAGIC 0x52503802LL
+#define ABI_MAGIC 0x52503803LL
 
-/* Array ids for sim_i64. */
+/* Array ids for sim_i64.  A_T_OP..A_T_TARGET are the trace's row table
+ * (CFG_TRACE_ROWS entries, MAX_SRCS per row for the source columns),
+ * A_T_ROWS and A_T_ADDR one entry per instruction; the A_WU_* buffers
+ * are the same for the warm-up trace (CFG_WARM_ROWS, CFG_WARM_LEN). */
 enum {
     A_T_OP = 0, A_T_PC, A_T_DC, A_T_DEST, A_T_NSRC, A_T_SRC_CLASS,
-    A_T_SRC_LOG, A_T_TAKEN, A_T_TARGET, A_T_ADDR,
+    A_T_SRC_LOG, A_T_TAKEN, A_T_TARGET, A_T_ROWS, A_T_ADDR,
     A_W_RAW,
     A_B_TAG, A_B_TARGET, A_B_NWAY,
     A_L1I_TAG, A_L1I_DIRTY, A_L1I_NWAY,
     A_L1D_TAG, A_L1D_DIRTY, A_L1D_NWAY,
     A_L2_TAG, A_L2_DIRTY, A_L2_NWAY,
     A_STATS,
-    A_WU_OP, A_WU_PC, A_WU_ADDR, A_WU_TAKEN, A_WU_TARGET,
+    A_WU_OP, A_WU_PC, A_WU_TAKEN, A_WU_TARGET, A_WU_ROWS, A_WU_ADDR,
 };
 
 /* sim_run statuses. */
@@ -97,7 +101,7 @@ enum {
 enum {
     E_NONE = 0, E_FREELIST, E_ALLOC_EMPTY, E_WK_POOL, E_CQ_POOL, E_LW_POOL,
     E_RQ_OVERFLOW, E_RWC_MISSING, E_SLOT_MISMATCH, E_LSQ_REMOVE, E_CQ_RANGE,
-    E_READY_POOL, E_WP_DRY,
+    E_READY_POOL, E_WP_DRY, E_TRACE_ROW, E_TRACE_REG, E_WP_WINDOW,
 };
 
 /* Op classes / predicates (repro.isa.opcodes). */
@@ -180,16 +184,20 @@ struct Machine {
     i64 cycle, seq, max_cycles, commit_limit, deadlock_threshold;
     i64 last_commit_cycle, committed_watermark;
 
-    /* trace columns (C-owned, filled by Python) */
-    i64 trace_len;
+    /* trace (C-owned, filled by Python): a row table with one entry per
+     * distinct static record, and a row id and an address per
+     * instruction; check_inputs vets it once, at the first sim_run */
+    i64 trace_len, trace_rows;
     i64 *t_op, *t_pc, *t_dc, *t_dest, *t_nsrc, *t_src_class, *t_src_log,
-        *t_taken, *t_target, *t_addr;
+        *t_taken, *t_target;    /* trace_rows (x MAX_SRCS for sources) */
+    i64 *t_rows, *t_addr;       /* trace_len */
 
-    /* warm-up trace columns (C-owned, filled by Python; replayed once
+    /* warm-up trace, same shape with its own row table (replayed once
      * through the predictor/BTB/memory models before the measured run) */
-    i64 warm_len;
-    i64 *wu_op, *wu_pc, *wu_addr, *wu_taken, *wu_target;
-    int warm_done;
+    i64 warm_len, warm_rows;
+    i64 *wu_op, *wu_pc, *wu_taken, *wu_target;     /* warm_rows */
+    i64 *wu_rows, *wu_addr;                         /* warm_len */
+    int started;                /* inputs checked and warm-up replayed */
 
     /* wrong-path draw cascade: raw PCG64 words [wp_head, wp_count) of a
      * wp_cap buffer (refilled by Python, status 1), the generator's
@@ -1914,7 +1922,7 @@ static void fetch_stage(Machine *m) {
         leading_pc = m->wp_pc;
         have_leading = 1;
     } else if (m->cursor < m->trace_len) {
-        leading_pc = m->t_pc[m->cursor];
+        leading_pc = m->t_pc[m->t_rows[m->cursor]];
         have_leading = 1;
     }
     if (have_leading) {
@@ -1955,18 +1963,19 @@ static void fetch_stage(Machine *m) {
         } else {
             if (m->cursor >= m->trace_len) break;
             i64 i = m->cursor++;
-            d.op = (int)m->t_op[i];
-            d.pc = m->t_pc[i];
-            d.dest_class = (int)m->t_dc[i];
-            d.dest = (int)m->t_dest[i];
-            d.nsrc = (int)m->t_nsrc[i];
+            i64 r = m->t_rows[i];
+            d.op = (int)m->t_op[r];
+            d.pc = m->t_pc[r];
+            d.dest_class = (int)m->t_dc[r];
+            d.dest = (int)m->t_dest[r];
+            d.nsrc = (int)m->t_nsrc[r];
             for (int s = 0; s < d.nsrc; s++) {
-                d.src_class[s] = (int)m->t_src_class[i * MAX_SRCS + s];
-                d.src_log[s] = (int)m->t_src_log[i * MAX_SRCS + s];
+                d.src_class[s] = (int)m->t_src_class[r * MAX_SRCS + s];
+                d.src_log[s] = (int)m->t_src_log[r * MAX_SRCS + s];
             }
             d.addr = m->t_addr[i];
-            d.taken = (int)m->t_taken[i];
-            d.target = m->t_target[i];
+            d.taken = (int)m->t_taken[r];
+            d.target = m->t_target[r];
             d.resume_cursor = m->cursor;
             if (IS_BRANCH(d.op)) {
                 i64 idx, hist;
@@ -2023,8 +2032,9 @@ static void finalize_stats(Machine *m) {
 static void warmup_pass(Machine *m) {
     if (m->warm_len <= 0) return;
     for (i64 i = 0; i < m->warm_len; i++) {
-        int op = (int)m->wu_op[i];
-        i64 pc = m->wu_pc[i];
+        i64 r = m->wu_rows[i];
+        int op = (int)m->wu_op[r];
+        i64 pc = m->wu_pc[r];
         MEM_IACCESS(m, pc);
         if (IS_MEM(op)) {
             if (IS_STORE(op)) MEM_DWRITE(m, m->wu_addr[i]);
@@ -2033,19 +2043,65 @@ static void warmup_pass(Machine *m) {
         if (IS_BRANCH(op)) {
             i64 idx, hist;
             int pred;
-            int taken = m->wu_taken[i] != 0;
+            int taken = m->wu_taken[r] != 0;
             gs_predict(m, pc, &idx, &hist, &pred);
             gs_resolve(m, idx, hist, taken, pred);
-            if (taken) btb_update(m, pc, m->wu_target[i]);
+            if (taken) btb_update(m, pc, m->wu_target[r]);
         }
     }
     for (int s = ST_BTB_HITS; s <= ST_L2_MISSES; s++) m->st[s] = 0;
 }
 
+/* Input check, once per run before the warm-up pass and the first
+ * cycle: every row id indexes its row table, every measured row names
+ * a known op and registers that fit the logical files, and the
+ * wrong-path register windows fit them too.  Returns the E_* detail of
+ * the first violation (0 = none); the caller turns it into an internal
+ * escape, so bad input falls back to Python instead of being read out
+ * of bounds. */
+static int reg_fits(const Machine *m, i64 cls, i64 log) {
+    return (cls == 0 || cls == 1) && log >= 0 && log < m->nlog[cls];
+}
+
+static int rows_fit(const i64 *rows, i64 n, i64 n_rows) {
+    for (i64 i = 0; i < n; i++)
+        if ((unsigned long long)rows[i] >= (unsigned long long)n_rows)
+            return 0;
+    return 1;
+}
+
+static int check_inputs(const Machine *m) {
+    if (!rows_fit(m->t_rows, m->trace_len, m->trace_rows) ||
+        !rows_fit(m->wu_rows, m->warm_len, m->warm_rows))
+        return E_TRACE_ROW;
+    for (i64 r = 0; r < m->trace_rows; r++) {
+        i64 nsrc = m->t_nsrc[r];
+        if (m->t_op[r] < 0 || m->t_op[r] >= N_OPS ||
+            nsrc < 0 || nsrc > MAX_SRCS ||
+            (m->t_dc[r] != -1 && !reg_fits(m, m->t_dc[r], m->t_dest[r])))
+            return E_TRACE_REG;
+        for (i64 s = 0; s < nsrc; s++)
+            if (!reg_fits(m, m->t_src_class[r * MAX_SRCS + s],
+                          m->t_src_log[r * MAX_SRCS + s]))
+                return E_TRACE_REG;
+    }
+    if (m->wp_enabled &&
+        (m->wp_int_base < 0 || m->wp_int_base + m->wp_int_n > m->nlog[0] ||
+         m->wp_fp_base < 0 || m->wp_fp_base + m->wp_fp_n > m->nlog[1] ||
+         m->wp_int_cursor < 0 || m->wp_fp_cursor < 0))
+        return E_WP_WINDOW;
+    return 0;
+}
+
 int sim_run(Machine *m) {
     if (m->status == RUN_INTERNAL) return m->status;
-    if (!m->warm_done) {
-        m->warm_done = 1;
+    if (!m->started) {
+        m->started = 1;
+        m->error = check_inputs(m);
+        if (m->error) {
+            m->status = RUN_INTERNAL;
+            return m->status;
+        }
         warmup_pass(m);
     }
     m->status = RUN_FINISHED;
@@ -2143,27 +2199,33 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     m->deadlock_threshold = 50000;
     m->committed_watermark = -1;
 
-    /* trace columns */
+    /* trace: row table, row ids, addresses */
+    m->trace_rows = cfg[CFG_TRACE_ROWS];
+    i64 tr = m->trace_rows > 0 ? m->trace_rows : 1;
+    m->t_op = NEW_I64(tr);
+    m->t_pc = NEW_I64(tr);
+    m->t_dc = NEW_I64(tr);
+    m->t_dest = NEW_I64(tr);
+    m->t_nsrc = NEW_I64(tr);
+    m->t_src_class = NEW_I64(tr * MAX_SRCS);
+    m->t_src_log = NEW_I64(tr * MAX_SRCS);
+    m->t_taken = NEW_I64(tr);
+    m->t_target = NEW_I64(tr);
     i64 tl = m->trace_len > 0 ? m->trace_len : 1;
-    m->t_op = NEW_I64(tl);
-    m->t_pc = NEW_I64(tl);
-    m->t_dc = NEW_I64(tl);
-    m->t_dest = NEW_I64(tl);
-    m->t_nsrc = NEW_I64(tl);
-    m->t_src_class = NEW_I64(tl * MAX_SRCS);
-    m->t_src_log = NEW_I64(tl * MAX_SRCS);
-    m->t_taken = NEW_I64(tl);
-    m->t_target = NEW_I64(tl);
+    m->t_rows = NEW_I64(tl);
     m->t_addr = NEW_I64(tl);
 
-    /* warm-up trace columns */
+    /* warm-up trace: its own row table, row ids, addresses */
     m->warm_len = cfg[CFG_WARM_LEN];
+    m->warm_rows = cfg[CFG_WARM_ROWS];
+    i64 wr = m->warm_rows > 0 ? m->warm_rows : 1;
+    m->wu_op = NEW_I64(wr);
+    m->wu_pc = NEW_I64(wr);
+    m->wu_taken = NEW_I64(wr);
+    m->wu_target = NEW_I64(wr);
     i64 wl = m->warm_len > 0 ? m->warm_len : 1;
-    m->wu_op = NEW_I64(wl);
-    m->wu_pc = NEW_I64(wl);
+    m->wu_rows = NEW_I64(wl);
     m->wu_addr = NEW_I64(wl);
-    m->wu_taken = NEW_I64(wl);
-    m->wu_target = NEW_I64(wl);
 
     /* wrong-path raw words; an empty register window never draws */
     m->w_raw = NEW_I64(m->wp_cap > 0 ? m->wp_cap : 1);
@@ -2402,9 +2464,9 @@ void sim_free(Machine *m) {
     if (!m) return;
     free(m->t_op); free(m->t_pc); free(m->t_dc); free(m->t_dest);
     free(m->t_nsrc); free(m->t_src_class); free(m->t_src_log);
-    free(m->t_taken); free(m->t_target); free(m->t_addr);
-    free(m->wu_op); free(m->wu_pc); free(m->wu_addr);
-    free(m->wu_taken); free(m->wu_target);
+    free(m->t_taken); free(m->t_target); free(m->t_rows); free(m->t_addr);
+    free(m->wu_op); free(m->wu_pc); free(m->wu_taken); free(m->wu_target);
+    free(m->wu_rows); free(m->wu_addr);
     free(m->w_raw);
     free(m->exc_buf);
     free(m->gs_table);
@@ -2469,6 +2531,7 @@ long long *sim_i64(Machine *m, int which) {
     case A_T_SRC_LOG: return m->t_src_log;
     case A_T_TAKEN: return m->t_taken;
     case A_T_TARGET: return m->t_target;
+    case A_T_ROWS: return m->t_rows;
     case A_T_ADDR: return m->t_addr;
     case A_W_RAW: return m->w_raw;
     case A_B_TAG: return m->btb_tag;
@@ -2486,9 +2549,10 @@ long long *sim_i64(Machine *m, int which) {
     case A_STATS: return m->st;
     case A_WU_OP: return m->wu_op;
     case A_WU_PC: return m->wu_pc;
-    case A_WU_ADDR: return m->wu_addr;
     case A_WU_TAKEN: return m->wu_taken;
     case A_WU_TARGET: return m->wu_target;
+    case A_WU_ROWS: return m->wu_rows;
+    case A_WU_ADDR: return m->wu_addr;
     }
     return 0;
 }

@@ -89,8 +89,9 @@ CFG = _Namespace(
     L1D_SETS=25, L1D_ASSOC=26, L1D_SHIFT=27, L1D_LAT=28,
     L2_SETS=29, L2_ASSOC=30, L2_SHIFT=31, L2_LAT=32,
     MEM_LAT=33, FU=34, OP_LAT=46, WP_CAP=57, EXC_CAP=58, WARM_LEN=59,
+    TRACE_ROWS=60, WARM_ROWS=61,
 )
-NCFG = 60
+NCFG = 62
 
 #: Scalar ids (enum ``SC_*``).
 SC = _Namespace(
@@ -107,17 +108,19 @@ F = _Namespace(
     WP_FP_SHARE=5,
 )
 
-#: Array ids (enum ``A_*``).
+#: Array ids (enum ``A_*``): ``T_OP``..``T_TARGET`` are the trace's row
+#: table, ``T_ROWS``/``T_ADDR`` one value per instruction; ``WU_*`` the
+#: same for the warm-up trace.
 A = _Namespace(
     T_OP=0, T_PC=1, T_DC=2, T_DEST=3, T_NSRC=4, T_SRC_CLASS=5,
-    T_SRC_LOG=6, T_TAKEN=7, T_TARGET=8, T_ADDR=9,
-    W_RAW=10,
-    B_TAG=11, B_TARGET=12, B_NWAY=13,
-    L1I_TAG=14, L1I_DIRTY=15, L1I_NWAY=16,
-    L1D_TAG=17, L1D_DIRTY=18, L1D_NWAY=19,
-    L2_TAG=20, L2_DIRTY=21, L2_NWAY=22,
-    STATS=23,
-    WU_OP=24, WU_PC=25, WU_ADDR=26, WU_TAKEN=27, WU_TARGET=28,
+    T_SRC_LOG=6, T_TAKEN=7, T_TARGET=8, T_ROWS=9, T_ADDR=10,
+    W_RAW=11,
+    B_TAG=12, B_TARGET=13, B_NWAY=14,
+    L1I_TAG=15, L1I_DIRTY=16, L1I_NWAY=17,
+    L1D_TAG=18, L1D_DIRTY=19, L1D_NWAY=20,
+    L2_TAG=21, L2_DIRTY=22, L2_NWAY=23,
+    STATS=24,
+    WU_OP=25, WU_PC=26, WU_TAKEN=27, WU_TARGET=28, WU_ROWS=29, WU_ADDR=30,
 )
 
 #: STATS slots (enum ``ST_*``).
@@ -150,7 +153,7 @@ RUN_INTERNAL = 4
 #: config-derived (``ProcessorConfig.max_pending_branches``).
 RQ_LEVELS_MAX = 256
 
-ABI_MAGIC = 0x52503802
+ABI_MAGIC = 0x52503803
 
 
 # ----------------------------------------------------------------------

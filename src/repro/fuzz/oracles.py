@@ -11,9 +11,12 @@ a silent pass.
 Oracles:
 
 ``generation``
-    Vectorised vs scalar trace generation must produce identical trace
-    columns (all ten ``TRACE_COLUMN_NAMES``, as the compiled core
-    receives them) **and** leave the shared ``numpy`` bit generator in
+    Vectorised vs scalar trace generation must produce identical
+    instructions — all ten ``TRACE_COLUMN_NAMES``, each row-table column
+    expanded per instruction, so two traces whose row tables list the
+    same records in a different order still agree (the compiled core
+    receives the table, the row ids and the addresses, and reads them
+    the same way) — **and** leave the shared ``numpy`` bit generator in
     the identical state (so any scalar/vector hand-off consumed exactly
     the same draws).
 ``backend``

@@ -102,6 +102,15 @@ class ProcessorConfig:
 
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
+        # A trace may name any architected register, and both engines
+        # index their map tables by those numbers.
+        for name, minimum in (("num_logical_int", NUM_LOGICAL_INT),
+                              ("num_logical_fp", NUM_LOGICAL_FP)):
+            if not _is_int(getattr(self, name)) \
+                    or getattr(self, name) < minimum:
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{minimum} (the ISA's architected "
+                                 f"registers)")
         if self.num_physical_int < self.num_logical_int:
             raise ValueError("need at least as many physical as logical int registers")
         if self.num_physical_fp < self.num_logical_fp:

@@ -31,6 +31,7 @@ import asyncio
 import dataclasses
 import gc
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
@@ -319,14 +320,16 @@ class SweepService:
         return 204, {}, b""
 
     # ------------------------------------------------------------------
-    # Export artefacts (the trace columns the compiled backend receives)
+    # Export artefacts (the trace arrays the compiled backend receives)
     # ------------------------------------------------------------------
     async def artefact(self, payload: dict) -> Tuple[int, dict, bytes]:
         """Describe one trace's compiled export (generating the trace).
 
-        Answers with the trace's identity, the ten
-        ``TRACE_COLUMN_NAMES`` columns as the compiled core receives them
-        (shape, dtype, bytes) and the process's export counters
+        Answers with the trace's identity, the arrays the compiled core
+        receives (shape, dtype, bytes) — the ``ROW_COLUMN_NAMES``
+        row-table columns, one entry per row (three for the source
+        columns), and ``rows`` and ``addr``, one entry per instruction —
+        and the process's export counters
         (:mod:`repro.engine.accel.artefacts`) — the query a remote
         scheduler needs to decide where a sweep's trace is already warm.
         """
@@ -361,14 +364,16 @@ class SweepService:
     def _describe_artefact(self, benchmark: str, trace_length: int,
                            seed: int) -> bytes:
         from repro.engine.accel.artefacts import EXPORT_CACHE
-        from repro.trace.records import TRACE_COLUMN_NAMES, column_width
+        from repro.trace.records import ROW_COLUMN_NAMES
         from repro.trace.workloads import get_workload, workload_digest
 
-        n = len(get_workload(benchmark, trace_length, seed=seed))
+        trace = get_workload(benchmark, trace_length, seed=seed).columns
         hits, misses = EXPORT_CACHE.counters()
-        columns = {name: {"shape": [column_width(name) * n], "dtype": "int64",
-                          "nbytes": 8 * column_width(name) * n}
-                   for name in sorted(TRACE_COLUMN_NAMES)}
+        shapes = {name: trace.table[name].shape for name in ROW_COLUMN_NAMES}
+        shapes.update(rows=trace.rows.shape, addr=trace.addr.shape)
+        columns = {name: {"shape": list(shape), "dtype": "int64",
+                          "nbytes": 8 * math.prod(shape)}
+                   for name, shape in sorted(shapes.items())}
         return _json_bytes({
             "workload": benchmark,
             "workload_digest": workload_digest(benchmark, ()),

@@ -3,15 +3,19 @@
 A :class:`Trace` is an ordered sequence of dynamic instructions together
 with the metadata the experiment harness needs (benchmark name, which
 register file the paper's figures measure for this program, the
-generator seed).  Its storage is columnar, in the shape the compiled core
-reads (:data:`TRACE_COLUMN_NAMES`, see :class:`TraceColumns`):
+generator seed).  Its storage is columnar (:class:`TraceColumns`):
 
 * a small **row table**, one row per distinct static record: op, pc,
   destination class and index, source count, source classes and indices,
-  branch outcome and target;
+  branch outcome and target (:data:`ROW_COLUMN_NAMES`);
 * an ``int32`` **row id** per dynamic instruction;
 * an ``int64`` **address** per dynamic instruction (the effective
   address of a memory op, 0 otherwise).
+
+The compiled core receives exactly this: a copy of the row table (a few
+hundred to about a thousand rows for a generated workload), the row ids
+widened to ``int64``, and the addresses; it indexes the table by row id
+as it fetches.
 
 :class:`~repro.isa.instructions.Instruction` objects exist only on
 demand (the Python engine, tests): one shared object per non-memory row
@@ -35,20 +39,25 @@ import numpy as np
 from repro.isa import Instruction, OpClass, RegClass, is_memory_op
 from repro.isa.instructions import RegRef
 
-#: The columns the compiled core receives: one value per instruction,
-#: three per instruction for the two source columns.
-TRACE_COLUMN_NAMES = ("op", "pc", "dc", "dest", "nsrc", "src_class",
-                      "src_log", "taken", "target", "addr")
+#: The row-table columns: one value per row, three per row for the two
+#: source columns.  The compiled core receives all of them.
+ROW_COLUMN_NAMES = ("op", "pc", "dc", "dest", "nsrc", "src_class",
+                    "src_log", "taken", "target")
 
-#: The columns the warm-up replay reads (predictor, BTB and caches).
-WARMUP_COLUMN_NAMES = ("op", "pc", "addr", "taken", "target")
+#: The row-table columns the warm-up replay reads (predictor, BTB and
+#: caches); it also reads the row ids and addresses.
+WARMUP_ROW_COLUMN_NAMES = ("op", "pc", "taken", "target")
+
+#: The trace's per-instruction columns, as :meth:`TraceColumns.gather`
+#: expands them: every row-table column indexed by row id, and ``addr``.
+TRACE_COLUMN_NAMES = ROW_COLUMN_NAMES + ("addr",)
 
 #: Source slots per instruction in the source columns.
 MAX_SRCS = 3
 
 
 def column_width(name: str) -> int:
-    """Values per instruction in trace column ``name``."""
+    """Values per instruction (or per row) in trace column ``name``."""
     return MAX_SRCS if name in ("src_class", "src_log") else 1
 
 
@@ -124,7 +133,8 @@ class TraceColumns:
     ``table`` the same rows as numpy columns; ``rows`` maps each dynamic
     instruction to its row and ``addr`` carries its address.  A column of
     :data:`TRACE_COLUMN_NAMES` is a gather of its table column by
-    ``rows`` (:meth:`gather`), and the compiled export is exactly that.
+    ``rows`` (:meth:`gather`); the compiled core does that indexing
+    itself, so its export copies the table, ``rows`` and ``addr``.
     """
 
     __slots__ = ("records", "table", "rows", "addr")
@@ -142,24 +152,13 @@ class TraceColumns:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def gather(self, name: str, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Column ``name`` of :data:`TRACE_COLUMN_NAMES`, as the core reads it.
-
-        One ``int64`` per instruction (three for ``src_class`` and
-        ``src_log``, flattened), written into ``out`` when given.
-        """
-        n = len(self.rows)
+    def gather(self, name: str) -> np.ndarray:
+        """Column ``name`` of :data:`TRACE_COLUMN_NAMES`, per instruction:
+        one ``int64`` per instruction (three for ``src_class`` and
+        ``src_log``, flattened)."""
         if name == "addr":
-            if out is None:
-                return self.addr.copy()
-            out[:] = self.addr
-            return out
-        width = column_width(name)
-        if out is None:
-            out = np.empty(width * n, dtype=np.int64)
-        np.take(self.table[name], self.rows, axis=0, mode="clip",
-                out=out.reshape(n, width) if width > 1 else out)
-        return out
+            return self.addr.copy()
+        return self.table[name][self.rows].reshape(-1)
 
     def first_difference(self, other: "TraceColumns"
                          ) -> Optional[Tuple[str, int]]:

@@ -116,6 +116,32 @@ class TestConfigDigestMemo:
         assert point_key(fresh, point) in keys
         assert len(calls) == 3
 
+    def test_get_then_put_derives_the_config_once(self, monkeypatch,
+                                                  tmp_path):
+        # A miss is a get, a simulation and a put of one point: the
+        # put's key must come from the memo, not a second config_for
+        # (a dataclasses.replace plus ProcessorConfig validation).
+        from repro.analysis.cache import SweepCache
+        from repro.pipeline.stats import SimStats
+
+        calls = []
+        real = SweepConfig.config_for
+
+        def counting(self, point):
+            calls.append(point)
+            return real(self, point)
+
+        monkeypatch.setattr(SweepConfig, "config_for", counting)
+        cache = SweepCache(tmp_path)
+        sweep = SweepConfig(benchmarks=("gcc",), trace_length=300)
+        point = SweepPoint("gcc", "basic", 48)
+        assert cache.get(sweep, point) is None
+        cache.put(sweep, point, SimStats(benchmark="gcc",
+                                         release_policy="basic"))
+        assert calls == [point]
+        assert cache.get(sweep, point) is not None
+        assert calls == [point]
+
     def test_memoised_key_equals_the_unmemoised_derivation(self):
         sweep = SweepConfig(benchmarks=("gcc",), trace_length=300,
                             base_config=CONFIGS[2])

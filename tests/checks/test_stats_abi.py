@@ -8,8 +8,10 @@ class it claims to (not just that the live tree happens to be clean).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.checks.base import Project, find_project_root, run_checks
-from repro.checks.stats_abi import parse_c_enums
+from repro.checks.stats_abi import parse_c_defines, parse_c_enums
 
 from lint_helpers import mutate
 
@@ -76,6 +78,36 @@ def test_st_n_drift_is_reported(real_tree_copy):
     assert any("ST_N" in f.message for f in found)
 
 
+@pytest.mark.parametrize("rel, old, new, expected", [
+    # one drift per mirrored id enum, in either file
+    (CORE_C, "CFG_TRACE_ROWS = 60, CFG_WARM_ROWS = 61,",
+     "CFG_TRACE_ROWS = 61, CFG_WARM_ROWS = 62,", "CFG_TRACE_ROWS"),
+    (LOADER, "GS_HISTORY=10, ", "GS_HISTORY=11, ", "SC_GS_HISTORY"),
+    (CORE_C, "F_EXC_RATE = 0, F_WP_BRANCH,", "F_EXC_RATE = 0, F_WP_BRNCH,",
+     "F_WP_BRANCH"),
+    (LOADER, "T_ROWS=9, T_ADDR=10,", "T_ADDR=10,", "A_T_ROWS"),
+])
+def test_id_enum_drift_is_reported(real_tree_copy, rel, old, new, expected):
+    mutate(real_tree_copy, rel, old, new)
+    found = _run(real_tree_copy)
+    assert any(expected in f.message for f in found)
+
+
+@pytest.mark.parametrize("rel, old, new, expected", [
+    (LOADER, "NCFG = 62", "NCFG = 60", "NCFG"),
+    (CORE_C, "#define ABI_MAGIC 0x52503803LL", "#define ABI_MAGIC 0x52503804LL",
+     "ABI_MAGIC"),
+    (LOADER, "RUN_INTERNAL = 4", "RUN_INTERNAL = 5", "RUN_INTERNAL"),
+    (CORE_C, "#define RQ_LEVELS_MAX 256", "#define RQ_LEVELS_MAX 128",
+     "RQ_LEVELS_MAX"),
+])
+def test_constant_drift_is_reported(real_tree_copy, rel, old, new, expected):
+    mutate(real_tree_copy, rel, old, new)
+    found = _run(real_tree_copy)
+    assert any("constant drift" in f.message and expected in f.message
+               for f in found)
+
+
 def test_rf_constructor_keyword_drop_is_reported(real_tree_copy):
     mutate(real_tree_copy, COMPILED,
            "        early_releases=int(rf[RF.EARLY]),\n", "")
@@ -110,6 +142,16 @@ def test_c_enum_parser_semantics():
     """
     assert parse_c_enums(source) == {
         "A": 3, "B": 4, "C": 5, "D": 0, "E": 16, "F": 17}
+
+
+def test_c_define_parser_reads_integer_literals_only():
+    source = """
+    #define MAGIC 0x5250LL   /* with a suffix and a comment */
+    #define DEPTH (256)
+    #define IS_LOAD(op) ((op) == 5)
+    #define MASK FOO | BAR
+    """
+    assert parse_c_defines(source) == {"MAGIC": 0x5250, "DEPTH": 256}
 
 
 def test_real_core_enum_matches_known_anchors():

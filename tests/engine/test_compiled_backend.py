@@ -15,6 +15,7 @@ everywhere (they simulate the broken toolchain themselves).
 import dataclasses
 import logging
 
+import numpy as np
 import pytest
 
 from repro.engine import SimulationEngine
@@ -593,6 +594,218 @@ class TestWarmupDeferral:
         engine.step()
         assert engine.state.cycle == 1
         assert len(set(engine.state.predictor.table)) > 1
+
+
+def _set_row_id(index, past_table=False, value=None):
+    """Corrupt row id ``index``: past the row table, or to ``value``."""
+    def corrupt(columns, view):
+        view[index] = len(columns.records) if past_table else value
+    return corrupt
+
+
+def _set_first_row(column, value):
+    """Corrupt ``column`` of the first row that names a register there."""
+    def corrupt(columns, view):
+        table = columns.table
+        has_reg = (table["dc"] >= 0 if column in ("dc", "dest")
+                   else table["nsrc"] > 0)
+        row = int(np.flatnonzero(has_reg)[0])
+        view[row * (3 if column.startswith("src_") else 1)] = value
+    return corrupt
+
+
+@needs_compiled
+class TestTraceInput:
+    """The core reads the trace's row table by row id, and vets it first."""
+
+    @staticmethod
+    def _watch_runs(monkeypatch):
+        """Record ``(status, cycle, fetched)`` after every ``sim_run``.
+
+        Resolves the backend first, so the per-process self-check (which
+        a test resetting the backend cache leaves pending) never runs
+        through a test's corrupted export.
+        """
+        from repro.engine.accel import compiled as compiled_mod
+        from repro.engine.accel import loader
+        from repro.engine.accel.loader import SC, ST
+
+        assert accel.resolve_engine_backend(
+            ProcessorConfig(engine="compiled")) == "compiled"
+        load_core = loader.load_core
+        runs = []
+
+        class Watching:
+            def __init__(self, lib):
+                self._lib = lib
+
+            def sim_run(self, mach):
+                status = self._lib.sim_run(mach)
+                stats = self._lib.sim_i64(mach, loader.A.STATS)
+                runs.append((status, self._lib.sim_get(mach, SC.CYCLE),
+                             stats[ST.FETCHED]))
+                return status
+
+            def __getattr__(self, name):
+                return getattr(self._lib, name)
+
+        def watching_core():
+            ffi, lib = load_core()
+            return ffi, Watching(lib)
+
+        monkeypatch.setattr(compiled_mod.loader, "load_core", watching_core)
+        return runs
+
+    @pytest.mark.parametrize("buffer, corrupt", [
+        ("T_ROWS", _set_row_id(-1, past_table=True)),
+        ("T_ROWS", _set_row_id(0, value=-1)),
+        ("WU_ROWS", _set_row_id(0, past_table=True)),
+        ("T_DEST", _set_first_row("dest", 32)),
+        ("T_DC", _set_first_row("dc", 2)),
+        ("T_SRC_LOG", _set_first_row("src_log", 32)),
+        ("T_SRC_CLASS", _set_first_row("src_class", -1)),
+    ], ids=["row-id-past-table", "negative-row-id", "warm-row-id-past-table",
+            "dest-at-nlog", "dest-class", "source-at-nlog", "source-class"])
+    def test_bad_input_escapes_before_the_first_cycle(self, buffer, corrupt,
+                                                      monkeypatch):
+        from repro.engine.accel import compiled as compiled_mod
+        from repro.engine.accel.loader import A, RUN_INTERNAL
+
+        exporter = "_export_warmup" if buffer.startswith("WU_") \
+            else "_export_trace"
+        export = getattr(compiled_mod, exporter)
+        per_row = buffer not in ("T_ROWS", "WU_ROWS")
+        runs = self._watch_runs(monkeypatch)
+
+        def corrupting(ffi, lib, mach, columns):
+            export(ffi, lib, mach, columns)
+            length = len(columns.records) if per_row else len(columns)
+            width = 3 if buffer.startswith("T_SRC") else 1
+            corrupt(columns, compiled_mod._i64_view(
+                ffi, lib, mach, getattr(A, buffer), width * length))
+
+        monkeypatch.setattr(compiled_mod, exporter, corrupting)
+        trace = get_workload("gcc", 800, seed=0)
+        config = ProcessorConfig(release_policy="extended", warmup=True,
+                                 engine="compiled")
+        engine = SimulationEngine(trace, config)
+        stats = engine.run()
+        assert runs == [(RUN_INTERNAL, 0, 0)]
+        assert engine.backend_used == "python"
+        reference = SimulationEngine(
+            trace, dataclasses.replace(config, engine="python")).run()
+        assert dataclasses.asdict(stats) == dataclasses.asdict(reference)
+
+    def test_register_past_the_logical_file_raises_the_python_error(
+            self, monkeypatch):
+        # A hand-built trace naming integer register 40: the core must
+        # refuse it up front (not index its 32-entry map out of bounds),
+        # so the Python engine's own IndexError is what the caller sees.
+        from repro.engine.accel.loader import RUN_INTERNAL
+        from repro.isa import Instruction, RegClass
+        from repro.trace.records import Trace
+
+        base = get_workload("gcc", 300, seed=0)
+        instructions = list(base.instructions)
+        at = next(i for i, inst in enumerate(instructions)
+                  if inst.dest is not None and inst.dest[0] == RegClass.INT)
+        inst = instructions[at]
+        instructions[at] = Instruction(
+            pc=inst.pc, op=inst.op, dest=(RegClass.INT, 40), srcs=inst.srcs,
+            taken=inst.taken, target=inst.target, mem_addr=inst.mem_addr)
+        runs = self._watch_runs(monkeypatch)
+        engine = SimulationEngine(
+            Trace(name="hand-rolled", focus_class=base.focus_class,
+                  instructions=instructions),
+            ProcessorConfig(engine="compiled"))
+        with pytest.raises(IndexError):
+            engine.run()
+        assert runs == [(RUN_INTERNAL, 0, 0)]
+
+    def test_wrongpath_window_past_the_logical_file_escapes(self,
+                                                            monkeypatch):
+        # A warmed machine can carry a hand-made wrong-path generator; a
+        # window reaching register 40 must be refused before the first
+        # cycle, like a trace row naming it.
+        from repro.engine.accel.loader import RUN_INTERNAL
+        from repro.trace.wrongpath import WrongPathGenerator
+
+        engine = SimulationEngine(get_workload("gcc", 800, seed=0),
+                                  ProcessorConfig(engine="compiled"))
+        fetch_unit = engine.state.fetch_unit
+        fetch_unit.wrongpath = WrongPathGenerator(fetch_unit.wrongpath.mix,
+                                                  seed=0, int_window=40)
+        runs = self._watch_runs(monkeypatch)
+        with pytest.raises(IndexError):
+            engine.run()
+        assert runs == [(RUN_INTERNAL, 0, 0)]
+        assert engine.backend_used == "python"
+
+    @staticmethod
+    def _reshaped(trace, order, per_instruction=False):
+        """``trace`` with its row table reordered by ``order(n)`` (after
+        expanding it to one row per instruction, if asked); the row ids
+        follow, so the instructions are unchanged."""
+        from repro.trace.records import Trace, TraceColumns
+
+        columns = trace.columns
+        if per_instruction:
+            records = [columns.records[row] for row in columns.rows.tolist()]
+            rows = np.arange(len(records))
+        else:
+            records, rows = list(columns.records), columns.rows
+        picks = order(len(records))
+        position = np.empty(len(picks), dtype=np.int32)
+        position[picks] = np.arange(len(picks), dtype=np.int32)
+        return Trace(name=trace.name, focus_class=trace.focus_class,
+                     seed=trace.seed,
+                     columns=TraceColumns([records[pick] for pick in picks],
+                                          position[rows], columns.addr.copy()))
+
+    def test_row_per_instruction_and_a_different_warm_table(self,
+                                                            monkeypatch):
+        # The measured trace gets one (reversed) row per instruction; the
+        # warm-up trace keeps its own interned table, in a shuffled order.
+        # Reading either through the other's table would diverge.
+        from repro.engine import state as state_mod
+
+        trace = self._reshaped(get_workload("go", 1_200, seed=0),
+                               lambda n: np.arange(n)[::-1],
+                               per_instruction=True)
+        assert len(trace.columns.records) == len(trace)
+        warm_of = state_mod.build_warmup_trace
+        shuffle = np.random.default_rng(5).permutation
+        warm_tables = []
+
+        def shuffled_warmup(measured):
+            warm = self._reshaped(warm_of(measured), shuffle)
+            warm_tables.append(len(warm.columns.records))
+            return warm
+
+        assert _compiled_available()        # self-check before the patch
+        monkeypatch.setattr(state_mod, "build_warmup_trace", shuffled_warmup)
+        stats = {}
+        for backend in ("python", "compiled"):
+            config = ProcessorConfig(release_policy="extended", warmup=True,
+                                     exception_rate=0.01, engine=backend)
+            engine = SimulationEngine(trace, config)
+            stats[backend] = dataclasses.asdict(engine.run())
+            assert engine.backend_used == backend
+        assert 0 < warm_tables[0] < len(trace)
+        assert stats["compiled"] == stats["python"]
+
+    def test_compiled_run_never_expands_columns(self, monkeypatch):
+        from repro.trace.records import TraceColumns
+
+        assert _compiled_available()        # self-check before the count
+        gathers = TestWarmupDeferral._count(monkeypatch, TraceColumns,
+                                            "gather")
+        engine = SimulationEngine(get_workload("swim", 1_000, seed=0),
+                                  ProcessorConfig(engine="compiled",
+                                                  warmup=True))
+        engine.run()
+        assert engine.backend_used == "compiled"
+        assert gathers == []
 
 
 @needs_compiled

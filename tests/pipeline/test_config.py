@@ -68,6 +68,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProcessorConfig(engine=engine, **overrides)
 
+    @pytest.mark.parametrize("engine", ["python", "compiled"])
+    @pytest.mark.parametrize("overrides", [
+        {"num_logical_int": 8},
+        {"num_logical_fp": 31},
+        {"num_logical_int": 0},
+        {"num_logical_fp": -1},
+        {"num_logical_int": 32.0},
+    ])
+    def test_rejects_logical_files_smaller_than_the_isa(self, engine,
+                                                        overrides):
+        # A trace may name any of the ISA's 32 registers per class; a
+        # smaller logical file made the C core index its map tables out
+        # of bounds (heap corruption) and the Python engine raise
+        # IndexError mid-run.
+        with pytest.raises(ValueError, match="num_logical"):
+            ProcessorConfig(engine=engine, **overrides)
+
+    def test_accepts_logical_files_at_least_the_isa(self):
+        ProcessorConfig(num_logical_int=32, num_logical_fp=32)
+        ProcessorConfig(num_logical_int=40, num_logical_fp=48)
+
     def test_accepts_front_end_geometry_at_the_edges(self):
         ProcessorConfig(gshare_history_bits=1)
         ProcessorConfig(gshare_history_bits=24)

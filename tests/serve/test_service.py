@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.serve.service import (
     parse_sweep_request,
     valid_cache_key,
 )
-from repro.trace.records import TRACE_COLUMN_NAMES
+from repro.trace.records import ROW_COLUMN_NAMES
 from repro.trace.workloads import get_workload
 
 TINY = {"benchmark": "gcc", "policy": "conv", "num_registers": 48,
@@ -111,6 +112,14 @@ class TestParseSweepRequest:
     ])
     def test_unbuildable_front_end_rejected(self, overrides):
         with pytest.raises(RequestError, match="invalid config overrides"):
+            parse_sweep_request({"benchmark": "gcc", "config": overrides})
+
+    @pytest.mark.parametrize("overrides", [
+        {"num_logical_int": 8},
+        {"num_logical_fp": 16},
+    ])
+    def test_logical_file_below_the_isa_rejected(self, overrides):
+        with pytest.raises(RequestError, match="num_logical"):
             parse_sweep_request({"benchmark": "gcc", "config": overrides})
 
     def test_non_scalar_config_value_rejected(self):
@@ -284,6 +293,16 @@ class TestSweepPointSingleFlight:
         assert "btb_entries" in json.loads(body)["error"]
         assert service.metrics.count("sweep_bad_requests") == 1
 
+    @pytest.mark.parametrize("engine", ["python", "compiled"])
+    def test_small_logical_file_is_structured_400(self, service, engine):
+        # 8 logical integer registers cannot hold a trace that names 32;
+        # the request never reaches an engine.
+        status, _, body = run(service.sweep_point(dict(
+            TINY, engine=engine, config={"num_logical_int": 8})))
+        assert status == 400
+        assert "num_logical_int" in json.loads(body)["error"]
+        assert service.metrics.count("sweep_bad_requests") == 1
+
     def test_computation_failure_is_structured_500(self, service):
         # 32 physical registers exactly cover the logical file, leaving
         # rename no headroom: the simulation deadlocks at runtime.  The
@@ -416,12 +435,18 @@ class TestArtefactEndpoint:
         assert payload["workload"] == "gcc"
         assert set(payload) == {"workload", "workload_digest", "trace_length",
                                 "seed", "columns", "export_cache"}
-        assert set(payload["columns"]) == set(TRACE_COLUMN_NAMES)
-        n = len(get_workload("gcc", 300))
+        # The core receives the row table (one entry per row, three for
+        # the source columns) and a row id and an address per instruction.
+        assert set(payload["columns"]) == set(ROW_COLUMN_NAMES) | {"rows",
+                                                                   "addr"}
+        columns = get_workload("gcc", 300).columns
+        n, n_rows = len(columns), len(columns.records)
+        assert n_rows < n
         for name, column in payload["columns"].items():
-            width = 3 if name.startswith("src_") else 1
-            assert column == {"shape": [width * n], "dtype": "int64",
-                              "nbytes": 8 * width * n}
+            shape = ([n] if name in ("rows", "addr")
+                     else [n_rows, 3] if name.startswith("src_") else [n_rows])
+            assert column == {"shape": shape, "dtype": "int64",
+                              "nbytes": 8 * math.prod(shape)}
 
     def test_unknown_workload_is_400(self, service):
         status, _, _ = run(service.artefact({"workload": "quake3"}))
