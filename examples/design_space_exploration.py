@@ -37,8 +37,7 @@ def main() -> int:
     sweep = run_sweep(SweepConfig(benchmarks=tuple(benchmarks), policies=POLICIES,
                                   register_sizes=SIZES,
                                   trace_length=instructions,
-                                  base_config=ProcessorConfig()),
-                      parallel=True)
+                                  base_config=ProcessorConfig()))
 
     target_ipc = sweep.harmonic_mean_ipc(benchmarks, "conv", reference_size)
     model = RixnerModel()

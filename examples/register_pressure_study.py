@@ -31,8 +31,7 @@ def main() -> int:
     sweep = run_sweep(SweepConfig(benchmarks=(benchmark,), policies=POLICIES,
                                   register_sizes=SIZES,
                                   trace_length=instructions,
-                                  base_config=ProcessorConfig()),
-                      parallel=True)
+                                  base_config=ProcessorConfig()))
 
     rows = []
     for size in SIZES:

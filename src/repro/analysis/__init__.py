@@ -1,12 +1,11 @@
-"""Analysis layer: metrics, sweeps, parallel execution and reporting.
+"""Analysis layer: metrics, sweeps, the result cache and reporting.
 
 This package turns raw :class:`repro.pipeline.stats.SimStats` objects into
 the quantities the paper reports (harmonic-mean IPC, speedups, iso-IPC
 register savings, Empty/Ready/Idle occupancy breakdowns) and provides the
-sweep driver used by the Figure 10/11 and Table 4 experiments, including a
-multiprocessing runner that shards the embarrassingly parallel
-(benchmark, policy, register-file size) simulation points in chunks across
-a process pool, and a persistent on-disk result cache so repeated sweeps
+sweep driver used by the Figure 10/11 and Table 4 experiments, which runs
+the (benchmark, policy, register-file size) simulation points in the
+calling process, and a persistent on-disk result cache so repeated sweeps
 only simulate points never simulated before.
 """
 
@@ -33,7 +32,6 @@ from repro.analysis.sweep import (
     run_sweep,
     run_simulation_point,
 )
-from repro.analysis.parallel import ParallelSweepRunner, available_workers
 from repro.analysis.occupancy import occupancy_breakdown, OccupancyRow
 from repro.analysis.reporting import (
     format_table,
@@ -61,8 +59,6 @@ __all__ = [
     "SweepConfig",
     "run_sweep",
     "run_simulation_point",
-    "ParallelSweepRunner",
-    "available_workers",
     "occupancy_breakdown",
     "OccupancyRow",
     "format_table",

@@ -9,8 +9,8 @@ register-size grid — only simulates the missing points.
 
 Layout: ``<cache_dir>/<key[:2]>/<key>.pkl`` (the two-character fan-out
 keeps directories small for big sweeps).  Writes are atomic
-(tmp file + ``os.replace``) so concurrent sweep workers and parallel
-processes never observe torn entries; readers treat any unreadable entry
+(tmp file + ``os.replace``) so concurrent sweeps, server threads and
+separate processes never observe torn entries; readers treat any unreadable entry
 as a miss.
 
 Keys also fold in a digest of the ``repro`` package's own source code

@@ -2,14 +2,12 @@
 
 A *sweep* is the cross product of benchmarks × release policies ×
 register-file sizes, each point being one cycle-level simulation.  The
-driver layers three mechanisms over that cross product:
+driver layers two mechanisms over that cross product:
 
 * a persistent on-disk **result cache** (:mod:`repro.analysis.cache`)
   keyed by (workload, config hash, trace length, seed), so regenerating a
-  figure after a partial sweep only simulates the missing points;
-* **chunked work-sharding** across the multiprocessing pool of
-  :mod:`repro.analysis.parallel` (each point is independent — the
-  "parallelise the outer loop" pattern of HPC simulator design);
+  figure after a partial sweep only simulates the missing points, one
+  after another in the calling process (:func:`run_points`);
 * the :class:`SweepResult` accessors the experiment modules need
   (per-point stats, harmonic-mean IPC curves, iso-IPC sizes, merging).
 """
@@ -51,10 +49,10 @@ class SweepConfig:
     FP file, exactly as the paper's "48int + 48FP" configurations.
 
     ``scenario_profiles`` carries the scenario profiles behind any
-    non-built-in workload names in ``benchmarks``.  Pool worker processes
-    import a fresh registry that only contains the built-in scenarios, so
-    user-registered (or derived, e.g. per-phase) profiles must travel
-    with the sweep config; :func:`run_sweep` attaches registered ones
+    non-built-in workload names in ``benchmarks``.  Derived profiles
+    (e.g. per-phase ones) live in no registry, and the cache key must see
+    the exact profile content being swept, so the profiles travel with
+    the sweep config; :func:`run_sweep` attaches registered ones
     automatically.
     """
 
@@ -67,11 +65,12 @@ class SweepConfig:
     scenario_profiles: Tuple[ScenarioProfile, ...] = ()
 
     def points(self) -> List[SweepPoint]:
-        """Enumerate every simulation point of the sweep."""
-        return [SweepPoint(benchmark, policy, size)
-                for benchmark in self.benchmarks
-                for policy in self.policies
-                for size in self.register_sizes]
+        """Enumerate every distinct simulation point of the sweep, in order
+        (a benchmark, policy or size listed twice yields its points once)."""
+        return list(dict.fromkeys(SweepPoint(benchmark, policy, size)
+                                  for benchmark in self.benchmarks
+                                  for policy in self.policies
+                                  for size in self.register_sizes))
 
     def config_for(self, point: SweepPoint) -> ProcessorConfig:
         """Processor configuration of one sweep point."""
@@ -107,15 +106,12 @@ def merge_backends(*backends: Optional[str]) -> Optional[str]:
 
 
 def run_simulation_point(sweep_config: SweepConfig, point: SweepPoint) -> SimStats:
-    """Run the single simulation of ``point`` (used by both serial and
-    parallel execution paths; must stay a module-level function so the
-    multiprocessing runner can pickle it)."""
-    # Make the shipped profiles resolvable *by name* in this process too:
-    # the simulator's warm-up pass re-resolves ``trace.name`` (different
-    # seed) through the plain registry lookup, which in a pool worker
-    # would otherwise miss user-registered scenarios and silently warm up
-    # with a different trace than a serial run — same cache key, different
-    # stats.
+    """Run the single simulation of ``point``."""
+    # Make the config's profiles resolvable *by name*: the simulator's
+    # warm-up pass re-resolves ``trace.name`` (different seed) through the
+    # plain registry lookup, which would otherwise miss derived profiles
+    # and warm up with a different trace than the config names — same
+    # cache key, different stats.
     install_ephemeral_profiles(sweep_config.scenario_profiles)
     trace = get_workload(point.benchmark, sweep_config.trace_length,
                          seed=sweep_config.seed,
@@ -135,26 +131,23 @@ def run_points(sweep_config: SweepConfig, points: Sequence[SweepPoint],
     the backend that ran the points, and why a compiled request ran on
     the Python engine.  Both tallies are per thread, so concurrent sweeps
     in one process (a server's misses) each count only their own points.
-    This process's own fallback warning is withheld, so the sweep driver
-    can log one summary however many processes fell back.
     """
     from repro.engine import accel
     from repro.engine.accel.artefacts import EXPORT_CACHE
 
     hits_before, misses_before = EXPORT_CACHE.thread_counters()
     backends_before = POINT_BACKENDS.counts.copy()
-    with accel.suppressed_backend_warnings():
-        for point in points:
-            on_result(point, run_simulation_point(sweep_config, point))
+    for point in points:
+        on_result(point, run_simulation_point(sweep_config, point))
     hits_after, misses_after = EXPORT_CACHE.thread_counters()
-    # The process-wide reason concerns this sweep only if it asked for
-    # the compiled backend.
+    # The process-wide reason concerns these points only if they ran and
+    # asked for the compiled backend.
     reason = (accel.backend_fallback_reason()
-              if accel.requested_backend(sweep_config.base_config) == "compiled"
+              if points and accel.requested_backend(
+                  sweep_config.base_config) == "compiled"
               else None)
     return {"export_cache_hits": hits_after - hits_before,
             "export_cache_misses": misses_after - misses_before,
-            "fallback_chunks": int(reason is not None),
             "fallback_reason": reason,
             "backend": merge_backends(
                 *(POINT_BACKENDS.counts - backends_before))}
@@ -163,8 +156,7 @@ def run_points(sweep_config: SweepConfig, points: Sequence[SweepPoint],
 def _attach_scenario_profiles(sweep_config: SweepConfig) -> SweepConfig:
     """Attach the registry profile of every scenario named in the sweep.
 
-    Run before sharding so worker processes (whose registry only holds
-    the built-ins) and the cache key derivation both see the exact
+    Run before the cache lookups so the key derivation sees the exact
     profile content being swept.  Explicitly supplied profiles win over
     registry entries of the same name.
     """
@@ -187,10 +179,9 @@ class SweepResult:
     ``export_cache_hits`` / ``export_cache_misses`` count the compiled
     backend's exports: a hit is served from the trace's own columns, a
     miss first derived them from a hand-built instruction list (see
-    :mod:`repro.engine.accel.artefacts`), summed over every process that
-    simulated points for this result.  ``compiled_fallback_reason`` is
-    set — once, however many workers observed it — when the sweep
-    requested the compiled backend but ran on the Python engine.
+    :mod:`repro.engine.accel.artefacts`), summed over the points
+    simulated for this result.  ``compiled_fallback_reason`` is set when
+    the sweep requested the compiled backend but ran on the Python engine.
     ``backend`` records the engine that actually simulated the points:
     ``"compiled"``, ``"python"``, ``"mixed"`` (some of each, e.g. a
     configuration outside the C core's envelope), or None when every
@@ -276,9 +267,10 @@ class SweepResult:
 
     def ipc_curve(self, benchmarks: Sequence[str], policy: str,
                   ) -> List[Tuple[int, float]]:
-        """Harmonic-mean IPC as a function of register-file size (Figure 11)."""
+        """Harmonic-mean IPC as a function of register-file size (Figure 11),
+        one entry per distinct size."""
         return [(size, self.harmonic_mean_ipc(benchmarks, policy, size))
-                for size in self.config.register_sizes]
+                for size in dict.fromkeys(self.config.register_sizes)]
 
     def iso_ipc_size(self, benchmarks: Sequence[str], policy: str,
                      target_ipc: float) -> Optional[float]:
@@ -318,40 +310,19 @@ class SweepResult:
             backend=merge_backends(self.backend, other.backend))
 
 
-def _empty_point_telemetry() -> Dict:
-    return {"export_cache_hits": 0, "export_cache_misses": 0,
-            "fallback_chunks": 0, "fallback_reason": None, "backend": None}
-
-
-def _warn_fallback_summary(telemetry: Dict) -> None:
-    """One summary warning for the whole sweep, however many workers fell
-    back — each process's own warning was suppressed during execution."""
-    reason = telemetry.get("fallback_reason")
-    if reason is None:
-        return
-    import logging
-
-    # ``reason`` is the full per-process warning text (it already ends in
-    # "using the Python engine"), logged here exactly once for the sweep.
-    logging.getLogger("repro.engine.accel").warning("%s", reason)
-
-
-def run_sweep(sweep_config: SweepConfig, parallel: bool = True,
-              max_workers: Optional[int] = None,
+def run_sweep(sweep_config: SweepConfig,
               cache: Union[None, bool, str, Path, SweepCache] = None,
-              chunk_size: Optional[int] = None) -> SweepResult:
+              ) -> SweepResult:
     """Run every point of ``sweep_config`` and collect the results.
 
-    With ``parallel=True`` the points are sharded in chunks over a process
-    pool (one Python process per core by default); otherwise they run
-    serially in this process.
-
-    ``cache`` enables the persistent result cache: ``True`` uses the
-    default directory (``$REPRO_SWEEP_CACHE`` or ``~/.cache/repro/sweeps``),
-    a path roots the cache there, and a :class:`SweepCache` instance is
-    used as-is.  Cached points are not simulated at all — re-running an
-    already-computed sweep performs zero simulations — and freshly
-    simulated points are written back for the next run.
+    The points missing from the cache run one after another in the
+    calling process.  ``cache`` enables the persistent result cache:
+    ``True`` uses the default directory (``$REPRO_SWEEP_CACHE`` or
+    ``~/.cache/repro/sweeps``), a path roots the cache there, and a
+    :class:`SweepCache` instance is used as-is.  Cached points are not
+    simulated at all — re-running an already-computed sweep performs zero
+    simulations — and freshly simulated points are written back for the
+    next run.
     """
     sweep_config = _attach_scenario_profiles(sweep_config)
     store = resolve_cache(cache)
@@ -369,26 +340,15 @@ def run_sweep(sweep_config: SweepConfig, parallel: bool = True,
     else:
         missing = points
 
-    telemetry = _empty_point_telemetry()
-    if missing:
-        # Persist each result as soon as it lands (not after the whole
-        # sweep): an interrupted or crashed run keeps every completed
-        # point, so the re-run only simulates what is genuinely missing.
-        def record(point: SweepPoint, stats: SimStats) -> None:
-            results[point] = stats
-            if store is not None:
-                store.put(sweep_config, point, stats)
+    # Persist each result as soon as it lands (not after the whole
+    # sweep): an interrupted or crashed run keeps every completed point,
+    # so the re-run only simulates what is genuinely missing.
+    def record(point: SweepPoint, stats: SimStats) -> None:
+        results[point] = stats
+        if store is not None:
+            store.put(sweep_config, point, stats)
 
-        if parallel and len(missing) > 1:
-            from repro.analysis.parallel import ParallelSweepRunner
-
-            runner = ParallelSweepRunner(max_workers=max_workers)
-            runner.run(sweep_config, missing, chunk_size=chunk_size,
-                       on_result=record)
-            telemetry = dict(runner.telemetry)
-        else:
-            telemetry = run_points(sweep_config, missing, record)
-        _warn_fallback_summary(telemetry)
+    telemetry = run_points(sweep_config, missing, record)
 
     return SweepResult(
         sweep_config, results,

@@ -28,18 +28,16 @@ hit its deadlock/internal escapes) quietly fall back per-run.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import os
-import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.engine.accel.loader import ToolchainError, reset_loader_cache
 
 __all__ = ["ENGINE_ENV", "ENGINE_CHOICES", "requested_backend",
            "resolve_engine_backend", "run_compiled", "ToolchainError",
            "reset_backend_cache", "backend_fallback_reason",
-           "probe_verdict", "suppressed_backend_warnings"]
+           "probe_verdict"]
 
 logger = logging.getLogger("repro.engine.accel")
 
@@ -54,18 +52,12 @@ ENGINE_CHOICES = ("auto", "python", "compiled")
 _COMPILED_OK: Optional[bool] = None
 
 #: Why the probe pinned this process to the Python engine (None when the
-#: probe passed or has not run).  Sweep workers report this back to the
-#: parent so a pool emits one summary instead of N per-worker warnings.
+#: probe passed or has not run).  The probe logs it once; sweeps and
+#: served misses that asked for the compiled backend record it too.
 _FALLBACK_REASON: Optional[str] = None
 
 #: Release policies the self-check compares, one small point each.
 _SELF_CHECK_POLICIES = ("conv", "basic", "extended")
-
-#: ``active`` is True on a thread whose probe fallback warnings are
-#: withheld (the caller — the sweep layer — takes responsibility for
-#: surfacing one summary).  Per thread: concurrent sweeps in one process
-#: enter and leave the suppression independently.
-_SUPPRESSION = threading.local()
 
 
 def backend_fallback_reason() -> Optional[str]:
@@ -83,29 +75,10 @@ def probe_verdict() -> Optional[str]:
     return "compiled" if _COMPILED_OK else "python"
 
 
-@contextlib.contextmanager
-def suppressed_backend_warnings() -> Iterator[None]:
-    """Withhold the probe's per-process fallback warnings inside the block
-    (on the calling thread).
-
-    The sweep layer wraps worker execution in this so a process pool does
-    not log one identical toolchain warning per worker; the reason stays
-    available via :func:`backend_fallback_reason` and the sweep driver
-    emits a single summary instead.
-    """
-    previous = getattr(_SUPPRESSION, "active", False)
-    _SUPPRESSION.active = True
-    try:
-        yield
-    finally:
-        _SUPPRESSION.active = previous
-
-
 def _warn_fallback(message: str, *args) -> None:
     global _FALLBACK_REASON
     _FALLBACK_REASON = message % args if args else message
-    if not getattr(_SUPPRESSION, "active", False):
-        logger.warning(message, *args)
+    logger.warning(message, *args)
 
 
 def requested_backend(config=None) -> str:

@@ -79,7 +79,7 @@ class Figure10Result:
 
 
 def run(trace_length: int = 20_000, num_registers: int = 48,
-        parallel: bool = True, benchmarks: Optional[List[str]] = None,
+        benchmarks: Optional[List[str]] = None,
         base_config: Optional[ProcessorConfig] = None,
         cache=None) -> Figure10Result:
     """Regenerate Figure 10 (all benchmarks × three policies at one size).
@@ -97,6 +97,6 @@ def run(trace_length: int = 20_000, num_registers: int = 48,
         register_sizes=(num_registers,),
         trace_length=trace_length,
         base_config=base_config or ProcessorConfig()),
-        parallel=parallel, cache=cache)
+        cache=cache)
     return Figure10Result(num_registers=num_registers, sweep=sweep,
                           int_benchmarks=int_names, fp_benchmarks=fp_names)

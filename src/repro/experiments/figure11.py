@@ -84,7 +84,7 @@ class Figure11Result:
 
 
 def run(trace_length: int = 20_000, sizes: Sequence[int] = DEFAULT_SIZES,
-        parallel: bool = True, benchmarks: Optional[List[str]] = None,
+        benchmarks: Optional[List[str]] = None,
         base_config: Optional[ProcessorConfig] = None,
         cache=None) -> Figure11Result:
     """Regenerate Figure 11 (the full benchmark × policy × size sweep).
@@ -104,6 +104,6 @@ def run(trace_length: int = 20_000, sizes: Sequence[int] = DEFAULT_SIZES,
         register_sizes=tuple(sizes),
         trace_length=trace_length,
         base_config=base_config or ProcessorConfig()),
-        parallel=parallel, cache=cache)
+        cache=cache)
     return Figure11Result(sizes=tuple(sizes), sweep=sweep,
                           int_benchmarks=int_names, fp_benchmarks=fp_names)

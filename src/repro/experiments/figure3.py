@@ -66,7 +66,7 @@ class Figure3Result:
 
 
 def run(trace_length: int = 20_000, num_registers: int = 96,
-        parallel: bool = True, benchmarks: Optional[List[str]] = None,
+        benchmarks: Optional[List[str]] = None,
         base_config: Optional[ProcessorConfig] = None,
         cache=None) -> Figure3Result:
     """Regenerate Figure 3 by simulating every benchmark under conventional release.
@@ -83,7 +83,7 @@ def run(trace_length: int = 20_000, num_registers: int = 96,
         register_sizes=(num_registers,),
         trace_length=trace_length,
         base_config=base_config or ProcessorConfig()),
-        parallel=parallel, cache=cache)
+        cache=cache)
 
     result = Figure3Result(num_registers=num_registers, sweep=sweep)
     result.rows["int"] = [occupancy_breakdown(sweep.stats(name, "conv", num_registers),

@@ -6,7 +6,7 @@ Installed as ``repro-experiments``::
     repro-experiments figure10 --trace-length 8000  # a quick simulation run
     repro-experiments all --quick                   # everything, reduced size
 
-Simulation-based experiments accept ``--trace-length`` and ``--serial``;
+Simulation-based experiments accept ``--trace-length``;
 ``--quick`` selects a configuration small enough for a laptop-scale smoke
 run (shorter traces, fewer register sizes).
 
@@ -22,7 +22,7 @@ Simulations run on the accelerated C core by default (built on demand;
 automatic fallback to the Python engine with identical results when no
 toolchain is available — see :mod:`repro.engine.accel`);
 ``--engine python`` pins the reference engine.  The flag sets
-``$REPRO_ENGINE`` for this process and the worker pool.
+``$REPRO_ENGINE`` for this process.
 
 Simulation results are cached on disk by default (keyed by workload,
 configuration hash, trace length, seed and engine backend), so
@@ -71,7 +71,7 @@ from repro.experiments import (figure2, figure3, figure9, figure10, figure11,
                                section44, table1, table4)
 
 #: Experiments that run cycle-level simulations (and therefore accept
-#: ``trace_length`` / ``parallel``).
+#: ``trace_length`` / ``cache``).
 _SIMULATION_EXPERIMENTS = {"figure3", "figure10", "figure11", "table4",
                            "section33", "scenarios", "scenario_occupancy"}
 
@@ -99,8 +99,8 @@ QUICK_SIZES = (40, 48, 64, 96, 160)
 
 
 def run_experiment(name: str, trace_length: Optional[int] = None,
-                   parallel: bool = True, quick: bool = False,
-                   cache=None, scenarios: Optional[List[str]] = None):
+                   quick: bool = False, cache=None,
+                   scenarios: Optional[List[str]] = None):
     """Run one experiment by name and return its result object.
 
     ``cache`` is forwarded to the simulation experiments (see
@@ -115,7 +115,7 @@ def run_experiment(name: str, trace_length: Optional[int] = None,
     module = EXPERIMENTS[name]
     if name not in _SIMULATION_EXPERIMENTS:
         return module.run()
-    kwargs = {"parallel": parallel, "cache": cache}
+    kwargs = {"cache": cache}
     if trace_length is not None:
         kwargs["trace_length"] = trace_length
     elif quick:
@@ -220,8 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              % ", ".join(sorted(EXPERIMENTS)))
     parser.add_argument("--trace-length", type=int, default=None,
                         help="dynamic instructions per benchmark simulation")
-    parser.add_argument("--serial", action="store_true",
-                        help="run simulations in this process instead of a pool")
     parser.add_argument("--quick", action="store_true",
                         help="reduced trace length and register-size grid")
     parser.add_argument("--engine", default=None,
@@ -257,8 +255,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(raw_argv)
 
     if args.engine is not None:
-        # Exported (rather than threaded through run()) so the sweep worker
-        # pool inherits the choice; "auto" restores the environment default.
+        # Exported (rather than threaded through run()) so every engine
+        # the run builds sees the choice; "auto" restores the environment
+        # default.
         import os
 
         from repro.engine.accel import ENGINE_ENV
@@ -301,8 +300,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in names:
         start = time.time()
         result = run_experiment(name, trace_length=args.trace_length,
-                                parallel=not args.serial, quick=args.quick,
-                                cache=cache, scenarios=scenario_filter)
+                                quick=args.quick, cache=cache,
+                                scenarios=scenario_filter)
         elapsed = time.time() - start
         print("=" * 72)
         print(f"{name}  ({elapsed:.1f}s)  {provenance(result)}".rstrip())

@@ -110,15 +110,13 @@ class ScenarioOccupancyResult:
 
 def run(trace_length: int = 20_000,
         num_registers: int = DEFAULT_NUM_REGISTERS,
-        parallel: bool = True,
         scenarios: Optional[List[str]] = None,
         base_config: Optional[ProcessorConfig] = None,
         cache=None) -> ScenarioOccupancyResult:
     """Simulate every phase of every (selected) scenario standalone.
 
     One conventional-release simulation per phase at ``num_registers``
-    registers per file — cached, sharded and parallelised like every
-    other sweep.  Unknown names in ``scenarios`` raise
+    registers per file — cached like every other sweep.  Unknown names in ``scenarios`` raise
     :class:`ValueError` (mirroring the scenario grid).
     """
     names = resolve_scenario_names(scenarios)
@@ -140,7 +138,7 @@ def run(trace_length: int = 20_000,
         trace_length=trace_length,
         base_config=base_config or ProcessorConfig(),
         scenario_profiles=tuple(profiles)),
-        parallel=parallel, cache=cache)
+        cache=cache)
 
     result = ScenarioOccupancyResult(num_registers=num_registers,
                                      scenarios=names, suites=suites,

@@ -119,14 +119,14 @@ class ScenarioGridResult:
         return "\n".join(sections)
 
 
-def run(trace_length: int = 20_000, parallel: bool = True,
+def run(trace_length: int = 20_000,
         sizes: Tuple[int, ...] = DEFAULT_SIZES,
         scenarios: Optional[List[str]] = None,
         base_config: Optional[ProcessorConfig] = None,
         cache=None) -> ScenarioGridResult:
     """Sweep the scenario library (scenarios × policies × sizes).
 
-    Cached, sharded and parallelised exactly like the paper artefacts:
+    Cached exactly like the paper artefacts:
     scenario names (built-in and registered) resolve through the same
     ``get_workload`` registry.  Unknown names in ``scenarios`` raise
     :class:`ValueError` instead of being silently dropped.
@@ -139,6 +139,6 @@ def run(trace_length: int = 20_000, parallel: bool = True,
         register_sizes=tuple(sizes),
         trace_length=trace_length,
         base_config=base_config or ProcessorConfig()),
-        parallel=parallel, cache=cache)
+        cache=cache)
     return ScenarioGridResult(sweep=sweep, scenarios=names,
                               sizes=tuple(sizes), suites=suites)

@@ -66,7 +66,7 @@ class Section33Result:
 
 
 def run(trace_length: int = 20_000, sizes: Sequence[int] = DEFAULT_SIZES,
-        parallel: bool = True, benchmarks: Optional[List[str]] = None,
+        benchmarks: Optional[List[str]] = None,
         base_config: Optional[ProcessorConfig] = None,
         cache=None) -> Section33Result:
     """Regenerate the Section 3.3 comparison.
@@ -83,6 +83,6 @@ def run(trace_length: int = 20_000, sizes: Sequence[int] = DEFAULT_SIZES,
         register_sizes=tuple(sizes),
         trace_length=trace_length,
         base_config=base_config or ProcessorConfig()),
-        parallel=parallel, cache=cache)
+        cache=cache)
     return Section33Result(sizes=tuple(sizes), sweep=sweep,
                            int_benchmarks=int_names, fp_benchmarks=fp_names)

@@ -127,7 +127,6 @@ def derive(figure11: Figure11Result,
 
 
 def run(trace_length: int = 20_000, sizes: Optional[Sequence[int]] = None,
-        parallel: bool = True,
         conv_reference_sizes: Optional[Dict[str, Sequence[int]]] = None,
         figure11_result: Optional[Figure11Result] = None,
         cache=None) -> Table4Result:
@@ -138,6 +137,6 @@ def run(trace_length: int = 20_000, sizes: Optional[Sequence[int]] = None,
     """
     if figure11_result is None:
         kwargs = {} if sizes is None else {"sizes": sizes}
-        figure11_result = run_figure11(trace_length=trace_length, parallel=parallel,
-                                       cache=cache, **kwargs)
+        figure11_result = run_figure11(trace_length=trace_length, cache=cache,
+                                       **kwargs)
     return derive(figure11_result, conv_reference_sizes)

@@ -81,7 +81,7 @@ def ephemeral_scenario(profile) -> Iterator[None]:
     """Make a sampled profile name-resolvable for the duration of a block.
 
     Uses the sweep layer's ephemeral-profile machinery (the same path
-    that ships registered/derived profiles to pool workers), so the
+    that makes derived profiles resolvable by name), so the
     simulator's warm-up pass — which re-resolves ``trace.name`` through
     ``get_workload`` — sees the sampled scenario exactly like a
     registered one, without ever entering the user-visible registry.

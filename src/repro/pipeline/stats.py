@@ -1,7 +1,7 @@
 """Simulation statistics.
 
-:class:`SimStats` is a plain, pickleable container (the parallel sweep
-runner ships it across process boundaries) holding everything the paper's
+:class:`SimStats` is a plain, pickleable container (the result cache
+stores it pickled) holding everything the paper's
 figures need: IPC, branch behaviour, cache behaviour, dispatch stall
 breakdown, per-register-file occupancy (Empty/Ready/Idle) and the release
 policy's own counters.

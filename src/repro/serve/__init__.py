@@ -6,8 +6,8 @@ server (:mod:`repro.serve.http`) answers *sweep-point* and
 *export-artefact* queries from the shared content-addressed store
 (:class:`repro.analysis.cache.SweepCache` over any
 :class:`repro.analysis.backends.CacheBackend`), simulates each miss's
-one point in place on a compute thread (the single-point path of
-``run_sweep``; a request never shards over a process pool), dedupes
+one point in place on a compute thread (the in-process path of
+``run_sweep``), dedupes
 concurrent identical requests in flight (:mod:`repro.serve.service`),
 and exposes hit/miss/in-flight counters plus latency percentiles on
 ``/metrics`` (:mod:`repro.serve.metrics`).

@@ -4,8 +4,8 @@
 ``repro-serve``.  It answers *sweep-point* queries from the shared
 result store (:class:`~repro.analysis.cache.SweepCache` over any
 backend), simulates each miss in place on a compute thread (through
-:func:`~repro.analysis.sweep.run_points`, as ``run_sweep`` does for a
-single missing point), and dedupes concurrent identical requests **in
+:func:`~repro.analysis.sweep.run_points`, as ``run_sweep`` does for its
+missing points), and dedupes concurrent identical requests **in
 flight**: requests are keyed by the exact content-addressed point key,
 the first requester computes, and every concurrent duplicate awaits the
 same future and receives the *same response bytes* — N identical misses
@@ -160,8 +160,8 @@ class SweepService:
 
     ``compute_threads`` sizes the executor that runs simulations (1 — the
     default — serialises computation: predictable latency, the mode the
-    load probe and the smoke test pin).  A request names one point, so a
-    miss never shards: it simulates in place on its compute thread.
+    load probe and the smoke test pin).  A request names one point; a
+    miss simulates it in place on its compute thread.
     """
 
     def __init__(self, cache: Optional[SweepCache] = None,

@@ -458,21 +458,21 @@ def get_scenario(name: str) -> ScenarioProfile:
         raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}") from None
 
 
-#: Process-local profiles shipped by the sweep layer.  Pool worker
-#: processes re-import this module with only the built-in registries, so
-#: ``run_simulation_point`` installs the sweep's shipped profiles here
-#: before simulating — then *every* name lookup inside the point (the
-#: trace itself, but also the simulator's warm-up trace, which re-resolves
-#: ``trace.name`` with a different seed) sees exactly the same profiles in
-#: a worker as in the parent process.  Never listed by
-#: :func:`scenario_workloads`; entries are refreshed per sweep point.
+#: Process-local profiles installed by the sweep layer.  Derived profiles
+#: (e.g. per-phase ones) live in no registry, so ``run_simulation_point``
+#: installs the sweep's profiles here before simulating — then *every*
+#: name lookup inside the point (the trace itself, but also the
+#: simulator's warm-up trace, which re-resolves ``trace.name`` with a
+#: different seed) sees exactly the profiles the sweep config carries.
+#: Never listed by :func:`scenario_workloads`; entries are refreshed per
+#: sweep point.
 _EPHEMERAL_PROFILES: Dict[str, ScenarioProfile] = {}
 
 
 def install_ephemeral_profiles(profiles: Sequence[ScenarioProfile]) -> None:
-    """Make shipped scenario profiles resolvable by name in this process.
+    """Make a sweep's scenario profiles resolvable by name in this process.
 
-    Called by the sweep layer (parent and workers alike) with the
+    Called by the sweep layer with the
     ``SweepConfig.scenario_profiles`` of the sweep being executed;
     same-name entries are overwritten so lookups always reflect the
     current sweep's content.
@@ -604,7 +604,7 @@ def _phase_from_config(entry: Mapping, scenario: str, index: int) -> ScenarioPha
         # Annotations are strings ("int"/"float") under
         # `from __future__ import annotations`; reject wrong-typed values
         # here, at load time, instead of as an opaque TypeError deep
-        # inside trace generation (possibly in a pool worker).
+        # inside trace generation.
         expected = valid[key]
         if expected == "int":
             type_ok = isinstance(value, int) and not isinstance(value, bool)
@@ -741,9 +741,8 @@ def resolve_workload_profile(
     """Resolve a workload name to its profile.
 
     ``scenario_profiles`` are ephemeral overrides searched first — the
-    sweep layer uses them to ship registered (or derived) scenarios to
-    pool worker processes, whose freshly imported registry only contains
-    the built-ins.  The registries come next (an explicit
+    sweep layer passes the profiles its config carries, derived ones
+    included, which no registry holds.  The registries come next (an explicit
     ``register_scenario`` must always win for names they hold), and
     profiles installed by the executing sweep
     (:func:`install_ephemeral_profiles`) resolve last — they exist for

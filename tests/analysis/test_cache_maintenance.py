@@ -23,7 +23,7 @@ def tiny_config(**kwargs):
 
 def populated_cache(tmp_path, benchmarks=("swim", "gcc")):
     cache = SweepCache(tmp_path / "cache")
-    run_sweep(tiny_config(benchmarks=tuple(benchmarks)), parallel=False,
+    run_sweep(tiny_config(benchmarks=tuple(benchmarks)),
               cache=cache)
     return cache
 

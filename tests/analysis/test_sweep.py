@@ -1,9 +1,10 @@
-"""Tests for the sweep driver (serial path; the pool is tested separately)."""
+"""Tests for the sweep driver."""
 
 import pytest
 
-from repro.analysis.sweep import (SweepConfig, SweepPoint,
-                                  run_simulation_point, run_sweep)
+from repro.analysis.sweep import (SweepConfig, SweepPoint, SweepResult,
+                                  merge_backends, run_simulation_point,
+                                  run_sweep)
 from repro.pipeline.config import ProcessorConfig
 
 FAST = ProcessorConfig(warmup=False, enable_wrong_path=False)
@@ -14,7 +15,7 @@ def tiny_sweep():
     config = SweepConfig(benchmarks=("swim", "gcc"), policies=("conv", "extended"),
                          register_sizes=(48, 96), trace_length=800,
                          base_config=FAST)
-    return config, run_sweep(config, parallel=False)
+    return config, run_sweep(config)
 
 
 class TestSweepConfig:
@@ -24,6 +25,14 @@ class TestSweepConfig:
         points = config.points()
         assert len(points) == 4
         assert SweepPoint("a", "conv", 40) in points
+
+    def test_repeated_entries_yield_each_point_once_in_order(self):
+        config = SweepConfig(benchmarks=("b", "a", "b"), policies=("conv",),
+                             register_sizes=(48, 40, 48))
+        assert config.points() == [SweepPoint("b", "conv", 48),
+                                   SweepPoint("b", "conv", 40),
+                                   SweepPoint("a", "conv", 48),
+                                   SweepPoint("a", "conv", 40)]
 
     def test_config_for_point(self):
         config = SweepConfig(benchmarks=("swim",), base_config=FAST)
@@ -83,6 +92,19 @@ class TestRunSweep:
         assert ("swim", "nope", 48) not in result
         assert "not-a-point" not in result
 
+    def test_repeated_point_is_simulated_once(self, tmp_path):
+        config = SweepConfig(benchmarks=("swim", "swim"), policies=("conv",),
+                             register_sizes=(48, 48), trace_length=400,
+                             base_config=FAST)
+        first = run_sweep(config, cache=tmp_path)
+        again = run_sweep(config, cache=tmp_path)
+        for result in (first, again):
+            assert len(result) == 1
+            assert result.simulated + result.cached == len(result)
+            assert [size for size, _ in result.ipc_curve(["swim"], "conv")] \
+                == [48]
+        assert (first.simulated, again.cached) == (1, 1)
+
     def test_run_simulation_point_standalone(self):
         config = SweepConfig(benchmarks=("swim",), trace_length=500,
                              base_config=FAST)
@@ -94,7 +116,7 @@ class TestRunSweep:
         other_config = SweepConfig(benchmarks=("swim",), policies=("basic",),
                                    register_sizes=(48,), trace_length=800,
                                    base_config=FAST)
-        other = run_sweep(other_config, parallel=False)
+        other = run_sweep(other_config)
         merged = result.merge(other)
         assert len(merged) == len(result) + len(other)
         assert merged.ipc("swim", "basic", 48) > 0
@@ -115,7 +137,7 @@ class TestRunSweep:
                                     policies=config.policies,
                                     register_sizes=config.register_sizes,
                                     trace_length=1_000, base_config=FAST)
-        longer = run_sweep(longer_config, parallel=False)
+        longer = run_sweep(longer_config)
         merged = result.merge(longer)
         assert len(merged) == len(result)
         assert merged.points() and set(merged.points()) == set(result.points())
@@ -129,7 +151,246 @@ class TestRunSweep:
         other_config = SweepConfig(benchmarks=("li",), policies=("basic",),
                                    register_sizes=(64,), trace_length=800,
                                    base_config=FAST)
-        other = run_sweep(other_config, parallel=False)
+        other = run_sweep(other_config)
         merged = result.merge(other)
         assert merged.config.register_sizes == (48, 64, 96)
         assert set(merged.config.policies) == {"conv", "extended", "basic"}
+
+
+class TestSweepTelemetry:
+    """Export-cache counters and the one fallback warning per process."""
+
+    def test_sweep_result_carries_export_cache_counters(self):
+        # Pinned to the Python engine, which cannot fall back.
+        import dataclasses
+
+        config = SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
+                             register_sizes=(40, 48), trace_length=400,
+                             base_config=dataclasses.replace(FAST, engine="python"))
+        result = run_sweep(config, cache=False)
+        assert result.export_cache_hits >= 0
+        assert result.export_cache_misses >= 0
+        assert result.compiled_fallback_reason is None  # nothing fell back
+
+    def test_merge_sums_telemetry(self):
+        config = SweepConfig(benchmarks=("swim",), policies=("conv",),
+                             register_sizes=(48,), trace_length=400,
+                             base_config=FAST)
+        result = run_sweep(config, cache=False)
+        a = type(result)(config, {}, export_cache_hits=3, export_cache_misses=1)
+        b = type(result)(config, {}, export_cache_hits=2, export_cache_misses=4,
+                         compiled_fallback_reason="toolchain broken")
+        merged = a.merge(b)
+        assert merged.export_cache_hits == 5
+        assert merged.export_cache_misses == 5
+        assert merged.compiled_fallback_reason == "toolchain broken"
+
+    def test_concurrent_threads_count_their_own_exports(self, monkeypatch):
+        # Two threads run points at once, in lockstep: a barrier after
+        # every point keeps both sweeps in flight until both are done.
+        # One exports a measured and a warm-up trace per point, the other
+        # only the measured trace; process-wide deltas would mix them.
+        import dataclasses
+        import threading
+
+        from repro.analysis import sweep as sweep_mod
+        from repro.engine import accel
+
+        base = dataclasses.replace(FAST, engine="compiled")
+        if accel.resolve_engine_backend(base) != "compiled":
+            pytest.skip("no C toolchain for the compiled engine backend")
+        barrier = threading.Barrier(2, timeout=60)
+        real_point = sweep_mod.run_simulation_point
+
+        def point_then_wait(sweep_config, point):
+            stats = real_point(sweep_config, point)
+            barrier.wait()
+            return stats
+        monkeypatch.setattr(sweep_mod, "run_simulation_point",
+                            point_then_wait)
+
+        configs = {
+            "warm": SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
+                                register_sizes=(48,), trace_length=400,
+                                base_config=dataclasses.replace(base,
+                                                                warmup=True)),
+            "cold": SweepConfig(benchmarks=("gcc",), policies=("conv", "basic"),
+                                register_sizes=(48,), trace_length=400,
+                                base_config=base),
+        }
+        telemetry = {}
+
+        def sweep(name):
+            config = configs[name]
+            telemetry[name] = sweep_mod.run_points(
+                config, config.points(), lambda point, stats: None)
+        threads = [threading.Thread(target=sweep, args=(name,))
+                   for name in configs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert telemetry["warm"]["export_cache_hits"] == 4
+        assert telemetry["cold"]["export_cache_hits"] == 2
+        for name in configs:
+            assert telemetry[name]["export_cache_misses"] == 0
+            assert telemetry[name]["backend"] == "compiled"
+
+    def test_fallback_warning_emitted_once_per_sweep(self, monkeypatch, caplog):
+        # Six points on a broken toolchain: without deduplication every
+        # simulation would log the same warning; the sweep must surface
+        # exactly one and still finish on the Python engine.
+        import dataclasses
+        import logging
+
+        from repro.engine import accel
+
+        monkeypatch.setenv("REPRO_ACCEL_CC", "/nonexistent/compiler-xyz")
+        accel.reset_backend_cache()
+        try:
+            config = SweepConfig(
+                benchmarks=("swim",), policies=("conv", "basic", "extended"),
+                register_sizes=(40, 48), trace_length=400,
+                base_config=dataclasses.replace(FAST, engine="compiled"))
+            with caplog.at_level(logging.WARNING, logger="repro.engine.accel"):
+                result = run_sweep(config, cache=False)
+            warnings = [r for r in caplog.records
+                        if "using the Python engine" in r.message]
+            assert len(warnings) == 1
+            assert result.compiled_fallback_reason is not None
+            assert "unavailable" in result.compiled_fallback_reason
+            assert len(result) == 6
+            assert result.backend == "python"
+        finally:
+            accel.reset_backend_cache()
+
+    def test_fallen_back_process_warns_once_across_sweeps(self, monkeypatch,
+                                                          caplog):
+        # The probe logs the fallback once per process; a second sweep in
+        # the same process logs nothing more, yet both results record why
+        # they ran on the Python engine.
+        import dataclasses
+        import logging
+
+        from repro.engine import accel
+
+        monkeypatch.setenv("REPRO_ACCEL_CC", "/nonexistent/compiler-xyz")
+        accel.reset_backend_cache()
+        try:
+            base = dataclasses.replace(FAST, engine="compiled")
+            configs = [SweepConfig(benchmarks=(benchmark,), policies=("conv",),
+                                   register_sizes=(48,), trace_length=400,
+                                   base_config=base)
+                       for benchmark in ("swim", "gcc")]
+            with caplog.at_level(logging.WARNING, logger="repro.engine.accel"):
+                results = [run_sweep(config, cache=False) for config in configs]
+            warnings = [r for r in caplog.records
+                        if "using the Python engine" in r.message]
+            assert len(warnings) == 1
+            for result in results:
+                assert "unavailable" in result.compiled_fallback_reason
+                assert result.backend == "python"
+        finally:
+            accel.reset_backend_cache()
+
+    def test_fully_cached_sweep_reports_no_fallback(self, monkeypatch,
+                                                    tmp_path):
+        # The process fell back, but a re-run served wholly from the store
+        # simulated nothing, so nothing fell back for it.
+        import dataclasses
+
+        from repro.engine import accel
+
+        monkeypatch.setenv("REPRO_ACCEL_CC", "/nonexistent/compiler-xyz")
+        accel.reset_backend_cache()
+        try:
+            config = SweepConfig(
+                benchmarks=("swim",), policies=("conv",),
+                register_sizes=(48,), trace_length=400,
+                base_config=dataclasses.replace(FAST, engine="compiled"))
+            first = run_sweep(config, cache=tmp_path)
+            again = run_sweep(config, cache=tmp_path)
+            assert first.compiled_fallback_reason is not None
+            assert again.cached == 1
+            assert again.compiled_fallback_reason is None
+            assert again.backend is None
+        finally:
+            accel.reset_backend_cache()
+
+    def test_python_request_reports_no_fallback(self, monkeypatch):
+        # The process fell back earlier, but this sweep asked for the
+        # Python engine: nothing fell back for it.
+        import dataclasses
+
+        from repro.engine import accel
+
+        monkeypatch.setenv("REPRO_ACCEL_CC", "/nonexistent/compiler-xyz")
+        accel.reset_backend_cache()
+        try:
+            assert accel.resolve_engine_backend(ProcessorConfig()) == "python"
+            config = SweepConfig(
+                benchmarks=("swim",), policies=("conv", "basic"),
+                register_sizes=(48,), trace_length=400,
+                base_config=dataclasses.replace(FAST, engine="python"))
+            result = run_sweep(config, cache=False)
+            assert result.compiled_fallback_reason is None
+        finally:
+            accel.reset_backend_cache()
+
+
+class TestBackendProvenance:
+    """``SweepResult.backend``: the engine that actually ran the points."""
+
+    def test_merge_backends(self):
+        assert merge_backends() is None
+        assert merge_backends(None, None) is None
+        assert merge_backends("compiled", None, "compiled") == "compiled"
+        assert merge_backends("python") == "python"
+        assert merge_backends("compiled", "python") == "mixed"
+        assert merge_backends("mixed", "compiled") == "mixed"
+
+    def test_serial_sweep_records_backend_then_none_when_cached(self, tmp_path):
+        from repro.engine import accel
+
+        config = SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
+                             register_sizes=(48,), trace_length=400,
+                             base_config=FAST)
+        first = run_sweep(config, cache=tmp_path)
+        assert first.backend == accel.resolve_engine_backend(FAST)
+        again = run_sweep(config, cache=tmp_path)
+        assert again.cached == len(again) and again.backend is None
+
+    def test_python_request_records_python(self):
+        import dataclasses
+
+        config = SweepConfig(benchmarks=("swim",), policies=("conv",),
+                             register_sizes=(48,), trace_length=400,
+                             base_config=dataclasses.replace(FAST, engine="python"))
+        assert run_sweep(config, cache=False).backend == "python"
+
+    def test_out_of_envelope_points_make_a_mixed_sweep(self):
+        # The extended policy deeper than the compiled Release-Queue
+        # ceiling runs on the Python engine; conventional points at the
+        # same depth run on the compiled core.
+        import dataclasses
+
+        from repro.engine import accel
+        from repro.engine.accel.loader import RQ_LEVELS_MAX
+
+        if accel.resolve_engine_backend(FAST) != "compiled":
+            pytest.skip("no C toolchain for the compiled engine backend")
+        base = dataclasses.replace(FAST, max_pending_branches=RQ_LEVELS_MAX + 1)
+        config = SweepConfig(benchmarks=("swim",),
+                             policies=("conv", "extended"),
+                             register_sizes=(48,), trace_length=400,
+                             base_config=base)
+        assert run_sweep(config, cache=False).backend == "mixed"
+
+    def test_merge_folds_backends(self):
+        config = SweepConfig(benchmarks=("swim",))
+        compiled = SweepResult(config, {}, backend="compiled")
+        cached = SweepResult(config, {})
+        python = SweepResult(config, {}, backend="python")
+        assert compiled.merge(cached).backend == "compiled"
+        assert cached.merge(cached).backend is None
+        assert compiled.merge(python).backend == "mixed"

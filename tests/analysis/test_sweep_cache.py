@@ -112,7 +112,7 @@ class TestSweepCacheStore:
         blocker.write_text("occupied")
         cache = SweepCache(blocker)
         config = tiny_config()
-        result = run_sweep(config, parallel=False, cache=cache)
+        result = run_sweep(config, cache=cache)
         assert result.simulated == 1
         assert cache.store_errors == 1 and cache.stores == 0
 
@@ -140,10 +140,10 @@ class TestCachedRunSweep:
         config = tiny_config(benchmarks=("swim", "gcc"),
                              policies=("conv", "extended"),
                              register_sizes=(48, 96))
-        first = run_sweep(config, parallel=False, cache=tmp_path)
+        first = run_sweep(config, cache=tmp_path)
         assert first.simulated == len(config.points())
         assert first.cached == 0
-        second = run_sweep(config, parallel=False, cache=tmp_path)
+        second = run_sweep(config, cache=tmp_path)
         assert second.simulated == 0
         assert second.cached == len(config.points())
         for point in config.points():
@@ -153,18 +153,18 @@ class TestCachedRunSweep:
 
     def test_partial_sweep_only_simulates_missing_points(self, tmp_path):
         small = tiny_config(register_sizes=(48,))
-        run_sweep(small, parallel=False, cache=tmp_path)
+        run_sweep(small, cache=tmp_path)
         larger = tiny_config(register_sizes=(48, 64, 96))
-        result = run_sweep(larger, parallel=False, cache=tmp_path)
+        result = run_sweep(larger, cache=tmp_path)
         assert result.cached == 1
         assert result.simulated == 2
 
     def test_cache_shared_by_parallel_path(self, tmp_path):
         config = tiny_config(benchmarks=("swim", "gcc"),
                              register_sizes=(48, 96))
-        warm = run_sweep(config, parallel=True, max_workers=2, cache=tmp_path)
+        warm = run_sweep(config, cache=tmp_path)
         assert warm.simulated == 4
-        again = run_sweep(config, parallel=True, max_workers=2, cache=tmp_path)
+        again = run_sweep(config, cache=tmp_path)
         assert again.simulated == 0
 
     def test_interrupted_sweep_keeps_completed_points(self, tmp_path,
@@ -185,14 +185,14 @@ class TestCachedRunSweep:
 
         monkeypatch.setattr(sweep_module, "run_simulation_point", dies_on_third)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            run_sweep(config, parallel=False, cache=tmp_path)
+            run_sweep(config, cache=tmp_path)
         monkeypatch.setattr(sweep_module, "run_simulation_point", real)
-        resumed = run_sweep(config, parallel=False, cache=tmp_path)
+        resumed = run_sweep(config, cache=tmp_path)
         assert resumed.cached == 2
         assert resumed.simulated == 1
 
     def test_uncached_run_is_unaffected(self):
         config = tiny_config()
-        result = run_sweep(config, parallel=False, cache=None)
+        result = run_sweep(config, cache=None)
         assert result.simulated == 1
         assert result.cached == 0

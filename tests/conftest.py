@@ -3,17 +3,40 @@
 The fixtures provide small, fast building blocks: hand-written traces, a
 tiny benchmark trace from the workload registry, and processor
 configurations that keep cycle-level tests quick (no warm-up, no wrong
-path unless a test asks for it).
+path unless a test asks for it).  One autouse fixture keeps the compiled
+backend's per-process verdict from leaking between tests.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.engine import accel
+from repro.engine.accel.loader import reset_loader_cache
 from repro.isa import Instruction, InstructionBuilder, OpClass, RegClass
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.records import Trace
 from repro.trace.workloads import get_workload
+
+
+@pytest.fixture(autouse=True)
+def _restore_backend_verdict():
+    """Hand every test the compiled-backend verdict as the previous one had it.
+
+    Tests that flip ``$REPRO_ACCEL_CC`` end with
+    ``accel.reset_backend_cache()``, which leaves the per-process
+    self-check pending: the next test's first compiled run would probe
+    through whatever that test has monkeypatched.  So the verdict is
+    settled before each test, outside its patches, and put back after it
+    (autouse, so after its monkeypatches are undone); the loaded core is
+    dropped too when the test changed the verdict.
+    """
+    accel.resolve_engine_backend(ProcessorConfig(engine="compiled"))
+    verdict = (accel._COMPILED_OK, accel._FALLBACK_REASON)
+    yield
+    if (accel._COMPILED_OK, accel._FALLBACK_REASON) != verdict:
+        accel._COMPILED_OK, accel._FALLBACK_REASON = verdict
+        reset_loader_cache()
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ SIZES = (40, 48, 56, 64, 80, 96, 128, 160)
 @pytest.fixture(scope="module")
 def figure11_sweep():
     """One Figure 11 sweep shared by the Figure 11 and Table 4 checks."""
-    return figure11.run(trace_length=TRACE_LENGTH, sizes=SIZES, parallel=True)
+    return figure11.run(trace_length=TRACE_LENGTH, sizes=SIZES)
 
 
 def test_table1():
@@ -37,7 +37,7 @@ def test_figure2(policy):
 
 
 def test_figure3():
-    result = figure3.run(trace_length=TRACE_LENGTH, parallel=True)
+    result = figure3.run(trace_length=TRACE_LENGTH)
     int_overhead = result.idle_overhead("int")
     fp_overhead = result.idle_overhead("fp")
     # Paper: 45.8 % int vs 16.8 % fp; both positive, int larger.
@@ -53,7 +53,7 @@ def test_figure9():
 
 
 def test_figure10():
-    result = figure10.run(trace_length=TRACE_LENGTH, parallel=True)
+    result = figure10.run(trace_length=TRACE_LENGTH)
     fp_basic = result.suite_speedup_percent("fp", "basic")
     fp_extended = result.suite_speedup_percent("fp", "extended")
     int_extended = result.suite_speedup_percent("int", "extended")

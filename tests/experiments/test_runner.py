@@ -21,7 +21,7 @@ class TestRegistry:
         assert "MIPS R10K" in result.format()
 
     def test_run_simulation_experiment_quick(self):
-        result = run_experiment("figure10", trace_length=1200, parallel=True)
+        result = run_experiment("figure10", trace_length=1200)
         assert result.ipc("swim", "conv") > 0
 
 
@@ -57,7 +57,7 @@ class TestCLI:
         from repro.engine import accel
         from repro.pipeline.config import ProcessorConfig
 
-        args = ["figure3", "--trace-length", "600", "--serial",
+        args = ["figure3", "--trace-length", "600",
                 "--cache-dir", str(tmp_path)]
 
         def header():
@@ -127,7 +127,7 @@ class TestScenarioCLI:
         assert main(["scenarios", "scenario_occupancy",
                      "--scenario-file", str(config_path),
                      "--scenarios", "cli_user_scn",
-                     "--trace-length", "1200", "--serial", "--no-cache"]) == 0
+                     "--trace-length", "1200", "--no-cache"]) == 0
         output = capsys.readouterr().out
         assert "registered scenarios from" in output
         assert "cli_user_scn" in output
@@ -137,7 +137,7 @@ class TestScenarioCLI:
         with pytest.raises(ValueError, match="unknown scenarios"):
             main(["scenarios", "--scenarios", "cli_user_scm",
                   "--scenario-file", str(config_path),
-                  "--trace-length", "1000", "--serial", "--no-cache"])
+                  "--trace-length", "1000", "--no-cache"])
 
     def test_broken_scenario_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

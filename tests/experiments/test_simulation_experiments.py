@@ -17,18 +17,18 @@ SUBSET = ["compress", "gcc", "swim", "tomcatv"]
 
 @pytest.fixture(scope="module")
 def figure3_result():
-    return figure3.run(trace_length=TRACE_LENGTH, parallel=True)
+    return figure3.run(trace_length=TRACE_LENGTH)
 
 
 @pytest.fixture(scope="module")
 def figure10_result():
-    return figure10.run(trace_length=TRACE_LENGTH, parallel=True)
+    return figure10.run(trace_length=TRACE_LENGTH)
 
 
 @pytest.fixture(scope="module")
 def figure11_result():
     return figure11.run(trace_length=TRACE_LENGTH, sizes=(40, 64, 96, 160),
-                        parallel=True, benchmarks=SUBSET)
+                        benchmarks=SUBSET)
 
 
 class TestFigure3:
@@ -140,7 +140,7 @@ class TestTable4:
 class TestSection33:
     def test_reduced_run(self):
         result = section33.run(trace_length=TRACE_LENGTH, sizes=(48,),
-                               parallel=True, benchmarks=SUBSET)
+                               benchmarks=SUBSET)
         assert result.speedup_percent("fp", 48) > -2.0
         text = result.format()
         assert "Section 3.3" in text and "48int+48FP" in text
@@ -149,7 +149,7 @@ class TestSection33:
         # Paper: the basic mechanism gains 3 % → 9 % on FP from 64 to 40
         # registers.
         result = section33.run(trace_length=TRACE_LENGTH, sizes=(64, 40),
-                               parallel=True, benchmarks=SUBSET, cache=None)
+                               benchmarks=SUBSET, cache=None)
         assert result.speedup_percent("fp", 40) > 0
         assert (result.speedup_percent("fp", 40)
                 >= result.speedup_percent("fp", 64) - 1.0)

@@ -129,13 +129,13 @@ class TestSweepAgainstLiveServer:
                              register_sizes=(48,), trace_length=300, seed=7)
         first = SweepCache(backend=resolve_backend(
             server.url, cache_dir=tmp_path / "node1"))
-        result = run_sweep(config, parallel=False, cache=first)
+        result = run_sweep(config, cache=first)
         assert result.cache_degradation_reason is None
         assert first.stores == 1
 
         second = SweepCache(backend=resolve_backend(
             server.url, cache_dir=tmp_path / "node2"))
-        rerun = run_sweep(config, parallel=False, cache=second)
+        rerun = run_sweep(config, cache=second)
         assert second.hits == 1                    # served via the remote
         assert second.backend.remote.remote_hits == 1
         point = config.points()[0]
@@ -149,7 +149,7 @@ class TestSweepAgainstLiveServer:
         backend = resolve_backend("http://127.0.0.1:9",
                                   cache_dir=tmp_path, retries=0)
         cache = SweepCache(backend=backend)
-        result = run_sweep(config, parallel=False, cache=cache)
+        result = run_sweep(config, cache=cache)
         assert result.cache_degradation_reason is not None
         assert "local-only" in result.cache_degradation_reason
         point = config.points()[0]

@@ -276,10 +276,11 @@ class TestCacheInvalidation:
         assert key_a == key_for(simple_profile("cache_key", chain_len=2))
 
     def test_pool_worker_stats_match_serial(self, clean_registry):
-        """A pool worker's registry lacks user-registered scenarios; the
-        profiles shipped in SweepConfig must make the whole simulation —
-        including the warm-up trace, which re-resolves the workload name
-        with a different seed — identical to a serial in-process run.
+        """A process whose registry lacks the scenario (a derived profile,
+        or one unregistered since) simulates it from the profiles carried
+        in SweepConfig; they must make the whole simulation — including
+        the warm-up trace, which re-resolves the workload name with a
+        different seed — identical to a run with it registered.
         Regression for the warm-up divergence found in PR 5 review."""
         from repro.analysis.sweep import (SweepConfig, SweepPoint,
                                           _attach_scenario_profiles,
@@ -293,9 +294,8 @@ class TestCacheInvalidation:
         point = SweepPoint("worker_parity", "conv", 48)
         serial_stats = run_simulation_point(config, point)
 
-        # Emulate a fresh worker process: no registry entry, no
-        # previously installed ephemeral profiles — only the pickled
-        # SweepConfig arrives.
+        # No registry entry and no previously installed ephemeral
+        # profiles: only the SweepConfig carries the profile.
         unregister_scenario("worker_parity")
         workloads_module._EPHEMERAL_PROFILES.clear()
         try:
@@ -312,14 +312,14 @@ class TestCacheInvalidation:
         register_scenario(simple_profile("cache_e2e"))
         config = SweepConfig(benchmarks=("cache_e2e",), policies=("conv",),
                              register_sizes=(48,), trace_length=900)
-        first = run_sweep(config, parallel=False, cache=tmp_path)
+        first = run_sweep(config, cache=tmp_path)
         assert (first.simulated, first.cached) == (1, 0)
-        second = run_sweep(config, parallel=False, cache=tmp_path)
+        second = run_sweep(config, cache=tmp_path)
         assert (second.simulated, second.cached) == (0, 1)
         assert (first.ipc("cache_e2e", "conv", 48)
                 == second.ipc("cache_e2e", "conv", 48))
         # Different content under the same name: full re-simulation.
         register_scenario(simple_profile("cache_e2e", chain_len=4),
                           replace=True)
-        third = run_sweep(config, parallel=False, cache=tmp_path)
+        third = run_sweep(config, cache=tmp_path)
         assert (third.simulated, third.cached) == (1, 0)

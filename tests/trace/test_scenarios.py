@@ -98,7 +98,7 @@ class TestScenarioExperiment:
     def test_scenario_grid_runs_and_formats(self):
         from repro.experiments import scenarios as scenarios_experiment
 
-        result = scenarios_experiment.run(trace_length=1_500, parallel=False,
+        result = scenarios_experiment.run(trace_length=1_500,
                                           sizes=(64,), cache=None,
                                           scenarios=["store_wave",
                                                      "branch_storm"])
@@ -114,7 +114,7 @@ class TestScenarioExperiment:
         from repro.experiments import scenarios as scenarios_experiment
 
         with pytest.raises(ValueError, match="unknown scenarios: branch_strom"):
-            scenarios_experiment.run(trace_length=1_000, parallel=False,
+            scenarios_experiment.run(trace_length=1_000,
                                      scenarios=["branch_storm",
                                                 "branch_strom"])
         with pytest.raises(ValueError, match="known scenarios"):
@@ -143,7 +143,7 @@ class TestScenarioExperiment:
         register_scenario(profile)
         try:
             result = scenarios_experiment.run(trace_length=1_200,
-                                              parallel=False, sizes=(64,),
+                                              sizes=(64,),
                                               cache=None,
                                               scenarios=["grid_user_scn"])
             fraction = result.early_release_fraction("grid_user_scn",
@@ -173,7 +173,7 @@ class TestScenarioOccupancy:
     def test_per_phase_rows_and_figure(self):
         from repro.experiments import scenario_occupancy
 
-        result = scenario_occupancy.run(trace_length=1_500, parallel=False,
+        result = scenario_occupancy.run(trace_length=1_500,
                                         num_registers=96, cache=None,
                                         scenarios=["phased", "store_wave"])
         # One row per phase: phased has two phases, store_wave one.
@@ -192,12 +192,12 @@ class TestScenarioOccupancy:
         from repro.experiments import scenario_occupancy
 
         with pytest.raises(ValueError, match="unknown scenarios"):
-            scenario_occupancy.run(trace_length=1_000, parallel=False,
+            scenario_occupancy.run(trace_length=1_000,
                                    scenarios=["not_a_scenario"])
 
     def test_derived_phase_profiles_stay_out_of_registry(self):
         from repro.experiments import scenario_occupancy
 
-        scenario_occupancy.run(trace_length=1_000, parallel=False,
+        scenario_occupancy.run(trace_length=1_000,
                                cache=None, scenarios=["phased"])
         assert all("@phase" not in name for name in scenario_workloads())
