@@ -40,9 +40,6 @@ class BasicEarlyRelease(ReleasePolicy):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.lus_table = LastUsesTable(self.map_table.num_logical)
-        #: direct view of the table's entry list (identity-stable across
-        #: reset/restore); written once per renamed operand.
-        self._lus_entries = self.lus_table._entries
         self.fallback_conventional = 0
 
     # ------------------------------------------------------------------
@@ -51,11 +48,11 @@ class BasicEarlyRelease(ReleasePolicy):
     def note_source_use(self, entry: ROSEntry, slot: int, logical: int,
                         physical: int) -> None:
         """Renaming 1 (paper): record this instruction as the last user of ``logical``."""
-        self._lus_entries[logical] = LastUse(entry.seq, slot)
+        self.lus_table.record_use(logical, entry.seq, slot)
 
     def note_dest_definition(self, entry: ROSEntry, logical: int) -> None:
         """Renaming 1 (paper): record the definition as a (Kind=dst) use."""
-        self._lus_entries[logical] = LastUse(entry.seq, DST_SLOT)
+        self.lus_table.record_use(logical, entry.seq, DST_SLOT)
 
     def rename_destination(self, entry: ROSEntry, logical: int,
                            old_pd: int) -> DestRenameOutcome:

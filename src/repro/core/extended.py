@@ -43,9 +43,6 @@ class ExtendedEarlyRelease(ReleasePolicy):
     def __init__(self, *args, release_queue_capacity: int = 20, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.lus_table = LastUsesTable(self.map_table.num_logical)
-        #: direct view of the table's entry list (identity-stable across
-        #: reset/restore); written once per renamed operand.
-        self._lus_entries = self.lus_table._entries
         self.release_queue = ReleaseQueue(capacity=release_queue_capacity)
         self.conditional_schedulings = 0
 
@@ -55,11 +52,11 @@ class ExtendedEarlyRelease(ReleasePolicy):
     def note_source_use(self, entry: ROSEntry, slot: int, logical: int,
                         physical: int) -> None:
         """Record this instruction as the last user of ``logical``."""
-        self._lus_entries[logical] = LastUse(entry.seq, slot)
+        self.lus_table.record_use(logical, entry.seq, slot)
 
     def note_dest_definition(self, entry: ROSEntry, logical: int) -> None:
         """Record the definition as a (Kind=dst) use."""
-        self._lus_entries[logical] = LastUse(entry.seq, DST_SLOT)
+        self.lus_table.record_use(logical, entry.seq, DST_SLOT)
 
     def on_branch_renamed(self, entry: ROSEntry) -> None:
         """Step 1: append a Release Queue level for the new pending branch."""

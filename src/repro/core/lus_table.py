@@ -56,7 +56,7 @@ class LastUsesTable:
         Calls must be made in rename (program) order so the entry always
         holds the youngest use.
         """
-        self._entries[logical] = LastUse(seq=seq, slot=slot)
+        self._entries[logical] = LastUse(seq, slot)
 
     def lookup(self, logical: int) -> Optional[LastUse]:
         """Return the recorded last use of ``logical`` (None if unknown)."""
@@ -67,11 +67,7 @@ class LastUsesTable:
         self._entries[logical] = None
 
     def reset(self) -> None:
-        """Forget everything (used on an exception flush: nothing is in flight).
-
-        In place: the early-release policies hold a direct reference to
-        the entry list on their rename fast path.
-        """
+        """Forget everything (used on an exception flush: nothing is in flight)."""
         self._entries[:] = [None] * self.num_logical
 
     # ------------------------------------------------------------------
@@ -80,8 +76,7 @@ class LastUsesTable:
         return tuple(self._entries)
 
     def restore(self, snapshot: Tuple[Optional[LastUse], ...]) -> None:
-        """Restore the copy belonging to a mispredicted branch (in place,
-        for the same list-identity reason as :meth:`reset`)."""
+        """Restore the copy belonging to a mispredicted branch (in place)."""
         if len(snapshot) != self.num_logical:
             raise ValueError("LUs table snapshot size mismatch")
         self._entries[:] = snapshot

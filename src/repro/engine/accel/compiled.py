@@ -138,8 +138,6 @@ def _wrongpath_reason(generator) -> Optional[str]:
     if not replay_supported() or not isinstance(
             generator._rng.bit_generator, np.random.PCG64):
         return "wrong-path bit generator is not a replayable PCG64"
-    if generator._pending_head < len(generator._pending):
-        return "wrong-path generator holds pre-drawn payloads"
     if not (_is_window(generator._int_regs)
             and _is_window(generator._fp_regs)):
         return "wrong-path register windows are not contiguous"

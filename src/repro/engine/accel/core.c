@@ -538,7 +538,7 @@ static int fl_push(Machine *m, int c, int reg) {
     return 1;
 }
 
-/* PhysicalRegisterFile.release / the release_many per-register body. */
+/* PhysicalRegisterFile.release. */
 static void release_reg(Machine *m, int c, int reg, i64 cycle, int early) {
     if (!fl_push(m, c, reg)) return;
     m->producer_seq[c][reg] = -1;
@@ -1789,7 +1789,7 @@ static void rename_stage(Machine *m) {
 /* ------------------------------------------------------------------ */
 /* Wrong-path draw cascade.                                           */
 /* ------------------------------------------------------------------ */
-/* Port of WrongPathGenerator._refill's per-instruction cascade over raw
+/* Port of WrongPathGenerator.next_instruction's draw cascade over raw
  * PCG64 words, following the draw contract of trace/draws.py: a double
  * is (x >> 11) * 2^-53 of one fresh word; a bounded integer is a 32-bit
  * Lemire multiply of the buffered half, else of a fresh word's low half

@@ -123,7 +123,7 @@ def dispatch_hazard(state: MachineState, inst: Instruction) -> Optional[str]:
     dest = inst.dest
     if dest is not None:
         dest_class = dest[0]
-        if not state.free_deques[dest_class] and \
+        if not state.register_files[dest_class].can_allocate() and \
                 not may_avoid_allocation(state, dest_class, dest[1], inst):
             return (STALL_NO_FREE_INT if dest_class is RegClass.INT
                     else STALL_NO_FREE_FP)
@@ -159,9 +159,9 @@ class CommitStage(Stage):
         cycle = state.cycle
         stats = state.stats
         by_class = stats.committed_by_class
-        policies = state.policy_list
-        last_use_lists = state.last_use_lists
-        iomt_lists = state.iomt_lists
+        policies = state.policies.values()
+        register_files = state.register_files
+        iomts = state.iomts
         lsq = state.lsq
         memory = state.memory
         entry = None
@@ -175,7 +175,7 @@ class CommitStage(Stage):
             state.committed_watermark = entry.seq
             dest_class = entry.dest_class
             if dest_class is not None:
-                iomt_lists[dest_class][entry.dest_logical] = entry.pd
+                iomts[dest_class].commit_mapping(entry.dest_logical, entry.pd)
             # Release-policy commit hooks (both register classes see every entry).
             for policy in policies:
                 policy.on_commit(entry, cycle)
@@ -183,9 +183,9 @@ class CommitStage(Stage):
             # Occupancy accounting: this commit is (potentially) the last use
             # of each source register, and of the destination if never read.
             for reg_class, _logical, physical in entry.src_regs:
-                last_use_lists[reg_class][physical] = cycle
+                register_files[reg_class].note_use_commit(physical, cycle)
             if dest_class is not None:
-                last_use_lists[dest_class][entry.pd] = cycle
+                register_files[dest_class].note_use_commit(entry.pd, cycle)
 
             # Memory operations leave the LSQ at commit; stores write the cache.
             inst = entry.inst
@@ -360,18 +360,16 @@ class RenameStage(Stage):
 
         # ------------------------------------------------------- sources
         map_tables = state.map_tables
+        register_files = state.register_files
         policies = state.policies
         srcs = inst.srcs
         if srcs:
-            map_lists = state.map_lists
-            producer_lists = state.producer_lists
-            source_use_hooks = state.source_use_hooks
             src_regs = entry.src_regs
             is_store = inst.is_store
             wait_producers = entry.wait_producers
             consumers = state.consumers
             for slot, (reg_class, logical) in enumerate(srcs):
-                physical = map_lists[reg_class][logical]
+                physical = map_tables[reg_class].lookup(logical)
                 src_regs.append((reg_class, logical, physical))
                 # Stores wait only for their *address* operands before
                 # issuing (slot 0 is the value by trace convention): the
@@ -380,20 +378,19 @@ class RenameStage(Stage):
                 # commit, which in-order retirement of the older producer
                 # already guarantees.
                 if not is_store or slot != 0:
-                    producer = producer_lists[reg_class][physical]
+                    producer = register_files[reg_class].producer_of(physical)
                     if producer is not None:
                         wait_producers.add(producer)
                         consumers.register(producer, entry)
-                hook = source_use_hooks[reg_class]
-                if hook is not None:
-                    hook(entry, slot, logical, physical)
+                policies[reg_class].note_source_use(entry, slot, logical,
+                                                    physical)
 
         # ------------------------------------------------------- destination
         if inst.dest is not None:
             dest_class, dest_logical = inst.dest
             policy = policies[dest_class]
-            register_file = state.register_files[dest_class]
-            old_pd = state.map_lists[dest_class][dest_logical]
+            register_file = register_files[dest_class]
+            old_pd = map_tables[dest_class].lookup(dest_logical)
             outcome = policy.rename_destination(entry, dest_logical, old_pd)
             if outcome.reuse_previous:
                 pd = old_pd
@@ -409,9 +406,7 @@ class RenameStage(Stage):
             entry.pd = pd
             entry.old_pd = old_pd
             entry.rel_old = outcome.release_previous_at_commit
-            hook = state.dest_def_hooks[dest_class]
-            if hook is not None:
-                hook(entry, dest_logical)
+            policy.note_dest_definition(entry, dest_logical)
 
         # ------------------------------------------------------- branches
         if inst.is_branch:
@@ -423,7 +418,7 @@ class RenameStage(Stage):
                                   for rc, p in policies.items()},
             )
             state.checkpoints.push(checkpoint)
-            for policy in state.policy_list:
+            for policy in policies.values():
                 policy.on_branch_renamed(entry)
 
         # ------------------------------------------------------- memory ops
@@ -431,8 +426,9 @@ class RenameStage(Stage):
             state.lsq.insert(entry.seq, inst.is_store, inst.mem_addr)
 
         # ------------------------------------------------------- exceptions
-        if (state.exception_enabled and not entry.wrong_path
-                and state.exception_rng.random() < state.config.exception_rate):
+        rate = state.config.exception_rate
+        if (rate > 0.0 and not entry.wrong_path
+                and state.exception_rng.random() < rate):
             entry.exception = True
 
         state.ros.append(entry)

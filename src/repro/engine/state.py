@@ -146,9 +146,6 @@ class MachineState:
                                     options=options, **policy_kwargs)
             for rc in (RegClass.INT, RegClass.FP)
         }
-        #: the same two policies as a tuple: the per-commit/per-rename hooks
-        #: iterate this instead of rebuilding a dict values view each entry.
-        self.policy_list: Tuple[ReleasePolicy, ...] = tuple(self.policies.values())
 
         # ------------------------------------------------------------ back end
         self.ros = ReorderStructure(capacity=cfg.ros_size)
@@ -171,42 +168,6 @@ class MachineState:
         #: age-ordered queue of issue-ready instructions.
         self.ready = ReadySet()
         self.exception_rng = exception_rng(cfg)
-
-        # ------------------------------------------------------------ rename fast-path hooks
-        #: True when the exception lottery must be drawn at all.
-        self.exception_enabled = cfg.exception_rate > 0.0
-        #: per class: the policy's source-use / dest-definition hooks, or
-        #: None when the policy inherits the base no-op (conventional
-        #: release) — the rename loop then skips the call entirely.
-        base = ReleasePolicy
-        self.source_use_hooks = {
-            rc: (p.note_source_use
-                 if type(p).note_source_use is not base.note_source_use else None)
-            for rc, p in self.policies.items()
-        }
-        self.dest_def_hooks = {
-            rc: (p.note_dest_definition
-                 if type(p).note_dest_definition is not base.note_dest_definition
-                 else None)
-            for rc, p in self.policies.items()
-        }
-        #: per class: direct views of the map-table mapping list and the
-        #: register file's producer list (identity-stable; see
-        #: :meth:`repro.rename.map_table.MapTable.restore`).
-        self.map_lists = {rc: mt._map for rc, mt in self.map_tables.items()}
-        self.producer_lists = {rc: rf._producer
-                               for rc, rf in self.register_files.items()}
-        #: per class: the occupancy tracker's last-use-commit array and the
-        #: IOMT mapping list, written directly by the (per-instruction)
-        #: commit loop.
-        self.last_use_lists = {rc: rf._occ_last_use
-                               for rc, rf in self.register_files.items()}
-        self.iomt_lists = {rc: iomt._map for rc, iomt in self.iomts.items()}
-        #: per class: the free list's deque (truthiness == can_allocate)
-        #: for the dispatch-hazard probe, which runs once per rename
-        #: attempt — every cycle while register-stalled.
-        self.free_deques = {rc: rf.free_list._free
-                           for rc, rf in self.register_files.items()}
 
         # ------------------------------------------------------------ statistics
         self.stats = SimStats(benchmark=trace.name, release_policy=cfg.release_policy)
@@ -355,15 +316,14 @@ class MachineState:
 
         The entries arrive already flagged ``squashed`` by the ROS.
         Destination registers allocated by the squashed window are
-        gathered per register class and returned through the checked free
-        list in one bulk call, preserving the youngest-first release order
-        within each class.
+        gathered per register class and released once every policy has
+        seen the squash, youngest first within each class.
         """
         cycle = self.cycle
         self.stats.squashed_instructions += len(squashed)
         freed: Dict[RegClass, List[int]] = {RegClass.INT: [], RegClass.FP: []}
         register_files = self.register_files
-        policy_list = self.policy_list
+        policies = self.policies.values()
         consumers = self.consumers
         ready = self.ready
         for entry in squashed:
@@ -373,13 +333,14 @@ class MachineState:
                 elif entry.reused:
                     # The reused register's value is still the committed one.
                     register_files[entry.dest_class].set_producer(entry.pd, None)
-            for policy in policy_list:
+            for policy in policies:
                 policy.on_squash(entry, cycle)
             consumers.drop(entry.seq)
             ready.discard(entry.seq)
         for reg_class, regs in freed.items():
-            if regs:
-                register_files[reg_class].release_many(regs, cycle)
+            register_file = register_files[reg_class]
+            for reg in regs:
+                register_file.release(reg, cycle)
 
     # ==================================================================
     # Statistics collection

@@ -67,12 +67,6 @@ class Table4Result:
         """Rows of one suite."""
         return [row for row in self.rows if row.suite == suite]
 
-    def mean_saving_percent(self, suite: str) -> float:
-        """Average register saving of one suite (ignoring unreachable rows)."""
-        savings = [row.saved_percent for row in self.rows_for(suite)
-                   if row.saved_percent is not None]
-        return sum(savings) / len(savings) if savings else 0.0
-
     def format(self) -> str:
         """Render the regenerated table plus the paper's rows."""
         table_rows: List[List[object]] = []

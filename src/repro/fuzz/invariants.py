@@ -71,7 +71,7 @@ class InvariantProbe:
                 f"checkpoint stack depth {len(state.checkpoints)} exceeds "
                 f"max_pending_branches={cfg.max_pending_branches} "
                 f"at cycle {state.cycle}")
-        for policy in state.policy_list:
+        for policy in state.policies.values():
             queue = getattr(policy, "release_queue", None)
             if queue is not None and queue.depth > queue.capacity:
                 raise InvariantViolation(

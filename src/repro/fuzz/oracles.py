@@ -41,7 +41,7 @@ from repro.engine.engine import SimulationEngine
 from repro.fuzz.invariants import InvariantProbe, InvariantViolation
 from repro.fuzz.sampling import FuzzSample
 from repro.pipeline.stats import SimStats
-from repro.trace.draws import replay_supported, vectorized_enabled
+from repro.trace.draws import replay_supported
 from repro.trace.records import Trace
 from repro.trace.workloads import (generate_scenario_trace, get_workload,
                                    install_ephemeral_profiles, trace_rng,
@@ -147,9 +147,6 @@ def _stats_diff(left: SimStats, right: SimStats,
 # ----------------------------------------------------------------------
 def check_generation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
     """Vectorised vs scalar generation: identical columns + RNG state."""
-    if not vectorized_enabled(None):
-        return _skipped("REPRO_TRACE_SCALAR forces the scalar path; "
-                        "nothing to compare differentially")
     if not replay_supported():
         return _skipped("vectorised replay unsupported on this numpy build "
                         "(scalar-fallback probe tripped)")

@@ -134,6 +134,10 @@ class ProcessorConfig:
         if self.btb_entries % self.btb_associativity != 0:
             raise ValueError("btb_entries must be a multiple of "
                              "btb_associativity")
+        # Both engines seed numpy generators from it, which reject a
+        # negative seed only once a run has started.
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not (0.0 <= self.exception_rate <= 1.0):
             raise ValueError("exception_rate must be a probability")
         if self.release_policy not in ("conv", "conventional", "basic", "extended"):

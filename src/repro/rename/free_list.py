@@ -80,26 +80,6 @@ class FreeList:
         self._free.append(reg)
         self._is_free[reg] = True
 
-    def release_many(self, regs: Iterable[int]) -> None:
-        """Return a batch of registers to the free list in the given order.
-
-        Same checked semantics as per-register :meth:`release`, applied
-        in order — a double release or out-of-range identifier (including
-        a duplicate within the batch) raises at the offending register.
-        Used by squash recovery, which frees the whole squashed window at
-        once.
-        """
-        is_free = self._is_free
-        num_registers = self.num_registers
-        append = self._free.append
-        for reg in regs:
-            if not (0 <= reg < num_registers):
-                raise FreeListError(f"release of out-of-range register {reg}")
-            if is_free[reg]:
-                raise FreeListError(f"double release of register {reg}")
-            append(reg)
-            is_free[reg] = True
-
     def snapshot_free_set(self) -> frozenset:
         """Immutable view of the currently free identifiers (for invariant checks)."""
         return frozenset(self._free)

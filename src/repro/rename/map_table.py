@@ -54,12 +54,7 @@ class MapTable:
         return tuple(self._map), tuple(self._stale)
 
     def restore(self, snapshot: Tuple[Tuple[int, ...], Tuple[bool, ...]]) -> None:
-        """Restore the table from a branch checkpoint.
-
-        In-place (slice) assignment: the rename fast path holds direct
-        references to the mapping list, so restores must preserve list
-        identity.
-        """
+        """Restore the table from a branch checkpoint (in place)."""
         mappings, stale = snapshot
         if len(mappings) != self.num_logical or len(stale) != self.num_logical:
             raise ValueError("snapshot size mismatch")
@@ -71,7 +66,6 @@ class MapTable:
 
         All stale flags are cleared; the caller re-marks the logical
         registers whose architectural version had been released early.
-        In-place for the same list-identity reason as :meth:`restore`.
         """
         if len(mappings) != self.num_logical:
             raise ValueError("snapshot size mismatch")

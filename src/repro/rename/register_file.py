@@ -43,13 +43,6 @@ class PhysicalRegisterFile:
         #: or None when the value is available (or the register is free).
         self._producer: List[Optional[int]] = [None] * num_physical
         self.occupancy = RegisterOccupancyTracker(num_physical)
-        # Direct views of the tracker's interval arrays: allocation,
-        # producer writeback and last-use commit are per-instruction
-        # events, so the accounting below writes the lists without going
-        # through two method hops (cooperating classes, measured hot path).
-        self._occ_alloc = self.occupancy._alloc_cycle
-        self._occ_write = self.occupancy._write_cycle
-        self._occ_last_use = self.occupancy._last_use_commit
         # The initial architectural registers are allocated and written "at reset".
         for reg in range(num_logical):
             self.occupancy.on_allocate(reg, 0)
@@ -83,9 +76,7 @@ class PhysicalRegisterFile:
         """Allocate a register for the destination of ``producer_seq``."""
         reg = self.free_list.allocate()
         self._producer[reg] = producer_seq
-        self._occ_alloc[reg] = cycle
-        self._occ_write[reg] = None
-        self._occ_last_use[reg] = None
+        self.occupancy.on_allocate(reg, cycle)
         self.allocations += 1
         return reg
 
@@ -93,34 +84,10 @@ class PhysicalRegisterFile:
         """Return ``reg`` to the free list (conventional or early release)."""
         self.free_list.release(reg)
         self._producer[reg] = None
-        occupancy = self.occupancy
-        occupancy._attribute(reg, cycle)
-        self._occ_alloc[reg] = None
-        self._occ_write[reg] = None
-        self._occ_last_use[reg] = None
+        self.occupancy.on_release(reg, cycle)
         self.releases += 1
         if early:
             self.early_releases += 1
-
-    def release_many(self, regs: List[int], cycle: int) -> None:
-        """Bulk variant of :meth:`release` for squash recovery.
-
-        Frees the whole batch through the checked free list in one call
-        and accumulates the release statistics width-wide; the per-register
-        occupancy accounting is inherently per-identifier and stays a loop.
-        """
-        self.free_list.release_many(regs)
-        producer = self._producer
-        occupancy = self.occupancy
-        occ_alloc, occ_write = self._occ_alloc, self._occ_write
-        occ_last_use = self._occ_last_use
-        for reg in regs:
-            producer[reg] = None
-            occupancy._attribute(reg, cycle)
-            occ_alloc[reg] = None
-            occ_write[reg] = None
-            occ_last_use[reg] = None
-        self.releases += len(regs)
 
     def set_producer(self, reg: int, producer_seq: Optional[int]) -> None:
         """Re-arm the producer of ``reg`` (used by the register-reuse case)."""
@@ -133,12 +100,11 @@ class PhysicalRegisterFile:
     def mark_written(self, reg: int, cycle: int) -> None:
         """Producer writeback: the value of ``reg`` is now available."""
         self._producer[reg] = None
-        if self._occ_write[reg] is None:
-            self._occ_write[reg] = cycle
+        self.occupancy.on_write(reg, cycle)
 
     def note_use_commit(self, reg: int, cycle: int) -> None:
         """An instruction that read (or produced) ``reg`` committed at ``cycle``."""
-        self._occ_last_use[reg] = cycle
+        self.occupancy.on_use_commit(reg, cycle)
 
     # ------------------------------------------------------------------
     def state_of(self, reg: int) -> RegState:

@@ -115,10 +115,13 @@ def parse_sweep_request(payload: dict) -> Tuple[SweepConfig, SweepPoint]:
                            "[1, 10000000]")
 
     seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise RequestError("'seed' must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise RequestError("'seed' must be a non-negative integer")
 
-    overrides = dict(payload.get("config") or {})
+    config = payload.get("config")
+    if config is not None and not isinstance(config, dict):
+        raise RequestError("'config' must be a JSON object")
+    overrides = dict(config or {})
     engine = payload.get("engine")
     if engine is not None:
         if engine not in _KNOWN_ENGINES:

@@ -39,10 +39,10 @@ Two replay styles are provided:
     raws for ``k`` iterations, and gathers one numpy column per slot.
 :class:`RawCursor`
     For data-dependent schedules (the store lottery of the pointer-chase
-    kernel, the category cascade of the wrong-path generator): overdraws
-    a bounded block of raws, lets the caller consume them draw-by-draw
-    through cheap Python arithmetic, then rewinds the bit generator by
-    the unconsumed raws and restores the buffered-half state exactly.
+    kernel): overdraws a bounded block of raws, lets the caller consume
+    them draw-by-draw through cheap Python arithmetic, then rewinds the
+    bit generator by the unconsumed raws and restores the buffered-half
+    state exactly.
 
 If the probe ever detects different semantics (a future numpy release, an
 exotic bit generator), every entry point raises
@@ -317,16 +317,6 @@ class RawCursor:
         self._finalized = False
 
     # ------------------------------------------------------------------
-    @property
-    def exhausted(self) -> bool:
-        """True when every pre-drawn raw has been consumed."""
-        return self._pos >= self._n_raws
-
-    def remaining(self) -> int:
-        """Number of unconsumed pre-drawn raws."""
-        return self._n_raws - self._pos
-
-    # ------------------------------------------------------------------
     def next_double(self) -> float:
         """Exactly ``rng.random()``: one fresh 64-bit output."""
         raw = self._raw_ints[self._pos]
@@ -367,21 +357,6 @@ class RawCursor:
 def bounded_threshold(span: int) -> int:
     """The Lemire rejection threshold for :meth:`RawCursor.next_bounded`."""
     return (1 << 32) % span
-
-
-def vectorized_enabled(flag: Optional[bool]) -> bool:
-    """Resolve a generation-mode flag: explicit > env override > default.
-
-    ``REPRO_TRACE_SCALAR=1`` forces the scalar oracle path everywhere
-    (trace kernels and the wrong-path generator alike).
-    """
-    import os
-
-    if flag is not None:
-        return flag
-    if os.environ.get("REPRO_TRACE_SCALAR", "").strip() not in ("", "0"):
-        return False
-    return True
 
 
 # ======================================================================

@@ -34,8 +34,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.isa import RegClass
-from repro.trace.draws import (ReplayUnsupported, replay_supported,
-                               vectorized_enabled)
+from repro.trace.draws import ReplayUnsupported, replay_supported
 from repro.trace.kernels import (
     BranchyKernel,
     IntComputeKernel,
@@ -276,7 +275,7 @@ def _emit_until(kernel, rng, sink: TraceSink, target: int,
 def generate_trace(profile: BenchmarkProfile,
                    n_instructions: int = DEFAULT_TRACE_LENGTH,
                    seed: int = 0,
-                   vectorized: Optional[bool] = None,
+                   vectorized: bool = True,
                    chunk_iterations: Optional[int] = None,
                    rng: Optional[np.random.Generator] = None) -> Trace:
     """Generate a dynamic trace of roughly ``n_instructions`` for ``profile``.
@@ -304,8 +303,8 @@ def generate_trace(profile: BenchmarkProfile,
     kernel = make_kernel(profile)
     sink = TraceSink()
     sink.extend(kernel.prologue(rng))
-    _emit_until(kernel, rng, sink, n_instructions,
-                vectorized_enabled(vectorized), chunk_iterations)
+    _emit_until(kernel, rng, sink, n_instructions, vectorized,
+                chunk_iterations)
     return Trace(name=profile.name, focus_class=profile.focus_class,
                  seed=seed, columns=sink.columns())
 
@@ -808,7 +807,7 @@ def trace_rng(profile: Union[BenchmarkProfile, ScenarioProfile],
 def generate_scenario_trace(profile: ScenarioProfile,
                             n_instructions: int = DEFAULT_TRACE_LENGTH,
                             seed: int = 0,
-                            vectorized: Optional[bool] = None,
+                            vectorized: bool = True,
                             chunk_iterations: Optional[int] = None,
                             rng: Optional[np.random.Generator] = None) -> Trace:
     """Generate the (possibly phased) trace of a scenario.
@@ -827,7 +826,6 @@ def generate_scenario_trace(profile: ScenarioProfile,
         raise ValueError("n_instructions must be positive")
     if rng is None:
         rng = trace_rng(profile, seed)
-    vectorized = vectorized_enabled(vectorized)
     kernels = [_KERNEL_FACTORIES[phase.kernel](phase.params)
                for phase in profile.phases]
     started = [False] * len(kernels)

@@ -241,14 +241,14 @@ class TestWrongPathCascade:
         refills = []
         refill = compiled_mod._refill_wrongpath
 
-        def counting_refill(*args):
+        def count_refills(*args):
             refills.append(1)
             return refill(*args)
 
         monkeypatch.setattr(compiled_mod, "WP_RAW_BUFFER",
                             3 * ProcessorConfig().fetch_width)
         monkeypatch.setattr(compiled_mod, "_refill_wrongpath",
-                            counting_refill)
+                            count_refills)
         reference, compiled, _ = run_both("gcc", "extended")
         assert reference.fetched_wrong_path > 0
         assert len(refills) > reference.fetched_wrong_path // 8
@@ -274,14 +274,6 @@ class TestWrongPathCascade:
         assert stats["python"].fetched_wrong_path > 0
         assert dataclasses.asdict(stats["compiled"]) == \
             dataclasses.asdict(stats["python"])
-
-    def test_pending_payloads_fall_back(self):
-        # Payloads the generator already pre-drew are not in the raw
-        # stream any more: such a machine must run on the Python engine.
-        def predraw(generator):
-            assert generator._refill() and generator._pending
-
-        self._fallback_both(predraw, "pre-drawn")
 
     def test_non_contiguous_window_falls_back(self):
         def gappy(generator):

@@ -42,12 +42,6 @@ class TestPassPaths:
 
 
 class TestGenerationSkips:
-    def test_scalar_env_forces_skip(self, good_sample, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SCALAR", "1")
-        outcome = run_oracle("generation", good_sample)
-        assert outcome.status == "skip"
-        assert "REPRO_TRACE_SCALAR" in outcome.detail
-
     def test_replay_probe_trip_forces_skip(self, good_sample, monkeypatch):
         monkeypatch.setattr(oracles_mod, "replay_supported", lambda: False)
         outcome = run_oracle("generation", good_sample)
@@ -111,13 +105,13 @@ class TestSkipsAreCounted:
     """Satellite: skipped oracles must appear as counts in the report."""
 
     def test_report_counts_generation_skips(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SCALAR", "1")
+        monkeypatch.setattr(oracles_mod, "replay_supported", lambda: False)
         report = run_fuzz(5, samples=2,
                           oracles=("generation", "conservation"))
         assert report.outcomes["generation"]["skip"] == 2
         assert report.outcomes["generation"]["pass"] == 0
         (reason, count), = report.skip_reasons["generation"].items()
-        assert "REPRO_TRACE_SCALAR" in reason and count == 2
+        assert "scalar-fallback probe" in reason and count == 2
         # The other oracle keeps running and passing.
         assert report.outcomes["conservation"]["pass"] == 2
 
@@ -132,9 +126,9 @@ class TestSkipsAreCounted:
         assert any("probe compile failed" in reason for reason in reasons)
 
     def test_summary_mentions_top_skip_reason(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SCALAR", "1")
+        monkeypatch.setattr(oracles_mod, "replay_supported", lambda: False)
         report = run_fuzz(5, samples=2, oracles=("generation",))
-        assert "REPRO_TRACE_SCALAR" in report.summary()
+        assert "scalar-fallback probe" in report.summary()
 
 
 class TestOracleSelection:

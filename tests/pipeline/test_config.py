@@ -41,6 +41,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProcessorConfig(exception_rate=1.5)
 
+    @pytest.mark.parametrize("seed", [-1, -70000, True, 1.5, "0"])
+    def test_rejects_seed_numpy_cannot_take(self, seed):
+        # numpy's default_rng refuses a negative seed only once a run
+        # has started; the config refuses it up front.
+        with pytest.raises(ValueError, match="seed"):
+            ProcessorConfig(seed=seed)
+
+    def test_accepts_non_negative_seed(self):
+        assert ProcessorConfig(seed=0).seed == 0
+        assert ProcessorConfig(seed=2**40).seed == 2**40
+
     def test_rejects_nonpositive_widths(self):
         with pytest.raises(ValueError):
             ProcessorConfig(fetch_width=0)

@@ -75,7 +75,7 @@ class TestParseSweepRequest:
         ("num_registers", 0), ("num_registers", -4),
         ("num_registers", "48"), ("num_registers", True),
         ("trace_length", 0), ("trace_length", 10_000_001),
-        ("seed", "zero"), ("seed", False),
+        ("seed", "zero"), ("seed", False), ("seed", -1), ("seed", -70000),
     ])
     def test_scalar_validation(self, field, value):
         payload = {"benchmark": "gcc", field: value}
@@ -121,6 +121,15 @@ class TestParseSweepRequest:
     def test_logical_file_below_the_isa_rejected(self, overrides):
         with pytest.raises(RequestError, match="num_logical"):
             parse_sweep_request({"benchmark": "gcc", "config": overrides})
+
+    @pytest.mark.parametrize("config", [[1, 2], "ab", 3])
+    def test_non_object_config_rejected(self, config):
+        with pytest.raises(RequestError, match="'config' must be a JSON object"):
+            parse_sweep_request({"benchmark": "gcc", "config": config})
+
+    def test_negative_config_seed_rejected(self):
+        with pytest.raises(RequestError, match="seed"):
+            parse_sweep_request({"benchmark": "gcc", "config": {"seed": -5}})
 
     def test_non_scalar_config_value_rejected(self):
         with pytest.raises(RequestError, match="scalar"):
@@ -274,6 +283,29 @@ class TestSweepPointSingleFlight:
         assert status == 400
         assert "unknown benchmark" in json.loads(body)["error"]
         assert service.metrics.count("sweep_bad_requests") == 1
+
+    @pytest.mark.parametrize("config", [[1, 2], "ab"])
+    def test_non_object_config_is_structured_400(self, service, config):
+        status, _, body = run(service.sweep_point(dict(TINY, config=config)))
+        assert status == 400
+        assert "'config' must be a JSON object" in json.loads(body)["error"]
+        assert service.metrics.count("sweep_bad_requests") == 1
+        assert service.metrics.count("sweep_errors") == 0
+
+    @pytest.mark.parametrize("request_body", [
+        {"benchmark": "gcc", "seed": -70000},
+        {"benchmark": "gcc", "config": {"seed": -5}},
+        {"benchmark": "branch_storm", "seed": -1},
+    ])
+    def test_negative_seed_is_structured_400(self, service, request_body):
+        # numpy rejects a negative seed only once a run starts; the
+        # request must be refused before any simulation.
+        status, _, body = run(service.sweep_point(request_body))
+        assert status == 400
+        assert "seed" in json.loads(body)["error"]
+        assert service.metrics.count("sweep_bad_requests") == 1
+        assert service.metrics.count("sweep_computations") == 0
+        assert service.metrics.count("sweep_errors") == 0
 
     def test_invalid_configuration_is_structured_400(self, service):
         # 8 physical registers cannot cover the logical file:

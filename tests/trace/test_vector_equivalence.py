@@ -1,8 +1,8 @@
 """Property suite: the vectorised generators reproduce the scalar oracle.
 
 The draw-order contract (``docs/workloads.md``) promises that the chunked
-bulk-draw emitters and the wrong-path generator's bulk refill produce
-**field-for-field identical** output to the scalar oracle path, for
+bulk-draw emitters produce **field-for-field identical** output to the
+scalar oracle path, for
 every kernel family, seed and chunk size.  For traces that means all ten
 columns the compiled core reads and the final bit-generator state;
 Hypothesis drives those axes.  A deterministic end-to-end check pins the
@@ -18,7 +18,6 @@ from repro.trace.kernels import KernelParams
 from repro.trace.workloads import (SCENARIOS, WORKLOADS,
                                    generate_scenario_trace, generate_trace,
                                    get_profile, make_kernel, trace_rng)
-from repro.trace.wrongpath import WrongPathGenerator, WrongPathMix
 
 ALL_BENCHMARKS = sorted(WORKLOADS)
 ALL_SCENARIOS = sorted(SCENARIOS)
@@ -100,56 +99,16 @@ def test_materialised_instructions_equal_the_oracles(name):
     assert list(trace.instructions) == oracle
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    load=st.floats(min_value=0.0, max_value=0.4),
-    store=st.floats(min_value=0.0, max_value=0.3),
-    branch=st.floats(min_value=0.0, max_value=0.3),
-    fp=st.floats(min_value=0.0, max_value=0.4),
-    episodes=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=1 << 20),   # episode pc
-                  st.integers(min_value=1, max_value=150)),      # episode length
-        min_size=1, max_size=12),
-)
-def test_wrongpath_generator_matches_scalar_oracle(seed, load, store, branch,
-                                                   fp, episodes):
-    """Bulk refills reproduce the scalar stream across misprediction
-    episodes of arbitrary lengths and fetch pcs — including episodes
-    that straddle refill block boundaries."""
-    mix = WrongPathMix(load=load, store=store, branch=branch, fp=fp)
-    scalar = WrongPathGenerator(mix, seed=seed, vectorized=False)
-    vectorised = WrongPathGenerator(mix, seed=seed, vectorized=True)
-    for episode_pc, episode_len in episodes:
-        for i in range(episode_len):
-            pc = episode_pc + 4 * i
-            want = scalar.next_instruction(pc)
-            got = vectorised.next_instruction(pc)
-            assert want == got, (
-                f"wrong-path divergence at pc={pc:#x} "
-                f"(episode at {episode_pc:#x}, instruction {i}):\n"
-                f"  scalar:     {want}\n  vectorised: {got}")
-
-
-def test_wrongpath_next_instructions_bulk_helper():
-    mix = WrongPathMix()
-    scalar = WrongPathGenerator(mix, seed=3, vectorized=False)
-    vectorised = WrongPathGenerator(mix, seed=3, vectorized=True)
-    assert (vectorised.next_instructions(0x4000, 100)
-            == scalar.next_instructions(0x4000, 100))
-
-
 @pytest.mark.parametrize("name,policy", [
     ("gcc", "extended"),     # branch-dense: wrong-path generator hot
     ("li", "basic"),         # pointer chase: cursor-replayed kernel
     ("swim", "conv"),        # FP streaming: draw-free chunk path
     ("branch_storm", "extended"),   # scenario: noisy branches
 ])
-def test_simulation_stats_identical_across_generation_modes(name, policy,
-                                                            monkeypatch):
+def test_simulation_stats_identical_across_generation_modes(name, policy):
     """End to end: every SimStats field the sweeps record is identical
-    whether the trace and wrong-path fillers come from the scalar or the
-    vectorised generators."""
+    whether the trace comes from the scalar or the vectorised
+    generators."""
     from repro.engine import simulate
     from repro.pipeline.config import ProcessorConfig
     from repro.trace.workloads import SCENARIOS, generate_scenario_trace
@@ -161,17 +120,13 @@ def test_simulation_stats_identical_across_generation_modes(name, policy,
         return generate_trace(get_profile(name), 3_000, seed=0,
                               vectorized=vectorized)
 
-    def run(trace, vectorized):
+    def run(trace):
         config = ProcessorConfig(release_policy=policy,
                                  num_physical_int=56, num_physical_fp=56)
-        if not vectorized:
-            monkeypatch.setenv("REPRO_TRACE_SCALAR", "1")
-        else:
-            monkeypatch.delenv("REPRO_TRACE_SCALAR", raising=False)
         return simulate(trace, config)
 
-    scalar_stats = run(build(False), vectorized=False)
-    vector_stats = run(build(True), vectorized=True)
+    scalar_stats = run(build(False))
+    vector_stats = run(build(True))
     assert scalar_stats.cycles == vector_stats.cycles
     assert (scalar_stats.committed_instructions
             == vector_stats.committed_instructions)

@@ -1,6 +1,7 @@
 """Tests for the wrong-path instruction generator."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -83,3 +84,35 @@ class TestGeneration:
         a = WrongPathGenerator(WrongPathMix(), seed=9).next_instructions(0, 30)
         b = WrongPathGenerator(WrongPathMix(), seed=9).next_instructions(0, 30)
         assert a == b
+
+
+#: SHA-256 of ``repr`` of the 2,000 instructions of :func:`_stream_digest`,
+#: per (mix fp share, seed).  The compiled core's ``wp_draw`` replays this
+#: stream draw for draw, so changing it means changing both, and these pins.
+STREAM_PINS = {
+    (0.0, 1): "ef6b2e38759ad7a7a4af5d4643c658fd9e3dfd9c1f1e7da679e8839714181bc5",
+    (0.0, 7): "157d17ac001b76db4df20cafebec92010691655d902b3f6d2f9a9219b9ab55db",
+    (0.3, 1): "816f82a05b5e88875c2136590ef0d2251de2187510524f23dbf6cd7884e6147a",
+    (0.3, 7): "836f05e80c9c02b40e10c70323f85c552db85cb4f8ddaf6929678481d784a295",
+}
+
+
+def _stream_digest(generator: WrongPathGenerator, count: int = 2_000) -> str:
+    """Hash ``count`` instructions drawn over misprediction episodes of
+    varying start pc and length (the stream persists across episodes)."""
+    digest = hashlib.sha256()
+    drawn = episode = 0
+    while drawn < count:
+        pc = 0x4000 + 0x1000 * episode + 4 * (episode % 7)
+        length = min(5 + (episode * 37) % 200, count - drawn)
+        for i in range(length):
+            digest.update(repr(generator.next_instruction(pc + 4 * i)).encode())
+        drawn += length
+        episode += 1
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("fp,seed", sorted(STREAM_PINS))
+def test_stream_is_pinned(fp, seed):
+    generator = WrongPathGenerator(WrongPathMix(fp=fp), seed=seed)
+    assert _stream_digest(generator) == STREAM_PINS[(fp, seed)]
