@@ -3,9 +3,11 @@
 
 Scans ``docs/*.md`` plus the top-level markdown files for
 ``[text](target)`` links and verifies that every non-external target
-(no scheme, no leading ``#``) resolves to an existing file or directory
-relative to the linking document.  Exits non-zero listing every dead
-link.  Run from anywhere::
+(no scheme) resolves to an existing file or directory relative to the
+linking document, and that a ``#fragment`` into a markdown file (or into
+the linking document itself) names one of its headings, slugged the way
+GitHub renders heading anchors.  Exits non-zero listing every dead link.
+Run from anywhere::
 
     python scripts/check_doc_links.py
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
+from urllib.parse import unquote
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,21 +32,58 @@ LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 
 EXTERNAL = ("http://", "https://", "mailto:")
 
+#: an ATX heading line (``## Title``), closing hashes optional.
+HEADING_RE = re.compile(r"^ {0,3}#{1,6}[ \t]+(.*?)(?:[ \t]+#+)?[ \t]*$")
+
+#: a fenced code block delimiter: headings inside fences are code.
+FENCE_RE = re.compile(r"^ {0,3}(```|~~~)")
+
+
+def heading_slug(heading: str) -> str:
+    """GitHub's anchor for a heading: the rendered text (link targets
+    and backticks dropped), lower-cased, every character other than a
+    word character, hyphen or space removed, spaces turned to hyphens."""
+    text = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading).replace("`", "")
+    text = re.sub(r"[^\w\- ]", "", text.lower())
+    return text.replace(" ", "-")
+
+
+def anchors(path: Path) -> set:
+    """Every heading anchor of ``path``; a repeated slug gets ``-1``,
+    ``-2``, ... as on GitHub."""
+    seen: dict = {}
+    result = set()
+    in_fence = False
+    for line in path.read_text().splitlines():
+        if FENCE_RE.match(line):
+            in_fence = not in_fence
+            continue
+        match = None if in_fence else HEADING_RE.match(line)
+        if match is None:
+            continue
+        slug = heading_slug(match.group(1))
+        count = seen.get(slug, 0)
+        seen[slug] = count + 1
+        result.add(slug if count == 0 else f"{slug}-{count}")
+    return result
+
 
 def dead_links(path: Path) -> list:
     """Return (target, reason) pairs for every unresolvable link in ``path``."""
     problems = []
     for target in LINK_RE.findall(path.read_text()):
-        if target.startswith(EXTERNAL) or target.startswith("#"):
+        if target.startswith(EXTERNAL):
             continue
-        plain = target.split("#", 1)[0]
-        if not plain:
-            continue
-        resolved = (path.parent / plain).resolve()
+        plain, _, fragment = target.partition("#")
+        resolved = (path.parent / plain).resolve() if plain else path
         if not resolved.exists():
             problems.append((target, f"no such path: {resolved}"))
         elif REPO_ROOT not in resolved.parents and resolved != REPO_ROOT:
             problems.append((target, "points outside the repository"))
+        elif fragment and resolved.suffix == ".md" and \
+                unquote(fragment) not in anchors(resolved):
+            problems.append((target, f"no heading #{fragment} in "
+                                     f"{resolved.name}"))
     return problems
 
 

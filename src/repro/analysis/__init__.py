@@ -5,17 +5,11 @@ the quantities the paper reports (harmonic-mean IPC, speedups, iso-IPC
 register savings, Empty/Ready/Idle occupancy breakdowns) and provides the
 sweep driver used by the Figure 10/11 and Table 4 experiments, which runs
 the (benchmark, policy, register-file size) simulation points in the
-calling process, and a persistent on-disk result cache so repeated sweeps
-only simulate points never simulated before.
+calling process, and a persistent on-disk result cache (one local
+directory; copy it to share results) so repeated sweeps only simulate
+points never simulated before.
 """
 
-from repro.analysis.backends import (
-    CacheBackend,
-    HTTPCacheBackend,
-    LocalDirBackend,
-    TieredBackend,
-    resolve_backend,
-)
 from repro.analysis.cache import SweepCache, config_digest, point_key
 
 from repro.analysis.metrics import (
@@ -41,11 +35,6 @@ from repro.analysis.reporting import (
 )
 
 __all__ = [
-    "CacheBackend",
-    "LocalDirBackend",
-    "HTTPCacheBackend",
-    "TieredBackend",
-    "resolve_backend",
     "SweepCache",
     "config_digest",
     "point_key",

@@ -11,7 +11,10 @@ Layout: ``<cache_dir>/<key[:2]>/<key>.pkl`` (the two-character fan-out
 keeps directories small for big sweeps).  Writes are atomic
 (tmp file + ``os.replace``) so concurrent sweeps, server threads and
 separate processes never observe torn entries; readers treat any unreadable entry
-as a miss.
+as a miss.  Entries are content-addressed and each payload records its own
+key, checked on read, so copying a store directory (``cp -r``, ``rsync``)
+to another machine's cache directory shares its results: an entry that
+lands under the wrong key reads as a miss, never as a wrong result.
 
 Keys also fold in a digest of the ``repro`` package's own source code
 (:func:`code_digest`), so any change to the simulator invalidates the
@@ -20,13 +23,6 @@ behaviour change.  The default cache directory is ``$REPRO_SWEEP_CACHE``
 when set, else ``~/.cache/repro/sweeps``.  Bump
 :data:`CACHE_SCHEMA_VERSION` whenever the pickled payload or the key
 inputs change meaning.
-
-Storage is pluggable (:mod:`repro.analysis.backends`): the default
-:class:`~repro.analysis.backends.LocalDirBackend` keeps today's on-disk
-layout byte-identically, while an HTTP remote (optionally tiered with
-local write-through) shares the same content-addressed entries across
-machines.  The key derivation and payload format in this module are
-backend-independent.
 """
 
 from __future__ import annotations
@@ -36,11 +32,10 @@ import functools
 import hashlib
 import os
 import pickle
+import tempfile
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple, Union
-
-from repro.analysis.backends import CacheBackend, LocalDirBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.sweep import SweepConfig, SweepPoint
@@ -64,8 +59,8 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 #: Python engines — equivalent by contract, but separately validated —
 #: occupy distinct entries and a core change invalidates compiled results.
 #: v5: payloads additionally record their own point key, verified on
-#: read — a remote-synced entry that lands under the wrong key (buggy
-#: proxy, hand-copied store) is a miss, never a silently wrong result.
+#: read — an entry that lands under the wrong key (a hand-copied or
+#: misfiled store file) is a miss, never a silently wrong result.
 #: v6: the pickled ``SimStats`` / ``RegisterFileStats`` /
 #: ``OccupancyAverages`` are slotted dataclasses, whose pickled state
 #: differs from (and cannot be restored from) the v5 ``__dict__`` form.
@@ -203,8 +198,8 @@ class CacheStats:
         """Human-readable report.
 
         Corrupt/foreign/outdated-schema entries are a *distinct* bucket
-        with their own byte count: a remote-synced partial write (or any
-        file the cache cannot serve again) shows up as dead weight, never
+        with their own byte count: a truncated copy (or any file the
+        cache cannot serve again) shows up as dead weight, never
         blended into a workload's live-result totals.
         """
         live_bytes = self.total_bytes - self.unreadable_bytes
@@ -252,24 +247,13 @@ class SizePruneReport:
 
 
 class SweepCache:
-    """Store of simulated sweep points over a pluggable backend.
+    """Store of simulated sweep points in one local directory.
 
-    The default backend is the directory-backed
-    :class:`~repro.analysis.backends.LocalDirBackend` (today's layout);
-    pass ``backend=`` to share entries through a remote store — see
-    :mod:`repro.analysis.backends`.  Key derivation, payload format and
-    the read-side validation are identical for every backend.
+    Entry ``key`` lives at ``<cache_dir>/<key[:2]>/<key>.pkl``.
     """
 
-    def __init__(self, cache_dir: Union[None, str, Path] = None,
-                 backend: Optional[CacheBackend] = None) -> None:
-        if backend is None:
-            backend = LocalDirBackend(
-                Path(cache_dir) if cache_dir else default_cache_dir())
-        self.backend = backend
-        #: Directory of the local layer (None for purely remote backends;
-        #: the maintenance surface below requires one).
-        self.cache_dir = backend.local_dir
+    def __init__(self, cache_dir: Union[None, str, Path] = None) -> None:
+        self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         # run-time counters (telemetry for run_sweep reporting / tests)
         self.hits = 0
         self.misses = 0
@@ -277,45 +261,21 @@ class SweepCache:
         self.store_errors = 0
 
     # ------------------------------------------------------------------
-    def degradation_reason(self) -> Optional[str]:
-        """Why the backend is degraded (e.g. remote unreachable), or None.
-
-        Surfaced by ``run_sweep`` as ``SweepResult.cache_degradation_reason``
-        — the cache equivalent of the compiled engine's fallback reason.
-        """
-        return self.backend.degradation_reason()
+    def _path(self, key: str) -> Path:
+        return self.cache_dir / key[:2] / f"{key}.pkl"
 
     def path_for(self, sweep_config: "SweepConfig", point: "SweepPoint") -> Path:
-        """Filesystem path of one point's entry (local layer)."""
-        key = point_key(sweep_config, point)
-        return self._require_local_dir() / key[:2] / f"{key}.pkl"
-
-    def _require_local_dir(self) -> Path:
-        if self.cache_dir is None:
-            raise ValueError(
-                f"backend {self.backend.name!r} has no local directory; "
-                f"path-based maintenance needs a local or tiered backend")
-        return self.cache_dir
+        """Filesystem path of one point's entry."""
+        return self._path(point_key(sweep_config, point))
 
     @staticmethod
-    def _decode(blob: Optional[bytes], key: str) -> Optional["SimStats"]:
+    def _decode(blob: bytes, key: str) -> Optional["SimStats"]:
         """Validate one payload blob; None for anything unservable.
 
-        Rejects foreign pickles, outdated schemas and
-        entries whose recorded point key differs from the requested one
-        (a misfiled remote sync must be a miss, not a wrong result).
-        Blobs framed in the remote-wire integrity envelope (a purely
-        remote backend hands them over as received) are verified and
-        unwrapped first.
+        Rejects foreign pickles, outdated schemas and entries whose
+        recorded point key differs from the requested one (a misfiled
+        copy must be a miss, not a wrong result).
         """
-        if blob is None:
-            return None
-        if blob.startswith(b"RSB1"):
-            from repro.analysis.backends import unwrap_envelope
-
-            blob = unwrap_envelope(key, blob)
-            if blob is None:
-                return None
         try:
             payload = pickle.loads(blob)
             if payload.get("schema") != CACHE_SCHEMA_VERSION:
@@ -331,7 +291,12 @@ class SweepCache:
             point: "SweepPoint") -> Optional["SimStats"]:
         """Cached statistics of ``point``, or None on a miss."""
         key = point_key(sweep_config, point)
-        stats = self._decode(self.backend.get_blob(key), key)
+        try:
+            blob = self._path(key).read_bytes()
+        except OSError:
+            stats = None
+        else:
+            stats = self._decode(blob, key)
         if stats is None:
             self.misses += 1
             return None
@@ -342,10 +307,9 @@ class SweepCache:
             stats: "SimStats") -> None:
         """Store the statistics of one simulated point (atomic write).
 
-        Storage failures (full disk, read-only mount, unreachable remote)
-        degrade to an uncached run instead of crashing a sweep whose
-        simulation work is already done; they are tallied in
-        :attr:`store_errors`.
+        Storage failures (full disk, read-only mount) degrade to an
+        uncached run instead of crashing a sweep whose simulation work is
+        already done; they are tallied in :attr:`store_errors`.
         """
         key = point_key(sweep_config, point)
         payload = {
@@ -359,15 +323,26 @@ class SweepCache:
             "stats": stats,
         }
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        if self.backend.put_blob(key, blob):
-            self.stores += 1
-        else:
+        tmp_name = None
+        try:
+            path = self._path(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp_name, path)
+        except OSError:
+            if tmp_name is not None:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
             self.store_errors += 1
+            return
+        self.stores += 1
 
     # ------------------------------------------------------------------
-    # Maintenance (the ``repro-experiments cache`` subcommand).  Operates
-    # on the *local* layer of the backend — the directory this process
-    # owns; a shared remote store is maintained by its own server.
+    # Maintenance (the ``repro-experiments cache`` subcommand).
     # ------------------------------------------------------------------
     def iter_entries(self) -> Iterator[Tuple[Path, Optional[dict]]]:
         """Yield ``(path, payload)`` for every entry file on disk.
@@ -375,8 +350,7 @@ class SweepCache:
         ``payload`` is None for entries that cannot be read or that carry
         an outdated schema — those are unconditionally stale.
         """
-        cache_dir = self._require_local_dir()
-        if not cache_dir.exists():
+        if not self.cache_dir.exists():
             return
         for path in sorted(self.cache_dir.rglob("*.pkl")):
             payload: Optional[dict] = None
@@ -498,17 +472,14 @@ class SweepCache:
     # ------------------------------------------------------------------
     def __contains__(self, item) -> bool:
         sweep_config, point = item
-        if self.cache_dir is not None:
-            return self.path_for(sweep_config, point).exists()
-        return self.backend.get_blob(point_key(sweep_config, point)) is not None
+        return self.path_for(sweep_config, point).exists()
 
     def clear(self) -> int:
         """Delete every entry below the cache directory; returns the count."""
         removed = 0
-        cache_dir = self._require_local_dir()
-        if not cache_dir.exists():
+        if not self.cache_dir.exists():
             return removed
-        for path in cache_dir.rglob("*.pkl"):
+        for path in self.cache_dir.rglob("*.pkl"):
             try:
                 path.unlink()
                 removed += 1
@@ -517,7 +488,7 @@ class SweepCache:
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SweepCache({self.backend!r}, hits={self.hits}, "
+        return (f"SweepCache({str(self.cache_dir)!r}, hits={self.hits}, "
                 f"misses={self.misses}, stores={self.stores})")
 
 
@@ -526,10 +497,10 @@ def resolve_cache(cache: Union[None, bool, str, Path, SweepCache],
     """Normalise the ``cache`` argument accepted by ``run_sweep``.
 
     ``None`` / ``False`` → no caching; ``True`` → default directory;
-    a path → local cache rooted there; a backend spec string
-    (``"local"``, ``"http://…"``, ``"remote:http://…"`` — see
-    :func:`repro.analysis.backends.resolve_backend`) → cache over that
-    backend; a :class:`SweepCache` → itself.
+    a path → cache rooted there; a :class:`SweepCache` → itself.  The
+    spec strings of the removed cache backends (``"local"``,
+    ``"http(s)://…"``, ``"remote:…"``) raise ``ValueError`` instead of
+    rooting a store in a directory of that name.
     """
     if cache is None or cache is False:
         return None
@@ -540,7 +511,9 @@ def resolve_cache(cache: Union[None, bool, str, Path, SweepCache],
     if isinstance(cache, str) and (cache == "local"
                                    or cache.startswith(("http://", "https://",
                                                         "remote:"))):
-        from repro.analysis.backends import resolve_backend
-
-        return SweepCache(backend=resolve_backend(cache))
+        raise ValueError(
+            f"cache spec {cache!r} named a cache backend, and the remote "
+            f"and tiered backends were removed; the store is one local "
+            f"directory: pass its path (copy the directory to share "
+            f"results)")
     return SweepCache(cache)

@@ -127,28 +127,23 @@ def run_points(sweep_config: SweepConfig, points: Sequence[SweepPoint],
     """Simulate ``points`` in this process, handing each result to
     ``on_result`` as it lands; return the run's telemetry.
 
-    The telemetry holds this thread's compiled-export hit/miss deltas,
-    the backend that ran the points, and why a compiled request ran on
-    the Python engine.  Both tallies are per thread, so concurrent sweeps
-    in one process (a server's misses) each count only their own points.
+    The telemetry holds the backend that ran the points and why a
+    compiled request ran on the Python engine.  The backend tally is per
+    thread, so concurrent sweeps in one process (a server's misses) each
+    count only their own points.
     """
     from repro.engine import accel
-    from repro.engine.accel.artefacts import EXPORT_CACHE
 
-    hits_before, misses_before = EXPORT_CACHE.thread_counters()
     backends_before = POINT_BACKENDS.counts.copy()
     for point in points:
         on_result(point, run_simulation_point(sweep_config, point))
-    hits_after, misses_after = EXPORT_CACHE.thread_counters()
     # The process-wide reason concerns these points only if they ran and
     # asked for the compiled backend.
     reason = (accel.backend_fallback_reason()
               if points and accel.requested_backend(
                   sweep_config.base_config) == "compiled"
               else None)
-    return {"export_cache_hits": hits_after - hits_before,
-            "export_cache_misses": misses_after - misses_before,
-            "fallback_reason": reason,
+    return {"fallback_reason": reason,
             "backend": merge_backends(
                 *(POINT_BACKENDS.counts - backends_before))}
 
@@ -176,40 +171,24 @@ class SweepResult:
     ``run_sweep`` call actually simulated versus served from the on-disk
     cache (both zero for results built directly from a dict).
 
-    ``export_cache_hits`` / ``export_cache_misses`` count the compiled
-    backend's exports: a hit is served from the trace's own columns, a
-    miss first derived them from a hand-built instruction list (see
-    :mod:`repro.engine.accel.artefacts`), summed over the points
-    simulated for this result.  ``compiled_fallback_reason`` is set when
+    ``compiled_fallback_reason`` is set when
     the sweep requested the compiled backend but ran on the Python engine.
     ``backend`` records the engine that actually simulated the points:
     ``"compiled"``, ``"python"``, ``"mixed"`` (some of each, e.g. a
     configuration outside the C core's envelope), or None when every
     point came from the result cache.
-
-    ``cache_degradation_reason`` is the result-cache analogue: set when
-    the sweep's cache backend ran degraded (e.g. a tiered backend whose
-    remote store was unreachable continued local-only — see
-    :mod:`repro.analysis.backends`).  The sweep itself still completes
-    with correct results; the reason records that cross-machine sharing
-    did not happen.
     """
 
     def __init__(self, sweep_config: SweepConfig,
                  results: Dict[SweepPoint, SimStats],
                  simulated: int = 0, cached: int = 0,
-                 export_cache_hits: int = 0, export_cache_misses: int = 0,
                  compiled_fallback_reason: Optional[str] = None,
-                 cache_degradation_reason: Optional[str] = None,
                  backend: Optional[str] = None) -> None:
         self.config = sweep_config
         self._results = dict(results)
         self.simulated = simulated
         self.cached = cached
-        self.export_cache_hits = export_cache_hits
-        self.export_cache_misses = export_cache_misses
         self.compiled_fallback_reason = compiled_fallback_reason
-        self.cache_degradation_reason = cache_degradation_reason
         self.backend = backend
 
     # ------------------------------------------------------------------
@@ -300,13 +279,8 @@ class SweepResult:
             config, merged,
             simulated=self.simulated + other.simulated,
             cached=self.cached + other.cached,
-            export_cache_hits=self.export_cache_hits + other.export_cache_hits,
-            export_cache_misses=(self.export_cache_misses
-                                 + other.export_cache_misses),
             compiled_fallback_reason=(self.compiled_fallback_reason
                                       or other.compiled_fallback_reason),
-            cache_degradation_reason=(self.cache_degradation_reason
-                                      or other.cache_degradation_reason),
             backend=merge_backends(self.backend, other.backend))
 
 
@@ -353,9 +327,5 @@ def run_sweep(sweep_config: SweepConfig,
     return SweepResult(
         sweep_config, results,
         simulated=len(missing), cached=len(points) - len(missing),
-        export_cache_hits=telemetry["export_cache_hits"],
-        export_cache_misses=telemetry["export_cache_misses"],
         compiled_fallback_reason=telemetry["fallback_reason"],
-        cache_degradation_reason=(store.degradation_reason()
-                                  if store is not None else None),
         backend=telemetry["backend"])

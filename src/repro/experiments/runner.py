@@ -28,9 +28,10 @@ Simulation results are cached on disk by default (keyed by workload,
 configuration hash, trace length, seed and engine backend), so
 re-generating a figure — or generating Table 4 after Figure 11 — only
 simulates points never simulated before.  ``--no-cache`` disables the
-cache, ``--cache-dir`` relocates it (default: ``$REPRO_SWEEP_CACHE`` or
-``~/.cache/repro/sweeps``) and ``--cache-backend`` points it at a shared
-``repro-serve`` store (tiered local+remote; see ``docs/sweep-cache.md``).
+cache and ``--cache-dir`` relocates it (default: ``$REPRO_SWEEP_CACHE``
+or ``~/.cache/repro/sweeps``).  Entries are content-addressed, so
+copying a store directory to another machine's ``--cache-dir`` shares
+its results (see ``docs/sweep-cache.md``).
 
 The ``cache`` subcommand inspects and maintains that store::
 
@@ -236,13 +237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cache-dir", default=None,
                         help="root of the sweep result cache (default: "
                              "$REPRO_SWEEP_CACHE or ~/.cache/repro/sweeps)")
-    parser.add_argument("--cache-backend", default=None, metavar="SPEC",
-                        help="result-store backend: 'local' (default), "
-                             "'http(s)://HOST:PORT' for a tiered local+remote "
-                             "store backed by a repro-serve endpoint, or "
-                             "'remote:URL' for remote-only (default: "
-                             "$REPRO_CACHE_BACKEND); an unreachable remote "
-                             "degrades to local-only, never fails the sweep")
     parser.add_argument("--scenario-file", action="append", default=[],
                         metavar="PATH",
                         help="register the user-defined scenarios in this "
@@ -280,15 +274,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                        if args.scenarios is not None else None)
 
     if args.no_cache:
-        if args.cache_backend is not None:
-            parser.error("--cache-backend conflicts with --no-cache")
         cache = None
     else:
-        from repro.analysis.backends import resolve_backend
         from repro.analysis.cache import SweepCache
 
-        cache = SweepCache(backend=resolve_backend(
-            args.cache_backend, cache_dir=args.cache_dir))
+        cache = SweepCache(args.cache_dir)
 
     names = list(args.experiments)
     if names == ["all"]:

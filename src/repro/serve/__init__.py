@@ -2,13 +2,11 @@
 
 The paper's experiments are batch sweeps; this package turns the same
 machinery into a long-lived query service.  A stdlib-only asyncio HTTP
-server (:mod:`repro.serve.http`) answers *sweep-point* and
-*export-artefact* queries from the shared content-addressed store
-(:class:`repro.analysis.cache.SweepCache` over any
-:class:`repro.analysis.backends.CacheBackend`), simulates each miss's
-one point in place on a compute thread (the in-process path of
-``run_sweep``), dedupes
-concurrent identical requests in flight (:mod:`repro.serve.service`),
+server (:mod:`repro.serve.http`) answers *sweep-point* queries from the
+content-addressed store (:class:`repro.analysis.cache.SweepCache`, one
+local directory), simulates each miss's one point in place on a compute
+thread (the in-process path of ``run_sweep``), dedupes concurrent
+identical requests in flight (:mod:`repro.serve.service`),
 and exposes hit/miss/in-flight counters plus latency percentiles on
 ``/metrics`` (:mod:`repro.serve.metrics`).
 

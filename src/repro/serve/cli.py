@@ -1,14 +1,14 @@
 """Command line for ``repro-serve``::
 
     repro-serve --port 8713 --cache-dir /srv/repro-cache
-    repro-serve --cache-backend https://cache.internal:8713  # tiered
-    repro-experiments serve ...                              # same thing
+    repro-experiments serve ...                   # same thing
 
-Starts the stdlib asyncio HTTP front over the shared sweep-result store
-and blocks until interrupted.  Before it listens it derives the source
-digest and resolves the engine (loading and self-checking the compiled
-core), and its ``listening on`` line names the engine and any fallback
-reason.  See ``docs/serving.md`` for the API.
+Starts the stdlib asyncio HTTP front over the sweep-result store (one
+local directory) and blocks until interrupted.  Before it listens it
+derives the source digest and resolves the engine (loading and
+self-checking the compiled core), and its ``listening on`` line names
+the store, the engine and any fallback reason.  See ``docs/serving.md``
+for the API.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ __all__ = ["serve_main"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
-        description="Serve sweep-point and export-artefact queries from the "
-                    "shared result store over HTTP.")
+        description="Serve sweep-point queries from the result store "
+                    "over HTTP.")
     parser.add_argument("--host", default="127.0.0.1",
                         help="interface to bind (default: loopback only)")
     parser.add_argument("--port", type=int, default=8713,
@@ -33,11 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="root of the sweep result store (default: "
                              "$REPRO_SWEEP_CACHE or ~/.cache/repro/sweeps)")
-    parser.add_argument("--cache-backend", default=None, metavar="SPEC",
-                        help="result-store backend: 'local' (default), "
-                             "'http(s)://HOST:PORT' for a tiered "
-                             "local+remote store, or 'remote:URL' for "
-                             "remote-only (default: $REPRO_CACHE_BACKEND)")
     parser.add_argument("--compute-threads", type=int, default=1,
                         help="concurrent cache-miss computations "
                              "(default: 1 — misses queue behind each other)")
@@ -47,15 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
 def serve_main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    from repro.analysis.backends import resolve_backend
     from repro.analysis.cache import SweepCache, code_digest
     from repro.engine.accel import (backend_fallback_reason,
                                     resolve_engine_backend)
     from repro.serve.http import HTTPServer
     from repro.serve.service import SweepService
 
-    backend = resolve_backend(args.cache_backend, cache_dir=args.cache_dir)
-    cache = SweepCache(backend=backend)
+    cache = SweepCache(args.cache_dir)
     service = SweepService(cache=cache,
                            compute_threads=args.compute_threads)
     server = HTTPServer(service, host=args.host, port=args.port)
@@ -71,14 +64,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     async def _serve() -> None:
         await server.start()
-        location = f"{server.url} (backend: {backend.name}"
-        if cache.cache_dir is not None:
-            location += f", store: {cache.cache_dir}"
-        print(f"repro-serve listening on {location}, engine: {engine})",
-              flush=True)
-        reason = cache.degradation_reason()
-        if reason:
-            print(f"warning: {reason}", flush=True)
+        print(f"repro-serve listening on {server.url} "
+              f"(store: {cache.cache_dir}, engine: {engine})", flush=True)
         await server.serve_forever()
 
     try:

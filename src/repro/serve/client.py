@@ -3,8 +3,7 @@
 Used by the load harness, the CI smoke script and tests; intentionally
 plain ``urllib`` so it exercises exactly the transport a third-party
 client would (fresh connection per request, no keep-alive, no retries —
-retrying belongs to :class:`repro.analysis.backends.HTTPCacheBackend`,
-not to a latency probe that must count every round trip it makes).
+a latency probe must count every round trip it makes).
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ class ServeClient:
         self.timeout = timeout
 
     # ------------------------------------------------------------------
-    def _request(self, method: str, path: str, body: Optional[bytes] = None,
-                 content_type: str = "application/json") -> ServeResponse:
+    def _request(self, method: str, path: str,
+                 body: Optional[bytes] = None) -> ServeResponse:
         # Imported here, not at module top: urllib.request pulls in ssl,
         # http.client and email, which a server importing this package
         # never uses (~20 ms of its start-up).
@@ -55,7 +54,8 @@ class ServeClient:
 
         request = urllib.request.Request(
             self.base_url + path, data=body, method=method,
-            headers={"Content-Type": content_type} if body is not None else {})
+            headers={"Content-Type": "application/json"}
+            if body is not None else {})
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 return ServeResponse(resp.status, resp.read(),
@@ -97,18 +97,3 @@ class ServeClient:
         """Send an arbitrary (possibly invalid) request body."""
         return self._request("POST", "/v1/sweep-point",
                              json.dumps(payload).encode("utf-8"))
-
-    def cache_get(self, key: str) -> ServeResponse:
-        return self._request("GET", f"/v1/cache/{key}")
-
-    def cache_put(self, key: str, blob: bytes) -> ServeResponse:
-        return self._request("PUT", f"/v1/cache/{key}", blob,
-                             content_type="application/octet-stream")
-
-    def artefact(self, workload: str, trace_length: int = 20_000,
-                 seed: int = 0) -> ServeResponse:
-        payload = {"workload": workload, "trace_length": trace_length,
-                   "seed": seed}
-        return self._request("POST", "/v1/artefact",
-                             json.dumps(payload).encode("utf-8"))
-

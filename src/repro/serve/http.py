@@ -10,12 +10,9 @@ parser trivially robust).
 
 Routes::
 
-    GET  /healthz           liveness, backend degradation, engine verdict
+    GET  /healthz           liveness and the engine verdict
     GET  /metrics           JSON counters + latency percentiles
     POST /v1/sweep-point    answer one sweep point (single-flight)
-    GET  /v1/cache/<key>    fetch one store entry (envelope-framed)
-    PUT  /v1/cache/<key>    upload one store entry (envelope-verified)
-    POST /v1/artefact       describe/build one export artefact
 
 Everything interesting lives in :mod:`repro.serve.service`; this module
 only parses, routes, times and serialises.  A request it cannot parse (a
@@ -36,19 +33,19 @@ from repro.serve.service import SweepService
 
 __all__ = ["HTTPServer", "MAX_BODY_BYTES", "MAX_HEADER_BYTES"]
 
-#: Upload ceiling: a pickled sweep payload is tens of KiB; 32 MiB leaves
-#: room for large traces' artefact metadata without letting one client
-#: buffer the process into the ground.
+#: Request-body ceiling: a sweep-point request is a few hundred bytes;
+#: the ceiling keeps one client from buffering the process into the
+#: ground.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Header-section ceiling (request line included).
 MAX_HEADER_BYTES = 32 * 1024
 
-_REASONS = {200: "OK", 204: "No Content", 400: "Bad Request",
+_REASONS = {200: "OK", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
             413: "Payload Too Large",
             431: "Request Header Fields Too Large",
-            500: "Internal Server Error", 507: "Insufficient Storage"}
+            500: "Internal Server Error"}
 
 
 class _BadRequest(Exception):
@@ -102,7 +99,7 @@ class HTTPServer:
             started = time.monotonic()
             status, headers, payload = await self._dispatch(method, path, body)
             self.service.metrics.observe_latency(
-                _route_label(method, path), time.monotonic() - started)
+                f"{method} {path}", time.monotonic() - started)
             self.service.metrics.increment("http_requests")
             await self._write_response(writer, status, headers, payload)
         except _BadRequest as exc:
@@ -187,8 +184,6 @@ class HTTPServer:
             # reports a null engine instead of probing here.
             return 200, {}, _json_bytes({
                 "status": "ok",
-                "cache_backend": service.cache.backend.name,
-                "cache_degradation_reason": service.cache.degradation_reason(),
                 "engine": probe_verdict(),
                 "compiled_fallback_reason": backend_fallback_reason(),
             })
@@ -203,27 +198,7 @@ class HTTPServer:
             if error is not None:
                 return 400, {}, _json_bytes({"error": error})
             return await service.sweep_point(payload)
-        if path.startswith("/v1/cache/"):
-            key = path[len("/v1/cache/"):]
-            if method == "GET":
-                return service.cache_get(key)
-            if method == "PUT":
-                return service.cache_put(key, body)
-            return _method_not_allowed("GET, PUT")
-        if path == "/v1/artefact":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            payload, error = _parse_json(body)
-            if error is not None:
-                return 400, {}, _json_bytes({"error": error})
-            return await service.artefact(payload)
         return 404, {}, _json_bytes({"error": f"no such route: {path}"})
-
-
-def _route_label(method: str, path: str) -> str:
-    if path.startswith("/v1/cache/"):
-        return f"{method} /v1/cache"
-    return f"{method} {path}"
 
 
 def _method_not_allowed(allowed: str) -> Tuple[int, Dict[str, str], bytes]:

@@ -2,8 +2,8 @@
 
 :class:`SweepService` is the transport-independent core of
 ``repro-serve``.  It answers *sweep-point* queries from the shared
-result store (:class:`~repro.analysis.cache.SweepCache` over any
-backend), simulates each miss in place on a compute thread (through
+result store (:class:`~repro.analysis.cache.SweepCache`, one local
+directory), simulates each miss in place on a compute thread (through
 :func:`~repro.analysis.sweep.run_points`, as ``run_sweep`` does for its
 missing points), and dedupes concurrent identical requests **in
 flight**: requests are keyed by the exact content-addressed point key,
@@ -18,9 +18,9 @@ Contract with clients:
   never the body, so joined responses cannot differ; so do the engine
   that computed a miss, ``X-Repro-Backend``, and why it fell back to the
   Python engine, ``X-Repro-Compiled-Fallback``);
-* storage trouble — an unreachable remote cache backend, a read-only
-  disk — degrades service-side and is *surfaced* in the response
-  (``cache_degradation_reason``), never raised to the client;
+* storage trouble — a full or read-only disk — degrades to an uncached
+  answer (counted in the store's ``store_errors``), never raised to the
+  client;
 * any computation failure is a structured ``{"error": ...}`` JSON with
   a 4xx/5xx status, never a dropped connection.
 """
@@ -31,7 +31,6 @@ import asyncio
 import dataclasses
 import gc
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Tuple
 
@@ -40,10 +39,7 @@ from repro.analysis.sweep import (SweepConfig, SweepPoint,
                                   _attach_scenario_profiles, run_points)
 from repro.pipeline.config import ProcessorConfig
 
-__all__ = ["SweepService", "RequestError", "KEY_HEX_LENGTH"]
-
-#: Length of a cache key (SHA-256 hex digest).
-KEY_HEX_LENGTH = 64
+__all__ = ["SweepService", "RequestError"]
 
 #: Policies a request may name (the paper's release-policy axis).
 _KNOWN_POLICIES = ("conv", "basic", "extended")
@@ -152,14 +148,8 @@ def parse_sweep_request(payload: dict) -> Tuple[SweepConfig, SweepPoint]:
     return sweep_config, SweepPoint(benchmark, policy, num_registers)
 
 
-def valid_cache_key(key: str) -> bool:
-    """True for a well-formed content-addressed cache key."""
-    return (len(key) == KEY_HEX_LENGTH
-            and all(c in "0123456789abcdef" for c in key))
-
-
 class SweepService:
-    """Answers sweep-point, cache-blob and artefact queries.
+    """Answers sweep-point queries.
 
     ``compute_threads`` sizes the executor that runs simulations (1 — the
     default — serialises computation: predictable latency, the mode the
@@ -273,125 +263,14 @@ class SweepService:
             "trace_length": sweep_config.trace_length,
             "seed": sweep_config.seed,
             "stats": stats,
-            "cache_degradation_reason": self.cache.degradation_reason(),
         })
         headers["X-Repro-Served-From"] = served_from
         return 200, headers, body
 
     # ------------------------------------------------------------------
-    # Cache blobs (the remote side of HTTPCacheBackend / TieredBackend)
-    # ------------------------------------------------------------------
-    def cache_get(self, key: str) -> Tuple[int, dict, bytes]:
-        """Serve one stored entry, framed in the integrity envelope."""
-        from repro.analysis.backends import wrap_envelope
-
-        self.metrics.increment("cache_gets")
-        if not valid_cache_key(key):
-            return 400, {}, _json_bytes({"error": "malformed cache key"})
-        body = self.cache.backend.get_blob(key)
-        if body is None:
-            self.metrics.increment("cache_get_misses")
-            return 404, {}, _json_bytes({"error": "no such entry"})
-        self.metrics.increment("cache_get_hits")
-        return 200, {"Content-Type": "application/octet-stream"}, \
-            wrap_envelope(key, body)
-
-    def cache_put(self, key: str, blob: bytes) -> Tuple[int, dict, bytes]:
-        """Accept one envelope-framed entry into the shared store.
-
-        The envelope must verify against the key and its own content
-        digest — a partial or misrouted upload is rejected with 400 and
-        never lands in the store (the unreadable-bucket problem stays a
-        client-side one).  Entries are stored unwrapped, so the server's
-        own sweep-point path reads them exactly like locally computed
-        results.
-        """
-        from repro.analysis.backends import unwrap_envelope
-
-        self.metrics.increment("cache_puts")
-        if not valid_cache_key(key):
-            return 400, {}, _json_bytes({"error": "malformed cache key"})
-        body = unwrap_envelope(key, blob)
-        if body is None:
-            self.metrics.increment("cache_put_rejects")
-            return 400, {}, _json_bytes(
-                {"error": "payload failed integrity verification "
-                          "(envelope digest/key mismatch)"})
-        if not self.cache.backend.put_blob(key, body):
-            self.metrics.increment("cache_put_errors")
-            return 507, {}, _json_bytes({"error": "store write failed"})
-        return 204, {}, b""
-
-    # ------------------------------------------------------------------
-    # Export artefacts (the trace arrays the compiled backend receives)
-    # ------------------------------------------------------------------
-    async def artefact(self, payload: dict) -> Tuple[int, dict, bytes]:
-        """Describe one trace's compiled export (generating the trace).
-
-        Answers with the trace's identity, the arrays the compiled core
-        receives (shape, dtype, bytes) — the ``ROW_COLUMN_NAMES``
-        row-table columns, one entry per row (three for the source
-        columns), and ``rows`` and ``addr``, one entry per instruction —
-        and the process's export counters
-        (:mod:`repro.engine.accel.artefacts`) — the query a remote
-        scheduler needs to decide where a sweep's trace is already warm.
-        """
-        self.metrics.increment("artefact_requests")
-        benchmark = payload.get("workload") if isinstance(payload, dict) else None
-        trace_length = payload.get("trace_length", 20_000) \
-            if isinstance(payload, dict) else 20_000
-        seed = payload.get("seed", 0) if isinstance(payload, dict) else 0
-        from repro.trace.workloads import has_workload
-
-        if not isinstance(benchmark, str) or not has_workload(benchmark):
-            self.metrics.increment("artefact_bad_requests")
-            return 400, {}, _json_bytes(
-                {"error": f"unknown workload {benchmark!r}"})
-        if not isinstance(trace_length, int) or isinstance(trace_length, bool) \
-                or not 1 <= trace_length <= 10_000_000:
-            self.metrics.increment("artefact_bad_requests")
-            return 400, {}, _json_bytes(
-                {"error": "'trace_length' must be an integer in "
-                          "[1, 10000000]"})
-        loop = asyncio.get_running_loop()
-        try:
-            body = await loop.run_in_executor(
-                self._executor, self._describe_artefact,
-                benchmark, trace_length, seed)
-        except Exception as exc:
-            self.metrics.increment("artefact_errors")
-            return 500, {}, _json_bytes(
-                {"error": f"{type(exc).__name__}: {exc}"})
-        return 200, {}, body
-
-    def _describe_artefact(self, benchmark: str, trace_length: int,
-                           seed: int) -> bytes:
-        from repro.engine.accel.artefacts import EXPORT_CACHE
-        from repro.trace.records import ROW_COLUMN_NAMES
-        from repro.trace.workloads import get_workload, workload_digest
-
-        trace = get_workload(benchmark, trace_length, seed=seed).columns
-        hits, misses = EXPORT_CACHE.counters()
-        shapes = {name: trace.table[name].shape for name in ROW_COLUMN_NAMES}
-        shapes.update(rows=trace.rows.shape, addr=trace.addr.shape)
-        columns = {name: {"shape": list(shape), "dtype": "int64",
-                          "nbytes": 8 * math.prod(shape)}
-                   for name, shape in sorted(shapes.items())}
-        return _json_bytes({
-            "workload": benchmark,
-            "workload_digest": workload_digest(benchmark, ()),
-            "trace_length": trace_length,
-            "seed": seed,
-            "columns": columns,
-            "export_cache": {"hits": hits, "misses": misses},
-        })
-
-    # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict:
         snapshot = self.metrics.snapshot()
         snapshot["in_flight"] = len(self._inflight)
-        snapshot["cache_backend"] = self.cache.backend.name
-        snapshot["cache_degradation_reason"] = self.cache.degradation_reason()
         return snapshot
 
 

@@ -158,83 +158,18 @@ class TestRunSweep:
 
 
 class TestSweepTelemetry:
-    """Export-cache counters and the one fallback warning per process."""
-
-    def test_sweep_result_carries_export_cache_counters(self):
-        # Pinned to the Python engine, which cannot fall back.
-        import dataclasses
-
-        config = SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
-                             register_sizes=(40, 48), trace_length=400,
-                             base_config=dataclasses.replace(FAST, engine="python"))
-        result = run_sweep(config, cache=False)
-        assert result.export_cache_hits >= 0
-        assert result.export_cache_misses >= 0
-        assert result.compiled_fallback_reason is None  # nothing fell back
+    """Merged telemetry and the one fallback warning per process."""
 
     def test_merge_sums_telemetry(self):
         config = SweepConfig(benchmarks=("swim",), policies=("conv",),
                              register_sizes=(48,), trace_length=400,
                              base_config=FAST)
-        result = run_sweep(config, cache=False)
-        a = type(result)(config, {}, export_cache_hits=3, export_cache_misses=1)
-        b = type(result)(config, {}, export_cache_hits=2, export_cache_misses=4,
-                         compiled_fallback_reason="toolchain broken")
+        a = SweepResult(config, {}, simulated=3, cached=1)
+        b = SweepResult(config, {}, simulated=2, cached=4,
+                        compiled_fallback_reason="toolchain broken")
         merged = a.merge(b)
-        assert merged.export_cache_hits == 5
-        assert merged.export_cache_misses == 5
+        assert (merged.simulated, merged.cached) == (5, 5)
         assert merged.compiled_fallback_reason == "toolchain broken"
-
-    def test_concurrent_threads_count_their_own_exports(self, monkeypatch):
-        # Two threads run points at once, in lockstep: a barrier after
-        # every point keeps both sweeps in flight until both are done.
-        # One exports a measured and a warm-up trace per point, the other
-        # only the measured trace; process-wide deltas would mix them.
-        import dataclasses
-        import threading
-
-        from repro.analysis import sweep as sweep_mod
-        from repro.engine import accel
-
-        base = dataclasses.replace(FAST, engine="compiled")
-        if accel.resolve_engine_backend(base) != "compiled":
-            pytest.skip("no C toolchain for the compiled engine backend")
-        barrier = threading.Barrier(2, timeout=60)
-        real_point = sweep_mod.run_simulation_point
-
-        def point_then_wait(sweep_config, point):
-            stats = real_point(sweep_config, point)
-            barrier.wait()
-            return stats
-        monkeypatch.setattr(sweep_mod, "run_simulation_point",
-                            point_then_wait)
-
-        configs = {
-            "warm": SweepConfig(benchmarks=("swim",), policies=("conv", "basic"),
-                                register_sizes=(48,), trace_length=400,
-                                base_config=dataclasses.replace(base,
-                                                                warmup=True)),
-            "cold": SweepConfig(benchmarks=("gcc",), policies=("conv", "basic"),
-                                register_sizes=(48,), trace_length=400,
-                                base_config=base),
-        }
-        telemetry = {}
-
-        def sweep(name):
-            config = configs[name]
-            telemetry[name] = sweep_mod.run_points(
-                config, config.points(), lambda point, stats: None)
-        threads = [threading.Thread(target=sweep, args=(name,))
-                   for name in configs]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert telemetry["warm"]["export_cache_hits"] == 4
-        assert telemetry["cold"]["export_cache_hits"] == 2
-        for name in configs:
-            assert telemetry[name]["export_cache_misses"] == 0
-            assert telemetry[name]["backend"] == "compiled"
 
     def test_fallback_warning_emitted_once_per_sweep(self, monkeypatch, caplog):
         # Six points on a broken toolchain: without deduplication every

@@ -2,6 +2,8 @@
 
 import dataclasses
 import pickle
+import shutil
+import threading
 
 import pytest
 
@@ -115,6 +117,55 @@ class TestSweepCacheStore:
         result = run_sweep(config, cache=cache)
         assert result.simulated == 1
         assert cache.store_errors == 1 and cache.stores == 0
+        assert cache.get(config, SweepPoint("swim", "conv", 48)) is None
+
+    def test_layout_fans_out_on_the_key_prefix(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        config = tiny_config()
+        point = SweepPoint("swim", "conv", 48)
+        run_sweep(config, cache=cache)
+        key = point_key(config, point)
+        assert cache.path_for(config, point) == \
+            tmp_path / key[:2] / f"{key}.pkl"
+        assert [path.relative_to(tmp_path).as_posix()
+                for path in tmp_path.rglob("*") if path.is_file()] == \
+            [f"{key[:2]}/{key}.pkl"]
+
+    def test_concurrent_identical_puts_leave_one_intact_entry(self, tmp_path):
+        # Racing writers of one entry (two sweeps finishing the same point)
+        # all succeed and leave a readable payload: no torn bytes and no
+        # temp files left behind.
+        from repro.analysis.sweep import run_simulation_point
+
+        cache = SweepCache(tmp_path)
+        config = tiny_config()
+        point = SweepPoint("swim", "conv", 48)
+        stats = run_simulation_point(config, point)
+        threads = [threading.Thread(target=cache.put,
+                                    args=(config, point, stats))
+                   for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert cache.stores == 8 and cache.store_errors == 0
+        assert cache.get(config, point) == stats
+        assert [path.suffix for path in tmp_path.rglob("*")
+                if path.is_file()] == [".pkl"]
+
+    def test_entry_under_another_points_key_is_a_miss(self, tmp_path):
+        # The payload records its own key: a file copied under another
+        # point's path (a misfiled store copy) never serves that point.
+        cache = SweepCache(tmp_path)
+        config = tiny_config(register_sizes=(48, 96))
+        run_sweep(tiny_config(), cache=cache)
+        stored = SweepPoint("swim", "conv", 48)
+        other = SweepPoint("swim", "conv", 96)
+        target = cache.path_for(config, other)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(cache.path_for(config, stored), target)
+        assert cache.get(config, stored) is not None
+        assert cache.get(config, other) is None
 
     def test_clear(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -125,7 +176,7 @@ class TestSweepCacheStore:
         assert cache.clear() == 1
         assert cache.get(config, point) is None
 
-    def test_resolve_cache_forms(self, tmp_path):
+    def test_resolve_cache_forms(self, tmp_path, monkeypatch):
         assert resolve_cache(None) is None
         assert resolve_cache(False) is None
         as_path = resolve_cache(tmp_path)
@@ -133,6 +184,17 @@ class TestSweepCacheStore:
         assert as_path.cache_dir == tmp_path
         instance = SweepCache(tmp_path)
         assert resolve_cache(instance) is instance
+        # A retired backend spec fails loudly instead of rooting a store
+        # in a directory called "local" or "http:".
+        monkeypatch.chdir(tmp_path)
+        for spec in ("local", "http://127.0.0.1:8713",
+                     "https://cache.example:8713",
+                     "remote:http://127.0.0.1:8713"):
+            with pytest.raises(ValueError, match="removed"):
+                resolve_cache(spec)
+            with pytest.raises(ValueError, match="removed"):
+                run_sweep(tiny_config(), cache=spec)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCachedRunSweep:
@@ -191,8 +253,41 @@ class TestCachedRunSweep:
         assert resumed.cached == 2
         assert resumed.simulated == 1
 
+    def test_copied_store_shares_results(self, tmp_path):
+        # Keys are content-addressed, so a copied store directory (cp -r,
+        # rsync) serves every point on the second machine.
+        config = tiny_config(benchmarks=("swim", "gcc"),
+                             register_sizes=(48, 96))
+        first = run_sweep(config, cache=tmp_path / "a")
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        second = run_sweep(config, cache=tmp_path / "b")
+        assert second.simulated == 0
+        assert second.cached == len(config.points())
+        for point in config.points():
+            coordinates = (point.benchmark, point.policy, point.num_registers)
+            assert second.stats(*coordinates) == first.stats(*coordinates)
+
     def test_uncached_run_is_unaffected(self):
         config = tiny_config()
         result = run_sweep(config, cache=None)
         assert result.simulated == 1
         assert result.cached == 0
+
+
+def test_sweep_import_leaves_the_http_stack_unloaded():
+    # urllib.request pulls in ssl, http.client and email (~2 MB of RSS in
+    # every sweep process); a sweep never needs it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    probe = ("import sys, repro.analysis.sweep; "
+             "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent))
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

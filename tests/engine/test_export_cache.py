@@ -105,14 +105,14 @@ class TestNoMaterialisation:
         assert _compiled_available()
         count_instructions.clear()
         compiled_before = POINT_BACKENDS.counts["compiled"]
-        hits_before, misses_before = EXPORT_CACHE.thread_counters()
+        hits_before, misses_before = EXPORT_CACHE.counters()
 
         run_simulation_point(sweep, sweep.points()[0])
 
         assert POINT_BACKENDS.counts["compiled"] == compiled_before + 1
         assert count_instructions == []
         assert not trace.materialised and not warm.materialised
-        hits, misses = EXPORT_CACHE.thread_counters()
+        hits, misses = EXPORT_CACHE.counters()
         assert (hits - hits_before, misses - misses_before) == (2, 0)
 
 
@@ -136,10 +136,10 @@ class TestRoundTrips:
         b = get_workload("swim", 400, seed=1)
         joined = Trace.concatenate("joined", a.focus_class,
                                    [a.instructions, b.instructions])
-        hits, misses = EXPORT_CACHE.thread_counters()
+        hits, misses = EXPORT_CACHE.counters()
         assert EXPORT_CACHE.trace_columns(joined) is joined.columns
         assert EXPORT_CACHE.trace_columns(joined) is joined.columns
-        assert EXPORT_CACHE.thread_counters() == (hits + 1, misses + 1)
+        assert EXPORT_CACHE.counters() == (hits + 1, misses + 1)
         for name in TRACE_COLUMN_NAMES:
             width = 3 if name.startswith("src_") else 1
             column = joined.columns.gather(name)

@@ -35,6 +35,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["not-an-experiment"])
 
+    def test_cache_backend_is_rejected(self, capsys):
+        # The store is one local directory; a stale backend flag must
+        # fail loudly instead of running against some other store.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--cache-backend", "http://127.0.0.1:8713"])
+        assert excinfo.value.code == 2
+        assert "--cache-backend" in capsys.readouterr().err
+
     def test_simulation_experiment_via_cli(self, capsys):
         assert main(["figure10", "--trace-length", "1200", "--no-cache"]) == 0
         output = capsys.readouterr().out

@@ -10,20 +10,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 
 import pytest
 
-from repro.analysis.backends import unwrap_envelope, wrap_envelope
 from repro.analysis.cache import SweepCache, point_key
 from repro.serve.service import (
     RequestError,
     SweepService,
     parse_sweep_request,
-    valid_cache_key,
 )
-from repro.trace.records import ROW_COLUMN_NAMES
-from repro.trace.workloads import get_workload
 
 TINY = {"benchmark": "gcc", "policy": "conv", "num_registers": 48,
         "trace_length": 300, "seed": 1}
@@ -135,16 +130,6 @@ class TestParseSweepRequest:
         with pytest.raises(RequestError, match="scalar"):
             parse_sweep_request({"benchmark": "gcc",
                                  "config": {"ros_size": [128]}})
-
-
-class TestValidCacheKey:
-    def test_accepts_hex_digest(self):
-        assert valid_cache_key("0f" * 32)
-
-    @pytest.mark.parametrize("key", ["", "zz" * 32, "0f" * 31, "0F" * 32,
-                                     "../" + "a" * 61])
-    def test_rejects_malformed(self, key):
-        assert not valid_cache_key(key)
 
 
 class TestSweepPointSingleFlight:
@@ -275,7 +260,8 @@ class TestSweepPointSingleFlight:
                                     "num_registers": 48}
         assert payload["trace_length"] == 300
         assert payload["stats"]["committed_instructions"] > 0
-        assert payload["cache_degradation_reason"] is None
+        assert set(payload) == {"key", "point", "trace_length", "seed",
+                                "stats"}
         assert headers["X-Repro-Key"] == payload["key"]
 
     def test_bad_request_is_structured_400(self, service):
@@ -398,7 +384,7 @@ class TestHitPath:
                           "policy": point.policy,
                           "num_registers": point.num_registers},
                 "trace_length": config.trace_length, "seed": config.seed,
-                "stats": stats, "cache_degradation_reason": None})
+                "stats": stats})
             assert body == expected, request
 
     def test_stats_without_occupancy_encode_as_asdict(self, service):
@@ -422,69 +408,6 @@ class TestHitPath:
             _json_bytes({"stats": object()})
 
 
-class TestCacheBlobEndpoints:
-    def test_get_wraps_stored_entry_in_envelope(self, service):
-        run(service.sweep_point(dict(TINY)))
-        key = json.loads(run(service.sweep_point(dict(TINY)))[2])["key"]
-        status, _, blob = service.cache_get(key)
-        assert status == 200
-        assert unwrap_envelope(key, blob) is not None
-
-    def test_get_miss_is_404(self, service):
-        status, _, _ = service.cache_get("0" * 64)
-        assert status == 404
-
-    def test_get_malformed_key_is_400(self, service):
-        status, _, _ = service.cache_get("../../etc/passwd")
-        assert status == 400
-
-    def test_put_verifies_envelope(self, service):
-        key = "ab" * 32
-        status, _, _ = service.cache_put(key, wrap_envelope(key, b"body"))
-        assert status == 204
-        assert service.cache.backend.get_blob(key) == b"body"
-
-    def test_put_rejects_tampered_envelope(self, service):
-        key = "ab" * 32
-        envelope = bytearray(wrap_envelope(key, b"body"))
-        envelope[-1] ^= 0x01
-        status, _, body = service.cache_put(key, bytes(envelope))
-        assert status == 400
-        assert "integrity" in json.loads(body)["error"]
-        assert service.cache.backend.get_blob(key) is None
-
-    def test_put_rejects_raw_bytes(self, service):
-        status, _, _ = service.cache_put("ab" * 32, b"not an envelope")
-        assert status == 400
-
-
-class TestArtefactEndpoint:
-    def test_describes_columns(self, service):
-        status, _, body = run(service.artefact(
-            {"workload": "gcc", "trace_length": 300}))
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["workload"] == "gcc"
-        assert set(payload) == {"workload", "workload_digest", "trace_length",
-                                "seed", "columns", "export_cache"}
-        # The core receives the row table (one entry per row, three for
-        # the source columns) and a row id and an address per instruction.
-        assert set(payload["columns"]) == set(ROW_COLUMN_NAMES) | {"rows",
-                                                                   "addr"}
-        columns = get_workload("gcc", 300).columns
-        n, n_rows = len(columns), len(columns.records)
-        assert n_rows < n
-        for name, column in payload["columns"].items():
-            shape = ([n] if name in ("rows", "addr")
-                     else [n_rows, 3] if name.startswith("src_") else [n_rows])
-            assert column == {"shape": shape, "dtype": "int64",
-                              "nbytes": 8 * math.prod(shape)}
-
-    def test_unknown_workload_is_400(self, service):
-        status, _, _ = run(service.artefact({"workload": "quake3"}))
-        assert status == 400
-
-
 class TestCommandLine:
     def test_max_workers_is_rejected(self, capsys):
         # A request names one point and never shards: the per-computation
@@ -496,13 +419,22 @@ class TestCommandLine:
         assert excinfo.value.code == 2
         assert "--max-workers" in capsys.readouterr().err
 
+    def test_cache_backend_is_rejected(self, capsys):
+        # The store is one local directory; the remote and tiered
+        # backends and their flag are gone.
+        from repro.serve.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--cache-backend",
+                                       "http://127.0.0.1:8713"])
+        assert excinfo.value.code == 2
+        assert "--cache-backend" in capsys.readouterr().err
+
 
 class TestMetricsSnapshot:
-    def test_snapshot_carries_backend_and_inflight(self, service):
+    def test_snapshot_carries_inflight(self, service):
         snapshot = service.metrics_snapshot()
-        assert snapshot["cache_backend"] == "local"
         assert snapshot["in_flight"] == 0
-        assert snapshot["cache_degradation_reason"] is None
 
     def test_counters_accumulate(self, service):
         run(service.sweep_point(dict(TINY)))
