@@ -67,6 +67,17 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 CACHE_SCHEMA_VERSION = 6
 
 
+#: What reading an entry that is not a servable payload can raise.
+#: Damaged bytes make ``pickle.loads`` raise more than ``PickleError``: a
+#: flipped byte inside a pickled string is a ``UnicodeDecodeError``, one
+#: inside a length field an ``OverflowError``, ``MemoryError`` or
+#: ``ValueError``.  ``ImportError``: an old entry pickled a class the
+#: simulator has since moved or renamed.  ``AttributeError``/``KeyError``/
+#: ``TypeError``: a foreign pickle that is not the payload dict.
+_UNREADABLE = (pickle.PickleError, EOFError, ImportError, AttributeError,
+               KeyError, TypeError, ValueError, OverflowError, MemoryError)
+
+
 def default_cache_dir() -> Path:
     """Resolve the cache directory (env override, else ``~/.cache``)."""
     env = os.environ.get(CACHE_DIR_ENV)
@@ -279,12 +290,11 @@ class SweepCache:
         try:
             payload = pickle.loads(blob)
             if payload.get("schema") != CACHE_SCHEMA_VERSION:
-                raise EOFError("schema mismatch")
+                return None
             if payload.get("key", key) != key:
-                raise EOFError("key mismatch")
+                return None
             return payload["stats"]
-        except (pickle.PickleError, EOFError, AttributeError,
-                KeyError, TypeError, ImportError):
+        except _UNREADABLE:
             return None
 
     def get(self, sweep_config: "SweepConfig",
@@ -360,10 +370,7 @@ class SweepCache:
                 if isinstance(loaded, dict) and \
                         loaded.get("schema") == CACHE_SCHEMA_VERSION:
                     payload = loaded
-            except (OSError, pickle.PickleError, EOFError, AttributeError,
-                    KeyError, TypeError, ImportError):
-                # ImportError: an old entry pickled a class the simulator
-                # has since moved or renamed — unconditionally stale.
+            except (OSError, *_UNREADABLE):
                 payload = None
             yield path, payload
 

@@ -99,7 +99,7 @@ class HTTPServer:
             started = time.monotonic()
             status, headers, payload = await self._dispatch(method, path, body)
             self.service.metrics.observe_latency(
-                f"{method} {path}", time.monotonic() - started)
+                _route_label(method, path), time.monotonic() - started)
             self.service.metrics.increment("http_requests")
             await self._write_response(writer, status, headers, payload)
         except _BadRequest as exc:
@@ -199,6 +199,18 @@ class HTTPServer:
                 return 400, {}, _json_bytes({"error": error})
             return await service.sweep_point(payload)
         return 404, {}, _json_bytes({"error": f"no such route: {path}"})
+
+
+#: The ``"<method> <path>"`` latency labels of the routes served.
+_ROUTE_LABELS = frozenset({"GET /healthz", "GET /metrics",
+                           "POST /v1/sweep-point"})
+
+
+def _route_label(method: str, path: str) -> str:
+    """Latency label of one request: its route, or ``"other"`` for every
+    unrouted path or method, so clients cannot grow ``/metrics``."""
+    label = f"{method} {path}"
+    return label if label in _ROUTE_LABELS else "other"
 
 
 def _method_not_allowed(allowed: str) -> Tuple[int, Dict[str, str], bytes]:

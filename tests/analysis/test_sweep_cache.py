@@ -4,12 +4,16 @@ import dataclasses
 import pickle
 import shutil
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cache import (CACHE_SCHEMA_VERSION, SweepCache,
                                   config_digest, point_key, resolve_cache)
-from repro.analysis.sweep import SweepConfig, SweepPoint, run_sweep
+from repro.analysis.sweep import (SweepConfig, SweepPoint,
+                                  run_simulation_point, run_sweep)
 from repro.pipeline.config import ProcessorConfig
 
 FAST = ProcessorConfig(warmup=False, enable_wrong_path=False)
@@ -195,6 +199,222 @@ class TestSweepCacheStore:
             with pytest.raises(ValueError, match="removed"):
                 run_sweep(tiny_config(), cache=spec)
         assert list(tmp_path.iterdir()) == []
+
+
+POINT = SweepPoint("swim", "conv", 48)
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """One real entry: the tiny sweep's config, stats and stored bytes."""
+    cache = SweepCache(tmp_path_factory.mktemp("stored"))
+    config = tiny_config()
+    stats = run_simulation_point(config, POINT)
+    cache.put(config, POINT, stats)
+    return config, stats, cache.path_for(config, POINT).read_bytes()
+
+
+def _payload(config, stats, **fields):
+    payload = {"schema": CACHE_SCHEMA_VERSION, "key": point_key(config, POINT),
+               "point": (POINT.benchmark, POINT.policy, POINT.num_registers),
+               "trace_length": config.trace_length, "seed": config.seed,
+               "code": "", "created": 0.0, "stats": stats}
+    payload.update(fields)
+    return pickle.dumps(payload)
+
+
+def _damaged_key(config, stats, blob):
+    # One byte of the recorded key string no longer decodes as UTF-8, as
+    # after a bit flip on disk or in a copy.
+    key = point_key(config, POINT).encode()
+    return blob.replace(key, b"\xff" + key[1:])
+
+
+#: Entry bytes that the store cannot serve and that maintenance counts
+#: as unreadable: ``form -> builder(config, stats, real entry bytes)``.
+UNREADABLE_FORMS = {
+    "empty": lambda config, stats, blob: b"",
+    "not-a-pickle": lambda config, stats, blob: b"not a pickle",
+    "truncated-half": lambda config, stats, blob: blob[:len(blob) // 2],
+    "truncated-last-byte": lambda config, stats, blob: blob[:-1],
+    "foreign-list": lambda config, stats, blob: pickle.dumps([1, 2, 3]),
+    "foreign-int": lambda config, stats, blob: pickle.dumps(7),
+    "no-schema": lambda config, stats, blob: pickle.dumps({"stats": stats}),
+    "older-schema": lambda config, stats, blob: _payload(
+        config, stats, schema=CACHE_SCHEMA_VERSION - 1),
+    "newer-schema": lambda config, stats, blob: _payload(
+        config, stats, schema=CACHE_SCHEMA_VERSION + 1),
+    "damaged-key-string": _damaged_key,
+    "bad-int-literal": lambda config, stats, blob: b"Iabc\n.",
+    "oversized-bytes": lambda config, stats, blob:
+        b"\x80\x04\x8e" + (2**63 - 1).to_bytes(8, "little") + b".",
+    "oversized-bytearray": lambda config, stats, blob:
+        b"\x80\x05\x96" + (2**62).to_bytes(8, "little"),
+    "missing-module": lambda config, stats, blob:
+        b"\x80\x04\x8c\x14repro_no_such_module\x94\x8c\x01X\x94\x93\x94.",
+    "renamed-class": lambda config, stats, blob:
+        b"\x80\x04\x8c\x14repro.pipeline.stats\x94"
+        b"\x8c\x0bNoSuchStats\x94\x93\x94.",
+}
+
+#: Current-schema payloads the store still must not serve for POINT.
+UNSERVABLE_FORMS = dict(
+    UNREADABLE_FORMS,
+    **{"no-stats": lambda config, stats, blob: pickle.dumps(
+        {"schema": CACHE_SCHEMA_VERSION, "key": point_key(config, POINT)}),
+       "other-points-key": lambda config, stats, blob: _payload(
+           config, stats, key="0" * 64)})
+
+
+def _plant(cache, config, blob):
+    path = cache.path_for(config, POINT)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(blob)
+    return path
+
+
+class TestUnservableEntries:
+    """Whatever bytes sit at an entry's path, reading it never raises:
+    the point is a miss, a sweep simulates it again and its put restores
+    a servable entry, and ``stats``/``prune`` count unreadable files as
+    dead weight."""
+
+    @pytest.mark.parametrize("form", sorted(UNSERVABLE_FORMS))
+    def test_is_a_miss(self, tmp_path, stored, form):
+        config, stats, blob = stored
+        cache = SweepCache(tmp_path)
+        _plant(cache, config, UNSERVABLE_FORMS[form](config, stats, blob))
+        assert cache.get(config, POINT) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_directory_in_place_of_the_entry_is_a_miss(self, tmp_path,
+                                                       stored):
+        config, _stats, _blob = stored
+        cache = SweepCache(tmp_path)
+        cache.path_for(config, POINT).mkdir(parents=True)
+        assert cache.get(config, POINT) is None
+        assert cache.misses == 1
+
+    @pytest.mark.parametrize("form", sorted(UNSERVABLE_FORMS))
+    def test_sweep_replaces_it(self, tmp_path, stored, form):
+        config, stats, blob = stored
+        _plant(SweepCache(tmp_path), config,
+               UNSERVABLE_FORMS[form](config, stats, blob))
+        result = run_sweep(config, cache=tmp_path)
+        assert (result.simulated, result.cached) == (1, 0)
+        assert SweepCache(tmp_path).get(config, POINT) == stats
+
+    @pytest.mark.parametrize("form", sorted(UNREADABLE_FORMS))
+    def test_maintenance_counts_and_prunes_it(self, tmp_path, stored, form):
+        config, stats, blob = stored
+        cache = SweepCache(tmp_path)
+        path = _plant(cache, config, UNREADABLE_FORMS[form](config, stats,
+                                                            blob))
+        report = cache.stats()
+        assert report.total_entries == report.unreadable_entries == 1
+        assert report.unreadable_bytes == path.stat().st_size
+        assert report.workloads == {}
+        assert cache.prune(stale_code=True) == 1
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_arbitrary_bytes_never_raise(self, tmp_path_factory, stored,
+                                         data):
+        config, _stats, _blob = stored
+        cache = SweepCache(tmp_path_factory.mktemp("arbitrary"))
+        _plant(cache, config, data)
+        assert cache.get(config, POINT) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(index=st.integers(min_value=0), mask=st.integers(1, 255))
+    def test_single_byte_flip_never_raises(self, tmp_path_factory, stored,
+                                           index, mask):
+        config, stats, blob = stored
+        damaged = bytearray(blob)
+        damaged[index % len(damaged)] ^= mask
+        cache = SweepCache(tmp_path_factory.mktemp("flipped"))
+        _plant(cache, config, bytes(damaged))
+        cache.get(config, POINT)
+        list(cache.iter_entries())
+        assert cache.hits + cache.misses == 1
+
+
+class TestStoreContract:
+    def test_points_are_independent(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        config = tiny_config(register_sizes=(48, 96))
+        small, large = config.points()
+        small_stats = run_simulation_point(config, small)
+        large_stats = run_simulation_point(config, large)
+        cache.put(config, small, small_stats)
+        assert cache.get(config, large) is None
+        cache.put(config, large, large_stats)
+        assert cache.get(config, small) == small_stats
+        assert cache.get(config, large) == large_stats
+        assert small_stats != large_stats
+
+    def test_overwrite_is_last_writer_wins(self, tmp_path, stored):
+        config, stats, _blob = stored
+        cache = SweepCache(tmp_path)
+        other = run_simulation_point(config, SweepPoint("swim", "conv", 96))
+        cache.put(config, POINT, other)
+        cache.put(config, POINT, stats)
+        assert cache.get(config, POINT) == stats
+        assert cache.stores == 2
+
+    def test_entry_records_its_point_and_inputs(self, stored):
+        config, stats, blob = stored
+        payload = pickle.loads(blob)
+        assert payload["schema"] == CACHE_SCHEMA_VERSION
+        assert payload["key"] == point_key(config, POINT)
+        assert payload["point"] == ("swim", "conv", 48)
+        assert (payload["trace_length"], payload["seed"]) == \
+            (config.trace_length, config.seed)
+        assert payload["stats"] == stats
+
+
+class TestResolveCacheSpecs:
+    @pytest.mark.parametrize("spec", [
+        "local", "http://127.0.0.1:8713", "https://cache.example:8713",
+        "remote:http://127.0.0.1:8713"])
+    def test_retired_backend_spec_is_rejected(self, tmp_path, monkeypatch,
+                                              spec):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="removed"):
+            resolve_cache(spec)
+        with pytest.raises(ValueError, match="removed"):
+            run_sweep(tiny_config(), cache=spec)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spec", [
+        "./local", "local-cache", "remote", "http"])
+    def test_directory_spec_roots_a_store(self, tmp_path, monkeypatch, spec):
+        # Only the exact retired spellings are rejected: a directory that
+        # merely looks like one still roots a store.
+        monkeypatch.chdir(tmp_path)
+        cache = resolve_cache(spec)
+        assert cache.cache_dir == Path(spec)
+        run_sweep(tiny_config(), cache=cache)
+        assert cache.stores == 1
+        assert list((tmp_path / spec).rglob("*.pkl"))
+
+    def test_path_named_local_roots_a_store(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert resolve_cache(Path("local")).cache_dir == Path("local")
+
+    def test_true_uses_the_default_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "default"))
+        assert resolve_cache(True).cache_dir == tmp_path / "default"
+
+    def test_retired_backend_variable_is_ignored(self, tmp_path,
+                                                 monkeypatch):
+        # A leftover remote-store variable neither redirects nor breaks a
+        # sweep: results land in the local directory.
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "http://127.0.0.1:9")
+        result = run_sweep(tiny_config(), cache=tmp_path)
+        assert result.simulated == 1
+        assert SweepCache(tmp_path).get(tiny_config(), POINT) is not None
 
 
 class TestCachedRunSweep:

@@ -57,6 +57,38 @@ class TestRoutes:
         response = client._request("POST", "/v1/sweep-point", b"")
         assert response.status == 400
 
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/v1/cache/" + "a" * 64), ("PUT", "/v1/cache/" + "a" * 64),
+        ("POST", "/v1/artefact")])
+    def test_retired_store_route_is_404(self, client, method, path):
+        response = client._request(method, path, b"{}")
+        assert response.status == 404
+        assert "no such route" in response.json()["error"]
+
+
+class TestLatencyLabels:
+    """``/metrics`` keeps one latency window per served route; everything
+    else shares the ``other`` window, so clients cannot grow it."""
+
+    def test_unknown_paths_share_one_window(self, tmp_path):
+        with BackgroundServer(cache=SweepCache(tmp_path)) as server:
+            client = ServeClient(server.url)
+            for index in range(20):
+                assert client._request("GET", f"/nope/{index}").status == 404
+            latency = client.metrics()["latency"]
+        assert list(latency) == ["other"]
+        assert latency["other"]["count"] == 20
+
+    def test_unrouted_methods_share_one_window(self, tmp_path):
+        with BackgroundServer(cache=SweepCache(tmp_path)) as server:
+            client = ServeClient(server.url)
+            for method in ("DELETE", "PATCH", "OPTIONS"):
+                assert client._request(method, "/healthz").status == 405
+            assert client.healthz().ok
+            latency = client.metrics()["latency"]
+        assert sorted(latency) == ["GET /healthz", "other"]
+        assert latency["other"]["count"] == 3
+
 
 class TestSweepPointOverHTTP:
     def test_concurrent_duplicates_share_bytes(self, client):
