@@ -11,10 +11,12 @@ Layout: ``<cache_dir>/<key[:2]>/<key>.pkl`` (the two-character fan-out
 keeps directories small for big sweeps).  Writes are atomic
 (tmp file + ``os.replace``) so concurrent sweeps, server threads and
 separate processes never observe torn entries; readers treat any unreadable entry
-as a miss.  Entries are content-addressed and each payload records its own
-key, checked on read, so copying a store directory (``cp -r``, ``rsync``)
-to another machine's cache directory shares its results: an entry that
-lands under the wrong key reads as a miss, never as a wrong result.
+as a miss.  Each payload carries a digest of its pickled stats, checked on
+read, so a damaged entry is a miss too, never different stats.  Entries
+are content-addressed and each payload records its own key, checked on
+read, so copying a store directory (``cp -r``, ``rsync``) to another
+machine's cache directory shares its results: an entry that lands under
+the wrong key reads as a miss, never as a wrong result.
 
 Keys also fold in a digest of the ``repro`` package's own source code
 (:func:`code_digest`), so any change to the simulator invalidates the
@@ -64,7 +66,10 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 #: v6: the pickled ``SimStats`` / ``RegisterFileStats`` /
 #: ``OccupancyAverages`` are slotted dataclasses, whose pickled state
 #: differs from (and cannot be restored from) the v5 ``__dict__`` form.
-CACHE_SCHEMA_VERSION = 6
+#: v7: the stats are pickled on their own and the payload records the
+#: SHA-256 of those bytes, checked before they are unpickled — a damaged
+#: entry is a miss, never stats that differ from the stored ones.
+CACHE_SCHEMA_VERSION = 7
 
 
 #: What reading an entry that is not a servable payload can raise.
@@ -272,20 +277,24 @@ class SweepCache:
         self.store_errors = 0
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.pkl"
+    def _path(self, key: str) -> str:
+        # A plain string: two pathlib joins cost more than the content
+        # digest check of a hit.
+        return os.path.join(self.cache_dir, key[:2], f"{key}.pkl")
 
     def path_for(self, sweep_config: "SweepConfig", point: "SweepPoint") -> Path:
         """Filesystem path of one point's entry."""
-        return self._path(point_key(sweep_config, point))
+        return Path(self._path(point_key(sweep_config, point)))
 
     @staticmethod
     def _decode(blob: bytes, key: str) -> Optional["SimStats"]:
         """Validate one payload blob; None for anything unservable.
 
-        Rejects foreign pickles, outdated schemas and entries whose
+        Rejects foreign pickles, outdated schemas, entries whose
         recorded point key differs from the requested one (a misfiled
-        copy must be a miss, not a wrong result).
+        copy must be a miss, not a wrong result) and entries whose stats
+        bytes no longer match their recorded digest (damage on disk or in
+        a copy).
         """
         try:
             payload = pickle.loads(blob)
@@ -293,7 +302,10 @@ class SweepCache:
                 return None
             if payload.get("key", key) != key:
                 return None
-            return payload["stats"]
+            stats_blob = payload["stats"]
+            if hashlib.sha256(stats_blob).digest() != payload["stats_sha256"]:
+                return None
+            return pickle.loads(stats_blob)
         except _UNREADABLE:
             return None
 
@@ -302,7 +314,8 @@ class SweepCache:
         """Cached statistics of ``point``, or None on a miss."""
         key = point_key(sweep_config, point)
         try:
-            blob = self._path(key).read_bytes()
+            with open(self._path(key), "rb") as handle:
+                blob = handle.read()
         except OSError:
             stats = None
         else:
@@ -322,6 +335,7 @@ class SweepCache:
         already done; they are tallied in :attr:`store_errors`.
         """
         key = point_key(sweep_config, point)
+        stats_blob = pickle.dumps(stats, protocol=pickle.HIGHEST_PROTOCOL)
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
@@ -330,14 +344,16 @@ class SweepCache:
             "seed": sweep_config.seed,
             "code": code_digest(),
             "created": time.time(),
-            "stats": stats,
+            "stats": stats_blob,
+            "stats_sha256": hashlib.sha256(stats_blob).digest(),
         }
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         tmp_name = None
         try:
             path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=os.path.dirname(path),
+                                            suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
             os.replace(tmp_name, path)

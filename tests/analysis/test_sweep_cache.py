@@ -1,6 +1,7 @@
 """Tests for the persistent sweep result cache."""
 
 import dataclasses
+import hashlib
 import pickle
 import shutil
 import threading
@@ -214,13 +215,19 @@ def stored(tmp_path_factory):
     return config, stats, cache.path_for(config, POINT).read_bytes()
 
 
-def _payload(config, stats, **fields):
+def _payload(config, stored_stats, **fields):
+    stats_blob = pickle.dumps(stored_stats)
     payload = {"schema": CACHE_SCHEMA_VERSION, "key": point_key(config, POINT),
                "point": (POINT.benchmark, POINT.policy, POINT.num_registers),
                "trace_length": config.trace_length, "seed": config.seed,
-               "code": "", "created": 0.0, "stats": stats}
+               "code": "", "created": 0.0, "stats": stats_blob,
+               "stats_sha256": hashlib.sha256(stats_blob).digest()}
     payload.update(fields)
     return pickle.dumps(payload)
+
+
+def _other_stats(stats):
+    return dataclasses.replace(stats, cycles=stats.cycles + 1)
 
 
 def _damaged_key(config, stats, blob):
@@ -263,7 +270,15 @@ UNSERVABLE_FORMS = dict(
     **{"no-stats": lambda config, stats, blob: pickle.dumps(
         {"schema": CACHE_SCHEMA_VERSION, "key": point_key(config, POINT)}),
        "other-points-key": lambda config, stats, blob: _payload(
-           config, stats, key="0" * 64)})
+           config, stats, key="0" * 64),
+       # The stats bytes changed after their digest was recorded.
+       "stats-not-matching-digest": lambda config, stats, blob: _payload(
+           config, stats, stats=pickle.dumps(_other_stats(stats))),
+       "no-stats-digest": lambda config, stats, blob: _payload(
+           config, stats, stats_sha256=None),
+       # The schema-6 form: the stats object itself, no digest.
+       "unpickled-stats": lambda config, stats, blob: _payload(
+           config, stats, stats=stats, stats_sha256=b"")})
 
 
 def _plant(cache, config, blob):
@@ -330,14 +345,29 @@ class TestUnservableEntries:
     @given(index=st.integers(min_value=0), mask=st.integers(1, 255))
     def test_single_byte_flip_never_raises(self, tmp_path_factory, stored,
                                            index, mask):
+        # ... and is never served: a flipped entry reads as a miss or, when
+        # the flip leaves its meaning intact, as the stored stats.
         config, stats, blob = stored
         damaged = bytearray(blob)
         damaged[index % len(damaged)] ^= mask
         cache = SweepCache(tmp_path_factory.mktemp("flipped"))
         _plant(cache, config, bytes(damaged))
-        cache.get(config, POINT)
+        served = cache.get(config, POINT)
         list(cache.iter_entries())
         assert cache.hits + cache.misses == 1
+        assert served is None or served == stats
+
+    def test_no_single_bit_flip_is_served(self, tmp_path, stored):
+        # Every low-bit flip of a real entry, exhaustively.
+        config, stats, blob = stored
+        cache = SweepCache(tmp_path)
+        for index in range(len(blob)):
+            damaged = bytearray(blob)
+            damaged[index] ^= 0x01
+            _plant(cache, config, bytes(damaged))
+            served = cache.get(config, POINT)
+            assert served is None or served == stats, index
+        assert cache.hits + cache.misses == len(blob)
 
 
 class TestStoreContract:
@@ -371,7 +401,9 @@ class TestStoreContract:
         assert payload["point"] == ("swim", "conv", 48)
         assert (payload["trace_length"], payload["seed"]) == \
             (config.trace_length, config.seed)
-        assert payload["stats"] == stats
+        assert payload["stats_sha256"] == \
+            hashlib.sha256(payload["stats"]).digest()
+        assert pickle.loads(payload["stats"]) == stats
 
 
 class TestResolveCacheSpecs:

@@ -25,6 +25,8 @@ from repro.backend.functional_units import FUConfig
 from repro.engine import SimulationEngine
 from repro.engine import accel
 from repro.isa import FUKind
+from repro.memory.cache import CacheConfig
+from repro.memory.hierarchy import MemoryConfig
 from repro.pipeline.config import ProcessorConfig
 from repro.trace.workloads import get_workload
 
@@ -54,6 +56,19 @@ PINNED = {
     "max_cycles_400": (400, "8341abee923caf5f"),
     "max_instructions": (3296, "50918cda339d95db"),
     "exceptions": (5904, "2cace426458a307c"),
+    "odd_ros_lsq-conv": (7110, "4e96f919785b16f5"),
+    "odd_ros_lsq-basic": (7110, "b357fe9a0c51ac5f"),
+    "odd_ros_lsq-extended": (7110, "243ca06f4061b8d5"),
+    "fetch3-conv": (7052, "671d0263685d2d01"),
+    "fetch3-basic": (7283, "cdc2fb53dcf16665"),
+    "fetch3-extended": (7197, "37c6496e38d2b269"),
+    "btb_3sets-conv": (9514, "8881b611b9daa736"),
+    "btb_3sets-basic": (9313, "5abf9f8fdfc5acbd"),
+    "btb_3sets-extended": (9460, "36464cad4ed1b0bd"),
+    "l1d_48sets-conv": (7750, "e231a9dff363e044"),
+    "l1d_48sets-basic": (7643, "de523861367c8992"),
+    "l1d_48sets-extended": (7519, "ef59f50f0dc0c071"),
+    "rq_rwc_paths": (7166, "45a54dbb0ddab986"),
 }
 
 #: ``(cycles, committed, structural stalls, non-zero dispatch stalls)``
@@ -72,6 +87,24 @@ STARVED_DIVIDER = FUConfig(counts={
     FUKind.SIMPLE_INT: 8, FUKind.INT_MULT: 4, FUKind.SIMPLE_FP: 6,
     FUKind.FP_MULT: 4, FUKind.FP_DIV: 1, FUKind.LOAD_STORE: 4,
 })
+
+#: An L1D of 48 sets (6 KB, 2-way, 64-byte lines): set indices wrap by
+#: modulo, not by mask, and the small capacity keeps it missing.
+L1D_48_SETS = MemoryConfig(l1d=CacheConfig(
+    "L1D", size_bytes=6 * 1024, associativity=2, line_bytes=64,
+    hit_latency=1))
+
+#: Capacities that are not powers of two, so every ring and set index
+#: wraps by its own arithmetic: a 37-row ROS with a 13-entry LSQ (96
+#: registers, so the ROS fills); 3-wide
+#: fetch and rename (an 18-entry decode ring); a 12-entry 4-way BTB
+#: (3 sets); the 48-set L1D.
+ODD_GEOMETRIES = {
+    "odd_ros_lsq": {"ros_size": 37, "lsq_size": 13, "num_registers": 96},
+    "fetch3": {"fetch_width": 3, "rename_width": 3},
+    "btb_3sets": {"btb_entries": 12, "btb_associativity": 4},
+    "l1d_48sets": {"memory": L1D_48_SETS},
+}
 
 #: How each pinned point runs: ``(workload, trace length, ProcessorConfig
 #: overrides, run() limits)``.  ``num_registers`` sets both files (48
@@ -102,6 +135,16 @@ POINTS = {
     "exceptions": ("gcc", 1_500, {"release_policy": "extended",
                                   "num_registers": None,
                                   "exception_rate": 0.002}, {}),
+    **{f"{geometry}-{policy}": ("gcc", TRACE_LENGTH,
+                                {"release_policy": policy, **overrides}, {})
+       for geometry, overrides in ODD_GEOMETRIES.items()
+       for policy in POLICIES},
+    # 40 registers keep the Release Queue busy: in-flight RwC entries
+    # are merged into older levels, cancelled by mispredictions and
+    # resolved when their last use commits.
+    "rq_rwc_paths": ("gcc", TRACE_LENGTH, {"release_policy": "extended",
+                                           "num_registers": 40,
+                                           "exception_rate": 0.002}, {}),
 }
 
 
@@ -202,6 +245,24 @@ class TestBitIdenticalStats:
                 if count} == stalls
         assert stats.int_registers.occupancy is not None
         assert stats.fp_registers.occupancy is not None
+
+
+class TestOddGeometries:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("geometry", sorted(ODD_GEOMETRIES))
+    def test_non_power_of_two_capacities(self, geometry, policy):
+        name = f"{geometry}-{policy}"
+        stats, _ = run_pinned(name)
+        assert_pinned(name, stats)
+
+    def test_odd_ros_fills(self):
+        stats, _ = run_pinned("odd_ros_lsq-conv")
+        assert stats.dispatch_stalls["ros_full"] > 0
+
+    def test_release_queue_rwc_paths(self):
+        stats, _ = run_pinned("rq_rwc_paths")
+        assert stats.exceptions_taken > 0
+        assert_pinned("rq_rwc_paths", stats)
 
 
 class TestLimitEquivalence:
