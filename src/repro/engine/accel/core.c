@@ -147,7 +147,7 @@ typedef struct {
     i64 *tag;        /* n_sets * assoc, -1 = empty way */
     i64 *dirty;
     i64 *nway;       /* ways in use per set */
-    i64 n_sets, assoc, shift, lat;
+    i64 n_sets, set_mask, assoc, shift, lat;  /* set_mask: see set_of */
     i64 *hits, *misses;   /* point into STATS */
 } CacheZ;
 
@@ -160,6 +160,20 @@ typedef struct {            /* decoded front-end pipe entry */
     int src_class[MAX_SRCS], src_log[MAX_SRCS];
     int taken, has_pred, pred_taken, pred_raw, mispredicted, wrong_path;
 } DQEnt;
+
+typedef struct {            /* one ROS row; the fields age-order lookups
+                             * and liveness checks read come first */
+    i64 seq;
+    i8 squashed, completed, exception, issued, in_ready;
+    i8 wrong_path, fetch_mispred, pred_raw, has_pred, taken;
+    i8 allocated_new, reused, rel_old;
+    i8 rwc_classes;         /* bit c: a class-c RwC entry may name seq */
+    int op, dest_class, dest_log, pd, old_pd, mask, nsrc, nwait;
+    int src_class[MAX_SRCS], src_log[MAX_SRCS], src_phys[MAX_SRCS];
+    int wk_head, wk_tail;   /* consumer list attached to this producer */
+    i64 pc, target, addr, resume, pred_idx, pred_hist;
+    i64 wait[MAX_SRCS];
+} RosRow;
 
 typedef struct {            /* one release-queue level (slot) */
     i64 branch_seq;
@@ -220,7 +234,7 @@ struct Machine {
 
     /* BTB */
     i64 *btb_tag, *btb_target, *btb_nway;
-    i64 btb_sets, btb_assoc;
+    i64 btb_sets, btb_mask, btb_assoc;
 
     /* caches + memory */
     CacheZ l1i, l1d, l2;
@@ -256,16 +270,7 @@ struct Machine {
     /* ROS (ring of rows) */
     i64 ros_cap, ros_head, ros_count;
     int seen_exception;
-    i64 *r_seq, *r_pc, *r_target, *r_addr, *r_resume, *r_pred_idx,
-        *r_pred_hist;
-    int *r_op, *r_dest_class, *r_dest_log, *r_pd, *r_old_pd, *r_mask,
-        *r_nsrc, *r_src_class, *r_src_log, *r_src_phys;   /* *3 per row */
-    i8 *r_completed, *r_squashed, *r_exception, *r_issued, *r_wrong_path,
-       *r_fetch_mispred, *r_pred_taken, *r_pred_raw, *r_has_pred, *r_taken,
-       *r_allocated_new, *r_reused, *r_rel_old, *r_in_ready;
-    int *r_nwait;
-    i64 *r_wait;                /* *3 per row */
-    int *r_wk_head, *r_wk_tail; /* consumer list attached to producer row */
+    RosRow *ros;
 
     /* ready set: min-heap on seq with lazy deletion */
     i64 *heap_seq;
@@ -356,6 +361,23 @@ static i64 next_pow2(i64 v) {
     return p;
 }
 
+/* Ring slot base + off, for 0 <= base < cap and 0 <= off <= cap: one
+ * compare-and-subtract instead of a 64-bit division. */
+static inline i64 ring_at(i64 base, i64 off, i64 cap) {
+    i64 pos = base + off;
+    return pos >= cap ? pos - cap : pos;
+}
+
+/* Set of key: a mask when the set count is a power of two (mask >= 0),
+ * else a modulo (a 12-entry 4-way BTB has 3 sets). */
+static inline i64 set_of(i64 key, i64 n_sets, i64 mask) {
+    return mask >= 0 ? key & mask : key % n_sets;
+}
+
+static i64 set_mask_of(i64 n_sets) {
+    return (n_sets & (n_sets - 1)) == 0 ? n_sets - 1 : -1;
+}
+
 /* ------------------------------------------------------------------ */
 /* gshare / BTB / caches / memory.                                    */
 /* ------------------------------------------------------------------ */
@@ -384,7 +406,7 @@ static void gs_resolve(Machine *m, i64 idx, i64 hist_before, int taken,
 
 /* Returns target on hit (rotating the way to MRU), -1 on miss. */
 static i64 btb_lookup(Machine *m, i64 pc) {
-    i64 set = (pc >> 2) % m->btb_sets;
+    i64 set = set_of(pc >> 2, m->btb_sets, m->btb_mask);
     i64 tag = pc >> 2;
     i64 base = set * m->btb_assoc;
     i64 n = m->btb_nway[set];
@@ -406,7 +428,7 @@ static i64 btb_lookup(Machine *m, i64 pc) {
 }
 
 static void btb_update(Machine *m, i64 pc, i64 target) {
-    i64 set = (pc >> 2) % m->btb_sets;
+    i64 set = set_of(pc >> 2, m->btb_sets, m->btb_mask);
     i64 tag = pc >> 2;
     i64 base = set * m->btb_assoc;
     i64 n = m->btb_nway[set];
@@ -436,7 +458,7 @@ static void btb_update(Machine *m, i64 pc, i64 target) {
 static int cache_access(CacheZ *c, i64 address, int is_write) {
     i64 line = address >> c->shift;
     i64 tag = line;
-    i64 set = line % c->n_sets;
+    i64 set = set_of(line, c->n_sets, c->set_mask);
     i64 base = set * c->assoc;
     i64 n = c->nway[set];
     for (i64 pos = 0; pos < n; pos++) {
@@ -531,8 +553,7 @@ static int fl_push(Machine *m, int c, int reg) {
         m->error = E_FREELIST;
         return 0;
     }
-    i64 pos = (m->fl_head[c] + m->fl_count[c]) % m->nphys[c];
-    m->fl_ring[c][pos] = reg;
+    m->fl_ring[c][ring_at(m->fl_head[c], m->fl_count[c], m->nphys[c])] = reg;
     m->fl_count[c]++;
     m->fl_is_free[c][reg] = 1;
     return 1;
@@ -568,7 +589,7 @@ static int rf_allocate(Machine *m, int c, i64 cycle, i64 producer,
         return -1;
     }
     int reg = m->fl_ring[c][m->fl_head[c]];
-    m->fl_head[c] = (m->fl_head[c] + 1) % m->nphys[c];
+    m->fl_head[c] = ring_at(m->fl_head[c], 1, m->nphys[c]);
     m->fl_count[c]--;
     m->fl_is_free[c][reg] = 0;
     m->producer_seq[c][reg] = producer;
@@ -589,9 +610,9 @@ static void mark_written(Machine *m, int c, int reg, i64 cycle) {
 /* ------------------------------------------------------------------ */
 /* ROS ring helpers.                                                  */
 /* ------------------------------------------------------------------ */
-#define ROS_ROW(m, off) ((int)(((m)->ros_head + (off)) % (m)->ros_cap))
+#define ROS_ROW(m, off) ((int)ring_at((m)->ros_head, (off), (m)->ros_cap))
 #define ROW_LIVE(m, row, sq) \
-    ((m)->r_seq[row] == (sq) && !(m)->r_squashed[row])
+    ((m)->ros[row].seq == (sq) && !(m)->ros[row].squashed)
 
 /* Binary search the age-ordered window for seq; returns row or -1. */
 static int ros_find(Machine *m, i64 seq) {
@@ -599,12 +620,12 @@ static int ros_find(Machine *m, i64 seq) {
     while (lo < hi) {
         i64 mid = (lo + hi) / 2;
         int row = ROS_ROW(m, mid);
-        if (m->r_seq[row] < seq) lo = mid + 1;
+        if (m->ros[row].seq < seq) lo = mid + 1;
         else hi = mid;
     }
     if (lo < m->ros_count) {
         int row = ROS_ROW(m, lo);
-        if (m->r_seq[row] == seq && !m->r_squashed[row]) return row;
+        if (m->ros[row].seq == seq && !m->ros[row].squashed) return row;
     }
     return -1;
 }
@@ -612,7 +633,7 @@ static int ros_find(Machine *m, i64 seq) {
 static i64 ros_completed_prefix(Machine *m, i64 limit) {
     i64 n = m->ros_count < limit ? m->ros_count : limit;
     i64 run = 0;
-    while (run < n && m->r_completed[ROS_ROW(m, run)]) run++;
+    while (run < n && m->ros[ROS_ROW(m, run)].completed) run++;
     return run;
 }
 
@@ -620,13 +641,13 @@ static i64 ros_completed_prefix(Machine *m, i64 limit) {
 static i64 ros_exception_in_prefix(Machine *m, i64 length) {
     if (!m->seen_exception) return -1;
     for (i64 off = 0; off < length; off++)
-        if (m->r_exception[ROS_ROW(m, off)]) return off;
+        if (m->ros[ROS_ROW(m, off)].exception) return off;
     return -1;
 }
 
 /* ------------------------------------------------------------------ */
 /* Ready set: min-heap on sequence numbers with lazy deletion.        */
-/* The heap stores (seq,row) pairs; r_in_ready is the live flag.      */
+/* The heap stores (seq,row) pairs; RosRow.in_ready is the live flag. */
 /* ------------------------------------------------------------------ */
 static void heap_push(Machine *m, i64 seq, int row) {
     if (m->heap_n >= m->heap_cap) {
@@ -636,7 +657,7 @@ static void heap_push(Machine *m, i64 seq, int row) {
         i64 n = 0;
         for (i64 i = 0; i < m->heap_n; i++) {
             int r = m->heap_row[i];
-            if (m->r_in_ready[r] && m->r_seq[r] == m->heap_seq[i]) {
+            if (m->ros[r].in_ready && m->ros[r].seq == m->heap_seq[i]) {
                 m->heap_seq[n] = m->heap_seq[i];
                 m->heap_row[n] = r;
                 n++;
@@ -698,15 +719,15 @@ static void heap_pop_min(Machine *m, i64 *seq, int *row) {
 }
 
 static void ready_add(Machine *m, int row) {
-    if (m->r_in_ready[row]) return;
-    m->r_in_ready[row] = 1;
+    if (m->ros[row].in_ready) return;
+    m->ros[row].in_ready = 1;
     m->rdy_count++;
-    heap_push(m, m->r_seq[row], row);
+    heap_push(m, m->ros[row].seq, row);
 }
 
 static void ready_discard(Machine *m, int row) {
-    if (m->r_in_ready[row]) {
-        m->r_in_ready[row] = 0;
+    if (m->ros[row].in_ready) {
+        m->ros[row].in_ready = 0;
         m->rdy_count--;
     }
 }
@@ -717,8 +738,8 @@ static int ready_pop(Machine *m) {
         i64 seq;
         int row;
         heap_pop_min(m, &seq, &row);
-        if (m->r_in_ready[row] && m->r_seq[row] == seq) {
-            m->r_in_ready[row] = 0;
+        if (m->ros[row].in_ready && m->ros[row].seq == seq) {
+            m->ros[row].in_ready = 0;
             m->rdy_count--;
             return row;
         }
@@ -739,33 +760,32 @@ static void wk_register(Machine *m, int prow, i64 cseq, int crow) {
     m->wk_seq[node] = cseq;
     m->wk_row[node] = crow;
     m->wk_next[node] = -1;
-    if (m->r_wk_tail[prow] >= 0)
-        m->wk_next[m->r_wk_tail[prow]] = node;
+    if (m->ros[prow].wk_tail >= 0)
+        m->wk_next[m->ros[prow].wk_tail] = node;
     else
-        m->r_wk_head[prow] = node;
-    m->r_wk_tail[prow] = node;
+        m->ros[prow].wk_head = node;
+    m->ros[prow].wk_tail = node;
 }
 
 static void wk_drop(Machine *m, int prow) {
-    int node = m->r_wk_head[prow];
+    int node = m->ros[prow].wk_head;
     while (node >= 0) {
         int next = m->wk_next[node];
         m->wk_next[node] = m->wk_free;
         m->wk_free = node;
         node = next;
     }
-    m->r_wk_head[prow] = -1;
-    m->r_wk_tail[prow] = -1;
+    m->ros[prow].wk_head = -1;
+    m->ros[prow].wk_tail = -1;
 }
 
 /* Remove one occurrence of pseq from the row's wait set. */
-static void wait_discard(Machine *m, int row, i64 pseq) {
-    i64 *w = m->r_wait + (i64)row * MAX_SRCS;
-    int n = m->r_nwait[row];
+static void wait_discard(RosRow *r, i64 pseq) {
+    int n = r->nwait;
     for (int i = 0; i < n; i++) {
-        if (w[i] == pseq) {
-            w[i] = w[n - 1];
-            m->r_nwait[row] = n - 1;
+        if (r->wait[i] == pseq) {
+            r->wait[i] = r->wait[n - 1];
+            r->nwait = n - 1;
             return;
         }
     }
@@ -814,7 +834,7 @@ static void lsq_free_waiters(Machine *m, i64 slot) {
 }
 
 static void lsq_insert(Machine *m, i64 seq, int is_store, i64 addr) {
-    i64 slot = (m->lsq_head + m->lsq_count) % m->lsq_cap;
+    i64 slot = ring_at(m->lsq_head, m->lsq_count, m->lsq_cap);
     m->l_seq[slot] = seq;
     m->l_is_store[slot] = (i8)is_store;
     m->l_addr[slot] = addr;
@@ -827,7 +847,7 @@ static int lsq_store_forwards(Machine *m, i64 load_seq, i64 addr) {
     i64 target = addr & ~7LL;
     int hit = 0;
     for (i64 off = 0; off < m->lsq_count; off++) {
-        i64 slot = (m->lsq_head + off) % m->lsq_cap;
+        i64 slot = ring_at(m->lsq_head, off, m->lsq_cap);
         if (m->l_seq[slot] >= load_seq) break;
         if (m->l_is_store[slot] && m->l_known[slot] &&
             (m->l_addr[slot] & ~7LL) == target)
@@ -840,7 +860,7 @@ static int lsq_store_forwards(Machine *m, i64 load_seq, i64 addr) {
 /* Park behind the first older store with an unknown address; 1 if parked. */
 static int lsq_park_blocked(Machine *m, i64 load_seq, int load_row) {
     for (i64 off = 0; off < m->lsq_count; off++) {
-        i64 slot = (m->lsq_head + off) % m->lsq_cap;
+        i64 slot = ring_at(m->lsq_head, off, m->lsq_cap);
         if (m->l_seq[slot] >= load_seq) break;
         if (m->l_is_store[slot] && !m->l_known[slot]) {
             int node = m->lw_free;
@@ -868,12 +888,12 @@ static i64 lsq_find_slot(Machine *m, i64 seq) {
     i64 lo = 0, hi = m->lsq_count;
     while (lo < hi) {
         i64 mid = (lo + hi) / 2;
-        i64 slot = (m->lsq_head + mid) % m->lsq_cap;
+        i64 slot = ring_at(m->lsq_head, mid, m->lsq_cap);
         if (m->l_seq[slot] < seq) lo = mid + 1;
         else hi = mid;
     }
     if (lo < m->lsq_count) {
-        i64 slot = (m->lsq_head + lo) % m->lsq_cap;
+        i64 slot = ring_at(m->lsq_head, lo, m->lsq_cap);
         if (m->l_seq[slot] == seq) return slot;
     }
     return -1;
@@ -906,7 +926,7 @@ static void lsq_mark_address_known(Machine *m, i64 seq) {
 static void lsq_remove(Machine *m, i64 seq) {
     if (m->lsq_count > 0 && m->l_seq[m->lsq_head] == seq) {
         lsq_free_waiters(m, m->lsq_head);
-        m->lsq_head = (m->lsq_head + 1) % m->lsq_cap;
+        m->lsq_head = ring_at(m->lsq_head, 1, m->lsq_cap);
         m->lsq_count--;
         return;
     }
@@ -916,7 +936,7 @@ static void lsq_remove(Machine *m, i64 seq) {
 
 static void lsq_squash_younger(Machine *m, i64 seq) {
     while (m->lsq_count > 0) {
-        i64 slot = (m->lsq_head + m->lsq_count - 1) % m->lsq_cap;
+        i64 slot = ring_at(m->lsq_head, m->lsq_count - 1, m->lsq_cap);
         if (m->l_seq[slot] <= seq) break;
         lsq_free_waiters(m, slot);
         m->lsq_count--;
@@ -925,7 +945,7 @@ static void lsq_squash_younger(Machine *m, i64 seq) {
 
 static void lsq_clear(Machine *m) {
     for (i64 off = 0; off < m->lsq_count; off++)
-        lsq_free_waiters(m, (m->lsq_head + off) % m->lsq_cap);
+        lsq_free_waiters(m, ring_at(m->lsq_head, off, m->lsq_cap));
     m->lsq_head = 0;
     m->lsq_count = 0;
 }
@@ -1083,23 +1103,24 @@ static void rq_schedule_inflight(Machine *m, int c, i64 lu_seq, int bit,
 }
 
 /* The slot a mask bit names: bit 8 = destination, bits 1/2/4 = sources. */
-static void phys_of_slot(Machine *m, int row, int bit, int *cls, int *phys,
+static void phys_of_slot(const RosRow *r, int bit, int *cls, int *phys,
                          int *logical) {
     if (bit == 8) {
-        *cls = m->r_dest_class[row];
-        *phys = m->r_pd[row];
-        *logical = m->r_dest_log[row];
+        *cls = r->dest_class;
+        *phys = r->pd;
+        *logical = r->dest_log;
     } else {
         int slot = (bit == 1) ? 0 : (bit == 2) ? 1 : 2;
-        *cls = m->r_src_class[row * MAX_SRCS + slot];
-        *phys = m->r_src_phys[row * MAX_SRCS + slot];
-        *logical = m->r_src_log[row * MAX_SRCS + slot];
+        *cls = r->src_class[slot];
+        *phys = r->src_phys[slot];
+        *logical = r->src_log[slot];
     }
 }
 
 /* A scheduled LU commits: resolve its pending slot-bits into RwNS
  * entries of whichever levels carry them. */
-static void rq_on_lu_commit(Machine *m, int c, i64 lu_seq, int row) {
+static void rq_on_lu_commit(Machine *m, int c, int row) {
+    i64 lu_seq = m->ros[row].seq;
     for (i64 i = 0; i < m->rq_count[c]; i++) {
         RQLevel *lv = &m->rq_slots[c][m->rq_order[c][i]];
         int idx = -1;
@@ -1110,7 +1131,7 @@ static void rq_on_lu_commit(Machine *m, int c, i64 lu_seq, int row) {
         i64 *nvs = lv->rwc_nv + idx * 4;
         for (int b = 0; b < lv->rwc_nbits[idx]; b++) {
             int sc, sp, sl;
-            phys_of_slot(m, row, bits[b], &sc, &sp, &sl);
+            phys_of_slot(&m->ros[row], bits[b], &sc, &sp, &sl);
             rwns_insert_or_update(m, lv, sp, sl, nvs[b]);
         }
         memmove(lv->rwc_lu + idx, lv->rwc_lu + idx + 1,
@@ -1154,7 +1175,7 @@ static void rq_on_branch_confirmed(Machine *m, int c, i64 seq) {
                 m->error = E_RWC_MISSING;
                 return;
             }
-            m->r_mask[lrow] |= mask;
+            m->ros[lrow].mask |= mask;
         }
     } else {
         /* Inner level: merge into the next-older one. */
@@ -1237,25 +1258,24 @@ static void rq_clear(Machine *m, int c) {
 /* Destination-rename outcomes. */
 enum { OUT_ALLOC_NOREL = 0, OUT_ALLOC_REL = 1, OUT_REUSE = 2 };
 
-static void fire_early_mask(Machine *m, int c, int row) {
-    int mask = m->r_mask[row];
+static void fire_early_mask(Machine *m, int c, const RosRow *r) {
     for (int bit = 1; bit <= 8; bit <<= 1) {
-        if (!(mask & bit)) continue;
+        if (!(r->mask & bit)) continue;
         int sc, sp, sl;
-        phys_of_slot(m, row, bit, &sc, &sp, &sl);
+        phys_of_slot(r, bit, &sc, &sp, &sl);
         if (sc == c) release_physical(m, c, sp, sl, m->cycle, 1);
     }
 }
 
 static void policy_on_commit(Machine *m, int c, int row) {
-    int dc = m->r_dest_class[row];
-    int dl = m->r_dest_log[row];
+    const RosRow *r = &m->ros[row];
+    int dc = r->dest_class;
+    int dl = r->dest_log;
     i64 *rf = m->st + (c ? ST_RF_FP : ST_RF_INT);
     if (m->policy == 0) {
         if (dc == c) {
-            if (m->r_rel_old[row] && m->r_allocated_new[row] &&
-                m->r_old_pd[row] >= 0) {
-                release_physical(m, c, m->r_old_pd[row], dl, m->cycle, 0);
+            if (r->rel_old && r->allocated_new && r->old_pd >= 0) {
+                release_physical(m, c, r->old_pd, dl, m->cycle, 0);
                 rf[RF_CONVENTIONAL]++;
             }
             m->arch_released[c][dl] = 0;
@@ -1263,15 +1283,14 @@ static void policy_on_commit(Machine *m, int c, int row) {
         return;
     }
     if (dc == c) m->arch_released[c][dl] = 0;
-    fire_early_mask(m, c, row);
+    fire_early_mask(m, c, r);
     if (m->policy == 1) {
-        if (dc == c && m->r_rel_old[row] && m->r_allocated_new[row] &&
-            m->r_old_pd[row] >= 0) {
-            release_physical(m, c, m->r_old_pd[row], dl, m->cycle, 0);
+        if (dc == c && r->rel_old && r->allocated_new && r->old_pd >= 0) {
+            release_physical(m, c, r->old_pd, dl, m->cycle, 0);
             rf[RF_CONVENTIONAL]++;
         }
-    } else {
-        rq_on_lu_commit(m, c, m->r_seq[row], row);
+    } else if (r->rwc_classes & (1 << c)) {
+        rq_on_lu_commit(m, c, row);
     }
 }
 
@@ -1300,9 +1319,9 @@ static int rename_destination(Machine *m, int c, int row, int logical,
         int bit = (m->lus_slot[c][logical] == 3)
                       ? 8 : (1 << m->lus_slot[c][logical]);
         int sc, sp, sl;
-        phys_of_slot(m, lu_row, bit, &sc, &sp, &sl);
+        phys_of_slot(&m->ros[lu_row], bit, &sc, &sp, &sl);
         if (sp != old_pd) return OUT_ALLOC_REL;
-        m->r_mask[lu_row] |= bit;
+        m->ros[lu_row].mask |= bit;
         rf[RF_SCHED_EARLY]++;
         return OUT_ALLOC_NOREL;
     }
@@ -1337,18 +1356,19 @@ static int rename_destination(Machine *m, int c, int row, int logical,
     int bit = (m->lus_slot[c][logical] == 3)
                   ? 8 : (1 << m->lus_slot[c][logical]);
     int sc, sp, sl;
-    phys_of_slot(m, lu_row, bit, &sc, &sp, &sl);
+    phys_of_slot(&m->ros[lu_row], bit, &sc, &sp, &sl);
     if (sp != old_pd) {
         m->status = RUN_INTERNAL;     /* Python asserts here */
         m->error = E_SLOT_MISMATCH;
         return OUT_ALLOC_NOREL;
     }
     if (pending == 0) {
-        m->r_mask[lu_row] |= bit;
+        m->ros[lu_row].mask |= bit;
         rf[RF_SCHED_EARLY]++;
         return OUT_ALLOC_NOREL;
     }
     rq_schedule_inflight(m, c, lu_seq, bit, this_seq);
+    m->ros[lu_row].rwc_classes |= (i8)(1 << c);
     rf[RF_CONDITIONAL]++;
     return OUT_ALLOC_NOREL;
 }
@@ -1371,8 +1391,8 @@ static int may_avoid_allocation(Machine *m, int c, int logical, DQEnt *d) {
 /* Squash / recovery machinery.                                       */
 /* ------------------------------------------------------------------ */
 static void make_issue_ready(Machine *m, int row) {
-    if (IS_LOAD(m->r_op[row]) &&
-        lsq_park_blocked(m, m->r_seq[row], row))
+    if (IS_LOAD(m->ros[row].op) &&
+        lsq_park_blocked(m, m->ros[row].seq, row))
         return;
     ready_add(m, row);
 }
@@ -1383,13 +1403,14 @@ static void undo_squashed(Machine *m, int *rows, i64 n) {
     i64 nfreed[2] = {0, 0};
     for (i64 i = 0; i < n; i++) {
         int row = rows[i];
-        int dc = m->r_dest_class[row];
+        const RosRow *r = &m->ros[row];
+        int dc = r->dest_class;
         if (dc >= 0) {
-            if (m->r_allocated_new[row]) {
-                m->freed_reg[dc][nfreed[dc]++] = m->r_pd[row];
-            } else if (m->r_reused[row]) {
-                m->producer_seq[dc][m->r_pd[row]] = -1;
-                m->producer_row[dc][m->r_pd[row]] = -1;
+            if (r->allocated_new) {
+                m->freed_reg[dc][nfreed[dc]++] = r->pd;
+            } else if (r->reused) {
+                m->producer_seq[dc][r->pd] = -1;
+                m->producer_row[dc][r->pd] = -1;
             }
         }
         wk_drop(m, row);
@@ -1410,20 +1431,26 @@ static void undo_squashed(Machine *m, int *rows, i64 n) {
     }
 }
 
-/* Mark everything younger than seq squashed; fills rows youngest-first. */
-static i64 ros_squash_younger(Machine *m, i64 seq, int *rows) {
-    i64 keep = m->ros_count;
-    while (keep > 0 && m->r_seq[ROS_ROW(m, keep - 1)] > seq) keep--;
+/* Mark the window from offset keep on squashed and drop it; fills rows
+ * youngest-first. */
+static i64 ros_squash_from(Machine *m, i64 keep, int *rows) {
     i64 n = 0;
     for (i64 off = m->ros_count - 1; off >= keep; off--) {
         int row = ROS_ROW(m, off);
-        m->r_squashed[row] = 1;
-        m->r_completed[row] = 0;
-        m->r_exception[row] = 0;
+        RosRow *r = &m->ros[row];
+        r->squashed = 1;
+        r->completed = r->exception = 0;
         rows[n++] = row;
     }
     m->ros_count = keep;
     return n;
+}
+
+/* Squash everything younger than seq. */
+static i64 ros_squash_younger(Machine *m, i64 seq, int *rows) {
+    i64 keep = m->ros_count;
+    while (keep > 0 && m->ros[ROS_ROW(m, keep - 1)].seq > seq) keep--;
+    return ros_squash_from(m, keep, rows);
 }
 
 static void fetch_recover(Machine *m, i64 cursor) {
@@ -1432,8 +1459,8 @@ static void fetch_recover(Machine *m, i64 cursor) {
 }
 
 static void recover_from_misprediction(Machine *m, int row) {
-    m->r_mask[row] = 0;
-    i64 seq = m->r_seq[row];
+    m->ros[row].mask = 0;
+    i64 seq = m->ros[row].seq;
     i64 n = ros_squash_younger(m, seq, m->scratch_rows);
     undo_squashed(m, m->scratch_rows, n);
     lsq_squash_younger(m, seq);
@@ -1444,19 +1471,11 @@ static void recover_from_misprediction(Machine *m, int row) {
     ck_mispredict(m, seq);
     m->dq_head = 0;
     m->dq_count = 0;
-    if (m->r_resume[row] >= 0) fetch_recover(m, m->r_resume[row]);
+    if (m->ros[row].resume >= 0) fetch_recover(m, m->ros[row].resume);
 }
 
 static void exception_flush(Machine *m, int exc_row) {
-    i64 n = 0;
-    for (i64 off = m->ros_count - 1; off >= 0; off--) {
-        int row = ROS_ROW(m, off);
-        m->r_squashed[row] = 1;
-        m->r_completed[row] = 0;
-        m->r_exception[row] = 0;
-        m->scratch_rows[n++] = row;
-    }
-    m->ros_count = 0;
+    i64 n = ros_squash_from(m, 0, m->scratch_rows);
     undo_squashed(m, m->scratch_rows, n);
     lsq_clear(m);
     ck_squash_clear(m);
@@ -1474,7 +1493,7 @@ static void exception_flush(Machine *m, int exc_row) {
     }
     m->dq_head = 0;
     m->dq_count = 0;
-    if (m->r_resume[exc_row] >= 0) fetch_recover(m, m->r_resume[exc_row]);
+    if (m->ros[exc_row].resume >= 0) fetch_recover(m, m->ros[exc_row].resume);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1488,28 +1507,26 @@ static void commit_stage(Machine *m) {
     i64 start = m->ros_head;
     /* retire_prefix removes the rows from the window first; the
      * per-entry processing below must not see them in lookups. */
-    m->ros_head = (m->ros_head + retire) % m->ros_cap;
+    m->ros_head = ring_at(m->ros_head, retire, m->ros_cap);
     m->ros_count -= retire;
     int last_row = -1;
     for (i64 i = 0; i < retire; i++) {
-        int row = (int)((start + i) % m->ros_cap);
-        m->r_completed[row] = 0;
-        m->r_exception[row] = 0;
-        int op = m->r_op[row];
+        int row = (int)ring_at(start, i, m->ros_cap);
+        RosRow *r = &m->ros[row];
+        r->completed = r->exception = 0;
+        int op = r->op;
         m->st[ST_BY_CLASS + op]++;
-        m->committed_watermark = m->r_seq[row];
-        int dc = m->r_dest_class[row];
-        if (dc >= 0) m->iomt[dc][m->r_dest_log[row]] = m->r_pd[row];
+        m->committed_watermark = r->seq;
+        int dc = r->dest_class;
+        if (dc >= 0) m->iomt[dc][r->dest_log] = r->pd;
         policy_on_commit(m, 0, row);
         policy_on_commit(m, 1, row);
-        for (int s = 0; s < m->r_nsrc[row]; s++) {
-            int sc = m->r_src_class[row * MAX_SRCS + s];
-            m->occ_lu[sc][m->r_src_phys[row * MAX_SRCS + s]] = m->cycle;
-        }
-        if (dc >= 0) m->occ_lu[dc][m->r_pd[row]] = m->cycle;
+        for (int s = 0; s < r->nsrc; s++)
+            m->occ_lu[r->src_class[s]][r->src_phys[s]] = m->cycle;
+        if (dc >= 0) m->occ_lu[dc][r->pd] = m->cycle;
         if (IS_MEM(op)) {
-            if (IS_STORE(op)) MEM_DWRITE(m, m->r_addr[row]);
-            lsq_remove(m, m->r_seq[row]);
+            if (IS_STORE(op)) MEM_DWRITE(m, r->addr);
+            lsq_remove(m, r->seq);
         }
         last_row = row;
         if (m->status) return;
@@ -1526,10 +1543,10 @@ static void commit_stage(Machine *m) {
 /* Stage: writeback.                                                  */
 /* ------------------------------------------------------------------ */
 static void wake_consumers(Machine *m, int prow) {
-    int node = m->r_wk_head[prow];
-    m->r_wk_head[prow] = -1;
-    m->r_wk_tail[prow] = -1;
-    i64 pseq = m->r_seq[prow];
+    int node = m->ros[prow].wk_head;
+    m->ros[prow].wk_head = -1;
+    m->ros[prow].wk_tail = -1;
+    i64 pseq = m->ros[prow].seq;
     while (node >= 0) {
         i64 cseq = m->wk_seq[node];
         int crow = m->wk_row[node];
@@ -1537,29 +1554,28 @@ static void wake_consumers(Machine *m, int prow) {
         m->wk_next[node] = m->wk_free;
         m->wk_free = node;
         if (ROW_LIVE(m, crow, cseq)) {
-            wait_discard(m, crow, pseq);
-            if (m->r_nwait[crow] == 0 && !m->r_issued[crow])
-                make_issue_ready(m, crow);
+            RosRow *cr = &m->ros[crow];
+            wait_discard(cr, pseq);
+            if (cr->nwait == 0 && !cr->issued) make_issue_ready(m, crow);
         }
         node = next;
     }
 }
 
 static void resolve_branch(Machine *m, int row) {
-    int taken = m->r_taken[row];
+    const RosRow *r = &m->ros[row];
     /* History repair compares against the predictor's own (raw) direction,
      * not the BTB-gated front-end decision — a gated-down taken prediction
      * still counts as the predictor being wrong. */
-    if (m->r_has_pred[row])
-        gs_resolve(m, m->r_pred_idx[row], m->r_pred_hist[row], taken,
-                   m->r_pred_raw[row]);
-    if (taken) btb_update(m, m->r_pc[row], m->r_target[row]);
-    if (!m->r_wrong_path[row]) m->st[ST_BR_RESOLVED]++;
-    if (m->r_fetch_mispred[row]) {
+    if (r->has_pred)
+        gs_resolve(m, r->pred_idx, r->pred_hist, r->taken, r->pred_raw);
+    if (r->taken) btb_update(m, r->pc, r->target);
+    if (!r->wrong_path) m->st[ST_BR_RESOLVED]++;
+    if (r->fetch_mispred) {
         m->st[ST_BR_MISPRED]++;
         recover_from_misprediction(m, row);
     } else {
-        i64 seq = m->r_seq[row];
+        i64 seq = r->seq;
         ck_confirm(m, seq);
         if (m->policy == 2) {
             rq_on_branch_confirmed(m, 0, seq);
@@ -1584,11 +1600,12 @@ static void writeback_stage(Machine *m) {
         /* Per-node liveness at processing time: a branch recovery midway
          * through this bucket squashes later same-bucket entries. */
         if (ROW_LIVE(m, row, seq)) {
-            m->r_completed[row] = 1;
-            int dc = m->r_dest_class[row];
-            if (dc >= 0) mark_written(m, dc, m->r_pd[row], m->cycle);
+            RosRow *r = &m->ros[row];
+            r->completed = 1;
+            if (r->dest_class >= 0)
+                mark_written(m, r->dest_class, r->pd, m->cycle);
             wake_consumers(m, row);
-            if (IS_BRANCH(m->r_op[row])) resolve_branch(m, row);
+            if (IS_BRANCH(r->op)) resolve_branch(m, row);
             if (m->status) return;
         }
         node = next;
@@ -1604,21 +1621,22 @@ static void issue_stage(Machine *m) {
     i64 issued = 0, nblocked = 0;
     while (issued < width && m->rdy_count > 0) {
         int row = ready_pop(m);
-        int op = m->r_op[row];
+        RosRow *r = &m->ros[row];
+        int op = r->op;
         i64 lat = fu_try_issue(m, op, m->cycle);
         if (lat < 0) {
             m->st[ST_STRUCTURAL]++;
             m->blocked_rows[nblocked++] = row;
             continue;
         }
-        m->r_issued[row] = 1;
+        r->issued = 1;
         issued++;
-        i64 seq = m->r_seq[row];
+        i64 seq = r->seq;
         if (IS_MEM(op)) lsq_mark_address_known(m, seq);
         i64 at;
         if (IS_LOAD(op)) {
-            i64 mem_lat = lsq_store_forwards(m, seq, m->r_addr[row])
-                              ? 1 : MEM_DREAD(m, m->r_addr[row]);
+            i64 mem_lat = lsq_store_forwards(m, seq, r->addr)
+                              ? 1 : MEM_DREAD(m, r->addr);
             at = m->cycle + lat + mem_lat;
         } else {
             at = m->cycle + lat;
@@ -1645,48 +1663,40 @@ static int dispatch_hazard(Machine *m, DQEnt *d) {
 }
 
 static void rename_one(Machine *m, DQEnt *d) {
-    int row = (int)((m->ros_head + m->ros_count) % m->ros_cap);
+    int row = ROS_ROW(m, m->ros_count);
+    RosRow *r = &m->ros[row];
     i64 seq = m->seq++;
     /* begin_rename: reset the row; the entry stays unpublished (count is
      * bumped at the end) so policy lookups cannot see it mid-rename. */
     wk_drop(m, row);
-    m->r_seq[row] = seq;
-    m->r_op[row] = d->op;
-    m->r_pc[row] = d->pc;
-    m->r_target[row] = d->target;
-    m->r_addr[row] = d->addr;
-    m->r_resume[row] = d->resume_cursor;
-    m->r_pred_idx[row] = d->pred_idx;
-    m->r_pred_hist[row] = d->pred_hist;
-    m->r_has_pred[row] = (i8)d->has_pred;
-    m->r_pred_taken[row] = (i8)d->pred_taken;
-    m->r_pred_raw[row] = (i8)d->pred_raw;
-    m->r_taken[row] = (i8)d->taken;
-    m->r_wrong_path[row] = (i8)d->wrong_path;
-    m->r_fetch_mispred[row] = (i8)d->mispredicted;
-    m->r_completed[row] = 0;
-    m->r_squashed[row] = 0;
-    m->r_exception[row] = 0;
-    m->r_issued[row] = 0;
-    m->r_allocated_new[row] = 0;
-    m->r_reused[row] = 0;
-    m->r_rel_old[row] = 0;
-    m->r_in_ready[row] = 0;
-    m->r_mask[row] = 0;
-    m->r_nwait[row] = 0;
-    m->r_nsrc[row] = d->nsrc;
-    m->r_dest_class[row] = -1;
-    m->r_dest_log[row] = -1;
-    m->r_pd[row] = -1;
-    m->r_old_pd[row] = -1;
+    r->seq = seq;
+    r->squashed = r->completed = r->exception = r->issued = 0;
+    r->in_ready = r->allocated_new = r->reused = r->rel_old = 0;
+    r->rwc_classes = 0;
+    r->wrong_path = (i8)d->wrong_path;
+    r->fetch_mispred = (i8)d->mispredicted;
+    r->pred_raw = (i8)d->pred_raw;
+    r->has_pred = (i8)d->has_pred;
+    r->taken = (i8)d->taken;
+    r->op = d->op;
+    r->dest_class = r->dest_log = r->pd = r->old_pd = -1;
+    r->mask = 0;
+    r->nsrc = d->nsrc;
+    r->nwait = 0;
+    r->pc = d->pc;
+    r->target = d->target;
+    r->addr = d->addr;
+    r->resume = d->resume_cursor;
+    r->pred_idx = d->pred_idx;
+    r->pred_hist = d->pred_hist;
 
     for (int s = 0; s < d->nsrc; s++) {
         int rc = d->src_class[s];
         int log = d->src_log[s];
         int phys = m->map[rc][log];
-        m->r_src_class[row * MAX_SRCS + s] = rc;
-        m->r_src_log[row * MAX_SRCS + s] = log;
-        m->r_src_phys[row * MAX_SRCS + s] = phys;
+        r->src_class[s] = rc;
+        r->src_log[s] = log;
+        r->src_phys[s] = phys;
         /* A store's slot 0 is the value operand: it does not take part
          * in wakeup (stores read it at commit), but the LUs table still
          * records the read. */
@@ -1694,13 +1704,12 @@ static void rename_one(Machine *m, DQEnt *d) {
             i64 pseq = m->producer_seq[rc][phys];
             if (pseq >= 0) {
                 int dup = 0;
-                for (int w = 0; w < m->r_nwait[row]; w++)
-                    if (m->r_wait[row * MAX_SRCS + w] == pseq) {
+                for (int w = 0; w < r->nwait; w++)
+                    if (r->wait[w] == pseq) {
                         dup = 1;
                         break;
                     }
-                if (!dup)
-                    m->r_wait[row * MAX_SRCS + m->r_nwait[row]++] = pseq;
+                if (!dup) r->wait[r->nwait++] = pseq;
                 wk_register(m, m->producer_row[rc][phys], seq, row);
                 if (m->status) return;
             }
@@ -1719,7 +1728,7 @@ static void rename_one(Machine *m, DQEnt *d) {
         int pd;
         if (out == OUT_REUSE) {
             pd = old_pd;
-            m->r_reused[row] = 1;
+            r->reused = 1;
             m->producer_seq[c][pd] = seq;
             m->producer_row[c][pd] = row;
         } else {
@@ -1727,13 +1736,13 @@ static void rename_one(Machine *m, DQEnt *d) {
             if (pd < 0) return;
             m->map[c][dl] = pd;
             m->map_stale[c][dl] = 0;
-            m->r_allocated_new[row] = 1;
+            r->allocated_new = 1;
         }
-        m->r_dest_class[row] = c;
-        m->r_dest_log[row] = dl;
-        m->r_pd[row] = pd;
-        m->r_old_pd[row] = old_pd;
-        m->r_rel_old[row] = (i8)(out == OUT_ALLOC_REL);
+        r->dest_class = c;
+        r->dest_log = dl;
+        r->pd = pd;
+        r->old_pd = old_pd;
+        r->rel_old = (i8)(out == OUT_ALLOC_REL);
         if (m->policy != 0) {
             m->lus_seq[c][dl] = seq;
             m->lus_slot[c][dl] = 3;       /* DST_SLOT */
@@ -1756,14 +1765,14 @@ static void rename_one(Machine *m, DQEnt *d) {
 
     m->ros_count++;                       /* push: publish the entry */
     if (exception) {
-        m->r_exception[row] = 1;
+        r->exception = 1;
         m->seen_exception = 1;
     }
     m->st[ST_RENAMED]++;
     if (d->op == OP_NOP) {
         cq_schedule(m, m->cycle + 1, seq, row);
-        m->r_issued[row] = 1;
-    } else if (m->r_nwait[row] == 0) {
+        r->issued = 1;
+    } else if (r->nwait == 0) {
         make_issue_ready(m, row);
     }
 }
@@ -1779,7 +1788,7 @@ static void rename_stage(Machine *m) {
             m->st[stall]++;
             break;
         }
-        m->dq_head = (m->dq_head + 1) % m->dq_cap;
+        m->dq_head = ring_at(m->dq_head, 1, m->dq_cap);
         m->dq_count--;
         rename_one(m, d);
         if (m->status) return;
@@ -1911,6 +1920,18 @@ static int wp_draw(Machine *m, DQEnt *d) {
 /* ------------------------------------------------------------------ */
 /* Stage: fetch.                                                      */
 /* ------------------------------------------------------------------ */
+/* Direction prediction, BTB-gated: a predicted-taken branch that misses
+ * in the BTB is fetched as not-taken.  Returns the gated direction. */
+static int fetch_predict(Machine *m, DQEnt *d) {
+    int pred;
+    gs_predict(m, d->pc, &d->pred_idx, &d->pred_hist, &pred);
+    d->pred_raw = pred;
+    if (pred && btb_lookup(m, d->pc) < 0) pred = 0;
+    d->has_pred = 1;
+    d->pred_taken = pred;
+    return pred;
+}
+
 static void fetch_stage(Machine *m) {
     if (m->dq_count >= m->decode_capacity) return;
     if (m->cycle < m->stall_until) return;
@@ -1935,71 +1956,60 @@ static void fetch_stage(Machine *m) {
     i64 fw = m->cfg[CFG_FETCH_W];
     i64 taken_seen = 0;
     for (i64 k = 0; k < fw; k++) {
-        DQEnt d;
-        memset(&d, 0, sizeof d);
-        d.pred_idx = -1;
-        d.resume_cursor = -1;
+        /* Built in its ring slot, published by the count bump below. */
+        DQEnt *d = &m->dq[ring_at(m->dq_head, m->dq_count, m->dq_cap)];
         if (m->on_wrong_path) {
             if (!m->wp_enabled) break;
-            i64 pc0 = m->wp_pc;
+            memset(d, 0, sizeof *d);
+            d->pred_idx = -1;
+            d->resume_cursor = -1;
+            d->wrong_path = 1;
+            d->pc = m->wp_pc;
             m->wp_pc += 4;
-            d.pc = pc0;
-            if (!wp_draw(m, &d)) return;
-            d.wrong_path = 1;
-            if (IS_BRANCH(d.op)) {
-                i64 idx, hist;
-                int pred;
-                gs_predict(m, pc0, &idx, &hist, &pred);
-                d.pred_raw = pred;
-                if (pred && btb_lookup(m, pc0) < 0) pred = 0;
-                d.has_pred = 1;
-                d.pred_idx = idx;
-                d.pred_hist = hist;
-                d.pred_taken = pred;
-                d.taken = pred;
-                if (!pred) d.target = pc0 + 4;
-                if (pred) m->wp_pc = d.target;
+            if (!wp_draw(m, d)) return;
+            if (IS_BRANCH(d->op)) {
+                d->taken = fetch_predict(m, d);
+                if (d->taken) m->wp_pc = d->target;
+                else d->target = d->pc + 4;
             }
         } else {
+            /* Every field rename reads is assigned: no memset. */
             if (m->cursor >= m->trace_len) break;
             i64 i = m->cursor++;
             i64 r = m->t_rows[i];
-            d.op = (int)m->t_op[r];
-            d.pc = m->t_pc[r];
-            d.dest_class = (int)m->t_dc[r];
-            d.dest = (int)m->t_dest[r];
-            d.nsrc = (int)m->t_nsrc[r];
-            for (int s = 0; s < d.nsrc; s++) {
-                d.src_class[s] = (int)m->t_src_class[r * MAX_SRCS + s];
-                d.src_log[s] = (int)m->t_src_log[r * MAX_SRCS + s];
+            d->op = (int)m->t_op[r];
+            d->pc = m->t_pc[r];
+            d->dest_class = (int)m->t_dc[r];
+            d->dest = (int)m->t_dest[r];
+            d->nsrc = (int)m->t_nsrc[r];
+            for (int s = 0; s < d->nsrc; s++) {
+                d->src_class[s] = (int)m->t_src_class[r * MAX_SRCS + s];
+                d->src_log[s] = (int)m->t_src_log[r * MAX_SRCS + s];
             }
-            d.addr = m->t_addr[i];
-            d.taken = (int)m->t_taken[r];
-            d.target = m->t_target[r];
-            d.resume_cursor = m->cursor;
-            if (IS_BRANCH(d.op)) {
-                i64 idx, hist;
-                int pred;
-                gs_predict(m, d.pc, &idx, &hist, &pred);
-                d.pred_raw = pred;
-                if (pred && btb_lookup(m, d.pc) < 0) pred = 0;
-                d.has_pred = 1;
-                d.pred_idx = idx;
-                d.pred_hist = hist;
-                d.pred_taken = pred;
-                d.mispredicted = (pred != d.taken);
-                if (d.mispredicted) {
+            d->addr = m->t_addr[i];
+            d->taken = (int)m->t_taken[r];
+            d->target = m->t_target[r];
+            d->resume_cursor = m->cursor;
+            d->wrong_path = 0;
+            if (IS_BRANCH(d->op)) {
+                int pred = fetch_predict(m, d);
+                d->mispredicted = (pred != d->taken);
+                if (d->mispredicted) {
                     m->on_wrong_path = 1;
-                    m->wp_pc = pred ? d.target : d.pc + 4;
+                    m->wp_pc = pred ? d->target : d->pc + 4;
                 }
+            } else {
+                d->has_pred = d->pred_raw = d->pred_taken = 0;
+                d->mispredicted = 0;
+                d->pred_idx = -1;
+                d->pred_hist = 0;
             }
         }
-        d.ready_cycle = m->cycle + m->cfg[CFG_FRONTEND];
-        m->dq[(m->dq_head + m->dq_count) % m->dq_cap] = d;
+        d->ready_cycle = m->cycle + m->cfg[CFG_FRONTEND];
         m->dq_count++;
         m->st[ST_FETCHED]++;
-        if (d.wrong_path) m->st[ST_FETCHED_WP]++;
-        if (IS_BRANCH(d.op) && d.pred_taken) {
+        if (d->wrong_path) m->st[ST_FETCHED_WP]++;
+        if (IS_BRANCH(d->op) && d->pred_taken) {
             taken_seen++;
             if (taken_seen >= m->cfg[CFG_MAX_TAKEN]) break;
         }
@@ -2155,6 +2165,7 @@ int sim_run(Machine *m) {
 static void cache_init(Machine *m, CacheZ *c, i64 sets, i64 assoc,
                        i64 shift, i64 lat, int hits_slot, int misses_slot) {
     c->n_sets = sets;
+    c->set_mask = set_mask_of(sets);
     c->assoc = assoc;
     c->shift = shift;
     c->lat = lat;
@@ -2244,6 +2255,7 @@ Machine *sim_new(const long long *cfg, int ncfg) {
 
     /* BTB */
     m->btb_sets = cfg[CFG_BTB_SETS];
+    m->btb_mask = set_mask_of(m->btb_sets);
     m->btb_assoc = cfg[CFG_BTB_ASSOC];
     m->btb_tag = NEW_I64(m->btb_sets * m->btb_assoc);
     m->btb_target = NEW_I64(m->btb_sets * m->btb_assoc);
@@ -2314,44 +2326,11 @@ Machine *sim_new(const long long *cfg, int ncfg) {
 
     /* ROS rows */
     i64 rc = m->ros_cap;
-    m->r_seq = NEW_I64(rc);
-    m->r_pc = NEW_I64(rc);
-    m->r_target = NEW_I64(rc);
-    m->r_addr = NEW_I64(rc);
-    m->r_resume = NEW_I64(rc);
-    m->r_pred_idx = NEW_I64(rc);
-    m->r_pred_hist = NEW_I64(rc);
-    m->r_op = NEW_INT(rc);
-    m->r_dest_class = NEW_INT(rc);
-    m->r_dest_log = NEW_INT(rc);
-    m->r_pd = NEW_INT(rc);
-    m->r_old_pd = NEW_INT(rc);
-    m->r_mask = NEW_INT(rc);
-    m->r_nsrc = NEW_INT(rc);
-    m->r_src_class = NEW_INT(rc * MAX_SRCS);
-    m->r_src_log = NEW_INT(rc * MAX_SRCS);
-    m->r_src_phys = NEW_INT(rc * MAX_SRCS);
-    m->r_completed = NEW_I8(rc);
-    m->r_squashed = NEW_I8(rc);
-    m->r_exception = NEW_I8(rc);
-    m->r_issued = NEW_I8(rc);
-    m->r_wrong_path = NEW_I8(rc);
-    m->r_fetch_mispred = NEW_I8(rc);
-    m->r_pred_taken = NEW_I8(rc);
-    m->r_pred_raw = NEW_I8(rc);
-    m->r_has_pred = NEW_I8(rc);
-    m->r_taken = NEW_I8(rc);
-    m->r_allocated_new = NEW_I8(rc);
-    m->r_reused = NEW_I8(rc);
-    m->r_rel_old = NEW_I8(rc);
-    m->r_in_ready = NEW_I8(rc);
-    m->r_nwait = NEW_INT(rc);
-    m->r_wait = NEW_I64(rc * MAX_SRCS);
-    m->r_wk_head = NEW_INT(rc);
-    m->r_wk_tail = NEW_INT(rc);
-    fill_i64(m->r_seq, rc, -1);
-    fill_int(m->r_wk_head, rc, -1);
-    fill_int(m->r_wk_tail, rc, -1);
+    m->ros = (RosRow *)zmalloc((size_t)rc * sizeof(RosRow));
+    for (i64 i = 0; i < rc; i++) {
+        m->ros[i].seq = -1;
+        m->ros[i].wk_head = m->ros[i].wk_tail = -1;
+    }
 
     /* ready heap */
     m->heap_cap = 4 * rc;
@@ -2495,18 +2474,7 @@ void sim_free(Machine *m) {
         }
         free(m->freed_reg[c]);
     }
-    free(m->r_seq); free(m->r_pc); free(m->r_target); free(m->r_addr);
-    free(m->r_resume); free(m->r_pred_idx); free(m->r_pred_hist);
-    free(m->r_op); free(m->r_dest_class); free(m->r_dest_log);
-    free(m->r_pd); free(m->r_old_pd); free(m->r_mask); free(m->r_nsrc);
-    free(m->r_src_class); free(m->r_src_log); free(m->r_src_phys);
-    free(m->r_completed); free(m->r_squashed); free(m->r_exception);
-    free(m->r_issued); free(m->r_wrong_path); free(m->r_fetch_mispred);
-    free(m->r_pred_taken); free(m->r_pred_raw); free(m->r_has_pred);
-    free(m->r_taken);
-    free(m->r_allocated_new); free(m->r_reused); free(m->r_rel_old);
-    free(m->r_in_ready); free(m->r_nwait); free(m->r_wait);
-    free(m->r_wk_head); free(m->r_wk_tail);
+    free(m->ros);
     free(m->heap_seq); free(m->heap_row);
     free(m->wk_seq); free(m->wk_row); free(m->wk_next);
     free(m->cq_bucket); free(m->cq_tail);
