@@ -144,7 +144,8 @@ enum {
 /* Sub-structures.                                                    */
 /* ------------------------------------------------------------------ */
 typedef struct {
-    i64 *tag;        /* n_sets * assoc, -1 = empty way */
+    i64 *tag;        /* n_sets * assoc; ways past nway[set] are never
+                      * read, so a cold start fills nothing */
     i64 *dirty;
     i64 *nway;       /* ways in use per set */
     i64 n_sets, set_mask, assoc, shift, lat;  /* set_mask: see set_of */
@@ -232,7 +233,7 @@ struct Machine {
     i8 *gs_table;
     i64 gs_size, gs_mask, gs_history;
 
-    /* BTB */
+    /* BTB; like a cache's, ways past btb_nway[set] are never read */
     i64 *btb_tag, *btb_target, *btb_nway;
     i64 btb_sets, btb_mask, btb_assoc;
 
@@ -2172,7 +2173,6 @@ static void cache_init(Machine *m, CacheZ *c, i64 sets, i64 assoc,
     c->tag = NEW_I64(sets * assoc);
     c->dirty = NEW_I64(sets * assoc);
     c->nway = NEW_I64(sets);
-    fill_i64(c->tag, sets * assoc, -1);
     c->hits = m->st + hits_slot;
     c->misses = m->st + misses_slot;
 }
@@ -2260,7 +2260,6 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     m->btb_tag = NEW_I64(m->btb_sets * m->btb_assoc);
     m->btb_target = NEW_I64(m->btb_sets * m->btb_assoc);
     m->btb_nway = NEW_I64(m->btb_sets);
-    fill_i64(m->btb_tag, m->btb_sets * m->btb_assoc, -1);
 
     /* caches */
     cache_init(m, &m->l1i, cfg[CFG_L1I_SETS], cfg[CFG_L1I_ASSOC],
