@@ -351,9 +351,9 @@ class SweepCache:
         tmp_name = None
         try:
             path = self._path(key)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=os.path.dirname(path),
-                                            suffix=".tmp")
+            directory = os.path.dirname(path)
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
             os.replace(tmp_name, path)

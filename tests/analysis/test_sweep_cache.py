@@ -226,10 +226,6 @@ def _payload(config, stored_stats, **fields):
     return pickle.dumps(payload)
 
 
-def _other_stats(stats):
-    return dataclasses.replace(stats, cycles=stats.cycles + 1)
-
-
 def _damaged_key(config, stats, blob):
     # One byte of the recorded key string no longer decodes as UTF-8, as
     # after a bit flip on disk or in a copy.
@@ -273,7 +269,8 @@ UNSERVABLE_FORMS = dict(
            config, stats, key="0" * 64),
        # The stats bytes changed after their digest was recorded.
        "stats-not-matching-digest": lambda config, stats, blob: _payload(
-           config, stats, stats=pickle.dumps(_other_stats(stats))),
+           config, stats, stats=pickle.dumps(
+               dataclasses.replace(stats, cycles=stats.cycles + 1))),
        "no-stats-digest": lambda config, stats, blob: _payload(
            config, stats, stats_sha256=None),
        # The schema-6 form: the stats object itself, no digest.
