@@ -9,13 +9,17 @@ asserts the service's core contract:
   duplicates can never observe different payloads;
 * the server performed **exactly one** computation — the duplicates
   were deduplicated in flight (single-flight), not each simulated;
-* a follow-up request is served from the cache, still byte-identical;
+* a follow-up request is served from the cache, still byte-identical,
+  and ``/metrics`` shows one computation and at least one cache hit;
+* a second server started on the same store answers its first request
+  from the store (``cache``) with the same bytes the first server
+  answered from memory;
 * with ``--expect-backend``, ``/healthz`` names that engine before the
   first request (the server probed it at start-up), and the computing
   response names it in ``X-Repro-Backend`` (``compiled`` proves the C
   core really ran, not its silent Python fallback).
 
-The server's stdout/stderr goes to ``--log`` and the final ``/metrics``
+Both servers' stdout/stderr goes to ``--log`` and the final ``/metrics``
 snapshot to ``--metrics-out`` — CI uploads both as artifacts, so a red
 run ships its own diagnostics.  Exits non-zero on any violation.
 """
@@ -26,6 +30,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,8 +46,10 @@ REQUEST = {"benchmark": "gcc", "policy": "extended", "num_registers": 48,
            "trace_length": 2_000, "seed": 20_260_808}
 
 
-def wait_for_listen_line(log_path: Path, process, timeout: float = 60.0) -> str:
-    """Poll the server log for the listening banner; return the URL."""
+def wait_for_listen_line(log_path: Path, process, timeout: float = 60.0,
+                         offset: int = 0) -> str:
+    """Poll the server log, from character ``offset`` on, for the
+    listening banner; return the URL."""
     deadline = time.monotonic() + timeout
     pattern = re.compile(r"listening on (http://[0-9.]+:\d+)")
     while time.monotonic() < deadline:
@@ -51,12 +58,29 @@ def wait_for_listen_line(log_path: Path, process, timeout: float = 60.0) -> str:
                 f"server exited early with code {process.returncode}; "
                 f"see {log_path}")
         if log_path.exists():
-            match = pattern.search(log_path.read_text())
+            match = pattern.search(log_path.read_text()[offset:])
             if match:
                 return match.group(1)
         time.sleep(0.1)
     raise RuntimeError(f"server did not start within {timeout:g}s; "
                        f"see {log_path}")
+
+
+def start_server(store: str, log_handle, env: dict) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0",
+         "--cache-dir", store],
+        stdout=log_handle, stderr=subprocess.STDOUT,
+        cwd=REPO_ROOT, env=env)
+
+
+def stop_server(process: subprocess.Popen) -> None:
+    process.terminate()
+    try:
+        process.wait(timeout=15)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
 
 
 def main(argv=None) -> int:
@@ -86,11 +110,7 @@ def main(argv=None) -> int:
 
     failures = []
     with open(log_path, "w") as log_handle:
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.serve", "--port", "0",
-             "--cache-dir", store],
-            stdout=log_handle, stderr=subprocess.STDOUT,
-            cwd=REPO_ROOT, env=env)
+        process = start_server(store, log_handle, env)
         try:
             url = wait_for_listen_line(log_path, process)
             print(f"server up at {url} (store {store})")
@@ -163,15 +183,37 @@ def main(argv=None) -> int:
             with open(args.metrics_out, "w") as handle:
                 json.dump(final_metrics, handle, indent=2)
             print(f"metrics snapshot written to {args.metrics_out}")
+            counters = final_metrics["counters"]
+            if counters.get("sweep_computations", 0) != 1 \
+                    or counters.get("sweep_cache_hits", 0) < 1:
+                failures.append(
+                    f"after the follow-up, expected 1 computation and at "
+                    f"least 1 cache hit, got "
+                    f"{counters.get('sweep_computations', 0)} and "
+                    f"{counters.get('sweep_cache_hits', 0)}")
+
+            # ---- a new server answers from the store, same bytes ------
+            stop_server(process)
+            log_handle.flush()
+            offset = len(log_path.read_text())
+            process = start_server(store, log_handle, env)
+            url = wait_for_listen_line(log_path, process, offset=offset)
+            print(f"second server up at {url} (same store)")
+            reread = ServeClient(url, timeout=300.0).sweep_point_raw(
+                dict(REQUEST))
+            print(f"second server served_from: {reread.served_from}")
+            if reread.served_from != "cache":
+                failures.append(f"second server served its first request "
+                                f"from {reread.served_from!r}, expected "
+                                f"'cache'")
+            if reread.body != repeat.body:
+                failures.append("the store's answer differs from the first "
+                                "server's in-memory answer")
         except Exception as exc:
             failures.append(f"{type(exc).__name__}: {exc}")
         finally:
-            process.terminate()
-            try:
-                process.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
+            stop_server(process)
+            shutil.rmtree(store, ignore_errors=True)
 
     if failures:
         print("SERVE SMOKE FAILED:")
@@ -179,7 +221,7 @@ def main(argv=None) -> int:
             print(f"  - {failure}")
         return 1
     print("serve smoke ok: single-flight dedup held, responses "
-          "byte-identical")
+          "byte-identical from memory and from the store")
     return 0
 
 

@@ -11,6 +11,13 @@ the first requester computes, and every concurrent duplicate awaits the
 same future and receives the *same response bytes* — N identical misses
 cost exactly one simulation.
 
+The single-flight table also keeps the last :data:`ANSWERS_KEPT`
+finished 200 answers as their body bytes, least recently used dropped
+first.  A repeat of a kept point gets the headers and bytes of a store
+hit without a store read.  It is answered on the event loop when the
+compute executor is idle, and otherwise behind the work already queued
+there, so answers keep arrival order.
+
 Contract with clients:
 
 * responses to concurrently deduped requests are byte-identical (the
@@ -18,11 +25,13 @@ Contract with clients:
   never the body, so joined responses cannot differ; so do the engine
   that computed a miss, ``X-Repro-Backend``, and why it fell back to the
   Python engine, ``X-Repro-Compiled-Fallback``);
+* a repeat is byte-identical to the first answer, whether the table or
+  the store serves it (``X-Repro-Served-From: cache`` either way);
 * storage trouble — a full or read-only disk — degrades to an uncached
   answer (counted in the store's ``store_errors``), never raised to the
   client;
 * any computation failure is a structured ``{"error": ...}`` JSON with
-  a 4xx/5xx status, never a dropped connection.
+  a 4xx/5xx status, never a dropped connection, and is never kept.
 """
 
 from __future__ import annotations
@@ -31,15 +40,42 @@ import asyncio
 import dataclasses
 import gc
 import json
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.analysis.cache import SweepCache, point_key
 from repro.analysis.sweep import (SweepConfig, SweepPoint,
                                   _attach_scenario_profiles, run_points)
 from repro.pipeline.config import ProcessorConfig
 
-__all__ = ["SweepService", "RequestError"]
+__all__ = ["ANSWERS_KEPT", "SIZE_CEILINGS", "SweepService", "RequestError"]
+
+#: Finished 200 answers the single-flight table keeps (least recently
+#: used dropped first).  A body is ~1.4 KB at the default register
+#: count, so the table holds a few MB at most.
+ANSWERS_KEPT = 1024
+
+#: Largest value a request may give each size: ``num_registers`` and the
+#: scalar ``config`` overrides that size a structure.  The engines
+#: allocate per register, ROS row and BTB entry before the first cycle,
+#: so an unbounded size is an unbounded allocation.  The ceilings sit
+#: well above every size the experiments, examples, tests and fuzz
+#: sampler use (at most 160 registers, a 128-entry ROS, 300 pending
+#: branches, width 8, 2048 BTB entries).
+SIZE_CEILINGS = {
+    **dict.fromkeys(("num_registers", "num_physical_int", "num_physical_fp",
+                     "num_logical_int", "num_logical_fp", "ros_size",
+                     "lsq_size", "max_pending_branches"), 1024),
+    **dict.fromkeys(("fetch_width", "rename_width", "issue_width",
+                     "commit_width", "max_taken_branches_per_cycle",
+                     "frontend_stages"), 64),
+    "btb_entries": 65536,
+}
+
+#: What the joiners of a flight receive when its leader is cancelled.
+_INTERRUPTED = (500, {"X-Repro-Served-From": "error"},
+                b'{"error":"the computation was interrupted"}')
 
 #: Policies a request may name (the paper's release-policy axis).
 _KNOWN_POLICIES = ("conv", "basic", "extended")
@@ -103,6 +139,7 @@ def parse_sweep_request(payload: dict) -> Tuple[SweepConfig, SweepPoint]:
     if not isinstance(num_registers, int) or isinstance(num_registers, bool) \
             or num_registers <= 0:
         raise RequestError("'num_registers' must be a positive integer")
+    _check_ceiling("num_registers", num_registers)
 
     trace_length = payload.get("trace_length", 20_000)
     if not isinstance(trace_length, int) or isinstance(trace_length, bool) \
@@ -135,6 +172,7 @@ def parse_sweep_request(payload: dict) -> Tuple[SweepConfig, SweepPoint]:
         if not isinstance(value, _SCALAR_TYPES):
             raise RequestError(f"config field {name!r} must be a scalar "
                                f"(bool/int/float/str)")
+        _check_ceiling(name, value)
     if overrides:
         try:
             base_config = dataclasses.replace(base_config, **overrides)
@@ -146,6 +184,13 @@ def parse_sweep_request(payload: dict) -> Tuple[SweepConfig, SweepPoint]:
         register_sizes=(num_registers,), trace_length=trace_length,
         seed=seed, base_config=base_config)
     return sweep_config, SweepPoint(benchmark, policy, num_registers)
+
+
+def _check_ceiling(name: str, value) -> None:
+    ceiling = SIZE_CEILINGS.get(name)
+    if ceiling is not None and isinstance(value, (int, float)) \
+            and value > ceiling:
+        raise RequestError(f"{name!r} must be at most {ceiling}")
 
 
 class SweepService:
@@ -166,9 +211,16 @@ class SweepService:
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, compute_threads),
             thread_name_prefix="repro-serve-compute")
-        #: single-flight table: point key -> future resolving to the
-        #: finished response entry (status, headers, body bytes).
-        self._inflight: Dict[str, "asyncio.Future"] = {}
+        #: single-flight table, touched only on the event loop: point key
+        #: -> the pending flight's future (resolving to status, headers,
+        #: body bytes) or, once answered with a 200, the body bytes.
+        #: Ordered from least to most recently used.
+        self._inflight: "OrderedDict[str, Union[asyncio.Future, bytes]]" = \
+            OrderedDict()
+        #: pending flights in the table (the rest are answers)
+        self._flights = 0
+        #: executor jobs submitted whose result is not back on the loop
+        self._queued = 0
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)
@@ -198,8 +250,18 @@ class SweepService:
             self.metrics.increment("sweep_bad_requests")
             return 400, {}, _json_bytes(
                 {"error": f"invalid configuration: {exc}"})
-        loop = asyncio.get_running_loop()
         existing = self._inflight.get(key)
+        if isinstance(existing, bytes):
+            # An answered point: a store hit's headers and bytes.  Inline
+            # when the executor is idle; otherwise behind the work queued
+            # there, as a store read would be, so answers keep arrival
+            # order.
+            self._inflight.move_to_end(key)
+            self.metrics.increment("sweep_cache_hits")
+            if self._queued:
+                await self._on_executor(lambda: None)
+            return 200, {"X-Repro-Key": key,
+                         "X-Repro-Served-From": "cache"}, existing
         if existing is not None:
             # Joined flight: same bytes as the leader's response, with
             # only the served-from header differing.
@@ -209,25 +271,51 @@ class SweepService:
             headers["X-Repro-Served-From"] = "joined"
             return status, headers, body
 
-        future: "asyncio.Future" = loop.create_future()
+        future: "asyncio.Future" = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
+        self._flights += 1
         self.metrics.increment("sweep_leaders")
+        answer = _INTERRUPTED
         try:
-            status, headers, body = await loop.run_in_executor(
-                self._executor, self._lookup_or_compute,
-                sweep_config, point, key)
-            future.set_result((status, headers, body))
-        except BaseException as exc:
+            answer = await self._on_executor(
+                self._lookup_or_compute, sweep_config, point, key)
+        except Exception as exc:
             # Never propagate a raw exception — to this client or any
-            # joined one.  (A cancelled leader cancels its joiners too.)
+            # joined one.
             self.metrics.increment("sweep_errors")
-            status, headers, body = 500, {"X-Repro-Served-From": "error"}, \
+            answer = 500, {"X-Repro-Served-From": "error"}, \
                 _json_bytes({"error": f"{type(exc).__name__}: {exc}"})
-            if not future.done():
-                future.set_result((status, headers, body))
         finally:
-            self._inflight.pop(key, None)
+            # Settled even when the leader is cancelled, so no joiner
+            # waits forever and only a 200 is kept.
+            self._flights -= 1
+            if answer[0] == 200:
+                self._keep(key, answer[2])
+            else:
+                del self._inflight[key]
+            future.set_result(answer)
+        status, headers, body = answer
         return status, dict(headers), body
+
+    async def _on_executor(self, function, *args):
+        """``function(*args)`` on the compute executor, counted in
+        ``_queued`` until its result is back on the loop."""
+        self._queued += 1
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, function, *args)
+        finally:
+            self._queued -= 1
+
+    def _keep(self, key: str, body: bytes) -> None:
+        """Record ``key``'s 200 answer, dropping the least recently used
+        answers beyond :data:`ANSWERS_KEPT`."""
+        table = self._inflight
+        table[key] = body
+        table.move_to_end(key)
+        while len(table) - self._flights > ANSWERS_KEPT:
+            del table[next(old for old, entry in table.items()
+                           if isinstance(entry, bytes))]
 
     def _lookup_or_compute(self, sweep_config: SweepConfig,
                            point: SweepPoint, key: str) -> Tuple[int, dict, bytes]:
@@ -270,7 +358,7 @@ class SweepService:
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> dict:
         snapshot = self.metrics.snapshot()
-        snapshot["in_flight"] = len(self._inflight)
+        snapshot["in_flight"] = self._flights
         return snapshot
 
 

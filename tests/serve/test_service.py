@@ -13,8 +13,13 @@ import json
 
 import pytest
 
+import numpy as np
+
 from repro.analysis.cache import SweepCache, point_key
+from repro.pipeline.config import ProcessorConfig
+from repro.serve import service as service_mod
 from repro.serve.service import (
+    SIZE_CEILINGS,
     RequestError,
     SweepService,
     parse_sweep_request,
@@ -130,6 +135,38 @@ class TestParseSweepRequest:
         with pytest.raises(RequestError, match="scalar"):
             parse_sweep_request({"benchmark": "gcc",
                                  "config": {"ros_size": [128]}})
+
+    @pytest.mark.parametrize("field", sorted(SIZE_CEILINGS))
+    def test_size_above_its_ceiling_rejected(self, field):
+        # Only ceiling + 1 is ever built, and no request here runs.
+        ceiling = SIZE_CEILINGS[field]
+        payload = ({"benchmark": "gcc", field: ceiling + 1}
+                   if field == "num_registers" else
+                   {"benchmark": "gcc", "config": {field: ceiling + 1}})
+        with pytest.raises(RequestError,
+                           match=f"'{field}' must be at most {ceiling}"):
+            parse_sweep_request(payload)
+
+    def test_sizes_at_their_ceilings_parse(self):
+        config, point = parse_sweep_request({
+            "benchmark": "gcc", "num_registers": SIZE_CEILINGS["num_registers"],
+            "config": {"ros_size": SIZE_CEILINGS["ros_size"],
+                       "fetch_width": SIZE_CEILINGS["fetch_width"],
+                       "btb_entries": SIZE_CEILINGS["btb_entries"]}})
+        assert point.num_registers == SIZE_CEILINGS["num_registers"]
+        assert config.base_config.ros_size == SIZE_CEILINGS["ros_size"]
+
+    def test_ceilings_admit_the_sizes_in_use(self):
+        from repro.experiments import figure11
+        from repro.fuzz.sampling import sample_config
+
+        assert max(figure11.PAPER_SIZES) <= SIZE_CEILINGS["num_registers"]
+        configs = [ProcessorConfig()] + [
+            sample_config(np.random.default_rng(index)) for index in range(50)]
+        for config in configs:
+            for field, ceiling in SIZE_CEILINGS.items():
+                if field != "num_registers":
+                    assert getattr(config, field) <= ceiling, field
 
 
 class TestSweepPointSingleFlight:
@@ -336,8 +373,172 @@ class TestSweepPointSingleFlight:
     def test_failed_flight_is_not_cached(self, service):
         request = dict(TINY, num_registers=32)
         run(service.sweep_point(request))
+        assert not service._inflight
         run(service.sweep_point(request))
         assert service.metrics.count("sweep_errors") == 2   # recomputed
+        for bad in (dict(TINY, num_registers=8),
+                    dict(TINY, config={"btb_entries": 2})):
+            status, _, _ = run(service.sweep_point(bad))
+            assert status == 400
+        assert not service._inflight
+
+    def test_cancelled_leader_settles_its_joiners(self, service,
+                                                  monkeypatch):
+        import threading
+
+        release = threading.Event()
+        real = service._lookup_or_compute
+        monkeypatch.setattr(service, "_lookup_or_compute",
+                            lambda *args: release.wait(60) and real(*args))
+
+        async def drive():
+            leader = asyncio.ensure_future(service.sweep_point(dict(TINY)))
+            await asyncio.sleep(0.01)
+            joiner = asyncio.ensure_future(service.sweep_point(dict(TINY)))
+            await asyncio.sleep(0.01)
+            leader.cancel()
+            try:
+                joined = await asyncio.wait_for(joiner, timeout=10)
+            finally:
+                release.set()
+            with pytest.raises(asyncio.CancelledError):
+                await leader
+            return joined
+
+        status, headers, body = run(drive())
+        assert status == 500
+        assert headers["X-Repro-Served-From"] == "joined"
+        assert "interrupted" in json.loads(body)["error"]
+        assert not service._inflight
+        assert service.metrics_snapshot()["in_flight"] == 0
+
+    def test_oversized_request_is_structured_400(self, service):
+        ceiling = SIZE_CEILINGS["num_registers"]
+        status, _, body = run(service.sweep_point(
+            dict(TINY, num_registers=ceiling + 1)))
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert "num_registers" in error and str(ceiling) in error
+        assert service.metrics.count("sweep_bad_requests") == 1
+        assert service.metrics.count("sweep_computations") == 0
+        assert not service._inflight
+
+
+class TestAnsweredTable:
+    """Repeats are answered from the single-flight table's kept bytes."""
+
+    def test_inline_repeat_skips_the_store_and_the_executor(
+            self, service, monkeypatch):
+        first = run(service.sweep_point(dict(TINY)))
+        calls = []
+        monkeypatch.setattr(service.cache, "get",
+                            lambda *args: calls.append("get"))
+        monkeypatch.setattr(service._executor, "submit",
+                            lambda *args: calls.append("submit"))
+        status, headers, body = run(service.sweep_point(dict(TINY)))
+        assert calls == []
+        assert status == 200
+        assert headers["X-Repro-Served-From"] == "cache"
+        assert body == first[2]
+
+    def test_inline_answer_equals_a_store_hit(self, service, tmp_path):
+        run(service.sweep_point(dict(TINY)))
+        kept = run(service.sweep_point(dict(TINY)))
+        fresh = SweepService(cache=SweepCache(tmp_path))
+        try:
+            stored = run(fresh.sweep_point(dict(TINY)))
+        finally:
+            fresh.close()
+        assert fresh.metrics.count("sweep_computations") == 0
+        assert stored[1] == {"X-Repro-Key": stored[1]["X-Repro-Key"],
+                             "X-Repro-Served-From": "cache"}
+        assert kept == stored
+
+    def test_repeat_behind_a_queued_computation_keeps_arrival_order(
+            self, service, monkeypatch):
+        import threading
+
+        run(service.sweep_point(dict(TINY)))
+        release = threading.Event()
+        real = service._lookup_or_compute
+
+        def held(*args):
+            assert release.wait(timeout=60)
+            return real(*args)
+
+        monkeypatch.setattr(service, "_lookup_or_compute", held)
+        gets = []
+        real_get = service.cache.get
+        monkeypatch.setattr(service.cache, "get",
+                            lambda *args: gets.append(args) or real_get(*args))
+        finished = []
+
+        async def request(label, payload):
+            response = await service.sweep_point(payload)
+            finished.append(label)
+            return response
+
+        async def drive():
+            miss = asyncio.ensure_future(
+                request("miss", dict(TINY, seed=2)))
+            await asyncio.sleep(0)
+            repeat = asyncio.ensure_future(request("repeat", dict(TINY)))
+            try:
+                await asyncio.sleep(0.05)
+                assert finished == []      # the repeat waits its turn
+            finally:
+                release.set()
+            return await miss, await repeat
+
+        miss, repeat = run(drive())
+        assert finished == ["miss", "repeat"]
+        assert miss[1]["X-Repro-Served-From"] == "computed"
+        assert repeat[1]["X-Repro-Served-From"] == "cache"
+        assert len(gets) == 1              # the miss's lookup only
+
+    def test_table_keeps_the_most_recently_used_answers(self, service,
+                                                        monkeypatch):
+        monkeypatch.setattr(service_mod, "ANSWERS_KEPT", 2)
+        a, b, c = (dict(TINY, seed=seed) for seed in (1, 2, 3))
+        keys = {}
+        for label, request in (("a", a), ("b", b)):
+            keys[label] = run(service.sweep_point(request))[1]["X-Repro-Key"]
+        run(service.sweep_point(a))                 # a is now the newest
+        keys["c"] = run(service.sweep_point(c))[1]["X-Repro-Key"]
+        assert list(service._inflight) == [keys["a"], keys["c"]]
+        gets = []
+        real_get = service.cache.get
+        monkeypatch.setattr(service.cache, "get",
+                            lambda *args: gets.append(args) or real_get(*args))
+        _, headers, _ = run(service.sweep_point(b))  # dropped: a store hit
+        assert headers["X-Repro-Served-From"] == "cache"
+        assert len(gets) == 1
+        assert list(service._inflight) == [keys["c"], keys["b"]]
+
+    def test_in_flight_counts_pending_flights_only(self, service,
+                                                   monkeypatch):
+        import threading
+
+        run(service.sweep_point(dict(TINY)))
+        assert len(service._inflight) == 1
+        assert service.metrics_snapshot()["in_flight"] == 0
+        release = threading.Event()
+        real = service._lookup_or_compute
+        monkeypatch.setattr(service, "_lookup_or_compute",
+                            lambda *args: release.wait(60) and real(*args))
+
+        async def drive():
+            miss = asyncio.ensure_future(
+                service.sweep_point(dict(TINY, seed=2)))
+            await asyncio.sleep(0.01)
+            during = service.metrics_snapshot()["in_flight"]
+            release.set()
+            await miss
+            return during
+
+        assert run(drive()) == 1
+        assert service.metrics_snapshot()["in_flight"] == 0
+        assert len(service._inflight) == 2
 
 
 class TestHitPath:
