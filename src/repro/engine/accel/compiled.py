@@ -43,8 +43,8 @@ The wrong-path buffer holds raw 64-bit PCG64 words, not instructions:
 the C core runs :class:`~repro.trace.wrongpath.WrongPathGenerator`'s
 category cascade itself at each wrong-path fetch, turning words into
 doubles and bounded integers by the draw contract of
-:mod:`repro.trace.draws`, and keeps the generator's buffered 32-bit half
-and register-window cursors.  Python only copies
+:mod:`repro.trace.draws`, and continues from the generator's pending
+32-bit half and register-window cursors.  Python only copies
 ``bit_generator.random_raw`` blocks in.
 
 ``run_compiled`` returns ``None`` whenever the run must be redone by the
@@ -74,7 +74,6 @@ from repro.engine import state as machine_state
 from repro.isa import FUKind, OpClass
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import RegisterFileStats, SimStats
-from repro.trace.draws import replay_supported
 from repro.trace.records import (ROW_COLUMN_NAMES, WARMUP_ROW_COLUMN_NAMES,
                                  Trace, TraceColumns, column_width)
 
@@ -110,8 +109,8 @@ def unsupported_reason(cfg: ProcessorConfig) -> Optional[str]:
     The C core sizes its Release Queue from the config but caps the
     depth at ``RQ_LEVELS_MAX``, and models exactly the paper's six-pool /
     eleven-class functional units; configurations outside that envelope
-    quietly use the Python engine.  A run also checks that its wrong-path
-    generator is replayable from raw words (see :func:`_wrongpath_reason`).
+    quietly use the Python engine.  A run also checks that the C cascade
+    can continue its wrong-path generator (see :func:`_wrongpath_reason`).
     """
     if (_POLICY_CODES.get(cfg.release_policy) == 2
             and cfg.max_pending_branches > RQ_LEVELS_MAX):
@@ -132,12 +131,9 @@ def _is_window(regs) -> bool:
 
 
 def _wrongpath_reason(generator) -> Optional[str]:
-    """Why the C cascade cannot replay ``generator`` (None = it can)."""
+    """Why the C cascade cannot continue ``generator`` (None = it can)."""
     if generator is None:
         return "wrong path enabled but no generator present"
-    if not replay_supported() or not isinstance(
-            generator._rng.bit_generator, np.random.PCG64):
-        return "wrong-path bit generator is not a replayable PCG64"
     if not (_is_window(generator._int_regs)
             and _is_window(generator._fp_regs)):
         return "wrong-path register windows are not contiguous"
@@ -278,17 +274,16 @@ def _export_cache(ffi, lib, mach, cache, which_tag: int) -> None:
 
 
 def _export_wrongpath(lib, mach, generator) -> None:
-    """Hand the C cascade the generator's mix, windows and buffered half."""
+    """Hand the C cascade the generator's mix, windows and pending half."""
     mix = generator.mix
     for which, value in ((F.WP_BRANCH, mix.branch), (F.WP_LOAD, mix.load),
                          (F.WP_STORE, mix.store), (F.WP_FP, mix.fp),
                          (F.WP_FP_SHARE, mix.fp_load_share)):
         lib.sim_setf(mach, which, value)
-    rng_state = generator._rng.bit_generator.state
+    pending = generator.draws.pending
     int_regs, fp_regs = generator._int_regs, generator._fp_regs
     for which, value in (
-            (SC.WP_HALF, rng_state["uinteger"]
-             if rng_state["has_uint32"] else -1),
+            (SC.WP_HALF, -1 if pending is None else pending),
             (SC.WP_DATA_BASE, generator._data_base),
             (SC.WP_INT_BASE, int_regs[0]), (SC.WP_INT_N, len(int_regs)),
             (SC.WP_INT_CURSOR, generator._int_cursor),
@@ -484,7 +479,7 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
                    else copy.deepcopy(start.exception_rng))
     if wrongpath is not None:
         _export_wrongpath(lib, mach, wrongpath)
-        wp_bits = wrongpath._rng.bit_generator
+        wp_bits = wrongpath.draws.bit_generator
         if not cold:
             wp_bits = copy.deepcopy(wp_bits)
         wp_raw = _i64_view(ffi, lib, mach, A.W_RAW, WP_RAW_BUFFER)

@@ -4,8 +4,9 @@ Property-based cross-checking of the simulator against itself: random
 scenario profiles and tight machine configurations, each run through a
 pluggable oracle set —
 
-* **generation** — vectorised vs scalar trace generation (instruction
-  streams and bit-generator state must match exactly);
+* **generation** — chunk-size invariance: one iteration per chunk vs
+  the default chunking (instruction streams and bit-generator state
+  must match exactly);
 * **backend** — compiled C core vs Python engine ``SimStats`` equality
   (honouring every documented skip/fallback path);
 * **conservation** — engine-internal invariants checked by a per-cycle

@@ -4,21 +4,20 @@ Each oracle takes one :class:`~repro.fuzz.sampling.FuzzSample` plus a
 shared per-sample :class:`SampleContext` and returns an
 :class:`OracleOutcome` — ``pass``, ``fail`` (with a detail string) or
 ``skip`` (with the reason).  Skips are first-class: a missing C
-toolchain, a config outside the compiled envelope or a scalar-replay
-probe trip must surface as a *counted skip* in the fuzz report, never as
-a silent pass.
+toolchain or a config outside the compiled envelope must surface as a
+*counted skip* in the fuzz report, never as a silent pass.
 
 Oracles:
 
 ``generation``
-    Vectorised vs scalar trace generation must produce identical
-    instructions — all ten ``TRACE_COLUMN_NAMES``, each row-table column
-    expanded per instruction, so two traces whose row tables list the
-    same records in a different order still agree (the compiled core
-    receives the table, the row ids and the addresses, and reads them
-    the same way) — **and** leave the shared ``numpy`` bit generator in
-    the identical state (so any scalar/vector hand-off consumed exactly
-    the same draws).
+    Chunk-size invariance: generating the trace one iteration per chunk
+    (``chunk_iterations=1``) and with the default chunking must produce
+    identical instructions — all ten ``TRACE_COLUMN_NAMES``, each
+    row-table column expanded per instruction, so two traces whose row
+    tables list the same records in a different order still agree (the
+    compiled core receives the table, the row ids and the addresses,
+    and reads them the same way) — **and** leave the bit generator in
+    the identical state (so both consumed exactly the same draws).
 ``backend``
     The compiled C core vs the Python engine must produce
     field-identical ``SimStats`` — honouring ``unsupported_reason()``
@@ -41,7 +40,6 @@ from repro.engine.engine import SimulationEngine
 from repro.fuzz.invariants import InvariantProbe, InvariantViolation
 from repro.fuzz.sampling import FuzzSample
 from repro.pipeline.stats import SimStats
-from repro.trace.draws import replay_supported
 from repro.trace.records import Trace
 from repro.trace.workloads import (generate_scenario_trace, get_workload,
                                    install_ephemeral_profiles, trace_rng,
@@ -146,39 +144,36 @@ def _stats_diff(left: SimStats, right: SimStats,
 # Oracles
 # ----------------------------------------------------------------------
 def check_generation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
-    """Vectorised vs scalar generation: identical columns + RNG state."""
-    if not replay_supported():
-        return _skipped("vectorised replay unsupported on this numpy build "
-                        "(scalar-fallback probe tripped)")
-
+    """One iteration per chunk vs the default chunking: identical
+    columns and bit-generator state."""
+    traces, rngs = {}, {}
     try:
-        rng_vec = trace_rng(sample.scenario, sample.trace_seed)
-        trace_vec = generate_scenario_trace(
-            sample.scenario, sample.trace_length, sample.trace_seed,
-            vectorized=True, rng=rng_vec)
-        rng_scalar = trace_rng(sample.scenario, sample.trace_seed)
-        trace_scalar = generate_scenario_trace(
-            sample.scenario, sample.trace_length, sample.trace_seed,
-            vectorized=False, rng=rng_scalar)
+        for label, chunk in (("chunked", None), ("per-iteration", 1)):
+            rngs[label] = trace_rng(sample.scenario, sample.trace_seed)
+            traces[label] = generate_scenario_trace(
+                sample.scenario, sample.trace_length, sample.trace_seed,
+                chunk_iterations=chunk, rng=rngs[label])
     except Exception as exc:  # a generation crash is a finding, not noise
         return _failed(f"trace generation raised {type(exc).__name__}: {exc}")
-    if len(trace_vec) != len(trace_scalar):
-        return _failed(
-            f"vectorised trace has {len(trace_vec)} instructions, scalar "
-            f"oracle {len(trace_scalar)}")
-    difference = trace_vec.columns.first_difference(trace_scalar.columns)
+    chunked, single = traces["chunked"], traces["per-iteration"]
+    difference = chunked.columns.first_difference(single.columns)
     if difference is not None:
         name, index = difference
+        if name == "length":
+            return _failed(
+                f"chunked trace has {len(chunked)} instructions, "
+                f"per-iteration {len(single)}")
         return _failed(
             f"column {name!r} diverges at instruction {index}: "
-            f"vectorised {trace_vec.instructions[index]!r} vs "
-            f"scalar {trace_scalar.instructions[index]!r}")
-    if rng_vec.bit_generator.state != rng_scalar.bit_generator.state:
+            f"chunked {chunked.instructions[index]!r} vs "
+            f"per-iteration {single.instructions[index]!r}")
+    chunked_state = rngs["chunked"].bit_generator.state
+    single_state = rngs["per-iteration"].bit_generator.state
+    if chunked_state != single_state:
         return _failed(
-            "bit-generator state diverges after generation (a hand-off "
-            "consumed a different number of draws): "
-            f"vectorised={rng_vec.bit_generator.state!r} "
-            f"scalar={rng_scalar.bit_generator.state!r}")
+            "bit-generator state diverges after generation (the two "
+            "chunkings consumed different draws): "
+            f"chunked={chunked_state!r} per-iteration={single_state!r}")
     return _passed()
 
 

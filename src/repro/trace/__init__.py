@@ -27,7 +27,6 @@ Public entry points
 
 from repro.trace.records import Trace, TraceSummary
 from repro.trace.synthetic import (
-    AddressStream,
     BranchSite,
     RegisterRotation,
     StridedStream,
@@ -68,7 +67,6 @@ from repro.trace.wrongpath import WrongPathGenerator
 __all__ = [
     "Trace",
     "TraceSummary",
-    "AddressStream",
     "BranchSite",
     "RegisterRotation",
     "StridedStream",

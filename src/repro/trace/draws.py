@@ -1,62 +1,56 @@
-"""Stream-preserving bulk replay of ``np.random.Generator`` draws.
+"""Random draws as functions of raw PCG64 words.
 
-The scalar trace generators consume their ``Generator`` one draw at a
-time — ``rng.random()`` per branch-noise flip and store lottery,
-``rng.integers(0, span)`` per random memory address — which makes the
-generator front-end a visible fraction of every sweep point.  This module
-removes the per-draw overhead *without changing a single produced value*:
-it pulls raw 64-bit outputs from the underlying bit generator in one bulk
-call and reconstructs, with vectorised numpy arithmetic, exactly the
-values the equivalent sequence of scalar ``Generator`` calls would have
-returned, leaving the bit generator in exactly the state those scalar
-calls would have left it.
+Every random value a trace kernel draws per iteration, and every value
+of the wrong-path stream, is defined here as a function of raw 64-bit
+outputs of a PCG64 bit generator (``bit_generator.random_raw``), not
+through the ``numpy.random.Generator`` methods, whose streams NEP 19
+lets numpy change between releases; the raw stream, ``advance`` and
+the ``has_uint32`` / ``uinteger`` state fields are the bit generator's
+own, stable layer.  The C core (``engine/accel/core.c``) applies the
+same two transforms to the same words for the wrong-path cascade.
 
-Draw-order contract (documented for consumers in ``docs/workloads.md``)
------------------------------------------------------------------------
-The replay relies on the observable consumption semantics of numpy's
-``Generator`` over PCG64, pinned by :func:`replay_supported`'s runtime
-probe and by the equivalence test suites:
+Draw contract (documented for consumers in ``docs/workloads.md``)
+-----------------------------------------------------------------
+* A **double** consumes one fresh word ``x`` and is
+  ``(x >> 11) * 2**-53``.  It neither consumes nor clears the pending
+  half.
+* A **bounded integer** in ``[0, span)``, ``span <= 2**32``, consumes
+  one 32-bit *half*: the pending half if there is one, else the **low**
+  half of a fresh word, whose high half becomes the pending half.  A half
+  ``y`` maps to ``(y * span) >> 32``; while
+  ``(y * span) & 0xFFFFFFFF < 2**32 % span`` the half is rejected and
+  another is consumed (never, for a power-of-two span).
 
-* ``rng.random()`` consumes one fresh 64-bit output ``x`` and returns
-  ``(x >> 11) * 2**-53``.  It neither consumes nor clears the bit
-  generator's buffered 32-bit half.
-* ``rng.integers(low, high)`` with ``high - low <= 2**32`` consumes one
-  *32-bit half*: the buffered half if one is pending, else the **low**
-  half of a fresh 64-bit output (whose high half becomes the new buffered
-  half).  The half ``y`` maps to a value via 32-bit Lemire multiply:
-  ``low + ((y * span) >> 32)`` with ``span = high - low``, redrawing
-  another half while ``(y * span) & 0xFFFFFFFF < (2**32 % span)`` (never,
-  when ``span`` is a power of two).
-* Vectorised calls (``rng.random(n)``, ``rng.integers(low, high, n)``)
-  produce element-for-element the same stream as ``n`` scalar calls.
+The trace kernels keep the pending half in the bit generator's own
+state (``has_uint32`` / ``uinteger``), so a trace's generator carries
+everything the next segment needs; ``uinteger`` also keeps the last
+high half after it was consumed, and the emitters keep it too, so the
+whole state is a function of the draws.  The wrong-path generator keeps
+its pending half in its :class:`RawDraws` and never writes it back.
 
-Two replay styles are provided:
+Three ways to draw:
 
-:func:`replay_template`
-    For generators whose per-iteration draw schedule is a *fixed*
-    sequence of slots (doubles and power-of-two-span bounded integers):
-    compiles the schedule's raw-consumption pattern once, bulk-draws the
-    raws for ``k`` iterations, and gathers one numpy column per slot.
+:func:`draw_template`
+    A fixed per-iteration schedule of slots (doubles and power-of-two
+    bounded integers) for ``k`` iterations: one bulk ``random_raw`` and
+    one numpy column per slot.
 :class:`RawCursor`
-    For data-dependent schedules (the store lottery of the pointer-chase
-    kernel): overdraws a bounded block of raws, lets the caller consume
-    them draw-by-draw through cheap Python arithmetic, then rewinds the
-    bit generator by the unconsumed raws and restores the buffered-half
-    state exactly.
-
-If the probe ever detects different semantics (a future numpy release, an
-exotic bit generator), every entry point raises
-:class:`ReplayUnsupported` and the trace generators transparently fall
-back to the scalar oracle path — correctness never depends on the replay.
+    A data-dependent schedule (the pointer-chase store lottery): a
+    bounded block of words drawn up front and consumed draw by draw,
+    then the unconsumed words handed back with ``advance``.
+:class:`RawDraws`
+    One draw at a time, straight from the bit generator (the wrong-path
+    generator); :class:`RawCursor` shares its transforms.
 """
 
 from __future__ import annotations
 
+from operator import length_hint
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Slot marker for one ``rng.random()`` draw.
+#: Slot marker for one double in a :func:`draw_template` schedule.
 DOUBLE = 0
 
 _TWO53_INV = 2.0 ** -53
@@ -65,41 +59,19 @@ _SHIFT11 = np.uint64(11)
 _SHIFT32 = np.uint64(32)
 
 
-class ReplayUnsupported(Exception):
-    """The draw schedule or bit generator cannot be replayed bit-exactly."""
-
-
 def _is_pow2(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-def _check_bit_generator(rng: np.random.Generator) -> np.random.PCG64:
-    bit_generator = rng.bit_generator
-    if not isinstance(bit_generator, np.random.PCG64):
-        raise ReplayUnsupported(
-            f"raw replay is only pinned for PCG64, got "
-            f"{type(bit_generator).__name__}")
-    if not replay_supported():
-        raise ReplayUnsupported("runtime probe failed: this numpy build does "
-                                "not match the pinned draw semantics")
-    return bit_generator
-
-
-def _buffer_state(bit_generator: np.random.PCG64) -> Tuple[Optional[int], int]:
-    """The pending 32-bit half (or ``None``) and the raw ``uinteger`` field.
-
-    numpy leaves the consumed half in ``uinteger`` with ``has_uint32``
-    cleared; the replay replicates that stale value too, so the *entire*
-    bit-generator state stays equal to the scalar path's — a property the
-    equivalence suites assert directly.
-    """
+def _buffer_state(bit_generator) -> Tuple[Optional[int], int]:
+    """The pending 32-bit half (or ``None``) and the raw ``uinteger`` field."""
     state = bit_generator.state
     stale = int(state["uinteger"])
     return (stale if state["has_uint32"] else None), stale
 
 
-def _set_buffer_state(bit_generator: np.random.PCG64,
-                      pending: Optional[int], stale: int) -> None:
+def _set_buffer_state(bit_generator, pending: Optional[int],
+                      stale: int) -> None:
     state = bit_generator.state
     state["has_uint32"] = 1 if pending is not None else 0
     state["uinteger"] = int(pending) if pending is not None else int(stale)
@@ -107,17 +79,17 @@ def _set_buffer_state(bit_generator: np.random.PCG64,
 
 
 # ======================================================================
-# Template replay: fixed per-iteration slot schedules.
+# Template draws: fixed per-iteration slot schedules.
 # ======================================================================
 class _CompiledIteration:
-    """Raw-consumption pattern of one template iteration.
+    """Word-consumption pattern of one template iteration.
 
     ``sources[j]`` describes where slot ``j``'s value comes from:
-    ``("d", r)`` — the double of raw ``r``; ``("lo", r)`` / ``("hi", r)``
-    — the Lemire product of raw ``r``'s low/high half; ``("ebuf", None)``
-    — the half buffered *before* the iteration (the previous iteration's
-    surplus, or the bit generator's entry buffer for iteration 0).  Raw
-    indices are relative to the iteration's first raw.
+    ``("d", r)`` — the double of word ``r``; ``("lo", r)`` / ``("hi", r)``
+    — the Lemire product of word ``r``'s low/high half; ``("ebuf", None)``
+    — the half pending *before* the iteration (the previous iteration's
+    surplus, or the bit generator's pending half for iteration 0).  Word
+    indices are relative to the iteration's first word.
     """
 
     __slots__ = ("sources", "n_raws", "exit_rel", "has_ebuf", "last_lo_rel")
@@ -125,8 +97,8 @@ class _CompiledIteration:
     def __init__(self, template: Sequence[int], entry_buffered: bool) -> None:
         sources: List[Tuple[str, Optional[int]]] = []
         raw = 0
-        # None: no pending half; "entry": the pre-iteration buffer is
-        # still pending; int r: the high half of raw r is pending.
+        # None: no pending half; "entry": the pre-iteration half is
+        # still pending; int r: the high half of word r is pending.
         pending: object = "entry" if entry_buffered else None
         for slot in template:
             if slot == DOUBLE:
@@ -134,10 +106,10 @@ class _CompiledIteration:
                 raw += 1
             else:
                 if not _is_pow2(slot) or slot > (1 << 31):
-                    raise ReplayUnsupported(
+                    raise ValueError(
                         f"bounded-integer span {slot} is not a power of two "
-                        f"<= 2**31: the Lemire rejection path would make raw "
-                        f"consumption data-dependent")
+                        f"<= 2**31: a Lemire rejection would make the word "
+                        f"count data-dependent")
                 if pending is None:
                     sources.append(("lo", raw))
                     pending = raw
@@ -151,10 +123,10 @@ class _CompiledIteration:
         self.sources = sources
         self.n_raws = raw
         self.has_ebuf = any(kind == "ebuf" for kind, _rel in sources)
-        #: high half of this relative raw is pending at exit; "entry"
-        #: means the pre-iteration buffer passed through untouched.
+        #: high half of this relative word is pending at exit; "entry"
+        #: means the pre-iteration half passed through untouched.
         self.exit_rel: object = pending
-        #: relative raw of the last fresh low-half consumption — its high
+        #: relative word of the last fresh low-half consumption — its high
         #: half is the last value written to the ``uinteger`` field.
         self.last_lo_rel: Optional[int] = None
         for kind, rel in reversed(sources):
@@ -163,23 +135,22 @@ class _CompiledIteration:
                 break
 
 
-def replay_template(rng: np.random.Generator, template: Sequence[int],
-                    k: int) -> List[np.ndarray]:
-    """Replay ``k`` iterations of ``template`` as one bulk raw draw.
+def draw_template(rng: np.random.Generator, template: Sequence[int],
+                  k: int) -> List[np.ndarray]:
+    """Draw ``k`` iterations of ``template`` from one bulk ``random_raw``.
 
     ``template`` is the per-iteration draw schedule: a sequence of slots,
-    each either :data:`DOUBLE` (one ``rng.random()``) or a positive
-    power-of-two span (one ``rng.integers(0, span)``).  Returns one numpy
-    column per slot, each of length ``k`` — ``float64`` for doubles,
-    ``uint64`` for bounded integers — containing exactly the values the
-    scalar call sequence would have produced, and leaves ``rng`` in
-    exactly the state those scalar calls would have left it.
+    each either :data:`DOUBLE` or a positive power-of-two span ``<= 2**31``
+    (one bounded integer in ``[0, span)``).  Returns one numpy column per
+    slot, each of length ``k`` — ``float64`` for doubles, ``uint64`` for
+    bounded integers — and leaves ``rng``'s bit generator, pending half
+    included, where the same draws made one at a time would.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0 or not template:
         return [np.empty(0) for _ in template]
-    bit_generator = _check_bit_generator(rng)
+    bit_generator = rng.bit_generator
     entry_pending, entry_stale = _buffer_state(bit_generator)
 
     compiled: Dict[bool, _CompiledIteration] = {}
@@ -189,10 +160,10 @@ def replay_template(rng: np.random.Generator, template: Sequence[int],
             compiled[buffered] = _CompiledIteration(template, buffered)
         return compiled[buffered]
 
-    # Walk the chunk iteration-by-iteration (cheap: a handful of integer
-    # operations each) recording which compiled form applies, its raw
-    # base, and — where the form consumes a pre-iteration buffered half —
-    # the absolute raw that half came from (-1: the rng's entry buffer).
+    # Walk the chunk iteration by iteration (cheap: a handful of integer
+    # operations each) recording which compiled form applies, its word
+    # base, and — where the form consumes a pre-iteration pending half —
+    # the absolute word that half came from (-1: the entry half).
     iter_form = np.empty(k, dtype=np.int8)
     iter_base = np.empty(k, dtype=np.int64)
     ebuf_abs = np.full(k, -1, dtype=np.int64)
@@ -256,12 +227,11 @@ def replay_template(rng: np.random.Generator, template: Sequence[int],
                 _lo, hi = halves()
                 out[sel] = (hi[iter_base[sel] + rel] * span) >> _SHIFT32
             else:  # "ebuf": the half pending before the iteration
-                # idx == -1 (the rng's entry buffer) can only occur at
-                # iteration 0; gather the in-block halves, then patch it.
-                # A chunk can consume zero fresh raws (k=1, single
-                # bounded slot, entry buffer pending) — then the only
-                # source is the entry buffer and there is nothing to
-                # gather.
+                # idx == -1 (the entry half) can only occur at iteration
+                # 0; gather the in-block halves, then patch it.  A chunk
+                # can consume zero fresh words (k=1, a single bounded
+                # slot, a pending entry half) — then the entry half is
+                # the only source and there is nothing to gather.
                 if raws.size:
                     _lo, hi = halves()
                     idx = ebuf_abs[sel]
@@ -270,9 +240,8 @@ def replay_template(rng: np.random.Generator, template: Sequence[int],
                     out[0] = (entry_pending * int(slot)) >> 32
         columns.append(out)
 
-    # Leave the bit generator exactly where the scalar calls would have:
-    # the 128-bit state advanced by ``total`` raws (random_raw did that),
-    # plus the pending buffered half and the stale ``uinteger`` value.
+    # random_raw advanced the 128-bit state by ``total`` words; store the
+    # pending half and the last high half drawn.
     stale = (int(raws[last_lo_abs] >> _SHIFT32) if last_lo_abs is not None
              else entry_stale)
     if pending_abs is None:
@@ -286,145 +255,82 @@ def replay_template(rng: np.random.Generator, template: Sequence[int],
 
 
 # ======================================================================
-# Cursor replay: data-dependent draw schedules.
+# One draw at a time.
 # ======================================================================
-class RawCursor:
-    """Draw-by-draw consumer over a bulk-drawn block of raws.
+class RawDraws:
+    """Doubles and bounded integers drawn one at a time by the contract.
 
-    Overdraws ``n_raws`` 64-bit outputs up front; the caller consumes
-    them through :meth:`next_double` / :meth:`next_bounded` (each a few
-    Python integer operations — no ``Generator`` calls), then
-    :meth:`finalize` rewinds the bit generator by the unconsumed raws and
-    restores the buffered-half state, so the generator ends up exactly
-    where the equivalent scalar calls would have left it.
+    Words come straight from ``bit_generator.random_raw()``; ``pending``
+    is the pending 32-bit half (``None`` when there is none) and
+    ``stale`` the last high half drawn, whether or not it was consumed.
     """
 
-    __slots__ = ("_bit_generator", "_raws", "_raw_ints", "_pos", "_pending",
-                 "_stale", "_n_raws", "_finalized")
+    __slots__ = ("bit_generator", "pending", "stale")
 
-    def __init__(self, rng: np.random.Generator, n_raws: int) -> None:
-        bit_generator = _check_bit_generator(rng)
-        self._bit_generator = bit_generator
-        self._pending, self._stale = _buffer_state(bit_generator)
-        raws = (bit_generator.random_raw(n_raws) if n_raws
-                else np.empty(0, dtype=np.uint64))
-        self._raws = np.asarray(raws, dtype=np.uint64)
-        #: plain Python ints: attribute/index access in the hot loop is
-        #: several times cheaper than numpy scalar extraction.
-        self._raw_ints = self._raws.tolist()
-        self._n_raws = n_raws
-        self._pos = 0
-        self._finalized = False
+    def __init__(self, bit_generator, pending: Optional[int] = None,
+                 stale: int = 0) -> None:
+        self.bit_generator = bit_generator
+        self.pending = pending
+        self.stale = stale
 
-    # ------------------------------------------------------------------
+    def raw(self) -> int:
+        """The next raw 64-bit word."""
+        return self.bit_generator.random_raw()
+
     def next_double(self) -> float:
-        """Exactly ``rng.random()``: one fresh 64-bit output."""
-        raw = self._raw_ints[self._pos]
-        self._pos += 1
-        return (raw >> 11) * _TWO53_INV
+        """One double in ``[0, 1)``: one fresh word."""
+        return (self.raw() >> 11) * _TWO53_INV
 
-    def next_bounded(self, span: int, threshold: int) -> int:
-        """Exactly ``rng.integers(0, span)`` for ``span <= 2**32``.
+    def next_bounded(self, span: int, threshold: int = 0) -> int:
+        """One integer in ``[0, span)``, ``span <= 2**32``.
 
-        ``threshold`` must be ``(1 << 32) % span`` (0 for a power of two,
-        in which case the Lemire multiply never rejects).
+        ``threshold`` must be :func:`bounded_threshold` of ``span`` (0 for
+        a power of two, which never rejects).
         """
         while True:
-            half = self._pending
+            half = self.pending
             if half is not None:
-                self._pending = None
+                self.pending = None
             else:
-                raw = self._raw_ints[self._pos]
-                self._pos += 1
+                raw = self.raw()
                 half = raw & 0xFFFFFFFF
-                self._pending = self._stale = raw >> 32
+                self.pending = self.stale = raw >> 32
             product = half * span
             if (product & 0xFFFFFFFF) >= threshold:
                 return product >> 32
 
-    # ------------------------------------------------------------------
+
+class RawCursor(RawDraws):
+    """A chunk's data-dependent draws from one bulk block of words.
+
+    Draws ``n_raws`` words up front (an upper bound on what the chunk can
+    consume) and serves them as :class:`RawDraws` does; :meth:`finalize`
+    hands the unconsumed words back (``advance``) and stores the pending
+    half, so the bit generator ends where one-at-a-time draws leave it.
+    """
+
+    __slots__ = ("_words",)
+
+    def __init__(self, rng: np.random.Generator, n_raws: int) -> None:
+        bit_generator = rng.bit_generator
+        super().__init__(bit_generator, *_buffer_state(bit_generator))
+        words = (bit_generator.random_raw(n_raws) if n_raws
+                 else np.empty(0, dtype=np.uint64))
+        # Plain Python ints: far cheaper per draw than numpy scalars.
+        self._words = iter(words.tolist())
+
+    def raw(self) -> int:
+        return next(self._words)
+
     def finalize(self) -> None:
-        """Rewind the overdraw and restore the buffered-half state."""
-        if self._finalized:
-            return
-        self._finalized = True
-        unused = self._n_raws - self._pos
+        """Hand back the unconsumed words and store the pending half."""
+        unused = length_hint(self._words)
         if unused:
-            self._bit_generator.advance(-unused)
-        _set_buffer_state(self._bit_generator, self._pending, self._stale)
+            self.bit_generator.advance(-unused)
+        self._words = iter(())
+        _set_buffer_state(self.bit_generator, self.pending, self.stale)
 
 
 def bounded_threshold(span: int) -> int:
-    """The Lemire rejection threshold for :meth:`RawCursor.next_bounded`."""
+    """The Lemire rejection threshold of ``span`` (:meth:`RawDraws.next_bounded`)."""
     return (1 << 32) % span
-
-
-# ======================================================================
-# Runtime probe.
-# ======================================================================
-_SUPPORTED: Optional[bool] = None
-
-
-def _probe() -> bool:
-    """Compare the replay against real scalar draws on a tricky schedule."""
-    global _SUPPORTED
-    _SUPPORTED = True  # allow the probe itself to use the entry points
-    try:
-        seed = 0x5EED
-        # Odd bounded-int count per iteration → the buffered-half parity
-        # alternates; mixed spans; doubles interleaved.
-        template = [DOUBLE, 1024, DOUBLE, 4096, 64]
-        k = 9
-        oracle = np.random.Generator(np.random.PCG64(seed))
-        expected: List[List[float]] = [[] for _ in template]
-        for _ in range(k):
-            for j, slot in enumerate(template):
-                if slot == DOUBLE:
-                    expected[j].append(oracle.random())
-                else:
-                    expected[j].append(int(oracle.integers(0, slot)))
-        replayed_rng = np.random.Generator(np.random.PCG64(seed))
-        columns = replay_template(replayed_rng, template, k)
-        for j, column in enumerate(columns):
-            if list(column) != expected[j]:
-                return False
-        if replayed_rng.bit_generator.state != oracle.bit_generator.state:
-            return False
-
-        # Cursor path, including a rejection-capable span and the rewind.
-        oracle = np.random.Generator(np.random.PCG64(seed + 1))
-        expected_mixed = []
-        for _ in range(6):
-            expected_mixed.append(oracle.random())
-            expected_mixed.append(int(oracle.integers(8, 256)))
-            expected_mixed.append(int(oracle.integers(0, 2048)))
-        tail = oracle.random()
-        cursor_rng = np.random.Generator(np.random.PCG64(seed + 1))
-        cursor = RawCursor(cursor_rng, 24)
-        got = []
-        threshold_248 = bounded_threshold(248)
-        for _ in range(6):
-            got.append(cursor.next_double())
-            got.append(8 + cursor.next_bounded(248, threshold_248))
-            got.append(cursor.next_bounded(2048, 0))
-        cursor.finalize()
-        if got != expected_mixed:
-            return False
-        if cursor_rng.random() != tail:
-            return False
-        return True
-    except Exception:  # repro-lint: disable=except-swallow -- any divergence in this probe, whatever the cause, must read as "numpy build unsupported" so callers fall back to the scalar path
-        return False
-
-
-def replay_supported() -> bool:
-    """True when this numpy build matches the pinned draw semantics.
-
-    Probed once per process; a failed probe makes every replay entry
-    point raise :class:`ReplayUnsupported`, which the trace generators
-    catch to fall back to the scalar oracle path.
-    """
-    global _SUPPORTED
-    if _SUPPORTED is None:
-        _SUPPORTED = _probe()
-    return _SUPPORTED

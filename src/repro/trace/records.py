@@ -207,7 +207,7 @@ class TraceSink:
     per new record, by content) and ``addrs`` one address per *memory*
     op.  The chunk emitters of :mod:`repro.trace.kernels` append to both
     directly, with a memo per kernel (:meth:`memo`); ``Instruction``
-    lists (prologues, the scalar oracle) go through :meth:`extend`.
+    lists (prologues, hand-built traces) go through :meth:`extend`.
     """
 
     def __init__(self) -> None:
@@ -236,7 +236,7 @@ class TraceSink:
         return self._memos.setdefault(kernel, {})
 
     def extend(self, instructions: Iterable[Instruction]) -> None:
-        """Append instruction records (prologues, the scalar oracle)."""
+        """Append instruction records (prologues, hand-built traces)."""
         intern, rows, addrs = self.intern, self.rows, self.addrs
         for inst in instructions:
             rows.append(intern(inst.op, inst.pc, inst.dest, inst.srcs,

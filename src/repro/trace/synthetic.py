@@ -7,29 +7,29 @@ paper measures, and each has a dedicated helper here:
   far apart definitions of the same logical register are (the
   def-to-redefine distance is what the conventional release policy pays
   for) and is shared by all kernels;
-* **branch behaviour** — :class:`BranchSite` produces outcome streams with
-  a controlled amount of learnable structure (loop trip counts, biased
-  data-dependent branches, repeating patterns) so the simulated gshare
-  predictor reaches realistic accuracy on each benchmark class;
-* **memory locality** — :class:`StridedStream` and :class:`RandomStream`
-  produce address streams whose footprint relative to the cache sizes in
-  Table 2 yields the intended hit rates.
+* **branch behaviour** — :class:`BranchSite` describes outcome streams
+  with a controlled amount of learnable structure (loop trip counts,
+  repeating patterns, history-correlated outcomes with noise) so the
+  simulated gshare predictor reaches realistic accuracy on each
+  benchmark class;
+* **memory locality** — :class:`StridedStream`, :class:`RandomStream`
+  and :class:`PointerChaseStream` produce address streams whose
+  footprint relative to the cache sizes in Table 2 yields the intended
+  hit rates.
+
+The kernels' chunk emitters (:mod:`repro.trace.kernels`) drive these
+helpers a chunk at a time; random values come from
+:mod:`repro.trace.draws`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-
-class AddressStream(Protocol):
-    """Protocol for effective-address generators used by loads and stores."""
-
-    def next_address(self, rng: np.random.Generator) -> int:
-        """Return the next effective address of the stream."""
-        ...
+from repro.trace.draws import RawDraws
 
 
 @dataclass
@@ -48,15 +48,12 @@ class StridedStream:
     footprint: int = 1 << 18
     offset: int = 0
 
-    def next_address(self, rng: np.random.Generator) -> int:
-        """Return the next address and advance the walk."""
-        addr = self.base + (self.offset % self.footprint)
-        self.offset += self.stride
-        return addr
-
-    def reset(self) -> None:
-        """Restart the walk from the stream base."""
-        self.offset = 0
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` addresses of the walk (and advance it)."""
+        steps = np.arange(count, dtype=np.int64)
+        addresses = self.base + (self.offset + self.stride * steps) % self.footprint
+        self.offset += self.stride * count
+        return addresses
 
 
 @dataclass
@@ -65,17 +62,22 @@ class RandomStream:
 
     Models the irregular heap/pointer accesses of the integer codes.  A
     working set comparable to (or somewhat larger than) the L1 data cache
-    produces the moderate L1 miss rates typical of gcc/go/li.
+    produces the moderate L1 miss rates typical of gcc/go/li.  Each
+    address is one bounded draw over :attr:`span` aligned slots.
     """
 
     base: int
     footprint: int = 1 << 15
     align: int = 8
 
-    def next_address(self, rng: np.random.Generator) -> int:
-        """Return a random aligned address inside the working set."""
-        span = max(self.footprint // self.align, 1)
-        return self.base + int(rng.integers(0, span)) * self.align
+    @property
+    def span(self) -> int:
+        """The number of aligned slots an address is drawn from."""
+        return max(self.footprint // self.align, 1)
+
+    def addresses(self, slots: np.ndarray) -> np.ndarray:
+        """Map drawn slot indices to effective addresses."""
+        return self.base + slots.astype(np.int64) * self.align
 
 
 @dataclass
@@ -83,8 +85,8 @@ class PointerChaseStream:
     """Pseudo pointer-chasing: the next address depends on the previous one.
 
     A fixed random permutation over ``n_nodes`` "nodes" is walked one node
-    per call, reproducing the dependent-load behaviour of linked-list and
-    tree traversals (li, perl) without simulating data values.
+    per access, reproducing the dependent-load behaviour of linked-list
+    and tree traversals (li, perl) without simulating data values.
     """
 
     base: int
@@ -94,64 +96,33 @@ class PointerChaseStream:
     _order: Optional[np.ndarray] = field(default=None, repr=False)
     _pos: int = 0
 
-    def _ensure_order(self) -> None:
+    def take(self, count: int) -> np.ndarray:
+        """The addresses of the next ``count`` nodes in the chase order."""
         if self._order is None:
-            rng = np.random.default_rng(self.seed)
-            self._order = rng.permutation(self.n_nodes)
-
-    def next_address(self, rng: np.random.Generator) -> int:
-        """Return the address of the next node in the chase order."""
-        self._ensure_order()
-        node = int(self._order[self._pos % self.n_nodes])
-        self._pos += 1
-        return self.base + node * self.node_size
+            self._order = np.random.default_rng(self.seed).permutation(
+                self.n_nodes)
+        nodes = (self._pos + np.arange(count)) % self.n_nodes
+        self._pos += count
+        return self.base + self._order[nodes] * self.node_size
 
 
 @dataclass
 class RegisterRotation:
     """Round-robin allocator over a window of logical register indices.
 
-    Calling :meth:`next_dest` returns the logical register to use as the
-    next destination; the same register will not be returned again until
-    ``len(window)`` further calls, so the def-to-redefine distance (and
-    with it the register lifetime seen by the release policies) is
-    directly proportional to the window size times the number of
-    instructions emitted between destination writes.
-
-    :meth:`recent` returns recently defined registers to be used as
-    sources, which keeps the def-to-last-use distance short relative to
-    the redefine distance — the gap between the two is exactly the Idle
-    interval the paper's early-release schemes reclaim.
+    The destination handed out at ``cursor`` is
+    ``window[cursor % len(window)]``, so the same register comes back
+    only ``len(window)`` destinations later: the def-to-redefine distance
+    (and with it the register lifetime seen by the release policies) is
+    proportional to the window size times the instructions emitted
+    between destination writes.  Kernels read sources from the few most
+    recent destinations, which keeps the def-to-last-use distance short
+    relative to the redefine distance — the gap between the two is
+    exactly the Idle interval the paper's early-release schemes reclaim.
     """
 
     window: Sequence[int]
-    _cursor: int = 0
-    _history: List[int] = field(default_factory=list)
-
-    def next_dest(self) -> int:
-        """Return the next destination register of the rotation."""
-        reg = self.window[self._cursor % len(self.window)]
-        self._cursor += 1
-        self._history.append(reg)
-        if len(self._history) > 4 * len(self.window):
-            del self._history[: 2 * len(self.window)]
-        return reg
-
-    def recent(self, k: int = 1) -> int:
-        """Return the register defined ``k`` destinations ago (1 = most recent).
-
-        Before any destination has been produced, the first register of the
-        window is returned so callers always get a valid source.
-        """
-        if not self._history:
-            return self.window[0]
-        k = min(k, len(self._history))
-        return self._history[-k]
-
-    @property
-    def live_count(self) -> int:
-        """Number of distinct registers handed out so far (≤ window size)."""
-        return min(self._cursor, len(self.window))
+    cursor: int = 0
 
 
 @dataclass
@@ -164,23 +135,22 @@ class BranchSite:
         Taken ``trip - 1`` consecutive times, then not taken once
         (classic backward loop branch).  Almost perfectly predictable by
         gshare once warmed up, provided the trip count is not tiny.
-    ``"bernoulli"``
-        Independent outcomes, taken with probability ``bias``.  The best
-        any predictor can do is ``max(bias, 1 - bias)``; used sparingly,
-        for genuinely data-dependent branches.
     ``"pattern"``
         A repeating fixed pattern of outcomes (e.g. "TTNT"), learnable by
         a history-based predictor; used for well-structured but non-loop
-        control flow.
+        control flow.  An empty pattern is never taken.
     ``"correlated"``
         The outcome is a fixed (per-site, pseudo-random) boolean function
-        of the recent *global* branch history, flipped with probability
-        ``noise``.  This reproduces what makes real integer branches
-        predictable: they correlate with the outcomes of preceding
-        branches, so a global-history predictor learns them, while the
-        ``noise`` term sets the floor on the achievable misprediction
-        rate.  Callers must pass the running global outcome history to
-        :meth:`next_outcome`.
+        of the recent *global* branch history
+        (:meth:`correlated_outcome`), flipped by a noise draw with
+        probability ``noise``.  This reproduces what makes real integer
+        branches predictable: they correlate with the outcomes of
+        preceding branches, so a global-history predictor learns them,
+        while the ``noise`` term sets the floor on the achievable
+        misprediction rate.
+
+    ``count`` is the number of dynamic instances so far; the emitters
+    advance it for loop and pattern sites, whose outcome it determines.
     """
 
     pc: int
@@ -193,42 +163,16 @@ class BranchSite:
     noise: float = 0.05
     #: number of global-history bits the correlated outcome depends on.
     context_bits: int = 8
-    _count: int = 0
+    count: int = 0
     _context_table: dict = field(default_factory=dict, repr=False)
-
-    def next_outcome(self, rng: np.random.Generator, global_history: int = 0) -> bool:
-        """Return the actual outcome (taken?) of the next dynamic instance.
-
-        ``global_history`` (least-significant bit = most recent branch
-        outcome of the whole kernel) is only consulted by ``"correlated"``
-        sites.
-        """
-        self._count += 1
-        if self.kind == "loop":
-            return (self._count % self.trip) != 0
-        if self.kind == "bernoulli":
-            return bool(rng.random() < self.bias)
-        if self.kind == "pattern":
-            if not self.pattern:
-                return False
-            return bool(self.pattern[(self._count - 1) % len(self.pattern)])
-        if self.kind == "correlated":
-            outcome = self.correlated_outcome(global_history)
-            if self.noise > 0.0 and rng.random() < self.noise:
-                outcome = not outcome
-            return outcome
-        raise ValueError(f"unknown branch site kind: {self.kind!r}")
 
     def correlated_outcome(self, global_history: int) -> bool:
         """The history-determined outcome of a ``"correlated"`` site,
         *before* the noise flip.
 
-        Shared by :meth:`next_outcome` and the vectorised chunk emitters
-        (which draw their noise flips from pre-drawn columns), so the
-        correlated model lives in exactly one place.  The kernels fill
-        the table for every context up front (:func:`fill_context_tables`,
-        the same draws in one vectorised pass); the draw below covers the
-        contexts it leaves out.
+        The kernels fill the table for every context up front
+        (:func:`fill_context_tables`, the same draws in one vectorised
+        pass); the draw below covers the contexts it leaves out.
         """
         context = global_history & ((1 << self.context_bits) - 1)
         outcome = self._context_table.get(context)
@@ -236,14 +180,10 @@ class BranchSite:
             # The per-context outcome is a fixed property of the site,
             # drawn once with a deterministic per-site generator so the
             # warm-up and measured segments see the same function.
-            site_rng = np.random.default_rng((self.pc << 10) ^ context)
-            outcome = bool(site_rng.random() < self.bias)
+            site_bits = np.random.PCG64((self.pc << 10) ^ context)
+            outcome = bool(RawDraws(site_bits).next_double() < self.bias)
             self._context_table[context] = outcome
         return outcome
-
-    def reset(self) -> None:
-        """Reset the dynamic instance counter (used between trace segments)."""
-        self._count = 0
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.isa import RegClass
-from repro.trace.draws import ReplayUnsupported, replay_supported
 from repro.trace.kernels import (
     BranchyKernel,
     IntComputeKernel,
@@ -43,6 +42,7 @@ from repro.trace.kernels import (
     StencilFPKernel,
     StreamingFPKernel,
     _KernelBase,
+    random_stream_span,
 )
 from repro.trace.records import Trace, TraceSink
 
@@ -235,47 +235,32 @@ def make_kernel(profile: BenchmarkProfile) -> _KernelBase:
     return factory(profile.params)
 
 
-def _emit_until(kernel, rng, sink: TraceSink, target: int,
-                vectorized: bool,
+def _emit_until(kernel: _KernelBase, rng: np.random.Generator,
+                sink: TraceSink, target: int,
                 chunk_iterations: Optional[int] = None) -> None:
     """Append iterations of ``kernel`` to ``sink`` until the first
     iteration boundary at or after ``target`` instructions.
 
-    The vectorised path sizes its chunks by the kernel's *maximum*
-    iteration length so it can never overshoot the boundary the scalar
-    loop would stop at, and finishes the tail with scalar iterations —
-    the emitted stream, the kernel state and the ``Generator`` state all
-    end up identical to the scalar path's, so callers may chain further
-    segments (the phased scenario families do).  ``chunk_iterations``
-    caps the chunk size (testing hook).
+    Chunks are sized by the kernel's *maximum* iteration length, so none
+    runs past that boundary; the segment's tail goes one iteration per
+    chunk.  The stream and the generator's state do not depend on the
+    chunk sizes, so callers may chain further segments over the same
+    generator (the phased scenario families do).  ``chunk_iterations``
+    caps the chunk size (the fuzzer's chunk-size oracle sets it to 1).
     """
-    if vectorized and replay_supported():
-        try:
-            max_length = kernel.max_iteration_length()
-        except NotImplementedError:
-            max_length = None
-        while max_length is not None:
-            remaining = target - len(sink)
-            k = min(4096, remaining // max_length)
-            if chunk_iterations is not None:
-                k = min(k, chunk_iterations)
-            if k < 1:
-                break
-            try:
-                kernel.emit_chunk(rng, k, sink)
-            except ReplayUnsupported:
-                # Unsupported schedule (exotic span / bit generator); the
-                # emitters raise before consuming any state, so the
-                # scalar oracle continues seamlessly.
-                break
+    if chunk_iterations is not None and chunk_iterations < 1:
+        raise ValueError("chunk_iterations must be positive")
+    max_length = kernel.max_iteration_length()
     while len(sink) < target:
-        sink.extend(kernel.emit_iteration(rng))
+        k = min(4096, max(1, (target - len(sink)) // max_length))
+        if chunk_iterations is not None:
+            k = min(k, chunk_iterations)
+        kernel.emit_chunk(rng, k, sink)
 
 
 def generate_trace(profile: BenchmarkProfile,
                    n_instructions: int = DEFAULT_TRACE_LENGTH,
                    seed: int = 0,
-                   vectorized: bool = True,
                    chunk_iterations: Optional[int] = None,
                    rng: Optional[np.random.Generator] = None) -> Trace:
     """Generate a dynamic trace of roughly ``n_instructions`` for ``profile``.
@@ -284,13 +269,11 @@ def generate_trace(profile: BenchmarkProfile,
     iteration boundary at or after ``n_instructions``, so traces are a few
     instructions longer than requested rather than cut mid-iteration.
 
-    ``vectorized`` selects between the chunked bulk-draw emitters (the
-    default) and the scalar oracle path; both produce bit-identical
-    traces (enforced by ``tests/trace/test_vector_equivalence.py``).
-    ``chunk_iterations`` pins the chunk size (testing hook).  ``rng``
-    overrides the seed-derived generator — callers that need to inspect
-    the bit-generator state after generation (the differential fuzzer's
-    generation oracle) pass their own from :func:`trace_rng`.
+    ``chunk_iterations`` caps the chunk size; the trace does not depend
+    on it.  ``rng`` overrides the seed-derived generator — callers that
+    need to inspect the bit-generator state after generation (the
+    differential fuzzer's generation oracle) pass their own from
+    :func:`trace_rng`.
 
     The kernels write the trace's columns directly (a
     :class:`~repro.trace.records.TraceSink`); no ``Instruction`` object
@@ -302,9 +285,8 @@ def generate_trace(profile: BenchmarkProfile,
         rng = trace_rng(profile, seed)
     kernel = make_kernel(profile)
     sink = TraceSink()
-    sink.extend(kernel.prologue(rng))
-    _emit_until(kernel, rng, sink, n_instructions, vectorized,
-                chunk_iterations)
+    sink.extend(kernel.prologue())
+    _emit_until(kernel, rng, sink, n_instructions, chunk_iterations)
     return Trace(name=profile.name, focus_class=profile.focus_class,
                  seed=seed, columns=sink.columns())
 
@@ -506,8 +488,9 @@ def validate_scenario_profile(profile: ScenarioProfile) -> None:
     """Validate a scenario profile, raising :class:`ValueError` on problems.
 
     Checks the name shape, the suite, the phase list (non-empty, known
-    kernel families) and the phase length — everything the generator and
-    the sweep stack assume without re-checking.
+    kernel families, a random-stream footprint the ``int_compute`` and
+    ``branchy`` kernels can draw from) and the phase length — everything
+    the generator and the sweep stack assume without re-checking.
     """
     if not isinstance(profile, ScenarioProfile):
         raise ValueError(f"expected a ScenarioProfile, got {type(profile).__name__}")
@@ -530,6 +513,12 @@ def validate_scenario_profile(profile: ScenarioProfile) -> None:
             raise ValueError(
                 f"scenario {profile.name!r} phase {index}: params must be a "
                 f"KernelParams, got {type(phase.params).__name__}")
+        if phase.kernel in ("int_compute", "branchy"):
+            try:
+                random_stream_span(phase.params)
+            except ValueError as exc:
+                raise ValueError(f"scenario {profile.name!r} phase {index}: "
+                                 f"{exc}") from None
     if not isinstance(profile.phase_length, int) or profile.phase_length <= 0:
         raise ValueError(f"scenario {profile.name!r}: phase_length must be a "
                          f"positive integer, got {profile.phase_length!r}")
@@ -807,7 +796,6 @@ def trace_rng(profile: Union[BenchmarkProfile, ScenarioProfile],
 def generate_scenario_trace(profile: ScenarioProfile,
                             n_instructions: int = DEFAULT_TRACE_LENGTH,
                             seed: int = 0,
-                            vectorized: bool = True,
                             chunk_iterations: Optional[int] = None,
                             rng: Optional[np.random.Generator] = None) -> Trace:
     """Generate the (possibly phased) trace of a scenario.
@@ -817,10 +805,10 @@ def generate_scenario_trace(profile: ScenarioProfile,
     around again.  A phase segment ends at the first kernel iteration
     boundary at or after ``phase_length`` appended instructions (the
     final segment at ``n_instructions``), so segment boundaries — like
-    trace ends — never cut an iteration.  The scalar/vectorised contract
-    of :func:`generate_trace` holds here too, and ``rng`` overrides the
-    seed-derived generator exactly as there (the fuzzer's generation
-    oracle compares final bit-generator states through it).
+    trace ends — never cut an iteration.  ``chunk_iterations`` and
+    ``rng`` work exactly as in :func:`generate_trace` (the fuzzer's
+    generation oracle compares final bit-generator states through the
+    latter).
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
@@ -834,10 +822,10 @@ def generate_scenario_trace(profile: ScenarioProfile,
     while len(sink) < n_instructions:
         kernel = kernels[index % len(kernels)]
         if not started[index % len(kernels)]:
-            sink.extend(kernel.prologue(rng))
+            sink.extend(kernel.prologue())
             started[index % len(kernels)] = True
         target = min(len(sink) + profile.phase_length, n_instructions)
-        _emit_until(kernel, rng, sink, target, vectorized, chunk_iterations)
+        _emit_until(kernel, rng, sink, target, chunk_iterations)
         index += 1
     return Trace(name=profile.name, focus_class=profile.focus_class,
                  seed=seed, columns=sink.columns())

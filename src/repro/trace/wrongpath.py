@@ -24,7 +24,13 @@ from typing import List
 import numpy as np
 
 from repro.isa import Instruction, OpClass, RegClass
+from repro.trace.draws import RawDraws, bounded_threshold
 from repro.trace.records import Trace
+
+#: Span and Lemire threshold of a wrong-path branch's target delta
+#: (8..255 instructions ahead).
+_DELTA_SPAN = 248
+_DELTA_THRESHOLD = bounded_threshold(_DELTA_SPAN)
 
 
 @dataclass(frozen=True)
@@ -78,12 +84,17 @@ class WrongPathGenerator:
     the predicted outcome into the injected record).  They still allocate
     rename checkpoints and Release Queue levels, which is the resource
     pressure that matters for the mechanisms under study.
+
+    Every value is drawn by the contract of :mod:`repro.trace.draws`
+    from the raw words of a PCG64 seeded with ``seed``; ``draws`` holds
+    that bit generator and the pending 32-bit half, which is where the
+    compiled core continues the stream from.
     """
 
     def __init__(self, mix: WrongPathMix, seed: int = 0,
                  int_window: int = 10, fp_window: int = 16) -> None:
         self.mix = mix
-        self._rng = np.random.default_rng(seed)
+        self.draws = RawDraws(np.random.PCG64(seed))
         self._int_regs = list(range(1, 1 + int_window))
         self._fp_regs = list(range(0, fp_window))
         self._int_cursor = 0
@@ -102,7 +113,7 @@ class WrongPathGenerator:
         return reg
 
     def _random_addr(self) -> int:
-        return self._data_base + int(self._rng.integers(0, 1 << 11)) * 8
+        return self._data_base + self.draws.next_bounded(1 << 11) * 8
 
     # ------------------------------------------------------------------
     def next_instruction(self, pc: int) -> Instruction:
@@ -113,18 +124,19 @@ class WrongPathGenerator:
         ``wp_draw`` (``engine/accel/core.c``) ports this cascade draw for
         draw; a change here must be made there too.
         """
-        rng = self._rng
-        draw = rng.random()
+        draws = self.draws
+        draw = draws.next_double()
         mix = self.mix
         int_src = (RegClass.INT, self._int_regs[self._int_cursor % len(self._int_regs)])
         if draw < mix.branch:
             return Instruction(pc=pc, op=OpClass.BRANCH, srcs=(int_src,),
-                               taken=bool(rng.random() < 0.5),
-                               target=pc + int(rng.integers(8, 256)) * 4,
+                               taken=draws.next_double() < 0.5,
+                               target=pc + (8 + draws.next_bounded(
+                                   _DELTA_SPAN, _DELTA_THRESHOLD)) * 4,
                                wrong_path=True)
         draw -= mix.branch
         if draw < mix.load:
-            if rng.random() < mix.fp_load_share and mix.fp > 0:
+            if draws.next_double() < mix.fp_load_share and mix.fp > 0:
                 return Instruction(pc=pc, op=OpClass.FP_LOAD,
                                    dest=(RegClass.FP, self._next_fp_reg()),
                                    srcs=(int_src,), mem_addr=self._random_addr(),
@@ -141,7 +153,7 @@ class WrongPathGenerator:
                                mem_addr=self._random_addr(), wrong_path=True)
         draw -= mix.store
         if draw < mix.fp:
-            op = OpClass.FP_MULT if rng.random() < 0.5 else OpClass.FP_ADD
+            op = OpClass.FP_MULT if draws.next_double() < 0.5 else OpClass.FP_ADD
             return Instruction(pc=pc, op=op,
                                dest=(RegClass.FP, self._next_fp_reg()),
                                srcs=((RegClass.FP, self._fp_regs[self._fp_cursor % len(self._fp_regs)]),),

@@ -84,13 +84,12 @@ def test_specific_exception_types_out_of_scope(tmp_path):
                      "    pass\n") == []
 
 
-def test_live_tree_has_only_the_justified_probe_suppression():
-    """The one broad swallow in the tree (the numpy replay probe) is
-    suppressed with a reason; nothing else may join it silently."""
+def test_live_tree_has_no_swallowed_exceptions():
+    """No broad swallow in the tree, suppressed or not: a new one must
+    come with a reason and an update here."""
     from repro.checks.base import Project, find_project_root
 
     result = run_checks(Project(find_project_root()),
                         rules=["except-swallow"])
     assert result.findings == []
-    assert [(f.path, f.rule) for f, _reason in result.suppressed] == \
-        [("src/repro/trace/draws.py", "except-swallow")]
+    assert result.suppressed == []

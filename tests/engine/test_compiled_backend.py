@@ -180,10 +180,6 @@ class TestBitIdenticalStats:
             dataclasses.asdict(stats["python"])
 
 
-def _bit_generator_state(engine) -> dict:
-    return engine.state.fetch_unit.wrongpath._rng.bit_generator.state
-
-
 @needs_compiled
 class TestWrongPathCascade:
     """The C core draws wrong-path instructions from raw PCG64 words.
@@ -205,18 +201,19 @@ class TestWrongPathCascade:
         assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
 
     def test_buffered_half_at_entry(self):
-        # One bounded draw leaves the high half of a word buffered; the
+        # One bounded draw leaves the high half of a word pending; the
         # core must start from it rather than from a fresh word.
         def advance(engine):
-            engine.state.fetch_unit.wrongpath._rng.integers(0, 2)
-            assert _bit_generator_state(engine)["has_uint32"] == 1
+            draws = engine.state.fetch_unit.wrongpath.draws
+            draws.next_bounded(2)
+            assert draws.pending is not None
 
         reference, compiled, _ = run_both("gcc", "extended", prepare=advance)
         assert reference.fetched_wrong_path > 0
         assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
 
     def test_lemire_rejection(self):
-        # A buffered half of 0 is below 2**32 % 248, so the first branch
+        # A pending half of 0 is below 2**32 % 248, so the first branch
         # delta rejects it and draws again; a wrong path made only of
         # branches takes that path at the first wrong-path fetch.
         from repro.trace.wrongpath import WrongPathMix
@@ -224,9 +221,7 @@ class TestWrongPathCascade:
         def zero_half_branches_only(engine):
             generator = engine.state.fetch_unit.wrongpath
             generator.mix = WrongPathMix(branch=1.0)
-            state = generator._rng.bit_generator.state
-            state["has_uint32"], state["uinteger"] = 1, 0
-            generator._rng.bit_generator.state = state
+            generator.draws.pending = 0
 
         reference, compiled, _ = run_both("gcc", "basic",
                                           prepare=zero_half_branches_only)

@@ -7,6 +7,7 @@ import pytest
 
 import repro.engine.accel as accel
 import repro.fuzz.oracles as oracles_mod
+import repro.trace.workloads as workloads_mod
 from repro.fuzz.oracles import (DEFAULT_ORACLES, ORACLES, SampleContext,
                                 ephemeral_scenario, resolve_oracle_names,
                                 run_oracle)
@@ -41,12 +42,37 @@ class TestPassPaths:
         assert ctx.python_stats() is stats_first
 
 
-class TestGenerationSkips:
-    def test_replay_probe_trip_forces_skip(self, good_sample, monkeypatch):
-        monkeypatch.setattr(oracles_mod, "replay_supported", lambda: False)
+class TestGenerationFailures:
+    """The generation oracle compares one iteration per chunk with the
+    default chunking; a chunking-dependent emitter must fail it."""
+
+    def test_extra_draw_in_big_chunks_is_a_state_failure(self, good_sample,
+                                                         monkeypatch):
+        real_emit_until = workloads_mod._emit_until
+
+        def emit_until(kernel, rng, sink, target, chunk_iterations=None):
+            real_emit_until(kernel, rng, sink, target, chunk_iterations)
+            if chunk_iterations is None and target == good_sample.trace_length:
+                rng.bit_generator.random_raw()     # after the last segment
+
+        monkeypatch.setattr(workloads_mod, "_emit_until", emit_until)
         outcome = run_oracle("generation", good_sample)
-        assert outcome.status == "skip"
-        assert "scalar-fallback probe" in outcome.detail
+        assert outcome.status == "fail"
+        assert "bit-generator state diverges" in outcome.detail
+
+    def test_column_divergence_names_the_column(self, good_sample,
+                                                monkeypatch):
+        real_emit_until = workloads_mod._emit_until
+
+        def emit_until(kernel, rng, sink, target, chunk_iterations=None):
+            real_emit_until(kernel, rng, sink, target, chunk_iterations)
+            if chunk_iterations is None and sink.addrs:
+                sink.addrs[-1] += 8
+
+        monkeypatch.setattr(workloads_mod, "_emit_until", emit_until)
+        outcome = run_oracle("generation", good_sample)
+        assert outcome.status == "fail"
+        assert "column 'addr' diverges" in outcome.detail
 
 
 class TestBackendSkips:
@@ -104,17 +130,6 @@ class TestFailurePaths:
 class TestSkipsAreCounted:
     """Satellite: skipped oracles must appear as counts in the report."""
 
-    def test_report_counts_generation_skips(self, monkeypatch):
-        monkeypatch.setattr(oracles_mod, "replay_supported", lambda: False)
-        report = run_fuzz(5, samples=2,
-                          oracles=("generation", "conservation"))
-        assert report.outcomes["generation"]["skip"] == 2
-        assert report.outcomes["generation"]["pass"] == 0
-        (reason, count), = report.skip_reasons["generation"].items()
-        assert "scalar-fallback probe" in reason and count == 2
-        # The other oracle keeps running and passing.
-        assert report.outcomes["conservation"]["pass"] == 2
-
     def test_report_counts_backend_fallback_skips(self, monkeypatch):
         monkeypatch.setattr(accel, "resolve_engine_backend",
                             lambda config=None: "python")
@@ -126,9 +141,12 @@ class TestSkipsAreCounted:
         assert any("probe compile failed" in reason for reason in reasons)
 
     def test_summary_mentions_top_skip_reason(self, monkeypatch):
-        monkeypatch.setattr(oracles_mod, "replay_supported", lambda: False)
-        report = run_fuzz(5, samples=2, oracles=("generation",))
-        assert "scalar-fallback probe" in report.summary()
+        monkeypatch.setattr(accel, "resolve_engine_backend",
+                            lambda config=None: "python")
+        monkeypatch.setattr(accel, "backend_fallback_reason",
+                            lambda: "probe compile failed")
+        report = run_fuzz(5, samples=2, oracles=("backend",))
+        assert "probe compile failed" in report.summary()
 
 
 class TestOracleSelection:

@@ -1,9 +1,9 @@
-"""Tests for the stream-preserving bulk draw replay (`repro.trace.draws`).
+"""Tests for the raw-word draw contract (`repro.trace.draws`).
 
-Every test compares the replay against a *real* scalar ``Generator`` on
-the same seed: the contract is bit-identical values **and** bit-identical
-final bit-generator state (including the buffered 32-bit half), so a
-consumer can switch between the scalar and replayed paths mid-stream.
+The transforms are checked against pinned values: hand-picked words
+through :class:`RawDraws`, and the first words of a seeded PCG64 through
+all three ways to draw, which must agree with each other value for value
+and leave the bit generator in the same state.
 """
 
 import numpy as np
@@ -12,156 +12,205 @@ import pytest
 from repro.trace.draws import (
     DOUBLE,
     RawCursor,
-    ReplayUnsupported,
+    RawDraws,
     bounded_threshold,
-    replay_supported,
-    replay_template,
+    draw_template,
 )
 
+#: The first four raw words of ``PCG64(123)``: the stream every value
+#: below is a function of.
+PCG64_123_WORDS = [0xAEAE9C9903F3E9CD, 0x0DC736DB97CB6D23,
+                   0x3869812EE8B9EA96, 0x2F32FDB1414D8C05]
 
-def scalar_columns(seed, template, k):
-    rng = np.random.Generator(np.random.PCG64(seed))
+
+class Words:
+    """A stand-in bit generator serving fixed words."""
+
+    def __init__(self, words):
+        self._words = iter(words)
+
+    def random_raw(self):
+        return next(self._words)
+
+
+def rng(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def one_at_a_time(seed, template, k):
+    """``template`` drawn slot by slot through :class:`RawDraws`, with the
+    pending half written back as the trace kernels do."""
+    generator = rng(seed)
+    draws = RawDraws(generator.bit_generator)
     columns = [[] for _ in template]
     for _ in range(k):
         for j, slot in enumerate(template):
-            if slot == DOUBLE:
-                columns[j].append(rng.random())
-            else:
-                columns[j].append(int(rng.integers(0, slot)))
-    return columns, rng
+            columns[j].append(draws.next_double() if slot == DOUBLE
+                              else draws.next_bounded(slot))
+    state = generator.bit_generator.state
+    state["has_uint32"] = int(draws.pending is not None)
+    state["uinteger"] = (draws.stale if draws.pending is None
+                         else draws.pending)
+    generator.bit_generator.state = state
+    return columns, generator
 
 
-def test_replay_supported_on_this_numpy():
-    assert replay_supported()
+def test_pcg64_words_are_pinned():
+    assert rng(123).bit_generator.random_raw(4).tolist() == PCG64_123_WORDS
 
 
-@pytest.mark.parametrize("template", [
-    [DOUBLE],                                   # doubles only
-    [1024],                                     # single int: parity flips
-    [1024, 1024],                               # even ints: parity stable
-    [DOUBLE, DOUBLE],                           # int_compute noise+store
-    [4096, 4096, 4096, DOUBLE, DOUBLE],         # int_compute full schedule
-    [2048, DOUBLE, 2048, DOUBLE, DOUBLE, 64],   # branchy-style mix, odd ints
-])
-@pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
-def test_template_matches_scalar_stream(template, k):
-    expected, oracle = scalar_columns(123, template, k)
-    rng = np.random.Generator(np.random.PCG64(123))
-    columns = replay_template(rng, template, k)
-    for got, want in zip(columns, expected, strict=True):
-        assert list(got) == want
-    assert rng.bit_generator.state == oracle.bit_generator.state
+class TestTransforms:
+    def test_double_is_the_top_53_bits(self):
+        draws = RawDraws(Words([0, (1 << 64) - 1, 1 << 11]))
+        assert draws.next_double() == 0.0
+        assert draws.next_double() == 1.0 - 2.0 ** -53
+        assert draws.next_double() == 2.0 ** -53
+
+    def test_bounded_takes_the_low_half_then_the_high_half(self):
+        draws = RawDraws(Words([(3 << 32) | 0x80000000]))
+        assert draws.next_bounded(4) == 2          # 0x80000000 * 4 >> 32
+        assert draws.pending == 3
+        assert draws.next_bounded(1 << 31) == 1    # 3 * 2**31 >> 32
+        assert draws.pending is None
+
+    def test_double_leaves_the_pending_half(self):
+        draws = RawDraws(Words([5 << 32, 1 << 11]))
+        assert draws.next_bounded(2) == 0
+        assert draws.next_double() == 2.0 ** -53
+        assert draws.pending == 5
+        assert draws.next_bounded(1 << 32) == 5
+
+    def test_lemire_rejection_consumes_another_half(self):
+        # A half of 0 gives a product whose low 32 bits (0) fall below
+        # 2**32 % 248 = 128: rejected, and the pending high half is used.
+        assert bounded_threshold(248) == 128
+        draws = RawDraws(Words([7 << 32]))
+        assert draws.next_bounded(248, 128) == (7 * 248) >> 32
+        assert draws.pending is None
+        assert draws.stale == 7
+
+    def test_power_of_two_threshold_is_zero(self):
+        assert bounded_threshold(1024) == 0
+        assert bounded_threshold(1 << 32) == 0
+
+    def test_pinned_values_from_the_seeded_stream(self):
+        draws = RawDraws(np.random.PCG64(123))
+        assert draws.next_double() == 0.6823518632481435
+        assert draws.next_bounded(1024) == 607     # low half of word 1
+        assert draws.next_bounded(64) == 3         # its high half
+        assert draws.next_double() == 0.22035987277261138
 
 
-def test_template_resumes_mid_stream():
-    """Chunks compose: scalar draws, a replay, then scalar draws again."""
-    template = [4096, DOUBLE, 64]
-    oracle = np.random.Generator(np.random.PCG64(7))
-    rng = np.random.Generator(np.random.PCG64(7))
-    # A leading scalar int leaves a buffered half pending on both.
-    assert int(rng.integers(0, 1024)) == int(oracle.integers(0, 1024))
-    expected = [[] for _ in template]
-    for _ in range(5):
-        for j, slot in enumerate(template):
-            if slot == DOUBLE:
-                expected[j].append(oracle.random())
-            else:
-                expected[j].append(int(oracle.integers(0, slot)))
-    columns = replay_template(rng, template, 5)
-    for got, want in zip(columns, expected, strict=True):
-        assert list(got) == want
-    # The streams stay aligned afterwards.
-    assert rng.random() == oracle.random()
-    assert int(rng.integers(0, 2048)) == int(oracle.integers(0, 2048))
-    assert rng.bit_generator.state == oracle.bit_generator.state
+class TestTemplate:
+    def test_pinned_columns_and_end_state(self):
+        generator = rng(123)
+        columns = draw_template(generator, [DOUBLE, 1024, 64], 3)
+        assert [column.tolist() for column in columns] == [
+            [0.6823518632481435, 0.22035987277261138, 0.17590590108503035],
+            [607, 261, 356],
+            [3, 11, 51]]
+        state = generator.bit_generator.state
+        assert state["has_uint32"] == 0
+        assert state["uinteger"] == 3487919347
 
+    @pytest.mark.parametrize("template", [
+        [DOUBLE],                                   # doubles only
+        [1024],                                     # single int: parity flips
+        [1024, 1024],                               # even ints: parity stable
+        [4096, 4096, 4096, DOUBLE, DOUBLE],         # int_compute schedule
+        [2048, DOUBLE, 2048, DOUBLE, DOUBLE, 64],   # branchy-style mix
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    def test_equals_one_draw_at_a_time(self, template, k):
+        expected, reference = one_at_a_time(5, template, k)
+        generator = rng(5)
+        columns = draw_template(generator, template, k)
+        assert [column.tolist() for column in columns] == expected
+        assert generator.bit_generator.state == reference.bit_generator.state
 
-def test_template_zero_fresh_raws_served_from_entry_buffer():
-    """k=1 with a single bounded slot and a pending entry buffer consumes
-    zero fresh raws: the value comes entirely from the buffered half
-    (regression: this used to IndexError into an empty raw block)."""
-    oracle = np.random.Generator(np.random.PCG64(77))
-    rng = np.random.Generator(np.random.PCG64(77))
-    int(oracle.integers(0, 8)), int(rng.integers(0, 8))   # buffer a half
-    columns = replay_template(rng, [16], 1)
-    assert [int(columns[0][0])] == [int(oracle.integers(0, 16))]
-    assert rng.bit_generator.state == oracle.bit_generator.state
+    def test_chunks_compose(self):
+        template = [4096, DOUBLE, 64]
+        whole = rng(7)
+        expected = draw_template(whole, template, 5)
+        split = rng(7)
+        parts = [draw_template(split, template, n) for n in (1, 3, 1)]
+        for j in range(len(template)):
+            assert np.concatenate([part[j] for part in parts]).tolist() == \
+                expected[j].tolist()
+        assert split.bit_generator.state == whole.bit_generator.state
 
+    def test_zero_fresh_words_served_from_the_pending_half(self):
+        # k=1 with a single bounded slot and a pending half consumes no
+        # fresh word (regression: this used to index an empty block).
+        generator = rng(77)
+        draw_template(generator, [8], 1)            # leaves a half pending
+        before = generator.bit_generator.state
+        (column,) = draw_template(generator, [16], 1)
+        assert column.tolist() == [(before["uinteger"] * 16) >> 32]
+        after = generator.bit_generator.state
+        assert after["state"] == before["state"]
+        assert after["has_uint32"] == 0
 
-def test_template_rejects_non_power_of_two_span():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ReplayUnsupported):
-        replay_template(rng, [100], 4)
+    def test_doubles_keep_the_pending_half(self):
+        generator = rng(11)
+        draw_template(generator, [256], 1)          # leaves a half pending
+        pending = generator.bit_generator.state["uinteger"]
+        draw_template(generator, [DOUBLE, DOUBLE], 2)
+        state = generator.bit_generator.state
+        assert (state["has_uint32"], state["uinteger"]) == (1, pending)
 
+    def test_rejects_a_span_that_could_reject(self):
+        with pytest.raises(ValueError, match="power of two"):
+            draw_template(rng(0), [100], 4)
 
-def test_template_empty_chunk_is_noop():
-    rng = np.random.Generator(np.random.PCG64(3))
-    before = rng.bit_generator.state
-    assert all(len(c) == 0 for c in replay_template(rng, [DOUBLE, 64], 0))
-    assert rng.bit_generator.state == before
-
-
-def test_template_double_only_preserves_entry_buffer():
-    oracle = np.random.Generator(np.random.PCG64(11))
-    rng = np.random.Generator(np.random.PCG64(11))
-    int(oracle.integers(0, 256)), int(rng.integers(0, 256))
-    for _ in range(4):
-        oracle.random()
-    replay_template(rng, [DOUBLE, DOUBLE], 2)
-    # Both still hold the buffered half from the leading integers call.
-    assert int(rng.integers(0, 256)) == int(oracle.integers(0, 256))
-    assert rng.bit_generator.state == oracle.bit_generator.state
+    def test_empty_chunk_is_a_noop(self):
+        generator = rng(3)
+        before = generator.bit_generator.state
+        assert all(len(c) == 0 for c in draw_template(generator, [DOUBLE, 64], 0))
+        assert generator.bit_generator.state == before
 
 
 class TestRawCursor:
-    def test_mixed_draws_match_scalar(self):
-        oracle = np.random.Generator(np.random.PCG64(42))
-        expected = []
-        for _ in range(10):
-            expected.append(oracle.random())
-            expected.append(int(oracle.integers(0, 2048)))
-            expected.append(int(oracle.integers(8, 256)))
-        rng = np.random.Generator(np.random.PCG64(42))
-        cursor = RawCursor(rng, 40)
-        got = []
-        t248 = bounded_threshold(248)
-        for _ in range(10):
-            got.append(cursor.next_double())
-            got.append(cursor.next_bounded(2048, 0))
-            got.append(8 + cursor.next_bounded(248, t248))
+    def test_mixed_draws_equal_one_at_a_time(self):
+        reference = rng(42)
+        draws = RawDraws(reference.bit_generator)
+        expected = [(draws.next_double(), draws.next_bounded(2048),
+                     8 + draws.next_bounded(248, 128)) for _ in range(10)]
+        generator = rng(42)
+        cursor = RawCursor(generator, 40)
+        got = [(cursor.next_double(), cursor.next_bounded(2048),
+                8 + cursor.next_bounded(248, 128)) for _ in range(10)]
         cursor.finalize()
         assert got == expected
-        assert rng.bit_generator.state == oracle.bit_generator.state
+        state = generator.bit_generator.state
+        assert state["state"] == reference.bit_generator.state["state"]
+        assert state["has_uint32"] == int(draws.pending is not None)
 
-    def test_finalize_rewinds_overdraw(self):
-        oracle = np.random.Generator(np.random.PCG64(9))
-        rng = np.random.Generator(np.random.PCG64(9))
-        cursor = RawCursor(rng, 100)
-        assert cursor.next_double() == oracle.random()
-        assert cursor.next_bounded(1024, 0) == int(oracle.integers(0, 1024))
+    def test_finalize_hands_back_unused_words(self):
+        generator = rng(123)
+        cursor = RawCursor(generator, 100)
+        assert cursor.next_double() == 0.6823518632481435
+        assert cursor.next_bounded(1024) == 607
         cursor.finalize()
-        # 97 overdrawn raws rewound; the buffered half restored.
-        assert rng.bit_generator.state == oracle.bit_generator.state
-        assert int(rng.integers(0, 1024)) == int(oracle.integers(0, 1024))
+        state = generator.bit_generator.state
+        assert state["has_uint32"] == 1
+        assert state["uinteger"] == PCG64_123_WORDS[1] >> 32
+        # Two words consumed; the next fresh word is the third.
+        assert generator.bit_generator.random_raw() == PCG64_123_WORDS[2]
 
-    def test_entry_buffer_consumed_first(self):
-        oracle = np.random.Generator(np.random.PCG64(21))
-        rng = np.random.Generator(np.random.PCG64(21))
-        int(oracle.integers(0, 64)), int(rng.integers(0, 64))
-        cursor = RawCursor(rng, 8)
-        assert cursor.next_bounded(64, 0) == int(oracle.integers(0, 64))
+    def test_pending_half_consumed_first(self):
+        generator = rng(123)
+        draw_template(generator, [1024], 1)         # word 0's high half pends
+        cursor = RawCursor(generator, 8)
+        assert cursor.next_bounded(1 << 32) == PCG64_123_WORDS[0] >> 32
         cursor.finalize()
-        assert rng.bit_generator.state == oracle.bit_generator.state
-
-    def test_rejection_threshold_values(self):
-        assert bounded_threshold(248) == (1 << 32) % 248
-        assert bounded_threshold(1024) == 0
+        assert generator.bit_generator.random_raw() == PCG64_123_WORDS[1]
 
     def test_double_finalize_is_idempotent(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        oracle = np.random.Generator(np.random.PCG64(5))
-        cursor = RawCursor(rng, 10)
-        cursor.next_double(), oracle.random()
+        generator = rng(5)
+        cursor = RawCursor(generator, 10)
+        cursor.next_double()
         cursor.finalize()
+        state = generator.bit_generator.state
         cursor.finalize()
-        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert generator.bit_generator.state == state

@@ -184,6 +184,24 @@ n_branch_sites = 16
         with pytest.raises(ValueError, match=message):
             parse_scenario_config(config)
 
+    @pytest.mark.parametrize("kernel", ["int_compute", "branchy"])
+    def test_random_stream_footprint_rejected_at_load(self, tmp_path, kernel):
+        config = json.loads(json.dumps(self.CONFIG))
+        config["scenarios"][0]["phases"].append(
+            {"kernel": kernel, "params": {"mem_footprint": 1000}})
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ValueError,
+                           match="cfg_roundtrip.*phase 2.*mem_footprint"):
+            load_scenario_file(path)
+
+    def test_other_kernels_take_any_footprint_at_load(self):
+        config = json.loads(json.dumps(self.CONFIG))
+        config["scenarios"][0]["phases"].append(
+            {"kernel": "pointer_chase", "params": {"mem_footprint": 1000}})
+        (profile,) = parse_scenario_config(config)
+        assert profile.phases[2].params.mem_footprint == 1000
+
     def test_invalid_json_reports_path(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

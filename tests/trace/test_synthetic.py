@@ -1,138 +1,74 @@
 """Tests for the low-level trace generation building blocks."""
 
 import numpy as np
-import pytest
 
 from repro.trace.synthetic import (BranchSite, PointerChaseStream, RandomStream,
-                                   RegisterRotation, StridedStream)
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(42)
+                                   StridedStream)
 
 
 class TestStridedStream:
-    def test_advances_by_stride(self, rng):
+    def test_advances_by_stride(self):
         stream = StridedStream(base=0x1000, stride=8, footprint=64)
-        addresses = [stream.next_address(rng) for _ in range(4)]
-        assert addresses == [0x1000, 0x1008, 0x1010, 0x1018]
+        assert stream.take(4).tolist() == [0x1000, 0x1008, 0x1010, 0x1018]
+        assert stream.offset == 32
 
-    def test_wraps_at_footprint(self, rng):
+    def test_wraps_at_footprint(self):
         stream = StridedStream(base=0x1000, stride=8, footprint=16)
-        addresses = [stream.next_address(rng) for _ in range(4)]
-        assert addresses == [0x1000, 0x1008, 0x1000, 0x1008]
+        assert stream.take(4).tolist() == [0x1000, 0x1008, 0x1000, 0x1008]
 
-    def test_reset(self, rng):
-        stream = StridedStream(base=0, stride=8, footprint=1024)
-        stream.next_address(rng)
-        stream.reset()
-        assert stream.next_address(rng) == 0
+    def test_takes_compose(self):
+        whole = StridedStream(base=0, stride=24, footprint=100)
+        split = StridedStream(base=0, stride=24, footprint=100)
+        parts = [split.take(n).tolist() for n in (1, 0, 4, 2)]
+        assert sum(parts, []) == whole.take(7).tolist()
 
 
 class TestRandomStream:
-    def test_within_working_set(self, rng):
-        stream = RandomStream(base=0x4000, footprint=256, align=8)
-        for _ in range(100):
-            address = stream.next_address(rng)
-            assert 0x4000 <= address < 0x4000 + 256
-            assert address % 8 == 0
+    def test_span_counts_aligned_slots(self):
+        assert RandomStream(base=0, footprint=256, align=8).span == 32
+        assert RandomStream(base=0, footprint=4, align=8).span == 1
 
-    def test_covers_working_set(self, rng):
-        stream = RandomStream(base=0, footprint=64, align=8)
-        seen = {stream.next_address(rng) for _ in range(200)}
-        assert len(seen) == 8
+    def test_within_working_set(self):
+        stream = RandomStream(base=0x4000, footprint=256, align=8)
+        addresses = stream.addresses(np.arange(stream.span, dtype=np.uint64))
+        assert addresses.tolist() == list(range(0x4000, 0x4100, 8))
 
 
 class TestPointerChaseStream:
-    def test_deterministic_order(self, rng):
+    def test_deterministic_order(self):
         a = PointerChaseStream(base=0, n_nodes=16, seed=7)
         b = PointerChaseStream(base=0, n_nodes=16, seed=7)
-        assert [a.next_address(rng) for _ in range(8)] == \
-               [b.next_address(rng) for _ in range(8)]
+        assert a.take(8).tolist() == b.take(8).tolist()
 
-    def test_visits_every_node_once_per_lap(self, rng):
+    def test_visits_every_node_once_per_lap(self):
         stream = PointerChaseStream(base=0, n_nodes=8, node_size=32, seed=1)
-        addresses = [stream.next_address(rng) for _ in range(8)]
-        assert len(set(addresses)) == 8
-        assert all(address % 32 == 0 for address in addresses)
-
-
-class TestRegisterRotation:
-    def test_round_robin(self):
-        rotation = RegisterRotation([4, 5, 6])
-        assert [rotation.next_dest() for _ in range(5)] == [4, 5, 6, 4, 5]
-
-    def test_recent(self):
-        rotation = RegisterRotation([1, 2, 3, 4])
-        rotation.next_dest()  # 1
-        rotation.next_dest()  # 2
-        assert rotation.recent(1) == 2
-        assert rotation.recent(2) == 1
-
-    def test_recent_before_any_dest(self):
-        rotation = RegisterRotation([7, 8])
-        assert rotation.recent() == 7
-
-    def test_live_count(self):
-        rotation = RegisterRotation([1, 2, 3])
-        assert rotation.live_count == 0
-        rotation.next_dest()
-        rotation.next_dest()
-        assert rotation.live_count == 2
-        for _ in range(10):
-            rotation.next_dest()
-        assert rotation.live_count == 3
+        first_lap, second_lap = stream.take(8).tolist(), stream.take(8).tolist()
+        assert len(set(first_lap)) == 8
+        assert all(address % 32 == 0 for address in first_lap)
+        assert second_lap == first_lap
 
 
 class TestBranchSite:
-    def test_loop_branch_pattern(self, rng):
-        site = BranchSite(pc=0, target=0, kind="loop", trip=4)
-        outcomes = [site.next_outcome(rng) for _ in range(8)]
-        assert outcomes == [True, True, True, False] * 2
-
-    def test_bernoulli_bias(self, rng):
-        site = BranchSite(pc=0, target=0, kind="bernoulli", bias=0.9)
-        outcomes = [site.next_outcome(rng) for _ in range(2000)]
-        assert 0.85 < np.mean(outcomes) < 0.95
-
-    def test_pattern(self, rng):
-        site = BranchSite(pc=0, target=0, kind="pattern",
-                          pattern=(True, False, False))
-        outcomes = [site.next_outcome(rng) for _ in range(6)]
-        assert outcomes == [True, False, False, True, False, False]
-
-    def test_empty_pattern_defaults_not_taken(self, rng):
-        site = BranchSite(pc=0, target=0, kind="pattern", pattern=())
-        assert site.next_outcome(rng) is False
-
-    def test_correlated_is_deterministic_given_history(self, rng):
+    def test_correlated_is_deterministic_given_history(self):
         site = BranchSite(pc=0x100, target=0, kind="correlated", noise=0.0,
                           bias=0.7, context_bits=4)
-        history = 0b1010
-        outcomes = {site.next_outcome(rng, history) for _ in range(10)}
+        outcomes = {site.correlated_outcome(0b1010) for _ in range(10)}
         assert len(outcomes) == 1          # same context → same outcome
 
-    def test_correlated_same_function_across_instances(self, rng):
+    def test_correlated_same_function_across_instances(self):
         a = BranchSite(pc=0x200, target=0, kind="correlated", noise=0.0)
         b = BranchSite(pc=0x200, target=0, kind="correlated", noise=0.0)
         for history in range(16):
-            assert a.next_outcome(rng, history) == b.next_outcome(rng, history)
+            assert a.correlated_outcome(history) == b.correlated_outcome(history)
 
-    def test_correlated_noise_flips_sometimes(self):
-        rng = np.random.default_rng(3)
-        site = BranchSite(pc=0x300, target=0, kind="correlated", noise=0.5)
-        outcomes = [site.next_outcome(rng, 0b1) for _ in range(500)]
-        assert 0.2 < np.mean(outcomes) < 0.8   # noise produces both outcomes
+    def test_correlated_reads_only_the_context_bits(self):
+        site = BranchSite(pc=0x300, target=0, kind="correlated", context_bits=4)
+        for history in range(16):
+            assert (site.correlated_outcome(history)
+                    == site.correlated_outcome(history | 0xFF0))
 
-    def test_unknown_kind_raises(self, rng):
-        site = BranchSite(pc=0, target=0, kind="nonsense")
-        with pytest.raises(ValueError):
-            site.next_outcome(rng)
-
-    def test_reset(self, rng):
-        site = BranchSite(pc=0, target=0, kind="loop", trip=3)
-        site.next_outcome(rng)
-        site.reset()
-        outcomes = [site.next_outcome(rng) for _ in range(3)]
-        assert outcomes == [True, True, False]
+    def test_correlated_bias_sets_the_taken_share(self):
+        site = BranchSite(pc=0x400, target=0, kind="correlated", bias=0.8,
+                          context_bits=10)
+        share = np.mean([site.correlated_outcome(h) for h in range(1 << 10)])
+        assert 0.74 < share < 0.86
