@@ -6,8 +6,11 @@ Usage::
     python scripts/ab.py REV [--pairs 10] [--seed 7]
                              [--workload serve-zipf ...] [--json OUT]
 
-Extracts ``REV`` (``git archive``) into a temporary directory, gives
-each tree one untimed warm-up run (so each builds its compiled core),
+Extracts ``REV`` (``git archive``) into a temporary directory,
+byte-compiles ``src`` and ``perfbench`` in both trees (so neither
+side's set-up pays for compiling modules the other reads from
+``__pycache__``, even under ``PYTHONDONTWRITEBYTECODE``), gives each
+tree one untimed warm-up run (so each builds its compiled core),
 then runs the ``BENCHMARK.json`` command with ``--trace 0`` and the
 benchmark's run length on both trees for ``--pairs`` interleaved
 pairs, alternating which side runs first.  For every end-to-end metric
@@ -125,6 +128,12 @@ def extract(rev: str, into: Path) -> None:
             tar.extractall(into)
 
 
+def byte_compile(tree: Path) -> None:
+    """Write the bytecode of ``tree``'s ``src`` and ``perfbench``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q",
+                    "src", "perfbench"], cwd=tree, check=True)
+
+
 def run_once(tree: Path, command: List[str], workload: str, seed: int,
              seconds: float):
     """One ``--trace 0`` run in ``tree``: its result JSON, or None."""
@@ -160,6 +169,8 @@ def main(argv=None) -> int:
     try:
         extract(args.rev, base_tree)
         trees = {"base": base_tree, "head": REPO_ROOT}
+        for tree in trees.values():
+            byte_compile(tree)
         for workload in workloads:
             for tree in trees.values():
                 run_once(tree, spec["command"], workload, args.seed,

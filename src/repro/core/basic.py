@@ -86,20 +86,26 @@ class BasicEarlyRelease(ReleasePolicy):
             return DestRenameOutcome(released_immediately=True,
                                      release_previous_at_commit=False)
 
-        lu_entry = self.view.ros_entry(lu.seq)
-        if lu_entry is None:
-            # The LU left the window without committing (squashed): the LUs
-            # snapshot should have prevented this; fall back conservatively.
+        if lu.seq == entry.seq:
+            # The renaming instruction reads its own destination register
+            # (e.g. the ``p = p->next`` load of a pointer chase): its ROS
+            # entry is not published to the seq index until rename
+            # finishes, so the basic mechanism releases conventionally.
             self.fallback_conventional += 1
             return DestRenameOutcome(release_previous_at_commit=True)
 
+        # An uncommitted LU other than this NV is older than it and was
+        # not squashed (the LUs Table is restored on misprediction and
+        # reset on an exception flush), so it is in flight, and its
+        # recorded slot names the previous version.
+        lu_entry = self.view.ros_entry(lu.seq)
+        assert lu_entry is not None, (
+            f"in-flight last use {lu.seq} of r{logical} is not in the ROS")
         bit = _slot_bit(lu.slot)
         _cls, physical, _logical = lu_entry.physical_of_slot(bit)
-        if physical != old_pd:
-            # The recorded slot no longer names the previous version (defensive
-            # check; cannot happen when the LUs table is managed correctly).
-            self.fallback_conventional += 1
-            return DestRenameOutcome(release_previous_at_commit=True)
+        assert physical == old_pd, (
+            "LUs table slot does not name the previous version: "
+            f"slot maps to p{physical}, expected p{old_pd}")
 
         lu_entry.early_release_mask |= bit
         self.early_releases_scheduled += 1

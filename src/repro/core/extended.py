@@ -12,8 +12,15 @@ speculation in front of the NV resolves:
   entry) otherwise;
 * branch confirmation collapses the level toward ``RwC0``; confirmation of
   the *oldest* branch releases the level's ``RwNS`` registers outright;
-* branch misprediction clears the level and every younger one;
+* branch misprediction clears the level and every younger one, which
+  drops every scheduling of the squashed NVs (:mod:`repro.core.release_queue`
+  gives the argument);
 * commit of an LU moves its still-conditional ``RwC`` bits to ``RwNS``.
+
+A last use that has not committed is always in the ROS (the renaming
+instruction itself when it reads its own destination); finding it
+missing, or finding its recorded slot naming another register, is an
+internal error, not a case to release around.
 
 Because every previous-version release is routed through the mechanism,
 the conventional ``old_pd``/``rel_old`` fields of the ROS are no longer
@@ -88,7 +95,7 @@ class ExtendedEarlyRelease(ReleasePolicy):
                 return DestRenameOutcome(released_immediately=True,
                                          release_previous_at_commit=False)
             # Step 2, first case: conditional release in decoded (RwNS) form.
-            self.release_queue.schedule_committed_lu(old_pd, logical, entry.seq)
+            self.release_queue.schedule_committed_lu(old_pd, logical)
             self.conditional_schedulings += 1
             return DestRenameOutcome(scheduled_early=True,
                                      release_previous_at_commit=False)
@@ -98,29 +105,15 @@ class ExtendedEarlyRelease(ReleasePolicy):
             # (e.g. the ``p = p->next`` load of a pointer chase), so *it*
             # is the last use of the previous version.  Its ROS entry is
             # not published to the seq index until rename finishes, so the
-            # generic lookup below would miss it — and the historical
-            # "treat an unknown LU as committed" fallback then scheduled
-            # an RwNS release of a register whose definer could still be
-            # in flight, double-releasing it when an exception flush later
-            # returned the squashed definer's allocation (the last
-            # remaining seed-era ``FreeListError`` family).
+            # lookup below would miss it.
             lu_entry = entry
         else:
             lu_entry = self.view.ros_entry(lu.seq)
-        if lu_entry is None:
-            # Defensive: treat an unknown in-flight LU as committed.  The
-            # scheduling carries the NV's seq, so a squash of the NV
-            # cancels it before it can fire.
-            if pending == 0:
-                self._release_physical(old_pd, logical,
-                                       self.view.current_cycle(), early=True)
-                self.immediate_releases += 1
-                return DestRenameOutcome(released_immediately=True,
-                                         release_previous_at_commit=False)
-            self.release_queue.schedule_committed_lu(old_pd, logical, entry.seq)
-            self.conditional_schedulings += 1
-            return DestRenameOutcome(scheduled_early=True,
-                                     release_previous_at_commit=False)
+        # Any other uncommitted LU is older than this NV and was not
+        # squashed (the LUs Table is restored on misprediction and reset
+        # on an exception flush), so it is in flight.
+        assert lu_entry is not None, (
+            f"in-flight last use {lu.seq} of r{logical} is not in the ROS")
 
         bit = _slot_bit(lu.slot)
         _cls, physical, _logical = lu_entry.physical_of_slot(bit)
@@ -136,7 +129,7 @@ class ExtendedEarlyRelease(ReleasePolicy):
                                      release_previous_at_commit=False)
 
         # Step 2, second case: conditional release tied to the in-flight LU.
-        self.release_queue.schedule_inflight_lu(lu.seq, bit, entry.seq)
+        self.release_queue.schedule_inflight_lu(lu.seq, bit)
         self.conditional_schedulings += 1
         return DestRenameOutcome(scheduled_early=True,
                                  release_previous_at_commit=False)
@@ -163,12 +156,10 @@ class ExtendedEarlyRelease(ReleasePolicy):
     def on_branch_mispredicted(self, branch_seq: int) -> None:
         """Step 3: clear the level of the mispredicted branch and all younger ones.
 
-        Confirmation merges can move a squashed NV's scheduling into a
-        level *older* than the mispredicted branch, so the level clear is
-        followed by an NV-tag sweep over the surviving levels.
+        Every scheduling made by a squashed NV sits in one of those levels
+        (see :mod:`repro.core.release_queue`).
         """
         self.release_queue.on_branch_mispredicted(branch_seq)
-        self.release_queue.cancel_younger_than(branch_seq)
 
     # ------------------------------------------------------------------
     # Commit / flush hooks

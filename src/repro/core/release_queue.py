@@ -1,34 +1,39 @@
 """Release Queue (RelQue) of the extended mechanism (paper Section 4.1/4.2).
 
 One *level* exists per branch pending verification.  A level holds the
-conditional release schedulings made by next-version instructions decoded
-while that branch was the youngest pending branch:
+conditional release schedulings made by next-version (NV) instructions
+decoded while that branch was the youngest pending branch:
 
 * ``rwns`` ("Release when Non-Speculative") — releases whose last-use
-  instruction has already committed; the paper stores these as a bit
-  vector over physical registers, here a mapping from ``(physical,
-  logical)`` pairs to the scheduling NV's sequence number (the logical
-  register is carried only for the stale-architectural-mapping
-  bookkeeping, not because the hardware needs it).
-* ``rwc`` ("Release when Commit") — releases whose last-use instruction is
-  still in flight, keyed by the LU's ROS identifier with a per-slot-bit
-  map to the scheduling NV, to be merged with the LU entry's plain
-  early-release bits (``RwC0``) once the speculation in front of the NV
-  is resolved.
-
-Every scheduling is tagged with the sequence number of the next-version
-instruction that made it.  Level clears cover the common squash case (the
-NV's scheduling lives at the level of a branch older than the NV, and a
-misprediction clears that level together with all younger ones), but a
-scheduling can outlive its level through confirmation *merges*; tagging
-lets :meth:`ReleaseQueue.cancel_younger_than` drop any scheduling whose
-NV falls inside a squashed window, wherever the scheduling ended up.
+  (LU) instruction has already committed.  The paper stores these as a
+  bit vector over physical registers; here they are an insertion-ordered
+  set of ``(physical, logical)`` pairs (a dict with ``None`` values), so
+  a confirmation releases them in scheduling order.  The logical register
+  is carried only for the stale-architectural-mapping bookkeeping, not
+  because the hardware needs it.
+* ``rwc`` ("Release when Commit") — releases whose LU is still in
+  flight: the LU's ROS identifier mapped to a mask of its early-release
+  slot bits, to be OR-ed into the LU entry's plain early-release bits
+  (``RwC0``) once the speculation in front of the NVs is resolved.
 
 Level movements follow the paper's steps: a branch confirmation merges its
 level into the next older one (or, for the oldest level, releases the
-``rwns`` registers and promotes the ``rwc`` bits to ``RwC0``); a
-misprediction clears the level and every younger one; the commit of an LU
-instruction moves its ``rwc`` bits into the same level's ``rwns``.
+``rwns`` registers and promotes the ``rwc`` masks to ``RwC0``); a
+misprediction clears the level and every younger one; an exception flush
+clears every level; the commit of an LU moves its ``rwc`` bits, in
+ascending bit order, into the same level's ``rwns``.
+
+Nothing records which NV made a scheduling, because the level clears
+alone cancel every scheduling of a squashed NV.  An NV schedules at the
+TAIL level, whose branch is the youngest branch pending when the NV is
+renamed; a branch B older than the NV and still unresolved was pending
+then, so the NV's level is B's or a younger one.  Confirming a branch
+merges its level only into the next older level, and a mispredicted B is
+never confirmed, so a scheduling made by an NV younger than B stays at
+B's level or a younger one, and B's misprediction clears exactly those
+levels.  An NV older than B scheduled before B's level existed, so its
+scheduling sits in an older level and survives.  An exception flush
+squashes every NV and clears every level.
 """
 
 from __future__ import annotations
@@ -42,15 +47,16 @@ class ReleaseQueueLevel:
     """Conditional releases guarded by one pending branch."""
 
     branch_seq: int
-    #: (physical, logical) -> sequence number of the scheduling NV.
-    rwns: Dict[Tuple[int, Optional[int]], int] = field(default_factory=dict)
-    #: LU seq -> {slot bit -> sequence number of the scheduling NV}.
-    rwc: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    #: (physical, logical) pairs, in scheduling order (values unused).
+    rwns: Dict[Tuple[int, Optional[int]], None] = field(default_factory=dict)
+    #: LU seq -> mask of early-release slot bits.
+    rwc: Dict[int, int] = field(default_factory=dict)
 
     @property
     def n_scheduled(self) -> int:
         """Number of conditional releases held at this level."""
-        return len(self.rwns) + sum(len(bits) for bits in self.rwc.values())
+        return len(self.rwns) + sum(mask.bit_count()
+                                    for mask in self.rwc.values())
 
 
 class ReleaseQueue:
@@ -61,9 +67,6 @@ class ReleaseQueue:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._levels: List[ReleaseQueueLevel] = []
-        # statistics
-        self.confirm_releases = 0
-        self.squashed_schedulings = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -96,22 +99,18 @@ class ReleaseQueue:
     # ------------------------------------------------------------------
     # Step 2: speculative NV decode marks the TAIL level.
     # ------------------------------------------------------------------
-    def schedule_committed_lu(self, physical: int, logical: Optional[int],
-                              nv_seq: int) -> None:
-        """Conditional release of ``physical`` whose LU has already committed (RwNS).
-
-        ``nv_seq`` is the sequence number of the scheduling next-version
-        instruction, kept so a squash of the NV cancels the scheduling.
-        """
+    def schedule_committed_lu(self, physical: int, logical: Optional[int]) -> None:
+        """Conditional release of ``physical`` whose LU has already committed (RwNS)."""
         if not self._levels:
             raise RuntimeError("no pending branch: the release is not conditional")
-        self._levels[-1].rwns[(physical, logical)] = nv_seq
+        self._levels[-1].rwns[(physical, logical)] = None
 
-    def schedule_inflight_lu(self, lu_seq: int, slot_bit: int, nv_seq: int) -> None:
+    def schedule_inflight_lu(self, lu_seq: int, slot_bit: int) -> None:
         """Conditional release tied to the in-flight LU ``lu_seq`` (RwC)."""
         if not self._levels:
             raise RuntimeError("no pending branch: the release is not conditional")
-        self._levels[-1].rwc.setdefault(lu_seq, {})[slot_bit] = nv_seq
+        rwc = self._levels[-1].rwc
+        rwc[lu_seq] = rwc.get(lu_seq, 0) | slot_bit
 
     # ------------------------------------------------------------------
     # Step 5: commit of an LU instruction moves its RwC bits to RwNS.
@@ -122,13 +121,15 @@ class ReleaseQueue:
 
         ``slot_resolver`` maps a slot bit to ``(physical, logical)`` using
         the committing ROS entry (the "decoding of the register
-        identifiers located at the ROS head" of the paper).
+        identifiers located at the ROS head" of the paper).  Each level's
+        bits move to its ``rwns`` in ascending bit order.
         """
         for level in self._levels:
-            bits = level.rwc.pop(lu_seq, None)
-            if bits:
-                for slot_bit, nv_seq in bits.items():
-                    level.rwns[slot_resolver(slot_bit)] = nv_seq
+            mask = level.rwc.pop(lu_seq, 0)
+            while mask:
+                slot_bit = mask & -mask
+                level.rwns[slot_resolver(slot_bit)] = None
+                mask ^= slot_bit
 
     # ------------------------------------------------------------------
     # Steps 3/4/6: branch resolution.
@@ -140,7 +141,7 @@ class ReleaseQueue:
 
         For the oldest level this performs the Branch-Confirm Release of
         the ``rwns`` registers (via ``release(physical, logical)``) and
-        promotes the ``rwc`` bits to the LU entries' plain early-release
+        promotes the ``rwc`` masks to the LU entries' plain early-release
         bits (via ``promote_rwc0(lu_seq, mask)``); for any other level the
         contents are OR-ed into the next older level.
         """
@@ -151,64 +152,29 @@ class ReleaseQueue:
         if index == 0:
             for physical, logical in level.rwns:
                 release(physical, logical)
-                self.confirm_releases += 1
-            for lu_seq, bits in level.rwc.items():
-                mask = 0
-                for slot_bit in bits:
-                    mask |= slot_bit
+            for lu_seq, mask in level.rwc.items():
                 promote_rwc0(lu_seq, mask)
         else:
             older = self._levels[index - 1]
             older.rwns.update(level.rwns)
-            for lu_seq, bits in level.rwc.items():
-                older.rwc.setdefault(lu_seq, {}).update(bits)
+            for lu_seq, mask in level.rwc.items():
+                older.rwc[lu_seq] = older.rwc.get(lu_seq, 0) | mask
 
     def on_branch_mispredicted(self, branch_seq: int) -> int:
         """Branch ``branch_seq`` mispredicted: clear its level and all younger ones.
 
-        Returns the number of conditional releases squashed.  Callers must
-        follow up with :meth:`cancel_younger_than` so schedulings by NVs
-        inside the squashed window that were *merged* into surviving
-        levels are cancelled too.
+        Returns the number of conditional releases squashed.
         """
         index = self._find(branch_seq)
         if index is None:
             return 0
         dropped = sum(level.n_scheduled for level in self._levels[index:])
         del self._levels[index:]
-        self.squashed_schedulings += dropped
-        return dropped
-
-    def cancel_younger_than(self, squash_seq: int) -> int:
-        """Drop every scheduling made by an NV younger than ``squash_seq``.
-
-        A squashed next-version instruction never redefines its logical
-        register, so the previous version it conditionally released stays
-        live — its scheduling must not survive, no matter which level
-        confirmation merges moved it to.  Returns the number cancelled.
-        """
-        dropped = 0
-        for level in self._levels:
-            stale = [key for key, nv_seq in level.rwns.items() if nv_seq > squash_seq]
-            for key in stale:
-                del level.rwns[key]
-            dropped += len(stale)
-            for lu_seq in list(level.rwc):
-                bits = level.rwc[lu_seq]
-                stale_bits = [bit for bit, nv_seq in bits.items()
-                              if nv_seq > squash_seq]
-                for bit in stale_bits:
-                    del bits[bit]
-                dropped += len(stale_bits)
-                if not bits:
-                    del level.rwc[lu_seq]
-        self.squashed_schedulings += dropped
         return dropped
 
     def clear(self) -> int:
         """Full flush (exception): drop every level; returns schedulings dropped."""
         dropped = self.total_scheduled()
-        self.squashed_schedulings += dropped
         self._levels.clear()
         return dropped
 

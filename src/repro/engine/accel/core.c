@@ -102,6 +102,7 @@ enum {
     E_NONE = 0, E_FREELIST, E_ALLOC_EMPTY, E_WK_POOL, E_CQ_POOL, E_LW_POOL,
     E_RQ_OVERFLOW, E_RWC_MISSING, E_SLOT_MISMATCH, E_LSQ_REMOVE, E_CQ_RANGE,
     E_READY_POOL, E_WP_DRY, E_TRACE_ROW, E_TRACE_REG, E_WP_WINDOW,
+    E_LU_MISSING,
 };
 
 /* Op classes / predicates (repro.isa.opcodes). */
@@ -179,14 +180,11 @@ typedef struct {            /* one ROS row; the fields age-order lookups
 typedef struct {            /* one release-queue level (slot) */
     i64 branch_seq;
     int rwns_n;
-    int *rwns_phys;         /* insertion-ordered; update keeps position */
+    int *rwns_phys;         /* insertion-ordered set of (phys, log) */
     int *rwns_log;          /* -1 == None */
-    i64 *rwns_nv;
     int rwc_n;
     i64 *rwc_lu;            /* insertion-ordered LU seqs */
-    int *rwc_nbits;
-    int *rwc_bits;          /* 4 per LU entry */
-    i64 *rwc_nv;            /* 4 per LU entry */
+    int *rwc_mask;          /* slot-bit mask per LU */
 } RQLevel;
 
 struct Machine {
@@ -1027,7 +1025,10 @@ static int ck_has_pending_younger(Machine *m, i64 seq) {
 
 /* ------------------------------------------------------------------ */
 /* Release queues (extended policy), one per register class.          */
-/* Levels keep Python-dict semantics: ordered, update-in-place.       */
+/* Levels keep Python-dict semantics: RwNS an ordered set of          */
+/* (phys, log), RwC an ordered LU -> slot-mask map.  Nothing records  */
+/* the scheduling NV: a misprediction's level clear drops every       */
+/* squashed NV's scheduling (argument in core/release_queue.py).      */
 /* ------------------------------------------------------------------ */
 static void rq_push_level(Machine *m, int c, i64 branch_seq) {
     if (m->rq_count[c] >= m->rq_levels || m->rq_nfree[c] == 0) {
@@ -1043,14 +1044,9 @@ static void rq_push_level(Machine *m, int c, i64 branch_seq) {
     m->rq_order[c][m->rq_count[c]++] = slot;
 }
 
-static void rwns_insert_or_update(Machine *m, RQLevel *lv, int phys,
-                                  int logical, i64 nv) {
-    for (int i = 0; i < lv->rwns_n; i++) {
-        if (lv->rwns_phys[i] == phys && lv->rwns_log[i] == logical) {
-            lv->rwns_nv[i] = nv;
-            return;
-        }
-    }
+static void rwns_insert(Machine *m, RQLevel *lv, int phys, int logical) {
+    for (int i = 0; i < lv->rwns_n; i++)
+        if (lv->rwns_phys[i] == phys && lv->rwns_log[i] == logical) return;
     if (lv->rwns_n >= m->rq_rwns_cap) {
         m->status = RUN_INTERNAL;
         m->error = E_RQ_OVERFLOW;
@@ -1058,50 +1054,27 @@ static void rwns_insert_or_update(Machine *m, RQLevel *lv, int phys,
     }
     lv->rwns_phys[lv->rwns_n] = phys;
     lv->rwns_log[lv->rwns_n] = logical;
-    lv->rwns_nv[lv->rwns_n] = nv;
     lv->rwns_n++;
 }
 
-static void rwc_add_bit(Machine *m, RQLevel *lv, i64 lu_seq, int bit,
-                        i64 nv) {
-    int idx = -1;
+static void rwc_or_mask(Machine *m, RQLevel *lv, i64 lu_seq, int mask) {
     for (int i = 0; i < lv->rwc_n; i++)
-        if (lv->rwc_lu[i] == lu_seq) { idx = i; break; }
-    if (idx < 0) {
-        if (lv->rwc_n >= m->rq_rwc_cap) {
-            m->status = RUN_INTERNAL;
-            m->error = E_RQ_OVERFLOW;
+        if (lv->rwc_lu[i] == lu_seq) {
+            lv->rwc_mask[i] |= mask;
             return;
         }
-        idx = lv->rwc_n++;
-        lv->rwc_lu[idx] = lu_seq;
-        lv->rwc_nbits[idx] = 0;
+    if (lv->rwc_n >= m->rq_rwc_cap) {
+        m->status = RUN_INTERNAL;
+        m->error = E_RQ_OVERFLOW;
+        return;
     }
-    int *bits = lv->rwc_bits + idx * 4;
-    i64 *nvs = lv->rwc_nv + idx * 4;
-    for (int b = 0; b < lv->rwc_nbits[idx]; b++) {
-        if (bits[b] == bit) {
-            nvs[b] = nv;
-            return;
-        }
-    }
-    int nb = lv->rwc_nbits[idx]++;
-    bits[nb] = bit;
-    nvs[nb] = nv;
+    lv->rwc_lu[lv->rwc_n] = lu_seq;
+    lv->rwc_mask[lv->rwc_n] = mask;
+    lv->rwc_n++;
 }
 
 #define RQ_TAIL(m, c) \
     (&(m)->rq_slots[c][(m)->rq_order[c][(m)->rq_count[c] - 1]])
-
-static void rq_schedule_committed(Machine *m, int c, int phys, int logical,
-                                  i64 nv_seq) {
-    rwns_insert_or_update(m, RQ_TAIL(m, c), phys, logical, nv_seq);
-}
-
-static void rq_schedule_inflight(Machine *m, int c, i64 lu_seq, int bit,
-                                 i64 nv_seq) {
-    rwc_add_bit(m, RQ_TAIL(m, c), lu_seq, bit, nv_seq);
-}
 
 /* The slot a mask bit names: bit 8 = destination, bits 1/2/4 = sources. */
 static void phys_of_slot(const RosRow *r, int bit, int *cls, int *phys,
@@ -1118,8 +1091,8 @@ static void phys_of_slot(const RosRow *r, int bit, int *cls, int *phys,
     }
 }
 
-/* A scheduled LU commits: resolve its pending slot-bits into RwNS
- * entries of whichever levels carry them. */
+/* A scheduled LU commits: resolve its pending slot bits, in ascending
+ * order, into RwNS entries of whichever levels carry them. */
 static void rq_on_lu_commit(Machine *m, int c, int row) {
     i64 lu_seq = m->ros[row].seq;
     for (i64 i = 0; i < m->rq_count[c]; i++) {
@@ -1128,32 +1101,29 @@ static void rq_on_lu_commit(Machine *m, int c, int row) {
         for (int k = 0; k < lv->rwc_n; k++)
             if (lv->rwc_lu[k] == lu_seq) { idx = k; break; }
         if (idx < 0) continue;
-        int *bits = lv->rwc_bits + idx * 4;
-        i64 *nvs = lv->rwc_nv + idx * 4;
-        for (int b = 0; b < lv->rwc_nbits[idx]; b++) {
+        for (int bit = 1; bit <= 8; bit <<= 1) {
+            if (!(lv->rwc_mask[idx] & bit)) continue;
             int sc, sp, sl;
-            phys_of_slot(&m->ros[row], bits[b], &sc, &sp, &sl);
-            rwns_insert_or_update(m, lv, sp, sl, nvs[b]);
+            phys_of_slot(&m->ros[row], bit, &sc, &sp, &sl);
+            rwns_insert(m, lv, sp, sl);
         }
         memmove(lv->rwc_lu + idx, lv->rwc_lu + idx + 1,
                 (size_t)(lv->rwc_n - idx - 1) * sizeof(i64));
-        memmove(lv->rwc_nbits + idx, lv->rwc_nbits + idx + 1,
+        memmove(lv->rwc_mask + idx, lv->rwc_mask + idx + 1,
                 (size_t)(lv->rwc_n - idx - 1) * sizeof(int));
-        memmove(lv->rwc_bits + idx * 4, lv->rwc_bits + (idx + 1) * 4,
-                (size_t)(lv->rwc_n - idx - 1) * 4 * sizeof(int));
-        memmove(lv->rwc_nv + idx * 4, lv->rwc_nv + (idx + 1) * 4,
-                (size_t)(lv->rwc_n - idx - 1) * 4 * sizeof(i64));
         lv->rwc_n--;
     }
 }
 
-static void rq_on_branch_confirmed(Machine *m, int c, i64 seq) {
-    i64 index = -1;
+/* Position of branch seq's level in age order, or -1. */
+static i64 rq_find(Machine *m, int c, i64 seq) {
     for (i64 i = 0; i < m->rq_count[c]; i++)
-        if (m->rq_slots[c][m->rq_order[c][i]].branch_seq == seq) {
-            index = i;
-            break;
-        }
+        if (m->rq_slots[c][m->rq_order[c][i]].branch_seq == seq) return i;
+    return -1;
+}
+
+static void rq_on_branch_confirmed(Machine *m, int c, i64 seq) {
+    i64 index = rq_find(m, c, seq);
     if (index < 0) return;
     int slot = m->rq_order[c][index];
     RQLevel *lv = &m->rq_slots[c][slot];
@@ -1167,84 +1137,31 @@ static void rq_on_branch_confirmed(Machine *m, int c, i64 seq) {
             release_physical(m, c, lv->rwns_phys[i], lv->rwns_log[i],
                              m->cycle, 1);
         for (int k = 0; k < lv->rwc_n; k++) {
-            int mask = 0;
-            for (int b = 0; b < lv->rwc_nbits[k]; b++)
-                mask |= lv->rwc_bits[k * 4 + b];
             int lrow = ros_find(m, lv->rwc_lu[k]);
             if (lrow < 0) {
                 m->status = RUN_INTERNAL;
                 m->error = E_RWC_MISSING;
                 return;
             }
-            m->ros[lrow].mask |= mask;
+            m->ros[lrow].mask |= lv->rwc_mask[k];
         }
     } else {
         /* Inner level: merge into the next-older one. */
         RQLevel *older = &m->rq_slots[c][m->rq_order[c][index - 1]];
         for (int i = 0; i < lv->rwns_n; i++)
-            rwns_insert_or_update(m, older, lv->rwns_phys[i],
-                                  lv->rwns_log[i], lv->rwns_nv[i]);
+            rwns_insert(m, older, lv->rwns_phys[i], lv->rwns_log[i]);
         for (int k = 0; k < lv->rwc_n; k++)
-            for (int b = 0; b < lv->rwc_nbits[k]; b++)
-                rwc_add_bit(m, older, lv->rwc_lu[k],
-                            lv->rwc_bits[k * 4 + b], lv->rwc_nv[k * 4 + b]);
+            rwc_or_mask(m, older, lv->rwc_lu[k], lv->rwc_mask[k]);
     }
     m->rq_freestack[c][m->rq_nfree[c]++] = slot;
 }
 
-/* Drop every scheduling requested by a squashed next-version. */
-static void rq_cancel_younger(Machine *m, int c, i64 seq) {
-    for (i64 i = 0; i < m->rq_count[c]; i++) {
-        RQLevel *lv = &m->rq_slots[c][m->rq_order[c][i]];
-        int n = 0;
-        for (int k = 0; k < lv->rwns_n; k++) {
-            if (lv->rwns_nv[k] <= seq) {
-                lv->rwns_phys[n] = lv->rwns_phys[k];
-                lv->rwns_log[n] = lv->rwns_log[k];
-                lv->rwns_nv[n] = lv->rwns_nv[k];
-                n++;
-            }
-        }
-        lv->rwns_n = n;
-        n = 0;
-        for (int k = 0; k < lv->rwc_n; k++) {
-            int nb = 0;
-            for (int b = 0; b < lv->rwc_nbits[k]; b++) {
-                if (lv->rwc_nv[k * 4 + b] <= seq) {
-                    lv->rwc_bits[k * 4 + nb] = lv->rwc_bits[k * 4 + b];
-                    lv->rwc_nv[k * 4 + nb] = lv->rwc_nv[k * 4 + b];
-                    nb++;
-                }
-            }
-            if (nb > 0) {
-                lv->rwc_lu[n] = lv->rwc_lu[k];
-                lv->rwc_nbits[n] = nb;
-                if (n != k) {
-                    memmove(lv->rwc_bits + n * 4, lv->rwc_bits + k * 4,
-                            4 * sizeof(int));
-                    memmove(lv->rwc_nv + n * 4, lv->rwc_nv + k * 4,
-                            4 * sizeof(i64));
-                }
-                n++;
-            }
-        }
-        lv->rwc_n = n;
-    }
-}
-
 static void rq_on_branch_mispredicted(Machine *m, int c, i64 seq) {
-    i64 index = -1;
-    for (i64 i = 0; i < m->rq_count[c]; i++)
-        if (m->rq_slots[c][m->rq_order[c][i]].branch_seq == seq) {
-            index = i;
-            break;
-        }
-    if (index >= 0) {
-        for (i64 i = index; i < m->rq_count[c]; i++)
-            m->rq_freestack[c][m->rq_nfree[c]++] = m->rq_order[c][i];
-        m->rq_count[c] = index;
-    }
-    rq_cancel_younger(m, c, seq);
+    i64 index = rq_find(m, c, seq);
+    if (index < 0) return;
+    for (i64 i = index; i < m->rq_count[c]; i++)
+        m->rq_freestack[c][m->rq_nfree[c]++] = m->rq_order[c][i];
+    m->rq_count[c] = index;
 }
 
 static void rq_clear(Machine *m, int c) {
@@ -1315,13 +1232,24 @@ static int rename_destination(Machine *m, int c, int row, int logical,
             rf[RF_IMMEDIATE]++;
             return OUT_ALLOC_NOREL;
         }
+        /* A self-read (the NV is its own LU) is not yet in the ROS
+         * window: the basic mechanism releases it conventionally. */
+        if (lu_seq == this_seq) return OUT_ALLOC_REL;
         int lu_row = ros_find(m, lu_seq);
-        if (lu_row < 0) return OUT_ALLOC_REL;
+        if (lu_row < 0) {
+            m->status = RUN_INTERNAL;     /* Python asserts here */
+            m->error = E_LU_MISSING;
+            return OUT_ALLOC_NOREL;
+        }
         int bit = (m->lus_slot[c][logical] == 3)
                       ? 8 : (1 << m->lus_slot[c][logical]);
         int sc, sp, sl;
         phys_of_slot(&m->ros[lu_row], bit, &sc, &sp, &sl);
-        if (sp != old_pd) return OUT_ALLOC_REL;
+        if (sp != old_pd) {
+            m->status = RUN_INTERNAL;     /* Python asserts here */
+            m->error = E_SLOT_MISMATCH;
+            return OUT_ALLOC_NOREL;
+        }
         m->ros[lu_row].mask |= bit;
         rf[RF_SCHED_EARLY]++;
         return OUT_ALLOC_NOREL;
@@ -1339,19 +1267,14 @@ static int rename_destination(Machine *m, int c, int row, int logical,
             rf[RF_IMMEDIATE]++;
             return OUT_ALLOC_NOREL;
         }
-        rq_schedule_committed(m, c, old_pd, logical, this_seq);
+        rwns_insert(m, RQ_TAIL(m, c), old_pd, logical);
         rf[RF_CONDITIONAL]++;
         return OUT_ALLOC_NOREL;
     }
     int lu_row = (lu_seq == this_seq) ? row : ros_find(m, lu_seq);
     if (lu_row < 0) {
-        if (pending == 0) {
-            release_physical(m, c, old_pd, logical, m->cycle, 1);
-            rf[RF_IMMEDIATE]++;
-            return OUT_ALLOC_NOREL;
-        }
-        rq_schedule_committed(m, c, old_pd, logical, this_seq);
-        rf[RF_CONDITIONAL]++;
+        m->status = RUN_INTERNAL;         /* Python asserts here */
+        m->error = E_LU_MISSING;
         return OUT_ALLOC_NOREL;
     }
     int bit = (m->lus_slot[c][logical] == 3)
@@ -1368,7 +1291,7 @@ static int rename_destination(Machine *m, int c, int row, int logical,
         rf[RF_SCHED_EARLY]++;
         return OUT_ALLOC_NOREL;
     }
-    rq_schedule_inflight(m, c, lu_seq, bit, this_seq);
+    rwc_or_mask(m, RQ_TAIL(m, c), lu_seq, bit);
     m->ros[lu_row].rwc_classes |= (i8)(1 << c);
     rf[RF_CONDITIONAL]++;
     return OUT_ALLOC_NOREL;
@@ -2413,11 +2336,8 @@ Machine *sim_new(const long long *cfg, int ncfg) {
                 RQLevel *lv = &m->rq_slots[c][s];
                 lv->rwns_phys = NEW_INT(m->rq_rwns_cap);
                 lv->rwns_log = NEW_INT(m->rq_rwns_cap);
-                lv->rwns_nv = NEW_I64(m->rq_rwns_cap);
                 lv->rwc_lu = NEW_I64(m->rq_rwc_cap);
-                lv->rwc_nbits = NEW_INT(m->rq_rwc_cap);
-                lv->rwc_bits = NEW_INT(m->rq_rwc_cap * 4);
-                lv->rwc_nv = NEW_I64(m->rq_rwc_cap * 4);
+                lv->rwc_mask = NEW_INT(m->rq_rwc_cap);
                 m->rq_freestack[c][s] = (int)s;
             }
             m->rq_nfree[c] = (int)m->rq_levels;
@@ -2464,9 +2384,8 @@ void sim_free(Machine *m) {
         if (m->policy == 2) {
             for (i64 s = 0; s < m->rq_levels; s++) {
                 RQLevel *lv = &m->rq_slots[c][s];
-                free(lv->rwns_phys); free(lv->rwns_log); free(lv->rwns_nv);
-                free(lv->rwc_lu); free(lv->rwc_nbits);
-                free(lv->rwc_bits); free(lv->rwc_nv);
+                free(lv->rwns_phys); free(lv->rwns_log);
+                free(lv->rwc_lu); free(lv->rwc_mask);
             }
             free(m->rq_slots[c]); free(m->rq_order[c]);
             free(m->rq_freestack[c]);

@@ -11,7 +11,10 @@ The checks split into three tiers:
   Release Queue still plans to release must currently be allocated (a
   scheduled release of a free register is the double-release family of
   seed-era ``FreeListError`` bugs, caught *before* the checked free list
-  trips);
+  trips); every Release-Queue level must belong to an unresolved branch
+  in the ROS, the levels must be in program order, and every RwC entry
+  must name an in-flight last use (a queue that drifts from the ROS is
+  caught here, before a policy's internal-error check trips on it);
 * **final** (after the run): statistic identities — fetched ≥ renamed-
   correct-path ≥ committed, committed equals the trace length,
   mispredictions ≤ resolved branches, early releases ≤ releases, and the
@@ -100,6 +103,8 @@ class InvariantProbe:
             queue = getattr(policy, "release_queue", None)
             if queue is None:
                 continue
+            pending = set(state.checkpoints.pending_branch_seqs())
+            previous = None
             for level in queue.levels():
                 for (physical, _logical) in level.rwns:
                     if free_list.is_free(physical):
@@ -108,6 +113,25 @@ class InvariantProbe:
                             f"scheduling for p{physical}, which is already "
                             f"free, at cycle {state.cycle} (double-release "
                             f"in flight)")
+                if (level.branch_seq not in pending
+                        or state.ros.find(level.branch_seq) is None):
+                    raise InvariantViolation(
+                        f"{reg_class.name} Release Queue level of "
+                        f"{level.branch_seq} names no unresolved branch in "
+                        f"the ROS at cycle {state.cycle}")
+                if previous is not None and level.branch_seq <= previous:
+                    raise InvariantViolation(
+                        f"{reg_class.name} Release Queue level of "
+                        f"{level.branch_seq} follows the level of {previous} "
+                        f"(levels out of program order) at cycle "
+                        f"{state.cycle}")
+                previous = level.branch_seq
+                for lu_seq in level.rwc:
+                    if state.ros.find(lu_seq) is None:
+                        raise InvariantViolation(
+                            f"{reg_class.name} Release Queue RwC entry names "
+                            f"{lu_seq}, which is not in flight, at cycle "
+                            f"{state.cycle}")
 
     # ------------------------------------------------------------------
     def final_check(self, state, stats: SimStats) -> None:

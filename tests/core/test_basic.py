@@ -70,10 +70,13 @@ class TestFigure4Scenarios:
         """r1 = r1 + r2: the NV is its own LU; release at its own commit."""
         producer = harness.rename(dest=1)
         harness.commit(producer)
+        fallbacks = harness.policy.fallback_conventional
         nv = harness.rename(dest=1, srcs=(1, 2))
-        # The early-release bit must be on the NV itself (source slot 0).
-        assert nv.early_release_mask & src_slot_bit(0)
-        assert not nv.rel_old
+        # The NV is not yet in the ROS seq index while it renames, so the
+        # basic mechanism keeps the conventional release (rel_old).
+        assert nv.early_release_mask == 0
+        assert nv.rel_old
+        assert harness.policy.fallback_conventional == fallbacks + 1
         harness.commit(nv)
         assert harness.register_file.is_free(producer.pd)
         assert harness.allocated_consistency()

@@ -140,8 +140,9 @@ POINTS = {
        for geometry, overrides in ODD_GEOMETRIES.items()
        for policy in POLICIES},
     # 40 registers keep the Release Queue busy: in-flight RwC entries
-    # are merged into older levels, cancelled by mispredictions and
-    # resolved when their last use commits.
+    # are merged into older levels, cleared with their level by
+    # mispredictions and exception flushes, and resolved when their last
+    # use commits.
     "rq_rwc_paths": ("gcc", TRACE_LENGTH, {"release_policy": "extended",
                                            "num_registers": 40,
                                            "exception_rate": 0.002}, {}),

@@ -121,6 +121,54 @@ class TestInvariantChecks:
         # Plant an RwNS scheduling for a register that is already free —
         # the double-release-in-flight shape the deep check exists for.
         policy.release_queue.push_level(10**9)
-        policy.release_queue.schedule_committed_lu(free_physical, 1, 10**9)
+        policy.release_queue.schedule_committed_lu(free_physical, 1)
         with pytest.raises(InvariantViolation, match="already.*free|free"):
             probe.deep_check(state)
+
+
+class TestReleaseQueueStructureChecks:
+    """Each Release-Queue structure check trips on a corrupted queue."""
+
+    @pytest.fixture
+    def busy_state(self, small_trace):
+        """A mid-run extended-policy state with two levels and RwC entries."""
+        from repro.isa import RegClass
+        config = small_config(release_policy="extended",
+                              num_physical_int=40, num_physical_fp=40)
+        engine = SimulationEngine(small_trace, config)
+        queue = engine.state.policies[RegClass.INT].release_queue
+        while not (queue.depth >= 2 and any(level.rwc
+                                            for level in queue.levels())):
+            engine.step()
+        InvariantProbe().deep_check(engine.state)    # clean before corruption
+        return engine.state, queue
+
+    def test_level_of_a_non_branch(self, busy_state):
+        state, queue = busy_state
+        level = queue.levels()[-1]
+        level.branch_seq = next(entry.seq for entry in state.ros
+                                if entry.seq > queue.levels()[0].branch_seq
+                                and not entry.inst.is_branch)
+        with pytest.raises(InvariantViolation, match="no unresolved branch"):
+            InvariantProbe().deep_check(state)
+
+    def test_level_of_a_resolved_branch(self, busy_state):
+        state, queue = busy_state
+        level = queue.levels()[-1]
+        state.checkpoints.confirm(level.branch_seq)
+        with pytest.raises(InvariantViolation, match="no unresolved branch"):
+            InvariantProbe().deep_check(state)
+
+    def test_levels_out_of_program_order(self, busy_state):
+        state, queue = busy_state
+        first, second = queue.levels()[:2]
+        first.branch_seq, second.branch_seq = (second.branch_seq,
+                                               first.branch_seq)
+        with pytest.raises(InvariantViolation, match="out of program order"):
+            InvariantProbe().deep_check(state)
+
+    def test_rwc_entry_of_an_instruction_not_in_flight(self, busy_state):
+        state, queue = busy_state
+        queue.levels()[0].rwc[10**9] = 0b0001
+        with pytest.raises(InvariantViolation, match="not in flight"):
+            InvariantProbe().deep_check(state)

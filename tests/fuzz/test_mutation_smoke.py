@@ -49,7 +49,7 @@ def buggy_rename_destination(self, entry, logical, old_pd):
             self.immediate_releases += 1
             return DestRenameOutcome(released_immediately=True,
                                      release_previous_at_commit=False)
-        self.release_queue.schedule_committed_lu(old_pd, logical, entry.seq)
+        self.release_queue.schedule_committed_lu(old_pd, logical)
         self.conditional_schedulings += 1
         return DestRenameOutcome(scheduled_early=True,
                                  release_previous_at_commit=False)
@@ -63,7 +63,7 @@ def buggy_rename_destination(self, entry, logical, old_pd):
             self.immediate_releases += 1
             return DestRenameOutcome(released_immediately=True,
                                      release_previous_at_commit=False)
-        self.release_queue.schedule_committed_lu(old_pd, logical, entry.seq)
+        self.release_queue.schedule_committed_lu(old_pd, logical)
         self.conditional_schedulings += 1
         return DestRenameOutcome(scheduled_early=True,
                                  release_previous_at_commit=False)
@@ -75,7 +75,7 @@ def buggy_rename_destination(self, entry, logical, old_pd):
         self.early_releases_scheduled += 1
         return DestRenameOutcome(scheduled_early=True,
                                  release_previous_at_commit=False)
-    self.release_queue.schedule_inflight_lu(lu.seq, bit, entry.seq)
+    self.release_queue.schedule_inflight_lu(lu.seq, bit)
     self.conditional_schedulings += 1
     return DestRenameOutcome(scheduled_early=True,
                              release_previous_at_commit=False)

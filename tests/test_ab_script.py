@@ -104,8 +104,9 @@ class FakeRuns:
                 "metrics": metrics}
 
 
-def run_gate(monkeypatch, tmp_path, fake):
+def run_gate(monkeypatch, tmp_path, fake, byte_compile=lambda tree: None):
     monkeypatch.setattr(ab, "extract", lambda rev, into: None)
+    monkeypatch.setattr(ab, "byte_compile", byte_compile)
     monkeypatch.setattr(ab, "run_once", fake)
     return ab.main(["HEAD", "--pairs", "5", "--workload", "paper-artefacts",
                     "--json", str(tmp_path / "ab.json")])
@@ -143,3 +144,27 @@ def test_main_reports_unresolved_within_the_iqr(monkeypatch, tmp_path,
 def test_main_fails_on_a_failed_run(monkeypatch, tmp_path, head, failed):
     fake = FakeRuns([1.0] * 5, head, failed=failed)
     assert run_gate(monkeypatch, tmp_path, fake) == 1
+
+
+def test_main_byte_compiles_both_trees_before_any_run(monkeypatch, tmp_path):
+    events = []
+    fake = FakeRuns([1.0] * 5, [1.0] * 5)
+
+    def recording_run(tree, *args):
+        events.append(("run", tree))
+        return fake(tree, *args)
+
+    assert run_gate(monkeypatch, tmp_path, recording_run,
+                    lambda tree: events.append(("compile", tree))) == 0
+    compiled = [tree for kind, tree in events[:2] if kind == "compile"]
+    assert len(compiled) == 2 and ab.REPO_ROOT in compiled
+    assert all(kind == "run" for kind, _ in events[2:])
+
+
+def test_byte_compile_writes_bytecode_for_src_and_perfbench(tmp_path):
+    for package in ("src", "perfbench"):
+        (tmp_path / package).mkdir()
+        (tmp_path / package / "module.py").write_text("VALUE = 1\n")
+    ab.byte_compile(tmp_path)
+    for package in ("src", "perfbench"):
+        assert list((tmp_path / package / "__pycache__").glob("module.*.pyc"))
