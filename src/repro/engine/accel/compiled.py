@@ -26,8 +26,10 @@ table and those two per-instruction arrays into the ``Machine``; the
 warm-up trace brings its own table.  Before its first cycle ``sim_run``
 checks that every row id indexes its table and that every row's
 registers fit the logical files, and escapes with ``RUN_INTERNAL``
-otherwise.  All mutable machine state is allocated per run by
-``sim_new``.
+otherwise.  ``sim_new`` places all config-sized machine state in one
+arena, reused from the calling thread's previous machine when it is
+large enough and zeroed first, and the trace buffers in a per-run
+block; ``sim_free`` parks the arena for that thread's next run.
 
 The only Python work during the run is *refilling draw buffers*: the C
 core never calls back into Python, so the two stochastic inputs — the
@@ -448,8 +450,9 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
     vec = _config_vector(cfg, columns, warm_columns)
     mach = lib.sim_new(ffi.cast("long long *", ffi.from_buffer(vec)), NCFG)
     if mach == ffi.NULL:
-        logger.warning("compiled core rejected the configuration vector; "
-                       "falling back to the Python engine")
+        logger.warning("compiled core could not build a machine (a config "
+                       "vector it does not accept, or no memory); falling "
+                       "back to the Python engine")
         return None
     mach = ffi.gc(mach, lib.sim_free)
 

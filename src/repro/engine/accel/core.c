@@ -32,6 +32,7 @@ void sim_setf(Machine *m, int which, double value);
 int sim_run(Machine *m);
 /* CDEF_END */
 
+#include <pthread.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -334,18 +335,96 @@ struct Machine {
     /* stats */
     i64 st[ST_N];
     int finalized;
+
+    /* the arena holding this record, and the trace block */
+    char *arena, *trace_block;
 };
 
 /* ------------------------------------------------------------------ */
-/* Allocation helpers.                                                */
+/* Allocation: one arena and one trace block per machine.             */
 /* ------------------------------------------------------------------ */
-static void *zmalloc(size_t n) {
-    void *p = calloc(1, n ? n : 1);
-    return p;
+/* The arena holds the Machine record and every array its config sizes;
+ * the trace block holds the trace and warm-up buffers, whose size
+ * follows the trace.  lay_out lists the arrays once and runs twice:
+ * with no bases it only sizes the blocks, then it places the arrays.
+ * sim_free frees the trace block and parks the arena as the calling
+ * thread's spare, which the thread's next sim_new reuses when it is
+ * large enough: a short point then runs in warm memory instead of
+ * paging in a fresh arena.  An arena starts with a header line that
+ * records its capacity. */
+#define ARENA_ALIGN 64          /* every array starts on a cache line */
+#define ARENA_HEAD ARENA_ALIGN  /* the header line: size_t capacity */
+
+/* Under ASan a poisoned gap follows every carved array, and a parked
+ * arena is poisoned past its header, so an overflow into the next array
+ * and any use of a freed machine are still reported. */
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define ARENA_GAP 64
+#else
+#define ASAN_POISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#define ASAN_UNPOISON_MEMORY_REGION(p, n) ((void)(p), (void)(n))
+#define ARENA_GAP 0
+#endif
+
+typedef struct {
+    char *base;                 /* 0 while sizing */
+    size_t used;
+} Arena;
+
+/* The next n bytes of a (at least one byte, so no two arrays share an
+ * address); 0 while sizing. */
+static void *carve(Arena *a, size_t n) {
+    size_t at = a->used, end = at + (n ? n : 1);
+    a->used = (end + ARENA_GAP + ARENA_ALIGN - 1) & ~(size_t)(ARENA_ALIGN - 1);
+    if (!a->base) return 0;
+    ASAN_POISON_MEMORY_REGION(a->base + end, a->used - end);
+    return a->base + at;
 }
-#define NEW_I64(n) ((i64 *)zmalloc((size_t)(n) * sizeof(i64)))
-#define NEW_INT(n) ((int *)zmalloc((size_t)(n) * sizeof(int)))
-#define NEW_I8(n)  ((i8 *)zmalloc((size_t)(n) * sizeof(i8)))
+#define CARVE(a, type, n) ((type *)carve((a), (size_t)(n) * sizeof(type)))
+
+static pthread_key_t spare_key;
+static pthread_once_t spare_once = PTHREAD_ONCE_INIT;
+static int spare_ok;            /* the key exists */
+
+static void spare_key_create(void) {
+    /* A thread that exits frees its spare. */
+    spare_ok = pthread_key_create(&spare_key, free) == 0;
+}
+
+static size_t arena_cap(const char *block) { return *(const size_t *)block; }
+
+/* An arena of at least `used` bytes whose span past the header is zero:
+ * the thread's spare when it covers `used`, else a fresh one. */
+static char *arena_take(size_t used) {
+    char *block = 0;
+    pthread_once(&spare_once, spare_key_create);
+    if (spare_ok) {
+        block = (char *)pthread_getspecific(spare_key);
+        pthread_setspecific(spare_key, 0);
+    }
+    if (block && arena_cap(block) >= used) {
+        ASAN_UNPOISON_MEMORY_REGION(block + ARENA_HEAD,
+                                    arena_cap(block) - ARENA_HEAD);
+        memset(block + ARENA_HEAD, 0, used - ARENA_HEAD);
+        return block;
+    }
+    free(block);
+    block = (char *)calloc(1, used);
+    if (block) *(size_t *)block = used;
+    return block;
+}
+
+/* Park `block` as the thread's spare, freeing the older spare. */
+static void arena_park(char *block) {
+    ASAN_POISON_MEMORY_REGION(block + ARENA_HEAD,
+                              arena_cap(block) - ARENA_HEAD);
+    if (spare_ok) {
+        free(pthread_getspecific(spare_key));
+        if (pthread_setspecific(spare_key, block) == 0) return;
+    }
+    free(block);
+}
 
 static void fill_i64(i64 *a, i64 n, i64 v) {
     for (i64 i = 0; i < n; i++) a[i] = v;
@@ -2086,27 +2165,32 @@ int sim_run(Machine *m) {
 /* ------------------------------------------------------------------ */
 /* Construction / teardown / ABI accessors.                           */
 /* ------------------------------------------------------------------ */
-static void cache_init(Machine *m, CacheZ *c, i64 sets, i64 assoc,
-                       i64 shift, i64 lat, int hits_slot, int misses_slot) {
+static void cache_init(Machine *m, CacheZ *c, Arena *a, i64 sets,
+                       i64 assoc, i64 shift, i64 lat, int hits_slot,
+                       int misses_slot) {
     c->n_sets = sets;
     c->set_mask = set_mask_of(sets);
     c->assoc = assoc;
     c->shift = shift;
     c->lat = lat;
-    c->tag = NEW_I64(sets * assoc);
-    c->dirty = NEW_I64(sets * assoc);
-    c->nway = NEW_I64(sets);
+    c->tag = CARVE(a, i64, sets * assoc);
+    c->dirty = CARVE(a, i64, sets * assoc);
+    c->nway = CARVE(a, i64, sets);
     c->hits = m->st + hits_slot;
     c->misses = m->st + misses_slot;
 }
 
-Machine *sim_new(const long long *cfg, int ncfg) {
-    if (ncfg != NCFG) return 0;
-    if (cfg[CFG_POLICY] == 2 && cfg[CFG_CK_CAP] > RQ_LEVELS_MAX)
-        return 0;           /* Release Queue deeper than the compiled max */
-    Machine *m = (Machine *)zmalloc(sizeof(Machine));
-    if (!m) return 0;
+/* Read the config into m and carve every array it sizes: the state
+ * into a, the trace and warm-up buffers into t.  While sizing, m is a
+ * stand-in record and every array pointer comes back 0. */
+static Machine *lay_out(const i64 *cfg, Arena *a, Arena *t, Machine *sizing) {
+    a->used = ARENA_HEAD;
+    t->used = 0;
+    Machine *m = CARVE(a, Machine, 1);
+    if (!m) m = sizing;
     memcpy(m->cfg, cfg, sizeof(m->cfg));
+    m->arena = a->base;
+    m->trace_block = t->base;
 
     m->trace_len = cfg[CFG_TRACE_LEN];
     m->ros_cap = cfg[CFG_ROS];
@@ -2123,75 +2207,60 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     m->mem_lat = cfg[CFG_MEM_LAT];
     m->wp_cap = cfg[CFG_WP_CAP];
     m->exc_cap = cfg[CFG_EXC_CAP];
-    if (m->wp_enabled && m->wp_cap < WP_RAWS_PER_INST * cfg[CFG_FETCH_W]) {
-        free(m);            /* a refill could never cover one fetch group */
-        return 0;
-    }
-
-    m->max_cycles = -1;
-    m->commit_limit = m->trace_len;
-    m->deadlock_threshold = 50000;
-    m->committed_watermark = -1;
 
     /* trace: row table, row ids, addresses */
     m->trace_rows = cfg[CFG_TRACE_ROWS];
     i64 tr = m->trace_rows > 0 ? m->trace_rows : 1;
-    m->t_op = NEW_I64(tr);
-    m->t_pc = NEW_I64(tr);
-    m->t_dc = NEW_I64(tr);
-    m->t_dest = NEW_I64(tr);
-    m->t_nsrc = NEW_I64(tr);
-    m->t_src_class = NEW_I64(tr * MAX_SRCS);
-    m->t_src_log = NEW_I64(tr * MAX_SRCS);
-    m->t_taken = NEW_I64(tr);
-    m->t_target = NEW_I64(tr);
+    m->t_op = CARVE(t, i64, tr);
+    m->t_pc = CARVE(t, i64, tr);
+    m->t_dc = CARVE(t, i64, tr);
+    m->t_dest = CARVE(t, i64, tr);
+    m->t_nsrc = CARVE(t, i64, tr);
+    m->t_src_class = CARVE(t, i64, tr * MAX_SRCS);
+    m->t_src_log = CARVE(t, i64, tr * MAX_SRCS);
+    m->t_taken = CARVE(t, i64, tr);
+    m->t_target = CARVE(t, i64, tr);
     i64 tl = m->trace_len > 0 ? m->trace_len : 1;
-    m->t_rows = NEW_I64(tl);
-    m->t_addr = NEW_I64(tl);
+    m->t_rows = CARVE(t, i64, tl);
+    m->t_addr = CARVE(t, i64, tl);
 
     /* warm-up trace: its own row table, row ids, addresses */
     m->warm_len = cfg[CFG_WARM_LEN];
     m->warm_rows = cfg[CFG_WARM_ROWS];
     i64 wr = m->warm_rows > 0 ? m->warm_rows : 1;
-    m->wu_op = NEW_I64(wr);
-    m->wu_pc = NEW_I64(wr);
-    m->wu_taken = NEW_I64(wr);
-    m->wu_target = NEW_I64(wr);
+    m->wu_op = CARVE(t, i64, wr);
+    m->wu_pc = CARVE(t, i64, wr);
+    m->wu_taken = CARVE(t, i64, wr);
+    m->wu_target = CARVE(t, i64, wr);
     i64 wl = m->warm_len > 0 ? m->warm_len : 1;
-    m->wu_rows = NEW_I64(wl);
-    m->wu_addr = NEW_I64(wl);
+    m->wu_rows = CARVE(t, i64, wl);
+    m->wu_addr = CARVE(t, i64, wl);
 
-    /* wrong-path raw words; an empty register window never draws */
-    m->w_raw = NEW_I64(m->wp_cap > 0 ? m->wp_cap : 1);
-    m->wp_half = -1;
-    m->wp_int_n = m->wp_fp_n = 1;
-
-    /* exception lottery */
-    i64 ec = m->exc_cap > 0 ? m->exc_cap : 1;
-    m->exc_buf = (double *)zmalloc((size_t)ec * sizeof(double));
+    /* wrong-path raw words, exception lottery doubles */
+    m->w_raw = CARVE(a, i64, m->wp_cap > 0 ? m->wp_cap : 1);
+    m->exc_buf = CARVE(a, double, m->exc_cap > 0 ? m->exc_cap : 1);
 
     /* gshare */
     m->gs_size = 1LL << cfg[CFG_GSHARE_BITS];
     m->gs_mask = m->gs_size - 1;
-    m->gs_table = NEW_I8(m->gs_size);
-    memset(m->gs_table, 2, (size_t)m->gs_size);
+    m->gs_table = CARVE(a, i8, m->gs_size);
 
     /* BTB */
     m->btb_sets = cfg[CFG_BTB_SETS];
     m->btb_mask = set_mask_of(m->btb_sets);
     m->btb_assoc = cfg[CFG_BTB_ASSOC];
-    m->btb_tag = NEW_I64(m->btb_sets * m->btb_assoc);
-    m->btb_target = NEW_I64(m->btb_sets * m->btb_assoc);
-    m->btb_nway = NEW_I64(m->btb_sets);
+    m->btb_tag = CARVE(a, i64, m->btb_sets * m->btb_assoc);
+    m->btb_target = CARVE(a, i64, m->btb_sets * m->btb_assoc);
+    m->btb_nway = CARVE(a, i64, m->btb_sets);
 
     /* caches */
-    cache_init(m, &m->l1i, cfg[CFG_L1I_SETS], cfg[CFG_L1I_ASSOC],
+    cache_init(m, &m->l1i, a, cfg[CFG_L1I_SETS], cfg[CFG_L1I_ASSOC],
                cfg[CFG_L1I_SHIFT], cfg[CFG_L1I_LAT], ST_L1I_HITS,
                ST_L1I_MISSES);
-    cache_init(m, &m->l1d, cfg[CFG_L1D_SETS], cfg[CFG_L1D_ASSOC],
+    cache_init(m, &m->l1d, a, cfg[CFG_L1D_SETS], cfg[CFG_L1D_ASSOC],
                cfg[CFG_L1D_SHIFT], cfg[CFG_L1D_LAT], ST_L1D_HITS,
                ST_L1D_MISSES);
-    cache_init(m, &m->l2, cfg[CFG_L2_SETS], cfg[CFG_L2_ASSOC],
+    cache_init(m, &m->l2, a, cfg[CFG_L2_SETS], cfg[CFG_L2_ASSOC],
                cfg[CFG_L2_SHIFT], cfg[CFG_L2_LAT], ST_L2_HITS,
                ST_L2_MISSES);
 
@@ -2200,30 +2269,161 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     for (int k = 0; k < 6; k++) {
         m->fu_count[k] = cfg[CFG_FU + 2 * k];
         m->fu_unpip[k] = cfg[CFG_FU + 2 * k + 1];
-        m->fu_last_cycle[k] = -1;
         m->fu_off[k] = fu_total;
         fu_total += m->fu_count[k];
     }
-    m->fu_free_at = NEW_I64(fu_total > 0 ? fu_total : 1);
+    m->fu_free_at = CARVE(a, i64, fu_total > 0 ? fu_total : 1);
     for (int op = 0; op < N_OPS; op++) m->op_lat[op] = cfg[CFG_OP_LAT + op];
+
+    /* register files, LUs table */
+    for (int c = 0; c < 2; c++) {
+        i64 np = m->nphys[c], nl = m->nlog[c];
+        m->fl_ring[c] = CARVE(a, int, np);
+        m->fl_is_free[c] = CARVE(a, i8, np);
+        m->producer_seq[c] = CARVE(a, i64, np);
+        m->producer_row[c] = CARVE(a, int, np);
+        m->occ_alloc[c] = CARVE(a, i64, np);
+        m->occ_write[c] = CARVE(a, i64, np);
+        m->occ_lu[c] = CARVE(a, i64, np);
+        m->map[c] = CARVE(a, int, nl);
+        m->iomt[c] = CARVE(a, int, nl);
+        m->map_stale[c] = CARVE(a, i8, nl);
+        m->arch_released[c] = CARVE(a, i8, nl);
+        m->lus_seq[c] = CARVE(a, i64, nl);
+        m->lus_slot[c] = CARVE(a, i8, nl);
+    }
+
+    /* ROS rows */
+    i64 rc = m->ros_cap;
+    m->ros = CARVE(a, RosRow, rc);
+
+    /* ready heap */
+    m->heap_cap = 4 * rc;
+    m->heap_seq = CARVE(a, i64, m->heap_cap);
+    m->heap_row = CARVE(a, int, m->heap_cap);
+
+    /* wakeup pool */
+    m->wk_cap = 8 * rc;
+    m->wk_seq = CARVE(a, i64, m->wk_cap);
+    m->wk_row = CARVE(a, int, m->wk_cap);
+    m->wk_next = CARVE(a, int, m->wk_cap);
+
+    /* completion queue */
+    i64 max_op_lat = 0;
+    for (int op = 0; op < N_OPS; op++)
+        if (m->op_lat[op] > max_op_lat) max_op_lat = m->op_lat[op];
+    i64 horizon = max_op_lat + m->l1d.lat + m->l2.lat + m->mem_lat + 8;
+    m->cq_ring = next_pow2(horizon > 256 ? horizon : 256);
+    m->cq_mask = m->cq_ring - 1;
+    m->cq_bucket = CARVE(a, int, m->cq_ring);
+    m->cq_tail = CARVE(a, int, m->cq_ring);
+    m->cq_cap = 4 * rc + 64;
+    m->cq_seq = CARVE(a, i64, m->cq_cap);
+    m->cq_row = CARVE(a, int, m->cq_cap);
+    m->cq_next = CARVE(a, int, m->cq_cap);
+
+    /* LSQ */
+    i64 lc = m->lsq_cap > 0 ? m->lsq_cap : 1;
+    m->l_seq = CARVE(a, i64, lc);
+    m->l_addr = CARVE(a, i64, lc);
+    m->l_is_store = CARVE(a, i8, lc);
+    m->l_known = CARVE(a, i8, lc);
+    m->l_whead = CARVE(a, int, lc);
+    m->l_wtail = CARVE(a, int, lc);
+    m->lw_cap = 4 * rc;
+    m->lw_seq = CARVE(a, i64, m->lw_cap);
+    m->lw_row = CARVE(a, int, m->lw_cap);
+    m->lw_next = CARVE(a, int, m->lw_cap);
+
+    /* checkpoints */
+    i64 kc = m->ck_cap > 0 ? m->ck_cap : 1;
+    m->ck_order = CARVE(a, int, kc);
+    m->ck_freestack = CARVE(a, int, kc);
+    m->ck_seq = CARVE(a, i64, kc);
+    for (int c = 0; c < 2; c++) {
+        i64 nl = m->nlog[c];
+        m->ck_map[c] = CARVE(a, int, kc * nl);
+        m->ck_stale[c] = CARVE(a, i8, kc * nl);
+        m->ck_lus_seq[c] = CARVE(a, i64, kc * nl);
+        m->ck_lus_slot[c] = CARVE(a, i8, kc * nl);
+    }
+
+    /* release queues (extended only): depth = checkpoint capacity
+     * (ProcessorConfig.max_pending_branches), not a hardwired constant */
+    if (m->policy == 2) {
+        i64 npmax = m->nphys[0] > m->nphys[1] ? m->nphys[0] : m->nphys[1];
+        m->rq_levels = m->ck_cap > 0 ? m->ck_cap : 1;
+        m->rq_rwns_cap = 2 * npmax + rc;
+        m->rq_rwc_cap = rc;
+        for (int c = 0; c < 2; c++) {
+            m->rq_slots[c] = CARVE(a, RQLevel, m->rq_levels);
+            m->rq_order[c] = CARVE(a, int, m->rq_levels);
+            m->rq_freestack[c] = CARVE(a, int, m->rq_levels);
+            for (i64 s = 0; s < m->rq_levels; s++) {
+                RQLevel sized, *lv = a->base ? &m->rq_slots[c][s] : &sized;
+                lv->rwns_phys = CARVE(a, int, m->rq_rwns_cap);
+                lv->rwns_log = CARVE(a, int, m->rq_rwns_cap);
+                lv->rwc_lu = CARVE(a, i64, m->rq_rwc_cap);
+                lv->rwc_mask = CARVE(a, int, m->rq_rwc_cap);
+            }
+        }
+    }
+
+    /* decode queue */
+    m->decode_capacity = (cfg[CFG_FRONTEND] + 2) * cfg[CFG_FETCH_W];
+    m->dq_cap = m->decode_capacity + cfg[CFG_FETCH_W];
+    m->dq = CARVE(a, DQEnt, m->dq_cap);
+
+    /* scratch */
+    m->scratch_rows = CARVE(a, int, rc);
+    m->blocked_rows = CARVE(a, int, rc);
+    m->freed_reg[0] = CARVE(a, int, rc);
+    m->freed_reg[1] = CARVE(a, int, rc);
+    return m;
+}
+
+/* Build the cold machine of a config vector, or return 0 for a vector
+ * the core does not accept or when memory runs out.  lay_out sizes both
+ * blocks; the arena is the thread's spare when that is large enough and
+ * its used span is zeroed (a fresh one comes zeroed), so every array
+ * starts at 0 before the reset state below is written. */
+Machine *sim_new(const long long *cfg, int ncfg) {
+    if (ncfg != NCFG) return 0;
+    if (cfg[CFG_POLICY] == 2 && cfg[CFG_CK_CAP] > RQ_LEVELS_MAX)
+        return 0;           /* Release Queue deeper than the compiled max */
+    if (cfg[CFG_WP_ENABLED] &&
+        cfg[CFG_WP_CAP] < WP_RAWS_PER_INST * cfg[CFG_FETCH_W])
+        return 0;           /* a refill could never cover one fetch group */
+
+    Machine sizing;
+    Arena a = {0, 0}, t = {0, 0};
+    lay_out(cfg, &a, &t, &sizing);
+    a.base = arena_take(a.used);
+    t.base = (char *)calloc(1, t.used);
+    if (!a.base || !t.base) {
+        if (a.base) arena_park(a.base);
+        free(t.base);
+        return 0;
+    }
+    Machine *m = lay_out(cfg, &a, &t, 0);
+    ASAN_POISON_MEMORY_REGION(a.base + a.used, arena_cap(a.base) - a.used);
+
+    m->max_cycles = -1;
+    m->commit_limit = m->trace_len;
+    m->deadlock_threshold = 50000;
+    m->committed_watermark = -1;
+
+    /* an empty register window never draws */
+    m->wp_half = -1;
+    m->wp_int_n = m->wp_fp_n = 1;
+
+    memset(m->gs_table, 2, (size_t)m->gs_size);
+
+    for (int k = 0; k < 6; k++) m->fu_last_cycle[k] = -1;
 
     /* register files */
     for (int c = 0; c < 2; c++) {
         i64 np = m->nphys[c], nl = m->nlog[c];
-        m->fl_ring[c] = NEW_INT(np);
-        m->fl_is_free[c] = NEW_I8(np);
-        m->producer_seq[c] = NEW_I64(np);
-        m->producer_row[c] = NEW_INT(np);
-        m->occ_alloc[c] = NEW_I64(np);
-        m->occ_write[c] = NEW_I64(np);
-        m->occ_lu[c] = NEW_I64(np);
-        m->map[c] = NEW_INT(nl);
-        m->iomt[c] = NEW_INT(nl);
-        m->map_stale[c] = NEW_I8(nl);
-        m->arch_released[c] = NEW_I8(nl);
-        m->lus_seq[c] = NEW_I64(nl);
-        m->lus_slot[c] = NEW_I8(nl);
-
         fill_i64(m->producer_seq[c], np, -1);
         fill_int(m->producer_row[c], np, -1);
         fill_i64(m->occ_alloc[c], np, -1);
@@ -2247,163 +2447,53 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     }
 
     /* ROS rows */
-    i64 rc = m->ros_cap;
-    m->ros = (RosRow *)zmalloc((size_t)rc * sizeof(RosRow));
-    for (i64 i = 0; i < rc; i++) {
+    for (i64 i = 0; i < m->ros_cap; i++) {
         m->ros[i].seq = -1;
         m->ros[i].wk_head = m->ros[i].wk_tail = -1;
     }
 
-    /* ready heap */
-    m->heap_cap = 4 * rc;
-    m->heap_seq = NEW_I64(m->heap_cap);
-    m->heap_row = NEW_INT(m->heap_cap);
-
     /* wakeup pool */
-    m->wk_cap = 8 * rc;
-    m->wk_seq = NEW_I64(m->wk_cap);
-    m->wk_row = NEW_INT(m->wk_cap);
-    m->wk_next = NEW_INT(m->wk_cap);
     for (i64 i = 0; i < m->wk_cap; i++)
         m->wk_next[i] = (int)(i + 1 < m->wk_cap ? i + 1 : -1);
     m->wk_free = 0;
 
     /* completion queue */
-    i64 max_op_lat = 0;
-    for (int op = 0; op < N_OPS; op++)
-        if (m->op_lat[op] > max_op_lat) max_op_lat = m->op_lat[op];
-    i64 horizon = max_op_lat + m->l1d.lat + m->l2.lat + m->mem_lat + 8;
-    m->cq_ring = next_pow2(horizon > 256 ? horizon : 256);
-    m->cq_mask = m->cq_ring - 1;
-    m->cq_bucket = NEW_INT(m->cq_ring);
-    m->cq_tail = NEW_INT(m->cq_ring);
     fill_int(m->cq_bucket, m->cq_ring, -1);
     fill_int(m->cq_tail, m->cq_ring, -1);
-    m->cq_cap = 4 * rc + 64;
-    m->cq_seq = NEW_I64(m->cq_cap);
-    m->cq_row = NEW_INT(m->cq_cap);
-    m->cq_next = NEW_INT(m->cq_cap);
     for (i64 i = 0; i < m->cq_cap; i++)
         m->cq_next[i] = (int)(i + 1 < m->cq_cap ? i + 1 : -1);
     m->cq_free = 0;
 
     /* LSQ */
     i64 lc = m->lsq_cap > 0 ? m->lsq_cap : 1;
-    m->l_seq = NEW_I64(lc);
-    m->l_addr = NEW_I64(lc);
-    m->l_is_store = NEW_I8(lc);
-    m->l_known = NEW_I8(lc);
-    m->l_whead = NEW_INT(lc);
-    m->l_wtail = NEW_INT(lc);
     fill_int(m->l_whead, lc, -1);
     fill_int(m->l_wtail, lc, -1);
-    m->lw_cap = 4 * rc;
-    m->lw_seq = NEW_I64(m->lw_cap);
-    m->lw_row = NEW_INT(m->lw_cap);
-    m->lw_next = NEW_INT(m->lw_cap);
     for (i64 i = 0; i < m->lw_cap; i++)
         m->lw_next[i] = (int)(i + 1 < m->lw_cap ? i + 1 : -1);
     m->lw_free = 0;
 
     /* checkpoints */
     i64 kc = m->ck_cap > 0 ? m->ck_cap : 1;
-    m->ck_order = NEW_INT(kc);
-    m->ck_freestack = NEW_INT(kc);
-    m->ck_seq = NEW_I64(kc);
     for (i64 i = 0; i < kc; i++) m->ck_freestack[i] = (int)i;
     m->ck_nfree = m->ck_cap;
-    for (int c = 0; c < 2; c++) {
-        i64 nl = m->nlog[c];
-        m->ck_map[c] = NEW_INT(kc * nl);
-        m->ck_stale[c] = NEW_I8(kc * nl);
-        m->ck_lus_seq[c] = NEW_I64(kc * nl);
-        m->ck_lus_slot[c] = NEW_I8(kc * nl);
-    }
 
-    /* release queues (extended only): depth = checkpoint capacity
-     * (ProcessorConfig.max_pending_branches), not a hardwired constant */
+    /* release queues */
     if (m->policy == 2) {
-        i64 npmax = m->nphys[0] > m->nphys[1] ? m->nphys[0] : m->nphys[1];
-        m->rq_levels = m->ck_cap > 0 ? m->ck_cap : 1;
-        m->rq_rwns_cap = 2 * npmax + rc;
-        m->rq_rwc_cap = rc;
         for (int c = 0; c < 2; c++) {
-            m->rq_slots[c] = (RQLevel *)zmalloc(
-                (size_t)m->rq_levels * sizeof(RQLevel));
-            m->rq_order[c] = NEW_INT(m->rq_levels);
-            m->rq_freestack[c] = NEW_INT(m->rq_levels);
-            for (i64 s = 0; s < m->rq_levels; s++) {
-                RQLevel *lv = &m->rq_slots[c][s];
-                lv->rwns_phys = NEW_INT(m->rq_rwns_cap);
-                lv->rwns_log = NEW_INT(m->rq_rwns_cap);
-                lv->rwc_lu = NEW_I64(m->rq_rwc_cap);
-                lv->rwc_mask = NEW_INT(m->rq_rwc_cap);
+            for (i64 s = 0; s < m->rq_levels; s++)
                 m->rq_freestack[c][s] = (int)s;
-            }
             m->rq_nfree[c] = (int)m->rq_levels;
         }
     }
-
-    /* decode queue */
-    m->decode_capacity = (cfg[CFG_FRONTEND] + 2) * cfg[CFG_FETCH_W];
-    m->dq_cap = m->decode_capacity + cfg[CFG_FETCH_W];
-    m->dq = (DQEnt *)zmalloc((size_t)m->dq_cap * sizeof(DQEnt));
-
-    /* scratch */
-    m->scratch_rows = NEW_INT(rc);
-    m->blocked_rows = NEW_INT(rc);
-    m->freed_reg[0] = NEW_INT(rc);
-    m->freed_reg[1] = NEW_INT(rc);
-
     return m;
 }
 
+/* Free the trace block and park the arena as the calling thread's
+ * spare; the thread's next sim_new reuses it. */
 void sim_free(Machine *m) {
     if (!m) return;
-    free(m->t_op); free(m->t_pc); free(m->t_dc); free(m->t_dest);
-    free(m->t_nsrc); free(m->t_src_class); free(m->t_src_log);
-    free(m->t_taken); free(m->t_target); free(m->t_rows); free(m->t_addr);
-    free(m->wu_op); free(m->wu_pc); free(m->wu_taken); free(m->wu_target);
-    free(m->wu_rows); free(m->wu_addr);
-    free(m->w_raw);
-    free(m->exc_buf);
-    free(m->gs_table);
-    free(m->btb_tag); free(m->btb_target); free(m->btb_nway);
-    free(m->l1i.tag); free(m->l1i.dirty); free(m->l1i.nway);
-    free(m->l1d.tag); free(m->l1d.dirty); free(m->l1d.nway);
-    free(m->l2.tag); free(m->l2.dirty); free(m->l2.nway);
-    free(m->fu_free_at);
-    for (int c = 0; c < 2; c++) {
-        free(m->fl_ring[c]); free(m->fl_is_free[c]);
-        free(m->producer_seq[c]); free(m->producer_row[c]);
-        free(m->occ_alloc[c]); free(m->occ_write[c]); free(m->occ_lu[c]);
-        free(m->map[c]); free(m->iomt[c]); free(m->map_stale[c]);
-        free(m->arch_released[c]); free(m->lus_seq[c]); free(m->lus_slot[c]);
-        free(m->ck_map[c]); free(m->ck_stale[c]);
-        free(m->ck_lus_seq[c]); free(m->ck_lus_slot[c]);
-        if (m->policy == 2) {
-            for (i64 s = 0; s < m->rq_levels; s++) {
-                RQLevel *lv = &m->rq_slots[c][s];
-                free(lv->rwns_phys); free(lv->rwns_log);
-                free(lv->rwc_lu); free(lv->rwc_mask);
-            }
-            free(m->rq_slots[c]); free(m->rq_order[c]);
-            free(m->rq_freestack[c]);
-        }
-        free(m->freed_reg[c]);
-    }
-    free(m->ros);
-    free(m->heap_seq); free(m->heap_row);
-    free(m->wk_seq); free(m->wk_row); free(m->wk_next);
-    free(m->cq_bucket); free(m->cq_tail);
-    free(m->cq_seq); free(m->cq_row); free(m->cq_next);
-    free(m->l_seq); free(m->l_addr); free(m->l_is_store); free(m->l_known);
-    free(m->l_whead); free(m->l_wtail);
-    free(m->lw_seq); free(m->lw_row); free(m->lw_next);
-    free(m->ck_order); free(m->ck_freestack); free(m->ck_seq);
-    free(m->dq);
-    free(m->scratch_rows); free(m->blocked_rows);
-    free(m);
+    free(m->trace_block);
+    arena_park(m->arena);
 }
 
 long long *sim_i64(Machine *m, int which) {

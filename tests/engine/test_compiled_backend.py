@@ -843,6 +843,96 @@ class TestColdStart:
         assert engine.backend_used == "python"
 
 
+def _compiled_point(trace, config, **run_kwargs):
+    """``(backend_used, stats as a dict)`` of one run of ``config``."""
+    engine = SimulationEngine(trace, config)
+    stats = engine.run(**run_kwargs)
+    return engine.backend_used, dataclasses.asdict(stats)
+
+
+@needs_compiled
+class TestArenaReuse:
+    """Machines built one after another in a thread reuse one block of
+    memory: every point must still start from its own cold machine."""
+
+    #: ``(workload, policy, registers, config overrides)``: the block
+    #: grows, shrinks and grows again along this list.
+    GEOMETRIES = (
+        ("swim", "extended", 104, {}),
+        ("gcc", "conv", 40, {}),
+        ("gcc", "basic", 48, {"exception_rate": 0.002}),
+        ("go", "extended", 48, {"ros_size": 37, "gshare_history_bits": 12}),
+    )
+
+    def test_geometry_sequence_in_one_thread(self, monkeypatch):
+        from repro.engine import DeadlockError
+        from repro.engine.accel import compiled as compiled_mod
+        from repro.engine.accel.loader import A
+
+        for workload, policy, registers, overrides in self.GEOMETRIES:
+            reference, compiled, _ = run_both(
+                workload, policy, num_registers=registers,
+                trace_length=1_500, **overrides)
+            if "exception_rate" in overrides:
+                assert reference.exceptions_taken > 0
+            assert dataclasses.asdict(compiled) == \
+                dataclasses.asdict(reference)
+
+        # A point whose export escapes with RUN_INTERNAL is redone on
+        # Python; the machine it leaves behind is reused next.
+        export = compiled_mod._export_trace
+        corrupt = _set_row_id(-1, past_table=True)
+
+        def corrupting(ffi, lib, mach, columns):
+            export(ffi, lib, mach, columns)
+            corrupt(columns, compiled_mod._i64_view(
+                ffi, lib, mach, A.T_ROWS, len(columns)))
+
+        trace = get_workload("gcc", 800, seed=0)
+        config = ProcessorConfig(release_policy="extended", warmup=True,
+                                 engine="compiled")
+        with monkeypatch.context() as patch:
+            patch.setattr(compiled_mod, "_export_trace", corrupting)
+            escaped = _compiled_point(trace, config)
+        assert escaped == ("python", dataclasses.asdict(SimulationEngine(
+            trace, dataclasses.replace(config, engine="python")).run()))
+
+        # A deadlock defers to the Python engine's own error.
+        engine = SimulationEngine(get_workload("swim", 800, seed=0),
+                                  ProcessorConfig(engine="compiled"))
+        with pytest.raises(DeadlockError):
+            engine.run(deadlock_threshold=1)
+        assert engine.backend_used == "python"
+
+        reference, compiled, _ = run_both("li", "conv", num_registers=96,
+                                          warmup=True)
+        assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
+
+    def test_two_threads_match_the_serial_results(self):
+        from concurrent.futures import ThreadPoolExecutor
+        import threading
+
+        points = [(get_workload(workload, 1_500, seed=0), ProcessorConfig(
+            release_policy=policy, num_physical_int=registers,
+            num_physical_fp=registers, engine="compiled", **overrides))
+            for workload, policy, registers, overrides in self.GEOMETRIES]
+        serial = [_compiled_point(trace, config) for trace, config in points]
+        assert all(backend == "compiled" for backend, _ in serial)
+
+        orders = (list(range(len(points))) * 3,
+                  list(reversed(range(len(points)))) * 3)
+        start = threading.Barrier(len(orders))
+
+        def run_in_order(order):
+            start.wait()
+            return [_compiled_point(*points[i]) for i in order]
+
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            results = list(pool.map(run_in_order, orders))
+        for order, got in zip(orders, results):
+            assert got == [serial[i] for i in order]
+
+
 @needs_compiled
 class TestSelfCheck:
     """The per-process gate runs every release policy on both backends."""

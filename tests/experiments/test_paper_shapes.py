@@ -8,6 +8,7 @@ too. Timing the regenerations is ``perfbench``'s job, not this module's.
 
 import pytest
 
+from repro.analysis.cache import SweepCache
 from repro.core.register_state import RegState
 from repro.experiments import (figure2, figure3, figure9, figure10, figure11,
                                section44, table1, table4)
@@ -17,9 +18,16 @@ SIZES = (40, 48, 56, 64, 80, 96, 128, 160)
 
 
 @pytest.fixture(scope="module")
-def figure11_sweep():
+def store(tmp_path_factory):
+    """One sweep store for the module: Figures 3 and 10 simulate no point
+    the Figure 11 grid has already simulated."""
+    return SweepCache(tmp_path_factory.mktemp("sweeps"))
+
+
+@pytest.fixture(scope="module")
+def figure11_sweep(store):
     """One Figure 11 sweep shared by the Figure 11 and Table 4 checks."""
-    return figure11.run(trace_length=TRACE_LENGTH, sizes=SIZES)
+    return figure11.run(trace_length=TRACE_LENGTH, sizes=SIZES, cache=store)
 
 
 def test_table1():
@@ -36,8 +44,8 @@ def test_figure2(policy):
         assert durations.get(RegState.IDLE, 0) <= conv_idle
 
 
-def test_figure3():
-    result = figure3.run(trace_length=TRACE_LENGTH)
+def test_figure3(store, figure11_sweep):
+    result = figure3.run(trace_length=TRACE_LENGTH, cache=store)
     int_overhead = result.idle_overhead("int")
     fp_overhead = result.idle_overhead("fp")
     # Paper: 45.8 % int vs 16.8 % fp; both positive, int larger.
@@ -52,8 +60,8 @@ def test_figure9():
                                                                       abs=0.01)
 
 
-def test_figure10():
-    result = figure10.run(trace_length=TRACE_LENGTH)
+def test_figure10(store, figure11_sweep):
+    result = figure10.run(trace_length=TRACE_LENGTH, cache=store)
     fp_basic = result.suite_speedup_percent("fp", "basic")
     fp_extended = result.suite_speedup_percent("fp", "extended")
     int_extended = result.suite_speedup_percent("int", "extended")
