@@ -20,12 +20,13 @@ This checker parses all four (C with a small enum parser, Python with
 
 * a C enum name/value that the loader namespace does not mirror exactly
   (and vice versa) — for every id enum of the ABI: the config vector
-  (``CFG_*``), scalars (``SC_*``), doubles (``F_*``), arrays (``A_*``)
+  (``CFG_*``), scalars (``SC_*``), rates (``F_*``), arrays (``A_*``)
   and the STATS slots (``ST_*`` / ``RF_*``);
 * a loader constant that disagrees with its C counterpart: the sizes
-  ``NCFG`` and ``ST_N``, the ``RUN_*`` statuses, ``RQ_LEVELS_MAX`` and
-  ``ABI_MAGIC`` (the runtime magic check only notices the last one
-  when the core is loaded, and then silently falls back);
+  ``NCFG``, ``NF`` and ``ST_N``, the ``RNG_*`` streams, the ``RUN_*``
+  statuses, ``RQ_LEVELS_MAX`` and ``ABI_MAGIC`` (the runtime magic check
+  only notices the last one when the core is loaded, and then silently
+  falls back);
 * a SimStats field that ``_assemble_stats`` never assigns — a compiled
   run would silently return the dataclass default for it;
 * an ``_assemble_stats`` assignment to a name that is no longer a
@@ -69,8 +70,8 @@ MIRRORED_ENUMS = (("CFG", "CFG_"), ("SC", "SC_"), ("F", "F_"), ("A", "A_"),
 
 #: Loader module constants that mirror one C enum entry or ``#define``
 #: each (same name on both sides).
-MIRRORED_CONSTANTS = ("NCFG", "ST_N", "RQ_LEVELS_MAX", "ABI_MAGIC",
-                      "RUN_FINISHED", "RUN_NEED_WRONGPATH", "RUN_NEED_EXC",
+MIRRORED_CONSTANTS = ("NCFG", "NF", "ST_N", "RQ_LEVELS_MAX", "ABI_MAGIC",
+                      "RNG_WRONGPATH", "RNG_EXC", "RUN_FINISHED",
                       "RUN_DEADLOCK", "RUN_INTERNAL")
 
 

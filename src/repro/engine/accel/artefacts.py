@@ -1,9 +1,9 @@
 """Export counters of the compiled backend.
 
-The core reads a trace's storage as it is
+The core reads a trace's storage in place
 (:class:`~repro.trace.records.TraceColumns`: row table, row ids,
-addresses), so the compiled export is a copy of it and nothing is
-cached here.  :data:`EXPORT_CACHE` counts
+addresses), so the compiled export binds it and nothing is cached
+here.  :data:`EXPORT_CACHE` counts
 exports: a **hit** is served from a trace's own columns, a **miss** first
 derived them from a hand-built instruction list (once per trace).
 """

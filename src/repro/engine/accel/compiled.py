@@ -1,53 +1,50 @@
 """Drive one simulation through the compiled core, bit-identically.
 
-:func:`run_compiled` fills a C ``Machine`` built by
-:mod:`repro.engine.accel.loader`, lets ``sim_run`` execute the whole
-pipeline, and assembles the resulting counters into the same
-:class:`~repro.pipeline.stats.SimStats` the Python engine's
-``collect_stats`` would produce.  It starts from one of two places:
+:func:`run_compiled` builds a C ``Machine`` with
+:mod:`repro.engine.accel.loader`, points it at the trace, lets one
+``sim_run`` execute the whole point, and assembles the resulting
+counters into the same :class:`~repro.pipeline.stats.SimStats` the
+Python engine's ``collect_stats`` would produce.  It starts from one of
+two places:
 
 * a **cold start** (:class:`ColdStart`): the trace and the config only,
   which is what ``SimulationEngine.run`` hands it for a run from reset.
   ``sim_new``'s machine is the cold machine (every gshare counter at 2,
-  empty BTB and caches), the warm-up trace is exported and
-  ``sim_run`` replays it through the C predictor/BTB/cache models
-  before the first measured cycle — the exact port of
-  ``MachineState._warm_state`` — and the wrong-path generator and
-  exception RNG are created fresh for the run;
+  empty BTB and caches), the warm-up trace is bound too and ``sim_run``
+  replays it through the C predictor/BTB/cache models before the first
+  measured cycle — the exact port of ``MachineState._warm_state`` — and
+  the run's streams start where freshly seeded generators start (the
+  pristine ones shared per seed, whose state the core only reads);
 * a **warmed** :class:`~repro.engine.state.MachineState` at cycle 0,
   whose predictor, BTB and caches are exported as they are (the
   self-check compares this path too).
 
-The core reads a trace the way :class:`~repro.trace.records.TraceColumns`
-stores it: a row table with one entry per distinct static record, and a
-row id and an address per instruction.  The export (counted by
-:data:`~repro.engine.accel.artefacts.EXPORT_CACHE`) copies the small
-table and those two per-instruction arrays into the ``Machine``; the
-warm-up trace brings its own table.  Before its first cycle ``sim_run``
-checks that every row id indexes its table and that every row's
-registers fit the logical files, and escapes with ``RUN_INTERNAL``
-otherwise.  ``sim_new`` places all config-sized machine state in one
-arena, reused from the calling thread's previous machine when it is
-large enough and zeroed first, and the trace buffers in a per-run
-block; ``sim_free`` parks the arena for that thread's next run.
+The core reads a trace where :class:`~repro.trace.records.TraceColumns`
+stores it: ``sim_bind`` points the ``Machine`` at the row table (one
+entry per distinct static record), the ``int32`` row ids and the
+addresses, and at the warm-up trace's own three (each export is counted
+by :data:`~repro.engine.accel.artefacts.EXPORT_CACHE`).  Nothing is
+copied; the bound buffers stay referenced until ``sim_run`` returns.
+Before its first cycle ``sim_run`` checks that every array is bound,
+that every row id indexes its table and that every row's registers fit
+the logical files, and escapes with ``RUN_INTERNAL`` otherwise.
+``sim_new`` places all config-sized machine state in one arena, reused
+from the calling thread's previous machine when it is large enough and
+zeroed first; ``sim_free`` parks the arena for that thread's next run.
 
-The only Python work during the run is *refilling draw buffers*: the C
-core never calls back into Python, so the two stochastic inputs — the
+The core draws every random word itself.  Both stochastic inputs — the
 wrong-path instruction stream and the per-rename exception lottery — are
-fed through flat buffers.  ``sim_run`` escapes with
-``RUN_NEED_WRONGPATH`` / ``RUN_NEED_EXC`` *before* starting any cycle
-that could exhaust a buffer, Python tops the buffer up (from the cold
-start's own generators, or from deep copies of a ``MachineState``'s, so
-a later pure-Python fallback still observes untouched RNG streams), and
-re-enters.
-
-The wrong-path buffer holds raw 64-bit PCG64 words, not instructions:
-the C core runs :class:`~repro.trace.wrongpath.WrongPathGenerator`'s
-category cascade itself at each wrong-path fetch, turning words into
-doubles and bounded integers by the draw contract of
+numpy ``PCG64`` streams, and the core ports PCG64's step and output, so
+Python hands over only each stream's 128-bit state and increment
+(``sim_seed``).  Reading a generator's state does not advance it: a
+``MachineState``'s generators are left as they were, and a later
+pure-Python fallback observes untouched streams.  At each wrong-path
+fetch the core runs
+:class:`~repro.trace.wrongpath.WrongPathGenerator`'s category cascade,
+turning words into doubles and bounded integers by the draw contract of
 :mod:`repro.trace.draws`, and continues from the generator's pending
-32-bit half and register-window cursors.  Python only copies
-``bit_generator.random_raw`` blocks in.
+32-bit half and register-window cursors; the lottery's double is
+``Generator.random()``'s, one word each.
 
 ``run_compiled`` returns ``None`` whenever the run must be redone by the
 Python engine: configurations the C core does not model, a deadlock
@@ -59,7 +56,6 @@ accelerated backend's contract).
 
 from __future__ import annotations
 
-import copy
 import logging
 from typing import NamedTuple, Optional, Union
 
@@ -67,28 +63,21 @@ import numpy as np
 
 from repro.engine.accel import loader
 from repro.engine.accel.artefacts import EXPORT_CACHE
-from repro.engine.accel.loader import (A, CFG, F, NCFG, RF, RQ_LEVELS_MAX,
+from repro.engine.accel.loader import (A, CFG, F, NCFG, NF, RF, RNG_EXC,
+                                       RNG_WRONGPATH, RQ_LEVELS_MAX,
                                        RUN_DEADLOCK, RUN_FINISHED,
-                                       RUN_INTERNAL, RUN_NEED_EXC,
-                                       RUN_NEED_WRONGPATH, SC, ST, ST_N)
+                                       RUN_INTERNAL, SC, ST, ST_N)
 from repro.core.register_state import OccupancyTotals
 from repro.engine import state as machine_state
 from repro.isa import FUKind, OpClass
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.stats import RegisterFileStats, SimStats
 from repro.trace.records import (ROW_COLUMN_NAMES, WARMUP_ROW_COLUMN_NAMES,
-                                 Trace, TraceColumns, column_width)
+                                 Trace, TraceColumns)
 
 logger = logging.getLogger("repro.engine.accel")
 
-#: Wrong-path raw-word buffer capacity.  A wrong-path fetch consumes one
-#: to three words; a refill escape costs one ``sim_run`` re-entry and one
-#: ``random_raw`` call.  Must cover three words per fetch slot.
-WP_RAW_BUFFER = 4096
-
-#: Exception-lottery buffer capacity (one double per renamed correct-path
-#: instruction; refills are a single batched ``Generator.random`` call).
-EXC_BUFFER = 4096
+_LOW64 = (1 << 64) - 1
 
 _POLICY_CODES = {"conv": 0, "conventional": 0, "basic": 1, "extended": 2}
 
@@ -184,8 +173,6 @@ def _config_vector(cfg: ProcessorConfig, columns: TraceColumns,
         vec[CFG.FU + 2 * k + 1] = int(kind in fus.unpipelined)
     for op in _OP_CLASSES:
         vec[CFG.OP_LAT + int(op)] = fus.latencies[op]
-    vec[CFG.WP_CAP] = WP_RAW_BUFFER
-    vec[CFG.EXC_CAP] = EXC_BUFFER
     if warm_columns is not None:
         vec[CFG.WARM_LEN] = len(warm_columns)
         vec[CFG.WARM_ROWS] = len(warm_columns.records)
@@ -200,47 +187,46 @@ def _i64_view(ffi, lib, mach, which: int, length: int) -> "np.ndarray":
     return np.frombuffer(ffi.buffer(ptr, 8 * length), dtype=np.int64)
 
 
-#: The C buffer of each row-table column the measured run reads, and of
-#: each one the warm-up replay reads.
-_TRACE_ROW_BUFFERS = dict(zip(ROW_COLUMN_NAMES, (
+#: The ``sim_bind`` id of each row-table column the measured run reads,
+#: and of each one the warm-up replay reads.
+_TRACE_ROW_ARRAYS = dict(zip(ROW_COLUMN_NAMES, (
     A.T_OP, A.T_PC, A.T_DC, A.T_DEST, A.T_NSRC, A.T_SRC_CLASS, A.T_SRC_LOG,
     A.T_TAKEN, A.T_TARGET), strict=True))
-_WARMUP_ROW_BUFFERS = dict(zip(WARMUP_ROW_COLUMN_NAMES, (
+_WARMUP_ROW_ARRAYS = dict(zip(WARMUP_ROW_COLUMN_NAMES, (
     A.WU_OP, A.WU_PC, A.WU_TAKEN, A.WU_TARGET), strict=True))
 
 
-def _copy_columns(ffi, lib, mach, columns: TraceColumns, row_buffers,
-                  rows_buffer: int, addr_buffer: int) -> None:
-    """Copy the row table, the row ids and the addresses into the Machine
-    (buffers sized by ``sim_new`` from the same row and instruction counts)."""
-    n = len(columns)
-    if n == 0:
-        return
-    n_rows = len(columns.records)
-    for name, which in row_buffers.items():
-        _i64_view(ffi, lib, mach, which, column_width(name) * n_rows)[:] = \
-            columns.table[name].ravel()
-    _i64_view(ffi, lib, mach, rows_buffer, n)[:] = columns.rows
-    _i64_view(ffi, lib, mach, addr_buffer, n)[:] = columns.addr
+def _bind_columns(ffi, lib, mach, columns: TraceColumns, row_arrays,
+                  rows_array: int, addr_array: int) -> list:
+    """Point the Machine at the row table, the row ids and the addresses
+    in place; returns their cffi buffers, which must outlive ``sim_run``."""
+    arrays = [(which, columns.table[name])
+              for name, which in row_arrays.items()]
+    arrays += [(rows_array, columns.rows), (addr_array, columns.addr)]
+    buffers = []
+    for which, array in arrays:
+        buffer = ffi.from_buffer(array)
+        lib.sim_bind(mach, which, buffer)
+        buffers.append(buffer)
+    return buffers
 
 
-def _export_trace(ffi, lib, mach, columns: TraceColumns) -> None:
-    """Copy the measured trace into the Machine."""
-    _copy_columns(ffi, lib, mach, columns, _TRACE_ROW_BUFFERS,
-                  A.T_ROWS, A.T_ADDR)
+def _export_trace(ffi, lib, mach, columns: TraceColumns) -> list:
+    """Bind the measured trace (see :func:`_bind_columns`)."""
+    return _bind_columns(ffi, lib, mach, columns, _TRACE_ROW_ARRAYS,
+                         A.T_ROWS, A.T_ADDR)
 
 
-def _export_warmup(ffi, lib, mach, columns: TraceColumns) -> None:
-    """Copy the warm-up trace (its own row table) into the Machine."""
-    _copy_columns(ffi, lib, mach, columns, _WARMUP_ROW_BUFFERS,
-                  A.WU_ROWS, A.WU_ADDR)
+def _export_warmup(ffi, lib, mach, columns: TraceColumns) -> list:
+    """Bind the warm-up trace (its own row table)."""
+    return _bind_columns(ffi, lib, mach, columns, _WARMUP_ROW_ARRAYS,
+                         A.WU_ROWS, A.WU_ADDR)
 
 
 def _export_predictor(ffi, lib, mach, predictor) -> None:
     table = np.frombuffer(ffi.buffer(lib.sim_i8(mach, 0),
                                      predictor.table_size), dtype=np.int8)
     table[:] = np.frombuffer(predictor.table, dtype=np.int8)
-    lib.sim_set(mach, SC.GS_HISTORY, predictor.history)
 
 
 def _export_btb(ffi, lib, mach, btb) -> None:
@@ -275,51 +261,39 @@ def _export_cache(ffi, lib, mach, cache, which_tag: int) -> None:
             dirty[base + pos] = entry_dirty
 
 
-def _export_wrongpath(lib, mach, generator) -> None:
-    """Hand the C cascade the generator's mix, windows and pending half."""
+def _seed(lib, mach, stream: int, bit_generator) -> None:
+    """Hand the core a PCG64's 128-bit state and increment (reading the
+    state does not advance the generator)."""
+    state = bit_generator.state["state"]
+    lib.sim_seed(mach, stream, state["state"] >> 64, state["state"] & _LOW64,
+                 state["inc"] >> 64, state["inc"] & _LOW64)
+
+
+def _wrongpath_config(vec: "np.ndarray", rates: "np.ndarray",
+                      generator) -> None:
+    """Write where the C cascade starts into the config and rates
+    vectors: the generator's mix, windows, cursors and pending half (its
+    stream goes through :func:`_seed`)."""
     mix = generator.mix
-    for which, value in ((F.WP_BRANCH, mix.branch), (F.WP_LOAD, mix.load),
-                         (F.WP_STORE, mix.store), (F.WP_FP, mix.fp),
-                         (F.WP_FP_SHARE, mix.fp_load_share)):
-        lib.sim_setf(mach, which, value)
+    rates[F.WP_BRANCH:F.WP_FP_SHARE + 1] = (
+        mix.branch, mix.load, mix.store, mix.fp, mix.fp_load_share)
     pending = generator.draws.pending
     int_regs, fp_regs = generator._int_regs, generator._fp_regs
-    for which, value in (
-            (SC.WP_HALF, -1 if pending is None else pending),
-            (SC.WP_DATA_BASE, generator._data_base),
-            (SC.WP_INT_BASE, int_regs[0]), (SC.WP_INT_N, len(int_regs)),
-            (SC.WP_INT_CURSOR, generator._int_cursor),
-            (SC.WP_FP_BASE, fp_regs[0]), (SC.WP_FP_N, len(fp_regs)),
-            (SC.WP_FP_CURSOR, generator._fp_cursor)):
-        lib.sim_set(mach, which, value)
+    vec[CFG.WP_HALF:CFG.WP_FP_CURSOR + 1] = (
+        -1 if pending is None else pending, generator._data_base,
+        int_regs[0], len(int_regs), generator._int_cursor,
+        fp_regs[0], len(fp_regs), generator._fp_cursor)
 
 
-# ----------------------------------------------------------------------
-# Draw-buffer refills
-# ----------------------------------------------------------------------
-def _fill_wrongpath(raw, bit_generator, start: int, stop: int) -> None:
-    """Write raw PCG64 words ``[start, stop)`` of the wrong-path buffer."""
-    raw[start:stop] = bit_generator.random_raw(stop - start).view(np.int64)
+# perfbench/layers.py times these two names as the draw feed's layers.
+# The core draws its own words, so nothing calls them; they go with the
+# benchmark's next revision.
+def _fill_wrongpath(*_args) -> None:
+    """Unused: the core draws its own wrong-path words."""
 
 
-def _refill_wrongpath(lib, mach, raw, bit_generator) -> None:
-    # The core has already moved its unconsumed words to the front.
-    _fill_wrongpath(raw, bit_generator, lib.sim_get(mach, SC.WP_COUNT),
-                    len(raw))
-    lib.sim_set(mach, SC.WP_COUNT, len(raw))
-
-
-def _refill_exceptions(ffi, lib, mach, rng, cap: int) -> None:
-    buf = np.frombuffer(ffi.buffer(lib.sim_f64(mach, 0), 8 * cap),
-                        dtype=np.float64)
-    head = lib.sim_get(mach, SC.EXC_HEAD)
-    count = lib.sim_get(mach, SC.EXC_COUNT)
-    remaining = count - head
-    if remaining > 0 and head > 0:
-        buf[:remaining] = buf[head:count].copy()
-    buf[remaining:cap] = rng.random(cap - remaining)
-    lib.sim_set(mach, SC.EXC_HEAD, 0)
-    lib.sim_set(mach, SC.EXC_COUNT, cap)
+def _refill_exceptions(*_args) -> None:
+    """Unused: the core draws its own exception-lottery words."""
 
 
 # ----------------------------------------------------------------------
@@ -405,10 +379,11 @@ class ColdStart(NamedTuple):
     """A run from reset: the trace and the config, and nothing built.
 
     The core's own reset state is the cold machine (every gshare counter
-    at 2, empty BTB and caches), and the run creates its wrong-path
-    generator and exception RNG afresh, from the same seeding helpers a
-    ``MachineState`` uses (:func:`~repro.engine.state.wrongpath_generator`,
-    :func:`~repro.engine.state.exception_rng`).
+    at 2, empty BTB and caches), and the run's streams start from the
+    same seeding helpers a ``MachineState`` uses
+    (:func:`~repro.engine.state.wrongpath_generator`,
+    :func:`~repro.engine.state.exception_rng`), as shared pristine
+    generators: the core reads their states and never advances them.
     """
 
     trace: Trace
@@ -422,18 +397,19 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
     """Run one simulation on the compiled core.
 
     ``start`` is a :class:`ColdStart` (the core warms up itself, from the
-    exported warm-up trace) or a ``MachineState`` at cycle 0, whose
+    bound warm-up trace) or a ``MachineState`` at cycle 0, whose
     already-warm predictor, BTB and caches are exported.  Returns a
     :class:`CompiledRun`, or ``None`` when the run must be (re)done by
-    the Python engine.  A ``MachineState`` is never mutated: its RNGs
-    are deep-copied, so a fallback run starts from pristine state.
+    the Python engine.  A ``MachineState`` is never mutated: the core
+    continues copies of its random streams.
 
     Raises :class:`~repro.engine.accel.loader.ToolchainError` when the
     core cannot be built/loaded (callers resolve that once per process).
     """
     cfg = start.config
     cold = isinstance(start, ColdStart)
-    wrongpath = (machine_state.wrongpath_generator(start.trace, cfg) if cold
+    wrongpath = (machine_state.wrongpath_generator(start.trace, cfg,
+                                                   shared=True) if cold
                  else start.fetch_unit.wrongpath)
     reason = unsupported_reason(cfg)
     if reason is None and cfg.enable_wrong_path:
@@ -448,7 +424,18 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
         EXPORT_CACHE.trace_columns(machine_state.build_warmup_trace(
             start.trace)) if cold and cfg.warmup else None)
     vec = _config_vector(cfg, columns, warm_columns)
-    mach = lib.sim_new(ffi.cast("long long *", ffi.from_buffer(vec)), NCFG)
+    vec[CFG.COMMIT_LIMIT] = (max_instructions if max_instructions is not None
+                             else len(columns))
+    vec[CFG.MAX_CYCLES] = -1 if max_cycles is None else max_cycles
+    vec[CFG.DEADLOCK] = deadlock_threshold
+    rates = np.zeros(NF)
+    rates[F.EXC_RATE] = cfg.exception_rate
+    if not cold:
+        vec[CFG.GS_HISTORY] = start.predictor.history
+    if wrongpath is not None:
+        _wrongpath_config(vec, rates, wrongpath)
+    mach = lib.sim_new(ffi.cast("long long *", ffi.from_buffer(vec)), NCFG,
+                       ffi.cast("double *", ffi.from_buffer(rates)), NF)
     if mach == ffi.NULL:
         logger.warning("compiled core could not build a machine (a config "
                        "vector it does not accept, or no memory); falling "
@@ -456,9 +443,11 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
         return None
     mach = ffi.gc(mach, lib.sim_free)
 
-    _export_trace(ffi, lib, mach, columns)
+    # The core reads the traces in place: ``bound`` keeps the buffers
+    # alive until sim_run has returned.
+    bound = [_export_trace(ffi, lib, mach, columns)]
     if warm_columns is not None:
-        _export_warmup(ffi, lib, mach, warm_columns)
+        bound.append(_export_warmup(ffi, lib, mach, warm_columns))
     if not cold:
         _export_predictor(ffi, lib, mach, start.predictor)
         _export_btb(ffi, lib, mach, start.btb)
@@ -467,34 +456,15 @@ def run_compiled(start: Union[ColdStart, machine_state.MachineState], *,
         _export_cache(ffi, lib, mach, memory.l1d, A.L1D_TAG)
         _export_cache(ffi, lib, mach, memory.l2, A.L2_TAG)
 
-    limit = (max_instructions if max_instructions is not None
-             else len(columns))
-    lib.sim_set(mach, SC.COMMIT_LIMIT, limit)
-    lib.sim_set(mach, SC.MAX_CYCLES, -1 if max_cycles is None else max_cycles)
-    lib.sim_set(mach, SC.DEADLOCK, deadlock_threshold)
-    lib.sim_setf(mach, F.EXC_RATE, cfg.exception_rate)
-
-    # The run consumes these streams.  A cold start owns fresh ones; a
-    # MachineState's are copied, so a Python fallback sees them untouched.
-    exc_rng = None
     if cfg.exception_rate > 0.0:
-        exc_rng = (machine_state.exception_rng(cfg) if cold
-                   else copy.deepcopy(start.exception_rng))
+        exc_rng = (machine_state.exception_rng(cfg, shared=True) if cold
+                   else start.exception_rng)
+        _seed(lib, mach, RNG_EXC, exc_rng.bit_generator)
     if wrongpath is not None:
-        _export_wrongpath(lib, mach, wrongpath)
-        wp_bits = wrongpath.draws.bit_generator
-        if not cold:
-            wp_bits = copy.deepcopy(wp_bits)
-        wp_raw = _i64_view(ffi, lib, mach, A.W_RAW, WP_RAW_BUFFER)
+        _seed(lib, mach, RNG_WRONGPATH, wrongpath.draws.bit_generator)
 
     status = lib.sim_run(mach)
-    while status in (RUN_NEED_WRONGPATH, RUN_NEED_EXC):
-        if status == RUN_NEED_WRONGPATH:
-            _refill_wrongpath(lib, mach, wp_raw, wp_bits)
-        else:
-            _refill_exceptions(ffi, lib, mach, exc_rng, EXC_BUFFER)
-        status = lib.sim_run(mach)
-
+    del bound
     if status == RUN_DEADLOCK:
         # Let the Python engine reproduce its own DeadlockError (message
         # includes live pipeline details only it can render).

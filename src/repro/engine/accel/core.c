@@ -4,11 +4,13 @@
  * A whole-machine C port of the per-cycle engine (commit -> writeback ->
  * issue -> rename -> fetch, reverse pipeline order), operated through a
  * deliberately tiny ABI: Python builds a Machine from a flat config
- * vector, fills the C-owned trace/predictor/cache arrays through typed
- * pointer accessors, and drives sim_run(), which executes cycles until
- * the run finishes or it needs Python (a refill of raw PCG64 words for
- * the wrong-path draw cascade, exception-lottery refill, deadlock, or an
- * internal inconsistency that triggers the bit-exact Python fallback).
+ * vector and a vector of rates, binds the trace's own read-only arrays
+ * (sim_bind), loads the PCG64 states of the wrong-path and exception
+ * streams (sim_seed), fills a warmed machine's predictor/BTB/cache
+ * arrays through typed pointer accessors, and calls sim_run() once.
+ * That call runs the whole point, drawing every random word itself, and
+ * returns finished, deadlocked, or an internal inconsistency that
+ * triggers the bit-exact Python fallback.
  *
  * Everything observable in SimStats is accumulated in the STATS array;
  * the semantics mirror the Python engine statement for statement — any
@@ -21,14 +23,17 @@
 
 /* CDEF_START */
 typedef struct Machine Machine;
-Machine *sim_new(const long long *cfg, int ncfg);
+Machine *sim_new(const long long *cfg, int ncfg, const double *rates,
+                 int nrates);
 void sim_free(Machine *m);
+void sim_bind(Machine *m, int which, const void *data);
+void sim_seed(Machine *m, int stream, unsigned long long state_hi,
+              unsigned long long state_lo, unsigned long long inc_hi,
+              unsigned long long inc_lo);
+unsigned long long sim_draw(Machine *m, int stream, unsigned long long span);
 long long *sim_i64(Machine *m, int which);
-double *sim_f64(Machine *m, int which);
 signed char *sim_i8(Machine *m, int which);
 long long sim_get(Machine *m, int which);
-void sim_set(Machine *m, int which, long long value);
-void sim_setf(Machine *m, int which, double value);
 int sim_run(Machine *m);
 /* CDEF_END */
 
@@ -38,9 +43,12 @@ int sim_run(Machine *m);
 
 typedef long long i64;
 typedef signed char i8;
+typedef unsigned long long u64;
 
 /* ------------------------------------------------------------------ */
-/* Config vector layout (mirrored in loader.py).                      */
+/* Config vector layout (mirrored in loader.py): the machine's         */
+/* geometry, then the run's limits and its starting gshare history    */
+/* and wrong-path cascade state.                                      */
 /* ------------------------------------------------------------------ */
 enum {
     CFG_TRACE_LEN = 0, CFG_FETCH_W, CFG_RENAME_W, CFG_ISSUE_W, CFG_COMMIT_W,
@@ -54,55 +62,53 @@ enum {
     CFG_MEM_LAT,
     CFG_FU = 34,          /* 6 x [count, unpipelined]  -> 34..45 */
     CFG_OP_LAT = 46,      /* 11 op latencies           -> 46..56 */
-    CFG_WP_CAP = 57, CFG_EXC_CAP = 58, CFG_WARM_LEN = 59,
-    CFG_TRACE_ROWS = 60, CFG_WARM_ROWS = 61,
-    NCFG = 62,
+    CFG_WARM_LEN = 57, CFG_TRACE_ROWS = 58, CFG_WARM_ROWS = 59,
+    CFG_COMMIT_LIMIT = 60, CFG_MAX_CYCLES, CFG_DEADLOCK, CFG_GS_HISTORY,
+    CFG_WP_HALF, CFG_WP_DATA_BASE, CFG_WP_INT_BASE, CFG_WP_INT_N,
+    CFG_WP_INT_CURSOR, CFG_WP_FP_BASE, CFG_WP_FP_N, CFG_WP_FP_CURSOR,
+    NCFG = 72,
 };
 
-/* Scalar ids for sim_get / sim_set. */
-enum {
-    SC_STATUS = 0, SC_ERROR, SC_CYCLE, SC_MAX_CYCLES, SC_COMMIT_LIMIT,
-    SC_DEADLOCK, SC_WP_COUNT, SC_WP_HEAD, SC_EXC_COUNT, SC_EXC_HEAD,
-    SC_GS_HISTORY, SC_SEQ, SC_ABI_MAGIC,
-    SC_WP_HALF, SC_WP_DATA_BASE, SC_WP_INT_BASE, SC_WP_INT_N,
-    SC_WP_INT_CURSOR, SC_WP_FP_BASE, SC_WP_FP_N, SC_WP_FP_CURSOR,
-};
-
-/* Double ids for sim_setf. */
+/* Rates vector layout: the exception rate and the wrong-path mix. */
 enum {
     F_EXC_RATE = 0, F_WP_BRANCH, F_WP_LOAD, F_WP_STORE, F_WP_FP,
     F_WP_FP_SHARE,
+    NF = 6,
 };
 
-#define ABI_MAGIC 0x52503803LL
+/* Scalar ids for sim_get. */
+enum { SC_STATUS = 0, SC_ERROR, SC_CYCLE, SC_ABI_MAGIC };
 
-/* Array ids for sim_i64.  A_T_OP..A_T_TARGET are the trace's row table
- * (CFG_TRACE_ROWS entries, MAX_SRCS per row for the source columns),
- * A_T_ROWS and A_T_ADDR one entry per instruction; the A_WU_* buffers
- * are the same for the warm-up trace (CFG_WARM_ROWS, CFG_WARM_LEN). */
+#define ABI_MAGIC 0x52503804LL
+
+/* Array ids.  sim_bind takes the trace's: A_T_OP..A_T_TARGET its row
+ * table (CFG_TRACE_ROWS int64 entries, MAX_SRCS per row for the source
+ * columns), A_T_ROWS (int32) and A_T_ADDR (int64) one entry per
+ * instruction; the A_WU_* arrays are the same for the warm-up trace
+ * (CFG_WARM_ROWS, CFG_WARM_LEN).  sim_i64 returns the machine's own:
+ * the BTB, the caches and STATS. */
 enum {
     A_T_OP = 0, A_T_PC, A_T_DC, A_T_DEST, A_T_NSRC, A_T_SRC_CLASS,
     A_T_SRC_LOG, A_T_TAKEN, A_T_TARGET, A_T_ROWS, A_T_ADDR,
-    A_W_RAW,
+    A_WU_OP, A_WU_PC, A_WU_TAKEN, A_WU_TARGET, A_WU_ROWS, A_WU_ADDR,
     A_B_TAG, A_B_TARGET, A_B_NWAY,
     A_L1I_TAG, A_L1I_DIRTY, A_L1I_NWAY,
     A_L1D_TAG, A_L1D_DIRTY, A_L1D_NWAY,
     A_L2_TAG, A_L2_DIRTY, A_L2_NWAY,
     A_STATS,
-    A_WU_OP, A_WU_PC, A_WU_TAKEN, A_WU_TARGET, A_WU_ROWS, A_WU_ADDR,
 };
 
+/* sim_seed streams. */
+enum { RNG_WRONGPATH = 0, RNG_EXC = 1 };
+
 /* sim_run statuses. */
-enum {
-    RUN_FINISHED = 0, RUN_NEED_WRONGPATH = 1, RUN_NEED_EXC = 2,
-    RUN_DEADLOCK = 3, RUN_INTERNAL = 4,
-};
+enum { RUN_FINISHED = 0, RUN_DEADLOCK = 1, RUN_INTERNAL = 2 };
 
 /* Internal error details (SC_ERROR), for diagnostics only. */
 enum {
     E_NONE = 0, E_FREELIST, E_ALLOC_EMPTY, E_WK_POOL, E_CQ_POOL, E_LW_POOL,
     E_RQ_OVERFLOW, E_RWC_MISSING, E_SLOT_MISMATCH, E_LSQ_REMOVE, E_CQ_RANGE,
-    E_READY_POOL, E_WP_DRY, E_TRACE_ROW, E_TRACE_REG, E_WP_WINDOW,
+    E_READY_POOL, E_UNBOUND, E_TRACE_ROW, E_TRACE_REG, E_WP_WINDOW,
     E_LU_MISSING,
 };
 
@@ -141,6 +147,32 @@ enum {
 #define RQ_LEVELS_MAX 256       /* compiled ceiling; depth itself is
                                  * config-derived (max_pending_branches) */
 #define MAX_SRCS 3
+
+/* ------------------------------------------------------------------ */
+/* PCG64: numpy's bit generator, continued from the caller's state.   */
+/* ------------------------------------------------------------------ */
+/* numpy.random.PCG64 is a 128-bit LCG (the standard PCG multiplier and
+ * the stream's odd increment) whose output is the XSL-RR permutation of
+ * the *new* state: rotr64(hi ^ lo, hi >> 58).  sim_seed loads the state
+ * and increment the Python generator reports, so the core draws the
+ * words its random_raw() would draw next, and the Python generator is
+ * left as it was. */
+typedef unsigned __int128 u128;
+typedef struct { u128 state, inc; } Pcg64;
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+#define TWO53_INV (1.0 / 9007199254740992.0)
+
+static inline u64 pcg_next(Pcg64 *g) {
+    g->state = g->state * PCG_MULT + g->inc;
+    u64 hi = (u64)(g->state >> 64), x = hi ^ (u64)g->state;
+    unsigned rot = (unsigned)(hi >> 58);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* A double in [0, 1) of one word: Generator.random()'s transform. */
+static inline double pcg_double(Pcg64 *g) {
+    return (double)(pcg_next(g) >> 11) * TWO53_INV;
+}
 
 /* ------------------------------------------------------------------ */
 /* Sub-structures.                                                    */
@@ -198,35 +230,35 @@ struct Machine {
     i64 cycle, seq, max_cycles, commit_limit, deadlock_threshold;
     i64 last_commit_cycle, committed_watermark;
 
-    /* trace (C-owned, filled by Python): a row table with one entry per
-     * distinct static record, and a row id and an address per
-     * instruction; check_inputs vets it once, at the first sim_run */
+    /* trace, read in place from the caller's arrays (sim_bind), which
+     * outlive sim_run: a row table with one entry per distinct static
+     * record, and a row id and an address per instruction; check_inputs
+     * vets it before the first cycle */
     i64 trace_len, trace_rows;
-    i64 *t_op, *t_pc, *t_dc, *t_dest, *t_nsrc, *t_src_class, *t_src_log,
-        *t_taken, *t_target;    /* trace_rows (x MAX_SRCS for sources) */
-    i64 *t_rows, *t_addr;       /* trace_len */
+    const i64 *t_op, *t_pc, *t_dc, *t_dest, *t_nsrc, *t_src_class,
+        *t_src_log, *t_taken, *t_target;  /* trace_rows (x MAX_SRCS) */
+    const int *t_rows;                    /* trace_len */
+    const i64 *t_addr;                    /* trace_len */
 
     /* warm-up trace, same shape with its own row table (replayed once
      * through the predictor/BTB/memory models before the measured run) */
     i64 warm_len, warm_rows;
-    i64 *wu_op, *wu_pc, *wu_taken, *wu_target;     /* warm_rows */
-    i64 *wu_rows, *wu_addr;                         /* warm_len */
-    int started;                /* inputs checked and warm-up replayed */
+    const i64 *wu_op, *wu_pc, *wu_taken, *wu_target;   /* warm_rows */
+    const int *wu_rows;                                 /* warm_len */
+    const i64 *wu_addr;                                 /* warm_len */
+    int started;                /* sim_run ran: a machine runs once */
 
-    /* wrong-path draw cascade: raw PCG64 words [wp_head, wp_count) of a
-     * wp_cap buffer (refilled by Python, status 1), the generator's
+    /* wrong-path draw cascade: the generator's PCG64 stream, its
      * buffered 32-bit half (-1 = none), its mix and register windows */
-    i64 wp_cap, wp_count, wp_head;
-    i64 *w_raw;
+    Pcg64 wp_rng;
     i64 wp_half;
     double wp_branch, wp_load, wp_store, wp_fp, wp_fp_share;
     i64 wp_data_base;
     i64 wp_int_base, wp_int_n, wp_int_cursor;
     i64 wp_fp_base, wp_fp_n, wp_fp_cursor;
 
-    /* exception lottery doubles (refilled by Python, status 2) */
-    i64 exc_cap, exc_count, exc_head;
-    double *exc_buf;
+    /* exception lottery: one double per correct-path rename */
+    Pcg64 exc_rng;
 
     /* gshare */
     i8 *gs_table;
@@ -336,22 +368,21 @@ struct Machine {
     i64 st[ST_N];
     int finalized;
 
-    /* the arena holding this record, and the trace block */
-    char *arena, *trace_block;
+    /* the arena holding this record */
+    char *arena;
 };
 
 /* ------------------------------------------------------------------ */
-/* Allocation: one arena and one trace block per machine.             */
+/* Allocation: one arena per machine.                                 */
 /* ------------------------------------------------------------------ */
 /* The arena holds the Machine record and every array its config sizes;
- * the trace block holds the trace and warm-up buffers, whose size
- * follows the trace.  lay_out lists the arrays once and runs twice:
- * with no bases it only sizes the blocks, then it places the arrays.
- * sim_free frees the trace block and parks the arena as the calling
- * thread's spare, which the thread's next sim_new reuses when it is
- * large enough: a short point then runs in warm memory instead of
- * paging in a fresh arena.  An arena starts with a header line that
- * records its capacity. */
+ * the trace stays in the caller's arrays.  lay_out lists the arrays
+ * once and runs twice: with no base it only sizes the arena, then it
+ * places the arrays.  sim_free parks the arena as the calling thread's
+ * spare, which the thread's next sim_new reuses when it is large
+ * enough: a short point then runs in warm memory instead of paging in
+ * a fresh arena.  An arena starts with a header line that records its
+ * capacity. */
 #define ARENA_ALIGN 64          /* every array starts on a cache line */
 #define ARENA_HEAD ARENA_ALIGN  /* the header line: size_t capacity */
 
@@ -1764,7 +1795,7 @@ static void rename_one(Machine *m, DQEnt *d) {
 
     int exception = 0;
     if (m->exc_enabled && !d->wrong_path)
-        exception = m->exc_buf[m->exc_head++] < m->exception_rate;
+        exception = pcg_double(&m->exc_rng) < m->exception_rate;
 
     m->ros_count++;                       /* push: publish the entry */
     if (exception) {
@@ -1801,54 +1832,30 @@ static void rename_stage(Machine *m) {
 /* ------------------------------------------------------------------ */
 /* Wrong-path draw cascade.                                           */
 /* ------------------------------------------------------------------ */
-/* Port of WrongPathGenerator.next_instruction's draw cascade over raw
- * PCG64 words, following the draw contract of trace/draws.py: a double
- * is (x >> 11) * 2^-53 of one fresh word; a bounded integer is a 32-bit
- * Lemire multiply of the buffered half, else of a fresh word's low half
- * (its high half becomes the buffered one), redrawn while the low 32
- * bits of the product fall below 2^32 % span.  Running out of words
- * (only after Lemire rejections, as the refill escape keeps
- * WP_RAWS_PER_INST words per fetch slot) is an internal escape: the run
- * is redone in Python. */
-#define WP_RAWS_PER_INST 3      /* category + branch direction + one word
-                                 * of halves, absent rejections */
-#define WP_TWO53_INV (1.0 / 9007199254740992.0)
+/* Port of WrongPathGenerator.next_instruction's draw cascade over the
+ * generator's PCG64 words, following the draw contract of
+ * trace/draws.py: a double is (x >> 11) * 2^-53 of one fresh word; a
+ * bounded integer is a 32-bit Lemire multiply of the buffered half, else
+ * of a fresh word's low half (its high half becomes the buffered one),
+ * redrawn while the low 32 bits of the product fall below
+ * 2^32 % span. */
+static double wp_double(Machine *m) { return pcg_double(&m->wp_rng); }
 
-static int wp_raw(Machine *m, unsigned long long *out) {
-    if (m->wp_head >= m->wp_count) {
-        m->error = E_WP_DRY;
-        m->status = RUN_INTERNAL;
-        return 0;
-    }
-    *out = (unsigned long long)m->w_raw[m->wp_head++];
-    return 1;
-}
-
-static int wp_double(Machine *m, double *out) {
-    unsigned long long x;
-    if (!wp_raw(m, &x)) return 0;
-    *out = (double)(x >> 11) * WP_TWO53_INV;
-    return 1;
-}
-
-static int wp_bounded(Machine *m, unsigned long long span, i64 *out) {
-    unsigned long long threshold = (1ULL << 32) % span;
+static i64 wp_bounded(Machine *m, u64 span) {
+    u64 threshold = (1ULL << 32) % span;
     for (;;) {
-        unsigned long long half;
+        u64 half;
         if (m->wp_half >= 0) {
-            half = (unsigned long long)m->wp_half;
+            half = (u64)m->wp_half;
             m->wp_half = -1;
         } else {
-            unsigned long long x;
-            if (!wp_raw(m, &x)) return 0;
+            u64 x = pcg_next(&m->wp_rng);
             half = x & 0xFFFFFFFFULL;
             m->wp_half = (i64)(x >> 32);
         }
-        unsigned long long product = half * span;
-        if ((product & 0xFFFFFFFFULL) >= threshold) {
-            *out = (i64)(product >> 32);
-            return 1;
-        }
+        u64 product = half * span;
+        if ((product & 0xFFFFFFFFULL) >= threshold)
+            return (i64)(product >> 32);
     }
 }
 
@@ -1861,11 +1868,9 @@ static int wp_next_fp(Machine *m) {
 }
 
 /* Draw the payload of the wrong-path instruction at d->pc; a branch's
- * target is stamped as pc + 4 * delta.  Returns 0 if the words ran dry. */
-static int wp_draw(Machine *m, DQEnt *d) {
-    double draw, second;
-    i64 value;
-    if (!wp_double(m, &draw)) return 0;
+ * target is stamped as pc + 4 * delta. */
+static void wp_draw(Machine *m, DQEnt *d) {
+    double draw = wp_double(m), second;
     int int_src = (int)(m->wp_int_base + m->wp_int_cursor % m->wp_int_n);
     d->dest_class = -1;
     d->nsrc = 1;
@@ -1874,14 +1879,14 @@ static int wp_draw(Machine *m, DQEnt *d) {
     if (draw < m->wp_branch) {
         d->op = OP_BRANCH;
         /* the drawn direction is overridden by the prediction at fetch */
-        if (!wp_double(m, &second) || !wp_bounded(m, 248, &value)) return 0;
-        d->target = d->pc + (8 + value) * 4;
-        return 1;
+        wp_double(m);
+        d->target = d->pc + (8 + wp_bounded(m, 248)) * 4;
+        return;
     }
     draw -= m->wp_branch;
     if (draw < m->wp_load) {
-        if (!wp_double(m, &second) || !wp_bounded(m, 2048, &value)) return 0;
-        d->addr = m->wp_data_base + value * 8;
+        second = wp_double(m);
+        d->addr = m->wp_data_base + wp_bounded(m, 2048) * 8;
         if (second < m->wp_fp_share && m->wp_fp > 0) {
             d->op = OP_FP_LOAD;
             d->dest_class = 1;
@@ -1891,7 +1896,7 @@ static int wp_draw(Machine *m, DQEnt *d) {
             d->dest_class = 0;
             d->dest = wp_next_int(m);
         }
-        return 1;
+        return;
     }
     draw -= m->wp_load;
     if (draw < m->wp_store) {
@@ -1900,24 +1905,21 @@ static int wp_draw(Machine *m, DQEnt *d) {
         d->src_class[1] = 0;
         d->src_log[1] = int_src;
         d->src_log[0] = wp_next_int(m);
-        if (!wp_bounded(m, 2048, &value)) return 0;
-        d->addr = m->wp_data_base + value * 8;
-        return 1;
+        d->addr = m->wp_data_base + wp_bounded(m, 2048) * 8;
+        return;
     }
     draw -= m->wp_store;
     if (draw < m->wp_fp) {
-        if (!wp_double(m, &second)) return 0;
-        d->op = second < 0.5 ? OP_FP_MULT : OP_FP_ADD;
+        d->op = wp_double(m) < 0.5 ? OP_FP_MULT : OP_FP_ADD;
         d->dest_class = 1;
         d->dest = wp_next_fp(m);
         d->src_class[0] = 1;
         d->src_log[0] = (int)(m->wp_fp_base + m->wp_fp_cursor % m->wp_fp_n);
-        return 1;
+        return;
     }
     d->op = OP_INT_ALU;
     d->dest_class = 0;
     d->dest = wp_next_int(m);
-    return 1;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1969,7 +1971,7 @@ static void fetch_stage(Machine *m) {
             d->wrong_path = 1;
             d->pc = m->wp_pc;
             m->wp_pc += 4;
-            if (!wp_draw(m, d)) return;
+            wp_draw(m, d);
             if (IS_BRANCH(d->op)) {
                 d->taken = fetch_predict(m, d);
                 if (d->taken) m->wp_pc = d->target;
@@ -2066,24 +2068,31 @@ static void warmup_pass(Machine *m) {
 }
 
 /* Input check, once per run before the warm-up pass and the first
- * cycle: every row id indexes its row table, every measured row names
- * a known op and registers that fit the logical files, and the
- * wrong-path register windows fit them too.  Returns the E_* detail of
- * the first violation (0 = none); the caller turns it into an internal
- * escape, so bad input falls back to Python instead of being read out
- * of bounds. */
+ * cycle: every array the run reads is bound, every row id indexes its
+ * row table, every measured row names a known op and registers that fit
+ * the logical files, and the wrong-path register windows fit them too.
+ * Returns the E_* detail of the first violation (0 = none); the caller
+ * turns it into an internal escape, so bad input falls back to Python
+ * instead of being read out of bounds. */
 static int reg_fits(const Machine *m, i64 cls, i64 log) {
     return (cls == 0 || cls == 1) && log >= 0 && log < m->nlog[cls];
 }
 
-static int rows_fit(const i64 *rows, i64 n, i64 n_rows) {
+static int rows_fit(const int *rows, i64 n, i64 n_rows) {
     for (i64 i = 0; i < n; i++)
-        if ((unsigned long long)rows[i] >= (unsigned long long)n_rows)
-            return 0;
+        if (rows[i] < 0 || rows[i] >= n_rows) return 0;
     return 1;
 }
 
 static int check_inputs(const Machine *m) {
+    if ((m->trace_rows > 0 &&
+         !(m->t_op && m->t_pc && m->t_dc && m->t_dest && m->t_nsrc &&
+           m->t_src_class && m->t_src_log && m->t_taken && m->t_target)) ||
+        (m->trace_len > 0 && !(m->t_rows && m->t_addr)) ||
+        (m->warm_rows > 0 &&
+         !(m->wu_op && m->wu_pc && m->wu_taken && m->wu_target)) ||
+        (m->warm_len > 0 && !(m->wu_rows && m->wu_addr)))
+        return E_UNBOUND;
     if (!rows_fit(m->t_rows, m->trace_len, m->trace_rows) ||
         !rows_fit(m->wu_rows, m->warm_len, m->warm_rows))
         return E_TRACE_ROW;
@@ -2106,37 +2115,19 @@ static int check_inputs(const Machine *m) {
     return 0;
 }
 
+/* Run the whole point: a machine runs once, and a second call returns
+ * the first run's status. */
 int sim_run(Machine *m) {
-    if (m->status == RUN_INTERNAL) return m->status;
-    if (!m->started) {
-        m->started = 1;
-        m->error = check_inputs(m);
-        if (m->error) {
-            m->status = RUN_INTERNAL;
-            return m->status;
-        }
-        warmup_pass(m);
+    if (m->started) return m->status;
+    m->started = 1;
+    m->error = check_inputs(m);
+    if (m->error) {
+        m->status = RUN_INTERNAL;
+        return m->status;
     }
-    m->status = RUN_FINISHED;
+    warmup_pass(m);
     for (;;) {
         if (m->max_cycles >= 0 && m->cycle >= m->max_cycles) break;
-        /* Refill escapes keep a full cycle's worth of draws buffered so
-         * no stage ever blocks mid-cycle.  The unconsumed raw words move
-         * to the front; Python appends fresh ones from wp_count on. */
-        if (m->wp_enabled && m->wp_count - m->wp_head
-                < WP_RAWS_PER_INST * m->cfg[CFG_FETCH_W]) {
-            m->wp_count -= m->wp_head;
-            memmove(m->w_raw, m->w_raw + m->wp_head,
-                    (size_t)m->wp_count * sizeof(i64));
-            m->wp_head = 0;
-            m->status = RUN_NEED_WRONGPATH;
-            return m->status;
-        }
-        if (m->exc_enabled &&
-            m->exc_count - m->exc_head < m->cfg[CFG_RENAME_W]) {
-            m->status = RUN_NEED_EXC;
-            return m->status;
-        }
         commit_stage(m);
         if (m->status) return m->status;
         writeback_stage(m);
@@ -2180,17 +2171,14 @@ static void cache_init(Machine *m, CacheZ *c, Arena *a, i64 sets,
     c->misses = m->st + misses_slot;
 }
 
-/* Read the config into m and carve every array it sizes: the state
- * into a, the trace and warm-up buffers into t.  While sizing, m is a
- * stand-in record and every array pointer comes back 0. */
-static Machine *lay_out(const i64 *cfg, Arena *a, Arena *t, Machine *sizing) {
+/* Read the config into m and carve every array it sizes.  While
+ * sizing, m is a stand-in record and every array pointer comes back 0. */
+static Machine *lay_out(const i64 *cfg, Arena *a, Machine *sizing) {
     a->used = ARENA_HEAD;
-    t->used = 0;
     Machine *m = CARVE(a, Machine, 1);
     if (!m) m = sizing;
     memcpy(m->cfg, cfg, sizeof(m->cfg));
     m->arena = a->base;
-    m->trace_block = t->base;
 
     m->trace_len = cfg[CFG_TRACE_LEN];
     m->ros_cap = cfg[CFG_ROS];
@@ -2205,40 +2193,9 @@ static Machine *lay_out(const i64 *cfg, Arena *a, Arena *t, Machine *sizing) {
     m->nlog[0] = cfg[CFG_NLOG_INT];
     m->nlog[1] = cfg[CFG_NLOG_FP];
     m->mem_lat = cfg[CFG_MEM_LAT];
-    m->wp_cap = cfg[CFG_WP_CAP];
-    m->exc_cap = cfg[CFG_EXC_CAP];
-
-    /* trace: row table, row ids, addresses */
     m->trace_rows = cfg[CFG_TRACE_ROWS];
-    i64 tr = m->trace_rows > 0 ? m->trace_rows : 1;
-    m->t_op = CARVE(t, i64, tr);
-    m->t_pc = CARVE(t, i64, tr);
-    m->t_dc = CARVE(t, i64, tr);
-    m->t_dest = CARVE(t, i64, tr);
-    m->t_nsrc = CARVE(t, i64, tr);
-    m->t_src_class = CARVE(t, i64, tr * MAX_SRCS);
-    m->t_src_log = CARVE(t, i64, tr * MAX_SRCS);
-    m->t_taken = CARVE(t, i64, tr);
-    m->t_target = CARVE(t, i64, tr);
-    i64 tl = m->trace_len > 0 ? m->trace_len : 1;
-    m->t_rows = CARVE(t, i64, tl);
-    m->t_addr = CARVE(t, i64, tl);
-
-    /* warm-up trace: its own row table, row ids, addresses */
     m->warm_len = cfg[CFG_WARM_LEN];
     m->warm_rows = cfg[CFG_WARM_ROWS];
-    i64 wr = m->warm_rows > 0 ? m->warm_rows : 1;
-    m->wu_op = CARVE(t, i64, wr);
-    m->wu_pc = CARVE(t, i64, wr);
-    m->wu_taken = CARVE(t, i64, wr);
-    m->wu_target = CARVE(t, i64, wr);
-    i64 wl = m->warm_len > 0 ? m->warm_len : 1;
-    m->wu_rows = CARVE(t, i64, wl);
-    m->wu_addr = CARVE(t, i64, wl);
-
-    /* wrong-path raw words, exception lottery doubles */
-    m->w_raw = CARVE(a, i64, m->wp_cap > 0 ? m->wp_cap : 1);
-    m->exc_buf = CARVE(a, double, m->exc_cap > 0 ? m->exc_cap : 1);
 
     /* gshare */
     m->gs_size = 1LL << cfg[CFG_GSHARE_BITS];
@@ -2383,39 +2340,46 @@ static Machine *lay_out(const i64 *cfg, Arena *a, Arena *t, Machine *sizing) {
 }
 
 /* Build the cold machine of a config vector, or return 0 for a vector
- * the core does not accept or when memory runs out.  lay_out sizes both
- * blocks; the arena is the thread's spare when that is large enough and
- * its used span is zeroed (a fresh one comes zeroed), so every array
- * starts at 0 before the reset state below is written. */
-Machine *sim_new(const long long *cfg, int ncfg) {
-    if (ncfg != NCFG) return 0;
+ * the core does not accept or when memory runs out.  lay_out sizes the
+ * arena; it is the thread's spare when that is large enough and its
+ * used span is zeroed (a fresh one comes zeroed), so every array starts
+ * at 0 before the reset state below is written. */
+Machine *sim_new(const long long *cfg, int ncfg, const double *rates,
+                 int nrates) {
+    if (ncfg != NCFG || nrates != NF) return 0;
     if (cfg[CFG_POLICY] == 2 && cfg[CFG_CK_CAP] > RQ_LEVELS_MAX)
         return 0;           /* Release Queue deeper than the compiled max */
-    if (cfg[CFG_WP_ENABLED] &&
-        cfg[CFG_WP_CAP] < WP_RAWS_PER_INST * cfg[CFG_FETCH_W])
-        return 0;           /* a refill could never cover one fetch group */
 
     Machine sizing;
-    Arena a = {0, 0}, t = {0, 0};
-    lay_out(cfg, &a, &t, &sizing);
+    Arena a = {0, 0};
+    lay_out(cfg, &a, &sizing);
     a.base = arena_take(a.used);
-    t.base = (char *)calloc(1, t.used);
-    if (!a.base || !t.base) {
-        if (a.base) arena_park(a.base);
-        free(t.base);
-        return 0;
-    }
-    Machine *m = lay_out(cfg, &a, &t, 0);
+    if (!a.base) return 0;
+    Machine *m = lay_out(cfg, &a, 0);
     ASAN_POISON_MEMORY_REGION(a.base + a.used, arena_cap(a.base) - a.used);
 
-    m->max_cycles = -1;
-    m->commit_limit = m->trace_len;
-    m->deadlock_threshold = 50000;
+    m->max_cycles = cfg[CFG_MAX_CYCLES];           /* -1 = no cap */
+    m->commit_limit = cfg[CFG_COMMIT_LIMIT];
+    m->deadlock_threshold = cfg[CFG_DEADLOCK];
     m->committed_watermark = -1;
+    m->gs_history = cfg[CFG_GS_HISTORY];
+    m->exception_rate = rates[F_EXC_RATE];
 
-    /* an empty register window never draws */
-    m->wp_half = -1;
-    m->wp_int_n = m->wp_fp_n = 1;
+    /* the wrong-path cascade: mix, buffered half (-1 = none), windows
+     * (an empty one never draws) and cursors */
+    m->wp_branch = rates[F_WP_BRANCH];
+    m->wp_load = rates[F_WP_LOAD];
+    m->wp_store = rates[F_WP_STORE];
+    m->wp_fp = rates[F_WP_FP];
+    m->wp_fp_share = rates[F_WP_FP_SHARE];
+    m->wp_half = cfg[CFG_WP_HALF];
+    m->wp_data_base = cfg[CFG_WP_DATA_BASE];
+    m->wp_int_base = cfg[CFG_WP_INT_BASE];
+    m->wp_int_n = cfg[CFG_WP_INT_N] > 0 ? cfg[CFG_WP_INT_N] : 1;
+    m->wp_int_cursor = cfg[CFG_WP_INT_CURSOR];
+    m->wp_fp_base = cfg[CFG_WP_FP_BASE];
+    m->wp_fp_n = cfg[CFG_WP_FP_N] > 0 ? cfg[CFG_WP_FP_N] : 1;
+    m->wp_fp_cursor = cfg[CFG_WP_FP_CURSOR];
 
     memset(m->gs_table, 2, (size_t)m->gs_size);
 
@@ -2488,28 +2452,63 @@ Machine *sim_new(const long long *cfg, int ncfg) {
     return m;
 }
 
-/* Free the trace block and park the arena as the calling thread's
- * spare; the thread's next sim_new reuses it. */
+/* Park the arena as the calling thread's spare; the thread's next
+ * sim_new reuses it. */
 void sim_free(Machine *m) {
-    if (!m) return;
-    free(m->trace_block);
-    arena_park(m->arena);
+    if (m) arena_park(m->arena);
+}
+
+/* Point the run at one of the caller's trace arrays (ids A_T_*, A_WU_*);
+ * the caller keeps it alive until sim_run returns. */
+void sim_bind(Machine *m, int which, const void *data) {
+    const i64 *p = (const i64 *)data;
+    switch (which) {
+    case A_T_OP: m->t_op = p; break;
+    case A_T_PC: m->t_pc = p; break;
+    case A_T_DC: m->t_dc = p; break;
+    case A_T_DEST: m->t_dest = p; break;
+    case A_T_NSRC: m->t_nsrc = p; break;
+    case A_T_SRC_CLASS: m->t_src_class = p; break;
+    case A_T_SRC_LOG: m->t_src_log = p; break;
+    case A_T_TAKEN: m->t_taken = p; break;
+    case A_T_TARGET: m->t_target = p; break;
+    case A_T_ROWS: m->t_rows = (const int *)data; break;
+    case A_T_ADDR: m->t_addr = p; break;
+    case A_WU_OP: m->wu_op = p; break;
+    case A_WU_PC: m->wu_pc = p; break;
+    case A_WU_TAKEN: m->wu_taken = p; break;
+    case A_WU_TARGET: m->wu_target = p; break;
+    case A_WU_ROWS: m->wu_rows = (const int *)data; break;
+    case A_WU_ADDR: m->wu_addr = p; break;
+    }
+}
+
+static Pcg64 *rng_of(Machine *m, int stream) {
+    return stream == RNG_WRONGPATH ? &m->wp_rng
+         : stream == RNG_EXC ? &m->exc_rng : 0;
+}
+
+/* Load a stream's 128-bit PCG64 state and increment (ids RNG_*). */
+void sim_seed(Machine *m, int stream, unsigned long long state_hi,
+              unsigned long long state_lo, unsigned long long inc_hi,
+              unsigned long long inc_lo) {
+    Pcg64 *g = rng_of(m, stream);
+    if (!g) return;
+    g->state = (u128)state_hi << 64 | state_lo;
+    g->inc = (u128)inc_hi << 64 | inc_lo;
+}
+
+/* The next draw of a stream, as a run would draw it (the stream pins
+ * read it): a raw word, or with 0 < span <= 2^32 a bounded integer of
+ * the wrong-path cascade, which consumes its pending half first. */
+unsigned long long sim_draw(Machine *m, int stream, unsigned long long span) {
+    if (stream == RNG_WRONGPATH && span > 0) return (u64)wp_bounded(m, span);
+    Pcg64 *g = rng_of(m, stream);
+    return g ? pcg_next(g) : 0;
 }
 
 long long *sim_i64(Machine *m, int which) {
     switch (which) {
-    case A_T_OP: return m->t_op;
-    case A_T_PC: return m->t_pc;
-    case A_T_DC: return m->t_dc;
-    case A_T_DEST: return m->t_dest;
-    case A_T_NSRC: return m->t_nsrc;
-    case A_T_SRC_CLASS: return m->t_src_class;
-    case A_T_SRC_LOG: return m->t_src_log;
-    case A_T_TAKEN: return m->t_taken;
-    case A_T_TARGET: return m->t_target;
-    case A_T_ROWS: return m->t_rows;
-    case A_T_ADDR: return m->t_addr;
-    case A_W_RAW: return m->w_raw;
     case A_B_TAG: return m->btb_tag;
     case A_B_TARGET: return m->btb_target;
     case A_B_NWAY: return m->btb_nway;
@@ -2523,18 +2522,7 @@ long long *sim_i64(Machine *m, int which) {
     case A_L2_DIRTY: return m->l2.dirty;
     case A_L2_NWAY: return m->l2.nway;
     case A_STATS: return m->st;
-    case A_WU_OP: return m->wu_op;
-    case A_WU_PC: return m->wu_pc;
-    case A_WU_TAKEN: return m->wu_taken;
-    case A_WU_TARGET: return m->wu_target;
-    case A_WU_ROWS: return m->wu_rows;
-    case A_WU_ADDR: return m->wu_addr;
     }
-    return 0;
-}
-
-double *sim_f64(Machine *m, int which) {
-    if (which == 0) return m->exc_buf;
     return 0;
 }
 
@@ -2548,50 +2536,7 @@ long long sim_get(Machine *m, int which) {
     case SC_STATUS: return m->status;
     case SC_ERROR: return m->error;
     case SC_CYCLE: return m->cycle;
-    case SC_MAX_CYCLES: return m->max_cycles;
-    case SC_COMMIT_LIMIT: return m->commit_limit;
-    case SC_DEADLOCK: return m->deadlock_threshold;
-    case SC_WP_COUNT: return m->wp_count;
-    case SC_WP_HEAD: return m->wp_head;
-    case SC_EXC_COUNT: return m->exc_count;
-    case SC_EXC_HEAD: return m->exc_head;
-    case SC_GS_HISTORY: return m->gs_history;
-    case SC_SEQ: return m->seq;
     case SC_ABI_MAGIC: return ABI_MAGIC;
     }
     return -1;
-}
-
-void sim_set(Machine *m, int which, long long value) {
-    switch (which) {
-    case SC_CYCLE: m->cycle = value; break;
-    case SC_MAX_CYCLES: m->max_cycles = value; break;
-    case SC_COMMIT_LIMIT: m->commit_limit = value; break;
-    case SC_DEADLOCK: m->deadlock_threshold = value; break;
-    case SC_WP_COUNT: m->wp_count = value; break;
-    case SC_WP_HEAD: m->wp_head = value; break;
-    case SC_EXC_COUNT: m->exc_count = value; break;
-    case SC_EXC_HEAD: m->exc_head = value; break;
-    case SC_GS_HISTORY: m->gs_history = value; break;
-    case SC_SEQ: m->seq = value; break;
-    case SC_WP_HALF: m->wp_half = value; break;
-    case SC_WP_DATA_BASE: m->wp_data_base = value; break;
-    case SC_WP_INT_BASE: m->wp_int_base = value; break;
-    case SC_WP_INT_N: if (value > 0) m->wp_int_n = value; break;
-    case SC_WP_INT_CURSOR: m->wp_int_cursor = value; break;
-    case SC_WP_FP_BASE: m->wp_fp_base = value; break;
-    case SC_WP_FP_N: if (value > 0) m->wp_fp_n = value; break;
-    case SC_WP_FP_CURSOR: m->wp_fp_cursor = value; break;
-    }
-}
-
-void sim_setf(Machine *m, int which, double value) {
-    switch (which) {
-    case F_EXC_RATE: m->exception_rate = value; break;
-    case F_WP_BRANCH: m->wp_branch = value; break;
-    case F_WP_LOAD: m->wp_load = value; break;
-    case F_WP_STORE: m->wp_store = value; break;
-    case F_WP_FP: m->wp_fp = value; break;
-    case F_WP_FP_SHARE: m->wp_fp_share = value; break;
-    }
 }

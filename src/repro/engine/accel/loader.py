@@ -40,9 +40,10 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 __all__ = ["ToolchainError", "load_core", "reset_loader_cache",
-           "CFG", "SC", "F", "A", "ST", "RF", "NCFG", "ST_N", "RQ_LEVELS_MAX",
-           "ABI_MAGIC", "RUN_FINISHED", "RUN_NEED_WRONGPATH",
-           "RUN_NEED_EXC", "RUN_DEADLOCK", "RUN_INTERNAL"]
+           "CFG", "SC", "F", "A", "ST", "RF", "NCFG", "NF", "ST_N",
+           "RQ_LEVELS_MAX",
+           "ABI_MAGIC", "RNG_WRONGPATH", "RNG_EXC", "RUN_FINISHED",
+           "RUN_DEADLOCK", "RUN_INTERNAL"]
 
 
 class ToolchainError(RuntimeError):
@@ -78,7 +79,9 @@ class _Namespace:
         self.__dict__.update(values)
 
 
-#: Config vector layout (enum ``CFG_*`` in core.c).
+#: Config vector layout (enum ``CFG_*`` in core.c): the machine's
+#: geometry, then the run's limits and its starting gshare history and
+#: wrong-path cascade state.
 CFG = _Namespace(
     TRACE_LEN=0, FETCH_W=1, RENAME_W=2, ISSUE_W=3, COMMIT_W=4,
     MAX_TAKEN=5, FRONTEND=6, ROS=7, LSQ=8, CK_CAP=9,
@@ -88,39 +91,37 @@ CFG = _Namespace(
     L1I_SETS=21, L1I_ASSOC=22, L1I_SHIFT=23, L1I_LAT=24,
     L1D_SETS=25, L1D_ASSOC=26, L1D_SHIFT=27, L1D_LAT=28,
     L2_SETS=29, L2_ASSOC=30, L2_SHIFT=31, L2_LAT=32,
-    MEM_LAT=33, FU=34, OP_LAT=46, WP_CAP=57, EXC_CAP=58, WARM_LEN=59,
-    TRACE_ROWS=60, WARM_ROWS=61,
+    MEM_LAT=33, FU=34, OP_LAT=46, WARM_LEN=57, TRACE_ROWS=58, WARM_ROWS=59,
+    COMMIT_LIMIT=60, MAX_CYCLES=61, DEADLOCK=62, GS_HISTORY=63,
+    WP_HALF=64, WP_DATA_BASE=65, WP_INT_BASE=66, WP_INT_N=67,
+    WP_INT_CURSOR=68, WP_FP_BASE=69, WP_FP_N=70, WP_FP_CURSOR=71,
 )
-NCFG = 62
+NCFG = 72
 
-#: Scalar ids (enum ``SC_*``).
-SC = _Namespace(
-    STATUS=0, ERROR=1, CYCLE=2, MAX_CYCLES=3, COMMIT_LIMIT=4,
-    DEADLOCK=5, WP_COUNT=6, WP_HEAD=7, EXC_COUNT=8, EXC_HEAD=9,
-    GS_HISTORY=10, SEQ=11, ABI_MAGIC=12,
-    WP_HALF=13, WP_DATA_BASE=14, WP_INT_BASE=15, WP_INT_N=16,
-    WP_INT_CURSOR=17, WP_FP_BASE=18, WP_FP_N=19, WP_FP_CURSOR=20,
-)
-
-#: Double ids for ``sim_setf`` (enum ``F_*``).
+#: Rates vector layout (enum ``F_*``): the exception rate and the
+#: wrong-path mix.
 F = _Namespace(
     EXC_RATE=0, WP_BRANCH=1, WP_LOAD=2, WP_STORE=3, WP_FP=4,
     WP_FP_SHARE=5,
 )
+NF = 6
 
-#: Array ids (enum ``A_*``): ``T_OP``..``T_TARGET`` are the trace's row
-#: table, ``T_ROWS``/``T_ADDR`` one value per instruction; ``WU_*`` the
-#: same for the warm-up trace.
+#: Scalar ids for ``sim_get`` (enum ``SC_*``).
+SC = _Namespace(STATUS=0, ERROR=1, CYCLE=2, ABI_MAGIC=3)
+
+#: Array ids (enum ``A_*``).  ``sim_bind`` takes the trace's:
+#: ``T_OP``..``T_TARGET`` its row table, ``T_ROWS`` (int32) and
+#: ``T_ADDR`` one value per instruction, ``WU_*`` the same for the
+#: warm-up trace.  ``sim_i64`` returns the machine's BTB, caches and STATS.
 A = _Namespace(
     T_OP=0, T_PC=1, T_DC=2, T_DEST=3, T_NSRC=4, T_SRC_CLASS=5,
     T_SRC_LOG=6, T_TAKEN=7, T_TARGET=8, T_ROWS=9, T_ADDR=10,
-    W_RAW=11,
-    B_TAG=12, B_TARGET=13, B_NWAY=14,
-    L1I_TAG=15, L1I_DIRTY=16, L1I_NWAY=17,
-    L1D_TAG=18, L1D_DIRTY=19, L1D_NWAY=20,
-    L2_TAG=21, L2_DIRTY=22, L2_NWAY=23,
-    STATS=24,
-    WU_OP=25, WU_PC=26, WU_TAKEN=27, WU_TARGET=28, WU_ROWS=29, WU_ADDR=30,
+    WU_OP=11, WU_PC=12, WU_TAKEN=13, WU_TARGET=14, WU_ROWS=15, WU_ADDR=16,
+    B_TAG=17, B_TARGET=18, B_NWAY=19,
+    L1I_TAG=20, L1I_DIRTY=21, L1I_NWAY=22,
+    L1D_TAG=23, L1D_DIRTY=24, L1D_NWAY=25,
+    L2_TAG=26, L2_DIRTY=27, L2_NWAY=28,
+    STATS=29,
 )
 
 #: STATS slots (enum ``ST_*``).
@@ -142,18 +143,20 @@ RF = _Namespace(
     OCC_EMPTY=8, OCC_READY=9, OCC_IDLE=10,
 )
 
+#: ``sim_seed`` streams.
+RNG_WRONGPATH = 0
+RNG_EXC = 1
+
 #: ``sim_run`` statuses.
 RUN_FINISHED = 0
-RUN_NEED_WRONGPATH = 1
-RUN_NEED_EXC = 2
-RUN_DEADLOCK = 3
-RUN_INTERNAL = 4
+RUN_DEADLOCK = 1
+RUN_INTERNAL = 2
 
 #: Deepest Release Queue the compiled core accepts; the depth itself is
 #: config-derived (``ProcessorConfig.max_pending_branches``).
 RQ_LEVELS_MAX = 256
 
-ABI_MAGIC = 0x52503803
+ABI_MAGIC = 0x52503804
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ replays the same warm-up segment (:func:`build_warmup_trace`) itself.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -80,21 +81,32 @@ def build_warmup_trace(trace: Trace) -> Trace:
     return get_workload(trace.name, length, seed=trace.seed + 7919)
 
 
-def wrongpath_generator(trace: Trace,
-                        cfg: ProcessorConfig) -> Optional[WrongPathGenerator]:
+def wrongpath_generator(trace: Trace, cfg: ProcessorConfig, *,
+                        shared: bool = False) -> Optional[WrongPathGenerator]:
     """The run's wrong-path generator (None when the wrong path is off).
 
     The one place a run seeds its wrong-path stream: both engines call
-    it, so their streams cannot drift apart.
+    it, so their streams cannot drift apart.  ``shared=True`` is for a
+    caller that only reads the generator's state (the compiled core
+    continues a copy of its stream): one pristine generator per mix and
+    seed then serves every run.
     """
     if not cfg.enable_wrong_path:
         return None
-    return WrongPathGenerator.for_trace(trace, seed=cfg.seed)
+    return WrongPathGenerator.for_trace(trace, seed=cfg.seed, shared=shared)
 
 
-def exception_rng(cfg: ProcessorConfig) -> np.random.Generator:
-    """The run's exception-lottery RNG, seeded for both engines alike."""
-    return np.random.default_rng(cfg.seed + 0xE)
+def exception_rng(cfg: ProcessorConfig, *,
+                  shared: bool = False) -> np.random.Generator:
+    """The run's exception-lottery RNG, seeded for both engines alike
+    (``shared``: as for :func:`wrongpath_generator`)."""
+    return (_shared_rng if shared else np.random.default_rng)(cfg.seed + 0xE)
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_rng(seed: int) -> np.random.Generator:
+    """One pristine RNG per seed: see ``exception_rng(shared=True)``."""
+    return np.random.default_rng(seed)
 
 
 class MachineState:

@@ -12,10 +12,9 @@ generator seed).  Its storage is columnar (:class:`TraceColumns`):
 * an ``int64`` **address** per dynamic instruction (the effective
   address of a memory op, 0 otherwise).
 
-The compiled core receives exactly this: a copy of the row table (a few
-hundred to about a thousand rows for a generated workload), the row ids
-widened to ``int64``, and the addresses; it indexes the table by row id
-as it fetches.
+The compiled core reads exactly these arrays, in place: the row table (a
+few hundred to about a thousand rows for a generated workload), the row
+ids and the addresses; it indexes the table by row id as it fetches.
 
 :class:`~repro.isa.instructions.Instruction` objects exist only on
 demand (the Python engine, tests): one shared object per non-memory row
@@ -134,7 +133,9 @@ class TraceColumns:
     instruction to its row and ``addr`` carries its address.  A column of
     :data:`TRACE_COLUMN_NAMES` is a gather of its table column by
     ``rows`` (:meth:`gather`); the compiled core does that indexing
-    itself, so its export copies the table, ``rows`` and ``addr``.
+    itself, reading the table, ``rows`` and ``addr`` in place.  So every
+    array is made C-contiguous once, here: ``int64`` table columns and
+    addresses, ``int32`` row ids.
     """
 
     __slots__ = ("records", "table", "rows", "addr")
@@ -143,10 +144,16 @@ class TraceColumns:
                  addr: np.ndarray,
                  table: Optional[Dict[str, np.ndarray]] = None) -> None:
         self.records = tuple(records)
-        self.table = _row_table(self.records) if table is None else table
-        self.rows = rows
-        self.addr = addr
-        for array in (*self.table.values(), rows, addr):
+        if table is None:
+            table = _row_table(self.records)
+        elif not all(column.dtype == np.int64 and column.flags.c_contiguous
+                     for column in table.values()):
+            table = {name: np.ascontiguousarray(column, dtype=np.int64)
+                     for name, column in table.items()}
+        self.table = table      # shared as it is by truncated()
+        self.rows = np.ascontiguousarray(rows, dtype=np.int32)
+        self.addr = np.ascontiguousarray(addr, dtype=np.int64)
+        for array in (*self.table.values(), self.rows, self.addr):
             array.setflags(write=False)
 
     def __len__(self) -> int:

@@ -17,6 +17,7 @@ same rename / conditional-release / squash machinery (see DESIGN.md,
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import List
@@ -170,13 +171,21 @@ class WrongPathGenerator:
         return out
 
     @staticmethod
-    def for_trace(trace: Trace, seed: int = 0) -> "WrongPathGenerator":
+    def for_trace(trace: Trace, seed: int = 0, *,
+                  shared: bool = False) -> "WrongPathGenerator":
         """Build a generator whose mix mirrors ``trace``.
 
         The mix is derived once per trace and memoised on the trace
         itself, so a sweep's points share one count and the memo dies
-        with the trace.
+        with the trace.  ``shared=True`` returns one pristine generator
+        per mix and seed, for a caller that reads its state and never
+        draws from it (seeding a PCG64 costs about 10 us).
         """
         if trace.wrongpath_mix is None:
             trace.wrongpath_mix = WrongPathMix.from_trace(trace)
-        return WrongPathGenerator(trace.wrongpath_mix, seed=seed)
+        build = _shared_generator if shared else WrongPathGenerator
+        return build(trace.wrongpath_mix, seed=seed)
+
+
+#: One pristine generator per (mix, seed): see ``for_trace(shared=True)``.
+_shared_generator = functools.lru_cache(maxsize=256)(WrongPathGenerator)

@@ -80,9 +80,9 @@ def test_st_n_drift_is_reported(real_tree_copy):
 
 @pytest.mark.parametrize("rel, old, new, expected", [
     # one drift per mirrored id enum, in either file
-    (CORE_C, "CFG_TRACE_ROWS = 60, CFG_WARM_ROWS = 61,",
-     "CFG_TRACE_ROWS = 61, CFG_WARM_ROWS = 62,", "CFG_TRACE_ROWS"),
-    (LOADER, "GS_HISTORY=10, ", "GS_HISTORY=11, ", "SC_GS_HISTORY"),
+    (CORE_C, "CFG_TRACE_ROWS = 58, CFG_WARM_ROWS = 59,",
+     "CFG_TRACE_ROWS = 59, CFG_WARM_ROWS = 60,", "CFG_TRACE_ROWS"),
+    (LOADER, "CYCLE=2, ", "CYCLE=3, ", "SC_CYCLE"),
     (CORE_C, "F_EXC_RATE = 0, F_WP_BRANCH,", "F_EXC_RATE = 0, F_WP_BRNCH,",
      "F_WP_BRANCH"),
     (LOADER, "T_ROWS=9, T_ADDR=10,", "T_ADDR=10,", "A_T_ROWS"),
@@ -94,10 +94,12 @@ def test_id_enum_drift_is_reported(real_tree_copy, rel, old, new, expected):
 
 
 @pytest.mark.parametrize("rel, old, new, expected", [
-    (LOADER, "NCFG = 62", "NCFG = 60", "NCFG"),
-    (CORE_C, "#define ABI_MAGIC 0x52503803LL", "#define ABI_MAGIC 0x52503804LL",
+    (LOADER, "NCFG = 72", "NCFG = 70", "NCFG"),
+    (LOADER, "NF = 6", "NF = 7", "NF"),
+    (CORE_C, "#define ABI_MAGIC 0x52503804LL", "#define ABI_MAGIC 0x52503805LL",
      "ABI_MAGIC"),
-    (LOADER, "RUN_INTERNAL = 4", "RUN_INTERNAL = 5", "RUN_INTERNAL"),
+    (LOADER, "RNG_EXC = 1", "RNG_EXC = 2", "RNG_EXC"),
+    (LOADER, "RUN_INTERNAL = 2", "RUN_INTERNAL = 3", "RUN_INTERNAL"),
     (CORE_C, "#define RQ_LEVELS_MAX 256", "#define RQ_LEVELS_MAX 128",
      "RQ_LEVELS_MAX"),
 ])

@@ -84,8 +84,8 @@ class TestBitIdenticalStats:
 
     def test_exception_recovery_equivalence(self):
         # Exception injection consumes the state's RNG stream; the C core
-        # draws from a refillable buffer of the same stream and must take
-        # the same exceptions on the same commits.
+        # draws the same stream itself and must take the same exceptions
+        # on the same commits.
         reference, compiled, _ = run_both("gcc", "extended",
                                           exception_rate=0.002)
         assert reference.exceptions_taken > 0
@@ -228,26 +228,37 @@ class TestWrongPathCascade:
         assert reference.fetched_wrong_path > 0
         assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
 
-    def test_tiny_raw_buffer_escapes_mid_episode(self, monkeypatch):
-        # The smallest legal buffer (three words per fetch slot) makes the
-        # core escape for words inside nearly every wrong-path episode.
-        from repro.engine.accel import compiled as compiled_mod
+    def test_warmed_state_continues_advanced_streams(self):
+        # A warmed MachineState whose wrong-path generator has already
+        # drawn (cursors advanced, a half pending) and whose lottery is
+        # mid-stream: the core continues both streams where they stand,
+        # and leaves the machine's own generators as they were.
+        def streams(state):
+            generator = state.fetch_unit.wrongpath
+            return (generator.draws.bit_generator.state,
+                    generator.draws.pending, generator._int_cursor,
+                    generator._fp_cursor,
+                    state.exception_rng.bit_generator.state)
 
-        refills = []
-        refill = compiled_mod._refill_wrongpath
+        before = {}
 
-        def count_refills(*args):
-            refills.append(1)
-            return refill(*args)
+        def advance(engine):
+            state = engine.state
+            generator = state.fetch_unit.wrongpath
+            generator.next_instructions(0x400000, 17)
+            while generator.draws.pending is None:
+                generator.draws.next_bounded(2)
+            state.exception_rng.random(5)
+            assert generator._int_cursor > 0
+            before[engine.config.engine] = streams(state)
 
-        monkeypatch.setattr(compiled_mod, "WP_RAW_BUFFER",
-                            3 * ProcessorConfig().fetch_width)
-        monkeypatch.setattr(compiled_mod, "_refill_wrongpath",
-                            count_refills)
-        reference, compiled, _ = run_both("gcc", "extended")
+        reference, compiled, engine = run_both(
+            "gcc", "extended", warmup=True, exception_rate=0.002,
+            prepare=advance)
         assert reference.fetched_wrong_path > 0
-        assert len(refills) > reference.fetched_wrong_path // 8
+        assert reference.exceptions_taken > 0
         assert dataclasses.asdict(compiled) == dataclasses.asdict(reference)
+        assert streams(engine.state) == before["compiled"]
 
     @staticmethod
     def _fallback_both(prepare, reason: str):
@@ -275,6 +286,114 @@ class TestWrongPathCascade:
             generator._int_regs = [1, 3, 5]
 
         self._fallback_both(gappy, "contiguous")
+
+
+def _bare_machine(wrongpath=None):
+    """``(lib, machine)``: a cold machine of the default config, whose
+    cascade starts where ``wrongpath`` stands (its stream unseeded)."""
+    from repro.engine.accel import compiled as compiled_mod
+    from repro.engine.accel.loader import NCFG, NF, load_core
+
+    ffi, lib = load_core()
+    columns = get_workload("gcc", 100, seed=0).columns
+    vec = compiled_mod._config_vector(ProcessorConfig(), columns, None)
+    rates = np.zeros(NF)
+    if wrongpath is not None:
+        compiled_mod._wrongpath_config(vec, rates, wrongpath)
+    mach = lib.sim_new(ffi.cast("long long *", ffi.from_buffer(vec)), NCFG,
+                       ffi.cast("double *", ffi.from_buffer(rates)), NF)
+    assert mach != ffi.NULL
+    return lib, ffi.gc(mach, lib.sim_free)
+
+
+@needs_compiled
+class TestStreamPins:
+    """The core's PCG64 draws the words numpy's does, word for word."""
+
+    SEEDS = (0, 1, 7, 12345, 2**63 + 11)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("drawn", [0, 17, 1000])
+    def test_raw_words_continue_the_python_stream(self, seed, drawn):
+        from repro.engine.accel import compiled as compiled_mod
+        from repro.engine.accel.loader import RNG_WRONGPATH
+
+        bit_generator = np.random.PCG64(seed)
+        bit_generator.random_raw(drawn)
+        state = bit_generator.state
+        lib, mach = _bare_machine()
+        compiled_mod._seed(lib, mach, RNG_WRONGPATH, bit_generator)
+        assert bit_generator.state == state    # reading it draws nothing
+        words = [lib.sim_draw(mach, RNG_WRONGPATH, 0) for _ in range(1000)]
+        assert words == bit_generator.random_raw(1000).tolist()
+
+    @pytest.mark.parametrize("seed", (1, 2, 99))
+    def test_exception_lottery_is_generator_random(self, seed):
+        from repro.engine import state as machine_state
+        from repro.engine.accel import compiled as compiled_mod
+        from repro.engine.accel.loader import RNG_EXC
+
+        config = ProcessorConfig(seed=seed, exception_rate=0.01)
+        rng = machine_state.exception_rng(config)
+        lib, mach = _bare_machine()
+        compiled_mod._seed(lib, mach, RNG_EXC, rng.bit_generator)
+        doubles = [(lib.sim_draw(mach, RNG_EXC, 0) >> 11) * 2.0 ** -53
+                   for _ in range(500)]
+        assert doubles == np.random.default_rng(seed + 0xE).random(
+            500).tolist()
+
+    @pytest.mark.parametrize("seed", (3, 4, 5))
+    def test_bounded_draws_start_from_the_pending_half(self, seed):
+        # A generator mid-stream with a half pending (forced to 0 once,
+        # which 248 rejects): raw words, Lemire draws of three spans and
+        # the pending half interleave exactly as RawDraws draws them.
+        from repro.engine.accel import compiled as compiled_mod
+        from repro.engine.accel.loader import RNG_WRONGPATH
+        from repro.trace.draws import bounded_threshold
+        from repro.trace.wrongpath import WrongPathGenerator, WrongPathMix
+
+        generator = WrongPathGenerator(WrongPathMix(), seed=seed)
+        draws = generator.draws
+        generator.next_instructions(0x400000, 9)
+        for pending in (None, 0):
+            if pending is not None:
+                draws.pending = pending
+            while draws.pending is None:
+                draws.next_bounded(2)
+            lib, mach = _bare_machine(generator)
+            compiled_mod._seed(lib, mach, RNG_WRONGPATH,
+                               draws.bit_generator)
+            schedule = [248, 0, 2048, 2048, 248, 2, 0, 248] * 40
+            core = [lib.sim_draw(mach, RNG_WRONGPATH, span)
+                    for span in schedule]
+            python = [draws.raw() if span == 0 else
+                      draws.next_bounded(span, bounded_threshold(span))
+                      for span in schedule]
+            assert core == python
+
+    def test_cold_starts_leave_the_shared_generators_pristine(self):
+        # A cold start reads the shared, per-seed generators' states and
+        # draws from copies: after runs that drew both streams, the
+        # shared ones still stand where a fresh seeding puts them.
+        from repro.engine import state as machine_state
+
+        trace = get_workload("gcc", TRACE_LENGTH, seed=0)
+        config = ProcessorConfig(release_policy="extended", seed=3,
+                                 exception_rate=0.002, engine="compiled")
+        for _ in range(2):
+            engine = SimulationEngine(trace, config)
+            stats = engine.run()
+            assert engine.backend_used == "compiled"
+            assert stats.fetched_wrong_path > 0
+            assert stats.exceptions_taken > 0
+        shared = machine_state.wrongpath_generator(trace, config, shared=True)
+        assert shared.draws.bit_generator.state == \
+            np.random.PCG64(config.seed).state
+        assert shared.draws.pending is None
+        assert (shared._int_cursor, shared._fp_cursor) == (0, 0)
+        assert machine_state.exception_rng(
+            config, shared=True).bit_generator.state == \
+            np.random.default_rng(config.seed + 0xE).bit_generator.state
 
 
 @needs_compiled
@@ -561,20 +680,29 @@ class TestWarmupDeferral:
 
 def _set_row_id(index, past_table=False, value=None):
     """Corrupt row id ``index``: past the row table, or to ``value``."""
-    def corrupt(columns, view):
-        view[index] = len(columns.records) if past_table else value
+    def corrupt(columns, table, rows):
+        rows[index] = len(columns.records) if past_table else value
     return corrupt
 
 
 def _set_first_row(column, value):
     """Corrupt ``column`` of the first row that names a register there."""
-    def corrupt(columns, view):
-        table = columns.table
+    def corrupt(columns, table, rows):
         has_reg = (table["dc"] >= 0 if column in ("dc", "dest")
                    else table["nsrc"] > 0)
         row = int(np.flatnonzero(has_reg)[0])
-        view[row * (3 if column.startswith("src_") else 1)] = value
+        table[column].reshape(len(table[column]), -1)[row, 0] = value
     return corrupt
+
+
+def _corrupted_copy(columns, corrupt):
+    """A copy of ``columns`` whose arrays ``corrupt`` has written to."""
+    from repro.trace.records import TraceColumns
+
+    table = {name: array.copy() for name, array in columns.table.items()}
+    rows = columns.rows.copy()
+    corrupt(columns, table, rows)
+    return TraceColumns(columns.records, rows, columns.addr, table)
 
 
 @needs_compiled
@@ -617,35 +745,12 @@ class TestTraceInput:
         monkeypatch.setattr(compiled_mod.loader, "load_core", watching_core)
         return runs
 
-    @pytest.mark.parametrize("buffer, corrupt", [
-        ("T_ROWS", _set_row_id(-1, past_table=True)),
-        ("T_ROWS", _set_row_id(0, value=-1)),
-        ("WU_ROWS", _set_row_id(0, past_table=True)),
-        ("T_DEST", _set_first_row("dest", 32)),
-        ("T_DC", _set_first_row("dc", 2)),
-        ("T_SRC_LOG", _set_first_row("src_log", 32)),
-        ("T_SRC_CLASS", _set_first_row("src_class", -1)),
-    ], ids=["row-id-past-table", "negative-row-id", "warm-row-id-past-table",
-            "dest-at-nlog", "dest-class", "source-at-nlog", "source-class"])
-    def test_bad_input_escapes_before_the_first_cycle(self, buffer, corrupt,
-                                                      monkeypatch):
-        from repro.engine.accel import compiled as compiled_mod
-        from repro.engine.accel.loader import A, RUN_INTERNAL
+    @staticmethod
+    def _escapes_before_the_first_cycle(runs):
+        """One compiled attempt that escaped before its first cycle, and
+        a Python rerun equal to the Python engine's."""
+        from repro.engine.accel.loader import RUN_INTERNAL
 
-        exporter = "_export_warmup" if buffer.startswith("WU_") \
-            else "_export_trace"
-        export = getattr(compiled_mod, exporter)
-        per_row = buffer not in ("T_ROWS", "WU_ROWS")
-        runs = self._watch_runs(monkeypatch)
-
-        def corrupting(ffi, lib, mach, columns):
-            export(ffi, lib, mach, columns)
-            length = len(columns.records) if per_row else len(columns)
-            width = 3 if buffer.startswith("T_SRC") else 1
-            corrupt(columns, compiled_mod._i64_view(
-                ffi, lib, mach, getattr(A, buffer), width * length))
-
-        monkeypatch.setattr(compiled_mod, exporter, corrupting)
         trace = get_workload("gcc", 800, seed=0)
         config = ProcessorConfig(release_policy="extended", warmup=True,
                                  engine="compiled")
@@ -656,6 +761,39 @@ class TestTraceInput:
         reference = SimulationEngine(
             trace, dataclasses.replace(config, engine="python")).run()
         assert dataclasses.asdict(stats) == dataclasses.asdict(reference)
+
+    @pytest.mark.parametrize("exporter, corrupt", [
+        ("_export_trace", _set_row_id(-1, past_table=True)),
+        ("_export_trace", _set_row_id(0, value=-1)),
+        ("_export_warmup", _set_row_id(0, past_table=True)),
+        ("_export_trace", _set_first_row("dest", 32)),
+        ("_export_trace", _set_first_row("dc", 2)),
+        ("_export_trace", _set_first_row("src_log", 32)),
+        ("_export_trace", _set_first_row("src_class", -1)),
+    ], ids=["row-id-past-table", "negative-row-id", "warm-row-id-past-table",
+            "dest-at-nlog", "dest-class", "source-at-nlog", "source-class"])
+    def test_bad_input_escapes_before_the_first_cycle(self, exporter, corrupt,
+                                                      monkeypatch):
+        # The trace's own arrays are read-only: bind a corrupted copy.
+        from repro.engine.accel import compiled as compiled_mod
+
+        export = getattr(compiled_mod, exporter)
+        runs = self._watch_runs(monkeypatch)
+
+        def corrupting(ffi, lib, mach, columns):
+            return export(ffi, lib, mach, _corrupted_copy(columns, corrupt))
+
+        monkeypatch.setattr(compiled_mod, exporter, corrupting)
+        self._escapes_before_the_first_cycle(runs)
+
+    @pytest.mark.parametrize("exporter", ["_export_trace", "_export_warmup"])
+    def test_unbound_trace_escapes_before_the_first_cycle(self, exporter,
+                                                          monkeypatch):
+        from repro.engine.accel import compiled as compiled_mod
+
+        runs = self._watch_runs(monkeypatch)
+        monkeypatch.setattr(compiled_mod, exporter, lambda *args: [])
+        self._escapes_before_the_first_cycle(runs)
 
     def test_register_past_the_logical_file_raises_the_python_error(
             self, monkeypatch):
@@ -867,7 +1005,6 @@ class TestArenaReuse:
     def test_geometry_sequence_in_one_thread(self, monkeypatch):
         from repro.engine import DeadlockError
         from repro.engine.accel import compiled as compiled_mod
-        from repro.engine.accel.loader import A
 
         for workload, policy, registers, overrides in self.GEOMETRIES:
             reference, compiled, _ = run_both(
@@ -878,15 +1015,13 @@ class TestArenaReuse:
             assert dataclasses.asdict(compiled) == \
                 dataclasses.asdict(reference)
 
-        # A point whose export escapes with RUN_INTERNAL is redone on
-        # Python; the machine it leaves behind is reused next.
+        # A point bound to bad input escapes with RUN_INTERNAL and is
+        # redone on Python; the machine it leaves behind is reused next.
         export = compiled_mod._export_trace
         corrupt = _set_row_id(-1, past_table=True)
 
         def corrupting(ffi, lib, mach, columns):
-            export(ffi, lib, mach, columns)
-            corrupt(columns, compiled_mod._i64_view(
-                ffi, lib, mach, A.T_ROWS, len(columns)))
+            return export(ffi, lib, mach, _corrupted_copy(columns, corrupt))
 
         trace = get_workload("gcc", 800, seed=0)
         config = ProcessorConfig(release_policy="extended", warmup=True,
