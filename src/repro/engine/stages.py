@@ -426,9 +426,13 @@ class RenameStage(Stage):
             state.lsq.insert(entry.seq, inst.is_store, inst.mem_addr)
 
         # ------------------------------------------------------- exceptions
+        # The lottery is one double of the raw-word contract
+        # (repro.trace.draws): the top 53 bits of the next raw word, as
+        # the compiled core's pcg_double draws it.
         rate = state.config.exception_rate
         if (rate > 0.0 and not entry.wrong_path
-                and state.exception_rng.random() < rate):
+                and (state.exception_rng.bit_generator.random_raw() >> 11)
+                * 2.0 ** -53 < rate):
             entry.exception = True
 
         state.ros.append(entry)

@@ -4,9 +4,10 @@ Property-based cross-checking of the simulator against itself: random
 scenario profiles and tight machine configurations, each run through a
 pluggable oracle set —
 
-* **generation** — chunk-size invariance: one iteration per chunk vs
-  the default chunking (instruction streams and bit-generator state
-  must match exactly);
+* **generation** — chunk-size and code-book invariance: one iteration
+  per chunk, and a code book warmed by another seed, vs the default
+  chunking over a fresh book (instruction streams and bit-generator
+  state must match exactly);
 * **backend** — compiled C core vs Python engine ``SimStats`` equality
   (honouring every documented skip/fallback path);
 * **conservation** — engine-internal invariants checked by a per-cycle

@@ -10,14 +10,16 @@ toolchain or a config outside the compiled envelope must surface as a
 Oracles:
 
 ``generation``
-    Chunk-size invariance: generating the trace one iteration per chunk
-    (``chunk_iterations=1``) and with the default chunking must produce
-    identical instructions — all ten ``TRACE_COLUMN_NAMES``, each
-    row-table column expanded per instruction, so two traces whose row
-    tables list the same records in a different order still agree (the
-    compiled core receives the table, the row ids and the addresses,
-    and reads them the same way) — **and** leave the bit generator in
-    the identical state (so both consumed exactly the same draws).
+    Chunk-size and code-book invariance: generating the trace one
+    iteration per chunk (``chunk_iterations=1``), and through a code
+    book that generated another seed of the scenario first, must each
+    produce the instructions of a default-chunked generation over a
+    fresh book — all ten ``TRACE_COLUMN_NAMES``, each row-table column
+    expanded per instruction, so two traces whose row tables list the
+    same records in a different order still agree (the compiled core
+    receives the table, the row ids and the addresses, and reads them
+    the same way) — **and** leave the bit generator in the identical
+    state (so all consumed exactly the same draws).
 ``backend``
     The compiled C core vs the Python engine must produce
     field-identical ``SimStats`` — honouring ``unsupported_reason()``
@@ -41,9 +43,9 @@ from repro.fuzz.invariants import InvariantProbe, InvariantViolation
 from repro.fuzz.sampling import FuzzSample
 from repro.pipeline.stats import SimStats
 from repro.trace.records import Trace
-from repro.trace.workloads import (generate_scenario_trace, get_workload,
-                                   install_ephemeral_profiles, trace_rng,
-                                   uninstall_ephemeral_profiles)
+from repro.trace.workloads import (CodeBook, generate_scenario_trace,
+                                   get_workload, install_ephemeral_profiles,
+                                   trace_rng, uninstall_ephemeral_profiles)
 
 #: Default oracle set, in execution order (cheap generation check first,
 #: conservation last so its probe run reuses the generated trace).
@@ -144,36 +146,45 @@ def _stats_diff(left: SimStats, right: SimStats,
 # Oracles
 # ----------------------------------------------------------------------
 def check_generation(sample: FuzzSample, ctx: SampleContext) -> OracleOutcome:
-    """One iteration per chunk vs the default chunking: identical
-    columns and bit-generator state."""
+    """The default chunking over a fresh code book vs one iteration per
+    chunk, and vs a warm book: identical columns and bit-generator
+    state."""
+    scenario, seed = sample.scenario, sample.trace_seed
     traces, rngs = {}, {}
     try:
-        for label, chunk in (("chunked", None), ("per-iteration", 1)):
-            rngs[label] = trace_rng(sample.scenario, sample.trace_seed)
+        warm_book = CodeBook(scenario)
+        generate_scenario_trace(scenario, sample.trace_length, seed + 1,
+                                book=warm_book)
+        for label, chunk, book in (("chunked", None, CodeBook(scenario)),
+                                   ("per-iteration", 1, CodeBook(scenario)),
+                                   ("warm-book", None, warm_book)):
+            rngs[label] = trace_rng(scenario, seed)
             traces[label] = generate_scenario_trace(
-                sample.scenario, sample.trace_length, sample.trace_seed,
-                chunk_iterations=chunk, rng=rngs[label])
+                scenario, sample.trace_length, seed, chunk_iterations=chunk,
+                rng=rngs[label], book=book)
     except Exception as exc:  # a generation crash is a finding, not noise
         return _failed(f"trace generation raised {type(exc).__name__}: {exc}")
-    chunked, single = traces["chunked"], traces["per-iteration"]
-    difference = chunked.columns.first_difference(single.columns)
-    if difference is not None:
-        name, index = difference
-        if name == "length":
-            return _failed(
-                f"chunked trace has {len(chunked)} instructions, "
-                f"per-iteration {len(single)}")
-        return _failed(
-            f"column {name!r} diverges at instruction {index}: "
-            f"chunked {chunked.instructions[index]!r} vs "
-            f"per-iteration {single.instructions[index]!r}")
+    chunked = traces["chunked"]
     chunked_state = rngs["chunked"].bit_generator.state
-    single_state = rngs["per-iteration"].bit_generator.state
-    if chunked_state != single_state:
-        return _failed(
-            "bit-generator state diverges after generation (the two "
-            "chunkings consumed different draws): "
-            f"chunked={chunked_state!r} per-iteration={single_state!r}")
+    for label in ("per-iteration", "warm-book"):
+        other = traces[label]
+        difference = chunked.columns.first_difference(other.columns)
+        if difference is not None:
+            name, index = difference
+            if name == "length":
+                return _failed(
+                    f"chunked trace has {len(chunked)} instructions, "
+                    f"{label} {len(other)}")
+            return _failed(
+                f"column {name!r} diverges at instruction {index}: "
+                f"chunked {chunked.instructions[index]!r} vs "
+                f"{label} {other.instructions[index]!r}")
+        other_state = rngs[label].bit_generator.state
+        if other_state != chunked_state:
+            return _failed(
+                f"bit-generator state diverges after generation (chunked "
+                f"and {label} consumed different draws): "
+                f"chunked={chunked_state!r} {label}={other_state!r}")
     return _passed()
 
 

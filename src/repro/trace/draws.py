@@ -30,10 +30,11 @@ its pending half in its :class:`RawDraws` and never writes it back.
 
 Three ways to draw:
 
-:func:`draw_template`
+:class:`DrawTemplate`
     A fixed per-iteration schedule of slots (doubles and power-of-two
-    bounded integers) for ``k`` iterations: one bulk ``random_raw`` and
-    one numpy column per slot.
+    bounded integers), compiled once (a kernel keeps its own, as static
+    code): ``k`` iterations are one bulk ``random_raw`` and a fixed
+    number of array operations that give one numpy column per slot.
 :class:`RawCursor`
     A data-dependent schedule (the pointer-chase store lottery): a
     bounded block of words drawn up front and consumed draw by draw,
@@ -46,15 +47,14 @@ Three ways to draw:
 from __future__ import annotations
 
 from operator import length_hint
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-#: Slot marker for one double in a :func:`draw_template` schedule.
+#: Slot marker for one double in a :class:`DrawTemplate` schedule.
 DOUBLE = 0
 
 _TWO53_INV = 2.0 ** -53
-_LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT11 = np.uint64(11)
 _SHIFT32 = np.uint64(32)
 
@@ -81,177 +81,160 @@ def _set_buffer_state(bit_generator, pending: Optional[int],
 # ======================================================================
 # Template draws: fixed per-iteration slot schedules.
 # ======================================================================
-class _CompiledIteration:
-    """Word-consumption pattern of one template iteration.
+class _Period:
+    """Where every slot of two iterations takes its word, for one entry
+    state (a half pending before the first iteration, or none).
 
-    ``sources[j]`` describes where slot ``j``'s value comes from:
-    ``("d", r)`` — the double of word ``r``; ``("lo", r)`` / ``("hi", r)``
-    — the Lemire product of word ``r``'s low/high half; ``("ebuf", None)``
-    — the half pending *before* the iteration (the previous iteration's
-    surplus, or the bit generator's pending half for iteration 0).  Word
-    indices are relative to the iteration's first word.
+    Two iterations make a period: each bounded slot flips whether a half
+    is pending, so after two iterations the entry state is back.  A
+    chunk's words sit behind a prefix one period long, so ``rel`` holds,
+    for the doubles and then for the bounded slots, each slot's word
+    index in each iteration of the period plus ``words``.  A slot that
+    takes the half pending before the period reads the previous period's
+    last low-half word; in period 0 that is the prefix word ``entry``,
+    which holds the entry half.  ``shift`` (per bounded slot and
+    iteration) is 32 for a low half, 0 for a high one.
     """
 
-    __slots__ = ("sources", "n_raws", "exit_rel", "has_ebuf", "last_lo_rel")
+    __slots__ = ("rel", "shift", "first_words", "words", "entry", "last_lo")
 
-    def __init__(self, template: Sequence[int], entry_buffered: bool) -> None:
-        sources: List[Tuple[str, Optional[int]]] = []
-        raw = 0
-        # None: no pending half; "entry": the pre-iteration half is
-        # still pending; int r: the high half of word r is pending.
-        pending: object = "entry" if entry_buffered else None
-        for slot in template:
-            if slot == DOUBLE:
-                sources.append(("d", raw))
-                raw += 1
-            else:
-                if not _is_pow2(slot) or slot > (1 << 31):
-                    raise ValueError(
-                        f"bounded-integer span {slot} is not a power of two "
-                        f"<= 2**31: a Lemire rejection would make the word "
-                        f"count data-dependent")
-                if pending is None:
-                    sources.append(("lo", raw))
-                    pending = raw
-                    raw += 1
-                elif pending == "entry":
-                    sources.append(("ebuf", None))
-                    pending = None
+    def __init__(self, template: Sequence[int], entry_pending: bool) -> None:
+        rel: List[List[int]] = [[], []]
+        shift: List[List[int]] = [[], []]
+        entry_slots = []
+        last_lo = [-1, -1]
+        word = 0
+        # None: no pending half; -1: the half pending before the period;
+        # r >= 0: the high half of word r.
+        pending: Optional[int] = -1 if entry_pending else None
+        for half in (0, 1):
+            if half:
+                self.first_words = word
+            for slot in template:
+                if slot == DOUBLE:
+                    rel[half].append(word)
+                    word += 1
+                elif pending is None:
+                    rel[half].append(word)
+                    shift[half].append(32)
+                    pending = last_lo[half] = word
+                    word += 1
                 else:
-                    sources.append(("hi", pending))
+                    if pending < 0:
+                        entry_slots.append(len(rel[half]))
+                    rel[half].append(pending)
+                    shift[half].append(0)
                     pending = None
-        self.sources = sources
-        self.n_raws = raw
-        self.has_ebuf = any(kind == "ebuf" for kind, _rel in sources)
-        #: high half of this relative word is pending at exit; "entry"
-        #: means the pre-iteration half passed through untouched.
-        self.exit_rel: object = pending
-        #: relative word of the last fresh low-half consumption — its high
-        #: half is the last value written to the ``uinteger`` field.
-        self.last_lo_rel: Optional[int] = None
-        for kind, rel in reversed(sources):
-            if kind == "lo":
-                self.last_lo_rel = rel
-                break
+        self.words = word
+        # The half pending at a period's end is the next one's entry half.
+        self.entry = pending if entry_slots else 0
+        for index in entry_slots:
+            rel[0][index] = pending - word
+        rel_array = np.array(rel, dtype=np.int64).T + word
+        self.rel = (rel_array[[j for j, slot in enumerate(template)
+                               if slot == DOUBLE]],
+                    rel_array[[j for j, slot in enumerate(template)
+                               if slot != DOUBLE]])
+        self.shift = np.array(shift, dtype=np.uint64).reshape(2, -1).T[
+            :, None, :]
+        self.last_lo = last_lo
 
 
-def draw_template(rng: np.random.Generator, template: Sequence[int],
-                  k: int) -> List[np.ndarray]:
-    """Draw ``k`` iterations of ``template`` from one bulk ``random_raw``.
+class DrawTemplate:
+    """A fixed per-iteration slot schedule, compiled for bulk draws.
 
-    ``template`` is the per-iteration draw schedule: a sequence of slots,
-    each either :data:`DOUBLE` or a positive power-of-two span ``<= 2**31``
-    (one bounded integer in ``[0, span)``).  Returns one numpy column per
-    slot, each of length ``k`` — ``float64`` for doubles, ``uint64`` for
-    bounded integers — and leaves ``rng``'s bit generator, pending half
-    included, where the same draws made one at a time would.
+    ``template`` is a sequence of slots, each either :data:`DOUBLE` or a
+    positive power-of-two span ``<= 2**31`` (one bounded integer in
+    ``[0, span)``; a power of two never rejects, so the word count of an
+    iteration does not depend on the data).  Compiling walks two
+    iterations once per entry state; :meth:`draw` then turns one bulk
+    ``random_raw`` into every slot's column with a fixed number of array
+    operations, whatever the template's length or ``k``.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0 or not template:
-        return [np.empty(0) for _ in template]
-    bit_generator = rng.bit_generator
-    entry_pending, entry_stale = _buffer_state(bit_generator)
 
-    compiled: Dict[bool, _CompiledIteration] = {}
+    __slots__ = ("slots", "_doubles", "_bounded", "_spans", "_periods")
 
-    def form(buffered: bool) -> _CompiledIteration:
-        if buffered not in compiled:
-            compiled[buffered] = _CompiledIteration(template, buffered)
-        return compiled[buffered]
+    def __init__(self, template: Sequence[int]) -> None:
+        self.slots = tuple(template)
+        for slot in self.slots:
+            if slot != DOUBLE and (not _is_pow2(slot) or slot > (1 << 31)):
+                raise ValueError(
+                    f"bounded-integer span {slot} is not a power of two "
+                    f"<= 2**31: a Lemire rejection would make the word "
+                    f"count data-dependent")
+        self._doubles = [j for j, slot in enumerate(self.slots)
+                         if slot == DOUBLE]
+        self._bounded = [j for j, slot in enumerate(self.slots)
+                         if slot != DOUBLE]
+        self._spans = np.array([self.slots[j] for j in self._bounded],
+                               dtype=np.uint64).reshape(-1, 1, 1)
+        self._periods = tuple(_Period(self.slots, entry)
+                              for entry in (False, True))
 
-    # Walk the chunk iteration by iteration (cheap: a handful of integer
-    # operations each) recording which compiled form applies, its word
-    # base, and — where the form consumes a pre-iteration pending half —
-    # the absolute word that half came from (-1: the entry half).
-    iter_form = np.empty(k, dtype=np.int8)
-    iter_base = np.empty(k, dtype=np.int64)
-    ebuf_abs = np.full(k, -1, dtype=np.int64)
-    base = 0
-    pending_abs: object = "entry" if entry_pending is not None else None
-    last_lo_abs: Optional[int] = None
-    for i in range(k):
-        buffered = pending_abs is not None
-        this = form(buffered)
-        iter_form[i] = buffered
-        iter_base[i] = base
-        if buffered and this.has_ebuf:
-            ebuf_abs[i] = -1 if pending_abs == "entry" else pending_abs
-        exit_rel = this.exit_rel
-        if exit_rel is None:
-            pending_abs = None
-        elif exit_rel != "entry":
-            pending_abs = base + exit_rel
-        if this.last_lo_rel is not None:
-            last_lo_abs = base + this.last_lo_rel
-        base += this.n_raws
+    def draw(self, rng: np.random.Generator, k: int) -> List[np.ndarray]:
+        """Draw ``k`` iterations: one column per slot, each of length
+        ``k`` (``float64`` for doubles, ``uint64`` for bounded integers).
 
-    total = base
-    raws = (bit_generator.random_raw(total) if total
-            else np.empty(0, dtype=np.uint64))
-    raws = np.asarray(raws, dtype=np.uint64)
+        Leaves ``rng``'s bit generator, pending half included, where the
+        same draws made one at a time would.
+        """
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        if k == 0 or not self.slots:
+            return [np.empty(0) for _ in self.slots]
+        bit_generator = rng.bit_generator
+        entry_pending, entry_stale = _buffer_state(bit_generator)
+        period = self._periods[entry_pending is not None]
+        width = period.words
+        periods = (k + 1) >> 1
+        total = (k >> 1) * width + (k & 1) * period.first_words
+        # A period-long prefix (the entry half), the chunk's fresh words,
+        # and zeros for the second half of a last, odd period.
+        words = np.zeros((periods + 1) * width, dtype=np.uint64)
+        words[period.entry] = (entry_pending or 0) << 32
+        if total:
+            words[width:width + total] = bit_generator.random_raw(total)
+        offsets = np.arange(periods) * width
 
-    # Value tables, computed lazily per kind/span.
-    doubles: Optional[np.ndarray] = None
-    lo_halves: Optional[np.ndarray] = None
-    hi_halves: Optional[np.ndarray] = None
+        def gather(rel: np.ndarray) -> np.ndarray:
+            """The words of ``rel``'s slots: slot x period x iteration."""
+            index = np.empty((len(rel), periods, 2), dtype=np.int64)
+            for half in (0, 1):
+                np.add(rel[:, half, None], offsets, out=index[:, :, half])
+            return words[index]
 
-    def halves() -> Tuple[np.ndarray, np.ndarray]:
-        nonlocal lo_halves, hi_halves
-        if lo_halves is None:
-            lo_halves = raws & _LOW32
-            hi_halves = raws >> _SHIFT32
-        return lo_halves, hi_halves
+        rel_doubles, rel_bounded = period.rel
+        columns: List[Optional[np.ndarray]] = [None] * len(self.slots)
+        if self._doubles:
+            raw = gather(rel_doubles).reshape(len(self._doubles), -1)
+            doubles = (raw >> _SHIFT11).astype(np.float64) * _TWO53_INV
+            for row, j in enumerate(self._doubles):
+                columns[j] = doubles[row, :k]
+        if self._bounded:
+            halves = (gather(rel_bounded) << period.shift) >> _SHIFT32
+            bounded = ((halves * self._spans) >> _SHIFT32).reshape(
+                len(self._bounded), -1)
+            for row, j in enumerate(self._bounded):
+                columns[j] = bounded[row, :k]
 
-    columns: List[np.ndarray] = []
-    for j, slot in enumerate(template):
-        if slot == DOUBLE:
-            if doubles is None:
-                doubles = (raws >> _SHIFT11).astype(np.float64) * _TWO53_INV
-            out = np.empty(k, dtype=np.float64)
-            span = None
+        # The last fresh low half is in one of the last two iterations;
+        # its high half is what the ``uinteger`` field keeps.
+        last_word = None
+        for i in (k - 1, k - 2):
+            if i >= 0 and period.last_lo[i & 1] >= 0:
+                last_word = int(words[width + (i >> 1) * width
+                                      + period.last_lo[i & 1]] >> _SHIFT32)
+                break
+        stale = last_word if last_word is not None else entry_stale
+        if (entry_pending is not None) == (k * len(self._bounded) % 2 == 0):
+            # A half is pending: the last bounded slot took a fresh word's
+            # low half, or there is no bounded slot and the entry half
+            # passes through.
+            pending = last_word if self._bounded else entry_pending
         else:
-            out = np.empty(k, dtype=np.uint64)
-            span = np.uint64(slot)
-        for buffered, this in compiled.items():
-            sel = iter_form == int(buffered)
-            if not sel.any():
-                continue
-            kind, rel = this.sources[j]
-            if kind == "d":
-                out[sel] = doubles[iter_base[sel] + rel]
-            elif kind == "lo":
-                lo, _hi = halves()
-                out[sel] = (lo[iter_base[sel] + rel] * span) >> _SHIFT32
-            elif kind == "hi":
-                _lo, hi = halves()
-                out[sel] = (hi[iter_base[sel] + rel] * span) >> _SHIFT32
-            else:  # "ebuf": the half pending before the iteration
-                # idx == -1 (the entry half) can only occur at iteration
-                # 0; gather the in-block halves, then patch it.  A chunk
-                # can consume zero fresh words (k=1, a single bounded
-                # slot, a pending entry half) — then the entry half is
-                # the only source and there is nothing to gather.
-                if raws.size:
-                    _lo, hi = halves()
-                    idx = ebuf_abs[sel]
-                    out[sel] = (hi[np.maximum(idx, 0)] * span) >> _SHIFT32
-                if ebuf_abs[0] < 0 and bool(iter_form[0]) == buffered:
-                    out[0] = (entry_pending * int(slot)) >> 32
-        columns.append(out)
-
-    # random_raw advanced the 128-bit state by ``total`` words; store the
-    # pending half and the last high half drawn.
-    stale = (int(raws[last_lo_abs] >> _SHIFT32) if last_lo_abs is not None
-             else entry_stale)
-    if pending_abs is None:
-        _set_buffer_state(bit_generator, None, stale)
-    elif pending_abs == "entry":
-        _set_buffer_state(bit_generator, entry_pending, stale)
-    else:
-        _set_buffer_state(bit_generator, int(raws[pending_abs] >> _SHIFT32),
-                          stale)
-    return columns
+            pending = None
+        _set_buffer_state(bit_generator, pending, stale)
+        return columns
 
 
 # ======================================================================

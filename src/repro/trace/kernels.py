@@ -30,18 +30,30 @@ per-iteration flags — so each emitter memoises them per shape
 (:meth:`TraceSink.memo`) and builds a sequence only on a miss.  A
 kernel's static code is small and its rotations cycle, so misses are
 rare; the addresses are computed in bulk, a chunk at a time.
+
+A kernel is static code plus per-trace cursors.  The static code is a
+pure function of its :class:`KernelParams`: branch sites and their
+context tables, the compiled :class:`~repro.trace.draws.DrawTemplate`
+and, in the sink's :class:`~repro.trace.records.RowBook`, the shape→row
+memo and the row table.  :meth:`~_KernelBase.start` copies a kernel
+with fresh cursors (rotations, loop and pattern counters, the global
+history, stream positions), so every trace of a workload profile runs
+over one copy of its static code
+(:class:`~repro.trace.workloads.CodeBook`).
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.isa import Instruction, OpClass, RegClass
-from repro.trace.draws import (DOUBLE, RawCursor, RawDraws,
-                               bounded_threshold, draw_template)
+from repro.trace.draws import (DOUBLE, DrawTemplate, RawCursor, RawDraws,
+                               bounded_threshold)
 from repro.trace.records import TraceSink
 from repro.trace.synthetic import (
     BranchSite,
@@ -150,10 +162,27 @@ def random_stream_span(params: KernelParams) -> int:
 
 class _KernelBase:
     """What every kernel provides: a prologue, one chunk emitter and the
-    bound generation sizes its chunks by."""
+    bound generation sizes its chunks by.
+
+    The constructor builds the static code and ends with :meth:`_reset`,
+    which builds the per-trace cursors.
+    """
 
     def __init__(self, params: KernelParams) -> None:
         self.params = params
+        #: names this static code in a sink's shape→row memos; shared by
+        #: every :meth:`start` copy.
+        self.code_key = object()
+
+    def start(self) -> "_KernelBase":
+        """A kernel over this one's static code, with fresh cursors."""
+        kernel = copy.copy(self)
+        kernel._reset()
+        return kernel
+
+    def _reset(self) -> None:
+        """(Re)build the per-trace cursors."""
+        raise NotImplementedError
 
     def max_iteration_length(self) -> int:
         """A (generous) upper bound on one iteration's instruction count.
@@ -185,13 +214,17 @@ class _FPLoopKernel(_KernelBase):
     #: FP registers reserved for loop-invariant coefficients.
     N_COEF = 0
 
-    def __init__(self, params: KernelParams) -> None:
-        super().__init__(params)
-        p = params
+    def _reset(self) -> None:
+        p = self.params
         self.fp_rot = RegisterRotation(
             list(range(self.N_COEF, self.N_COEF + p.fp_window)))
         self.int_rot = RegisterRotation(list(range(1, 1 + p.int_window)))
-        self.iteration = 0
+        self.iteration = self.loop_count = 0
+        self.streams, self.out_stream = self._streams()
+
+    def _streams(self) -> Tuple[List[StridedStream], StridedStream]:
+        """The input streams and the output stream, from their starts."""
+        raise NotImplementedError
 
     def _emit_rows(self, k: int, sink: TraceSink, int_dests: int,
                    fp_dests: int, div_interval: int) -> None:
@@ -202,7 +235,7 @@ class _FPLoopKernel(_KernelBase):
         int_rot, fp_rot, loop = self.int_rot, self.fp_rot, self.loop_branch
         iwn, fwn = len(int_rot.window), len(fp_rot.window)
         icur, fcur = int_rot.cursor, fp_rot.cursor
-        count, iteration = loop.count, self.iteration
+        count, iteration = self.loop_count, self.iteration
         for _ in range(k):
             div = bool(div_interval) and iteration % div_interval == 0
             count += 1
@@ -217,7 +250,7 @@ class _FPLoopKernel(_KernelBase):
             fcur += fp_dests + div
             iteration += 1
         int_rot.cursor, fp_rot.cursor = icur, fcur
-        loop.count, self.iteration = count, iteration
+        self.loop_count, self.iteration = count, iteration
 
 
 class StreamingFPKernel(_FPLoopKernel):
@@ -234,18 +267,22 @@ class StreamingFPKernel(_FPLoopKernel):
     def __init__(self, params: KernelParams) -> None:
         super().__init__(params)
         p = params
-        self.streams = [
-            StridedStream(base=p.data_base + s * (p.mem_footprint + 4096),
-                          stride=p.stream_stride, footprint=p.mem_footprint)
-            for s in range(p.n_streams)
-        ]
-        self.out_stream = StridedStream(
-            base=p.data_base + p.n_streams * (p.mem_footprint + 4096),
-            stride=p.stream_stride, footprint=p.mem_footprint)
         body = p.n_streams * (4 + p.chain_len) + 3
         self.loop_branch = BranchSite(
             pc=p.pc_base + 4 * body, target=p.pc_base,
             kind="loop", trip=p.trip_count)
+        self._reset()
+
+    def _streams(self) -> Tuple[List[StridedStream], StridedStream]:
+        p = self.params
+        streams = [
+            StridedStream(base=p.data_base + s * (p.mem_footprint + 4096),
+                          stride=p.stream_stride, footprint=p.mem_footprint)
+            for s in range(p.n_streams)
+        ]
+        return streams, StridedStream(
+            base=p.data_base + p.n_streams * (p.mem_footprint + 4096),
+            stride=p.stream_stride, footprint=p.mem_footprint)
 
     def prologue(self) -> List[Instruction]:
         """Define the coefficient registers once, before the loop."""
@@ -339,17 +376,21 @@ class StencilFPKernel(_FPLoopKernel):
     def __init__(self, params: KernelParams) -> None:
         super().__init__(params)
         p = params
-        self.streams = [
+        body = 2 + 2 * p.n_streams + 2 * p.chain_len + 4
+        self.loop_branch = BranchSite(pc=p.pc_base + 4 * body, target=p.pc_base,
+                                      kind="loop", trip=p.trip_count)
+        self._reset()
+
+    def _streams(self) -> Tuple[List[StridedStream], StridedStream]:
+        p = self.params
+        streams = [
             StridedStream(base=p.data_base + s * (p.mem_footprint + 8192),
                           stride=p.stream_stride, footprint=p.mem_footprint)
             for s in range(p.n_streams)
         ]
-        self.out_stream = StridedStream(
+        return streams, StridedStream(
             base=p.data_base + (p.n_streams + 1) * (p.mem_footprint + 8192),
             stride=p.stream_stride, footprint=p.mem_footprint)
-        body = 2 + 2 * p.n_streams + 2 * p.chain_len + 4
-        self.loop_branch = BranchSite(pc=p.pc_base + 4 * body, target=p.pc_base,
-                                      kind="loop", trip=p.trip_count)
 
     def prologue(self) -> List[Instruction]:
         """Define the stencil coefficient registers once."""
@@ -447,11 +488,8 @@ class IntComputeKernel(_KernelBase):
     def __init__(self, params: KernelParams) -> None:
         super().__init__(params)
         p = params
-        self.int_rot = RegisterRotation(list(range(1, 1 + p.int_window)))
         self.data = RandomStream(base=p.data_base, footprint=p.mem_footprint)
-        self._span = random_stream_span(p)
-        self.out = StridedStream(base=p.data_base + 2 * p.mem_footprint,
-                                 stride=8, footprint=p.mem_footprint)
+        span = random_stream_span(p)
         chain_block = 1 + p.chain_len
         body = 1 + p.n_parallel_chains * chain_block + p.hammock_len + 4
         self.hammock_branch = BranchSite(
@@ -462,7 +500,19 @@ class IntComputeKernel(_KernelBase):
         fill_context_tables([self.hammock_branch])
         self.loop_branch = BranchSite(pc=p.pc_base + 4 * body, target=p.pc_base,
                                       kind="loop", trip=p.trip_count)
-        self.iteration = 0
+        #: per iteration: one address per work chain, the hammock's noise
+        #: flip (when ``branch_noise > 0``), the store lottery.
+        self._draws = DrawTemplate(
+            [span] * p.n_parallel_chains
+            + ([DOUBLE] if self.hammock_branch.noise > 0.0 else []) + [DOUBLE])
+        self._reset()
+
+    def _reset(self) -> None:
+        p = self.params
+        self.int_rot = RegisterRotation(list(range(1, 1 + p.int_window)))
+        self.out = StridedStream(base=p.data_base + 2 * p.mem_footprint,
+                                 stride=8, footprint=p.mem_footprint)
+        self.iteration = self.loop_count = 0
         #: recent branch outcomes (LSB = most recent), read by the
         #: hammock's history-correlated outcome.
         self.ghist = 0
@@ -483,9 +533,7 @@ class IntComputeKernel(_KernelBase):
         n_chains = p.n_parallel_chains
         hammock, loop = self.hammock_branch, self.loop_branch
         noise = hammock.noise > 0.0
-        template = ([self._span] * n_chains
-                    + ([DOUBLE] if noise else []) + [DOUBLE])
-        columns = draw_template(rng, template, k)
+        columns = self._draws.draw(rng, k)
         stores = (columns[-1] < p.store_fraction).tolist()
         noise_flips = ((columns[n_chains] < hammock.noise).tolist() if noise
                        else [False] * k)
@@ -496,7 +544,8 @@ class IntComputeKernel(_KernelBase):
         icur = self.int_rot.cursor
         chain_dests = 2 + n_chains * (1 + p.chain_len)
         trip, mult_interval = loop.trip, p.mult_interval
-        loop_count, ghist, iteration = loop.count, self.ghist, self.iteration
+        loop_count, ghist, iteration = (self.loop_count, self.ghist,
+                                        self.iteration)
         correlated_outcome = hammock.correlated_outcome
         for j in range(k):
             hammock_taken = correlated_outcome(ghist) != noise_flips[j]
@@ -516,7 +565,8 @@ class IntComputeKernel(_KernelBase):
                      + (0 if hammock_taken else p.hammock_len))
             iteration += 1
         self.int_rot.cursor = icur
-        loop.count, self.ghist, self.iteration = loop_count, ghist, iteration
+        self.loop_count, self.ghist, self.iteration = (loop_count, ghist,
+                                                       iteration)
         # Memory ops per iteration: the chains' loads, the store when its
         # lottery hit, the extra stores; stores walk the output stream.
         per_iteration = n_chains + 1 + p.extra_stores
@@ -613,7 +663,6 @@ class BranchyKernel(_KernelBase):
     def __init__(self, params: KernelParams) -> None:
         super().__init__(params)
         p = params
-        self.int_rot = RegisterRotation(list(range(1, 1 + p.int_window)))
         self.data = RandomStream(base=p.data_base, footprint=p.mem_footprint)
         span = random_stream_span(p)
         self.sites: List[BranchSite] = []
@@ -641,30 +690,42 @@ class BranchyKernel(_KernelBase):
         self.loop_branch = BranchSite(
             pc=p.pc_base + p.n_branch_sites * block_span,
             target=p.pc_base, kind="loop", trip=p.trip_count)
-        #: recent branch outcomes (LSB = most recent), read by the
-        #: history-correlated sites.
-        self.ghist = 0
         # The per-iteration draw template.  Walking the static site list
         # yields, in draw order: the block's load address (sites
         # ``s % 3 == 0``), the block's store address (sites ``s % 4 == 3``,
         # unless the single-block load took the slot), then the site's
         # noise flip (correlated sites with noise).  The addresses come in
         # the order the block emits its memory ops.
-        self._template: List[int] = []
+        template: List[int] = []
         #: per site, its noise flip's template slot (None: no flip).
         self._noise_slots: List[Optional[int]] = []
         for s, site in enumerate(self.sites):
             if p.block_len > 0 and s % 3 == 0:
-                self._template.append(span)
+                template.append(span)
             if (p.block_len > 0 and s % 4 == 3
                     and not (p.block_len == 1 and s % 3 == 0)):
-                self._template.append(span)
+                template.append(span)
             self._noise_slots.append(None)
             if site.kind == "correlated" and site.noise > 0.0:
-                self._noise_slots[-1] = len(self._template)
-                self._template.append(DOUBLE)
-        self._address_slots = [i for i, slot in enumerate(self._template)
+                self._noise_slots[-1] = len(template)
+                template.append(DOUBLE)
+        self._draws = DrawTemplate(template)
+        self._address_slots = [i for i, slot in enumerate(template)
                                if slot != DOUBLE]
+        self._patterns = [site.pattern if site.kind == "pattern" else None
+                          for site in self.sites]
+        self._reset()
+
+    def _reset(self) -> None:
+        self.int_rot = RegisterRotation(
+            list(range(1, 1 + self.params.int_window)))
+        self.loop_count = 0
+        #: the pattern sites' instance counters (correlated sites'
+        #: outcomes do not depend on theirs).
+        self.site_counts = [0] * len(self.sites)
+        #: recent branch outcomes (LSB = most recent), read by the
+        #: history-correlated sites.
+        self.ghist = 0
 
     def max_iteration_length(self) -> int:
         p = self.params
@@ -677,13 +738,12 @@ class BranchyKernel(_KernelBase):
         every noisy correlated site's flip for the whole chunk.  Each
         site's block (body, branch, hammock) is memoised as row ids per
         shape: rotation cursor and outcome."""
-        columns = draw_template(rng, self._template, k)
+        columns = self._draws.draw(rng, k)
         flips = [None if slot is None
                  else (columns[slot] < site.noise).tolist()
                  for site, slot in zip(self.sites, self._noise_slots,
                                        strict=True)]
-        patterns = [site.pattern if site.kind == "pattern" else None
-                    for site in self.sites]
+        patterns = self._patterns
 
         memo = sink.memo(self)
         add_rows = sink.rows.extend
@@ -691,10 +751,8 @@ class BranchyKernel(_KernelBase):
         iwn = len(iwin)
         icur = self.int_rot.cursor
         loop = self.loop_branch
-        loop_count, ghist = loop.count, self.ghist
-        #: the pattern sites' instance counters (correlated sites' outcomes
-        #: do not depend on theirs).
-        site_counts = [site.count for site in self.sites]
+        loop_count, ghist = self.loop_count, self.ghist
+        site_counts = self.site_counts
         for j in range(k):
             for s, site in enumerate(self.sites):
                 pattern = patterns[s]
@@ -725,9 +783,7 @@ class BranchyKernel(_KernelBase):
                     ((INT, _recent(iwin, icur, 1)),), taken, loop.target)]
             add_rows(rows)
         self.int_rot.cursor = icur
-        for site, count in zip(self.sites, site_counts, strict=True):
-            site.count = count
-        loop.count, self.ghist = loop_count, ghist
+        self.loop_count, self.ghist = loop_count, ghist
         if self._address_slots:
             sink.addrs.extend(np.stack(
                 [self.data.addresses(columns[i]) for i in self._address_slots],
@@ -789,7 +845,6 @@ class PointerChaseKernel(_KernelBase):
     def __init__(self, params: KernelParams) -> None:
         super().__init__(params)
         p = params
-        self.int_rot = RegisterRotation(list(range(1, 1 + p.int_window)))
         self.chases = [
             PointerChaseStream(base=p.data_base + i * (p.chase_nodes * 32 + 4096),
                                n_nodes=p.chase_nodes, seed=p.pc_base + i)
@@ -812,6 +867,15 @@ class PointerChaseKernel(_KernelBase):
         #: dedicated pointer registers (outside the rotation window) so each
         #: chase is a true ``p = p->next`` chain across iterations.
         self._ptr_regs = [p.int_window + 1 + i for i in range(2)]
+        self._reset()
+
+    def _reset(self) -> None:
+        self.int_rot = RegisterRotation(
+            list(range(1, 1 + self.params.int_window)))
+        # The chase orders are static; the positions are cursors.
+        self.chases = [dataclasses.replace(chase, _pos=0)
+                       for chase in self.chases]
+        self.pattern_count = self.loop_count = 0
         #: recent branch outcomes (LSB = most recent), read by the
         #: conditional branch's history-correlated outcome.
         self.ghist = 0
@@ -858,9 +922,9 @@ class PointerChaseKernel(_KernelBase):
             chase_addrs[:, chase_id] = chase.take(count)
         loads = chase_addrs.reshape(k, -1).tolist()
         pattern = self.pattern_branch.pattern
-        pattern_count = self.pattern_branch.count
+        pattern_count = self.pattern_count
         trip = loop.trip
-        loop_count, ghist = loop.count, self.ghist
+        loop_count, ghist = self.loop_count, self.ghist
         works = p.load_chain_len * len(self.chases)
         data = self.data
         next_double, next_bounded = cursor.next_double, cursor.next_bounded
@@ -893,8 +957,8 @@ class PointerChaseKernel(_KernelBase):
                      + (0 if cond_taken else p.hammock_len))
         cursor.finalize()
         self.int_rot.cursor = icur
-        self.pattern_branch.count = pattern_count
-        loop.count, self.ghist = loop_count, ghist
+        self.pattern_count = pattern_count
+        self.loop_count, self.ghist = loop_count, ghist
 
     def _iteration_rows(self, intern, icur: int, pattern_taken: bool,
                         cond_taken: bool, store: bool,

@@ -16,11 +16,20 @@ The compiled core reads exactly these arrays, in place: the row table (a
 few hundred to about a thousand rows for a generated workload), the row
 ids and the addresses; it indexes the table by row id as it fetches.
 
+A generated trace's row table is shared: every trace of one workload
+profile (its seeds, lengths and warm-up segments) is row ids over the
+profile's :class:`RowBook`, which interns records, keeps the kernels'
+shape→row memos and extends one numpy table as rows are added.  Rows
+are only ever appended, so each trace reads the prefix that existed
+when it was frozen.  A trace's row ids depend on what its book held
+before it; what a trace *is* is its gathered columns
+(:meth:`TraceColumns.gather`), which do not.
+
 :class:`~repro.isa.instructions.Instruction` objects exist only on
 demand (the Python engine, tests): one shared object per non-memory row
 and a fresh one per memory op.  A trace built by hand from an
-instruction list keeps that list and derives its columns once, on first
-use.
+instruction list keeps that list and derives its columns once, over a
+private book, on first use.
 
 The :class:`TraceSummary` gives the aggregate properties that the workload
 calibration tests assert on (instruction mix, branch density, register
@@ -53,6 +62,9 @@ TRACE_COLUMN_NAMES = ROW_COLUMN_NAMES + ("addr",)
 
 #: Source slots per instruction in the source columns.
 MAX_SRCS = 3
+
+#: The (class, index) pairs of unused source slots, flattened.
+_NO_SOURCES = (0, 0) * MAX_SRCS
 
 
 def column_width(name: str) -> int:
@@ -104,25 +116,82 @@ class TraceSummary:
 
 def _row_table(records: Sequence[Record]) -> Dict[str, np.ndarray]:
     """The numpy row table of ``records``: every column but ``addr``."""
-    n = len(records)
-    table = {name: np.zeros(n, dtype=np.int64)
-             for name in ("op", "pc", "dc", "dest", "nsrc", "taken", "target")}
-    table["src_class"] = np.zeros((n, MAX_SRCS), dtype=np.int64)
-    table["src_log"] = np.zeros((n, MAX_SRCS), dtype=np.int64)
-    for row, (op, pc, dest, srcs, taken, target) in enumerate(records):
-        table["op"][row] = op
-        table["pc"][row] = pc
-        if dest is None:
-            table["dc"][row] = -1
-        else:
-            table["dc"][row], table["dest"][row] = dest
-        table["nsrc"][row] = len(srcs)
-        for slot, (reg_class, log) in enumerate(srcs):
-            table["src_class"][row, slot] = reg_class
-            table["src_log"][row, slot] = log
-        table["taken"][row] = taken
-        table["target"][row] = target
+    # One flat list of the rows' values, read by np.fromiter: np.array
+    # would probe every IntEnum member for the array protocols.
+    flat: List[int] = []
+    add = flat.extend
+    for op, pc, dest, srcs, taken, target in records:
+        add((op, pc))
+        add(dest if dest is not None else (-1, 0))
+        add((len(srcs), taken, target))
+        for ref in srcs:
+            add(ref)
+        add(_NO_SOURCES[2 * len(srcs):])
+    rows = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(
+        len(records), 7 + 2 * MAX_SRCS)
+    table = {name: np.ascontiguousarray(rows[:, column])
+             for column, name in enumerate(("op", "pc", "dc", "dest", "nsrc",
+                                            "taken", "target"))}
+    sources = rows[:, 7:].reshape(len(records), MAX_SRCS, 2)
+    table["src_class"] = np.ascontiguousarray(sources[:, :, 0])
+    table["src_log"] = np.ascontiguousarray(sources[:, :, 1])
     return table
+
+
+class RowBook:
+    """The static rows that every trace drawn over it shares.
+
+    It holds the interned records (:meth:`intern`, one row per distinct
+    record, by content), the chunk emitters' shape→row memos
+    (:meth:`memo`), and the numpy row table of those records
+    (:meth:`freeze`).  Rows are only ever appended, so a trace frozen
+    over the first ``n`` rows reads a prefix that later traces never
+    change; the table is extended by the rows added since the last
+    freeze, not rebuilt.  Not thread-safe: a caller shares one book
+    between threads under its own lock.
+    """
+
+    def __init__(self) -> None:
+        self.records: List[Record] = []
+        self._ids: Dict[Record, int] = {}
+        self._memos: Dict[object, dict] = {}
+        self._table: Dict[str, np.ndarray] = _row_table(())
+        self._is_mem = np.zeros(0, dtype=bool)
+
+    def intern(self, op: OpClass, pc: int, dest: Optional[RegRef] = None,
+               srcs: Tuple[RegRef, ...] = (), taken: bool = False,
+               target: int = 0) -> int:
+        """The row id of this static record."""
+        record = (op, pc, dest, srcs, taken, target)
+        row = self._ids.get(record)
+        if row is None:
+            row = self._ids[record] = len(self.records)
+            self.records.append(record)
+        return row
+
+    def memo(self, key) -> dict:
+        """The chunk-emitter memo of static code ``key``: its shape keys
+        → row ids in this book."""
+        return self._memos.setdefault(key, {})
+
+    def freeze(self) -> Tuple[Tuple[Record, ...], Dict[str, np.ndarray],
+                              np.ndarray]:
+        """The records so far, their (read-only) row table and which
+        rows are memory ops."""
+        built = len(self._is_mem)
+        if len(self.records) > built:
+            fresh = self.records[built:]
+            self._table = {
+                name: np.concatenate([column, added])
+                for (name, column), added in zip(
+                    self._table.items(), _row_table(fresh).values(),
+                    strict=True)}
+            for column in self._table.values():
+                column.setflags(write=False)
+            self._is_mem = np.concatenate([
+                self._is_mem,
+                np.array([is_memory_op(op) for op, *_ in fresh], dtype=bool)])
+        return tuple(self.records), self._table, self._is_mem
 
 
 class TraceColumns:
@@ -210,37 +279,28 @@ class TraceColumns:
 class TraceSink:
     """Collects a trace as row ids and addresses while it is generated.
 
-    ``rows`` gets one row id per instruction (:meth:`intern` adds a row
-    per new record, by content) and ``addrs`` one address per *memory*
-    op.  The chunk emitters of :mod:`repro.trace.kernels` append to both
-    directly, with a memo per kernel (:meth:`memo`); ``Instruction``
-    lists (prologues, hand-built traces) go through :meth:`extend`.
+    ``rows`` gets one row id per instruction and ``addrs`` one address
+    per *memory* op; the row ids index ``book``, a :class:`RowBook` that
+    the trace may share with other traces of its profile (a private one
+    by default).  The chunk emitters of :mod:`repro.trace.kernels`
+    append to both directly, with a memo per kernel (:meth:`memo`);
+    ``Instruction`` lists (prologues, hand-built traces) go through
+    :meth:`extend`.
     """
 
-    def __init__(self) -> None:
-        self.records: List[Record] = []
-        self._ids: Dict[Record, int] = {}
-        self._memos: Dict[object, dict] = {}
+    def __init__(self, book: Optional[RowBook] = None) -> None:
+        self.book = book if book is not None else RowBook()
+        #: the row id of a record (:meth:`RowBook.intern`).
+        self.intern = self.book.intern
         self.rows: List[int] = []
         self.addrs: List[int] = []
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def intern(self, op: OpClass, pc: int, dest: Optional[RegRef] = None,
-               srcs: Tuple[RegRef, ...] = (), taken: bool = False,
-               target: int = 0) -> int:
-        """The row id of this static record."""
-        record = (op, pc, dest, srcs, taken, target)
-        row = self._ids.get(record)
-        if row is None:
-            row = self._ids[record] = len(self.records)
-            self.records.append(record)
-        return row
-
     def memo(self, kernel) -> dict:
         """``kernel``'s chunk-emitter memo: its shape keys → row ids."""
-        return self._memos.setdefault(kernel, {})
+        return self.book.memo(kernel.code_key)
 
     def extend(self, instructions: Iterable[Instruction]) -> None:
         """Append instruction records (prologues, hand-built traces)."""
@@ -252,14 +312,14 @@ class TraceSink:
                 addrs.append(inst.mem_addr)
 
     def columns(self) -> TraceColumns:
-        """Freeze what was collected into :class:`TraceColumns`."""
+        """Freeze what was collected into :class:`TraceColumns` over the
+        book's table as it stands."""
+        records, table, is_mem = self.book.freeze()
         rows = np.array(self.rows, dtype=np.int32)
-        is_mem = np.array([is_memory_op(record[0]) for record in self.records],
-                          dtype=bool)
         addr = np.zeros(len(rows), dtype=np.int64)
         if len(rows):
             addr[is_mem[rows]] = self.addrs
-        return TraceColumns(self.records, rows, addr)
+        return TraceColumns(records, rows, addr, table)
 
 
 class InstructionSequence(SequenceABC):

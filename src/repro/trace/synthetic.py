@@ -86,7 +86,9 @@ class PointerChaseStream:
 
     A fixed random permutation over ``n_nodes`` "nodes" is walked one node
     per access, reproducing the dependent-load behaviour of linked-list
-    and tree traversals (li, perl) without simulating data values.
+    and tree traversals (li, perl) without simulating data values.  The
+    permutation is a function of ``seed`` and ``n_nodes``, so a stream
+    restarted with ``dataclasses.replace(stream, _pos=0)`` shares it.
     """
 
     base: int
@@ -96,11 +98,13 @@ class PointerChaseStream:
     _order: Optional[np.ndarray] = field(default=None, repr=False)
     _pos: int = 0
 
-    def take(self, count: int) -> np.ndarray:
-        """The addresses of the next ``count`` nodes in the chase order."""
+    def __post_init__(self) -> None:
         if self._order is None:
             self._order = np.random.default_rng(self.seed).permutation(
                 self.n_nodes)
+
+    def take(self, count: int) -> np.ndarray:
+        """The addresses of the next ``count`` nodes in the chase order."""
         nodes = (self._pos + np.arange(count)) % self.n_nodes
         self._pos += count
         return self.base + self._order[nodes] * self.node_size
@@ -149,8 +153,8 @@ class BranchSite:
         while the ``noise`` term sets the floor on the achievable
         misprediction rate.
 
-    ``count`` is the number of dynamic instances so far; the emitters
-    advance it for loop and pattern sites, whose outcome it determines.
+    A site is static code: the instance counters that loop and pattern
+    outcomes follow are the emitting kernel's per-trace cursors.
     """
 
     pc: int
@@ -163,7 +167,6 @@ class BranchSite:
     noise: float = 0.05
     #: number of global-history bits the correlated outcome depends on.
     context_bits: int = 8
-    count: int = 0
     _context_table: dict = field(default_factory=dict, repr=False)
 
     def correlated_outcome(self, global_history: int) -> bool:

@@ -26,8 +26,9 @@ import dataclasses
 import hashlib
 import json
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -44,7 +45,7 @@ from repro.trace.kernels import (
     _KernelBase,
     random_stream_span,
 )
-from repro.trace.records import Trace, TraceSink
+from repro.trace.records import RowBook, Trace, TraceSink
 
 #: Default trace length (dynamic instructions) used by the experiment
 #: harness when the caller does not override it.
@@ -262,7 +263,8 @@ def generate_trace(profile: BenchmarkProfile,
                    n_instructions: int = DEFAULT_TRACE_LENGTH,
                    seed: int = 0,
                    chunk_iterations: Optional[int] = None,
-                   rng: Optional[np.random.Generator] = None) -> Trace:
+                   rng: Optional[np.random.Generator] = None,
+                   book: Optional["CodeBook"] = None) -> Trace:
     """Generate a dynamic trace of roughly ``n_instructions`` for ``profile``.
 
     Generation is iteration-granular: the trace ends at the first loop
@@ -273,22 +275,28 @@ def generate_trace(profile: BenchmarkProfile,
     on it.  ``rng`` overrides the seed-derived generator — callers that
     need to inspect the bit-generator state after generation (the
     differential fuzzer's generation oracle) pass their own from
-    :func:`trace_rng`.
+    :func:`trace_rng`.  ``book`` overrides the profile's shared
+    :class:`CodeBook` (the same oracle compares a fresh one with one
+    that generated other traces first); the trace does not depend on it.
 
     The kernels write the trace's columns directly (a
-    :class:`~repro.trace.records.TraceSink`); no ``Instruction`` object
-    survives generation.
+    :class:`~repro.trace.records.TraceSink` over the book's rows); no
+    ``Instruction`` object survives generation.
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
     if rng is None:
         rng = trace_rng(profile, seed)
-    kernel = make_kernel(profile)
-    sink = TraceSink()
-    sink.extend(kernel.prologue())
-    _emit_until(kernel, rng, sink, n_instructions, chunk_iterations)
+    if book is None:
+        book = _cached_trace.book(profile)
+    with book.lock:
+        kernel = book.kernels[0].start()
+        sink = TraceSink(book.rows)
+        sink.extend(kernel.prologue())
+        _emit_until(kernel, rng, sink, n_instructions, chunk_iterations)
+        columns = sink.columns()
     return Trace(name=profile.name, focus_class=profile.focus_class,
-                 seed=seed, columns=sink.columns())
+                 seed=seed, columns=columns)
 
 
 # ======================================================================
@@ -797,7 +805,8 @@ def generate_scenario_trace(profile: ScenarioProfile,
                             n_instructions: int = DEFAULT_TRACE_LENGTH,
                             seed: int = 0,
                             chunk_iterations: Optional[int] = None,
-                            rng: Optional[np.random.Generator] = None) -> Trace:
+                            rng: Optional[np.random.Generator] = None,
+                            book: Optional["CodeBook"] = None) -> Trace:
     """Generate the (possibly phased) trace of a scenario.
 
     All phases share one ``Generator``; each phase's kernel is
@@ -805,45 +814,124 @@ def generate_scenario_trace(profile: ScenarioProfile,
     around again.  A phase segment ends at the first kernel iteration
     boundary at or after ``phase_length`` appended instructions (the
     final segment at ``n_instructions``), so segment boundaries — like
-    trace ends — never cut an iteration.  ``chunk_iterations`` and
-    ``rng`` work exactly as in :func:`generate_trace` (the fuzzer's
-    generation oracle compares final bit-generator states through the
-    latter).
+    trace ends — never cut an iteration.  ``chunk_iterations``, ``rng``
+    and ``book`` work exactly as in :func:`generate_trace` (the fuzzer's
+    generation oracle compares final bit-generator states through
+    ``rng``).
     """
     if n_instructions <= 0:
         raise ValueError("n_instructions must be positive")
     if rng is None:
         rng = trace_rng(profile, seed)
-    kernels = [_KERNEL_FACTORIES[phase.kernel](phase.params)
-               for phase in profile.phases]
-    started = [False] * len(kernels)
-    sink = TraceSink()
-    index = 0
-    while len(sink) < n_instructions:
-        kernel = kernels[index % len(kernels)]
-        if not started[index % len(kernels)]:
-            sink.extend(kernel.prologue())
-            started[index % len(kernels)] = True
-        target = min(len(sink) + profile.phase_length, n_instructions)
-        _emit_until(kernel, rng, sink, target, chunk_iterations)
-        index += 1
+    if book is None:
+        book = _cached_trace.book(profile)
+    with book.lock:
+        kernels = [kernel.start() for kernel in book.kernels]
+        started = [False] * len(kernels)
+        sink = TraceSink(book.rows)
+        index = 0
+        while len(sink) < n_instructions:
+            kernel = kernels[index % len(kernels)]
+            if not started[index % len(kernels)]:
+                sink.extend(kernel.prologue())
+                started[index % len(kernels)] = True
+            target = min(len(sink) + profile.phase_length, n_instructions)
+            _emit_until(kernel, rng, sink, target, chunk_iterations)
+            index += 1
+        columns = sink.columns()
     return Trace(name=profile.name, focus_class=profile.focus_class,
-                 seed=seed, columns=sink.columns())
+                 seed=seed, columns=columns)
 
 
-@lru_cache(maxsize=64)
-def _cached_trace(profile: Union[BenchmarkProfile, ScenarioProfile],
-                  n_instructions: int, seed: int) -> Trace:
-    """Memoised trace generation, keyed by profile *content*.
+class CodeBook:
+    """The static code of one workload profile, shared by its traces.
+
+    One kernel per phase (a benchmark has one), built once: its branch
+    sites and their context tables and its compiled draw template
+    (:class:`~repro.trace.kernels._KernelBase`); a generation runs a
+    :meth:`~repro.trace.kernels._KernelBase.start` copy of each with
+    fresh cursors.  ``rows`` is the :class:`~repro.trace.records.RowBook`
+    every trace of the profile is row ids over: the shape→row memos and
+    the row table.  A generation holds ``lock`` (the sweep service
+    generates from several threads).
+    """
+
+    __slots__ = ("kernels", "rows", "lock")
+
+    def __init__(self, profile: Union[BenchmarkProfile, ScenarioProfile]) -> None:
+        phases = (profile.phases if isinstance(profile, ScenarioProfile)
+                  else (profile,))
+        self.kernels = tuple(_KERNEL_FACTORIES[phase.kernel](phase.params)
+                             for phase in phases)
+        self.rows = RowBook()
+        self.lock = threading.Lock()
+
+
+class _TraceMemo:
+    """Memoised trace generation, keyed by profile *content*, and the
+    code books of the profiles it generates.
 
     Profiles are frozen (hashable) dataclasses, so the key is the full
     content: re-registering a changed scenario under the same name misses
-    this cache instead of serving the stale trace, while re-registering
-    identical content still hits.
+    this cache instead of serving the stale trace (and gets its own code
+    book), while re-registering identical content still hits.  Both
+    memos are least-recently-used and bounded; :meth:`cache_clear` drops
+    both, so the next generation of any profile rebuilds its book.
     """
-    if isinstance(profile, ScenarioProfile):
-        return generate_scenario_trace(profile, n_instructions, seed)
-    return generate_trace(profile, n_instructions, seed)
+
+    def __init__(self, max_traces: int, max_books: int) -> None:
+        self._max_traces, self._max_books = max_traces, max_books
+        self._traces: "OrderedDict[tuple, Trace]" = OrderedDict()
+        self._books: "OrderedDict[object, CodeBook]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, profile: Union[BenchmarkProfile, ScenarioProfile],
+                 n_instructions: int, seed: int) -> Trace:
+        key = (profile, n_instructions, seed)
+        with self._lock:
+            trace = self._traces.get(key)
+            if trace is not None:
+                self._traces.move_to_end(key)
+                return trace
+        if isinstance(profile, ScenarioProfile):
+            trace = generate_scenario_trace(profile, n_instructions, seed)
+        else:
+            trace = generate_trace(profile, n_instructions, seed)
+        with self._lock:
+            self._remember(self._traces, key, trace, self._max_traces)
+        return trace
+
+    def book(self, profile: Union[BenchmarkProfile, ScenarioProfile]
+             ) -> CodeBook:
+        """The shared code book of ``profile`` (built on first use)."""
+        with self._lock:
+            book = self._books.get(profile)
+            if book is not None:
+                self._books.move_to_end(profile)
+                return book
+        book = CodeBook(profile)
+        with self._lock:
+            # Another thread may have built one meanwhile: keep the first.
+            book = self._books.setdefault(profile, book)
+            self._remember(self._books, profile, book, self._max_books)
+        return book
+
+    @staticmethod
+    def _remember(memo: OrderedDict, key, value, limit: int) -> None:
+        memo[key] = value
+        memo.move_to_end(key)
+        while len(memo) > limit:
+            memo.popitem(last=False)
+
+    def cache_clear(self) -> None:
+        """Drop every memoised trace and every code book."""
+        with self._lock:
+            self._traces.clear()
+            self._books.clear()
+
+
+#: The process's trace memo (64 traces) and code books (32 profiles).
+_cached_trace = _TraceMemo(max_traces=64, max_books=32)
 
 
 def get_workload(name: str, n_instructions: int = DEFAULT_TRACE_LENGTH,

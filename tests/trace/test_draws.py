@@ -11,16 +11,22 @@ import pytest
 
 from repro.trace.draws import (
     DOUBLE,
+    DrawTemplate,
     RawCursor,
     RawDraws,
     bounded_threshold,
-    draw_template,
 )
+from repro.trace.workloads import get_profile, make_kernel
 
 #: The first four raw words of ``PCG64(123)``: the stream every value
 #: below is a function of.
 PCG64_123_WORDS = [0xAEAE9C9903F3E9CD, 0x0DC736DB97CB6D23,
                    0x3869812EE8B9EA96, 0x2F32FDB1414D8C05]
+
+
+#: The draw templates of two benchmark kernels, as compiled.
+KERNEL_TEMPLATES = {name: list(make_kernel(get_profile(name))._draws.slots)
+                    for name in ("go", "gcc")}
 
 
 class Words:
@@ -37,11 +43,23 @@ def rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def one_at_a_time(seed, template, k):
+def with_entry_half(seed, entry_pending):
+    """A seeded generator, with a half pending (left by one bounded draw)
+    when ``entry_pending``."""
+    generator = rng(seed)
+    if entry_pending:
+        DrawTemplate([8]).draw(generator, 1)
+    return generator
+
+
+def one_at_a_time(seed, template, k, entry_pending=False):
     """``template`` drawn slot by slot through :class:`RawDraws`, with the
     pending half written back as the trace kernels do."""
-    generator = rng(seed)
-    draws = RawDraws(generator.bit_generator)
+    generator = with_entry_half(seed, entry_pending)
+    state = generator.bit_generator.state
+    draws = RawDraws(generator.bit_generator,
+                     state["uinteger"] if state["has_uint32"] else None,
+                     state["uinteger"])
     columns = [[] for _ in template]
     for _ in range(k):
         for j, slot in enumerate(template):
@@ -104,7 +122,7 @@ class TestTransforms:
 class TestTemplate:
     def test_pinned_columns_and_end_state(self):
         generator = rng(123)
-        columns = draw_template(generator, [DOUBLE, 1024, 64], 3)
+        columns = DrawTemplate([DOUBLE, 1024, 64]).draw(generator, 3)
         assert [column.tolist() for column in columns] == [
             [0.6823518632481435, 0.22035987277261138, 0.17590590108503035],
             [607, 261, 356],
@@ -119,21 +137,28 @@ class TestTemplate:
         [1024, 1024],                               # even ints: parity stable
         [4096, 4096, 4096, DOUBLE, DOUBLE],         # int_compute schedule
         [2048, DOUBLE, 2048, DOUBLE, DOUBLE, 64],   # branchy-style mix
+        # The benchmarks' own templates: go's 43 slots (19 addresses, 24
+        # noise flips; an odd count of bounded slots) and gcc's.
+        pytest.param(KERNEL_TEMPLATES["go"], id="go"),
+        pytest.param(KERNEL_TEMPLATES["gcc"], id="gcc"),
     ])
-    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    @pytest.mark.parametrize("k", [1, 2, 7, 64, 4096])
     def test_equals_one_draw_at_a_time(self, template, k):
-        expected, reference = one_at_a_time(5, template, k)
-        generator = rng(5)
-        columns = draw_template(generator, template, k)
-        assert [column.tolist() for column in columns] == expected
-        assert generator.bit_generator.state == reference.bit_generator.state
+        # From a fresh generator, and from one with a half pending.
+        for entry_pending in (False, True):
+            expected, reference = one_at_a_time(5, template, k, entry_pending)
+            generator = with_entry_half(5, entry_pending)
+            columns = DrawTemplate(template).draw(generator, k)
+            assert [column.tolist() for column in columns] == expected
+            assert (generator.bit_generator.state
+                    == reference.bit_generator.state)
 
     def test_chunks_compose(self):
         template = [4096, DOUBLE, 64]
         whole = rng(7)
-        expected = draw_template(whole, template, 5)
+        expected = DrawTemplate(template).draw(whole, 5)
         split = rng(7)
-        parts = [draw_template(split, template, n) for n in (1, 3, 1)]
+        parts = [DrawTemplate(template).draw(split, n) for n in (1, 3, 1)]
         for j in range(len(template)):
             assert np.concatenate([part[j] for part in parts]).tolist() == \
                 expected[j].tolist()
@@ -143,9 +168,9 @@ class TestTemplate:
         # k=1 with a single bounded slot and a pending half consumes no
         # fresh word (regression: this used to index an empty block).
         generator = rng(77)
-        draw_template(generator, [8], 1)            # leaves a half pending
+        DrawTemplate([8]).draw(generator, 1)            # leaves a half pending
         before = generator.bit_generator.state
-        (column,) = draw_template(generator, [16], 1)
+        (column,) = DrawTemplate([16]).draw(generator, 1)
         assert column.tolist() == [(before["uinteger"] * 16) >> 32]
         after = generator.bit_generator.state
         assert after["state"] == before["state"]
@@ -153,20 +178,20 @@ class TestTemplate:
 
     def test_doubles_keep_the_pending_half(self):
         generator = rng(11)
-        draw_template(generator, [256], 1)          # leaves a half pending
+        DrawTemplate([256]).draw(generator, 1)          # leaves a half pending
         pending = generator.bit_generator.state["uinteger"]
-        draw_template(generator, [DOUBLE, DOUBLE], 2)
+        DrawTemplate([DOUBLE, DOUBLE]).draw(generator, 2)
         state = generator.bit_generator.state
         assert (state["has_uint32"], state["uinteger"]) == (1, pending)
 
     def test_rejects_a_span_that_could_reject(self):
         with pytest.raises(ValueError, match="power of two"):
-            draw_template(rng(0), [100], 4)
+            DrawTemplate([100])
 
     def test_empty_chunk_is_a_noop(self):
         generator = rng(3)
         before = generator.bit_generator.state
-        assert all(len(c) == 0 for c in draw_template(generator, [DOUBLE, 64], 0))
+        assert all(len(c) == 0 for c in DrawTemplate([DOUBLE, 64]).draw(generator, 0))
         assert generator.bit_generator.state == before
 
 
@@ -200,7 +225,7 @@ class TestRawCursor:
 
     def test_pending_half_consumed_first(self):
         generator = rng(123)
-        draw_template(generator, [1024], 1)         # word 0's high half pends
+        DrawTemplate([1024]).draw(generator, 1)         # word 0's high half pends
         cursor = RawCursor(generator, 8)
         assert cursor.next_bounded(1 << 32) == PCG64_123_WORDS[0] >> 32
         cursor.finalize()
